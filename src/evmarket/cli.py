@@ -33,9 +33,11 @@ from .mpc_loop import run as run_simulation
 from .mpc_loop import simulate_uncontrolled
 from .oracle import CentralProblem, solve_central, welfare
 from .scenario_io import (
+    SECTION_KEYS,
     Scenario,
     ScenarioFormatError,
     parse_scenario,
+    parse_value,
     resolve_sessions,
     write_trace,
 )
@@ -84,51 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_SECTIONS = {
-    "grid": ("grid", {"slot_minutes": float, "num_slots": int}),
-    "dso": (
-        "dso",
-        {
-            "quadratic_cost": ("cost_quadratic", float),
-            "linear_cost": ("cost_linear", float),
-            "power_min": float,
-            "power_max": float,
-        },
-    ),
-    "storage": (
-        "storage",
-        {
-            "power_min": float,
-            "power_max": float,
-            "energy_initial": float,
-            "energy_reference": float,
-            "throughput": float,
-            "tracking_weight": float,
-        },
-    ),
-    "solver": (
-        "solver",
-        {
-            "initial_price": float,
-            "step_size": float,
-            "balance_tolerance": float,
-            "max_iterations": int,
-            "step_schedule": str,
-            "kkt_tolerance": float,
-            "energy_tolerance": float,
-        },
-    ),
-    "fleet": (
-        "fleet",
-        {
-            "count": int,
-            "power_min": float,
-            "power_max": float,
-            "weight": float,
-            "loss_fraction": float,
-        },
-    ),
-}
+# Scenario fields whose name differs from their key in the file.
+_FIELD_NAMES = {"dso.quadratic_cost": "cost_quadratic", "dso.linear_cost": "cost_linear"}
 
 
 def _apply_override(scenario: Scenario, spec: str) -> Scenario:
@@ -142,18 +101,18 @@ def _apply_override(scenario: Scenario, spec: str) -> Scenario:
     if "." not in path:
         raise ValueError(f"override key {path!r} must be section.key or 'seed'")
     section, _, key = path.partition(".")
-    if section not in _OVERRIDE_SECTIONS:
+    # Vehicles are repeatable sections and have no single entry to override.
+    if section not in SECTION_KEYS or section == "ev":
         raise ValueError(f"unknown override section {section!r}")
-    attr, keys = _OVERRIDE_SECTIONS[section]
+    keys = SECTION_KEYS[section]
     if key not in keys:
         raise ValueError(f"unknown override key {path!r}")
-    target = getattr(scenario, attr)
+    target = getattr(scenario, section)
     if target is None:
         raise ValueError(f"scenario has no {section!r} section to override")
-    entry = keys[key]
-    field_name, kind = entry if isinstance(entry, tuple) else (key, entry)
-    value = raw if kind is str else kind(raw)
-    return replace(scenario, **{attr: replace(target, **{field_name: value})})
+    value = parse_value(keys[key], raw, section, key)
+    field_name = _FIELD_NAMES.get(path, key)
+    return replace(scenario, **{section: replace(target, **{field_name: value})})
 
 
 def _load_scenario(args) -> Scenario:

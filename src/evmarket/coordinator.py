@@ -15,7 +15,7 @@ in a fixed order here so that runs stay bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -66,22 +66,33 @@ class ConvergenceConfig:
 
 @dataclass(frozen=True, eq=False)
 class DualIterationState:
-    """Everything produced by one evaluation of the dual function."""
+    """Everything produced by one evaluation of the dual function, as plain
+    arrays; ``demand``, ``supply`` and ``residual`` wrap them on access."""
 
     iteration: int
-    prices: PriceVector
-    demand: PowerProfile
-    supply: PowerProfile
-    residual: PowerProfile
+    price_values: np.ndarray
+    demand_values: np.ndarray
+    supply_values: np.ndarray
+    residual_values: np.ndarray
     dual_value: float
-    ev_solutions: tuple[EVSolution, ...]
+    ev_solutions: Sequence[EVSolution]
     dso_solution: DSOSolution
 
     @property
+    def demand(self) -> PowerProfile:
+        return PowerProfile(self.demand_values)
+
+    @property
+    def supply(self) -> PowerProfile:
+        return PowerProfile(self.supply_values)
+
+    @property
+    def residual(self) -> PowerProfile:
+        return PowerProfile(self.residual_values)
+
+    @property
     def residual_norm(self) -> float:
-        if len(self.residual) == 0:
-            return 0.0
-        return float(np.abs(self.residual.values).max())
+        return float(np.abs(self.residual_values).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,15 +113,28 @@ class NegotiationResult:
     residual_history: tuple[float, ...]
 
 
-def update_price(prices: PriceVector, residual: PowerProfile, step: float) -> PriceVector:
-    """Move prices against the balance violation, clipped at zero."""
-    if len(prices) != len(residual):
+def update_price(prices, residual, step: float):
+    """Move prices against the balance violation, clipped at zero.
+
+    Plain arrays in give an array out (as in the price loop); a
+    :class:`PriceVector` in gives a :class:`PriceVector` out.
+    """
+    lam = getattr(prices, "values", prices)
+    imbalance = getattr(residual, "values", residual)
+    if len(lam) != len(imbalance):
         raise ValueError("price and residual lengths differ")
-    return PriceVector(np.maximum(prices.values - step * residual.values, 0.0))
+    out = np.maximum(lam - step * imbalance, 0.0)
+    return PriceVector(out) if isinstance(prices, PriceVector) else out
+
+
+def _check_windows(ev_subs: Sequence[EVSubproblem], dso_sub: DSOSubproblem) -> None:
+    for sub in ev_subs:
+        if sub.window.start != dso_sub.window.start or sub.window.length > dso_sub.window.length:
+            raise ValueError("vehicle windows must be embedded in the coordination window")
 
 
 def evaluate_dual(
-    prices: PriceVector,
+    prices,
     ev_subs: Sequence[EVSubproblem],
     dso_sub: DSOSubproblem,
     eps: Tolerances = Tolerances(),
@@ -121,44 +145,40 @@ def evaluate_dual(
 ) -> DualIterationState:
     """Solve every agent subproblem at ``prices`` and assemble the imbalance.
 
-    Vehicle subproblems see the leading slice of ``prices`` covering their own
-    window (the carried price fields are replaced); vehicles contribute zero
-    demand past their departure.  The dual value is the sum of the agents'
-    optimal objectives.
+    ``prices`` is a :class:`PriceVector` or a plain array over the
+    coordination window.  Vehicle subproblems see the leading slice covering
+    their own window (the carried price fields are replaced); vehicles
+    contribute zero demand past their departure.  The dual value is the sum of
+    the agents' optimal objectives.  A caller passing ``workspace`` has already
+    checked that it holds ``ev_subs`` inside the window.
     """
+    lam = getattr(prices, "values", prices)
     n = dso_sub.window.length
-    if len(prices) != n:
+    if len(lam) != n:
         raise ValueError("price vector length must equal the coordination window")
-    for sub in ev_subs:
-        if sub.window.start != dso_sub.window.start or sub.window.length > n:
-            raise ValueError("vehicle windows must be embedded in the coordination window")
-
-    if ev_subs:
-        if workspace is None:
-            workspace = EVBatchWorkspace(ev_subs)
-        workspace.load_prices([prices.values[: sub.window.length] for sub in ev_subs])
-        ev_solutions = workspace.solve(eps=eps, mu_hints=mu_hints)
-    else:
-        ev_solutions = []
-    dso_solution = solve_dso(
-        replace(dso_sub, prices=prices), eps=eps, start=dso_start
-    )
 
     demand = np.zeros(n)
-    for sub, sol in zip(ev_subs, ev_solutions):
-        demand[: sub.window.length] += sol.profile.values
-    supply = dso_solution.generation.values
-    residual = supply - demand
-    dual_value = dso_solution.objective + sum(sol.objective for sol in ev_solutions)
+    dual_value = 0.0
+    ev_solutions: Sequence[EVSolution] = ()
+    if ev_subs:
+        if workspace is None:
+            _check_windows(ev_subs, dso_sub)
+            workspace = EVBatchWorkspace(ev_subs)
+        workspace.load_prices(lam)
+        ev_solutions = workspace.solve(eps=eps, mu_hints=mu_hints)
+        demand[: workspace.width] = ev_solutions.power.sum(axis=0)
+        dual_value = float(ev_solutions.objective.sum())
+    dso_solution = solve_dso(dso_sub, eps=eps, start=dso_start, prices=lam)
 
+    supply = dso_solution.point[:n]
     return DualIterationState(
         iteration=iteration,
-        prices=prices,
-        demand=PowerProfile(demand),
-        supply=PowerProfile(supply),
-        residual=PowerProfile(residual),
-        dual_value=dual_value,
-        ev_solutions=tuple(ev_solutions),
+        price_values=lam,
+        demand_values=demand,
+        supply_values=supply,
+        residual_values=supply - demand,
+        dual_value=dso_solution.objective + dual_value,
+        ev_solutions=ev_solutions,
         dso_solution=dso_solution,
     )
 
@@ -179,8 +199,9 @@ def negotiate_slot(
     raised; the caller decides policy.
     """
     n = dso_sub.window.length
-    prices = PriceVector.constant(max(warm_start_price, 0.0), n)
+    prices = np.full(n, max(warm_start_price, 0.0))
 
+    _check_windows(ev_subs, dso_sub)
     history: list[float] = []
     workspace = EVBatchWorkspace(ev_subs) if ev_subs else None
     mu_hints: np.ndarray | None = None
@@ -199,31 +220,32 @@ def negotiate_slot(
             dso_start=dso_start,
             workspace=workspace,
         )
-        history.append(state.residual_norm)
+        norm = state.residual_norm
+        history.append(norm)
         iterations = k
-        if state.residual_norm <= config.balance_tolerance:
+        if norm <= config.balance_tolerance:
             converged = True
             break
         if k == config.max_iterations:
             break
-        prices = update_price(prices, state.residual, config.step_at(k))
-        mu_hints = np.array([sol.energy_multiplier for sol in state.ev_solutions])
-        dso_start = (
-            state.dso_solution.generation.values,
-            state.dso_solution.storage_power.values,
-        )
+        prices = update_price(prices, state.residual_values, config.step_at(k))
+        if workspace is not None:
+            mu_hints = state.ev_solutions.energy_multiplier
+        point = state.dso_solution.point
+        dso_start = (point[:n], point[n:])
 
     assert state is not None
+    ev_solutions = tuple(state.ev_solutions)
     return NegotiationResult(
-        prices=state.prices,
+        prices=PriceVector(state.price_values),
         demand=state.demand,
         supply=state.supply,
         storage_power=state.dso_solution.storage_power,
-        ev_profiles=tuple(sol.profile for sol in state.ev_solutions),
-        ev_solutions=state.ev_solutions,
+        ev_profiles=tuple(sol.profile for sol in ev_solutions),
+        ev_solutions=ev_solutions,
         iterations=iterations,
         residual=state.residual,
-        residual_norm=state.residual_norm,
+        residual_norm=history[-1],
         converged=converged,
         dual_value=state.dual_value,
         residual_history=tuple(history),

@@ -3,13 +3,16 @@
 The supplier maximizes ``sum_t [price(t) * P_l(t) - C(P_l(t) - P_s(t))]`` minus
 a quadratic penalty for letting the stored energy drift away from its
 reference, over box bounds on both generation ``P_l`` and storage power
-``P_s``.  The objective is a strictly concave quadratic, solved by accelerated
-projected gradient with a fixed step ``1/L``.
+``P_s``.  The objective is a strictly concave quadratic, solved by projected
+Newton: each iteration guesses the active bounds from the gradient, solves the
+Newton system on the free variables (cached per free set) and searches along
+the projection arc, else takes a projected-gradient step of length ``1/L``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,12 +51,21 @@ class DSOSubproblem:
             raise ValueError("price vector length must equal the window length")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DSOSolution:
-    generation: PowerProfile
-    storage_power: PowerProfile
+    """Optimal dispatch; ``point`` stacks the generation and the storage power."""
+
+    point: np.ndarray
     objective: float
     kkt_residual: float
+
+    @cached_property
+    def generation(self) -> PowerProfile:
+        return PowerProfile(self.point[: self.point.size // 2])
+
+    @cached_property
+    def storage_power(self) -> PowerProfile:
+        return PowerProfile(self.point[self.point.size // 2 :])
 
 
 def generation_cost(net_power, quad_coeff: float, lin_coeff: float):
@@ -79,17 +91,17 @@ def storage_tracking_penalty(
     return float(np.dot(dev, dev))
 
 
-# Quadratic forms reused across negotiation iterations, keyed by the window
-# length and cost parameters (prices and stored energy only shift the linear
-# term).
-_FORM_CACHE: dict[tuple, tuple[np.ndarray, float]] = {}
+# Halvings of the Newton step tried along the projection arc before falling
+# back to a projected-gradient step.
+_ARC_STEPS = 8
 
+# Quadratic forms, boxes and free-set Newton systems are reused across
+# negotiation iterations, keyed by the window length and cost parameters
+# (prices and stored energy only shift the linear term), the bounds, or the
+# free set.  The caches are bounded so a long-running process stays small.
 
+@lru_cache(maxsize=64)
 def _quadratic_form(n: int, quad: float, rho: float, dtc: float) -> tuple[np.ndarray, float]:
-    key = (n, quad, rho, dtc)
-    cached = _FORM_CACHE.get(key)
-    if cached is not None:
-        return cached
     eye = np.eye(n)
     top = np.hstack([eye, -eye])
     bot = np.hstack([-eye, eye])
@@ -98,8 +110,29 @@ def _quadratic_form(n: int, quad: float, rho: float, dtc: float) -> tuple[np.nda
     overlap = n - np.maximum(idx[:, None], idx[None, :])
     q_mat[n:, n:] += 2.0 * rho * dtc * dtc * overlap
     lipschitz = float(np.linalg.eigvalsh(q_mat)[-1])
-    _FORM_CACHE[key] = (q_mat, lipschitz)
+    q_mat.setflags(write=False)
     return q_mat, lipschitz
+
+
+@lru_cache(maxsize=64)
+def _box(n: int, *bounds: float) -> np.ndarray:
+    """Rows of lower and upper bounds on the stacked point (read-only)."""
+    box = np.repeat(np.reshape(bounds, (2, 2)), n, axis=1)
+    box.setflags(write=False)
+    return box
+
+
+@lru_cache(maxsize=512)
+def _newton_system(n: int, quad: float, rho: float, dtc: float, free_key: bytes):
+    """``(free, fixed, Q_free_fixed, inverse of Q_free_free)``, or None if singular."""
+    q_mat, _ = _quadratic_form(n, quad, rho, dtc)
+    mask = np.frombuffer(free_key, dtype=bool)
+    free, fixed = np.flatnonzero(mask), np.flatnonzero(~mask)
+    try:
+        inverse = np.linalg.inv(q_mat[np.ix_(free, free)])
+    except np.linalg.LinAlgError:
+        return None
+    return free, fixed, q_mat[np.ix_(free, fixed)], inverse
 
 
 def solve_dso(
@@ -107,16 +140,19 @@ def solve_dso(
     eps: Tolerances = Tolerances(),
     max_iter: int = 100_000,
     start: tuple[np.ndarray, np.ndarray] | None = None,
+    prices: np.ndarray | None = None,
 ) -> DSOSolution:
     """Return the unique maximizer of the supplier objective on the boxes.
 
     ``start`` warm-starts the iteration (used by the coordinator across price
     updates); it never changes the answer beyond the stationarity tolerance.
-    Raises :class:`ConvergenceError` if the residual target is not met within
-    ``max_iter`` iterations.
+    ``prices``, a plain array over the window, replaces ``sub.prices`` (the
+    price loop passes each broadcast this way).  Raises
+    :class:`ConvergenceError` if the residual target is not met within
+    ``max_iter`` iterations, or at once if the residual is not finite.
     """
     n = sub.window.length
-    lam = sub.prices.values
+    lam = sub.prices.values if prices is None else prices
     quad, lin = sub.dso.cost_quadratic, sub.dso.cost_linear
     st = sub.storage
     rho = st.tracking_weight
@@ -124,69 +160,71 @@ def solve_dso(
     drift = sub.energy_now - st.energy_reference
 
     q_mat, lipschitz = _quadratic_form(n, quad, rho, dtc)
-    counts = np.arange(n, 0, -1, dtype=float)
-    g = np.concatenate([lam - lin, np.full(n, lin) + 2.0 * rho * dtc * drift * counts])
-    lo = np.concatenate([np.full(n, sub.dso.power_min), np.full(n, st.power_min)])
-    hi = np.concatenate([np.full(n, sub.dso.power_max), np.full(n, st.power_max)])
+    g = np.empty(2 * n)
+    g[:n] = lam - lin
+    g[n:] = lin + 2.0 * rho * dtc * drift * np.arange(n, 0, -1)
+    lo, hi = _box(n, sub.dso.power_min, st.power_min, sub.dso.power_max, st.power_max)
     constant = -rho * n * drift * drift
 
-    if start is not None:
-        z = np.clip(np.concatenate([start[0], start[1]]), lo, hi)
-    else:
-        z = np.clip(np.zeros(2 * n), lo, hi)
+    def clip(point: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(point, lo), hi)
 
     def value(point: np.ndarray) -> float:
-        return float(g @ point - 0.5 * point @ (q_mat @ point))
+        return float(point @ (g - 0.5 * (q_mat @ point)))
+
+    z = clip(np.concatenate(start) if start is not None else np.zeros(2 * n))
 
     # Projected gradient guarantees monotone ascent; a Newton step on the
-    # estimated free set, accepted only when it improves the objective, makes
-    # the active set settle in a handful of iterations.  Convergence is always
-    # certified by the projected-stationarity residual, never assumed.
+    # estimated free set, searched along the projection arc and accepted only
+    # when it improves the objective, makes the active set settle in a handful
+    # of iterations.  Convergence is always certified by the
+    # projected-stationarity residual, never assumed.
     inv_l = 1.0 / lipschitz
-    span = float(np.max(hi - lo)) if np.all(np.isfinite(hi - lo)) else 1.0
+    span = max(sub.dso.power_max - sub.dso.power_min, st.power_max - st.power_min)
+    span = span if math.isfinite(span) else 1.0
     best = value(z)
     residual = math.inf
     converged = False
-    for _ in range(max_iter):
+    it = 0
+    for it in range(max_iter):
         grad = g - q_mat @ z
-        residual = float(np.abs(z - np.clip(z + grad, lo, hi)).max())
+        residual = float(np.abs(z - clip(z + grad)).max())
         if residual <= eps.kkt:
             converged = True
+            break
+        if not math.isfinite(residual):
             break
         act_tol = min(1e-4 * (1.0 + span), residual)
         at_lo = (z - lo <= act_tol) & (grad < 0)
         at_hi = (hi - z <= act_tol) & (grad > 0)
         free = ~(at_lo | at_hi)
-        trial = np.where(at_lo, lo, np.where(at_hi, hi, z))
-        if free.any():
-            rhs = g[free] - q_mat[np.ix_(free, ~free)] @ trial[~free]
-            try:
-                trial[free] = np.linalg.solve(q_mat[np.ix_(free, free)], rhs)
-            except np.linalg.LinAlgError:
-                trial = None
-            else:
-                trial = np.clip(trial, lo, hi)
-        if trial is not None:
-            trial_value = value(trial)
-            if trial_value > best + 1e-14 * (1.0 + abs(best)):
-                z = trial
-                best = trial_value
-                continue
-        z = np.clip(z + inv_l * grad, lo, hi)
-        best = value(z)
+        system = _newton_system(n, quad, rho, dtc, free.tobytes())
+        improved = False
+        if system is not None:
+            idx, fixed, q_fixed, inverse = system
+            newton = np.where(at_lo, lo, np.where(at_hi, hi, z))
+            newton[idx] = inverse @ (g[idx] - q_fixed @ newton[fixed])
+            step = newton - z
+            for _ in range(_ARC_STEPS):
+                trial = clip(z + step)
+                trial_value = value(trial)
+                improved = trial_value > best + 1e-14 * (1.0 + abs(best))
+                if improved:
+                    z, best = trial, trial_value
+                    break
+                step *= 0.5
+        if not improved:
+            z = clip(z + inv_l * grad)
+            best = value(z)
     if not converged:
         raise ConvergenceError(
-            f"supplier solve stalled at residual {residual:.3e} after {max_iter} iterations",
+            f"supplier solve stalled at residual {residual:.3e} "
+            f"in iteration {it + 1} of {max_iter}",
             residual,
         )
 
     objective = float(g @ z - 0.5 * z @ (q_mat @ z) + constant)
-    return DSOSolution(
-        generation=PowerProfile(z[:n]),
-        storage_power=PowerProfile(z[n:]),
-        objective=objective,
-        kkt_residual=residual,
-    )
+    return DSOSolution(point=z, objective=objective, kkt_residual=residual)
 
 
 def dso_objective(sub: DSOSubproblem, generation, storage_power) -> float:

@@ -4,23 +4,29 @@ Each vehicle maximizes ``sum_t [w * ln(1 + p(t)) - price(t) * p(t)]`` over its
 remaining window, subject to its power box and the requirement that the energy
 still needed is fully delivered by departure.  The optimizer has water-filling
 structure: ``p(t) = clamp(w / (price(t) + mu * rate) - 1, p_min, p_max)`` for a
-scalar multiplier ``mu`` on the terminal-energy constraint, found by bisection
-so that the delivered energy matches the requirement.
+scalar multiplier ``mu`` on the terminal-energy constraint.  The delivered
+energy ``E(mu)`` is decreasing, with slope ``-rate**2 * sum_free w / q**2`` over
+the slots strictly inside the box (``q`` the effective price), so ``mu`` is
+found by Newton's method safeguarded by the saturation bracket, warm-started
+from the previous multiplier when the caller has one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .model import EVSession, PowerProfile, PriceVector, TimeGrid, Tolerances
 
-__all__ = ["EVSubproblem", "EVSolution", "utility", "solve_ev", "solve_ev_batch"]
+__all__ = [
+    "EVSubproblem", "EVSolution", "EVBatchSolution", "utility", "solve_ev", "solve_ev_batch"
+]
 
-# Padding price for slots past a vehicle's departure; large enough that the
-# water-filling formula pins padded slots to the lower bound.
+# Padding price for slots past a vehicle's departure: above any real price, so
+# a row's minimum price is its minimum over the vehicle's own slots.
 _PAD_PRICE = 1e30
 
 
@@ -39,9 +45,9 @@ class EVSubproblem:
             raise ValueError("window must span exactly the slots up to departure")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EVSolution:
-    """Optimal charging profile plus the terminal-energy multiplier.
+    """Optimal charging power (kW per slot) plus the terminal-energy multiplier.
 
     ``energy_multiplier`` prices one kWh of required energy in the same money
     unit as the slot prices.  ``feasible`` is False when the requirement cannot
@@ -49,10 +55,14 @@ class EVSolution:
     saturation at the violated bound.
     """
 
-    profile: PowerProfile
+    power: np.ndarray
     energy_multiplier: float
     objective: float
     feasible: bool
+
+    @cached_property
+    def profile(self) -> PowerProfile:
+        return PowerProfile(self.power)
 
 
 def utility(power: float, weight: float, offset: float = 1.0) -> float:
@@ -62,12 +72,31 @@ def utility(power: float, weight: float, offset: float = 1.0) -> float:
     return weight * math.log(offset + power)
 
 
-def _clamped_power(q: np.ndarray, weight: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   offset: float) -> np.ndarray:
-    """Water-filling step: optimal power per slot at effective prices ``q``."""
-    positive = q > 0
-    raw = np.where(positive, weight / np.where(positive, q, 1.0) - offset, np.inf)
-    return np.clip(raw, lo, hi)
+@dataclass(frozen=True, eq=False)
+class EVBatchSolution(Sequence[EVSolution]):
+    """Solutions of one batch solve, kept as arrays.
+
+    ``power`` is the padded ``vehicles x width`` matrix, zero past each
+    departure; the other arrays hold one entry per vehicle.  Indexing builds
+    one vehicle's :class:`EVSolution`.
+    """
+
+    power: np.ndarray
+    lengths: np.ndarray
+    energy_multiplier: np.ndarray
+    objective: np.ndarray
+    feasible: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> EVSolution:
+        return EVSolution(
+            power=self.power[i, : self.lengths[i]],
+            energy_multiplier=float(self.energy_multiplier[i]),
+            objective=float(self.objective[i]),
+            feasible=bool(self.feasible[i]),
+        )
 
 
 class EVBatchWorkspace:
@@ -84,109 +113,93 @@ class EVBatchWorkspace:
         for sub in subproblems:
             if sub.window.slot_hours != slot_hours:
                 raise ValueError("subproblems must share the slot duration")
-        self.subproblems = list(subproblems)
         self.offset = offset
         self.lengths = np.array([s.window.length for s in subproblems])
         self.width = int(self.lengths.max())
         self.mask = np.arange(self.width)[None, :] < self.lengths[:, None]
-        self.maskf = self.mask.astype(float)
-        self.weight = np.array([s.session.weight for s in subproblems])[:, None]
-        self.lo = np.array([s.session.power_min for s in subproblems])[:, None]
-        self.hi = np.array([s.session.power_max for s in subproblems])[:, None]
+        self.weight = np.array([s.session.weight for s in subproblems])
+        lo = np.array([s.session.power_min for s in subproblems])
+        hi = np.array([s.session.power_max for s in subproblems])
+        # Box bounds per slot, zero past departure so padded slots carry no power.
+        self.lo = lo[:, None] * self.mask
+        self.hi = hi[:, None] * self.mask
         self.rate = np.array([s.session.energy_rate(slot_hours) for s in subproblems])
         self.need = np.array([s.session.energy_needed for s in subproblems])
-        cap_hi = self.rate * self.hi[:, 0] * self.lengths
-        cap_lo = self.rate * self.lo[:, 0] * self.lengths
-        self.over = self.need > cap_hi + 1e-12
-        self.under = self.need < cap_lo - 1e-12
-        self.solvable = ~(self.over | self.under)
-        self.clamp_hi_price = self.weight[:, 0] / (offset + self.hi[:, 0])
-        self.clamp_lo_price = self.weight[:, 0] / (offset + self.lo[:, 0])
+        self.cap_lo = self.rate * lo * self.lengths
+        self.cap_hi = self.rate * hi * self.lengths
+        self.even = np.clip(self.need / (self.rate * self.lengths), lo, hi)
+        self.clamp_lo_price = self.weight / (offset + lo)
+        self.clamp_hi_price = self.weight / (offset + hi)
         self.lam = np.full((len(subproblems), self.width), _PAD_PRICE)
 
-    def load_prices(self, price_rows: Sequence[np.ndarray]) -> None:
-        for i, row in enumerate(price_rows):
-            self.lam[i, : self.lengths[i]] = row
+    def load_prices(self, prices: np.ndarray) -> None:
+        """Set the prices: one window vector whose leading slots every vehicle
+        sees, or one padded row per vehicle."""
+        np.copyto(self.lam, prices[..., : self.width], where=self.mask)
 
-    def _energy_at(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _energy_at(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Water-filling power, delivered energy and its slope in ``mu``."""
         q = self.lam + (mu * self.rate)[:, None]
-        p = _clamped_power(q, self.weight, self.lo, self.hi, self.offset)
-        return p, self.rate * np.einsum("ij,ij->i", p, self.maskf)
+        # w/q - offset, or +inf (the upper bound) at a nonpositive price.
+        level = np.where(q > 0, self.weight[:, None] / q, np.inf) - self.offset
+        power = np.minimum(np.maximum(level, self.lo), self.hi)
+        # On free slots w/q**2 = (power + offset)**2 / w.
+        free_sq = np.square(power + self.offset) * (power == level)
+        slope = -self.rate**2 / self.weight * free_sq.sum(axis=1)
+        return power, self.rate * power.sum(axis=1), slope
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def solve(
         self,
         eps: Tolerances = Tolerances(),
         mu_hints: np.ndarray | None = None,
         max_iter: int = 200,
-    ) -> list[EVSolution]:
-        lam, mask = self.lam, self.mask
-        need, rate = self.need, self.rate
-        over, under, solvable = self.over, self.under, self.solvable
+    ) -> EVBatchSolution:
+        lam, need, rate = self.lam, self.need, self.rate
 
         # Saturation bounds: below mu_low every slot sits at the upper bound,
         # above mu_high every slot sits at the lower bound.
-        lam_max = np.where(mask, lam, -np.inf).max(axis=1)
-        lam_min = np.where(mask, lam, np.inf).min(axis=1)
+        lam_max = np.where(self.mask, lam, -np.inf).max(axis=1)
         mu_low = (self.clamp_hi_price - lam_max) / rate - 1.0
-        mu_high = (self.clamp_lo_price - lam_min) / rate + 1.0
+        mu_high = (self.clamp_lo_price - lam.min(axis=1)) / rate + 1.0
 
-        lo_mu = mu_low
-        hi_mu = mu_high
-        if mu_hints is not None:
-            hints = np.asarray(mu_hints, dtype=float)
-            span = 0.02 * (mu_high - mu_low) + 1e-3
-            good = np.isfinite(hints)
-            cand_lo = np.where(good, np.maximum(mu_low, hints - span), mu_low)
-            cand_hi = np.where(good, np.minimum(mu_high, hints + span), mu_high)
-            # Expand geometrically until the energy residual changes sign
-            # across the candidate bracket, falling back to the saturation
-            # bounds; hints never change the result beyond tolerance.
-            for _ in range(8):
-                _, e_lo = self._energy_at(cand_lo)
-                _, e_hi = self._energy_at(cand_hi)
-                bad_lo = solvable & (e_lo < need)
-                bad_hi = solvable & (e_hi > need)
-                if not (bad_lo.any() or bad_hi.any()):
-                    break
-                span = span * 8.0
-                cand_lo = np.where(bad_lo, np.maximum(mu_low, cand_lo - span), cand_lo)
-                cand_hi = np.where(bad_hi, np.minimum(mu_high, cand_hi + span), cand_hi)
-            else:
-                cand_lo, cand_hi = mu_low.copy(), mu_high.copy()
-            lo_mu, hi_mu = cand_lo, cand_hi
+        # Start from the hints, else from the multiplier that spreads the
+        # requirement evenly at the mean price (exact for flat prices).
+        if mu_hints is None:
+            mean_lam = np.where(self.mask, lam, 0.0).sum(axis=1) / self.lengths
+            mu = (self.weight / (self.offset + self.even) - mean_lam) / rate
+        else:
+            mu = np.where(np.isfinite(mu_hints), mu_hints, 0.5 * (mu_low + mu_high))
 
-        mu = 0.5 * (lo_mu + hi_mu)
-        active = solvable.copy()
-        power, energy = self._energy_at(mu)
+        # Requirements at (or beyond) a box face get the saturated profile.
+        at_hi = need >= self.cap_hi - eps.energy
+        at_lo = need <= self.cap_lo + eps.energy
+        mu = np.where(at_hi, mu_low, np.where(at_lo, mu_high, np.clip(mu, mu_low, mu_high)))
+        active = ~(at_hi | at_lo)
+
+        # Safeguarded Newton on the decreasing energy E(mu) inside the shrinking
+        # bracket [mu_low, mu_high]: a step that leaves it, meets a zero slope or
+        # follows one that failed to halve the gap (cycling at a kink) bisects.
+        power, energy, slope = self._energy_at(mu)
+        last_gap = np.inf
         for _ in range(max_iter):
             gap = energy - need
-            active &= ~(np.abs(gap) <= eps.energy)
+            abs_gap = np.abs(gap)
+            active &= abs_gap > eps.energy
             if not active.any():
                 break
-            lo_mu = np.where(active & (gap > 0), mu, lo_mu)
-            hi_mu = np.where(active & (gap < 0), mu, hi_mu)
-            mu = np.where(active, 0.5 * (lo_mu + hi_mu), mu)
-            power, energy = self._energy_at(mu)
-
-        # Best-effort saturation for requirements outside the box.
-        if over.any() or under.any():
-            mu = np.where(over, mu_low, mu)
-            mu = np.where(under, mu_high, mu)
-            power, energy = self._energy_at(mu)
+            mu_low = np.where(gap > 0, mu, mu_low)
+            mu_high = np.where(gap < 0, mu, mu_high)
+            newton = mu - gap / slope
+            inside = (newton > mu_low) & (newton < mu_high) & (abs_gap <= 0.5 * last_gap)
+            mu = np.where(active, np.where(inside, newton, 0.5 * (mu_low + mu_high)), mu)
+            last_gap = abs_gap
+            power, energy, slope = self._energy_at(mu)
 
         feasible = np.abs(energy - need) <= eps.energy
-        term = (self.weight * np.log(self.offset + power) - lam * power) * self.maskf
-        objective = term.sum(axis=1)
-
-        return [
-            EVSolution(
-                profile=PowerProfile(power[i, : self.lengths[i]]),
-                energy_multiplier=float(mu[i]),
-                objective=float(objective[i]),
-                feasible=bool(feasible[i]),
-            )
-            for i in range(len(self.subproblems))
-        ]
+        term = self.weight[:, None] * np.log(self.offset + power) - lam * power
+        objective = np.where(self.mask, term, 0.0).sum(axis=1)
+        return EVBatchSolution(power, self.lengths, mu, objective, feasible)
 
 
 def solve_ev_batch(
@@ -195,16 +208,18 @@ def solve_ev_batch(
     mu_hints: np.ndarray | None = None,
     max_iter: int = 200,
     offset: float = 1.0,
-) -> list[EVSolution]:
-    """Solve several vehicle subproblems at once (vectorized bisection).
+) -> Sequence[EVSolution]:
+    """Solve several vehicle subproblems at once (vectorized Newton).
 
     All subproblems must share the slot duration.  ``mu_hints`` optionally
-    narrows the initial multiplier bracket around a previous solution.
+    warm-starts the multipliers from a previous solution.
     """
     if not subproblems:
         return []
     ws = EVBatchWorkspace(subproblems, offset=offset)
-    ws.load_prices([sub.prices.values for sub in subproblems])
+    rows = np.zeros((len(subproblems), ws.width))
+    rows[ws.mask] = np.concatenate([sub.prices.values for sub in subproblems])
+    ws.load_prices(rows)
     return ws.solve(eps=eps, mu_hints=mu_hints, max_iter=max_iter)
 
 
@@ -225,7 +240,7 @@ def stationarity_residual(
     Interior slots must satisfy ``w/(offset+p) = price + mu*rate`` exactly;
     slots at a bound only need the sign of that gradient to point outward.
     """
-    p = solution.profile.values
+    p = solution.power
     lam = sub.prices.values
     ses = sub.session
     rate = ses.energy_rate(sub.window.slot_hours)

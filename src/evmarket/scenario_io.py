@@ -24,6 +24,7 @@ order, fixed numeric formatting, so traces are byte-identical across runs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -42,11 +43,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .mpc_loop import SimulationTrace
 
 __all__ = [
+    "SECTION_KEYS",
     "GridConfig",
     "FleetSpec",
     "SolverConfig",
     "Scenario",
     "ScenarioFormatError",
+    "parse_value",
     "parse_scenario",
     "write_scenario",
     "generate_evs",
@@ -115,7 +118,7 @@ class ScenarioFormatError(ValueError):
         self.column = column
 
 
-_SECTION_KEYS = {
+SECTION_KEYS = {
     "grid": {"slot_minutes": float, "num_slots": int},
     "dso": {
         "quadratic_cost": float,
@@ -169,15 +172,22 @@ _REQUIRED = {
 }
 
 
-def _convert(kind, raw: str, line: int):
+def parse_value(kind, raw: str, section: str, key: str, line: int | None = None):
+    """Convert the text of entry ``section.key`` to ``kind``.
+
+    Numbers must be finite; only ``dso.power_max`` may be ``inf``, its
+    unbounded default.
+    """
     try:
-        if kind is str:
-            return raw
-        if kind is int:
-            return int(raw)
-        return float(raw)
+        value = raw if kind is str else kind(raw)
     except ValueError:
         raise ScenarioFormatError(f"cannot parse {raw!r} as {kind.__name__}", line) from None
+    if kind is float and not math.isfinite(value):
+        if (section, key) != ("dso", "power_max"):
+            raise ScenarioFormatError(f"{section}.{key} must be finite, got {raw!r}", line)
+        if value != math.inf:
+            raise ScenarioFormatError(f"dso.power_max must be finite or inf, got {raw!r}", line)
+    return value
 
 
 def _parse_tree(text: str) -> tuple[dict, list[dict], int | None]:
@@ -196,7 +206,7 @@ def _parse_tree(text: str) -> tuple[dict, list[dict], int | None]:
         body = stripped.strip()
         if body.endswith(":") and "=" not in body:
             name = body[:-1].strip()
-            if name not in _SECTION_KEYS:
+            if name not in SECTION_KEYS:
                 raise ScenarioFormatError(f"unknown section {name!r}", lineno, col)
             block: dict = {}
             if name == "ev":
@@ -216,13 +226,13 @@ def _parse_tree(text: str) -> tuple[dict, list[dict], int | None]:
         if key == "seed":
             if seed is not None:
                 raise ScenarioFormatError("duplicate key 'seed'", lineno, col)
-            seed = _convert(int, raw, lineno)
+            seed = parse_value(int, raw, "", "seed", lineno)
             continue
         if current is None:
             raise ScenarioFormatError(
                 f"key {key!r} outside any section (only 'seed' may be top level)", lineno, col
             )
-        allowed = _SECTION_KEYS[current_name]
+        allowed = SECTION_KEYS[current_name]
         if key not in allowed:
             raise ScenarioFormatError(
                 f"unknown key {key!r} in section {current_name!r}", lineno, col
@@ -231,7 +241,7 @@ def _parse_tree(text: str) -> tuple[dict, list[dict], int | None]:
             raise ScenarioFormatError(
                 f"duplicate key {key!r} in section {current_name!r}", lineno, col
             )
-        current[key] = _convert(allowed[key], raw, lineno)
+        current[key] = parse_value(allowed[key], raw, current_name, key, lineno)
 
     return sections, ev_blocks, seed
 
