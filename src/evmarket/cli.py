@@ -7,7 +7,8 @@ Commands:
 * ``verify``        compare one negotiation against the centralized solver
 * ``validate``      print the scenario validation report
 
-Exit codes: 0 success, 1 validation failure, 2 runtime non-convergence,
+Exit codes: 0 success, 1 validation failure, 2 runtime non-convergence
+(a flagged slot, a ``verify`` gap above 1% or a failed supplier solve),
 3 I/O error.
 """
 from __future__ import annotations
@@ -18,17 +19,17 @@ from dataclasses import replace
 from pathlib import Path
 
 from .coordinator import ConvergenceConfig, negotiate_slot
-from .dso_agent import DSOSubproblem
+from .dso_agent import ConvergenceError, DSOSubproblem
 from .ev_agent import EVSubproblem
 from .model import (
     EVSession,
     PriceVector,
     ScenarioValidationError,
-    StorageSpec,
     TimeGrid,
     Tolerances,
     validate_scenario,
 )
+from .mpc_loop import _NO_STORAGE
 from .mpc_loop import run as run_simulation
 from .mpc_loop import simulate_uncontrolled
 from .oracle import CentralProblem, solve_central, welfare
@@ -43,8 +44,6 @@ from .scenario_io import (
 )
 
 __all__ = ["main", "entry"]
-
-_NO_STORAGE = StorageSpec(0.0, 0.0, 0.0, 0.0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,6 +251,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

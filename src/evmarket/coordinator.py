@@ -8,7 +8,9 @@ imbalance falls below the balance tolerance.
 
 Only prices flow toward the agents and only power curves (plus the private
 objective values summed into the dual value) flow back; the coordinator never
-sees utilities, costs or battery states.  Agent solves within one iteration
+sees utilities, costs or battery states.  The loop itself reads only the
+imbalance, so the agents' objectives and the dual value are computed once per
+negotiation, for the state that is returned.  Agent solves within one iteration
 are independent of each other and could run concurrently; they are evaluated
 in a fixed order here so that runs stay bit-reproducible.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,16 +70,21 @@ class ConvergenceConfig:
 @dataclass(frozen=True, eq=False)
 class DualIterationState:
     """Everything produced by one evaluation of the dual function, as plain
-    arrays; ``demand``, ``supply`` and ``residual`` wrap them on access."""
+    arrays; ``demand``, ``supply`` and ``residual`` wrap them on access, and
+    ``dual_value`` sums the agents' objectives on first access."""
 
     iteration: int
     price_values: np.ndarray
     demand_values: np.ndarray
     supply_values: np.ndarray
     residual_values: np.ndarray
-    dual_value: float
     ev_solutions: Sequence[EVSolution]
     dso_solution: DSOSolution
+
+    @cached_property
+    def dual_value(self) -> float:
+        ev_value = float(self.ev_solutions.objective.sum()) if self.ev_solutions else 0.0
+        return self.dso_solution.objective + ev_value
 
     @property
     def demand(self) -> PowerProfile:
@@ -149,8 +157,9 @@ def evaluate_dual(
     coordination window.  Vehicle subproblems see the leading slice covering
     their own window (the carried price fields are replaced); vehicles
     contribute zero demand past their departure.  The dual value is the sum of
-    the agents' optimal objectives.  A caller passing ``workspace`` has already
-    checked that it holds ``ev_subs`` inside the window.
+    the agents' optimal objectives, computed when it is first read.  A caller
+    passing ``workspace`` has already checked that it holds ``ev_subs`` inside
+    the window.
     """
     lam = getattr(prices, "values", prices)
     n = dso_sub.window.length
@@ -158,7 +167,6 @@ def evaluate_dual(
         raise ValueError("price vector length must equal the coordination window")
 
     demand = np.zeros(n)
-    dual_value = 0.0
     ev_solutions: Sequence[EVSolution] = ()
     if ev_subs:
         if workspace is None:
@@ -167,7 +175,6 @@ def evaluate_dual(
         workspace.load_prices(lam)
         ev_solutions = workspace.solve(eps=eps, mu_hints=mu_hints)
         demand[: workspace.width] = ev_solutions.power.sum(axis=0)
-        dual_value = float(ev_solutions.objective.sum())
     dso_solution = solve_dso(dso_sub, eps=eps, start=dso_start, prices=lam)
 
     supply = dso_solution.point[:n]
@@ -177,7 +184,6 @@ def evaluate_dual(
         demand_values=demand,
         supply_values=supply,
         residual_values=supply - demand,
-        dual_value=dso_solution.objective + dual_value,
         ev_solutions=ev_solutions,
         dso_solution=dso_solution,
     )
@@ -194,9 +200,11 @@ def negotiate_slot(
 
     Iterates agent solves and price updates until the worst per-slot imbalance
     is within ``config.balance_tolerance`` or ``config.max_iterations`` price
-    updates have been spent.  The returned powers always come from a full
-    agent solve at the returned prices.  Non-convergence is flagged, never
-    raised; the caller decides policy.
+    updates have been spent.  The returned powers and dual value always come
+    from a full agent solve at the returned prices.  Non-convergence of the
+    price loop is flagged, never raised, and the caller decides policy; a
+    supplier solve that fails raises :class:`~evmarket.dso_agent.ConvergenceError`,
+    which propagates.
     """
     n = dso_sub.window.length
     prices = np.full(n, max(warm_start_price, 0.0))

@@ -3,10 +3,18 @@
 The supplier maximizes ``sum_t [price(t) * P_l(t) - C(P_l(t) - P_s(t))]`` minus
 a quadratic penalty for letting the stored energy drift away from its
 reference, over box bounds on both generation ``P_l`` and storage power
-``P_s``.  The objective is a strictly concave quadratic, solved by projected
-Newton: each iteration guesses the active bounds from the gradient, solves the
-Newton system on the free variables (cached per free set) and searches along
-the projection arc, else takes a projected-gradient step of length ``1/L``.
+``P_s``.  The objective is a strictly concave quadratic.
+
+When the storage box is pinned (``power_min == power_max``; validation forces
+both to 0, as for a scenario without storage) the problem separates per slot
+and is solved in closed form: ``P_s`` sits at the pinned value and
+``P_l = clip(P_s + (price - linear_cost) / (2 * quadratic_cost))`` on the
+generation box.  Otherwise it is solved by projected Newton: each iteration
+guesses the active bounds from the gradient, solves the Newton system on the
+free variables (cached per free set) and searches along the projection arc,
+else takes a projected-gradient step of length ``1/L``.  Either way the point
+is certified by its projected-stationarity residual, and the objective value
+is computed only when it is read.
 """
 from __future__ import annotations
 
@@ -53,11 +61,21 @@ class DSOSubproblem:
 
 @dataclass(frozen=True, eq=False)
 class DSOSolution:
-    """Optimal dispatch; ``point`` stacks the generation and the storage power."""
+    """Optimal dispatch; ``point`` stacks the generation and the storage power.
+
+    ``objective`` is evaluated on first access, at ``prices`` (the broadcast
+    the point was solved for).
+    """
 
     point: np.ndarray
-    objective: float
     kkt_residual: float
+    sub: DSOSubproblem
+    prices: np.ndarray
+
+    @cached_property
+    def objective(self) -> float:
+        n = self.point.size // 2
+        return _objective(self.sub, self.prices, self.point[:n], self.point[n:])
 
     @cached_property
     def generation(self) -> PowerProfile:
@@ -144,15 +162,51 @@ def solve_dso(
 ) -> DSOSolution:
     """Return the unique maximizer of the supplier objective on the boxes.
 
-    ``start`` warm-starts the iteration (used by the coordinator across price
-    updates); it never changes the answer beyond the stationarity tolerance.
-    ``prices``, a plain array over the window, replaces ``sub.prices`` (the
-    price loop passes each broadcast this way).  Raises
-    :class:`ConvergenceError` if the residual target is not met within
-    ``max_iter`` iterations, or at once if the residual is not finite.
+    A pinned storage box is solved in closed form, any other by projected
+    Newton.  ``start`` warm-starts the iteration (used by the coordinator
+    across price updates); it never changes the answer beyond the
+    stationarity tolerance.  ``prices``, a plain array over the window,
+    replaces ``sub.prices`` (the price loop passes each broadcast this way).
+    Raises :class:`ConvergenceError` if the residual target is not met
+    (within ``max_iter`` iterations), or at once if the residual is not
+    finite.
     """
-    n = sub.window.length
     lam = sub.prices.values if prices is None else prices
+    if sub.storage.power_min == sub.storage.power_max and sub.dso.cost_quadratic > 0:
+        point, residual = _pinned_dispatch(sub, lam, eps)
+    else:
+        point, residual = _projected_newton(sub, lam, eps, max_iter, start)
+    return DSOSolution(point=point, kkt_residual=residual, sub=sub, prices=lam)
+
+
+def _pinned_dispatch(
+    sub: DSOSubproblem, lam: np.ndarray, eps: Tolerances
+) -> tuple[np.ndarray, float]:
+    """Closed form when storage cannot move: every slot clears on its own."""
+    n = sub.window.length
+    pin = sub.storage.power_min
+    quad, lin = sub.dso.cost_quadratic, sub.dso.cost_linear
+    lo, hi = sub.dso.power_min, sub.dso.power_max
+    point = np.full(2 * n, pin)
+    margin = lam - lin
+    gen = np.minimum(np.maximum(pin + margin / (2.0 * quad), lo), hi, out=point[:n])
+    # The storage block sits on its pinned bounds, so its residual is zero.
+    grad = margin - 2.0 * quad * (gen - pin)
+    residual = float(np.abs(gen - np.minimum(np.maximum(gen + grad, lo), hi)).max())
+    if not residual <= eps.kkt:
+        raise ConvergenceError(f"supplier closed form left residual {residual:.3e}", residual)
+    return point, residual
+
+
+def _projected_newton(
+    sub: DSOSubproblem,
+    lam: np.ndarray,
+    eps: Tolerances,
+    max_iter: int,
+    start: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, float]:
+    """Projected Newton on the stacked point; returns it with its residual."""
+    n = sub.window.length
     quad, lin = sub.dso.cost_quadratic, sub.dso.cost_linear
     st = sub.storage
     rho = st.tracking_weight
@@ -164,7 +218,6 @@ def solve_dso(
     g[:n] = lam - lin
     g[n:] = lin + 2.0 * rho * dtc * drift * np.arange(n, 0, -1)
     lo, hi = _box(n, sub.dso.power_min, st.power_min, sub.dso.power_max, st.power_max)
-    constant = -rho * n * drift * drift
 
     def clip(point: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(point, lo), hi)
@@ -223,8 +276,15 @@ def solve_dso(
             residual,
         )
 
-    objective = float(g @ z - 0.5 * z @ (q_mat @ z) + constant)
-    return DSOSolution(point=z, objective=objective, kkt_residual=residual)
+    return z, residual
+
+
+def _objective(sub: DSOSubproblem, lam: np.ndarray, gen: np.ndarray, ps: np.ndarray) -> float:
+    net = gen - ps
+    revenue = float(lam @ gen)
+    cost = float(np.sum(generation_cost(net, sub.dso.cost_quadratic, sub.dso.cost_linear)))
+    tracking = storage_tracking_penalty(sub.energy_now, ps, sub.storage, sub.window)
+    return revenue - cost - sub.storage.tracking_weight * tracking
 
 
 def dso_objective(sub: DSOSubproblem, generation, storage_power) -> float:
@@ -233,8 +293,4 @@ def dso_objective(sub: DSOSubproblem, generation, storage_power) -> float:
     ps = storage_power.values if isinstance(storage_power, PowerProfile) else np.asarray(
         storage_power
     )
-    net = gen - ps
-    revenue = float(sub.prices.values @ gen)
-    cost = float(np.sum(generation_cost(net, sub.dso.cost_quadratic, sub.dso.cost_linear)))
-    tracking = storage_tracking_penalty(sub.energy_now, ps, sub.storage, sub.window)
-    return revenue - cost - sub.storage.tracking_weight * tracking
+    return _objective(sub, sub.prices.values, gen, ps)

@@ -8,7 +8,8 @@ scalar multiplier ``mu`` on the terminal-energy constraint.  The delivered
 energy ``E(mu)`` is decreasing, with slope ``-rate**2 * sum_free w / q**2`` over
 the slots strictly inside the box (``q`` the effective price), so ``mu`` is
 found by Newton's method safeguarded by the saturation bracket, warm-started
-from the previous multiplier when the caller has one.
+from the previous multiplier when the caller has one.  Objective values are
+computed only when they are read.
 """
 from __future__ import annotations
 
@@ -77,15 +78,24 @@ class EVBatchSolution(Sequence[EVSolution]):
     """Solutions of one batch solve, kept as arrays.
 
     ``power`` is the padded ``vehicles x width`` matrix, zero past each
-    departure; the other arrays hold one entry per vehicle.  Indexing builds
-    one vehicle's :class:`EVSolution`.
+    departure, and ``prices`` the padded prices it was solved at; the other
+    arrays hold one entry per vehicle.  ``objective`` is evaluated on first
+    access.  Indexing builds one vehicle's :class:`EVSolution`.
     """
 
     power: np.ndarray
     lengths: np.ndarray
     energy_multiplier: np.ndarray
-    objective: np.ndarray
     feasible: np.ndarray
+    prices: np.ndarray
+    weight: np.ndarray
+    offset: float
+
+    @cached_property
+    def objective(self) -> np.ndarray:
+        mask = np.arange(self.power.shape[1]) < self.lengths[:, None]
+        term = self.weight[:, None] * np.log(self.offset + self.power) - self.prices * self.power
+        return np.where(mask, term, 0.0).sum(axis=1)
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -103,7 +113,8 @@ class EVBatchWorkspace:
     """Precomputed arrays for repeatedly solving the same set of vehicles.
 
     The coordinator keeps one workspace per negotiation and re-solves it at
-    every price update; only the prices change between calls.
+    every price update; only the prices change between calls, so everything
+    else the solve needs is built here once.
     """
 
     def __init__(self, subproblems: Sequence[EVSubproblem], offset: float = 1.0):
@@ -118,34 +129,49 @@ class EVBatchWorkspace:
         self.width = int(self.lengths.max())
         self.mask = np.arange(self.width)[None, :] < self.lengths[:, None]
         self.weight = np.array([s.session.weight for s in subproblems])
+        self.weight_col = self.weight[:, None]
         lo = np.array([s.session.power_min for s in subproblems])
         hi = np.array([s.session.power_max for s in subproblems])
         # Box bounds per slot, zero past departure so padded slots carry no power.
         self.lo = lo[:, None] * self.mask
         self.hi = hi[:, None] * self.mask
         self.rate = np.array([s.session.energy_rate(slot_hours) for s in subproblems])
+        self.slope_coef = -self.rate**2 / self.weight
         self.need = np.array([s.session.energy_needed for s in subproblems])
         self.cap_lo = self.rate * lo * self.lengths
         self.cap_hi = self.rate * hi * self.lengths
         self.even = np.clip(self.need / (self.rate * self.lengths), lo, hi)
         self.clamp_lo_price = self.weight / (offset + lo)
         self.clamp_hi_price = self.weight / (offset + hi)
+        # Padding that hides slots past departure from a row maximum.
+        self.max_pad = np.where(self.mask, 0.0, -np.inf)
+        self._saturation: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.lam = np.full((len(subproblems), self.width), _PAD_PRICE)
 
     def load_prices(self, prices: np.ndarray) -> None:
         """Set the prices: one window vector whose leading slots every vehicle
-        sees, or one padded row per vehicle."""
-        np.copyto(self.lam, prices[..., : self.width], where=self.mask)
+        sees, or one padded row per vehicle.  The previous price matrix is
+        left as it was, for the solutions that refer to it."""
+        self.lam = np.where(self.mask, prices[..., : self.width], _PAD_PRICE)
+
+    def _saturated(self, energy_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Requirements at (or beyond) the upper and the lower box face, and the rest."""
+        flags = self._saturation.get(energy_tol)
+        if flags is None:
+            at_hi = self.need >= self.cap_hi - energy_tol
+            at_lo = self.need <= self.cap_lo + energy_tol
+            flags = self._saturation[energy_tol] = (at_hi, at_lo, ~(at_hi | at_lo))
+        return flags
 
     def _energy_at(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Water-filling power, delivered energy and its slope in ``mu``."""
         q = self.lam + (mu * self.rate)[:, None]
         # w/q - offset, or +inf (the upper bound) at a nonpositive price.
-        level = np.where(q > 0, self.weight[:, None] / q, np.inf) - self.offset
+        level = np.where(q > 0, self.weight_col / q, np.inf) - self.offset
         power = np.minimum(np.maximum(level, self.lo), self.hi)
         # On free slots w/q**2 = (power + offset)**2 / w.
         free_sq = np.square(power + self.offset) * (power == level)
-        slope = -self.rate**2 / self.weight * free_sq.sum(axis=1)
+        slope = self.slope_coef * free_sq.sum(axis=1)
         return power, self.rate * power.sum(axis=1), slope
 
     @np.errstate(divide="ignore", invalid="ignore")
@@ -159,7 +185,7 @@ class EVBatchWorkspace:
 
         # Saturation bounds: below mu_low every slot sits at the upper bound,
         # above mu_high every slot sits at the lower bound.
-        lam_max = np.where(self.mask, lam, -np.inf).max(axis=1)
+        lam_max = (lam + self.max_pad).max(axis=1)
         mu_low = (self.clamp_hi_price - lam_max) / rate - 1.0
         mu_high = (self.clamp_lo_price - lam.min(axis=1)) / rate + 1.0
 
@@ -172,10 +198,9 @@ class EVBatchWorkspace:
             mu = np.where(np.isfinite(mu_hints), mu_hints, 0.5 * (mu_low + mu_high))
 
         # Requirements at (or beyond) a box face get the saturated profile.
-        at_hi = need >= self.cap_hi - eps.energy
-        at_lo = need <= self.cap_lo + eps.energy
-        mu = np.where(at_hi, mu_low, np.where(at_lo, mu_high, np.clip(mu, mu_low, mu_high)))
-        active = ~(at_hi | at_lo)
+        at_hi, at_lo, active = self._saturated(eps.energy)
+        inner = np.minimum(np.maximum(mu, mu_low), mu_high)
+        mu = np.where(at_hi, mu_low, np.where(at_lo, mu_high, inner))
 
         # Safeguarded Newton on the decreasing energy E(mu) inside the shrinking
         # bracket [mu_low, mu_high]: a step that leaves it, meets a zero slope or
@@ -185,7 +210,7 @@ class EVBatchWorkspace:
         for _ in range(max_iter):
             gap = energy - need
             abs_gap = np.abs(gap)
-            active &= abs_gap > eps.energy
+            active = active & (abs_gap > eps.energy)
             if not active.any():
                 break
             mu_low = np.where(gap > 0, mu, mu_low)
@@ -197,9 +222,7 @@ class EVBatchWorkspace:
             power, energy, slope = self._energy_at(mu)
 
         feasible = np.abs(energy - need) <= eps.energy
-        term = self.weight[:, None] * np.log(self.offset + power) - lam * power
-        objective = np.where(self.mask, term, 0.0).sum(axis=1)
-        return EVBatchSolution(power, self.lengths, mu, objective, feasible)
+        return EVBatchSolution(power, self.lengths, mu, feasible, lam, self.weight, self.offset)
 
 
 def solve_ev_batch(

@@ -44,6 +44,8 @@ __all__ = [
     "simulate_uncontrolled",
 ]
 
+# Storage of a scenario without one: pinned at zero power, which the supplier
+# solves in closed form.
 _NO_STORAGE = StorageSpec(
     power_min=0.0, power_max=0.0, energy_initial=0.0, energy_reference=0.0
 )
@@ -204,13 +206,14 @@ def _summarize(
     prices = np.array([rec.price_applied for rec in records]) if records else np.zeros(1)
     demand = np.array([rec.demand_total for rec in records]) if records else np.zeros(1)
     initial = sum(s.energy_needed for s in sessions)
-    unmet = sum(final_energy.values())
+    # An overshoot within the energy tolerance leaves a slightly negative
+    # remainder; it counts as met, not as negative unmet energy.
     return TraceSummary(
         price_mean=float(prices.mean()),
         price_stdev=float(prices.std()),
         peak_demand=float(demand.max()),
-        energy_delivered=initial - unmet,
-        energy_unmet=unmet,
+        energy_delivered=initial - sum(final_energy.values()),
+        energy_unmet=sum(max(left, 0.0) for left in final_energy.values()),
     )
 
 

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from evmarket import (
     StorageSpec,
     TimeGrid,
     parse_scenario,
+    run,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -29,6 +31,16 @@ TABLE1_STORAGE = StorageSpec(
 @pytest.fixture(scope="session")
 def table1_scenario() -> Scenario:
     return parse_scenario((SCENARIO_DIR / "table1.scenario").read_bytes())
+
+
+@pytest.fixture(scope="session")
+def table1_run_no_storage(table1_scenario):
+    """The table1 day with the storage pinned at zero power (simulated once)."""
+    scn = replace(
+        table1_scenario,
+        storage=replace(table1_scenario.storage, power_min=0.0, power_max=0.0),
+    )
+    return run(scn)
 
 
 def make_session(

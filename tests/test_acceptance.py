@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines.
 """
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,15 +48,6 @@ def table1_run(table1_scenario):
     start = time.perf_counter()
     trace = run(table1_scenario)
     return trace, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
-def table1_run_no_storage(table1_scenario):
-    scn = replace(
-        table1_scenario,
-        storage=replace(table1_scenario.storage, power_min=0.0, power_max=0.0),
-    )
-    return run(scn)
 
 
 @pytest.fixture(scope="module")

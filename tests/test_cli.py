@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from evmarket.cli import main
+from evmarket.dso_agent import ConvergenceError
 
 SMALL = """
 seed = 3
@@ -187,3 +188,17 @@ seed = 1
     assert main(["run", str(path), "--out", str(out_c), "--seed", "2"]) in (0, 2)
     assert (out_a / "evs.csv").read_bytes() == (out_b / "evs.csv").read_bytes()
     assert (out_a / "evs.csv").read_bytes() != (out_c / "evs.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_supplier_failure_exits_2(tmp_path, small_file, capsys, monkeypatch, command):
+    import evmarket.coordinator
+
+    def failing_supplier(*args, **kwargs):
+        raise ConvergenceError("supplier solve stalled at residual 1.000e+00", 1.0)
+
+    monkeypatch.setattr(evmarket.coordinator, "solve_dso", failing_supplier)
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(small_file), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: supplier solve stalled at residual 1.000e+00\n"
