@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .coordinator import ConvergenceConfig, negotiate_slot
+from .coordinator import negotiate_slot
 from .dso_agent import ConvergenceError, DSOSubproblem
 from .ev_agent import EVSubproblem
 from .model import (
@@ -26,10 +26,9 @@ from .model import (
     PriceVector,
     ScenarioValidationError,
     TimeGrid,
-    Tolerances,
     validate_scenario,
 )
-from .mpc_loop import _NO_STORAGE
+from .mpc_loop import _config_of
 from .mpc_loop import run as run_simulation
 from .mpc_loop import simulate_uncontrolled
 from .oracle import CentralProblem, solve_central, welfare
@@ -153,16 +152,9 @@ def _truncate_for_oracle(
 def _cmd_verify(args) -> int:
     scenario = _load_scenario(args)
     sessions, window = _truncate_for_oracle(scenario, args.oracle_cap)
-    storage = scenario.storage if scenario.storage is not None else _NO_STORAGE
-    sv = scenario.solver
-    eps = Tolerances(kkt=sv.kkt_tolerance, energy=sv.energy_tolerance)
-    config = ConvergenceConfig(
-        step_size=sv.step_size,
-        balance_tolerance=sv.balance_tolerance,
-        max_iterations=sv.max_iterations,
-        step_schedule=sv.step_schedule,
-    )
-    warm = sv.initial_price * scenario.grid.slot_hours
+    config = _config_of(scenario)
+    storage, eps = config.storage, config.eps
+    warm = scenario.solver.initial_price * config.slot_hours
 
     ev_subs = [
         EVSubproblem(
@@ -179,7 +171,7 @@ def _cmd_verify(args) -> int:
         window=window,
         prices=PriceVector.constant(warm, window.length),
     )
-    result = negotiate_slot(ev_subs, dso_sub, warm, config, eps)
+    result = negotiate_slot(ev_subs, dso_sub, warm, config.convergence, eps)
 
     problem = CentralProblem(
         sessions=tuple(sessions),

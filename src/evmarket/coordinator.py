@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dso_agent import DSOSolution, DSOSubproblem, solve_dso
+from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
 from .ev_agent import EVBatchWorkspace, EVSolution, EVSubproblem
 from .model import PowerProfile, PriceVector, Tolerances
 
@@ -201,10 +201,12 @@ def negotiate_slot(
     Iterates agent solves and price updates until the worst per-slot imbalance
     is within ``config.balance_tolerance`` or ``config.max_iterations`` price
     updates have been spent.  The returned powers and dual value always come
-    from a full agent solve at the returned prices.  Non-convergence of the
-    price loop is flagged, never raised, and the caller decides policy; a
-    supplier solve that fails raises :class:`~evmarket.dso_agent.ConvergenceError`,
-    which propagates.
+    from a full agent solve at the returned prices.  Non-convergence is
+    flagged, never raised, and the caller decides policy: a supplier solve
+    that fails with :class:`~evmarket.dso_agent.ConvergenceError` at iteration
+    ``k >= 1`` returns the state of iteration ``k - 1`` with
+    ``converged=False``.  A failure at iteration 0 leaves no state to settle
+    at and propagates.
     """
     n = dso_sub.window.length
     prices = np.full(n, max(warm_start_price, 0.0))
@@ -218,16 +220,24 @@ def negotiate_slot(
     converged = False
     iterations = 0
     for k in range(config.max_iterations + 1):
-        state = evaluate_dual(
-            prices,
-            ev_subs,
-            dso_sub,
-            eps=eps,
-            iteration=k,
-            mu_hints=mu_hints,
-            dso_start=dso_start,
-            workspace=workspace,
-        )
+        try:
+            next_state = evaluate_dual(
+                prices,
+                ev_subs,
+                dso_sub,
+                eps=eps,
+                iteration=k,
+                mu_hints=mu_hints,
+                dso_start=dso_start,
+                workspace=workspace,
+            )
+        except ConvergenceError:
+            # A supplier failure after the first iteration settles the slot
+            # at the previous iteration, flagged as not converged.
+            if state is None:
+                raise
+            break
+        state = next_state
         norm = state.residual_norm
         history.append(norm)
         iterations = k

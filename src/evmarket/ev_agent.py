@@ -10,6 +10,14 @@ the slots strictly inside the box (``q`` the effective price), so ``mu`` is
 found by Newton's method safeguarded by the saturation bracket, warm-started
 from the previous multiplier when the caller has one.  Objective values are
 computed only when they are read.
+
+``EVBatchWorkspace.solve`` runs that Newton iteration in one of two kernels
+with the same steps: an array kernel that advances the whole batch with one
+NumPy pass per step, and a scalar kernel that solves one vehicle at a time in
+plain floats, for batches of at most ``_SCALAR_WIDTH`` slots and
+``_SCALAR_CELLS`` vehicle-slots, where NumPy's per-call overhead outweighs the
+arithmetic.  The two give bit-identical powers, multipliers and feasibility
+flags.
 """
 from __future__ import annotations
 
@@ -29,6 +37,13 @@ __all__ = [
 # Padding price for slots past a vehicle's departure: above any real price, so
 # a row's minimum price is its minimum over the vehicle's own slots.
 _PAD_PRICE = 1e30
+
+# Size rule for the scalar kernel.  Its row sums run left to right, which is
+# NumPy's order only for rows of at most seven entries.  Its cost grows with
+# the vehicles, the array kernel's hardly at all: on one-slot rows the two
+# break even at about 32 vehicle-slots, on wider rows further out.
+_SCALAR_WIDTH = 7
+_SCALAR_CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -155,12 +170,16 @@ class EVBatchWorkspace:
         self.lam = np.where(self.mask, prices[..., : self.width], _PAD_PRICE)
 
     def _saturated(self, energy_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Requirements at (or beyond) the upper and the lower box face, and the rest."""
+        """Requirements at (or beyond) the upper and the lower box face, and the
+        rest.  The flags are cached per tolerance, so they are read-only."""
         flags = self._saturation.get(energy_tol)
         if flags is None:
             at_hi = self.need >= self.cap_hi - energy_tol
             at_lo = self.need <= self.cap_lo + energy_tol
-            flags = self._saturation[energy_tol] = (at_hi, at_lo, ~(at_hi | at_lo))
+            flags = (at_hi, at_lo, ~(at_hi | at_lo))
+            for array in flags:
+                array.setflags(write=False)
+            self._saturation[energy_tol] = flags
         return flags
 
     def _energy_at(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,13 +193,28 @@ class EVBatchWorkspace:
         slope = self.slope_coef * free_sq.sum(axis=1)
         return power, self.rate * power.sum(axis=1), slope
 
-    @np.errstate(divide="ignore", invalid="ignore")
     def solve(
         self,
         eps: Tolerances = Tolerances(),
         mu_hints: np.ndarray | None = None,
         max_iter: int = 200,
     ) -> EVBatchSolution:
+        """Solve every vehicle at the loaded prices.
+
+        Batches within the size rule (at most ``_SCALAR_WIDTH`` slots and
+        ``_SCALAR_CELLS`` vehicle-slots) go to the plain-float kernel, the rest
+        to the array kernel; both take the same steps and return bit-identical
+        results.
+        """
+        if self.width <= _SCALAR_WIDTH and self.lam.size <= _SCALAR_CELLS:
+            return self._solve_scalar(eps, mu_hints, max_iter)
+        return self._solve_array(eps, mu_hints, max_iter)
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def _solve_array(
+        self, eps: Tolerances, mu_hints: np.ndarray | None, max_iter: int
+    ) -> EVBatchSolution:
+        """Array kernel: all vehicles advance together, one NumPy pass per step."""
         lam, need, rate = self.lam, self.need, self.rate
 
         # Saturation bounds: below mu_low every slot sits at the upper bound,
@@ -223,6 +257,99 @@ class EVBatchWorkspace:
 
         feasible = np.abs(energy - need) <= eps.energy
         return EVBatchSolution(power, self.lengths, mu, feasible, lam, self.weight, self.offset)
+
+    @cached_property
+    def _constants(self) -> list[tuple]:
+        """Per-vehicle constants as plain floats, for the scalar kernel.  The
+        box bounds are read from the first slot, which every vehicle has."""
+        columns = (
+            self.lengths, self.weight, self.lo[:, 0], self.hi[:, 0], self.rate,
+            self.slope_coef, self.need, self.even, self.clamp_lo_price,
+            self.clamp_hi_price,
+        )
+        return list(zip(*(c.tolist() for c in columns)))
+
+    def _solve_scalar(
+        self, eps: Tolerances, mu_hints: np.ndarray | None, max_iter: int
+    ) -> EVBatchSolution:
+        """Scalar kernel: the array kernel's steps, one vehicle at a time in
+        plain floats.  Row sums run left to right, as NumPy's do for rows of
+        at most seven entries; where NumPy would divide by a zero slope the
+        step bisects, which is where NumPy's inf or nan leads."""
+        offset, tol, width = self.offset, eps.energy, self.width
+        inf = math.inf
+        if mu_hints is None:
+            hints = [None] * len(self.lengths)
+        else:
+            hints = np.asarray(mu_hints, dtype=float).tolist()
+        at_hi, at_lo, active = (flags.tolist() for flags in self._saturated(tol))
+        lam_rows = self.lam.tolist()
+        rows, mus, feasible = [], [], []
+        for i, (length, w, lo, hi, rate, coef, need, even, clamp_lo, clamp_hi) in enumerate(
+            self._constants
+        ):
+            lam = lam_rows[i][:length]
+            hint, searching = hints[i], active[i]
+            mu_low = (clamp_hi - max(lam)) / rate - 1.0
+            mu_high = (clamp_lo - min(lam)) / rate + 1.0
+            if hint is None:
+                total = 0.0
+                for x in lam:
+                    total += x
+                mu = (w / (offset + even) - total / length) / rate
+            elif math.isfinite(hint):
+                mu = hint
+            else:
+                mu = 0.5 * (mu_low + mu_high)
+            if at_hi[i]:
+                mu = mu_low
+            elif at_lo[i]:
+                mu = mu_high
+            elif mu < mu_low:
+                mu = mu_low
+            elif mu > mu_high:
+                mu = mu_high
+
+            last_gap = inf
+            for k in range(max_iter + 1):
+                # Water-filling power, delivered energy and its slope at mu.
+                shift = mu * rate
+                power = []
+                total = free = 0.0
+                for x in lam:
+                    q = x + shift
+                    level = w / q - offset if q > 0 else inf
+                    p = level if level > lo else lo
+                    if p > hi:
+                        p = hi
+                    power.append(p)
+                    total += p
+                    if p == level:
+                        free += (p + offset) * (p + offset)
+                gap = rate * total - need
+                abs_gap = abs(gap)
+                searching = searching and abs_gap > tol
+                if not searching or k == max_iter:
+                    break
+                if gap > 0:
+                    mu_low = mu
+                elif gap < 0:
+                    mu_high = mu
+                slope = coef * free
+                newton = mu - gap / slope if slope != 0 else inf
+                if mu_low < newton < mu_high and abs_gap <= 0.5 * last_gap:
+                    mu = newton
+                else:
+                    mu = 0.5 * (mu_low + mu_high)
+                last_gap = abs_gap
+            power += [0.0] * (width - length)
+            rows.append(power)
+            mus.append(mu)
+            feasible.append(abs_gap <= tol)
+        return EVBatchSolution(
+            np.array(rows), self.lengths, np.array(mus), np.array(feasible),
+            self.lam, self.weight, self.offset,
+        )
 
 
 def solve_ev_batch(

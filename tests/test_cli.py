@@ -202,3 +202,29 @@ def test_supplier_failure_exits_2(tmp_path, small_file, capsys, monkeypatch, com
     assert main([command, str(small_file), *extra]) == 2
     err = capsys.readouterr().err
     assert err == "error: supplier solve stalled at residual 1.000e+00\n"
+
+
+def test_late_supplier_failure_flags_the_slot(tmp_path, small_file, capsys, monkeypatch):
+    """A supplier failure after a slot's first iteration settles that slot at
+    the previous iteration; the run goes on, writes its tables and exits 2."""
+    import evmarket.coordinator
+
+    solve_dso = evmarket.coordinator.solve_dso
+    calls = {}
+
+    def supplier_failing_in_slot_1(sub, *args, **kwargs):
+        slot = sub.window.start
+        calls[slot] = calls.get(slot, 0) + 1
+        if slot == 1 and calls[slot] == 11:
+            raise ConvergenceError("supplier solve stalled at residual 1.000e+00", 1.0)
+        return solve_dso(sub, *args, **kwargs)
+
+    monkeypatch.setattr(evmarket.coordinator, "solve_dso", supplier_failing_in_slot_1)
+    out = tmp_path / "out"
+    assert main(["run", str(small_file), "--out", str(out)]) == 2
+    assert "non-converged slots 1" in capsys.readouterr().out
+    for name in ("slots.csv", "evs.csv", "summary.csv"):
+        assert (out / name).is_file()
+    rows = [line.split(",") for line in (out / "slots.csv").read_text().splitlines()[1:]]
+    # slot, iterations, converged: slot 1 settled at iteration 9.
+    assert [(r[0], r[7], r[9]) for r in rows] == [("0", "90", "true"), ("1", "9", "false")]

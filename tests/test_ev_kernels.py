@@ -1,0 +1,152 @@
+"""The scalar and the array EV kernels give bit-identical results, and
+``EVBatchWorkspace.solve`` sends each batch to the kernel its size rule names."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evmarket import Tolerances, ev_agent
+from evmarket.ev_agent import EVBatchWorkspace
+
+from conftest import SLOT_HOURS, make_ev_subproblem
+
+EPS = Tolerances()
+
+# Where the requirement sits relative to the energy the box can deliver.
+NEEDS = ("zero", "interior", "full", "floor", "over", "under")
+
+
+@st.composite
+def vehicles(draw, width):
+    n = draw(st.integers(1, width))
+    prices = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=n, max_size=n)
+    )
+    power_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 5.0)))
+    power_max = power_min + draw(st.floats(0.5, 30.0))
+    loss = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
+    # Small weights with wide boxes put the saturation bound where some
+    # effective prices q are nonpositive.
+    weight = draw(st.one_of(st.floats(0.01, 0.2), st.floats(0.5, 20.0)))
+    rate = (1.0 - loss) * SLOT_HOURS
+    floor, cap = rate * power_min * n, rate * power_max * n
+    share = draw(st.floats(0.01, 0.99))
+    energy = {
+        "zero": 0.0,
+        "interior": floor + share * (cap - floor),
+        "full": cap,
+        "floor": floor,
+        "over": cap * (1.0 + share) + 0.01,
+        "under": floor * share,
+    }[draw(st.sampled_from(NEEDS))]
+    return make_ev_subproblem(
+        prices,
+        power_min=power_min,
+        power_max=power_max,
+        weight=weight,
+        loss_fraction=loss,
+        energy=energy,
+    )
+
+
+@st.composite
+def batches(draw):
+    width = draw(st.integers(1, 7))
+    subs = draw(st.lists(vehicles(width), min_size=1, max_size=8))
+    ws = EVBatchWorkspace(subs)
+    rows = np.zeros((len(subs), ws.width))
+    for row, sub in zip(rows, subs):
+        row[: sub.window.length] = sub.prices.values
+    ws.load_prices(rows)
+    return ws
+
+
+# Hints: none, finite (near zero, or far below the saturation bound, where
+# every slot is clamped at its upper bound and the slope is zero), non-finite.
+HINTS = st.one_of(
+    st.none(),
+    st.lists(
+        st.one_of(
+            st.floats(-10.0, 10.0),
+            st.just(-1e6),
+            st.just(1e6),
+            st.sampled_from([np.nan, np.inf, -np.inf]),
+        ),
+        min_size=8,
+        max_size=8,
+    ),
+)
+
+
+def assert_same(ws, hints, max_iter):
+    if hints is not None:
+        hints = np.array(hints[: len(ws.lengths)])
+    scalar = ws._solve_scalar(EPS, hints, max_iter)
+    array = ws._solve_array(EPS, hints, max_iter)
+    assert np.array_equal(scalar.power, array.power)
+    assert np.array_equal(scalar.energy_multiplier, array.energy_multiplier)
+    assert np.array_equal(scalar.feasible, array.feasible)
+    assert scalar.feasible.dtype == array.feasible.dtype
+
+
+@settings(max_examples=500, deadline=None)
+@given(ws=batches(), hints=HINTS, max_iter=st.sampled_from([200, 200, 1, 3]))
+def test_scalar_kernel_matches_array_kernel(ws, hints, max_iter):
+    assert_same(ws, hints, max_iter)
+
+
+def test_nonpositive_effective_price_and_zero_slope():
+    """A hint far below the saturation bound starts every slot at the upper
+    bound, some at q <= 0; the zero slope there makes the first step bisect."""
+    sub = make_ev_subproblem([0.0, 3.0, 1.0], power_max=30.0, weight=0.1, energy=10.0)
+    ws = EVBatchWorkspace([sub])
+    ws.load_prices(sub.prices.values)
+    mu_low = (ws.clamp_hi_price - ws.lam.max(axis=1)) / ws.rate - 1.0
+    q = ws.lam + (mu_low * ws.rate)[:, None]
+    assert (q <= 0).any()
+    _, _, slope = ws._energy_at(mu_low)
+    assert slope[0] == 0.0
+    for max_iter in (1, 2, 200):
+        assert_same(ws, [-1e6], max_iter)
+    assert ws.solve(EPS, np.array([-1e6])).feasible.all()
+
+
+def batch(vehicles, width):
+    subs = [
+        make_ev_subproblem(np.linspace(1.0, 3.0, width), power_max=20.0, energy=2.0)
+        for _ in range(vehicles)
+    ]
+    ws = EVBatchWorkspace(subs)
+    ws.load_prices(np.linspace(1.0, 3.0, width))
+    return ws
+
+
+def kernel_used(ws, monkeypatch):
+    used = []
+    for name in ("_solve_scalar", "_solve_array"):
+
+        def spy(*args, _name=name, _kernel=getattr(ws, name)):
+            used.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(ws, name, spy)
+    ws.solve(EPS)
+    return used
+
+
+def test_size_rule_picks_the_kernel(monkeypatch):
+    width, cells = ev_agent._SCALAR_WIDTH, ev_agent._SCALAR_CELLS
+    assert kernel_used(batch(cells // width, width), monkeypatch) == ["_solve_scalar"]
+    assert kernel_used(batch(cells, 1), monkeypatch) == ["_solve_scalar"]
+    # One vehicle-slot past the cutoff, or one slot past the width.
+    assert kernel_used(batch(cells + 1, 1), monkeypatch) == ["_solve_array"]
+    assert kernel_used(batch(1, width + 1), monkeypatch) == ["_solve_array"]
+
+
+def test_cached_saturation_flags_are_read_only():
+    ws = batch(3, 4)
+    flags = ws._saturated(EPS.energy)
+    for array in flags:
+        with pytest.raises(ValueError):
+            array &= False
+    assert ws._saturated(EPS.energy) is flags

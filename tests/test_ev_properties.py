@@ -3,7 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmarket import Tolerances
+from evmarket import Tolerances, ev_agent
 from evmarket.ev_agent import EVBatchWorkspace, stationarity_residual
 
 from conftest import SLOT_HOURS, make_ev_subproblem
@@ -96,9 +96,12 @@ def test_batch_solutions_are_optimal_and_in_the_box(subs, hints):
             np.testing.assert_allclose(sol.profile.values, bound)
 
 
-def test_warm_started_solves_need_few_energy_evaluations():
+def test_warm_started_solves_need_few_energy_evaluations(monkeypatch):
     """Along a price-loop-like sequence of small price moves, warm-started
-    solves average at most five energy evaluations."""
+    solves average at most five energy evaluations.  The evaluations are
+    counted on the array kernel; the scalar kernel takes the same steps
+    (``test_ev_kernels.py``)."""
+    monkeypatch.setattr(ev_agent, "_SCALAR_CELLS", 0)
     rng = np.random.default_rng(3)
     solves = evaluations = 0
     for _ in range(60):
