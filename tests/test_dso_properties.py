@@ -1,13 +1,17 @@
 """Property tests of the supplier's closed form for a pinned storage box.
 
 The closed form must agree with the projected-Newton iteration, which solves
-the same problem with the storage treated as a general box.
+the same problem with the storage treated as a general box.  The closed form
+is exact; the iteration stops once its stationarity residual is within
+``REFERENCE_EPS``, so on a supplier box narrower than that it may stop one box
+width short of the optimum.  The objectives are therefore compared one way:
+the closed form, which must be feasible, is never worse than the iteration.
 """
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evmarket import DSOSpec, DSOSubproblem, PriceVector, StorageSpec, TimeGrid, Tolerances
@@ -48,18 +52,32 @@ def pinned_subproblems(draw):
     )
 
 
+# A supplier box as wide as the reference residual: the iteration stops at
+# the lower bound with residual 1e-12 and objective 0, the optimum is the cap.
+NARROW_BOX = DSOSubproblem(
+    dso=DSOSpec(1.0, 0.0, 0.0, 1e-12),
+    storage=StorageSpec(0.0, 0.0, 0.0, 0.0),
+    energy_now=0.0,
+    window=TimeGrid(0, 1, SLOT_HOURS),
+    prices=PriceVector(np.array([2.0])),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(sub=pinned_subproblems())
+@example(sub=NARROW_BOX)
 def test_closed_form_matches_projected_newton(sub):
     lam = sub.prices.values
     sol = solve_dso(sub, eps=EPS)
     point, _ = _projected_newton(sub, lam, REFERENCE_EPS, 100_000, None)
     np.testing.assert_allclose(sol.point, point, rtol=0.0, atol=1e-9)
+    gen = sol.generation.values
+    assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
+    np.testing.assert_array_equal(sol.storage_power.values, 0.0)
     n = sub.window.length
     reference = _objective(sub, lam, point[:n], point[n:])
-    assert sol.objective == pytest.approx(reference, rel=1e-9, abs=1e-12)
+    assert sol.objective >= reference - (1e-12 + 1e-9 * abs(reference))
     assert sol.kkt_residual <= EPS.kkt
-    np.testing.assert_array_equal(sol.storage_power.values, 0.0)
 
 
 def test_closed_form_raises_on_a_non_finite_residual():
