@@ -203,6 +203,11 @@ def _cmd_verify(args) -> int:
         f"negotiated welfare {negotiated_welfare:.6f}, "
         f"centralized welfare {central.welfare:.6f}, gap {100 * gap:.3f}%"
     )
+    if result.supplier_error is not None:
+        print(
+            f"error: settled at iteration {result.iterations}: {result.supplier_error}",
+            file=sys.stderr,
+        )
     if not result.converged or gap > 0.01:
         return 2
     return 0
@@ -258,6 +263,13 @@ def _cmd_simulate(args) -> int:
     else:
         trace = simulate_uncontrolled(scenario)
     write_trace(trace, args.out)
+    for rec in trace.records:
+        if rec.supplier_error is not None:
+            print(
+                f"error: slot {rec.slot} settled at iteration {rec.iterations}: "
+                f"{rec.supplier_error}",
+                file=sys.stderr,
+            )
     s = trace.summary
     flagged = sum(1 for rec in trace.records if not rec.converged)
     max_iters = max((rec.iterations for rec in trace.records), default=0)

@@ -105,7 +105,11 @@ class DualIterationState:
 
 @dataclass(frozen=True, eq=False)
 class NegotiationResult:
-    """Final state of one slot's negotiation."""
+    """Final state of one slot's negotiation.
+
+    ``supplier_error`` is the message of a supplier failure that ended the
+    loop early, else ``None``.
+    """
 
     prices: PriceVector
     demand: PowerProfile
@@ -119,6 +123,7 @@ class NegotiationResult:
     converged: bool
     dual_value: float
     residual_history: tuple[float, ...]
+    supplier_error: str | None = None
 
 
 def update_price(prices, residual, step: float):
@@ -205,8 +210,8 @@ def negotiate_slot(
     flagged, never raised, and the caller decides policy: a supplier solve
     that fails with :class:`~evmarket.dso_agent.ConvergenceError` at iteration
     ``k >= 1`` returns the state of iteration ``k - 1`` with
-    ``converged=False``.  A failure at iteration 0 leaves no state to settle
-    at and propagates.
+    ``converged=False`` and the failure's message in ``supplier_error``.  A
+    failure at iteration 0 leaves no state to settle at and propagates.
     """
     n = dso_sub.window.length
     prices = np.full(n, max(warm_start_price, 0.0))
@@ -218,6 +223,7 @@ def negotiate_slot(
     dso_start: tuple[np.ndarray, np.ndarray] | None = None
     state = None
     converged = False
+    supplier_error = None
     iterations = 0
     for k in range(config.max_iterations + 1):
         try:
@@ -231,11 +237,12 @@ def negotiate_slot(
                 dso_start=dso_start,
                 workspace=workspace,
             )
-        except ConvergenceError:
+        except ConvergenceError as exc:
             # A supplier failure after the first iteration settles the slot
             # at the previous iteration, flagged as not converged.
             if state is None:
                 raise
+            supplier_error = str(exc)
             break
         state = next_state
         norm = state.residual_norm
@@ -267,4 +274,5 @@ def negotiate_slot(
         converged=converged,
         dual_value=state.dual_value,
         residual_history=tuple(history),
+        supplier_error=supplier_error,
     )

@@ -184,6 +184,8 @@ class SlotRecord:
     ``price_applied`` is in euro cent per kWh (scenario units), powers in kW,
     ``storage_energy`` is the stored energy after the slot.  ``per_ev`` maps
     vehicle id to ``(applied power kW, remaining energy kWh)``.
+    ``supplier_error`` is the message of a supplier failure that settled the
+    slot early, else ``None``.
     """
 
     slot: int
@@ -196,6 +198,7 @@ class SlotRecord:
     iterations: int
     residual: float
     converged: bool
+    supplier_error: str | None = None
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,7 @@ def step(state: SimulationState, config: SimulationConfig) -> tuple[SimulationSt
         iterations=result.iterations,
         residual=result.residual_norm,
         converged=result.converged,
+        supplier_error=result.supplier_error,
     )
 
     next_state = SimulationState(

@@ -222,9 +222,37 @@ def test_late_supplier_failure_flags_the_slot(tmp_path, small_file, capsys, monk
     monkeypatch.setattr(evmarket.coordinator, "solve_dso", supplier_failing_in_slot_1)
     out = tmp_path / "out"
     assert main(["run", str(small_file), "--out", str(out)]) == 2
-    assert "non-converged slots 1" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "non-converged slots 1" in captured.out
+    assert captured.err == (
+        "error: slot 1 settled at iteration 9: supplier solve stalled at residual 1.000e+00\n"
+    )
     for name in ("slots.csv", "evs.csv", "summary.csv"):
         assert (out / name).is_file()
     rows = [line.split(",") for line in (out / "slots.csv").read_text().splitlines()[1:]]
     # slot, iterations, converged: slot 1 settled at iteration 9.
     assert [(r[0], r[7], r[9]) for r in rows] == [("0", "90", "true"), ("1", "9", "false")]
+
+
+def test_late_supplier_failure_in_verify_names_the_error(small_file, capsys, monkeypatch):
+    """`verify` settles at the iteration before a late supplier failure, still
+    compares welfare, and names the failure on stderr with exit 2."""
+    import evmarket.coordinator
+
+    solve_dso = evmarket.coordinator.solve_dso
+    calls = 0
+
+    def supplier_failing_on_call_11(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 11:
+            raise ConvergenceError("supplier solve stalled at residual 1.000e+00", 1.0)
+        return solve_dso(*args, **kwargs)
+
+    monkeypatch.setattr(evmarket.coordinator, "solve_dso", supplier_failing_on_call_11)
+    assert main(["verify", str(small_file)]) == 2
+    captured = capsys.readouterr()
+    assert "9 dual iterations" in captured.out
+    assert captured.err == (
+        "error: settled at iteration 9: supplier solve stalled at residual 1.000e+00\n"
+    )

@@ -4,8 +4,10 @@ The closed form must agree with the projected-Newton iteration, which solves
 the same problem with the storage treated as a general box.  The closed form
 is exact; the iteration stops once its stationarity residual is within
 ``REFERENCE_EPS``, so on a supplier box narrower than that it may stop one box
-width short of the optimum.  The objectives are therefore compared one way:
-the closed form, which must be feasible, is never worse than the iteration.
+width short of the optimum.  The closed-form objective is therefore bounded on
+both sides: below by the reference, above by the reference plus the
+reference's shortfall, which concavity bounds by the reference gradient times
+the step to the closed-form point.
 """
 import math
 
@@ -75,8 +77,14 @@ def test_closed_form_matches_projected_newton(sub):
     assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
     np.testing.assert_array_equal(sol.storage_power.values, 0.0)
     n = sub.window.length
+    assert sol.objective == _objective(sub, lam, sol.point[:n], sol.point[n:])
     reference = _objective(sub, lam, point[:n], point[n:])
-    assert sol.objective >= reference - (1e-12 + 1e-9 * abs(reference))
+    # Storage is pinned on both sides, so only generation moves the objective:
+    # f(closed form) - f(reference) <= grad f(reference) . (step).
+    grad = lam - sub.dso.cost_linear - 2.0 * sub.dso.cost_quadratic * (point[:n] - point[n:])
+    shortfall = max(float(grad @ (sol.point[:n] - point[:n])), 0.0)
+    rounding = 1e-12 + 1e-9 * abs(reference)
+    assert reference - rounding <= sol.objective <= reference + shortfall + rounding
     assert sol.kkt_residual <= EPS.kkt
 
 

@@ -3,7 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmarket import Tolerances, ev_agent
+from evmarket import Tolerances
 from evmarket.ev_agent import EVBatchWorkspace, stationarity_residual
 
 from conftest import SLOT_HOURS, make_ev_subproblem
@@ -96,12 +96,11 @@ def test_batch_solutions_are_optimal_and_in_the_box(subs, hints):
             np.testing.assert_allclose(sol.profile.values, bound)
 
 
-def test_warm_started_solves_need_few_energy_evaluations(monkeypatch):
+def test_warm_started_solves_need_few_energy_evaluations():
     """Along a price-loop-like sequence of small price moves, warm-started
     solves average at most five energy evaluations.  The evaluations are
-    counted on the array kernel; the scalar kernel takes the same steps
-    (``test_ev_kernels.py``)."""
-    monkeypatch.setattr(ev_agent, "_SCALAR_CELLS", 0)
+    counted on the array kernel, called directly; the scalar kernel takes the
+    same steps (``test_ev_kernels.py``)."""
     rng = np.random.default_rng(3)
     solves = evaluations = 0
     for _ in range(60):
@@ -122,7 +121,7 @@ def test_warm_started_solves_need_few_energy_evaluations(monkeypatch):
         width = ws.width
         prices = rng.uniform(0.5, 4.0, size=width)
         ws.load_prices(prices)
-        mu = ws.solve(eps=EPS).energy_multiplier
+        mu = ws._solve_array(EPS, None, 200).energy_multiplier
         energy_at = ws._energy_at
 
         def counted(m):
@@ -134,7 +133,7 @@ def test_warm_started_solves_need_few_energy_evaluations(monkeypatch):
         for _ in range(10):
             prices = np.maximum(prices + rng.normal(0.0, 0.02, size=width), 0.0)
             ws.load_prices(prices)
-            batch = ws.solve(eps=EPS, mu_hints=mu)
+            batch = ws._solve_array(EPS, mu, 200)
             assert batch.feasible.all()
             mu = batch.energy_multiplier
             solves += 1
