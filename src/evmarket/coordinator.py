@@ -13,6 +13,13 @@ imbalance, so the agents' objectives and the dual value are computed once per
 negotiation, for the state that is returned.  Agent solves within one iteration
 are independent of each other and could run concurrently; they are evaluated
 in a fixed order here so that runs stay bit-reproducible.
+
+Windows are a few slots long, so inside the loop the broadcast prices, the
+demand, the supply and the residual are lists of floats, and the price update
+and the residual norm are float loops with NumPy's arithmetic, NaN included.
+The validated :class:`~evmarket.model.PriceVector` and
+:class:`~evmarket.model.PowerProfile` objects, and the agents' arrays, are
+built once per negotiation, from the state that is returned.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ import numpy as np
 
 from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
 from .ev_agent import EVBatchWorkspace, EVSolution, EVSubproblem
-from .model import PowerProfile, PriceVector, Tolerances
+from .model import PowerProfile, PriceVector, Tolerances, max_abs, maximum
 
 __all__ = [
     "ConvergenceConfig",
@@ -67,17 +74,18 @@ class ConvergenceConfig:
         return self.step_size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class DualIterationState:
-    """Everything produced by one evaluation of the dual function, as plain
-    arrays; ``demand``, ``supply`` and ``residual`` wrap them on access, and
-    ``dual_value`` sums the agents' objectives on first access."""
+    """Everything produced by one evaluation of the dual function, as lists of
+    floats over the window; ``demand``, ``supply`` and ``residual`` wrap them
+    on access, and ``dual_value`` sums the agents' objectives on first access.
+    One is made per dual iteration, so it is a plain dataclass."""
 
     iteration: int
-    price_values: np.ndarray
-    demand_values: np.ndarray
-    supply_values: np.ndarray
-    residual_values: np.ndarray
+    price_values: list[float]
+    demand_values: list[float]
+    supply_values: list[float]
+    residual_values: list[float]
     ev_solutions: Sequence[EVSolution]
     dso_solution: DSOSolution
 
@@ -100,7 +108,8 @@ class DualIterationState:
 
     @property
     def residual_norm(self) -> float:
-        return float(np.abs(self.residual_values).max())
+        """The worst per-slot imbalance; NaN if any slot's is NaN."""
+        return max_abs(self.residual_values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,17 +135,24 @@ class NegotiationResult:
     supplier_error: str | None = None
 
 
+def _floats(values) -> list[float]:
+    """A validated vector, an array or a list of floats, as a list of floats."""
+    values = getattr(values, "values", values)
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 def update_price(prices, residual, step: float):
     """Move prices against the balance violation, clipped at zero.
 
-    Plain arrays in give an array out (as in the price loop); a
-    :class:`PriceVector` in gives a :class:`PriceVector` out.
+    Takes lists of floats (as in the price loop), arrays or the validated
+    types; a :class:`PriceVector` in gives a :class:`PriceVector` out,
+    anything else a list.  A NaN imbalance gives a NaN price, as
+    ``np.maximum`` does.
     """
-    lam = getattr(prices, "values", prices)
-    imbalance = getattr(residual, "values", residual)
+    lam, imbalance = _floats(prices), _floats(residual)
     if len(lam) != len(imbalance):
         raise ValueError("price and residual lengths differ")
-    out = np.maximum(lam - step * imbalance, 0.0)
+    out = [maximum(x - step * r, 0.0) for x, r in zip(lam, imbalance)]
     return PriceVector(out) if isinstance(prices, PriceVector) else out
 
 
@@ -158,37 +174,37 @@ def evaluate_dual(
 ) -> DualIterationState:
     """Solve every agent subproblem at ``prices`` and assemble the imbalance.
 
-    ``prices`` is a :class:`PriceVector` or a plain array over the
-    coordination window.  Vehicle subproblems see the leading slice covering
-    their own window (the carried price fields are replaced); vehicles
-    contribute zero demand past their departure.  The dual value is the sum of
-    the agents' optimal objectives, computed when it is first read.  A caller
-    passing ``workspace`` has already checked that it holds ``ev_subs`` inside
-    the window.
+    ``prices`` is a list of floats, an array or a :class:`PriceVector` over
+    the coordination window.  Vehicle subproblems see the leading slice
+    covering their own window (the carried price fields are replaced);
+    vehicles contribute zero demand past their departure.  The dual value is
+    the sum of the agents' optimal objectives, computed when it is first read.
+    A caller passing ``workspace`` has already checked that it holds
+    ``ev_subs`` inside the window.
     """
-    lam = getattr(prices, "values", prices)
+    lam = _floats(prices)
     n = dso_sub.window.length
     if len(lam) != n:
         raise ValueError("price vector length must equal the coordination window")
 
-    demand = np.zeros(n)
     ev_solutions: Sequence[EVSolution] = ()
+    demand = [0.0] * n
     if ev_subs:
         if workspace is None:
             _check_windows(ev_subs, dso_sub)
             workspace = EVBatchWorkspace(ev_subs)
         workspace.load_prices(lam)
         ev_solutions = workspace.solve(eps=eps, mu_hints=mu_hints)
-        demand[: workspace.width] = ev_solutions.power.sum(axis=0)
+        demand = ev_solutions.demand + demand[workspace.width :]
     dso_solution = solve_dso(dso_sub, eps=eps, start=dso_start, prices=lam)
 
-    supply = dso_solution.point[:n]
+    supply = dso_solution.generation_values
     return DualIterationState(
         iteration=iteration,
         price_values=lam,
         demand_values=demand,
         supply_values=supply,
-        residual_values=supply - demand,
+        residual_values=[s - d for s, d in zip(supply, demand)],
         ev_solutions=ev_solutions,
         dso_solution=dso_solution,
     )
@@ -213,14 +229,13 @@ def negotiate_slot(
     ``converged=False`` and the failure's message in ``supplier_error``.  A
     failure at iteration 0 leaves no state to settle at and propagates.
     """
-    n = dso_sub.window.length
-    prices = np.full(n, max(warm_start_price, 0.0))
+    prices = [max(warm_start_price, 0.0)] * dso_sub.window.length
 
     _check_windows(ev_subs, dso_sub)
     history: list[float] = []
     workspace = EVBatchWorkspace(ev_subs) if ev_subs else None
-    mu_hints: np.ndarray | None = None
-    dso_start: tuple[np.ndarray, np.ndarray] | None = None
+    mu_hints: Sequence[float] | None = None
+    dso_start: tuple[list[float], list[float]] | None = None
     state = None
     converged = False
     supplier_error = None
@@ -255,9 +270,9 @@ def negotiate_slot(
             break
         prices = update_price(prices, state.residual_values, config.step_at(k))
         if workspace is not None:
-            mu_hints = state.ev_solutions.energy_multiplier
-        point = state.dso_solution.point
-        dso_start = (point[:n], point[n:])
+            mu_hints = state.ev_solutions.multipliers
+        dso = state.dso_solution
+        dso_start = (dso.generation_values, dso.storage_values)
 
     assert state is not None
     ev_solutions = tuple(state.ev_solutions)

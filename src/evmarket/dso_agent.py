@@ -7,24 +7,27 @@ reference, over box bounds on both generation ``P_l`` and storage power
 
 When the storage box is pinned (``power_min == power_max``; validation forces
 both to 0, as for a scenario without storage) the problem separates per slot
-and is solved in closed form: ``P_s`` sits at the pinned value and
-``P_l = clip(P_s + (price - linear_cost) / (2 * quadratic_cost))`` on the
-generation box.  Otherwise it is solved by projected Newton: each iteration
-guesses the active bounds from the gradient, solves the Newton system on the
-free variables (cached per free set) and searches along the projection arc,
-else takes a projected-gradient step of length ``1/L``.  Either way the point
-is certified by its projected-stationarity residual, and the objective value
-is computed only when it is read.
+and is solved in closed form, in plain floats: ``P_s`` sits at the pinned value
+and ``P_l = clip(P_s + (price - linear_cost) / (2 * quadratic_cost))`` on the
+generation box, with NumPy's rules for ties and NaN.  Otherwise it is solved by
+projected Newton on arrays: each iteration guesses the active bounds from the
+gradient, solves the Newton system on the free variables (cached per free set)
+and searches along the projection arc, else takes a projected-gradient step of
+length ``1/L``.  Either way the point is certified by its projected-stationarity
+residual and handed back as float lists; the stacked array, the validated
+profiles and the objective value are built only when they are read.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .model import DSOSpec, PowerProfile, PriceVector, StorageSpec, TimeGrid, Tolerances
+from .model import max_abs, maximum, minimum
 
 __all__ = [
     "DSOSubproblem",
@@ -59,31 +62,39 @@ class DSOSubproblem:
             raise ValueError("price vector length must equal the window length")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class DSOSolution:
-    """Optimal dispatch; ``point`` stacks the generation and the storage power.
+    """Optimal dispatch at ``prices`` (the broadcast it was solved for).
 
-    ``objective`` is evaluated on first access, at ``prices`` (the broadcast
-    the point was solved for).
+    ``generation_values`` and ``storage_values`` are float lists over the
+    window; the price loop reads only the former.  ``point`` (the two stacked
+    as an array), the validated profiles and ``objective`` are built on first
+    access.  One is made per dual iteration, so it is a plain dataclass: a
+    frozen one takes about three times as long to construct.
     """
 
-    point: np.ndarray
+    generation_values: list[float]
+    storage_values: list[float]
     kkt_residual: float
     sub: DSOSubproblem
-    prices: np.ndarray
+    prices: Sequence[float]
+
+    @cached_property
+    def point(self) -> np.ndarray:
+        return np.array(self.generation_values + self.storage_values)
 
     @cached_property
     def objective(self) -> float:
-        n = self.point.size // 2
-        return _objective(self.sub, self.prices, self.point[:n], self.point[n:])
+        n = len(self.generation_values)
+        return _objective(self.sub, np.asarray(self.prices), self.point[:n], self.point[n:])
 
     @cached_property
     def generation(self) -> PowerProfile:
-        return PowerProfile(self.point[: self.point.size // 2])
+        return PowerProfile(self.generation_values)
 
     @cached_property
     def storage_power(self) -> PowerProfile:
-        return PowerProfile(self.point[self.point.size // 2 :])
+        return PowerProfile(self.storage_values)
 
 
 def generation_cost(net_power, quad_coeff: float, lin_coeff: float):
@@ -157,45 +168,54 @@ def solve_dso(
     sub: DSOSubproblem,
     eps: Tolerances = Tolerances(),
     max_iter: int = 100_000,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
-    prices: np.ndarray | None = None,
+    start: tuple[Sequence[float], Sequence[float]] | None = None,
+    prices: Sequence[float] | None = None,
 ) -> DSOSolution:
     """Return the unique maximizer of the supplier objective on the boxes.
 
     A pinned storage box is solved in closed form, any other by projected
     Newton.  ``start`` warm-starts the iteration (used by the coordinator
     across price updates); it never changes the answer beyond the
-    stationarity tolerance.  ``prices``, a plain array over the window,
+    stationarity tolerance.  ``prices``, a list of floats over the window,
     replaces ``sub.prices`` (the price loop passes each broadcast this way).
     Raises :class:`ConvergenceError` if the residual target is not met
     (within ``max_iter`` iterations), or at once if the residual is not
     finite.
     """
-    lam = sub.prices.values if prices is None else prices
+    lam = sub.prices.values.tolist() if prices is None else prices
     if sub.storage.power_min == sub.storage.power_max and sub.dso.cost_quadratic > 0:
-        point, residual = _pinned_dispatch(sub, lam, eps)
+        gen, storage, residual = _pinned_dispatch(sub, lam, eps)
     else:
-        point, residual = _projected_newton(sub, lam, eps, max_iter, start)
-    return DSOSolution(point=point, kkt_residual=residual, sub=sub, prices=lam)
+        point, residual = _projected_newton(sub, np.asarray(lam), eps, max_iter, start)
+        n = len(lam)
+        gen, storage = point[:n].tolist(), point[n:].tolist()
+    return DSOSolution(gen, storage, residual, sub, lam)
 
 
 def _pinned_dispatch(
-    sub: DSOSubproblem, lam: np.ndarray, eps: Tolerances
-) -> tuple[np.ndarray, float]:
-    """Closed form when storage cannot move: every slot clears on its own."""
-    n = sub.window.length
+    sub: DSOSubproblem, lam: Sequence[float], eps: Tolerances
+) -> tuple[list[float], list[float], float]:
+    """Closed form when storage cannot move: every slot clears on its own.
+
+    Plain floats with NumPy's arithmetic, slot by slot; a NaN price or bound
+    gives a NaN residual, which raises.
+    """
     pin = sub.storage.power_min
     quad, lin = sub.dso.cost_quadratic, sub.dso.cost_linear
     lo, hi = sub.dso.power_min, sub.dso.power_max
-    point = np.full(2 * n, pin)
-    margin = lam - lin
-    gen = np.minimum(np.maximum(pin + margin / (2.0 * quad), lo), hi, out=point[:n])
-    # The storage block sits on its pinned bounds, so its residual is zero.
-    grad = margin - 2.0 * quad * (gen - pin)
-    residual = float(np.abs(gen - np.minimum(np.maximum(gen + grad, lo), hi)).max())
+    scale = 2.0 * quad
+    gen, gaps = [], []
+    for price in lam:
+        margin = price - lin
+        g = minimum(maximum(pin + margin / scale, lo), hi)
+        gen.append(g)
+        # The storage block sits on its pinned bounds, so its residual is zero.
+        grad = margin - scale * (g - pin)
+        gaps.append(g - minimum(maximum(g + grad, lo), hi))
+    residual = max_abs(gaps)
     if not residual <= eps.kkt:
         raise ConvergenceError(f"supplier closed form left residual {residual:.3e}", residual)
-    return point, residual
+    return gen, [pin] * len(gen), residual
 
 
 def _projected_newton(
@@ -203,7 +223,7 @@ def _projected_newton(
     lam: np.ndarray,
     eps: Tolerances,
     max_iter: int,
-    start: tuple[np.ndarray, np.ndarray] | None,
+    start: tuple[Sequence[float], Sequence[float]] | None,
 ) -> tuple[np.ndarray, float]:
     """Projected Newton on the stacked point; returns it with its residual."""
     n = sub.window.length

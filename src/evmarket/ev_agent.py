@@ -15,15 +15,20 @@ computed only when they are read.
 with the same steps: an array kernel that advances the whole batch with one
 NumPy pass per step, and a scalar kernel that solves one vehicle at a time in
 plain floats, for batches of at most ``_SCALAR_WIDTH`` slots and
-``_SCALAR_CELLS`` vehicle-slots, where NumPy's per-call overhead outweighs the
-arithmetic.  The two give bit-identical powers, multipliers and feasibility
-flags.
+``_SCALAR_VEHICLES`` vehicles, where NumPy's per-call overhead outweighs the
+arithmetic.  Both take the window price list the coordinator broadcasts and
+hand back the batch's demand (its column sums) as floats; the scalar kernel
+reads each vehicle's leading slice of that list and builds no array at all,
+the array kernel converts the prices once on entry and the column sums once on
+exit.  The two give bit-identical powers, multipliers, feasibility flags and
+demand.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -40,10 +45,11 @@ _PAD_PRICE = 1e30
 
 # Size rule for the scalar kernel.  Its row sums run left to right, which is
 # NumPy's order only for rows of at most seven entries.  Its cost grows with
-# the vehicles, the array kernel's hardly at all: on one-slot rows the two
-# break even at about 32 vehicle-slots, on wider rows further out.
+# the vehicles, the array kernel's hardly at all: on the measured grid of 1-7
+# slots the scalar kernel is the faster one up to 24 vehicles at every width,
+# and the array kernel from about 28 on wide rows.
 _SCALAR_WIDTH = 7
-_SCALAR_CELLS = 32
+_SCALAR_VEHICLES = 24
 
 
 @dataclass(frozen=True)
@@ -61,20 +67,37 @@ class EVSubproblem:
             raise ValueError("window must span exactly the slots up to departure")
 
 
-@dataclass(frozen=True, eq=False)
 class EVSolution:
     """Optimal charging power (kW per slot) plus the terminal-energy multiplier.
 
     ``energy_multiplier`` prices one kWh of required energy in the same money
     unit as the slot prices.  ``feasible`` is False when the requirement cannot
     be met inside the box, in which case the profile is the best-effort
-    saturation at the violated bound.
+    saturation at the violated bound.  One vehicle of a batch solve: each
+    field is read from the batch when it is accessed, so reading a flag builds
+    no array.
     """
 
-    power: np.ndarray
-    energy_multiplier: float
-    objective: float
-    feasible: bool
+    def __init__(self, batch: EVBatchSolution, index: int):
+        self._batch = batch
+        self._index = index
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        batch, i = self._batch, self._index
+        return np.array(batch.rows[i][: batch.workspace.lengths[i]])
+
+    @property
+    def energy_multiplier(self) -> float:
+        return float(self._batch.multipliers[self._index])
+
+    @property
+    def objective(self) -> float:
+        return float(self._batch.objective[self._index])
+
+    @property
+    def feasible(self) -> bool:
+        return bool(self._batch.flags[self._index])
 
     @cached_property
     def profile(self) -> PowerProfile:
@@ -88,40 +111,51 @@ def utility(power: float, weight: float, offset: float = 1.0) -> float:
     return weight * math.log(offset + power)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class EVBatchSolution(Sequence[EVSolution]):
-    """Solutions of one batch solve, kept as arrays.
+    """Solutions of one batch solve, as the kernel returned them.
 
-    ``power`` is the padded ``vehicles x width`` matrix, zero past each
-    departure, and ``prices`` the padded prices it was solved at; the other
-    arrays hold one entry per vehicle.  ``objective`` is evaluated on first
-    access.  Indexing builds one vehicle's :class:`EVSolution`.
+    The price loop reads ``demand`` (the column sums over the batch width, as
+    floats) and ``multipliers`` (one per vehicle, the next solve's hints).
+    ``power`` (the padded ``vehicles x width`` matrix, zero past each
+    departure), ``energy_multiplier`` and ``feasible`` are arrays built on
+    first access, ``objective`` is evaluated on first access at ``prices``
+    (the prices the batch was loaded with), and indexing gives one vehicle's
+    :class:`EVSolution`.  One is made per dual iteration, so it is a plain
+    dataclass: a frozen one takes about three times as long to construct.
     """
 
-    power: np.ndarray
-    lengths: np.ndarray
-    energy_multiplier: np.ndarray
-    feasible: np.ndarray
-    prices: np.ndarray
-    weight: np.ndarray
-    offset: float
+    workspace: EVBatchWorkspace
+    prices: Sequence
+    rows: Sequence
+    multipliers: Sequence[float]
+    flags: Sequence[bool]
+    demand: list[float]
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        return np.asarray(self.rows)
+
+    @cached_property
+    def energy_multiplier(self) -> np.ndarray:
+        return np.asarray(self.multipliers)
+
+    @cached_property
+    def feasible(self) -> np.ndarray:
+        return np.asarray(self.flags)
 
     @cached_property
     def objective(self) -> np.ndarray:
-        mask = np.arange(self.power.shape[1]) < self.lengths[:, None]
-        term = self.weight[:, None] * np.log(self.offset + self.power) - self.prices * self.power
-        return np.where(mask, term, 0.0).sum(axis=1)
+        ws = self.workspace
+        lam = ws.padded(self.prices)
+        term = ws.weight_col * np.log(ws.offset + self.power) - lam * self.power
+        return np.where(ws.mask, term, 0.0).sum(axis=1)
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return len(self.multipliers)
 
     def __getitem__(self, i: int) -> EVSolution:
-        return EVSolution(
-            power=self.power[i, : self.lengths[i]],
-            energy_multiplier=float(self.energy_multiplier[i]),
-            objective=float(self.objective[i]),
-            feasible=bool(self.feasible[i]),
-        )
+        return EVSolution(self, range(len(self.multipliers))[i])
 
 
 class EVBatchWorkspace:
@@ -161,13 +195,23 @@ class EVBatchWorkspace:
         # Padding that hides slots past departure from a row maximum.
         self.max_pad = np.where(self.mask, 0.0, -np.inf)
         self._saturation: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self.lam = np.full((len(subproblems), self.width), _PAD_PRICE)
 
-    def load_prices(self, prices: np.ndarray) -> None:
+    def load_prices(self, prices) -> None:
         """Set the prices: one window vector whose leading slots every vehicle
-        sees, or one padded row per vehicle.  The previous price matrix is
-        left as it was, for the solutions that refer to it."""
-        self.lam = np.where(self.mask, prices[..., : self.width], _PAD_PRICE)
+        sees, or one padded row per vehicle, as lists of floats or an array.
+        The previous prices are left as they were, for the solutions that
+        refer to them."""
+        self.prices = prices.tolist() if isinstance(prices, np.ndarray) else prices
+        self.__dict__.pop("lam", None)
+
+    def padded(self, prices) -> np.ndarray:
+        """``prices`` as a ``vehicles x width`` matrix, padded past departure."""
+        return np.where(self.mask, np.asarray(prices)[..., : self.width], _PAD_PRICE)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """The loaded prices as a padded matrix, for the array kernel."""
+        return self.padded(self.prices)
 
     def _saturated(self, energy_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Requirements at (or beyond) the upper and the lower box face, and the
@@ -196,23 +240,23 @@ class EVBatchWorkspace:
     def solve(
         self,
         eps: Tolerances = Tolerances(),
-        mu_hints: np.ndarray | None = None,
+        mu_hints: Sequence[float] | None = None,
         max_iter: int = 200,
     ) -> EVBatchSolution:
         """Solve every vehicle at the loaded prices.
 
         Batches within the size rule (at most ``_SCALAR_WIDTH`` slots and
-        ``_SCALAR_CELLS`` vehicle-slots) go to the plain-float kernel, the rest
+        ``_SCALAR_VEHICLES`` vehicles) go to the plain-float kernel, the rest
         to the array kernel; both take the same steps and return bit-identical
-        results.
+        results.  ``mu_hints`` is a sequence of floats, one per vehicle.
         """
-        if self.width <= _SCALAR_WIDTH and self.lam.size <= _SCALAR_CELLS:
+        if self.width <= _SCALAR_WIDTH and len(self.lengths) <= _SCALAR_VEHICLES:
             return self._solve_scalar(eps, mu_hints, max_iter)
         return self._solve_array(eps, mu_hints, max_iter)
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def _solve_array(
-        self, eps: Tolerances, mu_hints: np.ndarray | None, max_iter: int
+        self, eps: Tolerances, mu_hints: Sequence[float] | None, max_iter: int
     ) -> EVBatchSolution:
         """Array kernel: all vehicles advance together, one NumPy pass per step."""
         lam, need, rate = self.lam, self.need, self.rate
@@ -256,7 +300,9 @@ class EVBatchWorkspace:
             power, energy, slope = self._energy_at(mu)
 
         feasible = np.abs(energy - need) <= eps.energy
-        return EVBatchSolution(power, self.lengths, mu, feasible, lam, self.weight, self.offset)
+        return EVBatchSolution(
+            self, self.prices, power, mu, feasible, power.sum(axis=0).tolist()
+        )
 
     @cached_property
     def _constants(self) -> list[tuple]:
@@ -264,32 +310,32 @@ class EVBatchWorkspace:
         box bounds are read from the first slot, which every vehicle has."""
         columns = (
             self.lengths, self.weight, self.lo[:, 0], self.hi[:, 0], self.rate,
-            self.slope_coef, self.need, self.even, self.clamp_lo_price,
-            self.clamp_hi_price,
+            self.slope_coef, self.need, self.cap_lo, self.cap_hi, self.even,
+            self.clamp_lo_price, self.clamp_hi_price,
         )
         return list(zip(*(c.tolist() for c in columns)))
 
     def _solve_scalar(
-        self, eps: Tolerances, mu_hints: np.ndarray | None, max_iter: int
+        self, eps: Tolerances, mu_hints: Sequence[float] | None, max_iter: int
     ) -> EVBatchSolution:
         """Scalar kernel: the array kernel's steps, one vehicle at a time in
         plain floats.  Row sums run left to right, as NumPy's do for rows of
-        at most seven entries; where NumPy would divide by a zero slope the
-        step bisects, which is where NumPy's inf or nan leads."""
+        at most seven entries, and the column sums vehicle by vehicle, as
+        NumPy's do over a strided axis; where NumPy would divide by a zero
+        slope the step bisects, which is where NumPy's inf or nan leads."""
         offset, tol, width = self.offset, eps.energy, self.width
         inf = math.inf
-        if mu_hints is None:
-            hints = [None] * len(self.lengths)
-        else:
-            hints = np.asarray(mu_hints, dtype=float).tolist()
-        at_hi, at_lo, active = (flags.tolist() for flags in self._saturated(tol))
-        lam_rows = self.lam.tolist()
+        constants, prices = self._constants, self.prices
+        count = len(constants)
+        price_rows = prices if isinstance(prices[0], list) else repeat(prices, count)
+        hints = repeat(None, count) if mu_hints is None else map(float, mu_hints)
         rows, mus, feasible = [], [], []
-        for i, (length, w, lo, hi, rate, coef, need, even, clamp_lo, clamp_hi) in enumerate(
-            self._constants
-        ):
-            lam = lam_rows[i][:length]
-            hint, searching = hints[i], active[i]
+        for (
+            (length, w, lo, hi, rate, coef, need, cap_lo, cap_hi, even, clamp_lo, clamp_hi),
+            row,
+            hint,
+        ) in zip(constants, price_rows, hints, strict=True):
+            lam = row[:length]
             mu_low = (clamp_hi - max(lam)) / rate - 1.0
             mu_high = (clamp_lo - min(lam)) / rate + 1.0
             if hint is None:
@@ -301,14 +347,18 @@ class EVBatchWorkspace:
                 mu = hint
             else:
                 mu = 0.5 * (mu_low + mu_high)
-            if at_hi[i]:
+            # Requirements at (or beyond) a box face get the saturated profile.
+            searching = False
+            if need >= cap_hi - tol:
                 mu = mu_low
-            elif at_lo[i]:
+            elif need <= cap_lo + tol:
                 mu = mu_high
-            elif mu < mu_low:
-                mu = mu_low
-            elif mu > mu_high:
-                mu = mu_high
+            else:
+                searching = True
+                if mu < mu_low:
+                    mu = mu_low
+                elif mu > mu_high:
+                    mu = mu_high
 
             last_gap = inf
             for k in range(max_iter + 1):
@@ -346,10 +396,15 @@ class EVBatchWorkspace:
             rows.append(power)
             mus.append(mu)
             feasible.append(abs_gap <= tol)
-        return EVBatchSolution(
-            np.array(rows), self.lengths, np.array(mus), np.array(feasible),
-            self.lam, self.weight, self.offset,
-        )
+
+        if width == 1 and count > _SCALAR_WIDTH:
+            # NumPy sums a one-slot batch's column pairwise, not in order.
+            demand = [float(np.sum([power[0] for power in rows]))]
+        else:
+            demand = rows[0]
+            for power in rows[1:]:
+                demand = [d + p for d, p in zip(demand, power)]
+        return EVBatchSolution(self, prices, rows, mus, feasible, demand)
 
 
 def solve_ev_batch(

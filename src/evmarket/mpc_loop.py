@@ -76,7 +76,6 @@ class SimulationState:
     pending: tuple[EVSession, ...]
     storage_energy: float
     last_price: float
-    records: tuple[SlotRecord, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,6 @@ def step(state: SimulationState, config: SimulationConfig) -> tuple[SimulationSt
         pending=pending,
         storage_energy=storage_energy,
         last_price=applied_price,
-        records=state.records + (record,),
     )
     return next_state, record
 
@@ -246,11 +244,11 @@ def _config_of(scenario: Scenario) -> SimulationConfig:
 
 
 def _final_energy(
-    sessions: Sequence[EVSession], state: SimulationState
+    sessions: Sequence[EVSession], records: Sequence[SlotRecord]
 ) -> dict[str, float]:
     """Remaining required energy per vehicle; the last record wins."""
     out = {s.ev_id: s.energy_needed for s in sessions}
-    for rec in state.records:
+    for rec in records:
         for ev_id, (_, energy_left) in rec.per_ev.items():
             out[ev_id] = energy_left
     return out
@@ -264,14 +262,16 @@ def run(scenario: Scenario) -> SimulationTrace:
     sessions = resolve_sessions(scenario)
     config = _config_of(scenario)
     state = _initial_state(scenario, sessions)
+    records: list[SlotRecord] = []
     for _ in range(scenario.grid.num_slots):
-        state, _ = step(state, config)
-    final_energy = _final_energy(sessions, state)
+        state, record = step(state, config)
+        records.append(record)
+    final_energy = _final_energy(sessions, records)
     return SimulationTrace(
-        records=state.records,
+        records=tuple(records),
         slot_hours=scenario.grid.slot_hours,
         final_energy=final_energy,
-        summary=_summarize(state.records, sessions, final_energy),
+        summary=_summarize(records, sessions, final_energy),
     )
 
 
@@ -331,10 +331,9 @@ def simulate_uncontrolled(scenario: Scenario) -> SimulationTrace:
             pending=pending,
             storage_energy=state.storage_energy,
             last_price=state.last_price,
-            records=state.records + (records[-1],),
         )
 
-    final_energy = _final_energy(sessions, state)
+    final_energy = _final_energy(sessions, records)
     return SimulationTrace(
         records=tuple(records),
         slot_hours=slot_hours,

@@ -87,6 +87,7 @@ def assert_same(ws, hints, max_iter):
     assert np.array_equal(scalar.energy_multiplier, array.energy_multiplier)
     assert np.array_equal(scalar.feasible, array.feasible)
     assert scalar.feasible.dtype == array.feasible.dtype
+    assert scalar.demand == array.demand == array.power.sum(axis=0).tolist()
 
 
 @settings(max_examples=500, deadline=None)
@@ -135,12 +136,32 @@ def kernel_used(ws, monkeypatch):
 
 
 def test_size_rule_picks_the_kernel(monkeypatch):
-    width, cells = ev_agent._SCALAR_WIDTH, ev_agent._SCALAR_CELLS
-    assert kernel_used(batch(cells // width, width), monkeypatch) == ["_solve_scalar"]
-    assert kernel_used(batch(cells, 1), monkeypatch) == ["_solve_scalar"]
-    # One vehicle-slot past the cutoff, or one slot past the width.
-    assert kernel_used(batch(cells + 1, 1), monkeypatch) == ["_solve_array"]
+    width, vehicles = ev_agent._SCALAR_WIDTH, ev_agent._SCALAR_VEHICLES
+    assert kernel_used(batch(vehicles, width), monkeypatch) == ["_solve_scalar"]
+    assert kernel_used(batch(vehicles, 1), monkeypatch) == ["_solve_scalar"]
+    # Small batches with wide rows, where the scalar kernel is the faster one.
+    for count, slots in ((16, 4), (12, 5), (20, 3), (12, 7)):
+        assert kernel_used(batch(count, slots), monkeypatch) == ["_solve_scalar"]
+    # One vehicle past the cutoff, or one slot past the width.
+    assert kernel_used(batch(vehicles + 1, 1), monkeypatch) == ["_solve_array"]
+    assert kernel_used(batch(vehicles + 1, width), monkeypatch) == ["_solve_array"]
     assert kernel_used(batch(1, width + 1), monkeypatch) == ["_solve_array"]
+
+
+@pytest.mark.parametrize("count", range(1, ev_agent._SCALAR_VEHICLES + 1))
+def test_one_slot_batches_sum_their_column_like_numpy(count):
+    """NumPy sums the single column of a one-slot batch pairwise from eight
+    vehicles on; the scalar kernel's demand must be that sum, bit for bit."""
+    rng = np.random.default_rng(count)
+    subs = [
+        make_ev_subproblem(
+            [2.0], power_max=float(rng.uniform(5.0, 30.0)), energy=float(rng.uniform(0.1, 1.0))
+        )
+        for _ in range(count)
+    ]
+    ws = EVBatchWorkspace(subs)
+    ws.load_prices(np.array([float(rng.uniform(0.5, 4.0))]))
+    assert_same(ws, None, 200)
 
 
 def test_cached_saturation_flags_are_read_only():

@@ -1,0 +1,148 @@
+"""The price loop runs on plain floats with NumPy's arithmetic.
+
+NaN must propagate as it does through ``np.maximum`` and ``np.max``: Python's
+``max`` and ``min`` drop a NaN that is not their first argument, which would
+let a NaN residual read as converged or a NaN supplier price pass its
+certificate.  And the loop must give the same prices, powers, multipliers and
+iteration counts bit for bit whichever EV kernel solves its batches.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evmarket import (
+    ConvergenceConfig,
+    DSOSpec,
+    DSOSubproblem,
+    PriceVector,
+    StorageSpec,
+    TimeGrid,
+    coordinator,
+    ev_agent,
+    negotiate_slot,
+    update_price,
+)
+from evmarket.coordinator import DualIterationState
+from evmarket.dso_agent import ConvergenceError, DSOSolution, solve_dso
+from evmarket.model import max_abs
+
+from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_ev_subproblem
+
+NO_STORAGE = StorageSpec(0.0, 0.0, 0.0, 0.0)
+NAN = math.nan
+
+
+def dso_sub(n, dso=TABLE1_DSO, storage=NO_STORAGE):
+    return DSOSubproblem(
+        dso=dso,
+        storage=storage,
+        energy_now=storage.energy_initial,
+        window=TimeGrid(0, n, SLOT_HOURS),
+        prices=PriceVector(np.full(n, 4.0)),
+    )
+
+
+def same_bits(floats, array):
+    """Equal as IEEE values: NaN where NaN, and the same sign on zeros."""
+    array = np.asarray(array, dtype=float)
+    floats = np.asarray(floats, dtype=float)
+    return np.array_equal(floats, array, equal_nan=True) and np.array_equal(
+        np.signbit(floats), np.signbit(array)
+    )
+
+
+@pytest.mark.parametrize("prices", [[4.0, NAN], [NAN, 4.0], [2.0, NAN, 6.0]])
+def test_closed_form_raises_on_a_nan_price(prices):
+    with pytest.raises(ConvergenceError, match="closed form"):
+        solve_dso(dso_sub(len(prices)), prices=prices)
+
+
+def test_update_price_follows_np_maximum():
+    prices = [1.0, 2.0, -0.0, 0.5, 3.0]
+    residual = [50.0, NAN, 0.0, 1000.0, NAN]
+    expected = np.maximum(np.array(prices) - 0.01 * np.array(residual), 0.0)
+    assert same_bits(update_price(prices, residual, 0.01), expected)
+    assert same_bits(update_price(np.array(prices), np.array(residual), 0.01), expected)
+
+
+def test_residual_norm_follows_np_max():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        values = rng.normal(0.0, 10.0, size=int(rng.integers(1, 8)))
+        values[rng.uniform(size=values.size) < 0.3] = NAN
+        values[rng.uniform(size=values.size) < 0.2] = -0.0
+        expected = np.abs(values).max()
+        assert same_bits([max_abs(values.tolist())], [expected])
+    state = DualIterationState(0, [0.0] * 3, [0.0] * 3, [0.0] * 3, [0.5, NAN, 0.2], (), None)
+    assert math.isnan(state.residual_norm)
+
+
+def test_nan_residual_never_reads_as_converged(monkeypatch):
+    """A supplier answer with a NaN slot keeps the loop running to its last
+    iteration; the NaN prices it leaves then fail validation, so no result
+    can report the slot as converged."""
+    calls = []
+
+    def supplier(sub, eps, start, prices):
+        calls.append(prices)
+        return DSOSolution([0.0, NAN], [0.0, 0.0], 0.0, sub, prices)
+
+    monkeypatch.setattr(coordinator, "solve_dso", supplier)
+    config = ConvergenceConfig(max_iterations=3)
+    with pytest.raises(ValueError, match="finite"):
+        negotiate_slot([], dso_sub(2), warm_start_price=0.0, config=config)
+    assert len(calls) == config.max_iterations + 1
+
+
+@st.composite
+def markets(draw):
+    n = draw(st.integers(1, 6))
+    # Up to twelve vehicles, so that one-slot windows reach the batch sizes
+    # whose single column NumPy sums pairwise.
+    count = draw(st.integers(0, 12))
+    subs = []
+    for _ in range(count):
+        m = draw(st.integers(1, n))
+        power_max = draw(st.floats(2.0, 30.0))
+        subs.append(
+            make_ev_subproblem(
+                [0.0] * m,
+                power_min=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+                power_max=power_max,
+                weight=draw(st.floats(1.0, 20.0)),
+                loss_fraction=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
+                energy=draw(st.floats(0.0, 1.1)) * SLOT_HOURS * power_max * m,
+            )
+        )
+    storage = draw(st.sampled_from([NO_STORAGE, TABLE1_STORAGE]))
+    dso = DSOSpec(draw(st.floats(0.02, 0.3)), 0.9, 0.0, draw(st.floats(30.0, 150.0)))
+    config = ConvergenceConfig(
+        step_size=draw(st.sampled_from([0.0005, 0.002, 0.01])),
+        max_iterations=draw(st.integers(1, 40)),
+        step_schedule=draw(st.sampled_from(["constant", "diminishing"])),
+    )
+    warm = draw(st.floats(0.0, 8.0))
+    return subs, dso_sub(n, dso=dso, storage=storage), warm, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(market=markets())
+def test_loop_is_bit_identical_on_either_kernel(market):
+    subs, dso, warm, config = market
+    routed = negotiate_slot(subs, dso, warm, config=config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev_agent, "_SCALAR_VEHICLES", 0)
+        forced = negotiate_slot(subs, dso, warm, config=config)
+    assert routed.iterations == forced.iterations
+    assert routed.converged == forced.converged
+    assert np.array_equal(routed.residual_history, forced.residual_history)
+    assert np.array_equal(routed.prices.values, forced.prices.values)
+    assert np.array_equal(routed.demand.values, forced.demand.values)
+    assert np.array_equal(routed.supply.values, forced.supply.values)
+    for a, b in zip(routed.ev_solutions, forced.ev_solutions, strict=True):
+        assert np.array_equal(a.power, b.power)
+        assert a.energy_multiplier == b.energy_multiplier
+        assert a.feasible == b.feasible
