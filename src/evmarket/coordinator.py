@@ -116,8 +116,8 @@ class DualIterationState:
 class NegotiationResult:
     """Final state of one slot's negotiation.
 
-    ``supplier_error`` is the message of a supplier failure that ended the
-    loop early, else ``None``.
+    ``supplier_error`` is the message of a supplier failure or a non-finite
+    imbalance that ended the loop early, else ``None``.
     """
 
     prices: PriceVector
@@ -224,10 +224,11 @@ def negotiate_slot(
     updates have been spent.  The returned powers and dual value always come
     from a full agent solve at the returned prices.  Non-convergence is
     flagged, never raised, and the caller decides policy: a supplier solve
-    that fails with :class:`~evmarket.dso_agent.ConvergenceError` at iteration
-    ``k >= 1`` returns the state of iteration ``k - 1`` with
-    ``converged=False`` and the failure's message in ``supplier_error``.  A
-    failure at iteration 0 leaves no state to settle at and propagates.
+    that fails with :class:`~evmarket.dso_agent.ConvergenceError`, or a
+    non-finite imbalance, at iteration ``k >= 1`` returns the state of
+    iteration ``k - 1`` with ``converged=False`` and the failure's message in
+    ``supplier_error``.  A failure at iteration 0 leaves no state to settle
+    at and propagates as :class:`~evmarket.dso_agent.ConvergenceError`.
     """
     prices = [max(warm_start_price, 0.0)] * dso_sub.window.length
 
@@ -252,15 +253,19 @@ def negotiate_slot(
                 dso_start=dso_start,
                 workspace=workspace,
             )
+            norm = next_state.residual_norm
+            if not norm <= config.balance_tolerance and not math.isfinite(norm):
+                message = f"non-finite balance residual ({norm}) at iteration {k}"
+                raise ConvergenceError(message, norm)
         except ConvergenceError as exc:
-            # A supplier failure after the first iteration settles the slot
-            # at the previous iteration, flagged as not converged.
+            # A supplier failure or a non-finite imbalance after the first
+            # iteration settles the slot at the previous iteration, flagged as
+            # not converged.
             if state is None:
                 raise
             supplier_error = str(exc)
             break
         state = next_state
-        norm = state.residual_norm
         history.append(norm)
         iterations = k
         if norm <= config.balance_tolerance:

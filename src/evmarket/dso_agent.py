@@ -10,9 +10,13 @@ both to 0, as for a scenario without storage) the problem separates per slot
 and is solved in closed form, in plain floats: ``P_s`` sits at the pinned value
 and ``P_l = clip(P_s + (price - linear_cost) / (2 * quadratic_cost))`` on the
 generation box, with NumPy's rules for ties and NaN.  Otherwise it is solved by
-projected Newton on arrays: each iteration guesses the active bounds from the
-gradient, solves the Newton system on the free variables (cached per free set)
-and searches along the projection arc, else takes a projected-gradient step of
+projected Newton on arrays.  A warm start (in the price loop, the last round's
+answer) is first tried as the active set: one Newton solve on its free
+variables, accepted if the point stays in the box and meets the residual
+target.  Prices move little between rounds, so this usually settles the call.
+Failing that, each iteration guesses the active bounds from the gradient,
+solves the Newton system on the free variables (cached per free set) and
+searches along the projection arc, else takes a projected-gradient step of
 length ``1/L``.  Either way the point is certified by its projected-stationarity
 residual and handed back as float lists; the stacked array, the validated
 profiles and the objective value are built only when they are read.
@@ -174,9 +178,11 @@ def solve_dso(
     """Return the unique maximizer of the supplier objective on the boxes.
 
     A pinned storage box is solved in closed form, any other by projected
-    Newton.  ``start`` warm-starts the iteration (used by the coordinator
-    across price updates); it never changes the answer beyond the
-    stationarity tolerance.  ``prices``, a list of floats over the window,
+    Newton.  ``start`` warm-starts projected Newton (the coordinator passes
+    the last price round's answer): one Newton solve on the start's free set
+    is returned if it passes the certificate, else the iteration runs from
+    ``start``.  It never changes the answer beyond the stationarity
+    tolerance.  ``prices``, a list of floats over the window,
     replaces ``sub.prices`` (the price loop passes each broadcast this way).
     Raises :class:`ConvergenceError` if the residual target is not met
     (within ``max_iter`` iterations), or at once if the residual is not
@@ -225,27 +231,75 @@ def _projected_newton(
     max_iter: int,
     start: tuple[Sequence[float], Sequence[float]] | None,
 ) -> tuple[np.ndarray, float]:
-    """Projected Newton on the stacked point; returns it with its residual."""
+    """Projected Newton on the stacked point; returns it with its residual.
+
+    A warm ``start`` (the last price round's answer) is first tried as an
+    active set: its entries strictly inside the box are free, those on a bound
+    stay there, and one Newton solve on that free set gives a candidate.  It
+    is returned if it lies in the box and its projected-stationarity residual
+    is within ``eps.kkt``, the certificate every answer carries.  Prices move
+    little between rounds, so the bounds rarely change and this is the common
+    case.  Otherwise :func:`_iterate` runs from ``start`` (or from zero).
+    """
     n = sub.window.length
-    quad, lin = sub.dso.cost_quadratic, sub.dso.cost_linear
     st = sub.storage
-    rho = st.tracking_weight
     dtc = st.throughput * sub.window.slot_hours
+    key = (n, sub.dso.cost_quadratic, st.tracking_weight, dtc)
+    lin = sub.dso.cost_linear
     drift = sub.energy_now - st.energy_reference
 
-    q_mat, lipschitz = _quadratic_form(n, quad, rho, dtc)
     g = np.empty(2 * n)
     g[:n] = lam - lin
-    g[n:] = lin + 2.0 * rho * dtc * drift * np.arange(n, 0, -1)
+    g[n:] = lin + 2.0 * st.tracking_weight * dtc * drift * np.arange(n, 0, -1)
     lo, hi = _box(n, sub.dso.power_min, st.power_min, sub.dso.power_max, st.power_max)
+    if start is None:
+        z = _clip(np.zeros(2 * n), lo, hi)
+    else:
+        z = _clip(np.concatenate(start), lo, hi)
+        system = _newton_system(*key, ((lo < z) & (z < hi)).tobytes())
+        if system is not None:
+            free, fixed, q_fixed, inverse = system
+            newton = z.copy()
+            newton[free] = inverse @ (g[free] - q_fixed @ z[fixed])
+            if ((lo <= newton) & (newton <= hi)).all():
+                q_mat, _ = _quadratic_form(*key)
+                residual = _residual(newton, g - q_mat @ newton, lo, hi)
+                if residual <= eps.kkt:
+                    return newton, residual
 
-    def clip(point: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(point, lo), hi)
+    span = max(sub.dso.power_max - sub.dso.power_min, st.power_max - st.power_min)
+    span = span if math.isfinite(span) else 1.0
+    return _iterate(z, g, key, lo, hi, span, eps, max_iter)
+
+
+def _clip(point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(point, lo), hi)
+
+
+def _residual(point: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Projected-stationarity residual: how far a gradient step moves ``point``."""
+    return float(np.abs(point - _clip(point + grad, lo, hi)).max())
+
+
+def _iterate(
+    z: np.ndarray,
+    g: np.ndarray,
+    key: tuple[int, float, float, float],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    span: float,
+    eps: Tolerances,
+    max_iter: int,
+) -> tuple[np.ndarray, float]:
+    """Projected-Newton iterations from ``z`` on ``max g.z - z.Q.z / 2``.
+
+    ``key`` is ``(n, quadratic_cost, tracking_weight, throughput * slot_hours)``,
+    which fixes ``Q``; ``span`` is the widest box, for the activity rule.
+    """
+    q_mat, lipschitz = _quadratic_form(*key)
 
     def value(point: np.ndarray) -> float:
         return float(point @ (g - 0.5 * (q_mat @ point)))
-
-    z = clip(np.concatenate(start) if start is not None else np.zeros(2 * n))
 
     # Projected gradient guarantees monotone ascent; a Newton step on the
     # estimated free set, searched along the projection arc and accepted only
@@ -253,15 +307,13 @@ def _projected_newton(
     # of iterations.  Convergence is always certified by the
     # projected-stationarity residual, never assumed.
     inv_l = 1.0 / lipschitz
-    span = max(sub.dso.power_max - sub.dso.power_min, st.power_max - st.power_min)
-    span = span if math.isfinite(span) else 1.0
     best = value(z)
     residual = math.inf
     converged = False
     it = 0
     for it in range(max_iter):
         grad = g - q_mat @ z
-        residual = float(np.abs(z - clip(z + grad)).max())
+        residual = _residual(z, grad, lo, hi)
         if residual <= eps.kkt:
             converged = True
             break
@@ -271,7 +323,7 @@ def _projected_newton(
         at_lo = (z - lo <= act_tol) & (grad < 0)
         at_hi = (hi - z <= act_tol) & (grad > 0)
         free = ~(at_lo | at_hi)
-        system = _newton_system(n, quad, rho, dtc, free.tobytes())
+        system = _newton_system(*key, free.tobytes())
         improved = False
         if system is not None:
             idx, fixed, q_fixed, inverse = system
@@ -279,7 +331,7 @@ def _projected_newton(
             newton[idx] = inverse @ (g[idx] - q_fixed @ newton[fixed])
             step = newton - z
             for _ in range(_ARC_STEPS):
-                trial = clip(z + step)
+                trial = _clip(z + step, lo, hi)
                 trial_value = value(trial)
                 improved = trial_value > best + 1e-14 * (1.0 + abs(best))
                 if improved:
@@ -287,7 +339,7 @@ def _projected_newton(
                     break
                 step *= 0.5
         if not improved:
-            z = clip(z + inv_l * grad)
+            z = _clip(z + inv_l * grad, lo, hi)
             best = value(z)
     if not converged:
         raise ConvergenceError(
@@ -305,12 +357,3 @@ def _objective(sub: DSOSubproblem, lam: np.ndarray, gen: np.ndarray, ps: np.ndar
     cost = float(np.sum(generation_cost(net, sub.dso.cost_quadratic, sub.dso.cost_linear)))
     tracking = storage_tracking_penalty(sub.energy_now, ps, sub.storage, sub.window)
     return revenue - cost - sub.storage.tracking_weight * tracking
-
-
-def dso_objective(sub: DSOSubproblem, generation, storage_power) -> float:
-    """Evaluate the supplier objective at an arbitrary point (used by tests)."""
-    gen = generation.values if isinstance(generation, PowerProfile) else np.asarray(generation)
-    ps = storage_power.values if isinstance(storage_power, PowerProfile) else np.asarray(
-        storage_power
-    )
-    return _objective(sub, sub.prices.values, gen, ps)

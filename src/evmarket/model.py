@@ -184,8 +184,8 @@ class SlotRecord:
     ``price_applied`` is in euro cent per kWh (scenario units), powers in kW,
     ``storage_energy`` is the stored energy after the slot.  ``per_ev`` maps
     vehicle id to ``(applied power kW, remaining energy kWh)``.
-    ``supplier_error`` is the message of a supplier failure that settled the
-    slot early, else ``None``.
+    ``supplier_error`` is the message of a supplier failure or a non-finite
+    imbalance that settled the slot early, else ``None``.
     """
 
     slot: int

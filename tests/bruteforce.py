@@ -9,7 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from evmarket import DSOSubproblem, EVSubproblem
-from evmarket.dso_agent import dso_objective
+from evmarket.dso_agent import _objective
+
+
+def dso_objective(sub: DSOSubproblem, generation: np.ndarray, storage_power: np.ndarray) -> float:
+    """The supplier objective at any point, at the prices carried by ``sub``."""
+    return _objective(sub, sub.prices.values, generation, storage_power)
 
 
 def ev_objective(sub: EVSubproblem, profile: np.ndarray, offset: float = 1.0) -> float:

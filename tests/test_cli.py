@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,34 @@ def test_late_supplier_failure_flags_the_slot(tmp_path, small_file, capsys, monk
         assert (out / name).is_file()
     rows = [line.split(",") for line in (out / "slots.csv").read_text().splitlines()[1:]]
     # slot, iterations, converged: slot 1 settled at iteration 9.
+    assert [(r[0], r[7], r[9]) for r in rows] == [("0", "90", "true"), ("1", "9", "false")]
+
+
+def test_late_nan_imbalance_flags_the_slot(tmp_path, small_file, capsys, monkeypatch):
+    """A NaN supplier answer after a slot's first iteration is settled like a
+    supplier failure: the slot is flagged and the reason printed."""
+    import evmarket.coordinator
+
+    solve_dso = evmarket.coordinator.solve_dso
+    calls = {}
+
+    def supplier_nan_in_slot_1(sub, *args, **kwargs):
+        slot = sub.window.start
+        calls[slot] = calls.get(slot, 0) + 1
+        sol = solve_dso(sub, *args, **kwargs)
+        if slot == 1 and calls[slot] == 11:
+            sol.generation_values = [math.nan] + sol.generation_values[1:]
+        return sol
+
+    monkeypatch.setattr(evmarket.coordinator, "solve_dso", supplier_nan_in_slot_1)
+    out = tmp_path / "out"
+    assert main(["run", str(small_file), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "non-converged slots 1" in captured.out
+    assert captured.err == (
+        "error: slot 1 settled at iteration 9: non-finite balance residual (nan) at iteration 10\n"
+    )
+    rows = [line.split(",") for line in (out / "slots.csv").read_text().splitlines()[1:]]
     assert [(r[0], r[7], r[9]) for r in rows] == [("0", "90", "true"), ("1", "9", "false")]
 
 

@@ -12,9 +12,9 @@ from evmarket import (
     solve_dso,
     storage_tracking_penalty,
 )
-from evmarket.dso_agent import ConvergenceError, dso_objective
+from evmarket.dso_agent import ConvergenceError
 
-from bruteforce import dso_bruteforce_1slot, dso_bruteforce_storage
+from bruteforce import dso_bruteforce_1slot, dso_bruteforce_storage, dso_objective
 from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE
 
 

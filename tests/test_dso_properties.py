@@ -1,4 +1,5 @@
-"""Property tests of the supplier's closed form for a pinned storage box.
+"""Property tests of the supplier's two shortcuts: the closed form for a
+pinned storage box and the warm free-set step of projected Newton.
 
 The closed form must agree with the projected-Newton iteration, which solves
 the same problem with the storage treated as a general box.  The closed form
@@ -8,6 +9,10 @@ width short of the optimum.  The closed-form objective is therefore bounded on
 both sides: below by the reference, above by the reference plus the
 reference's shortfall, which concavity bounds by the reference gradient times
 the step to the closed-form point.
+
+A warm start must give the cold answer to the same point bound, whether the
+step on its free set is accepted (a start at the answer for nearby prices) or
+the iteration takes over (a random start).
 """
 import math
 
@@ -16,10 +21,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evmarket import DSOSpec, DSOSubproblem, PriceVector, StorageSpec, TimeGrid, Tolerances
-from evmarket.dso_agent import ConvergenceError, _objective, _projected_newton, solve_dso
+from evmarket import (
+    DSOSpec,
+    DSOSubproblem,
+    PriceVector,
+    StorageSpec,
+    TimeGrid,
+    Tolerances,
+    dso_agent,
+    mpc_loop,
+    resolve_sessions,
+)
+from evmarket.dso_agent import (
+    ConvergenceError,
+    _objective,
+    _projected_newton,
+    _quadratic_form,
+    solve_dso,
+)
 
-from conftest import SLOT_HOURS
+from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE
 
 EPS = Tolerances()
 # The reference iteration is run to a much tighter residual than the check.
@@ -98,3 +119,133 @@ def test_closed_form_raises_on_a_non_finite_residual():
     )
     with pytest.raises(ConvergenceError, match="closed form"):
         solve_dso(sub)
+
+
+@st.composite
+def storage_subproblems(draw):
+    n = draw(st.integers(1, 6))
+    quad = draw(st.floats(0.01, 1.0))
+    lin = draw(st.floats(0.0, 5.0))
+    power_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
+    power_max = draw(st.one_of(st.just(math.inf), st.floats(power_min + 1.0, power_min + 150.0)))
+    cap = power_max if math.isfinite(power_max) else power_min + 150.0
+    top = lin + 2.0 * quad * cap + 5.0
+    prices = draw(st.lists(st.floats(0.0, top), min_size=n, max_size=n))
+    storage = StorageSpec(
+        power_min=-draw(st.floats(1.0, 120.0)),
+        power_max=draw(st.floats(1.0, 120.0)),
+        energy_initial=draw(st.floats(0.0, 200.0)),
+        energy_reference=draw(st.floats(0.0, 200.0)),
+        throughput=draw(st.floats(0.1, 1.0)),
+        tracking_weight=draw(st.floats(0.05, 2.0)),
+    )
+    return DSOSubproblem(
+        dso=DSOSpec(quad, lin, power_min, power_max),
+        storage=storage,
+        energy_now=storage.energy_initial,
+        window=TimeGrid(0, n, SLOT_HOURS),
+        prices=PriceVector(np.array(prices)),
+    )
+
+
+def check_warm_against_cold(sub, start):
+    """Run to ``REFERENCE_EPS``, warm and cold answers agree to the closed-form
+    test's point bound.  (At ``EPS`` either may stop up to the residual target
+    short of the optimum, the cold one often at its zero start.)  At ``EPS``
+    the warm answer is certified and in the boxes."""
+    warm = solve_dso(sub, eps=REFERENCE_EPS, start=start)
+    cold = solve_dso(sub, eps=REFERENCE_EPS)
+    np.testing.assert_allclose(warm.point, cold.point, rtol=0.0, atol=1e-9)
+    warm = solve_dso(sub, eps=EPS, start=start)
+    assert warm.kkt_residual <= EPS.kkt
+    gen, ps = warm.generation.values, warm.storage_power.values
+    assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
+    assert np.all(ps >= sub.storage.power_min) and np.all(ps <= sub.storage.power_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sub=storage_subproblems(), data=st.data())
+def test_warm_start_near_the_answer_matches_the_cold_solve(sub, data):
+    """Started from the answer at slightly moved prices, as in the price loop."""
+    n = sub.window.length
+    shift = data.draw(st.lists(st.floats(-0.01, 0.01), min_size=n, max_size=n))
+    nearby = solve_dso(sub, eps=EPS, prices=np.maximum(sub.prices.values + shift, 0.0).tolist())
+    check_warm_against_cold(sub, (nearby.generation_values, nearby.storage_values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sub=storage_subproblems(), data=st.data())
+def test_random_warm_start_matches_the_cold_solve(sub, data):
+    n = sub.window.length
+    coords = st.lists(st.floats(-150.0, 250.0), min_size=n, max_size=n)
+    check_warm_against_cold(sub, (data.draw(coords), data.draw(coords)))
+
+
+def storage_sub(prices):
+    return DSOSubproblem(
+        dso=TABLE1_DSO,
+        storage=TABLE1_STORAGE,
+        energy_now=TABLE1_STORAGE.energy_reference,
+        window=TimeGrid(0, len(prices), SLOT_HOURS),
+        prices=PriceVector(np.array(prices)),
+    )
+
+
+def count_iterations(monkeypatch):
+    """Count the calls that reach the projected-Newton iteration."""
+    calls = []
+    iterate = dso_agent._iterate
+
+    def counted(*args):
+        calls.append(args)
+        return iterate(*args)
+
+    monkeypatch.setattr(dso_agent, "_iterate", counted)
+    return calls
+
+
+def test_warm_step_leaving_the_box_falls_back(monkeypatch):
+    """From an interior start every entry is free.  At this price the Newton
+    point on all of them lies 5e-7 kW beyond the generation cap, closer than
+    the residual target, so its residual passes and only the box check sends
+    the call to the iteration, which answers on the cap."""
+    q_mat, _ = _quadratic_form(1, TABLE1_DSO.cost_quadratic, 1.0, SLOT_HOURS)
+    inverse = np.linalg.inv(q_mat)
+    # Unconstrained optimum Q^-1 g with g = (price - linear, linear).
+    lin = TABLE1_DSO.cost_linear
+    price = lin + (TABLE1_DSO.power_max + 5e-7 - inverse[0, 1] * lin) / inverse[0, 0]
+    sub = storage_sub([price])
+    calls = count_iterations(monkeypatch)
+    sol = solve_dso(sub, start=([50.0], [0.0]))
+    assert len(calls) == 1
+    assert sol.generation_values == [TABLE1_DSO.power_max]
+    check_warm_against_cold(sub, ([50.0], [0.0]))
+
+
+def test_warm_start_with_a_nan_price_raises():
+    sub = storage_sub([4.0, 2.0])
+    cold = solve_dso(sub)
+    start = (cold.generation_values, cold.storage_values)
+    with pytest.raises(ConvergenceError):
+        solve_dso(sub, start=start, prices=[4.0, math.nan])
+
+
+def test_warm_step_settles_most_table1_supplier_calls(table1_scenario, monkeypatch):
+    """On table1's first slot the warm step must answer most warm calls; a
+    step that silently always fell back would still pass every other test."""
+    warm = []
+    projected_newton = dso_agent._projected_newton
+
+    def counted(sub, lam, eps, max_iter, start):
+        if start is not None:
+            warm.append(start)
+        return projected_newton(sub, lam, eps, max_iter, start)
+
+    monkeypatch.setattr(dso_agent, "_projected_newton", counted)
+    fallbacks = count_iterations(monkeypatch)
+    state = mpc_loop._initial_state(table1_scenario, resolve_sessions(table1_scenario))
+    _, record = mpc_loop.step(state, mpc_loop._config_of(table1_scenario))
+    assert record.converged
+    assert len(warm) == record.iterations >= 50
+    # One fallback is the slot's cold first call.
+    assert len(fallbacks) - 1 <= len(warm) // 10

@@ -80,10 +80,49 @@ def test_residual_norm_follows_np_max():
     assert math.isnan(state.residual_norm)
 
 
+def supplier_turning(last, calls):
+    """A supplier stub offering 5 kW per slot, then ``last`` in the last slot
+    from its second call on; ``calls`` collects the prices it is asked at."""
+
+    def supplier(sub, eps, start, prices):
+        calls.append(prices)
+        gen = [5.0, 5.0] if len(calls) == 1 else [5.0, last]
+        return DSOSolution(gen, [0.0, 0.0], 0.0, sub, prices)
+
+    return supplier
+
+
 def test_nan_residual_never_reads_as_converged(monkeypatch):
-    """A supplier answer with a NaN slot keeps the loop running to its last
-    iteration; the NaN prices it leaves then fail validation, so no result
-    can report the slot as converged."""
+    """A supplier answer with a NaN slot after the first iteration settles the
+    slot at the previous iteration, flagged and with the reason, and stops
+    asking the agents."""
+    calls = []
+    monkeypatch.setattr(coordinator, "solve_dso", supplier_turning(NAN, calls))
+    config = ConvergenceConfig(max_iterations=3)
+    result = negotiate_slot([], dso_sub(2), warm_start_price=1.0, config=config)
+    assert not result.converged
+    assert result.iterations == 0
+    assert result.supplier_error == "non-finite balance residual (nan) at iteration 1"
+    assert result.residual_history == (5.0,)
+    assert result.residual_norm == 5.0
+    np.testing.assert_array_equal(result.prices.values, [1.0, 1.0])
+    np.testing.assert_array_equal(result.supply.values, [5.0, 5.0])
+    assert len(calls) == 2
+
+
+def test_infinite_residual_settles_the_slot(monkeypatch):
+    """An infinite supply is settled like a NaN one, at the previous iteration."""
+    calls = []
+    monkeypatch.setattr(coordinator, "solve_dso", supplier_turning(math.inf, calls))
+    result = negotiate_slot([], dso_sub(2), 1.0, config=ConvergenceConfig(max_iterations=3))
+    assert (result.converged, result.iterations) == (False, 0)
+    assert result.supplier_error == "non-finite balance residual (inf) at iteration 1"
+    assert len(calls) == 2
+
+
+def test_nan_residual_at_the_first_iteration_raises(monkeypatch):
+    """With no finite iterate to settle at, a NaN imbalance raises, as a
+    supplier failure at the first iteration does."""
     calls = []
 
     def supplier(sub, eps, start, prices):
@@ -92,9 +131,9 @@ def test_nan_residual_never_reads_as_converged(monkeypatch):
 
     monkeypatch.setattr(coordinator, "solve_dso", supplier)
     config = ConvergenceConfig(max_iterations=3)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ConvergenceError, match="non-finite balance residual"):
         negotiate_slot([], dso_sub(2), warm_start_price=0.0, config=config)
-    assert len(calls) == config.max_iterations + 1
+    assert len(calls) == 1
 
 
 @st.composite
