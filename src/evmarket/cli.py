@@ -18,22 +18,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .coordinator import negotiate_slot
-from .dso_agent import ConvergenceError, DSOSubproblem
-from .ev_agent import EVSubproblem
-from .model import (
-    EVSession,
-    PriceVector,
-    ScenarioValidationError,
-    TimeGrid,
-    validate_scenario,
-)
-from .mpc_loop import _config_of
+from .dso_agent import ConvergenceError
+from .model import EVSession, ScenarioValidationError, validate_scenario
+from .mpc_loop import SimulationState, _config_of, compute_window, negotiate_window
 from .mpc_loop import run as run_simulation
 from .mpc_loop import simulate_uncontrolled
 from .oracle import CentralProblem, solve_central, welfare
 from .scenario_io import (
-    SECTION_KEYS,
+    ENTRIES,
+    SECTIONS,
     Scenario,
     ScenarioFormatError,
     parse_scenario,
@@ -84,33 +77,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Scenario fields whose name differs from their key in the file.
-_FIELD_NAMES = {"dso.quadratic_cost": "cost_quadratic", "dso.linear_cost": "cost_linear"}
-
-
 def _apply_override(scenario: Scenario, spec: str) -> Scenario:
     if "=" not in spec:
         raise ValueError(f"override {spec!r} is not KEY=VALUE")
     path, _, raw = spec.partition("=")
     path = path.strip()
-    raw = raw.strip()
-    if path == "seed":
-        return replace(scenario, seed=int(raw))
-    if "." not in path:
-        raise ValueError(f"override key {path!r} must be section.key or 'seed'")
-    section, _, key = path.partition(".")
+    section, dot, key = path.partition(".")
+    if not dot:
+        section, key = "", path
+        if key not in ENTRIES[""]:
+            raise ValueError(f"override key {path!r} must be section.key or 'seed'")
     # Vehicles are repeatable sections and have no single entry to override.
-    if section not in SECTION_KEYS or section == "ev":
+    elif section not in SECTIONS or SECTIONS[section][2] == "repeated":
         raise ValueError(f"unknown override section {section!r}")
-    keys = SECTION_KEYS[section]
-    if key not in keys:
+    elif key not in ENTRIES[section]:
         raise ValueError(f"unknown override key {path!r}")
-    target = getattr(scenario, section)
+    entry = ENTRIES[section][key]
+    attr = SECTIONS[section][0] if section else None
+    target = getattr(scenario, attr) if attr else scenario
     if target is None:
         raise ValueError(f"scenario has no {section!r} section to override")
-    value = parse_value(keys[key], raw, section, key)
-    field_name = _FIELD_NAMES.get(path, key)
-    return replace(scenario, **{section: replace(target, **{field_name: value})})
+    changed = replace(target, **{entry.attr: parse_value(entry, raw.strip())})
+    return replace(scenario, **{attr: changed}) if attr else changed
 
 
 def _load_scenario(args) -> Scenario:
@@ -128,53 +116,31 @@ def _load_scenario(args) -> Scenario:
 
 def _truncate_for_oracle(
     scenario: Scenario, slot_cap: int, ev_cap: int = 4
-) -> tuple[list[EVSession], TimeGrid]:
+) -> tuple[EVSession, ...]:
     """Shift the earliest sessions to a common start inside the oracle cap."""
     slots = max(1, min(slot_cap, scenario.grid.num_slots))
     picked = sorted(resolve_sessions(scenario), key=lambda s: (s.arrival, s.ev_id))[:ev_cap]
     shifted = []
     for ses in picked:
         stay = max(1, min(ses.departure - ses.arrival, slots))
-        rate = ses.energy_rate(scenario.grid.slot_hours)
-        cap = rate * ses.power_max * stay
-        shifted.append(
-            replace(
-                ses,
-                arrival=0,
-                departure=stay,
-                energy_needed=min(ses.energy_needed, cap),
-            )
-        )
-    length = max([s.departure for s in shifted], default=1)
-    return shifted, TimeGrid(0, length, scenario.grid.slot_hours)
+        cap = ses.energy_rate(scenario.grid.slot_hours) * ses.power_max * stay
+        energy = min(ses.energy_needed, cap)
+        shifted.append(replace(ses, arrival=0, departure=stay, energy_needed=energy))
+    return tuple(shifted)
 
 
 def _cmd_verify(args) -> int:
     scenario = _load_scenario(args)
-    sessions, window = _truncate_for_oracle(scenario, args.oracle_cap)
+    sessions = _truncate_for_oracle(scenario, args.oracle_cap)
     config = _config_of(scenario)
     storage, eps = config.storage, config.eps
+    window = compute_window(sessions, 0, config.slot_hours)
     warm = scenario.solver.initial_price * config.slot_hours
-
-    ev_subs = [
-        EVSubproblem(
-            session=s,
-            window=TimeGrid(0, s.departure, scenario.grid.slot_hours),
-            prices=PriceVector.constant(warm, s.departure),
-        )
-        for s in sessions
-    ]
-    dso_sub = DSOSubproblem(
-        dso=scenario.dso,
-        storage=storage,
-        energy_now=storage.energy_initial,
-        window=window,
-        prices=PriceVector.constant(warm, window.length),
-    )
-    result = negotiate_slot(ev_subs, dso_sub, warm, config.convergence, eps)
+    start = SimulationState(0, sessions, (), storage.energy_initial, warm)
+    result = negotiate_window(start, config)
 
     problem = CentralProblem(
-        sessions=tuple(sessions),
+        sessions=sessions,
         dso=scenario.dso,
         storage=storage,
         energy_now=storage.energy_initial,
@@ -214,17 +180,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        text = Path(args.scenario).read_bytes()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        scenario = parse_scenario(text, validate=False)
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # main reports unreadable files (exit 3) and malformed text (exit 1).
+    scenario = parse_scenario(Path(args.scenario).read_bytes(), validate=False)
     report = validate_scenario(scenario)
+    if report.ok:
+        try:
+            resolve_sessions(scenario)
+        except ScenarioValidationError as exc:
+            report = exc.report
     print(report)
     return 0 if report.ok else 1
 

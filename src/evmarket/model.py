@@ -172,10 +172,6 @@ class PowerProfile:
     def __getitem__(self, idx):
         return self.values[idx]
 
-    @staticmethod
-    def zeros(length: int) -> "PowerProfile":
-        return PowerProfile(np.zeros(length))
-
 
 @dataclass(frozen=True)
 class SlotRecord:
@@ -275,18 +271,17 @@ class ScenarioValidationError(ValueError):
         self.report = report
 
 
-def _check_session(ev, label: str, out: list[str]) -> None:
-    if ev.departure < ev.arrival:
-        out.append(f"{label}: empty charging window (departure before arrival)")
-    if ev.power_min < 0:
+def _check_box(spec, label: str, out: list[str], energy: float = 0.0) -> None:
+    """Checks of a session's or a fleet's power box, utility and losses."""
+    if spec.power_min < 0:
         out.append(f"{label}: power_min must be nonnegative")
-    if ev.power_max < ev.power_min:
+    if spec.power_max < spec.power_min:
         out.append(f"{label}: power_max below power_min")
-    if ev.energy_needed < 0:
+    if energy < 0:
         out.append(f"{label}: energy must be nonnegative")
-    if not 0 <= ev.loss_fraction < 1:
+    if not 0 <= spec.loss_fraction < 1:
         out.append(f"{label}: loss fraction must lie in [0, 1)")
-    if ev.weight < 0:
+    if spec.weight < 0:
         out.append(f"{label}: weight must be nonnegative")
 
 
@@ -343,9 +338,7 @@ def validate_scenario(scenario) -> ValidationReport:
     if fleet is not None:
         if fleet.count < 0:
             out.append("fleet: count must be nonnegative")
-        _check_session(
-            _FleetProbe(fleet), "fleet", out
-        )
+        _check_box(fleet, "fleet", out)
 
     seen: set[str] = set()
     for ev in scenario.evs:
@@ -353,19 +346,9 @@ def validate_scenario(scenario) -> ValidationReport:
         if ev.ev_id in seen:
             out.append(f"{label}: duplicate id")
         seen.add(ev.ev_id)
-        _check_session(ev, label, out)
+        if ev.departure < ev.arrival:
+            out.append(f"{label}: empty charging window (departure before arrival)")
+        _check_box(ev, label, out, ev.energy_needed)
 
     return ValidationReport(tuple(out))
 
-
-class _FleetProbe:
-    """Adapts a fleet spec to the per-session checks (window fields are vacuous)."""
-
-    def __init__(self, fleet):
-        self.arrival = 0
-        self.departure = 0
-        self.power_min = fleet.power_min
-        self.power_max = fleet.power_max
-        self.weight = fleet.weight
-        self.loss_fraction = fleet.loss_fraction
-        self.energy_needed = 0.0

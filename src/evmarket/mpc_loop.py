@@ -1,22 +1,24 @@
 """Receding-horizon driver over a simulated day.
 
-Each slot the driver admits arrivals, builds the prediction window up to the
-latest departure among active vehicles, negotiates prices for the whole
-window, applies only the first sample of every power profile, advances the
-battery states and moves on.  The first element of the settled price vector
-seeds the next slot's negotiation.
+Each slot :func:`step` admits arrivals, lets a power policy settle the slot,
+applies only the first sample of every vehicle's power, advances the battery
+states and moves on.  Two policies share that step.  :func:`negotiated` is the
+market: it builds the prediction window up to the latest departure among
+active vehicles and negotiates prices for the whole window; the first element
+of the settled price vector seeds the next slot's negotiation.
+:func:`uncontrolled` is the baseline: maximum power at price 0.
 
 Prices inside the loop are per kW-slot; they are converted back to euro cent
 per kWh when recorded, so traces carry scenario units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .coordinator import ConvergenceConfig, negotiate_slot
+from .coordinator import ConvergenceConfig, NegotiationResult, negotiate_slot
 from .dso_agent import DSOSubproblem
 from .ev_agent import EVSubproblem
 from .model import (
@@ -38,7 +40,11 @@ __all__ = [
     "SimulationConfig",
     "TraceSummary",
     "SimulationTrace",
+    "Settlement",
     "compute_window",
+    "negotiate_window",
+    "negotiated",
+    "uncontrolled",
     "step",
     "run",
     "simulate_uncontrolled",
@@ -105,31 +111,30 @@ def compute_window(active: Sequence[EVSession], slot: int, slot_hours: float) ->
     With no active vehicle the market still clears a one-slot window, so the
     next warm-start price stays meaningful.
     """
-    if active:
-        length = max(ses.departure - slot for ses in active)
-    else:
-        length = 1
+    length = max((ses.departure - slot for ses in active), default=1)
     return TimeGrid(start=slot, length=length, slot_hours=slot_hours)
 
 
-def _admit(state: SimulationState) -> tuple[tuple[EVSession, ...], tuple[EVSession, ...]]:
-    arrived = tuple(s for s in state.pending if s.arrival <= state.slot)
-    waiting = tuple(s for s in state.pending if s.arrival > state.slot)
-    return state.active + arrived, waiting
+class Settlement(NamedTuple):
+    """One slot as a power policy settles it: the price (per kW-slot), the
+    first power sample of every active vehicle in order, the supply and the
+    outcome of the price loop."""
+
+    price: float
+    powers: list[float]
+    generation: float
+    storage_power: float
+    iterations: int = 0
+    residual: float = 0.0
+    converged: bool = True
+    supplier_error: str | None = None
 
 
-def step(state: SimulationState, config: SimulationConfig) -> tuple[SimulationState, SlotRecord]:
-    """Negotiate one slot, apply the first control sample, advance all states."""
+def negotiate_window(state: SimulationState, config: SimulationConfig) -> NegotiationResult:
+    """Run the price loop over the window of ``state.active`` from ``state.slot``,
+    warm-started at ``state.last_price``."""
     slot = state.slot
-    active, pending = _admit(state)
-    # Vehicles past departure or already satisfied leave the market.
-    active = tuple(
-        s
-        for s in active
-        if s.departure > slot and s.energy_needed > config.eps.energy
-    )
-
-    window = compute_window(active, slot, config.slot_hours)
+    window = compute_window(state.active, slot, config.slot_hours)
     warm = max(state.last_price, 0.0)
     ev_subs = [
         EVSubproblem(
@@ -137,7 +142,7 @@ def step(state: SimulationState, config: SimulationConfig) -> tuple[SimulationSt
             window=TimeGrid(slot, s.departure - slot, config.slot_hours),
             prices=PriceVector.constant(warm, s.departure - slot),
         )
-        for s in active
+        for s in state.active
     ]
     dso_sub = DSOSubproblem(
         dso=config.dso,
@@ -146,55 +151,87 @@ def step(state: SimulationState, config: SimulationConfig) -> tuple[SimulationSt
         window=window,
         prices=PriceVector.constant(warm, window.length),
     )
+    return negotiate_slot(ev_subs, dso_sub, state.last_price, config.convergence, config.eps)
 
-    result = negotiate_slot(
-        ev_subs,
-        dso_sub,
-        warm_start_price=state.last_price,
-        config=config.convergence,
-        eps=config.eps,
+
+def negotiated(state: SimulationState, config: SimulationConfig) -> Settlement:
+    """The market: settle at the first sample of the window's negotiation."""
+    result = negotiate_window(state, config)
+    return Settlement(
+        float(result.prices[0]),
+        [float(profile[0]) for profile in result.ev_profiles],
+        float(result.supply[0]),
+        float(result.storage_power[0]),
+        result.iterations,
+        result.residual_norm,
+        result.converged,
+        result.supplier_error,
     )
 
-    applied_price = float(result.prices[0])
-    generation = float(result.supply[0])
-    storage_power = float(result.storage_power[0])
+
+def uncontrolled(state: SimulationState, config: SimulationConfig) -> Settlement:
+    """The baseline without pricing: every vehicle draws its maximum power,
+    clipped so its battery never overshoots the requirement; the grid serves
+    whatever is drawn and the storage idles."""
+    powers = [
+        max(min(s.power_max, s.energy_needed / s.energy_rate(config.slot_hours)), s.power_min)
+        for s in state.active
+    ]
+    return Settlement(price=0.0, powers=powers, generation=float(sum(powers)), storage_power=0.0)
+
+
+def step(
+    state: SimulationState, config: SimulationConfig, policy=negotiated
+) -> tuple[SimulationState, SlotRecord]:
+    """Admit arrivals, settle the slot with ``policy``, apply its first power
+    samples and advance all states.
+
+    ``policy(state, config)`` sees the slot's state with arrivals admitted and
+    finished vehicles dropped, and returns a :class:`Settlement`.
+    """
+    slot = state.slot
+    arrived = tuple(s for s in state.pending if s.arrival <= slot)
+    pending = tuple(s for s in state.pending if s.arrival > slot)
+    # Vehicles past departure or already satisfied leave the market.
+    active = tuple(
+        s
+        for s in state.active + arrived
+        if s.departure > slot and s.energy_needed > config.eps.energy
+    )
+    settled = policy(replace(state, active=active, pending=pending), config)
 
     per_ev: dict[str, tuple[float, float]] = {}
     new_active = []
-    for ses, profile in zip(active, result.ev_profiles):
-        power = float(profile[0])
+    for ses, power in zip(active, settled.powers):
         energy_left = remaining_energy_after(
             ses.energy_needed, power, ses.loss_fraction, config.slot_hours
         )
         per_ev[ses.ev_id] = (power, energy_left)
         new_active.append(replace(ses, energy_needed=energy_left))
 
-    demand_total = float(sum(p for p, _ in per_ev.values()))
     storage_energy = (
         state.storage_energy
-        - storage_power * config.storage.throughput * config.slot_hours
+        - settled.storage_power * config.storage.throughput * config.slot_hours
     )
-
     record = SlotRecord(
         slot=slot,
-        price_applied=applied_price / config.slot_hours,
-        demand_total=demand_total,
-        generation=generation,
-        storage_power=storage_power,
+        price_applied=settled.price / config.slot_hours,
+        demand_total=float(sum(p for p, _ in per_ev.values())),
+        generation=settled.generation,
+        storage_power=settled.storage_power,
         storage_energy=storage_energy,
         per_ev=per_ev,
-        iterations=result.iterations,
-        residual=result.residual_norm,
-        converged=result.converged,
-        supplier_error=result.supplier_error,
+        iterations=settled.iterations,
+        residual=settled.residual,
+        converged=settled.converged,
+        supplier_error=settled.supplier_error,
     )
-
     next_state = SimulationState(
         slot=slot + 1,
         active=tuple(new_active),
         pending=pending,
         storage_energy=storage_energy,
-        last_price=applied_price,
+        last_price=settled.price,
     )
     return next_state, record
 
@@ -217,28 +254,24 @@ def _summarize(
 
 
 def _initial_state(scenario: Scenario, sessions: Sequence[EVSession]) -> SimulationState:
-    storage = scenario.storage if scenario.storage is not None else _NO_STORAGE
     return SimulationState(
         slot=0,
         active=(),
         pending=tuple(sorted(sessions, key=lambda s: (s.arrival, s.ev_id))),
-        storage_energy=storage.energy_initial,
+        storage_energy=(scenario.storage or _NO_STORAGE).energy_initial,
         last_price=scenario.solver.initial_price * scenario.grid.slot_hours,
     )
 
 
 def _config_of(scenario: Scenario) -> SimulationConfig:
     sv = scenario.solver
+    # The solver section names the loop's settings as ConvergenceConfig does.
+    loop = {f.name: getattr(sv, f.name) for f in fields(ConvergenceConfig)}
     return SimulationConfig(
         dso=scenario.dso,
-        storage=scenario.storage if scenario.storage is not None else _NO_STORAGE,
+        storage=scenario.storage or _NO_STORAGE,
         slot_hours=scenario.grid.slot_hours,
-        convergence=ConvergenceConfig(
-            step_size=sv.step_size,
-            balance_tolerance=sv.balance_tolerance,
-            max_iterations=sv.max_iterations,
-            step_schedule=sv.step_schedule,
-        ),
+        convergence=ConvergenceConfig(**loop),
         eps=Tolerances(kkt=sv.kkt_tolerance, energy=sv.energy_tolerance),
     )
 
@@ -254,8 +287,7 @@ def _final_energy(
     return out
 
 
-def run(scenario: Scenario) -> SimulationTrace:
-    """Simulate the whole horizon under negotiated prices."""
+def _simulate(scenario: Scenario, policy) -> SimulationTrace:
     report = validate_scenario(scenario)
     if not report.ok:
         raise ScenarioValidationError(report)
@@ -264,7 +296,7 @@ def run(scenario: Scenario) -> SimulationTrace:
     state = _initial_state(scenario, sessions)
     records: list[SlotRecord] = []
     for _ in range(scenario.grid.num_slots):
-        state, record = step(state, config)
+        state, record = step(state, config, policy)
         records.append(record)
     final_energy = _final_energy(sessions, records)
     return SimulationTrace(
@@ -275,68 +307,11 @@ def run(scenario: Scenario) -> SimulationTrace:
     )
 
 
+def run(scenario: Scenario) -> SimulationTrace:
+    """Simulate the whole horizon under negotiated prices."""
+    return _simulate(scenario, negotiated)
+
+
 def simulate_uncontrolled(scenario: Scenario) -> SimulationTrace:
-    """Baseline without pricing: every plugged-in vehicle draws maximum power.
-
-    Power is clipped so a battery never overshoots its requirement; the grid
-    is assumed to serve whatever is drawn, so generation equals demand and the
-    storage idles.
-    """
-    report = validate_scenario(scenario)
-    if not report.ok:
-        raise ScenarioValidationError(report)
-    sessions = resolve_sessions(scenario)
-    storage = scenario.storage if scenario.storage is not None else _NO_STORAGE
-    slot_hours = scenario.grid.slot_hours
-    eps = Tolerances(
-        kkt=scenario.solver.kkt_tolerance, energy=scenario.solver.energy_tolerance
-    )
-
-    state = _initial_state(scenario, sessions)
-    records: list[SlotRecord] = []
-    for slot in range(scenario.grid.num_slots):
-        active, pending = _admit(state)
-        active = tuple(
-            s for s in active if s.departure > slot and s.energy_needed > eps.energy
-        )
-        per_ev: dict[str, tuple[float, float]] = {}
-        new_active = []
-        for ses in active:
-            rate = ses.energy_rate(slot_hours)
-            power = min(ses.power_max, ses.energy_needed / rate)
-            power = max(power, ses.power_min)
-            energy_left = remaining_energy_after(
-                ses.energy_needed, power, ses.loss_fraction, slot_hours
-            )
-            per_ev[ses.ev_id] = (power, energy_left)
-            new_active.append(replace(ses, energy_needed=energy_left))
-        demand = float(sum(p for p, _ in per_ev.values()))
-        records.append(
-            SlotRecord(
-                slot=slot,
-                price_applied=0.0,
-                demand_total=demand,
-                generation=demand,
-                storage_power=0.0,
-                storage_energy=state.storage_energy,
-                per_ev=per_ev,
-                iterations=0,
-                residual=0.0,
-                converged=True,
-            )
-        )
-        state = SimulationState(
-            slot=slot + 1,
-            active=tuple(new_active),
-            pending=pending,
-            storage_energy=state.storage_energy,
-            last_price=state.last_price,
-        )
-
-    final_energy = _final_energy(sessions, records)
-    return SimulationTrace(
-        records=tuple(records),
-        slot_hours=slot_hours,
-        final_energy=final_energy,
-        summary=_summarize(records, sessions, final_energy),
-    )
+    """Simulate the whole horizon under the maximum-power baseline."""
+    return _simulate(scenario, uncontrolled)

@@ -14,10 +14,11 @@ Scenario files are a small key/value tree, UTF-8, one entry per line::
 
 Sections: ``grid`` (required), ``dso`` (required), ``storage`` (optional; a
 missing section means no storage, i.e. both power bounds zero), ``solver``
-(optional, defaults below), ``fleet`` (optional, randomly generated sessions)
-and repeatable ``ev`` sections for explicit sessions.  ``seed`` is the only
-top-level key.  Unknown sections or keys are errors, as are missing required
-keys and invariant violations.
+(optional), ``fleet`` (optional, randomly generated sessions) and repeatable
+``ev`` sections for explicit sessions.  ``seed`` is the only top-level key.
+Every entry is one row of :data:`SCHEMA`, which parsing, writing and the
+command line's ``--set`` all read.  Unknown sections or keys are errors, as
+are missing required keys and invariant violations.
 
 Everything downstream is deterministic: one seeded generator, fixed iteration
 order, fixed numeric formatting, so traces are byte-identical across runs.
@@ -27,15 +28,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+from .coordinator import ConvergenceConfig
 from .model import (
     DSOSpec,
     EVSession,
     ScenarioValidationError,
     StorageSpec,
+    Tolerances,
+    ValidationReport,
     validate_scenario,
 )
 
@@ -43,7 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .mpc_loop import SimulationTrace
 
 __all__ = [
-    "SECTION_KEYS",
+    "SECTIONS",
+    "SCHEMA",
+    "Entry",
     "GridConfig",
     "FleetSpec",
     "SolverConfig",
@@ -79,17 +85,21 @@ class FleetSpec:
     loss_fraction: float = 0.0
 
 
+# The loop and tolerance defaults are those of the Python API.
+_LOOP, _EPS = ConvergenceConfig(), Tolerances()
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Negotiation settings; ``initial_price`` is in euro cent per kWh."""
 
     initial_price: float = 16.0
-    step_size: float = 0.005
-    balance_tolerance: float = 0.1
-    max_iterations: int = 2000
-    step_schedule: str = "constant"
-    kkt_tolerance: float = 1e-6
-    energy_tolerance: float = 1e-6
+    step_size: float = _LOOP.step_size
+    balance_tolerance: float = _LOOP.balance_tolerance
+    max_iterations: int = _LOOP.max_iterations
+    step_schedule: str = _LOOP.step_schedule
+    kkt_tolerance: float = _EPS.kkt
+    energy_tolerance: float = _EPS.energy
 
 
 @dataclass(frozen=True)
@@ -118,138 +128,167 @@ class ScenarioFormatError(ValueError):
         self.column = column
 
 
-SECTION_KEYS = {
-    "grid": {"slot_minutes": float, "num_slots": int},
-    "dso": {
-        "quadratic_cost": float,
-        "linear_cost": float,
-        "power_min": float,
-        "power_max": float,
-    },
-    "storage": {
-        "power_min": float,
-        "power_max": float,
-        "energy_initial": float,
-        "energy_reference": float,
-        "throughput": float,
-        "tracking_weight": float,
-    },
-    "solver": {
-        "initial_price": float,
-        "step_size": float,
-        "balance_tolerance": float,
-        "max_iterations": int,
-        "step_schedule": str,
-        "kkt_tolerance": float,
-        "energy_tolerance": float,
-    },
-    "fleet": {
-        "count": int,
-        "power_min": float,
-        "power_max": float,
-        "weight": float,
-        "loss_fraction": float,
-    },
-    "ev": {
-        "id": str,
-        "arrival": int,
-        "departure": int,
-        "power_min": float,
-        "power_max": float,
-        "weight": float,
-        "loss_fraction": float,
-        "energy": float,
-    },
-}
-
-_REQUIRED = {
-    "grid": ("slot_minutes", "num_slots"),
-    "dso": ("quadratic_cost", "linear_cost", "power_max"),
-    "storage": ("power_min", "power_max", "energy_initial", "energy_reference"),
-    "solver": (),
-    "fleet": ("count", "power_max", "weight"),
-    "ev": ("id", "arrival", "departure", "power_max", "weight", "energy"),
-}
+REQUIRED = object()
 
 
-def parse_value(kind, raw: str, section: str, key: str, line: int | None = None):
-    """Convert the text of entry ``section.key`` to ``kind``.
+class Entry(NamedTuple):
+    """One scenario entry: ``key`` in ``section`` ("" for the top level) sets
+    attribute ``attr`` of the section's type to a ``kind`` value.
 
-    Numbers must be finite; only ``dso.power_max`` may be ``inf``, its
-    unbounded default.
+    ``default`` is :data:`REQUIRED`, a value, or ``None`` for the type's own
+    default.  ``check`` names what is wrong with a parsed value, else returns
+    ``None``; numbers without one must be finite.
     """
+
+    section: str
+    key: str
+    attr: str
+    kind: type
+    default: object = None
+    check: Callable[[object], str | None] | None = None
+
+    @property
+    def name(self) -> str:
+        return f"{self.section}.{self.key}" if self.section else self.key
+
+
+def _finite(value: float) -> str | None:
+    return None if math.isfinite(value) else "must be finite"
+
+
+def _finite_or_inf(value: float) -> str | None:
+    return None if math.isfinite(value) or value == math.inf else "must be finite or inf"
+
+
+def _csv_field(value: str) -> str | None:
+    """Vehicle ids are written unquoted into ``evs.csv``."""
+    if value and "," not in value and '"' not in value:
+        return None
+    return "must be non-empty and free of ',' and '\"'"
+
+
+# Section name -> (Scenario attribute, type, presence).
+SECTIONS = {
+    "grid": ("grid", GridConfig, "required"),
+    "dso": ("dso", DSOSpec, "required"),
+    "storage": ("storage", StorageSpec, "optional"),
+    "solver": ("solver", SolverConfig, "optional"),
+    "fleet": ("fleet", FleetSpec, "optional"),
+    "ev": ("evs", EVSession, "repeated"),
+}
+
+# Every entry, in the canonical order of write_scenario.
+SCHEMA = (
+    Entry("", "seed", "seed", int),
+    Entry("grid", "slot_minutes", "slot_minutes", float, REQUIRED),
+    Entry("grid", "num_slots", "num_slots", int, REQUIRED),
+    Entry("dso", "quadratic_cost", "cost_quadratic", float, REQUIRED),
+    Entry("dso", "linear_cost", "cost_linear", float, REQUIRED),
+    Entry("dso", "power_min", "power_min", float),
+    Entry("dso", "power_max", "power_max", float, REQUIRED, _finite_or_inf),
+    Entry("storage", "power_min", "power_min", float, REQUIRED),
+    Entry("storage", "power_max", "power_max", float, REQUIRED),
+    Entry("storage", "energy_initial", "energy_initial", float, REQUIRED),
+    Entry("storage", "energy_reference", "energy_reference", float, REQUIRED),
+    Entry("storage", "throughput", "throughput", float),
+    Entry("storage", "tracking_weight", "tracking_weight", float),
+    Entry("solver", "initial_price", "initial_price", float),
+    Entry("solver", "step_size", "step_size", float),
+    Entry("solver", "balance_tolerance", "balance_tolerance", float),
+    Entry("solver", "max_iterations", "max_iterations", int),
+    Entry("solver", "step_schedule", "step_schedule", str),
+    Entry("solver", "kkt_tolerance", "kkt_tolerance", float),
+    Entry("solver", "energy_tolerance", "energy_tolerance", float),
+    Entry("fleet", "count", "count", int, REQUIRED),
+    Entry("fleet", "power_min", "power_min", float),
+    Entry("fleet", "power_max", "power_max", float, REQUIRED),
+    Entry("fleet", "weight", "weight", float, REQUIRED),
+    Entry("fleet", "loss_fraction", "loss_fraction", float),
+    Entry("ev", "id", "ev_id", str, REQUIRED, _csv_field),
+    Entry("ev", "arrival", "arrival", int, REQUIRED),
+    Entry("ev", "departure", "departure", int, REQUIRED),
+    Entry("ev", "power_min", "power_min", float, 0.0),
+    Entry("ev", "power_max", "power_max", float, REQUIRED),
+    Entry("ev", "weight", "weight", float, REQUIRED),
+    Entry("ev", "loss_fraction", "loss_fraction", float, 0.0),
+    Entry("ev", "energy", "energy_needed", float, REQUIRED),
+)
+_ROWS = {name: tuple(e for e in SCHEMA if e.section == name) for name in ("", *SECTIONS)}
+# Section name ("" for the top level) -> key -> entry.
+ENTRIES = {name: {e.key: e for e in rows} for name, rows in _ROWS.items()}
+
+
+def parse_value(entry: Entry, raw: str, line: int | None = None):
+    """Convert the text of ``entry`` to its type and check it; without a
+    ``line`` (a command-line override) the messages name the entry."""
+    kind, check = entry.kind, entry.check
     try:
-        value = raw if kind is str else kind(raw)
+        value = kind(raw)
     except ValueError:
-        raise ScenarioFormatError(f"cannot parse {raw!r} as {kind.__name__}", line) from None
-    if kind is float and not math.isfinite(value):
-        if (section, key) != ("dso", "power_max"):
-            raise ScenarioFormatError(f"{section}.{key} must be finite, got {raw!r}", line)
-        if value != math.inf:
-            raise ScenarioFormatError(f"dso.power_max must be finite or inf, got {raw!r}", line)
+        where = "" if line is not None else f" for {entry.name}"
+        raise ScenarioFormatError(f"cannot parse {raw!r} as {kind.__name__}{where}", line) from None
+    if check is None:
+        if kind is not float or math.isfinite(value):
+            return value
+        check = _finite
+    problem = check(value)
+    if problem is not None:
+        raise ScenarioFormatError(f"{entry.name} {problem}, got {raw!r}", line)
     return value
 
 
-def _parse_tree(text: str) -> tuple[dict, list[dict], int | None]:
-    """Return (sections, ev_blocks, seed); raises on any malformed line."""
-    sections: dict[str, dict] = {}
-    ev_blocks: list[dict] = []
+def _parse_tree(text: str) -> dict[str, list[dict]]:
+    """Each section's blocks of parsed values by attribute, "" holding the
+    top level; raises on any malformed line."""
+    top, keys, section = ENTRIES[""], {}, ""
+    top_block: dict = {}
+    blocks: dict[str, list[dict]] = {"": [top_block]}
     current: dict | None = None
-    current_name = ""
-    seed: int | None = None
-
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].rstrip()
-        if not stripped.strip():
+        body = stripped.lstrip()
+        if not body:
             continue
-        col = len(stripped) - len(stripped.lstrip()) + 1
-        body = stripped.strip()
+        col = len(stripped) - len(body) + 1
         if body.endswith(":") and "=" not in body:
-            name = body[:-1].strip()
-            if name not in SECTION_KEYS:
-                raise ScenarioFormatError(f"unknown section {name!r}", lineno, col)
-            block: dict = {}
-            if name == "ev":
-                ev_blocks.append(block)
-            else:
-                if name in sections:
-                    raise ScenarioFormatError(f"duplicate section {name!r}", lineno, col)
-                sections[name] = block
-            current = block
-            current_name = name
+            section = body[:-1].strip()
+            if section not in SECTIONS:
+                raise ScenarioFormatError(f"unknown section {section!r}", lineno, col)
+            if section in blocks and SECTIONS[section][2] != "repeated":
+                raise ScenarioFormatError(f"duplicate section {section!r}", lineno, col)
+            current = {}
+            blocks.setdefault(section, []).append(current)
+            keys = ENTRIES[section]
             continue
         if "=" not in body:
             raise ScenarioFormatError("expected 'key = value' or 'section:'", lineno, col)
         key, _, raw = body.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key == "seed":
-            if seed is not None:
-                raise ScenarioFormatError("duplicate key 'seed'", lineno, col)
-            seed = parse_value(int, raw, "", "seed", lineno)
-            continue
-        if current is None:
+        if key in top:  # Top-level keys may appear anywhere.
+            entry, block = top[key], top_block
+        elif current is None:
             raise ScenarioFormatError(
                 f"key {key!r} outside any section (only 'seed' may be top level)", lineno, col
             )
-        allowed = SECTION_KEYS[current_name]
-        if key not in allowed:
-            raise ScenarioFormatError(
-                f"unknown key {key!r} in section {current_name!r}", lineno, col
-            )
-        if key in current:
-            raise ScenarioFormatError(
-                f"duplicate key {key!r} in section {current_name!r}", lineno, col
-            )
-        current[key] = parse_value(allowed[key], raw, current_name, key, lineno)
-
-    return sections, ev_blocks, seed
+        elif key in keys:
+            entry, block = keys[key], current
+        else:
+            raise ScenarioFormatError(f"unknown key {key!r} in section {section!r}", lineno, col)
+        if entry.attr in block:
+            inside = f" in section {section!r}" if entry.section else ""
+            raise ScenarioFormatError(f"duplicate key {key!r}{inside}", lineno, col)
+        block[entry.attr] = parse_value(entry, raw.strip(), lineno)
+    return blocks
 
 
-def _require(block: dict, section: str) -> None:
-    for key in _REQUIRED[section]:
-        if key not in block:
-            raise ScenarioFormatError(f"missing required key: {section}.{key}")
+def _arguments(section: str, block: dict) -> dict:
+    """Keyword arguments of the section's type from one parsed block."""
+    for entry in _ROWS[section]:
+        if entry.default is not None and entry.attr not in block:
+            if entry.default is REQUIRED:
+                raise ScenarioFormatError(f"missing required key: {entry.name}")
+            block[entry.attr] = entry.default
+    return block
 
 
 def parse_scenario(text: str | bytes, validate: bool = True) -> Scenario:
@@ -260,76 +299,18 @@ def parse_scenario(text: str | bytes, validate: bool = True) -> Scenario:
         except UnicodeDecodeError as exc:
             raise ScenarioFormatError(f"not valid UTF-8: {exc}") from None
 
-    sections, ev_blocks, seed = _parse_tree(text)
-
-    for required_section in ("grid", "dso"):
-        if required_section not in sections:
-            raise ScenarioFormatError(f"missing required key: {required_section}")
-
-    _require(sections["grid"], "grid")
-    grid = GridConfig(**sections["grid"])
-
-    _require(sections["dso"], "dso")
-    d = sections["dso"]
-    dso = DSOSpec(
-        cost_quadratic=d["quadratic_cost"],
-        cost_linear=d["linear_cost"],
-        power_min=d.get("power_min", 0.0),
-        power_max=d["power_max"],
-    )
-
-    storage = None
-    if "storage" in sections:
-        _require(sections["storage"], "storage")
-        s = sections["storage"]
-        storage = StorageSpec(
-            power_min=s["power_min"],
-            power_max=s["power_max"],
-            energy_initial=s["energy_initial"],
-            energy_reference=s["energy_reference"],
-            throughput=s.get("throughput", 1.0),
-            tracking_weight=s.get("tracking_weight", 1.0),
-        )
-
-    solver = SolverConfig(**sections.get("solver", {}))
-
-    fleet = None
-    if "fleet" in sections:
-        _require(sections["fleet"], "fleet")
-        f = sections["fleet"]
-        fleet = FleetSpec(
-            count=f["count"],
-            power_max=f["power_max"],
-            weight=f["weight"],
-            power_min=f.get("power_min", 0.0),
-            loss_fraction=f.get("loss_fraction", 0.0),
-        )
-
-    evs = []
-    for block in ev_blocks:
-        _require(block, "ev")
-        evs.append(
-            EVSession(
-                ev_id=block["id"],
-                arrival=block["arrival"],
-                departure=block["departure"],
-                power_min=block.get("power_min", 0.0),
-                power_max=block["power_max"],
-                weight=block["weight"],
-                loss_fraction=block.get("loss_fraction", 0.0),
-                energy_needed=block["energy"],
-            )
-        )
-
-    scenario = Scenario(
-        grid=grid,
-        dso=dso,
-        storage=storage,
-        fleet=fleet,
-        evs=tuple(evs),
-        solver=solver,
-        seed=seed if seed is not None else 0,
-    )
+    blocks = _parse_tree(text)
+    for name, (_, _, presence) in SECTIONS.items():
+        if presence == "required" and name not in blocks:
+            raise ScenarioFormatError(f"missing required key: {name}")
+    kwargs = _arguments("", blocks[""][0])
+    for name, (attr, kind, presence) in SECTIONS.items():
+        built = [kind(**_arguments(name, block)) for block in blocks.get(name, ())]
+        if presence == "repeated":
+            kwargs[attr] = tuple(built)
+        elif built:
+            kwargs[attr] = built[0]
+    scenario = Scenario(**kwargs)
 
     if validate:
         report = validate_scenario(scenario)
@@ -338,60 +319,19 @@ def parse_scenario(text: str | bytes, validate: bool = True) -> Scenario:
     return scenario
 
 
-def _value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _entry_lines(section: str, owner, indent: str = "  ") -> list[str]:
+    # A float's str is its repr, which parses back to the same float.
+    return [f"{indent}{e.key} = {getattr(owner, e.attr)}" for e in _ROWS[section]]
 
 
 def write_scenario(scenario: Scenario) -> str:
     """Canonical text form; ``parse_scenario`` of the output equals the input."""
-    lines: list[str] = []
-    lines.append(f"seed = {scenario.seed}")
-    lines.append("grid:")
-    lines.append(f"  slot_minutes = {_value(scenario.grid.slot_minutes)}")
-    lines.append(f"  num_slots = {scenario.grid.num_slots}")
-    lines.append("dso:")
-    lines.append(f"  quadratic_cost = {_value(scenario.dso.cost_quadratic)}")
-    lines.append(f"  linear_cost = {_value(scenario.dso.cost_linear)}")
-    lines.append(f"  power_min = {_value(scenario.dso.power_min)}")
-    lines.append(f"  power_max = {_value(scenario.dso.power_max)}")
-    if scenario.storage is not None:
-        st = scenario.storage
-        lines.append("storage:")
-        lines.append(f"  power_min = {_value(st.power_min)}")
-        lines.append(f"  power_max = {_value(st.power_max)}")
-        lines.append(f"  energy_initial = {_value(st.energy_initial)}")
-        lines.append(f"  energy_reference = {_value(st.energy_reference)}")
-        lines.append(f"  throughput = {_value(st.throughput)}")
-        lines.append(f"  tracking_weight = {_value(st.tracking_weight)}")
-    sv = scenario.solver
-    lines.append("solver:")
-    lines.append(f"  initial_price = {_value(sv.initial_price)}")
-    lines.append(f"  step_size = {_value(sv.step_size)}")
-    lines.append(f"  balance_tolerance = {_value(sv.balance_tolerance)}")
-    lines.append(f"  max_iterations = {sv.max_iterations}")
-    lines.append(f"  step_schedule = {sv.step_schedule}")
-    lines.append(f"  kkt_tolerance = {_value(sv.kkt_tolerance)}")
-    lines.append(f"  energy_tolerance = {_value(sv.energy_tolerance)}")
-    if scenario.fleet is not None:
-        fl = scenario.fleet
-        lines.append("fleet:")
-        lines.append(f"  count = {fl.count}")
-        lines.append(f"  power_min = {_value(fl.power_min)}")
-        lines.append(f"  power_max = {_value(fl.power_max)}")
-        lines.append(f"  weight = {_value(fl.weight)}")
-        lines.append(f"  loss_fraction = {_value(fl.loss_fraction)}")
-    for ev in scenario.evs:
-        lines.append("ev:")
-        lines.append(f"  id = {ev.ev_id}")
-        lines.append(f"  arrival = {ev.arrival}")
-        lines.append(f"  departure = {ev.departure}")
-        lines.append(f"  power_min = {_value(ev.power_min)}")
-        lines.append(f"  power_max = {_value(ev.power_max)}")
-        lines.append(f"  weight = {_value(ev.weight)}")
-        lines.append(f"  loss_fraction = {_value(ev.loss_fraction)}")
-        lines.append(f"  energy = {_value(ev.energy_needed)}")
+    lines = _entry_lines("", scenario, indent="")
+    for name, (attr, _, presence) in SECTIONS.items():
+        value = getattr(scenario, attr)
+        for owner in value if presence == "repeated" else () if value is None else (value,):
+            lines.append(f"{name}:")
+            lines += _entry_lines(name, owner)
     return "\n".join(lines) + "\n"
 
 
@@ -431,12 +371,19 @@ def generate_evs(
 
 
 def resolve_sessions(scenario: Scenario) -> tuple[EVSession, ...]:
-    """Explicit sessions plus the generated fleet, in deterministic order."""
-    generated: tuple[EVSession, ...] = ()
-    if scenario.fleet is not None:
-        generated = generate_evs(
-            scenario.fleet.count, scenario.grid, scenario.fleet, scenario.seed
-        )
+    """Explicit sessions plus the generated fleet, in deterministic order.
+
+    Raises :class:`ScenarioValidationError` when an explicit id is also one
+    that the fleet generates.
+    """
+    if scenario.fleet is None:
+        return scenario.evs
+    generated = generate_evs(scenario.fleet.count, scenario.grid, scenario.fleet, scenario.seed)
+    explicit = {ses.ev_id for ses in scenario.evs}
+    clashes = [f"ev {ses.ev_id}: duplicate id (the fleet generates it too)"
+               for ses in generated if ses.ev_id in explicit]
+    if clashes:
+        raise ScenarioValidationError(ValidationReport(tuple(clashes)))
     return scenario.evs + generated
 
 

@@ -1,0 +1,255 @@
+"""The scenario schema table drives parsing, writing and ``--set``.
+
+Every section type's fields are the table's rows, a written scenario parses
+back to itself with every optional entry away from its default, and ``--set``
+reaches every entry of a non-repeated section.
+"""
+import argparse
+import dataclasses
+import string
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evmarket import (
+    ConvergenceConfig,
+    DSOSpec,
+    EVSession,
+    ScenarioFormatError,
+    StorageSpec,
+    Tolerances,
+    parse_scenario,
+    write_scenario,
+)
+from evmarket.cli import _load_scenario, main
+from evmarket.scenario_io import (
+    REQUIRED,
+    SCHEMA,
+    SECTIONS,
+    FleetSpec,
+    GridConfig,
+    Scenario,
+    SolverConfig,
+)
+
+from test_cli import SMALL
+
+FLEET = "fleet:\n  count = 3\n  power_max = 22\n  weight = 10\n"
+
+
+def rows(section):
+    return [entry for entry in SCHEMA if entry.section == section]
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_section_type_fields_are_its_rows(section):
+    _, kind, _ = SECTIONS[section]
+    attrs = sorted(e.attr for e in rows(section))
+    assert sorted(f.name for f in dataclasses.fields(kind)) == attrs
+    assert len({e.key for e in rows(section)}) == len(attrs)
+
+
+def test_scenario_fields_are_top_level_rows_and_sections():
+    fields = {f.name for f in dataclasses.fields(Scenario)}
+    sections = {attr for attr, _, _ in SECTIONS.values()}
+    assert fields == sections | {e.attr for e in rows("")}
+    # Exactly the sections without a default in Scenario are required.
+    required = {attr for attr, _, presence in SECTIONS.values() if presence == "required"}
+    no_default = {
+        f.name for f in dataclasses.fields(Scenario) if f.default is dataclasses.MISSING
+    }
+    assert required == no_default
+
+
+def own_default(entry):
+    _, kind, _ = SECTIONS.get(entry.section, (None, Scenario, None))
+    (field,) = [f for f in dataclasses.fields(kind) if f.name == entry.attr]
+    return field.default
+
+
+def test_only_vehicle_power_min_and_loss_fraction_restate_a_default():
+    written = [e for e in SCHEMA if e.default not in (None, REQUIRED)]
+    assert [(e.section, e.key, e.default) for e in written] == [
+        ("ev", "power_min", 0.0),
+        ("ev", "loss_fraction", 0.0),
+    ]
+    # Every other optional entry falls back to its type's own default.
+    for entry in SCHEMA:
+        if entry.default is None:
+            assert own_default(entry) is not dataclasses.MISSING, entry.name
+
+
+def test_solver_defaults_are_the_python_api_defaults():
+    solver, loop, eps = SolverConfig(), ConvergenceConfig(), Tolerances()
+    for field in dataclasses.fields(ConvergenceConfig):
+        assert getattr(solver, field.name) == getattr(loop, field.name)
+    assert (solver.kkt_tolerance, solver.energy_tolerance) == (eps.kkt, eps.energy)
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+IDS = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=8)
+
+
+@st.composite
+def sessions(draw, ev_id):
+    arrival = draw(st.integers(0, 20))
+    power_min = draw(floats(0.1, 5.0))
+    return EVSession(
+        ev_id=ev_id,
+        arrival=arrival,
+        departure=arrival + draw(st.integers(0, 20)),
+        power_min=power_min,
+        power_max=power_min + draw(floats(0.0, 30.0)),
+        weight=draw(floats(0.0, 20.0)),
+        loss_fraction=draw(floats(0.01, 0.9)),
+        energy_needed=draw(floats(0.0, 100.0)),
+    )
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios with every section present and every optional entry
+    away from its default."""
+    dso_min = draw(floats(0.1, 50.0))
+    ids = draw(st.lists(IDS, max_size=4, unique=True))
+    return Scenario(
+        grid=GridConfig(slot_minutes=draw(floats(0.5, 120.0)), num_slots=draw(st.integers(1, 96))),
+        dso=DSOSpec(
+            cost_quadratic=draw(floats(1e-3, 10.0)),
+            cost_linear=draw(floats(-10.0, 10.0)),
+            power_min=dso_min,
+            power_max=draw(st.one_of(st.just(float("inf")), floats(dso_min, 500.0))),
+        ),
+        storage=StorageSpec(
+            power_min=draw(floats(-100.0, 0.0)),
+            power_max=draw(floats(0.0, 100.0)),
+            energy_initial=draw(floats(0.0, 500.0)),
+            energy_reference=draw(floats(0.0, 500.0)),
+            throughput=draw(floats(0.01, 0.9)),
+            tracking_weight=draw(floats(1.5, 10.0)),
+        ),
+        fleet=FleetSpec(
+            count=draw(st.integers(0, 50)),
+            power_min=draw(floats(0.1, 5.0)),
+            power_max=draw(floats(5.0, 50.0)),
+            weight=draw(floats(0.0, 20.0)),
+            loss_fraction=draw(floats(0.01, 0.9)),
+        ),
+        evs=tuple(draw(sessions(ev_id)) for ev_id in ids),
+        solver=SolverConfig(
+            initial_price=draw(floats(16.5, 50.0)),
+            step_size=draw(floats(1e-4, 4e-3)),
+            balance_tolerance=draw(floats(0.2, 5.0)),
+            max_iterations=draw(st.integers(1, 1999)),
+            step_schedule="diminishing",
+            kkt_tolerance=draw(floats(1e-12, 1e-7)),
+            energy_tolerance=draw(floats(1e-12, 1e-7)),
+        ),
+        seed=draw(st.integers(1, 2**31)),
+    )
+
+
+def owners(scenario, section):
+    attr, _, presence = SECTIONS[section]
+    value = getattr(scenario, attr)
+    return value if presence == "repeated" else (value,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+def test_written_scenario_parses_back_to_itself(scenario):
+    for entry in SCHEMA:
+        if entry.default is REQUIRED:
+            continue
+        default = own_default(entry) if entry.default is None else entry.default
+        section_owners = owners(scenario, entry.section) if entry.section else (scenario,)
+        for owner in section_owners:
+            assert getattr(owner, entry.attr) != default, entry.name
+    assert parse_scenario(write_scenario(scenario)) == scenario
+
+
+def changed(value):
+    """A different value of the same type that keeps SMALL plus FLEET valid."""
+    if isinstance(value, str):
+        return "diminishing"
+    if isinstance(value, int):
+        return value + 1
+    return value / 2 if value else 0.25
+
+
+def entry_values(scenario):
+    out = {}
+    for entry in SCHEMA:
+        if entry.section == "ev":
+            continue
+        owner = getattr(scenario, SECTIONS[entry.section][0]) if entry.section else scenario
+        out[entry.section, entry.key] = getattr(owner, entry.attr)
+    return out
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in SCHEMA if e.section != "ev"], ids=lambda e: e.name
+)
+def test_set_changes_exactly_its_entry(tmp_path, entry):
+    path = tmp_path / "all.scenario"
+    path.write_text(SMALL + FLEET)
+    args = argparse.Namespace(scenario=str(path), overrides=[], seed=None)
+    before = entry_values(_load_scenario(args))
+    value = changed(before[entry.section, entry.key])
+    args.overrides = [f"{entry.name}={value}"]
+    after = entry_values(_load_scenario(args))
+    assert after == {**before, (entry.section, entry.key): value}
+
+
+def test_set_seed_reports_through_the_entry(tmp_path, capsys):
+    path = tmp_path / "small.scenario"
+    path.write_text(SMALL)
+    code = main(["run", str(path), "--out", str(tmp_path / "o"), "--set", "seed=abc"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: cannot parse 'abc' as int for seed\n"
+
+
+def with_first_id(value):
+    return SMALL.replace("  id = a\n", f"  id = {value}\n", 1)
+
+
+@pytest.mark.parametrize("value", ["", "a,b", 'a"b', '"a"'])
+def test_vehicle_id_that_breaks_evs_csv_is_rejected_with_its_line(tmp_path, capsys, value):
+    text = with_first_id(value)
+    line = text.splitlines().index(f"  id = {value}") + 1
+    with pytest.raises(ScenarioFormatError, match=f"line {line}: ev.id must be non-empty") as info:
+        parse_scenario(text)
+    assert info.value.line == line
+    path = tmp_path / "bad.scenario"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert f"line {line}: ev.id" in capsys.readouterr().err
+
+
+def test_vehicle_id_with_punctuation_is_accepted():
+    assert parse_scenario(with_first_id("car-01.x_y")).evs[0].ev_id == "car-01.x_y"
+
+
+def test_explicit_id_that_the_fleet_generates_is_rejected(tmp_path, capsys):
+    path = tmp_path / "clash.scenario"
+    path.write_text(with_first_id("ev02") + FLEET)
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "ev ev02: duplicate id" in out
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario\n") and "ev ev02: duplicate id" in err
+    assert not out_dir.exists()
+    assert main(["uncontrolled", str(path), "--out", str(out_dir)]) == 1
+
+
+def test_explicit_ids_next_to_a_fleet_are_accepted(tmp_path, capsys):
+    path = tmp_path / "fleet.scenario"
+    path.write_text(SMALL + FLEET)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "scenario ok\n"
