@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
-from .ev_agent import EVBatchWorkspace, EVSolution, EVSubproblem
+from .ev_agent import EVBatchSolution, EVBatchWorkspace, EVSolution, EVSubproblem
 from .model import PowerProfile, PriceVector, Tolerances, max_abs, maximum
 
 __all__ = [
@@ -168,7 +168,7 @@ def evaluate_dual(
     dso_sub: DSOSubproblem,
     eps: Tolerances = Tolerances(),
     iteration: int = 0,
-    mu_hints: np.ndarray | None = None,
+    previous: EVBatchSolution | None = None,
     dso_start: tuple[np.ndarray, np.ndarray] | None = None,
     workspace: EVBatchWorkspace | None = None,
 ) -> DualIterationState:
@@ -180,7 +180,11 @@ def evaluate_dual(
     vehicles contribute zero demand past their departure.  The dual value is
     the sum of the agents' optimal objectives, computed when it is first read.
     A caller passing ``workspace`` has already checked that it holds
-    ``ev_subs`` inside the window.
+    ``ev_subs`` inside the window.  ``previous``, the vehicles' solution of
+    the last iteration on that workspace, starts each vehicle's multiplier
+    search from a tangent prediction along the price move (see
+    :mod:`evmarket.ev_agent`); without it each vehicle starts from the even
+    spread of its requirement.
     """
     lam = _floats(prices)
     n = dso_sub.window.length
@@ -194,7 +198,7 @@ def evaluate_dual(
             _check_windows(ev_subs, dso_sub)
             workspace = EVBatchWorkspace(ev_subs)
         workspace.load_prices(lam)
-        ev_solutions = workspace.solve(eps=eps, mu_hints=mu_hints)
+        ev_solutions = workspace.solve(eps=eps, previous=previous)
         demand = ev_solutions.demand + demand[workspace.width :]
     dso_solution = solve_dso(dso_sub, eps=eps, start=dso_start, prices=lam)
 
@@ -235,7 +239,7 @@ def negotiate_slot(
     _check_windows(ev_subs, dso_sub)
     history: list[float] = []
     workspace = EVBatchWorkspace(ev_subs) if ev_subs else None
-    mu_hints: Sequence[float] | None = None
+    previous: EVBatchSolution | None = None
     dso_start: tuple[list[float], list[float]] | None = None
     state = None
     converged = False
@@ -249,7 +253,7 @@ def negotiate_slot(
                 dso_sub,
                 eps=eps,
                 iteration=k,
-                mu_hints=mu_hints,
+                previous=previous,
                 dso_start=dso_start,
                 workspace=workspace,
             )
@@ -275,7 +279,7 @@ def negotiate_slot(
             break
         prices = update_price(prices, state.residual_values, config.step_at(k))
         if workspace is not None:
-            mu_hints = state.ev_solutions.multipliers
+            previous = state.ev_solutions
         dso = state.dso_solution
         dso_start = (dso.generation_values, dso.storage_values)
 

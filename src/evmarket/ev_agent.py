@@ -7,9 +7,15 @@ structure: ``p(t) = clamp(w / (price(t) + mu * rate) - 1, p_min, p_max)`` for a
 scalar multiplier ``mu`` on the terminal-energy constraint.  The delivered
 energy ``E(mu)`` is decreasing, with slope ``-rate**2 * sum_free w / q**2`` over
 the slots strictly inside the box (``q`` the effective price), so ``mu`` is
-found by Newton's method safeguarded by the saturation bracket, warm-started
-from the previous multiplier when the caller has one.  Objective values are
-computed only when they are read.
+found by Newton's method safeguarded by the saturation bracket.  In the price
+loop each vehicle starts from a tangent prediction off its previous solution:
+differentiating ``E(mu, price) = need`` along the price move gives
+``mu_prev - sum_free (p+1)**2 * dprice / (rate * sum_free (p+1)**2)`` over
+the slots where the previous power ``p`` was strictly inside the box (``w``
+cancels), which already meets the energy tolerance for most vehicles when
+prices move a little.  Without a previous solution the start is a given hint
+or the multiplier that spreads the requirement evenly at the mean price.
+Objective values are computed only when they are read.
 
 ``EVBatchWorkspace.solve`` runs that Newton iteration in one of two kernels
 with the same steps: an array kernel that advances the whole batch with one
@@ -116,12 +122,13 @@ class EVBatchSolution(Sequence[EVSolution]):
     """Solutions of one batch solve, as the kernel returned them.
 
     The price loop reads ``demand`` (the column sums over the batch width, as
-    floats) and ``multipliers`` (one per vehicle, the next solve's hints).
-    ``power`` (the padded ``vehicles x width`` matrix, zero past each
-    departure), ``energy_multiplier`` and ``feasible`` are arrays built on
-    first access, ``objective`` is evaluated on first access at ``prices``
-    (the prices the batch was loaded with), and indexing gives one vehicle's
-    :class:`EVSolution`.  One is made per dual iteration, so it is a plain
+    floats) and hands the whole solution to the next solve, which predicts its
+    start from ``prices``, ``rows`` and ``multipliers``.  ``power`` (the
+    padded ``vehicles x width`` matrix, zero past each departure),
+    ``energy_multiplier``, ``feasible`` and ``lam`` (the padded prices) are
+    arrays built on first access, ``objective`` is evaluated on first access
+    at ``prices`` (the prices the batch was loaded with), and indexing gives
+    one vehicle's :class:`EVSolution`.  One is made per dual iteration, so it is a plain
     dataclass: a frozen one takes about three times as long to construct.
     """
 
@@ -145,10 +152,14 @@ class EVBatchSolution(Sequence[EVSolution]):
         return np.asarray(self.flags)
 
     @cached_property
+    def lam(self) -> np.ndarray:
+        """``prices`` as the padded ``vehicles x width`` matrix."""
+        return self.workspace.padded(self.prices)
+
+    @cached_property
     def objective(self) -> np.ndarray:
         ws = self.workspace
-        lam = ws.padded(self.prices)
-        term = ws.weight_col * np.log(ws.offset + self.power) - lam * self.power
+        term = ws.weight_col * np.log(ws.offset + self.power) - self.lam * self.power
         return np.where(ws.mask, term, 0.0).sum(axis=1)
 
     def __len__(self) -> int:
@@ -242,21 +253,32 @@ class EVBatchWorkspace:
         eps: Tolerances = Tolerances(),
         mu_hints: Sequence[float] | None = None,
         max_iter: int = 200,
+        previous: EVBatchSolution | None = None,
     ) -> EVBatchSolution:
         """Solve every vehicle at the loaded prices.
 
         Batches within the size rule (at most ``_SCALAR_WIDTH`` slots and
         ``_SCALAR_VEHICLES`` vehicles) go to the plain-float kernel, the rest
         to the array kernel; both take the same steps and return bit-identical
-        results.  ``mu_hints`` is a sequence of floats, one per vehicle.
+        results.  ``mu_hints`` is a sequence of floats, one per vehicle, taken
+        as the starting multipliers.  ``previous``, a solution of this
+        workspace at other prices, starts each vehicle instead from the
+        tangent prediction of the module docstring off its own previous
+        multiplier, or from that multiplier when no slot was free.
         """
+        if previous is not None and mu_hints is not None:
+            raise ValueError("pass mu_hints or previous, not both")
         if self.width <= _SCALAR_WIDTH and len(self.lengths) <= _SCALAR_VEHICLES:
-            return self._solve_scalar(eps, mu_hints, max_iter)
-        return self._solve_array(eps, mu_hints, max_iter)
+            return self._solve_scalar(eps, mu_hints, max_iter, previous)
+        return self._solve_array(eps, mu_hints, max_iter, previous)
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def _solve_array(
-        self, eps: Tolerances, mu_hints: Sequence[float] | None, max_iter: int
+        self,
+        eps: Tolerances,
+        mu_hints: Sequence[float] | None,
+        max_iter: int,
+        previous: EVBatchSolution | None = None,
     ) -> EVBatchSolution:
         """Array kernel: all vehicles advance together, one NumPy pass per step."""
         lam, need, rate = self.lam, self.need, self.rate
@@ -267,13 +289,25 @@ class EVBatchWorkspace:
         mu_low = (self.clamp_hi_price - lam_max) / rate - 1.0
         mu_high = (self.clamp_lo_price - lam.min(axis=1)) / rate + 1.0
 
-        # Start from the hints, else from the multiplier that spreads the
-        # requirement evenly at the mean price (exact for flat prices).
-        if mu_hints is None:
+        # Start from the multiplier that spreads the requirement evenly at the
+        # mean price (exact for flat prices), else from the hints, or from the
+        # tangent prediction off the previous solution over its free slots.
+        # A non-finite start falls to the bracket midpoint.
+        if previous is None and mu_hints is None:
             mean_lam = np.where(self.mask, lam, 0.0).sum(axis=1) / self.lengths
             mu = (self.weight / (self.offset + self.even) - mean_lam) / rate
         else:
-            mu = np.where(np.isfinite(mu_hints), mu_hints, 0.5 * (mu_low + mu_high))
+            if previous is None:
+                mu = np.asarray(mu_hints, dtype=float)
+            else:
+                prev = np.asarray(previous.rows)
+                free = (prev > self.lo) & (prev < self.hi)
+                sq = np.where(free, np.square(prev + self.offset), 0.0)
+                num = np.where(free, sq * (lam - previous.lam), 0.0).sum(axis=1)
+                den = sq.sum(axis=1)
+                mu = np.asarray(previous.multipliers, dtype=float)
+                mu = np.where(den > 0, mu - num / (rate * den), mu)
+            mu = np.where(np.isfinite(mu), mu, 0.5 * (mu_low + mu_high))
 
         # Requirements at (or beyond) a box face get the saturated profile.
         at_hi, at_lo, active = self._saturated(eps.energy)
@@ -300,9 +334,11 @@ class EVBatchWorkspace:
             power, energy, slope = self._energy_at(mu)
 
         feasible = np.abs(energy - need) <= eps.energy
-        return EVBatchSolution(
+        solution = EVBatchSolution(
             self, self.prices, power, mu, feasible, power.sum(axis=0).tolist()
         )
+        solution.lam = lam  # the padded prices, for the next solve's prediction
+        return solution
 
     @cached_property
     def _constants(self) -> list[tuple]:
@@ -316,7 +352,11 @@ class EVBatchWorkspace:
         return list(zip(*(c.tolist() for c in columns)))
 
     def _solve_scalar(
-        self, eps: Tolerances, mu_hints: Sequence[float] | None, max_iter: int
+        self,
+        eps: Tolerances,
+        mu_hints: Sequence[float] | None,
+        max_iter: int,
+        previous: EVBatchSolution | None = None,
     ) -> EVBatchSolution:
         """Scalar kernel: the array kernel's steps, one vehicle at a time in
         plain floats.  Row sums run left to right, as NumPy's do for rows of
@@ -327,26 +367,34 @@ class EVBatchWorkspace:
         inf = math.inf
         constants, prices = self._constants, self.prices
         count = len(constants)
-        price_rows = prices if isinstance(prices[0], list) else repeat(prices, count)
+        rowwise = isinstance(prices[0], list)
+        price_rows = prices if rowwise else repeat(prices, count)
+        # NumPy's row maximum and minimum are NaN if a price is, Python's max
+        # and min skip a NaN that is not first; any NaN makes this total NaN.
+        price_total = sum(map(sum, prices)) if rowwise else sum(prices)
+        maybe_nan = price_total != price_total
+        previous_rows, previous_prices = repeat(None, count), repeat(None, count)
+        if previous is not None:
+            mu_hints = previous.multipliers
+            previous_rows = previous.rows
+            previous_prices = previous.prices
+            if not isinstance(previous_prices[0], list):
+                previous_prices = repeat(previous_prices, count)
         hints = repeat(None, count) if mu_hints is None else map(float, mu_hints)
         rows, mus, feasible = [], [], []
         for (
             (length, w, lo, hi, rate, coef, need, cap_lo, cap_hi, even, clamp_lo, clamp_hi),
             row,
             hint,
-        ) in zip(constants, price_rows, hints, strict=True):
+            previous_row,
+            previous_lam,
+        ) in zip(constants, price_rows, hints, previous_rows, previous_prices, strict=True):
             lam = row[:length]
-            mu_low = (clamp_hi - max(lam)) / rate - 1.0
-            mu_high = (clamp_lo - min(lam)) / rate + 1.0
-            if hint is None:
-                total = 0.0
-                for x in lam:
-                    total += x
-                mu = (w / (offset + even) - total / length) / rate
-            elif math.isfinite(hint):
-                mu = hint
-            else:
-                mu = 0.5 * (mu_low + mu_high)
+            top, bottom = max(lam), min(lam)
+            if maybe_nan and any(x != x for x in lam):
+                top = bottom = math.nan
+            mu_low = (clamp_hi - top) / rate - 1.0
+            mu_high = (clamp_lo - bottom) / rate + 1.0
             # Requirements at (or beyond) a box face get the saturated profile.
             searching = False
             if need >= cap_hi - tol:
@@ -355,7 +403,25 @@ class EVBatchWorkspace:
                 mu = mu_high
             else:
                 searching = True
-                if mu < mu_low:
+                if hint is None:
+                    total = 0.0
+                    for x in lam:
+                        total += x
+                    mu = (w / (offset + even) - total / length) / rate
+                else:
+                    if previous_row is not None:
+                        # The tangent step over the previously free slots.
+                        num = den = 0.0
+                        for x, x0, p in zip(lam, previous_lam, previous_row):
+                            if lo < p < hi:
+                                sq = (p + offset) * (p + offset)
+                                num += sq * (x - x0)
+                                den += sq
+                        if den > 0:
+                            hint -= num / (rate * den)
+                    mu = hint if math.isfinite(hint) else 0.5 * (mu_low + mu_high)
+                # The bracket clamp; a NaN bracket gives a NaN start, as in NumPy.
+                if mu < mu_low or mu_low != mu_low:
                     mu = mu_low
                 elif mu > mu_high:
                     mu = mu_high

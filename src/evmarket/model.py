@@ -69,7 +69,8 @@ class EVSession:
 
     Invariants (checked by :func:`validate_scenario`, not the constructor):
     arrival <= departure, 0 <= power_min <= power_max, energy_needed >= 0,
-    0 <= loss_fraction < 1, weight >= 0.
+    0 <= loss_fraction < 1, weight > 0 (the utility's slope at zero power,
+    by which the water-filling solve divides).
     """
 
     ev_id: str
@@ -281,8 +282,8 @@ def _check_box(spec, label: str, out: list[str], energy: float = 0.0) -> None:
         out.append(f"{label}: energy must be nonnegative")
     if not 0 <= spec.loss_fraction < 1:
         out.append(f"{label}: loss fraction must lie in [0, 1)")
-    if spec.weight < 0:
-        out.append(f"{label}: weight must be nonnegative")
+    if not spec.weight > 0:
+        out.append(f"{label}: weight must be positive")
 
 
 def validate_scenario(scenario) -> ValidationReport:

@@ -151,6 +151,31 @@ def test_set_override_validates(tmp_path, small_file):
     assert code == 1
 
 
+def assert_rejected(path, capsys, message, *overrides):
+    """``run`` exits 1 naming ``message`` on stderr and writes nothing."""
+    out = path.parent / "out"
+    assert main(["run", str(path), "--out", str(out), *overrides]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario\n") and message in err
+    assert not out.exists()
+
+
+def test_zero_vehicle_weight_is_rejected(tmp_path, capsys):
+    """The water-filling solve divides by the weight, so a vehicle with
+    weight 0 is invalid rather than run to the iteration cap."""
+    path = tmp_path / "zero.scenario"
+    path.write_text(SMALL.replace("  weight = 10\n  energy = 3\n", "  weight = 0\n  energy = 3\n"))
+    assert main(["validate", str(path)]) == 1
+    assert "ev b: weight must be positive" in capsys.readouterr().out
+    assert_rejected(path, capsys, "ev b: weight must be positive")
+
+
+def test_zero_fleet_weight_override_is_rejected(tmp_path, capsys):
+    path = tmp_path / "fleet.scenario"
+    path.write_text(SMALL + "fleet:\n  count = 3\n  power_max = 22\n  weight = 10\n")
+    assert_rejected(path, capsys, "fleet: weight must be positive", "--set", "fleet.weight=0")
+
+
 def test_bad_override_key_rejected(tmp_path, small_file):
     assert main(["run", str(small_file), "--out", str(tmp_path), "--set", "nope.key=1"]) == 1
 

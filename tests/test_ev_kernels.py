@@ -1,12 +1,15 @@
-"""The scalar and the array EV kernels give bit-identical results, and
+"""The scalar and the array EV kernels give bit-identical results, from the
+hints or from the tangent prediction off a previous solution, and
 ``EVBatchWorkspace.solve`` sends each batch to the kernel its size rule names."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmarket import Tolerances, ev_agent
-from evmarket.ev_agent import EVBatchWorkspace
+from evmarket.ev_agent import EVBatchSolution, EVBatchWorkspace
 
 from conftest import SLOT_HOURS, make_ev_subproblem
 
@@ -78,13 +81,18 @@ HINTS = st.one_of(
 )
 
 
-def assert_same(ws, hints, max_iter):
+def assert_same(ws, hints, max_iter, nan=False):
     if hints is not None:
         hints = np.array(hints[: len(ws.lengths)])
     scalar = ws._solve_scalar(EPS, hints, max_iter)
-    array = ws._solve_array(EPS, hints, max_iter)
+    assert_identical(scalar, ws._solve_array(EPS, hints, max_iter), nan)
+
+
+def assert_identical(scalar, array, nan=False):
+    """Bit-identical answers; ``nan=True`` lets a NaN multiplier match a NaN
+    in the same place, which only a NaN price may cause."""
     assert np.array_equal(scalar.power, array.power)
-    assert np.array_equal(scalar.energy_multiplier, array.energy_multiplier)
+    assert np.array_equal(scalar.energy_multiplier, array.energy_multiplier, equal_nan=nan)
     assert np.array_equal(scalar.feasible, array.feasible)
     assert scalar.feasible.dtype == array.feasible.dtype
     assert scalar.demand == array.demand == array.power.sum(axis=0).tolist()
@@ -94,6 +102,101 @@ def assert_same(ws, hints, max_iter):
 @given(ws=batches(), hints=HINTS, max_iter=st.sampled_from([200, 200, 1, 3]))
 def test_scalar_kernel_matches_array_kernel(ws, hints, max_iter):
     assert_same(ws, hints, max_iter)
+
+
+@st.composite
+def moves(draw, ws):
+    """Padded price rows before and after a move: a small step, a step large
+    enough to carry slots across the box faces (the free set changes), or
+    either with a NaN slot before or after."""
+    now = np.array(ws.prices)
+    kind = draw(st.sampled_from(("small", "large", "nan before", "nan after")))
+    scale = 0.05 if kind == "small" else 3.0
+    step = draw(st.lists(st.floats(-scale, scale), min_size=ws.width, max_size=ws.width))
+    before = np.maximum(now + step, 0.0)
+    if kind.startswith("nan"):
+        i = draw(st.integers(0, len(ws.lengths) - 1))
+        j = draw(st.integers(0, ws.lengths[i] - 1))
+        (before if kind == "nan before" else now)[i, j] = np.nan
+    return kind, before, now
+
+
+@settings(max_examples=300, deadline=None)
+@given(ws=batches(), data=st.data(), max_iter=st.sampled_from([200, 200, 0, 1, 3]))
+def test_kernels_match_on_the_predicted_start(ws, data, max_iter):
+    kind, before, now = data.draw(moves(ws))
+    nan = kind.startswith("nan")
+    ws.load_prices(before)
+    scalar_before = ws._solve_scalar(EPS, None, 200)
+    array_before = ws._solve_array(EPS, None, 200)
+    assert_identical(scalar_before, array_before, nan)
+    ws.load_prices(now)
+    array = ws._solve_array(EPS, None, max_iter, array_before)
+    assert_identical(ws._solve_scalar(EPS, None, max_iter, scalar_before), array, nan)
+    # Either kernel predicts from a solution of the other.
+    assert_identical(ws._solve_scalar(EPS, None, max_iter, array_before), array, nan)
+    assert_same(ws, None, max_iter, nan)
+
+
+def starts(ws, previous, nan=False):
+    """Each kernel's starting multipliers (``max_iter=0``) from ``previous``."""
+    scalar = ws._solve_scalar(EPS, None, 0, previous)
+    array = ws._solve_array(EPS, None, 0, previous)
+    assert_identical(scalar, array, nan)
+    return scalar.multipliers
+
+
+def one_vehicle(before, row, mu, energy=2.0, now=(2.1, 2.9, 4.5)):
+    """A 3-slot vehicle (box [0, 20]) loaded with ``now``, and a previous
+    solution at ``before`` with powers ``row`` and multiplier ``mu``."""
+    ws = EVBatchWorkspace([make_ev_subproblem([1.0] * 3, power_max=20.0, energy=energy)])
+    ws.load_prices(list(now))
+    previous = EVBatchSolution(ws, list(before), [list(row)], [mu], [True], list(row))
+    return ws, previous
+
+
+@pytest.mark.parametrize("last", [4.0, math.nan, math.inf])
+def test_predicted_start_is_the_tangent_step(last):
+    """Only the slots strictly inside the box enter the step, whatever the
+    previous price of a slot on a face (20 kW is the upper one)."""
+    ws, previous = one_vehicle([2.0, 3.0, last], [1.5, 0.5, 20.0], 0.3)
+    sq0, sq1 = 2.5 * 2.5, 1.5 * 1.5
+    num = 0.0 + sq0 * (2.1 - 2.0) + sq1 * (2.9 - 3.0)
+    assert starts(ws, previous) == [0.3 - num / (SLOT_HOURS * (sq0 + sq1))]
+
+
+def test_no_free_slot_starts_from_the_previous_multiplier():
+    ws, previous = one_vehicle([2.0, 3.0, 4.0], [20.0, 0.0, 0.0], 0.3)
+    assert starts(ws, previous) == [0.3]
+    with pytest.raises(ValueError, match="not both"):
+        ws.solve(EPS, [0.3], previous=previous)
+
+
+def test_non_finite_prediction_starts_at_the_bracket_midpoint():
+    """A NaN previous price on a free slot makes the step NaN."""
+    ws, previous = one_vehicle([2.0, math.nan, 4.0], [1.5, 0.5, 20.0], 0.3)
+    mu_low = (ws.clamp_hi_price - 4.5) / ws.rate - 1.0
+    mu_high = (ws.clamp_lo_price - 2.1) / ws.rate + 1.0
+    assert starts(ws, previous) == (0.5 * (mu_low + mu_high)).tolist()
+
+
+def test_nan_price_gives_a_nan_start_on_either_kernel():
+    """A NaN price makes the saturation bracket NaN, as NumPy's row maximum
+    does, wherever it sits in the row; the vehicle ends at its upper bound."""
+    for now in ((math.nan, 2.9, 4.5), (2.1, math.nan, 4.5), (2.1, 2.9, math.nan)):
+        ws, previous = one_vehicle([2.0, 3.0, 4.0], [1.5, 0.5, 20.0], 0.3, now=now)
+        assert math.isnan(starts(ws, previous, nan=True)[0])
+        array = ws._solve_array(EPS, None, 200, previous)
+        assert_identical(ws._solve_scalar(EPS, None, 200, previous), array, nan=True)
+        assert array.power.tolist() == [[20.0] * 3]
+        assert_same(ws, None, 200, nan=True)
+
+
+def test_saturated_requirement_ignores_the_prediction():
+    """A requirement at the upper face starts (and stays) at the bracket's
+    lower end, where every slot is at 20 kW."""
+    ws, previous = one_vehicle([2.0, 3.0, 4.0], [1.5, 0.5, 20.0], 0.3, energy=15.0)
+    assert starts(ws, previous) == ((ws.clamp_hi_price - 4.5) / ws.rate - 1.0).tolist()
 
 
 def test_nonpositive_effective_price_and_zero_slope():

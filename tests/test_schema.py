@@ -104,7 +104,7 @@ def sessions(draw, ev_id):
         departure=arrival + draw(st.integers(0, 20)),
         power_min=power_min,
         power_max=power_min + draw(floats(0.0, 30.0)),
-        weight=draw(floats(0.0, 20.0)),
+        weight=draw(floats(1e-3, 20.0)),
         loss_fraction=draw(floats(0.01, 0.9)),
         energy_needed=draw(floats(0.0, 100.0)),
     )
@@ -136,7 +136,7 @@ def scenarios(draw):
             count=draw(st.integers(0, 50)),
             power_min=draw(floats(0.1, 5.0)),
             power_max=draw(floats(5.0, 50.0)),
-            weight=draw(floats(0.0, 20.0)),
+            weight=draw(floats(1e-3, 20.0)),
             loss_fraction=draw(floats(0.01, 0.9)),
         ),
         evs=tuple(draw(sessions(ev_id)) for ev_id in ids),
