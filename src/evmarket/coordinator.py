@@ -16,7 +16,10 @@ in a fixed order here so that runs stay bit-reproducible.
 
 Windows are a few slots long, so inside the loop the broadcast prices, the
 demand, the supply and the residual are lists of floats, and the price update
-and the residual norm are float loops with NumPy's arithmetic, NaN included.
+(its clip at zero written out inline) and the residual norm are float loops
+with NumPy's arithmetic, NaN included.  On lists this short a zip, a range or
+a comprehension costs more than the arithmetic, so these loops index with a
+counter, and the loop works its constant step out once.
 The validated :class:`~evmarket.model.PriceVector` and
 :class:`~evmarket.model.PowerProfile` objects, and the agents' arrays, are
 built once per negotiation, from the state that is returned.
@@ -32,7 +35,7 @@ import numpy as np
 
 from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
 from .ev_agent import EVBatchSolution, EVBatchWorkspace, EVSolution, EVSubproblem
-from .model import PowerProfile, PriceVector, Tolerances, max_abs, maximum
+from .model import PowerProfile, PriceVector, Tolerances, max_abs
 
 __all__ = [
     "ConvergenceConfig",
@@ -146,14 +149,20 @@ def update_price(prices, residual, step: float):
 
     Takes lists of floats (as in the price loop), arrays or the validated
     types; a :class:`PriceVector` in gives a :class:`PriceVector` out,
-    anything else a list.  A NaN imbalance gives a NaN price, as
-    ``np.maximum`` does.
+    anything else a list.  The clip is ``np.maximum(v, 0.0)`` written out: a
+    NaN imbalance gives a NaN price, and a tie (either zero) gives ``0.0``.
     """
-    lam, imbalance = _floats(prices), _floats(residual)
+    lam = prices if type(prices) is list else _floats(prices)
+    imbalance = residual if type(residual) is list else _floats(residual)
     if len(lam) != len(imbalance):
         raise ValueError("price and residual lengths differ")
-    out = [maximum(x - step * r, 0.0) for x, r in zip(lam, imbalance)]
-    return PriceVector(out) if isinstance(prices, PriceVector) else out
+    out = []
+    i = 0
+    for x in lam:
+        v = x - step * imbalance[i]
+        out.append(v if v > 0.0 or v != v else 0.0)
+        i += 1
+    return out if lam is prices or not isinstance(prices, PriceVector) else PriceVector(out)
 
 
 def _check_windows(ev_subs: Sequence[EVSubproblem], dso_sub: DSOSubproblem) -> None:
@@ -186,31 +195,32 @@ def evaluate_dual(
     :mod:`evmarket.ev_agent`); without it each vehicle starts from the even
     spread of its requirement.
     """
-    lam = _floats(prices)
+    lam = prices if type(prices) is list else _floats(prices)
     n = dso_sub.window.length
     if len(lam) != n:
         raise ValueError("price vector length must equal the coordination window")
 
-    ev_solutions: Sequence[EVSolution] = ()
-    demand = [0.0] * n
     if ev_subs:
         if workspace is None:
             _check_windows(ev_subs, dso_sub)
             workspace = EVBatchWorkspace(ev_subs)
         workspace.load_prices(lam)
-        ev_solutions = workspace.solve(eps=eps, previous=previous)
-        demand = ev_solutions.demand + demand[workspace.width :]
+        ev_solutions = workspace.solve(eps, previous=previous)
+        demand = ev_solutions.demand
+        if workspace.width < n:
+            demand = demand + [0.0] * (n - workspace.width)
+    else:
+        ev_solutions, demand = (), [0.0] * n
     dso_solution = solve_dso(dso_sub, eps=eps, start=dso_start, prices=lam)
 
     supply = dso_solution.generation_values
+    residual = []
+    i = 0
+    for g in supply:
+        residual.append(g - demand[i])
+        i += 1
     return DualIterationState(
-        iteration=iteration,
-        price_values=lam,
-        demand_values=demand,
-        supply_values=supply,
-        residual_values=[s - d for s, d in zip(supply, demand)],
-        ev_solutions=ev_solutions,
-        dso_solution=dso_solution,
+        iteration, lam, demand, supply, residual, ev_solutions, dso_solution
     )
 
 
@@ -245,19 +255,14 @@ def negotiate_slot(
     converged = False
     supplier_error = None
     iterations = 0
+    # The constant schedule's step, worked out once (None: diminishing).
+    step = config.step_size if config.step_schedule == "constant" else None
     for k in range(config.max_iterations + 1):
         try:
             next_state = evaluate_dual(
-                prices,
-                ev_subs,
-                dso_sub,
-                eps=eps,
-                iteration=k,
-                previous=previous,
-                dso_start=dso_start,
-                workspace=workspace,
+                prices, ev_subs, dso_sub, eps, k, previous, dso_start, workspace
             )
-            norm = next_state.residual_norm
+            norm = max_abs(next_state.residual_values)
             if not norm <= config.balance_tolerance and not math.isfinite(norm):
                 message = f"non-finite balance residual ({norm}) at iteration {k}"
                 raise ConvergenceError(message, norm)
@@ -277,7 +282,7 @@ def negotiate_slot(
             break
         if k == config.max_iterations:
             break
-        prices = update_price(prices, state.residual_values, config.step_at(k))
+        prices = update_price(prices, state.residual_values, step or config.step_at(k))
         if workspace is not None:
             previous = state.ev_solutions
         dso = state.dso_solution

@@ -9,17 +9,18 @@ When the storage box is pinned (``power_min == power_max``; validation forces
 both to 0, as for a scenario without storage) the problem separates per slot
 and is solved in closed form, in plain floats: ``P_s`` sits at the pinned value
 and ``P_l = clip(P_s + (price - linear_cost) / (2 * quadratic_cost))`` on the
-generation box, with NumPy's rules for ties and NaN.  Otherwise it is solved by
-projected Newton on arrays.  A warm start (in the price loop, the last round's
-answer) is first tried as the active set: one Newton solve on its free
-variables, accepted if the point stays in the box and meets the residual
-target.  Prices move little between rounds, so this usually settles the call.
-Failing that, each iteration guesses the active bounds from the gradient,
-solves the Newton system on the free variables (cached per free set) and
-searches along the projection arc, else takes a projected-gradient step of
-length ``1/L``.  Either way the point is certified by its projected-stationarity
-residual and handed back as float lists; the stacked array, the validated
-profiles and the objective value are built only when they are read.
+generation box, the clip written out with NumPy's rules for ties, signed zeros
+and NaN.  Otherwise it is solved by projected Newton on arrays.  A warm start
+(in the price loop, the last round's answer) is first tried as the active set:
+one Newton solve on its free variables, accepted if the point stays in the box
+and meets the residual target.  Prices move little between rounds, so this
+usually settles the call.  Failing that, each iteration guesses the active
+bounds from the gradient, solves the Newton system on the free variables
+(cached per free set) and searches along the projection arc, else takes a
+projected-gradient step of length ``1/L``.  Either way the point is certified
+by its projected-stationarity residual and handed back as float lists; the
+stacked array, the validated profiles and the objective value are built only
+when they are read.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 from .model import DSOSpec, PowerProfile, PriceVector, StorageSpec, TimeGrid, Tolerances
-from .model import max_abs, maximum, minimum
 
 __all__ = [
     "DSOSubproblem",
@@ -203,22 +203,30 @@ def _pinned_dispatch(
 ) -> tuple[list[float], list[float], float]:
     """Closed form when storage cannot move: every slot clears on its own.
 
-    Plain floats with NumPy's arithmetic, slot by slot; a NaN price or bound
-    gives a NaN residual, which raises.
+    Plain floats, slot by slot, with the clip written out as NumPy's
+    ``np.minimum(np.maximum(x, lo), hi)``: a NaN stays NaN, a tie takes the
+    bound.  The residual is ``np.abs(gaps).max()``, NaN if any gap is, and a
+    NaN price or bound gives a NaN residual, which raises.
     """
-    pin = sub.storage.power_min
-    quad, lin = sub.dso.cost_quadratic, sub.dso.cost_linear
-    lo, hi = sub.dso.power_min, sub.dso.power_max
-    scale = 2.0 * quad
-    gen, gaps = [], []
+    dso, pin = sub.dso, sub.storage.power_min
+    lin, lo, hi = dso.cost_linear, dso.power_min, dso.power_max
+    scale = 2.0 * dso.cost_quadratic
+    gen = []
+    residual = 0.0
     for price in lam:
         margin = price - lin
-        g = minimum(maximum(pin + margin / scale, lo), hi)
+        g = pin + margin / scale
+        g = g if g > lo or g != g else lo
+        g = g if g < hi or g != g else hi
         gen.append(g)
-        # The storage block sits on its pinned bounds, so its residual is zero.
-        grad = margin - scale * (g - pin)
-        gaps.append(g - minimum(maximum(g + grad, lo), hi))
-    residual = max_abs(gaps)
+        # One clipped gradient step; the storage block sits on its pinned
+        # bounds, so its residual is zero.
+        x = g + (margin - scale * (g - pin))
+        x = x if x > lo or x != x else lo
+        x = x if x < hi or x != x else hi
+        gap = abs(g - x)
+        if not gap <= residual and residual == residual:
+            residual = gap
     if not residual <= eps.kkt:
         raise ConvergenceError(f"supplier closed form left residual {residual:.3e}", residual)
     return gen, [pin] * len(gen), residual

@@ -22,19 +22,19 @@ with the same steps: an array kernel that advances the whole batch with one
 NumPy pass per step, and a scalar kernel that solves one vehicle at a time in
 plain floats, for batches of at most ``_SCALAR_WIDTH`` slots and
 ``_SCALAR_VEHICLES`` vehicles, where NumPy's per-call overhead outweighs the
-arithmetic.  Both take the window price list the coordinator broadcasts and
-hand back the batch's demand (its column sums) as floats; the scalar kernel
-reads each vehicle's leading slice of that list and builds no array at all,
-the array kernel converts the prices once on entry and the column sums once on
-exit.  The two give bit-identical powers, multipliers, feasibility flags and
-demand.
+arithmetic; a workspace picks its kernel once, when it is built.  Both take
+the window price list the coordinator broadcasts and hand back the batch's
+demand (its column sums) as floats; the array kernel converts the prices once
+on entry and the column sums once on exit.  The scalar kernel builds no array:
+whatever the input (the window list or padded rows; no hints, hints or a
+previous answer), it runs one per-vehicle path in loops over lists with a
+counter.  The two give bit-identical powers, multipliers, flags and demand.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -206,22 +206,23 @@ class EVBatchWorkspace:
         # Padding that hides slots past departure from a row maximum.
         self.max_pad = np.where(self.mask, 0.0, -np.inf)
         self._saturation: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # The kernel, chosen once: the price loop re-solves the same batch.
+        self._scalar = self.width <= _SCALAR_WIDTH and len(subproblems) <= _SCALAR_VEHICLES
 
     def load_prices(self, prices) -> None:
-        """Set the prices: one window vector whose leading slots every vehicle
-        sees, or one padded row per vehicle, as lists of floats or an array.
-        The previous prices are left as they were, for the solutions that
-        refer to them."""
-        self.prices = prices.tolist() if isinstance(prices, np.ndarray) else prices
-        self.__dict__.pop("lam", None)
+        """Set the prices: one window list whose leading slots every vehicle
+        sees, or one padded row per vehicle; lists of floats are kept as they
+        are, anything else is converted once.  The previous prices are left
+        as they were, for the solutions that refer to them."""
+        self.prices = prices if type(prices) is list else np.asarray(prices).tolist()
 
     def padded(self, prices) -> np.ndarray:
         """``prices`` as a ``vehicles x width`` matrix, padded past departure."""
         return np.where(self.mask, np.asarray(prices)[..., : self.width], _PAD_PRICE)
 
-    @cached_property
+    @property
     def lam(self) -> np.ndarray:
-        """The loaded prices as a padded matrix, for the array kernel."""
+        """The loaded prices as a padded matrix, built on each access."""
         return self.padded(self.prices)
 
     def _saturated(self, energy_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,9 +238,12 @@ class EVBatchWorkspace:
             self._saturation[energy_tol] = flags
         return flags
 
-    def _energy_at(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Water-filling power, delivered energy and its slope in ``mu``."""
-        q = self.lam + (mu * self.rate)[:, None]
+    def _energy_at(
+        self, mu: np.ndarray, lam: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Water-filling power, delivered energy and its slope in ``mu`` at the
+        padded prices ``lam``."""
+        q = lam + (mu * self.rate)[:, None]
         # w/q - offset, or +inf (the upper bound) at a nonpositive price.
         level = np.where(q > 0, self.weight_col / q, np.inf) - self.offset
         power = np.minimum(np.maximum(level, self.lo), self.hi)
@@ -257,10 +261,11 @@ class EVBatchWorkspace:
     ) -> EVBatchSolution:
         """Solve every vehicle at the loaded prices.
 
-        Batches within the size rule (at most ``_SCALAR_WIDTH`` slots and
-        ``_SCALAR_VEHICLES`` vehicles) go to the plain-float kernel, the rest
-        to the array kernel; both take the same steps and return bit-identical
-        results.  ``mu_hints`` is a sequence of floats, one per vehicle, taken
+        The kernel was chosen when the workspace was built: batches within the
+        size rule (at most ``_SCALAR_WIDTH`` slots and ``_SCALAR_VEHICLES``
+        vehicles) go to the plain-float kernel, the rest to the array kernel;
+        both take the same steps and return bit-identical results.
+        ``mu_hints`` is a sequence of floats, exactly one per vehicle, taken
         as the starting multipliers.  ``previous``, a solution of this
         workspace at other prices, starts each vehicle instead from the
         tangent prediction of the module docstring off its own previous
@@ -268,7 +273,9 @@ class EVBatchWorkspace:
         """
         if previous is not None and mu_hints is not None:
             raise ValueError("pass mu_hints or previous, not both")
-        if self.width <= _SCALAR_WIDTH and len(self.lengths) <= _SCALAR_VEHICLES:
+        if mu_hints is not None and len(mu_hints) != len(self.lengths):
+            raise ValueError("mu_hints needs one multiplier per vehicle")
+        if self._scalar:
             return self._solve_scalar(eps, mu_hints, max_iter, previous)
         return self._solve_array(eps, mu_hints, max_iter, previous)
 
@@ -317,7 +324,7 @@ class EVBatchWorkspace:
         # Safeguarded Newton on the decreasing energy E(mu) inside the shrinking
         # bracket [mu_low, mu_high]: a step that leaves it, meets a zero slope or
         # follows one that failed to halve the gap (cycling at a kink) bisects.
-        power, energy, slope = self._energy_at(mu)
+        power, energy, slope = self._energy_at(mu, lam)
         last_gap = np.inf
         for _ in range(max_iter):
             gap = energy - need
@@ -331,7 +338,7 @@ class EVBatchWorkspace:
             inside = (newton > mu_low) & (newton < mu_high) & (abs_gap <= 0.5 * last_gap)
             mu = np.where(active, np.where(inside, newton, 0.5 * (mu_low + mu_high)), mu)
             last_gap = abs_gap
-            power, energy, slope = self._energy_at(mu)
+            power, energy, slope = self._energy_at(mu, lam)
 
         feasible = np.abs(energy - need) <= eps.energy
         solution = EVBatchSolution(
@@ -364,35 +371,30 @@ class EVBatchWorkspace:
         NumPy's do over a strided axis; where NumPy would divide by a zero
         slope the step bisects, which is where NumPy's inf or nan leads."""
         offset, tol, width = self.offset, eps.energy, self.width
-        inf = math.inf
-        constants, prices = self._constants, self.prices
-        count = len(constants)
-        rowwise = isinstance(prices[0], list)
-        price_rows = prices if rowwise else repeat(prices, count)
-        # NumPy's row maximum and minimum are NaN if a price is, Python's max
-        # and min skip a NaN that is not first; any NaN makes this total NaN.
-        price_total = sum(map(sum, prices)) if rowwise else sum(prices)
-        maybe_nan = price_total != price_total
-        previous_rows, previous_prices = repeat(None, count), repeat(None, count)
+        inf, isfinite = math.inf, math.isfinite
+        prices = self.prices
+        # Every input (the window list or padded rows; the even-spread, hinted
+        # or predicted start) reaches the one vehicle loop below, whose loops
+        # run over lists with a counter: on short rows a range, zip or
+        # comprehension costs more than the arithmetic.
+        rowwise = type(prices[0]) is list
+        hints = previous_rows = None
         if previous is not None:
-            mu_hints = previous.multipliers
-            previous_rows = previous.rows
-            previous_prices = previous.prices
-            if not isinstance(previous_prices[0], list):
-                previous_prices = repeat(previous_prices, count)
-        hints = repeat(None, count) if mu_hints is None else map(float, mu_hints)
+            hints, previous_rows, previous_prices = (
+                previous.multipliers, previous.rows, previous.prices
+            )
+            if type(hints) is not list:  # a solution of the array kernel
+                hints, previous_rows = hints.tolist(), previous_rows.tolist()
+            previous_rowwise = type(previous_prices[0]) is list
+        elif mu_hints is not None:
+            hints = [float(mu) for mu in mu_hints]
         rows, mus, feasible = [], [], []
-        for (
-            (length, w, lo, hi, rate, coef, need, cap_lo, cap_hi, even, clamp_lo, clamp_hi),
-            row,
-            hint,
-            previous_row,
-            previous_lam,
-        ) in zip(constants, price_rows, hints, previous_rows, previous_prices, strict=True):
-            lam = row[:length]
+        i = 0
+        for length, w, lo, hi, rate, coef, need, cap_lo, cap_hi, even, clamp_lo, clamp_hi in (
+            self._constants
+        ):
+            lam = (prices[i] if rowwise else prices)[:length]
             top, bottom = max(lam), min(lam)
-            if maybe_nan and any(x != x for x in lam):
-                top = bottom = math.nan
             mu_low = (clamp_hi - top) / rate - 1.0
             mu_high = (clamp_lo - bottom) / rate + 1.0
             # Requirements at (or beyond) a box face get the saturated profile.
@@ -403,23 +405,30 @@ class EVBatchWorkspace:
                 mu = mu_high
             else:
                 searching = True
-                if hint is None:
+                if hints is None:
                     total = 0.0
                     for x in lam:
                         total += x
                     mu = (w / (offset + even) - total / length) / rate
                 else:
-                    if previous_row is not None:
+                    mu = hints[i]
+                    if previous_rows is not None:
                         # The tangent step over the previously free slots.
+                        previous_row = previous_rows[i]
+                        previous_lam = previous_prices[i] if previous_rowwise else previous_prices
                         num = den = 0.0
-                        for x, x0, p in zip(lam, previous_lam, previous_row):
+                        j = 0
+                        for x in lam:
+                            p = previous_row[j]
                             if lo < p < hi:
                                 sq = (p + offset) * (p + offset)
-                                num += sq * (x - x0)
+                                num += sq * (x - previous_lam[j])
                                 den += sq
+                            j += 1
                         if den > 0:
-                            hint -= num / (rate * den)
-                    mu = hint if math.isfinite(hint) else 0.5 * (mu_low + mu_high)
+                            mu -= num / (rate * den)
+                    if not isfinite(mu):
+                        mu = 0.5 * (mu_low + mu_high)
                 # The bracket clamp; a NaN bracket gives a NaN start, as in NumPy.
                 if mu < mu_low or mu_low != mu_low:
                     mu = mu_low
@@ -427,14 +436,20 @@ class EVBatchWorkspace:
                     mu = mu_high
 
             last_gap = inf
-            for k in range(max_iter + 1):
+            k = 0
+            nan_q = False
+            while True:
                 # Water-filling power, delivered energy and its slope at mu.
                 shift = mu * rate
                 power = []
                 total = free = 0.0
                 for x in lam:
                     q = x + shift
-                    level = w / q - offset if q > 0 else inf
+                    if q > 0:
+                        level = w / q - offset
+                    else:
+                        level = inf
+                        nan_q = nan_q or q != q
                     p = level if level > lo else lo
                     if p > hi:
                         p = hi
@@ -444,9 +459,15 @@ class EVBatchWorkspace:
                         free += (p + offset) * (p + offset)
                 gap = rate * total - need
                 abs_gap = abs(gap)
-                searching = searching and abs_gap > tol
-                if not searching or k == max_iter:
+                if nan_q and mu == mu and any(x != x for x in lam):
+                    # A NaN price (it makes q NaN) makes NumPy's row max and
+                    # min, not Python's, the bracket and mu NaN: every slot at
+                    # its upper bound, evaluated once more.
+                    mu, searching = math.nan, False
+                    continue
+                if not (searching and abs_gap > tol) or k == max_iter:
                     break
+                k += 1
                 if gap > 0:
                     mu_low = mu
                 elif gap < 0:
@@ -458,18 +479,25 @@ class EVBatchWorkspace:
                 else:
                     mu = 0.5 * (mu_low + mu_high)
                 last_gap = abs_gap
-            power += [0.0] * (width - length)
+            if length < width:
+                power += [0.0] * (width - length)
             rows.append(power)
             mus.append(mu)
             feasible.append(abs_gap <= tol)
+            i += 1
 
-        if width == 1 and count > _SCALAR_WIDTH:
+        if width == 1 and len(rows) > _SCALAR_WIDTH:
             # NumPy sums a one-slot batch's column pairwise, not in order.
             demand = [float(np.sum([power[0] for power in rows]))]
-        else:
+        elif len(rows) == 1:
             demand = rows[0]
+        else:
+            demand = rows[0][:]
             for power in rows[1:]:
-                demand = [d + p for d, p in zip(demand, power)]
+                j = 0
+                for p in power:
+                    demand[j] += p
+                    j += 1
         return EVBatchSolution(self, prices, rows, mus, feasible, demand)
 
 

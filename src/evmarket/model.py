@@ -217,22 +217,9 @@ def remaining_energy_after(
     return energy_needed - (1.0 - loss_fraction) * slot_hours * power
 
 
-# Float forms of the NumPy reductions the price loop applies to its short
-# vectors.  Python's max and min keep the first argument on a tie and drop a
-# NaN that is not first; these follow NumPy, so the float loop matches the
-# array arithmetic bit for bit and a NaN is never read as a small number.
-
-
-def maximum(x: float, y: float) -> float:
-    """``np.maximum`` of two floats: NaN if either is NaN, else the larger,
-    ``y`` on a tie."""
-    return x if x > y or x != x else y
-
-
-def minimum(x: float, y: float) -> float:
-    """``np.minimum`` of two floats: NaN if either is NaN, else the smaller,
-    ``y`` on a tie."""
-    return x if x < y or x != x else y
+# The float form of the residual norm the price loop takes of its short
+# vectors.  Python's max drops a NaN that is not its first argument; this
+# follows NumPy, so a NaN imbalance is never read as a small number.
 
 
 def max_abs(values) -> float:

@@ -1,6 +1,7 @@
-"""The scalar and the array EV kernels give bit-identical results, from the
-hints or from the tangent prediction off a previous solution, and
-``EVBatchWorkspace.solve`` sends each batch to the kernel its size rule names."""
+"""The scalar and the array EV kernels give bit-identical results, on padded
+price rows or on the window list, from the hints or from the tangent
+prediction off a previous solution, and ``EVBatchWorkspace.solve`` sends each
+batch to the kernel its size rule names."""
 import math
 
 import numpy as np
@@ -19,12 +20,15 @@ EPS = Tolerances()
 NEEDS = ("zero", "interior", "full", "floor", "over", "under")
 
 
+PRICE = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
+
+
 @st.composite
-def vehicles(draw, width):
+def vehicles(draw, width, window=None):
+    """One vehicle of at most ``width`` slots; with a ``window`` list its
+    prices are that list's leading slots, as the coordinator broadcasts them."""
     n = draw(st.integers(1, width))
-    prices = draw(
-        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=n, max_size=n)
-    )
+    prices = window[:n] if window else draw(st.lists(PRICE, min_size=n, max_size=n))
     power_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 5.0)))
     power_max = power_min + draw(st.floats(0.5, 30.0))
     loss = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
@@ -54,7 +58,15 @@ def vehicles(draw, width):
 
 @st.composite
 def batches(draw):
+    """A loaded workspace: padded price rows, one per vehicle, or the window
+    list the coordinator broadcasts, which may be longer than every stay."""
     width = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        window = draw(st.lists(PRICE, min_size=width, max_size=width))
+        subs = draw(st.lists(vehicles(width, window), min_size=1, max_size=8))
+        ws = EVBatchWorkspace(subs)
+        ws.load_prices(window)
+        return ws
     subs = draw(st.lists(vehicles(width), min_size=1, max_size=8))
     ws = EVBatchWorkspace(subs)
     rows = np.zeros((len(subs), ws.width))
@@ -106,18 +118,21 @@ def test_scalar_kernel_matches_array_kernel(ws, hints, max_iter):
 
 @st.composite
 def moves(draw, ws):
-    """Padded price rows before and after a move: a small step, a step large
-    enough to carry slots across the box faces (the free set changes), or
-    either with a NaN slot before or after."""
+    """Prices (padded rows or the window list, as loaded) before and after a
+    move: a small step, a step large enough to carry slots across the box
+    faces (the free set changes), or either with a NaN slot before or after
+    in a slot some vehicle sees."""
     now = np.array(ws.prices)
     kind = draw(st.sampled_from(("small", "large", "nan before", "nan after")))
     scale = 0.05 if kind == "small" else 3.0
-    step = draw(st.lists(st.floats(-scale, scale), min_size=ws.width, max_size=ws.width))
+    size = now.shape[-1]
+    step = draw(st.lists(st.floats(-scale, scale), min_size=size, max_size=size))
     before = np.maximum(now + step, 0.0)
     if kind.startswith("nan"):
         i = draw(st.integers(0, len(ws.lengths) - 1))
         j = draw(st.integers(0, ws.lengths[i] - 1))
-        (before if kind == "nan before" else now)[i, j] = np.nan
+        target = before if kind == "nan before" else now
+        target[(i, j) if target.ndim == 2 else j] = np.nan
     return kind, before, now
 
 
@@ -208,7 +223,7 @@ def test_nonpositive_effective_price_and_zero_slope():
     mu_low = (ws.clamp_hi_price - ws.lam.max(axis=1)) / ws.rate - 1.0
     q = ws.lam + (mu_low * ws.rate)[:, None]
     assert (q <= 0).any()
-    _, _, slope = ws._energy_at(mu_low)
+    _, _, slope = ws._energy_at(mu_low, ws.lam)
     assert slope[0] == 0.0
     for max_iter in (1, 2, 200):
         assert_same(ws, [-1e6], max_iter)
@@ -265,6 +280,15 @@ def test_one_slot_batches_sum_their_column_like_numpy(count):
     ws = EVBatchWorkspace(subs)
     ws.load_prices(np.array([float(rng.uniform(0.5, 4.0))]))
     assert_same(ws, None, 200)
+
+
+@pytest.mark.parametrize("vehicles", [3, ev_agent._SCALAR_VEHICLES + 1])
+def test_hints_need_one_multiplier_per_vehicle(vehicles):
+    """On either kernel; NumPy would broadcast a single hint over the batch."""
+    ws = batch(vehicles, 2)
+    for hints in ([0.3], [0.3] * (vehicles + 1)):
+        with pytest.raises(ValueError, match="one multiplier per vehicle"):
+            ws.solve(EPS, hints)
 
 
 def test_cached_saturation_flags_are_read_only():

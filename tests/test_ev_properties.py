@@ -144,10 +144,10 @@ def test_warm_started_solves_need_few_energy_evaluations():
         mu = ws._solve_array(EPS, None, 200).energy_multiplier
         energy_at = ws._energy_at
 
-        def counted(m):
+        def counted(m, lam):
             nonlocal evaluations
             evaluations += 1
-            return energy_at(m)
+            return energy_at(m, lam)
 
         ws._energy_at = counted
         for _ in range(10):

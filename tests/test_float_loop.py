@@ -7,6 +7,7 @@ certificate.  And the loop must give the same prices, powers, multipliers and
 iteration counts bit for bit whichever EV kernel solves its batches.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,13 +21,16 @@ from evmarket import (
     PriceVector,
     StorageSpec,
     TimeGrid,
+    Tolerances,
     coordinator,
     ev_agent,
+    mpc_loop,
     negotiate_slot,
+    resolve_sessions,
     update_price,
 )
 from evmarket.coordinator import DualIterationState
-from evmarket.dso_agent import ConvergenceError, DSOSolution, solve_dso
+from evmarket.dso_agent import ConvergenceError, DSOSolution, _pinned_dispatch, solve_dso
 from evmarket.model import max_abs
 
 from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_ev_subproblem
@@ -66,6 +70,57 @@ def test_update_price_follows_np_maximum():
     expected = np.maximum(np.array(prices) - 0.01 * np.array(residual), 0.0)
     assert same_bits(update_price(prices, residual, 0.01), expected)
     assert same_bits(update_price(np.array(prices), np.array(residual), 0.01), expected)
+
+
+# Any float, the special values drawn often.
+FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, NAN, math.inf, -math.inf]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=7),
+    step=st.one_of(st.floats(min_value=0.0, exclude_min=True), st.just(0.0005)),
+)
+def test_update_price_on_lists_is_np_maximum_bit_for_bit(pairs, step):
+    prices, residual = [p for p, _ in pairs], [r for _, r in pairs]
+    with np.errstate(all="ignore"):
+        expected = np.maximum(np.array(prices) - step * np.array(residual), 0.0)
+    assert same_bits(update_price(prices, residual, step), expected)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    prices=st.lists(FLOATS, min_size=1, max_size=7),
+    lin=FLOATS,
+    lo=FLOATS,
+    hi=FLOATS,
+    pin=st.one_of(st.sampled_from([0.0, -0.0]), FLOATS),
+    quad=st.floats(min_value=0.0, exclude_min=True),
+)
+def test_pinned_dispatch_is_the_numpy_closed_form_bit_for_bit(prices, lin, lo, hi, pin, quad):
+    """Generation and residual of the float closed form equal the NumPy
+    clip and reduction on any input, NaN, infinities and signed zeros
+    included; a NaN residual raises.  No residual target is set, so every
+    other residual is returned."""
+    sub = SimpleNamespace(
+        dso=SimpleNamespace(cost_quadratic=quad, cost_linear=lin, power_min=lo, power_max=hi),
+        storage=SimpleNamespace(power_min=pin),
+    )
+    with np.errstate(all="ignore"):
+        margin = np.array(prices) - lin
+        scale = 2.0 * quad
+        gen = np.minimum(np.maximum(pin + margin / scale, lo), hi)
+        moved = np.minimum(np.maximum(gen + (margin - scale * (gen - pin)), lo), hi)
+        residual = np.abs(gen - moved).max()
+    eps = Tolerances(kkt=math.inf)
+    if math.isnan(residual):
+        with pytest.raises(ConvergenceError, match="closed form"):
+            _pinned_dispatch(sub, prices, eps)
+        return
+    values, storage, kkt = _pinned_dispatch(sub, prices, eps)
+    assert same_bits(values, gen)
+    assert same_bits([kkt], [residual])
+    assert same_bits(storage, [pin] * len(prices))
 
 
 def test_residual_norm_follows_np_max():
@@ -185,3 +240,46 @@ def test_loop_is_bit_identical_on_either_kernel(market):
         assert np.array_equal(a.power, b.power)
         assert a.energy_multiplier == b.energy_multiplier
         assert a.feasible == b.feasible
+
+
+def test_every_dual_evaluation_passes_the_benchmark_entry_points(table1_scenario, monkeypatch):
+    """The names the benchmark's traced run wraps stay on the price loop's
+    path: per slot, the loop is entered once through ``mpc_loop``, each dual
+    evaluation calls ``evaluate_dual``, the supplier and the vehicles'
+    ``load_prices`` and ``solve`` once, and each price update calls
+    ``update_price`` once.  Table1's slots up to its first arrival (slot 5)
+    cover idle slots and a slot with vehicles."""
+    workspace = ev_agent.EVBatchWorkspace
+    entry_points = (
+        (mpc_loop, "negotiate_slot"),
+        (coordinator, "evaluate_dual"),
+        (coordinator, "update_price"),
+        (coordinator, "solve_dso"),
+        (workspace, "load_prices"),
+        (workspace, "solve"),
+    )
+    calls = dict.fromkeys((name for _, name in entry_points), 0)
+    for owner, name in entry_points:
+
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    config = mpc_loop._config_of(table1_scenario)
+    state = mpc_loop._initial_state(table1_scenario, resolve_sessions(table1_scenario))
+    for slot in range(6):
+        calls.update(dict.fromkeys(calls, 0))
+        state, record = mpc_loop.step(state, config)
+        assert record.converged and record.supplier_error is None
+        evaluations = record.iterations + 1
+        vehicles = slot == 5
+        assert bool(record.per_ev) == vehicles
+        assert calls == {
+            "negotiate_slot": 1,
+            "evaluate_dual": evaluations,
+            "update_price": record.iterations,
+            "solve_dso": evaluations,
+            "load_prices": evaluations * vehicles,
+            "solve": evaluations * vehicles,
+        }, slot
