@@ -1,58 +1,11 @@
-"""Decentralized price-coordinated EV charging market simulator."""
-
-from .coordinator import (
-    ConvergenceConfig,
-    DualIterationState,
-    NegotiationResult,
-    evaluate_dual,
-    negotiate_slot,
-    update_price,
-)
-from .dso_agent import (
-    ConvergenceError,
-    DSOSolution,
-    DSOSubproblem,
-    generation_cost,
-    solve_dso,
-    storage_tracking_penalty,
-)
-from .ev_agent import EVSolution, EVSubproblem, solve_ev, solve_ev_batch, utility
-from .model import (
-    DSOSpec,
-    EVSession,
-    PowerProfile,
-    PriceVector,
-    ScenarioValidationError,
-    SlotRecord,
-    StorageSpec,
-    TimeGrid,
-    Tolerances,
-    ValidationReport,
-    remaining_energy_after,
-    validate_scenario,
-)
-from .mpc_loop import (
-    SimulationConfig,
-    SimulationState,
-    SimulationTrace,
-    TraceSummary,
-    compute_window,
-    run,
-    simulate_uncontrolled,
-    step,
-)
-from .oracle import CentralProblem, CentralSolution, solve_central, welfare
-from .scenario_io import (
-    FleetSpec,
-    GridConfig,
-    Scenario,
-    ScenarioFormatError,
-    SolverConfig,
-    generate_evs,
-    parse_scenario,
-    resolve_sessions,
-    write_scenario,
-    write_trace,
-)
+"""Decentralized price-coordinated EV charging market simulator; the package
+exports every module's ``__all__`` except the command line's."""
+from .coordinator import *  # noqa: F401,F403
+from .dso_agent import *  # noqa: F401,F403
+from .ev_agent import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .mpc_loop import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .scenario_io import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

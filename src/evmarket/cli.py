@@ -57,21 +57,24 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override a scenario entry by dotted path, e.g. solver.step_size=0.002",
         )
 
-    p_run = sub.add_parser("run", help="simulate under negotiated prices")
-    common(p_run)
-    p_run.add_argument("--out", default="out", help="output directory (default: out)")
-
-    p_unc = sub.add_parser("uncontrolled", help="simulate the maximum-power baseline")
-    common(p_unc)
-    p_unc.add_argument("--out", default="out", help="output directory (default: out)")
+    for name, text in (
+        ("run", "simulate under negotiated prices"),
+        ("uncontrolled", "simulate the maximum-power baseline"),
+    ):
+        p_sim = sub.add_parser(name, help=text)
+        p_sim.set_defaults(handler=_cmd_simulate)
+        common(p_sim)
+        p_sim.add_argument("--out", default="out", help="output directory (default: out)")
 
     p_ver = sub.add_parser("verify", help="negotiation vs centralized solver on a small window")
+    p_ver.set_defaults(handler=_cmd_verify)
     common(p_ver)
     p_ver.add_argument(
         "--oracle-cap", type=int, default=6, help="slot cap for the centralized solver"
     )
 
     p_val = sub.add_parser("validate", help="print the validation report")
+    p_val.set_defaults(handler=_cmd_validate)
     p_val.add_argument("scenario", help="scenario file path")
 
     return parser
@@ -114,14 +117,12 @@ def _load_scenario(args) -> Scenario:
     return scenario
 
 
-def _truncate_for_oracle(
-    scenario: Scenario, slot_cap: int, ev_cap: int = 4
-) -> tuple[EVSession, ...]:
-    """Shift the earliest sessions to a common start inside the oracle cap."""
+def _truncate_for_oracle(scenario: Scenario, slot_cap: int) -> tuple[EVSession, ...]:
+    """Shift the earliest sessions the oracle takes to a common start inside the slot cap."""
     slots = max(1, min(slot_cap, scenario.grid.num_slots))
-    picked = sorted(resolve_sessions(scenario), key=lambda s: (s.arrival, s.ev_id))[:ev_cap]
+    earliest = sorted(resolve_sessions(scenario), key=lambda s: (s.arrival, s.ev_id))
     shifted = []
-    for ses in picked:
+    for ses in earliest[: CentralProblem.max_evs]:
         stay = max(1, min(ses.departure - ses.arrival, slots))
         cap = ses.energy_rate(scenario.grid.slot_hours) * ses.power_max * stay
         energy = min(ses.energy_needed, cap)
@@ -146,7 +147,6 @@ def _cmd_verify(args) -> int:
         energy_now=storage.energy_initial,
         window=window,
         max_slots=window.length,
-        max_evs=max(4, len(sessions)),
     )
     central = solve_central(problem, eps=eps)
 
@@ -195,13 +195,7 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command in ("run", "uncontrolled"):
-            return _cmd_simulate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.handler(args)
     except ScenarioFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

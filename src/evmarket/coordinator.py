@@ -35,7 +35,7 @@ import numpy as np
 
 from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
 from .ev_agent import EVBatchSolution, EVBatchWorkspace, EVSolution, EVSubproblem
-from .model import PowerProfile, PriceVector, Tolerances, max_abs
+from .model import CONSTANT, PowerProfile, PriceVector, Tolerances, loop_problems, max_abs
 
 __all__ = [
     "ConvergenceConfig",
@@ -52,29 +52,24 @@ class ConvergenceConfig:
     """Settings of the price-adjustment loop.
 
     ``step_size`` is in price units per kW of imbalance.  With the
-    ``diminishing`` schedule the step at iteration ``k`` is
-    ``step_size / sqrt(k + 1)``.
+    :data:`~evmarket.model.DIMINISHING` schedule the step at iteration ``k``
+    is ``step_size / sqrt(k + 1)``.  The settings must pass
+    :func:`~evmarket.model.loop_problems`; the first rule broken is raised.
     """
 
     step_size: float = 0.005
     balance_tolerance: float = 0.1
     max_iterations: int = 2000
-    step_schedule: str = "constant"
+    step_schedule: str = CONSTANT
 
     def __post_init__(self) -> None:
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.balance_tolerance <= 0:
-            raise ValueError("balance_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.step_schedule not in ("constant", "diminishing"):
-            raise ValueError("step_schedule must be 'constant' or 'diminishing'")
+        for problem in loop_problems(self):
+            raise ValueError(problem)
 
     def step_at(self, k: int) -> float:
-        if self.step_schedule == "diminishing":
-            return self.step_size / math.sqrt(k + 1)
-        return self.step_size
+        if self.step_schedule == CONSTANT:
+            return self.step_size
+        return self.step_size / math.sqrt(k + 1)
 
 
 @dataclass(eq=False)
@@ -119,8 +114,9 @@ class DualIterationState:
 class NegotiationResult:
     """Final state of one slot's negotiation.
 
-    ``supplier_error`` is the message of a supplier failure or a non-finite
-    imbalance that ended the loop early, else ``None``.
+    ``supplier_error`` is the message of a supplier failure, a non-finite
+    imbalance or an overflowing price update that ended the loop early, else
+    ``None``.
     """
 
     prices: PriceVector
@@ -242,7 +238,9 @@ def negotiate_slot(
     non-finite imbalance, at iteration ``k >= 1`` returns the state of
     iteration ``k - 1`` with ``converged=False`` and the failure's message in
     ``supplier_error``.  A failure at iteration 0 leaves no state to settle
-    at and propagates as :class:`~evmarket.dso_agent.ConvergenceError`.
+    at and propagates as :class:`~evmarket.dso_agent.ConvergenceError`.  A
+    price update after iteration ``k`` that overflows to ``inf`` is never
+    broadcast: the state of iteration ``k`` is returned, flagged the same way.
     """
     prices = [max(warm_start_price, 0.0)] * dso_sub.window.length
 
@@ -256,7 +254,7 @@ def negotiate_slot(
     supplier_error = None
     iterations = 0
     # The constant schedule's step, worked out once (None: diminishing).
-    step = config.step_size if config.step_schedule == "constant" else None
+    step = config.step_size if config.step_schedule == CONSTANT else None
     for k in range(config.max_iterations + 1):
         try:
             next_state = evaluate_dual(
@@ -283,6 +281,10 @@ def negotiate_slot(
         if k == config.max_iterations:
             break
         prices = update_price(prices, state.residual_values, step or config.step_at(k))
+        if math.inf in prices:
+            # No agent is solved at an infinite price: the slot settles here.
+            supplier_error = f"price update overflowed (inf) at iteration {k}"
+            break
         if workspace is not None:
             previous = state.ev_solutions
         dso = state.dso_solution

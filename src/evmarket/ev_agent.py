@@ -110,11 +110,11 @@ class EVSolution:
         return PowerProfile(self.power)
 
 
-def utility(power: float, weight: float, offset: float = 1.0) -> float:
-    """Charging satisfaction ``weight * ln(offset + power)``: concave, increasing, 0 at 0."""
+def utility(power: float, weight: float) -> float:
+    """Charging satisfaction ``weight * ln(1 + power)``: concave, increasing, 0 at 0."""
     if power < 0:
         raise ValueError("power must be nonnegative")
-    return weight * math.log(offset + power)
+    return weight * math.log(1.0 + power)
 
 
 @dataclass(eq=False)
@@ -159,7 +159,7 @@ class EVBatchSolution(Sequence[EVSolution]):
     @cached_property
     def objective(self) -> np.ndarray:
         ws = self.workspace
-        term = ws.weight_col * np.log(ws.offset + self.power) - self.lam * self.power
+        term = ws.weight_col * np.log(1.0 + self.power) - self.lam * self.power
         return np.where(ws.mask, term, 0.0).sum(axis=1)
 
     def __len__(self) -> int:
@@ -177,14 +177,13 @@ class EVBatchWorkspace:
     else the solve needs is built here once.
     """
 
-    def __init__(self, subproblems: Sequence[EVSubproblem], offset: float = 1.0):
+    def __init__(self, subproblems: Sequence[EVSubproblem]):
         if not subproblems:
             raise ValueError("workspace needs at least one subproblem")
         slot_hours = subproblems[0].window.slot_hours
         for sub in subproblems:
             if sub.window.slot_hours != slot_hours:
                 raise ValueError("subproblems must share the slot duration")
-        self.offset = offset
         self.lengths = np.array([s.window.length for s in subproblems])
         self.width = int(self.lengths.max())
         self.mask = np.arange(self.width)[None, :] < self.lengths[:, None]
@@ -201,8 +200,8 @@ class EVBatchWorkspace:
         self.cap_lo = self.rate * lo * self.lengths
         self.cap_hi = self.rate * hi * self.lengths
         self.even = np.clip(self.need / (self.rate * self.lengths), lo, hi)
-        self.clamp_lo_price = self.weight / (offset + lo)
-        self.clamp_hi_price = self.weight / (offset + hi)
+        self.clamp_lo_price = self.weight / (1.0 + lo)
+        self.clamp_hi_price = self.weight / (1.0 + hi)
         # Padding that hides slots past departure from a row maximum.
         self.max_pad = np.where(self.mask, 0.0, -np.inf)
         self._saturation: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -244,11 +243,11 @@ class EVBatchWorkspace:
         """Water-filling power, delivered energy and its slope in ``mu`` at the
         padded prices ``lam``."""
         q = lam + (mu * self.rate)[:, None]
-        # w/q - offset, or +inf (the upper bound) at a nonpositive price.
-        level = np.where(q > 0, self.weight_col / q, np.inf) - self.offset
+        # w/q - 1, or +inf (the upper bound) at a nonpositive price.
+        level = np.where(q > 0, self.weight_col / q, np.inf) - 1.0
         power = np.minimum(np.maximum(level, self.lo), self.hi)
-        # On free slots w/q**2 = (power + offset)**2 / w.
-        free_sq = np.square(power + self.offset) * (power == level)
+        # On free slots w/q**2 = (power + 1)**2 / w.
+        free_sq = np.square(power + 1.0) * (power == level)
         slope = self.slope_coef * free_sq.sum(axis=1)
         return power, self.rate * power.sum(axis=1), slope
 
@@ -259,12 +258,9 @@ class EVBatchWorkspace:
         max_iter: int = 200,
         previous: EVBatchSolution | None = None,
     ) -> EVBatchSolution:
-        """Solve every vehicle at the loaded prices.
+        """Solve every vehicle at the loaded prices, in the kernel the size
+        rule picked when the workspace was built (see the module docstring).
 
-        The kernel was chosen when the workspace was built: batches within the
-        size rule (at most ``_SCALAR_WIDTH`` slots and ``_SCALAR_VEHICLES``
-        vehicles) go to the plain-float kernel, the rest to the array kernel;
-        both take the same steps and return bit-identical results.
         ``mu_hints`` is a sequence of floats, exactly one per vehicle, taken
         as the starting multipliers.  ``previous``, a solution of this
         workspace at other prices, starts each vehicle instead from the
@@ -302,14 +298,14 @@ class EVBatchWorkspace:
         # A non-finite start falls to the bracket midpoint.
         if previous is None and mu_hints is None:
             mean_lam = np.where(self.mask, lam, 0.0).sum(axis=1) / self.lengths
-            mu = (self.weight / (self.offset + self.even) - mean_lam) / rate
+            mu = (self.weight / (1.0 + self.even) - mean_lam) / rate
         else:
             if previous is None:
                 mu = np.asarray(mu_hints, dtype=float)
             else:
                 prev = np.asarray(previous.rows)
                 free = (prev > self.lo) & (prev < self.hi)
-                sq = np.where(free, np.square(prev + self.offset), 0.0)
+                sq = np.where(free, np.square(prev + 1.0), 0.0)
                 num = np.where(free, sq * (lam - previous.lam), 0.0).sum(axis=1)
                 den = sq.sum(axis=1)
                 mu = np.asarray(previous.multipliers, dtype=float)
@@ -370,7 +366,7 @@ class EVBatchWorkspace:
         at most seven entries, and the column sums vehicle by vehicle, as
         NumPy's do over a strided axis; where NumPy would divide by a zero
         slope the step bisects, which is where NumPy's inf or nan leads."""
-        offset, tol, width = self.offset, eps.energy, self.width
+        tol, width = eps.energy, self.width
         inf, isfinite = math.inf, math.isfinite
         prices = self.prices
         # Every input (the window list or padded rows; the even-spread, hinted
@@ -409,7 +405,7 @@ class EVBatchWorkspace:
                     total = 0.0
                     for x in lam:
                         total += x
-                    mu = (w / (offset + even) - total / length) / rate
+                    mu = (w / (1.0 + even) - total / length) / rate
                 else:
                     mu = hints[i]
                     if previous_rows is not None:
@@ -421,7 +417,7 @@ class EVBatchWorkspace:
                         for x in lam:
                             p = previous_row[j]
                             if lo < p < hi:
-                                sq = (p + offset) * (p + offset)
+                                sq = (p + 1.0) * (p + 1.0)
                                 num += sq * (x - previous_lam[j])
                                 den += sq
                             j += 1
@@ -446,7 +442,7 @@ class EVBatchWorkspace:
                 for x in lam:
                     q = x + shift
                     if q > 0:
-                        level = w / q - offset
+                        level = w / q - 1.0
                     else:
                         level = inf
                         nan_q = nan_q or q != q
@@ -456,7 +452,7 @@ class EVBatchWorkspace:
                     power.append(p)
                     total += p
                     if p == level:
-                        free += (p + offset) * (p + offset)
+                        free += (p + 1.0) * (p + 1.0)
                 gap = rate * total - need
                 abs_gap = abs(gap)
                 if nan_q and mu == mu and any(x != x for x in lam):
@@ -506,7 +502,6 @@ def solve_ev_batch(
     eps: Tolerances = Tolerances(),
     mu_hints: np.ndarray | None = None,
     max_iter: int = 200,
-    offset: float = 1.0,
 ) -> Sequence[EVSolution]:
     """Solve several vehicle subproblems at once (vectorized Newton).
 
@@ -515,35 +510,29 @@ def solve_ev_batch(
     """
     if not subproblems:
         return []
-    ws = EVBatchWorkspace(subproblems, offset=offset)
+    ws = EVBatchWorkspace(subproblems)
     rows = np.zeros((len(subproblems), ws.width))
     rows[ws.mask] = np.concatenate([sub.prices.values for sub in subproblems])
     ws.load_prices(rows)
     return ws.solve(eps=eps, mu_hints=mu_hints, max_iter=max_iter)
 
 
-def solve_ev(
-    sub: EVSubproblem,
-    eps: Tolerances = Tolerances(),
-    offset: float = 1.0,
-) -> EVSolution:
+def solve_ev(sub: EVSubproblem, eps: Tolerances = Tolerances()) -> EVSolution:
     """Solve one vehicle's subproblem; see :func:`solve_ev_batch`."""
-    return solve_ev_batch([sub], eps=eps, offset=offset)[0]
+    return solve_ev_batch([sub], eps=eps)[0]
 
 
-def stationarity_residual(
-    sub: EVSubproblem, solution: EVSolution, offset: float = 1.0
-) -> float:
+def stationarity_residual(sub: EVSubproblem, solution: EVSolution) -> float:
     """Largest violation of the first-order optimality conditions.
 
-    Interior slots must satisfy ``w/(offset+p) = price + mu*rate`` exactly;
+    Interior slots must satisfy ``w/(1+p) = price + mu*rate`` exactly;
     slots at a bound only need the sign of that gradient to point outward.
     """
     p = solution.power
     lam = sub.prices.values
     ses = sub.session
     rate = ses.energy_rate(sub.window.slot_hours)
-    grad = ses.weight / (offset + p) - lam - solution.energy_multiplier * rate
+    grad = ses.weight / (1.0 + p) - lam - solution.energy_multiplier * rate
     width = ses.power_max - ses.power_min
     edge = 1e-9 * max(1.0, width)
     at_lo = p <= ses.power_min + edge

@@ -15,6 +15,7 @@ concurrently running agent solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
 from typing import Mapping
 
 import numpy as np
@@ -181,8 +182,9 @@ class SlotRecord:
     ``price_applied`` is in euro cent per kWh (scenario units), powers in kW,
     ``storage_energy`` is the stored energy after the slot.  ``per_ev`` maps
     vehicle id to ``(applied power kW, remaining energy kWh)``.
-    ``supplier_error`` is the message of a supplier failure or a non-finite
-    imbalance that settled the slot early, else ``None``.
+    ``supplier_error`` is the message of a supplier failure, a non-finite
+    imbalance or an overflowing price update that settled the slot early,
+    else ``None``.
     """
 
     slot: int
@@ -200,13 +202,13 @@ class SlotRecord:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances shared by the agent solvers."""
+    """Numeric tolerances shared by the agent solvers; ``inf`` sets no target."""
 
     kkt: float = 1e-6
     energy: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.kkt <= 0 or self.energy <= 0:
+        if not (self.kkt > 0 and self.energy > 0):
             raise ValueError("tolerances must be positive")
 
 
@@ -259,18 +261,41 @@ class ScenarioValidationError(ValueError):
         self.report = report
 
 
+# The price loop's step schedules (see ``ConvergenceConfig.step_at``).
+CONSTANT, DIMINISHING = STEP_SCHEDULES = ("constant", "diminishing")
+
+
+def loop_problems(loop) -> list[str]:
+    """Every broken rule of the price loop's settings, which ``loop`` holds
+    under their own names; each test holds for legal values, so NaN fails it."""
+    out = []
+    if not loop.step_size > 0:
+        out.append("step_size must be positive")
+    if not loop.balance_tolerance > 0:
+        out.append("balance_tolerance must be positive")
+    if not (loop.step_size < inf and loop.balance_tolerance < inf and loop.max_iterations < inf):
+        out.append("step_size, balance_tolerance and max_iterations must be finite")
+    if not loop.max_iterations >= 1:
+        out.append("max_iterations must be at least 1")
+    if loop.step_schedule not in STEP_SCHEDULES:
+        out.append(f"step_schedule must be {' or '.join(map(repr, STEP_SCHEDULES))}")
+    return out
+
+
 def _check_box(spec, label: str, out: list[str], energy: float = 0.0) -> None:
     """Checks of a session's or a fleet's power box, utility and losses."""
-    if spec.power_min < 0:
+    if not spec.power_min >= 0:
         out.append(f"{label}: power_min must be nonnegative")
-    if spec.power_max < spec.power_min:
+    if not spec.power_max >= spec.power_min:
         out.append(f"{label}: power_max below power_min")
-    if energy < 0:
+    if not energy >= 0:
         out.append(f"{label}: energy must be nonnegative")
     if not 0 <= spec.loss_fraction < 1:
         out.append(f"{label}: loss fraction must lie in [0, 1)")
     if not spec.weight > 0:
         out.append(f"{label}: weight must be positive")
+    if not (spec.power_max < inf and spec.weight < inf and energy < inf):
+        out.append(f"{label}: power_max, weight and energy must be finite")
 
 
 def validate_scenario(scenario) -> ValidationReport:
@@ -278,53 +303,60 @@ def validate_scenario(scenario) -> ValidationReport:
 
     Accepts any object with the :class:`~evmarket.scenario_io.Scenario` field
     layout (duck typed so the model layer stays free of parsing concerns).
+    Every number must be finite, except ``dso.power_max``, which may be
+    ``inf``; each test holds for legal values, so NaN fails it.
     """
     out: list[str] = []
 
     grid = scenario.grid
-    if grid.num_slots < 1:
+    if not grid.num_slots >= 1:
         out.append("grid: num_slots must be at least 1")
-    if grid.slot_minutes <= 0:
+    if not grid.slot_minutes > 0:
         out.append("grid: slot_minutes must be positive")
+    elif grid.slot_minutes == inf:
+        out.append("grid: slot_minutes must be finite")
 
     dso = scenario.dso
-    if dso.cost_quadratic <= 0:
+    if not dso.cost_quadratic > 0:
         out.append("dso: cost not strictly convex (quadratic coefficient must be positive)")
-    if dso.power_min > dso.power_max:
+    if not dso.power_min <= dso.power_max:
         out.append("dso: power_min above power_max")
+    if not all(map(isfinite, (dso.cost_quadratic, dso.cost_linear, dso.power_min))):
+        out.append("dso: quadratic_cost, linear_cost and power_min must be finite")
 
     storage = scenario.storage
     if storage is not None:
         if not (storage.power_min <= 0 <= storage.power_max):
             out.append("storage: power bounds must straddle zero")
-        if storage.energy_initial < 0:
+        if not storage.energy_initial >= 0:
             out.append("storage: energy_initial must be nonnegative")
-        if storage.energy_reference < 0:
+        if not storage.energy_reference >= 0:
             out.append("storage: energy_reference must be nonnegative")
         if not 0 < storage.throughput <= 1:
             out.append("storage: throughput must lie in (0, 1]")
-        if storage.tracking_weight < 0:
+        if not storage.tracking_weight >= 0:
             out.append("storage: tracking_weight must be nonnegative")
+        if not all(map(isfinite, (storage.power_min, storage.power_max, storage.energy_initial,
+                                  storage.energy_reference, storage.tracking_weight))):
+            out.append("storage: power bounds, energies and tracking_weight must be finite")
 
     solver = scenario.solver
-    if solver.initial_price < 0:
+    if not solver.initial_price >= 0:
         out.append("solver: initial_price must be nonnegative")
-    if solver.step_size <= 0:
-        out.append("solver: step_size must be positive")
-    if solver.balance_tolerance <= 0:
-        out.append("solver: balance_tolerance must be positive")
-    if solver.max_iterations < 1:
-        out.append("solver: max_iterations must be at least 1")
-    if solver.step_schedule not in ("constant", "diminishing"):
-        out.append("solver: step_schedule must be 'constant' or 'diminishing'")
-    if solver.kkt_tolerance <= 0:
+    elif not solver.initial_price * grid.slot_hours < inf:
+        # The price loop starts from initial_price per kW-slot.
+        out.append("solver: initial_price must be finite per kW-slot")
+    out += [f"solver: {problem}" for problem in loop_problems(solver)]
+    if not solver.kkt_tolerance > 0:
         out.append("solver: kkt_tolerance must be positive")
-    if solver.energy_tolerance <= 0:
+    if not solver.energy_tolerance > 0:
         out.append("solver: energy_tolerance must be positive")
+    if not (solver.kkt_tolerance < inf and solver.energy_tolerance < inf):
+        out.append("solver: kkt_tolerance and energy_tolerance must be finite")
 
     fleet = scenario.fleet
     if fleet is not None:
-        if fleet.count < 0:
+        if not fleet.count >= 0:
             out.append("fleet: count must be nonnegative")
         _check_box(fleet, "fleet", out)
 
@@ -334,7 +366,7 @@ def validate_scenario(scenario) -> ValidationReport:
         if ev.ev_id in seen:
             out.append(f"{label}: duplicate id")
         seen.add(ev.ev_id)
-        if ev.departure < ev.arrival:
+        if not ev.departure >= ev.arrival:
             out.append(f"{label}: empty charging window (departure before arrival)")
         _check_box(ev, label, out, ev.energy_needed)
 

@@ -20,6 +20,9 @@ from .model import DSOSpec, EVSession, PowerProfile, StorageSpec, TimeGrid, Tole
 
 __all__ = ["CentralProblem", "CentralSolution", "solve_central", "welfare"]
 
+# Accelerated gradient iterations before the oracle gives up on the residual.
+_MAX_ITER = 200_000
+
 
 @dataclass(frozen=True)
 class CentralProblem:
@@ -70,13 +73,12 @@ def welfare(
     storage: StorageSpec,
     energy_now: float,
     window: TimeGrid,
-    offset: float = 1.0,
 ) -> float:
     """Global objective at an arbitrary point: utilities minus costs."""
     total = 0.0
     for ses, profile in ev_points:
         profile = np.asarray(profile, dtype=float)
-        total += float(np.sum(ses.weight * np.log(offset + profile)))
+        total += float(np.sum(ses.weight * np.log(1.0 + profile)))
     net = np.asarray(generation, dtype=float) - np.asarray(storage_power, dtype=float)
     total -= float(np.sum(generation_cost(net, dso.cost_quadratic, dso.cost_linear)))
     total -= storage.tracking_weight * storage_tracking_penalty(
@@ -117,8 +119,6 @@ def _project_rows_to_energy(
 def solve_central(
     problem: CentralProblem,
     eps: Tolerances = Tolerances(),
-    max_iter: int = 200_000,
-    offset: float = 1.0,
 ) -> CentralSolution:
     """Maximize welfare subject to boxes, balance and per-vehicle energy.
 
@@ -168,14 +168,14 @@ def solve_central(
     def grad(p: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         net = p.sum(axis=0) - ps
         marginal = 2.0 * quad * net + lin
-        g_p = (weight / (offset + p) - marginal[None, :]) * mask if count else np.zeros((0, n))
+        g_p = (weight / (1.0 + p) - marginal[None, :]) * mask if count else np.zeros((0, n))
         dev = drift - dtc * np.cumsum(ps)
         g_ps = marginal + 2.0 * rho * dtc * np.cumsum(dev[::-1])[::-1]
         return g_p, g_ps
 
     def value(p: np.ndarray, ps: np.ndarray) -> float:
         pts = [(ses, p[i, : lengths[i]]) for i, ses in enumerate(sessions)]
-        return welfare(pts, p.sum(axis=0), ps, problem.dso, st, problem.energy_now, window, offset)
+        return welfare(pts, p.sum(axis=0), ps, problem.dso, st, problem.energy_now, window)
 
     def project(p: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p_new = (
@@ -199,14 +199,14 @@ def solve_central(
     hess[count * n :, count * n :] += 2.0 * rho * dtc * dtc * overlap
     lipschitz = float(np.linalg.eigvalsh(hess)[-1]) if dim else 1.0
     if count:
-        lipschitz += float((weight[:, 0] / (offset + lo.min(axis=1)) ** 2).max())
+        lipschitz += float((weight[:, 0] / (1.0 + lo.min(axis=1)) ** 2).max())
     inv_l = 1.0 / max(lipschitz, 1e-12)
 
     p, ps = project(np.zeros((count, n)), np.zeros(n))
     yp, yps = p.copy(), ps.copy()
     momentum = 1.0
     residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         g_p, g_ps = grad(yp, yps)
         p_new, ps_new = project(yp + inv_l * g_p, yps + inv_l * g_ps)
         g2_p, g2_ps = grad(p_new, ps_new)

@@ -391,57 +391,48 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+# Each table's columns: the header and the function that prints a row's cell
+# under it; a row is the tuple of that function's arguments.
+_SLOT_COLUMNS = (
+    ("slot", lambda rec, hours: str(rec.slot)),
+    ("time_hours", lambda rec, hours: _fmt(rec.slot * hours)),
+    ("price_applied", lambda rec, hours: _fmt(rec.price_applied)),
+    ("demand_total_kw", lambda rec, hours: _fmt(rec.demand_total)),
+    ("p_l_kw", lambda rec, hours: _fmt(rec.generation)),
+    ("p_s_kw", lambda rec, hours: _fmt(rec.storage_power)),
+    ("storage_soc_kwh", lambda rec, hours: _fmt(rec.storage_energy)),
+    ("iterations", lambda rec, hours: str(rec.iterations)),
+    ("residual_kw", lambda rec, hours: _fmt(rec.residual)),
+    ("converged", lambda rec, hours: "true" if rec.converged else "false"),
+)
+_EV_COLUMNS = (
+    ("slot", lambda slot, ev_id, power, soc_error: str(slot)),
+    ("ev_id", lambda slot, ev_id, power, soc_error: ev_id),
+    ("power_kw", lambda slot, ev_id, power, soc_error: _fmt(power)),
+    ("soc_error_kwh", lambda slot, ev_id, power, soc_error: _fmt(soc_error)),
+)
+_SUMMARY_COLUMNS = (
+    ("price_mean", lambda s: _fmt(s.price_mean)),
+    ("price_stdev", lambda s: _fmt(s.price_stdev)),
+    ("peak_demand_kw", lambda s: _fmt(s.peak_demand)),
+    ("energy_delivered_kwh", lambda s: _fmt(s.energy_delivered)),
+    ("energy_unmet_kwh", lambda s: _fmt(s.energy_unmet)),
+)
+
+
 def write_trace(trace: "SimulationTrace", out_dir: str | Path) -> None:
     """Write the three result tables (slots, per-vehicle, summary) as CSV."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    slot_lines = [
-        "slot,time_hours,price_applied,demand_total_kw,p_l_kw,p_s_kw,"
-        "storage_soc_kwh,iterations,residual_kw,converged"
-    ]
-    ev_lines = ["slot,ev_id,power_kw,soc_error_kwh"]
-    for rec in trace.records:
-        slot_lines.append(
-            ",".join(
-                [
-                    str(rec.slot),
-                    _fmt(rec.slot * trace.slot_hours),
-                    _fmt(rec.price_applied),
-                    _fmt(rec.demand_total),
-                    _fmt(rec.generation),
-                    _fmt(rec.storage_power),
-                    _fmt(rec.storage_energy),
-                    str(rec.iterations),
-                    _fmt(rec.residual),
-                    "true" if rec.converged else "false",
-                ]
-            )
-        )
-        for ev_id in sorted(rec.per_ev):
-            power, soc_error = rec.per_ev[ev_id]
-            ev_lines.append(
-                ",".join([str(rec.slot), ev_id, _fmt(power), _fmt(soc_error)])
-            )
-
-    summary = trace.summary
-    summary_lines = [
-        "price_mean,price_stdev,peak_demand_kw,energy_delivered_kwh,energy_unmet_kwh",
-        ",".join(
-            [
-                _fmt(summary.price_mean),
-                _fmt(summary.price_stdev),
-                _fmt(summary.peak_demand),
-                _fmt(summary.energy_delivered),
-                _fmt(summary.energy_unmet),
-            ]
-        ),
-    ]
-
-    for name, lines in (
-        ("slots.csv", slot_lines),
-        ("evs.csv", ev_lines),
-        ("summary.csv", summary_lines),
+    records = trace.records
+    for name, columns, rows in (
+        ("slots.csv", _SLOT_COLUMNS, [(rec, trace.slot_hours) for rec in records]),
+        ("evs.csv", _EV_COLUMNS, [
+            (rec.slot, ev_id, *rec.per_ev[ev_id]) for rec in records for ev_id in sorted(rec.per_ev)
+        ]),
+        ("summary.csv", _SUMMARY_COLUMNS, [(trace.summary,)]),
     ):
+        lines = [",".join([header for header, _ in columns])]
+        lines += [",".join([cell(*row) for _, cell in columns]) for row in rows]
         with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -1,0 +1,151 @@
+"""Non-finite numbers never reach the agents.
+
+Scenario files cannot hold them (``test_robustness.py``), but a scenario built
+in Python passes only through ``validate_scenario``, and the price loop can
+overflow on its own: a huge step multiplies a finite imbalance into an
+infinite price.  The suite turns every ``RuntimeWarning`` into an error, so
+these tests also show that no agent is solved at an infinite price.
+"""
+import math
+import re
+from dataclasses import fields, replace
+
+import pytest
+
+from evmarket import (
+    ConvergenceConfig,
+    FleetSpec,
+    ScenarioValidationError,
+    Tolerances,
+    parse_scenario,
+    run,
+    validate_scenario,
+)
+from evmarket.cli import main
+
+from conftest import SCENARIO_DIR
+
+SMALL = SCENARIO_DIR / "small.scenario"
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    """small.scenario plus a generated fleet, so that every section is present."""
+    base = parse_scenario(SMALL.read_bytes())
+    fleet = FleetSpec(count=2, power_max=22.0, weight=10.0)
+    scenario = replace(base, fleet=fleet)
+    assert validate_scenario(scenario).ok
+    return scenario
+
+
+# Scenario attribute -> the label its validation lines start with.
+SECTIONS = {
+    "grid": "grid:",
+    "dso": "dso:",
+    "storage": "storage:",
+    "solver": "solver:",
+    "fleet": "fleet:",
+    "evs": "ev a:",
+}
+
+
+def float_fields(scenario, attr):
+    owner = getattr(scenario, attr)
+    owner = owner[0] if attr == "evs" else owner
+    return [f.name for f in fields(owner) if f.type == "float"]
+
+
+def with_value(scenario, attr, name, value):
+    owner = getattr(scenario, attr)
+    if attr == "evs":
+        return replace(scenario, evs=(replace(owner[0], **{name: value}),) + owner[1:])
+    return replace(scenario, **{attr: replace(owner, **{name: value})})
+
+
+def test_every_section_has_float_fields(scenario):
+    assert all(float_fields(scenario, attr) for attr in SECTIONS)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("attr", SECTIONS)
+def test_non_finite_floats_are_reported_by_section(scenario, attr, value):
+    for name in float_fields(scenario, attr):
+        changed = with_value(scenario, attr, name, value)
+        if (attr, name, value) == ("dso", "power_max", math.inf):
+            assert validate_scenario(changed).ok  # an unbounded supplier
+            continue
+        report = validate_scenario(changed)
+        assert any(line.startswith(SECTIONS[attr]) for line in report.violations), name
+        with pytest.raises(ScenarioValidationError):
+            run(changed)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["step_size", "balance_tolerance", "max_iterations"])
+def test_convergence_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError):
+        ConvergenceConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "-inf"])
+@pytest.mark.parametrize("name", ["kkt", "energy"])
+def test_tolerances_reject_nan_and_minus_inf(name, value):
+    """``inf`` stays legal here: it sets no target (a scenario may not)."""
+    with pytest.raises(ValueError):
+        Tolerances(**{name: value})
+
+
+def test_convergence_config_raises_the_first_rule_broken():
+    with pytest.raises(ValueError, match="^step_size must be positive$"):
+        ConvergenceConfig(step_size=0.0, balance_tolerance=0.0)
+    with pytest.raises(ValueError, match="^step_schedule must be 'constant' or 'diminishing'$"):
+        ConvergenceConfig(step_schedule="adaptive")
+
+
+def flagged_slots(out):
+    rows = [line.split(",") for line in (out / "slots.csv").read_text().splitlines()[1:]]
+    return {int(row[0]) for row in rows if row[9] == "false"}
+
+
+@pytest.mark.parametrize(
+    "scenario_file, overrides",
+    [
+        (SMALL, []),
+        (
+            SCENARIO_DIR / "table1.scenario",
+            ["--set", "storage.power_min=0", "--set", "storage.power_max=0"],
+        ),
+    ],
+    ids=["small", "table1-nostorage"],
+)
+def test_overflowing_price_update_flags_the_slot(tmp_path, capsys, scenario_file, overrides):
+    """A step that takes a price to inf settles the slot at its last iterate:
+    the run writes all three tables, names each such slot and exits 2."""
+    out = tmp_path / "out"
+    args = ["run", str(scenario_file), "--out", str(out), "--set", "solver.step_size=1e308"]
+    assert main(args + overrides) == 2
+    err = capsys.readouterr().err.splitlines()
+    flagged = flagged_slots(out)
+    assert flagged and len(err) == len(flagged)
+    for line, slot in zip(err, sorted(flagged)):
+        settled = rf"error: slot {slot} settled at iteration (\d+): "
+        assert re.fullmatch(settled + r"price update overflowed \(inf\) at iteration \1", line)
+    for name in ("evs.csv", "summary.csv"):
+        assert (out / name).is_file()
+
+
+def test_overflowing_price_update_in_verify(capsys):
+    assert main(["verify", str(SMALL), "--set", "solver.step_size=1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: settled at iteration ") and "overflowed (inf)" in err
+
+
+def test_overflowing_warm_start_is_rejected(tmp_path, capsys):
+    """120-minute slots take a 1e308 cent/kWh start to inf per kW-slot."""
+    overrides = ["--set", "grid.slot_minutes=120", "--set", "solver.initial_price=1e308"]
+    assert main(["run", str(SMALL), "--out", str(tmp_path / "out"), *overrides]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid scenario\nsolver: initial_price must be finite per kW-slot\n"
+    )
+    assert not (tmp_path / "out").exists()
