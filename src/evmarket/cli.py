@@ -7,9 +7,9 @@ Commands:
 * ``verify``        compare one negotiation against the centralized solver
 * ``validate``      print the scenario validation report
 
-Exit codes: 0 success, 1 validation failure, 2 runtime non-convergence
-(a flagged slot, a ``verify`` gap above 1% or a failed supplier solve),
-3 I/O error.
+Exit codes: 0 success, 1 validation failure (a usage error included),
+2 runtime non-convergence (a flagged slot, a ``verify`` gap above 1% or a
+failed supplier solve), 3 I/O error.
 """
 from __future__ import annotations
 
@@ -119,7 +119,7 @@ def _load_scenario(args) -> Scenario:
 
 def _truncate_for_oracle(scenario: Scenario, slot_cap: int) -> tuple[EVSession, ...]:
     """Shift the earliest sessions the oracle takes to a common start inside the slot cap."""
-    slots = max(1, min(slot_cap, scenario.grid.num_slots))
+    slots = min(slot_cap, scenario.grid.num_slots)
     earliest = sorted(resolve_sessions(scenario), key=lambda s: (s.arrival, s.ev_id))
     shifted = []
     for ses in earliest[: CentralProblem.max_evs]:
@@ -131,6 +131,8 @@ def _truncate_for_oracle(scenario: Scenario, slot_cap: int) -> tuple[EVSession, 
 
 
 def _cmd_verify(args) -> int:
+    if args.oracle_cap < 1:
+        raise ValueError(f"--oracle-cap must be at least 1, got {args.oracle_cap}")
     scenario = _load_scenario(args)
     sessions = _truncate_for_oracle(scenario, args.oracle_cap)
     config = _config_of(scenario)
@@ -193,7 +195,11 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage and its error line, or the help.
+        return 1 if exc.code else 0
     try:
         return args.handler(args)
     except ScenarioFormatError as exc:

@@ -9,8 +9,8 @@ imbalance falls below the balance tolerance.
 Only prices flow toward the agents and only power curves (plus the private
 objective values summed into the dual value) flow back; the coordinator never
 sees utilities, costs or battery states.  The loop itself reads only the
-imbalance, so the agents' objectives and the dual value are computed once per
-negotiation, for the state that is returned.  Agent solves within one iteration
+imbalance, so the agents' objectives and the dual value are computed on first
+access, and only for a state that is read.  Agent solves within one iteration
 are independent of each other and could run concurrently; they are evaluated
 in a fixed order here so that runs stay bit-reproducible.
 
@@ -20,9 +20,11 @@ demand, the supply and the residual are lists of floats, and the price update
 with NumPy's arithmetic, NaN included.  On lists this short a zip, a range or
 a comprehension costs more than the arithmetic, so these loops index with a
 counter, and the loop works its constant step out once.
-The validated :class:`~evmarket.model.PriceVector` and
-:class:`~evmarket.model.PowerProfile` objects, and the agents' arrays, are
-built once per negotiation, from the state that is returned.
+One :class:`DualIterationState` per evaluation holds the lists and the
+agents' solutions; the loop warm-starts each evaluation from the last one and
+returns the state it settled at.  The validated
+:class:`~evmarket.model.PriceVector` and :class:`~evmarket.model.PowerProfile`
+objects, and the agents' arrays, are built on first access from that state.
 """
 from __future__ import annotations
 
@@ -34,13 +36,12 @@ from typing import Sequence
 import numpy as np
 
 from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
-from .ev_agent import EVBatchSolution, EVBatchWorkspace, EVSolution, EVSubproblem
+from .ev_agent import EVBatchWorkspace, EVSolution, EVSubproblem
 from .model import CONSTANT, PowerProfile, PriceVector, Tolerances, loop_problems, max_abs
 
 __all__ = [
     "ConvergenceConfig",
     "DualIterationState",
-    "NegotiationResult",
     "update_price",
     "evaluate_dual",
     "negotiate_slot",
@@ -74,64 +75,64 @@ class ConvergenceConfig:
 
 @dataclass(eq=False)
 class DualIterationState:
-    """Everything produced by one evaluation of the dual function, as lists of
-    floats over the window; ``demand``, ``supply`` and ``residual`` wrap them
-    on access, and ``dual_value`` sums the agents' objectives on first access.
-    One is made per dual iteration, so it is a plain dataclass."""
+    """One evaluation of the dual function, and the state a negotiation settles at.
 
-    iteration: int
+    The prices, demand, supply and residual are lists of floats over the
+    window; ``prices``, ``demand``, ``supply``, ``residual``,
+    ``storage_power`` and ``ev_profiles`` are the validated vectors, and
+    ``dual_value`` the sum of the agents' objectives, built on first access.
+    ``iterations`` counts the price updates before this evaluation.
+    :func:`negotiate_slot` sets the outcome fields on the state it returns:
+    ``residual_history`` holds the residual norm of every accepted iteration,
+    and ``supplier_error`` is the message of a supplier failure, a non-finite
+    imbalance or an overflowing price update that ended the loop early, else
+    ``None``.  One is made per dual iteration, so it is a plain dataclass.
+    """
+
+    iterations: int
     price_values: list[float]
     demand_values: list[float]
     supply_values: list[float]
     residual_values: list[float]
     ev_solutions: Sequence[EVSolution]
     dso_solution: DSOSolution
+    converged: bool = False
+    residual_history: tuple[float, ...] = ()
+    supplier_error: str | None = None
 
     @cached_property
     def dual_value(self) -> float:
         ev_value = float(self.ev_solutions.objective.sum()) if self.ev_solutions else 0.0
         return self.dso_solution.objective + ev_value
 
-    @property
+    @cached_property
+    def prices(self) -> PriceVector:
+        return PriceVector(self.price_values)
+
+    @cached_property
     def demand(self) -> PowerProfile:
         return PowerProfile(self.demand_values)
 
-    @property
+    @cached_property
     def supply(self) -> PowerProfile:
         return PowerProfile(self.supply_values)
 
-    @property
+    @cached_property
     def residual(self) -> PowerProfile:
         return PowerProfile(self.residual_values)
+
+    @property
+    def storage_power(self) -> PowerProfile:
+        return self.dso_solution.storage_power
+
+    @cached_property
+    def ev_profiles(self) -> tuple[PowerProfile, ...]:
+        return tuple(sol.profile for sol in self.ev_solutions)
 
     @property
     def residual_norm(self) -> float:
         """The worst per-slot imbalance; NaN if any slot's is NaN."""
         return max_abs(self.residual_values)
-
-
-@dataclass(frozen=True, eq=False)
-class NegotiationResult:
-    """Final state of one slot's negotiation.
-
-    ``supplier_error`` is the message of a supplier failure, a non-finite
-    imbalance or an overflowing price update that ended the loop early, else
-    ``None``.
-    """
-
-    prices: PriceVector
-    demand: PowerProfile
-    supply: PowerProfile
-    storage_power: PowerProfile
-    ev_profiles: tuple[PowerProfile, ...]
-    ev_solutions: tuple[EVSolution, ...]
-    iterations: int
-    residual: PowerProfile
-    residual_norm: float
-    converged: bool
-    dual_value: float
-    residual_history: tuple[float, ...]
-    supplier_error: str | None = None
 
 
 def _floats(values) -> list[float]:
@@ -172,9 +173,8 @@ def evaluate_dual(
     ev_subs: Sequence[EVSubproblem],
     dso_sub: DSOSubproblem,
     eps: Tolerances = Tolerances(),
-    iteration: int = 0,
-    previous: EVBatchSolution | None = None,
-    dso_start: tuple[np.ndarray, np.ndarray] | None = None,
+    iterations: int = 0,
+    last: DualIterationState | None = None,
     workspace: EVBatchWorkspace | None = None,
 ) -> DualIterationState:
     """Solve every agent subproblem at ``prices`` and assemble the imbalance.
@@ -185,11 +185,12 @@ def evaluate_dual(
     vehicles contribute zero demand past their departure.  The dual value is
     the sum of the agents' optimal objectives, computed when it is first read.
     A caller passing ``workspace`` has already checked that it holds
-    ``ev_subs`` inside the window.  ``previous``, the vehicles' solution of
-    the last iteration on that workspace, starts each vehicle's multiplier
-    search from a tangent prediction along the price move (see
-    :mod:`evmarket.ev_agent`); without it each vehicle starts from the even
-    spread of its requirement.
+    ``ev_subs`` inside the window.  ``last``, the state of the last iteration
+    on that workspace, warm-starts the agents: each vehicle's multiplier
+    search starts from a tangent prediction along the price move (see
+    :mod:`evmarket.ev_agent`) and the supplier from its last dispatch.
+    Without it each vehicle starts from the even spread of its requirement
+    and the supplier from scratch.
     """
     lam = prices if type(prices) is list else _floats(prices)
     n = dso_sub.window.length
@@ -201,13 +202,15 @@ def evaluate_dual(
             _check_windows(ev_subs, dso_sub)
             workspace = EVBatchWorkspace(ev_subs)
         workspace.load_prices(lam)
-        ev_solutions = workspace.solve(eps, previous=previous)
+        ev_solutions = workspace.solve(eps, previous=last and last.ev_solutions)
         demand = ev_solutions.demand
         if workspace.width < n:
             demand = demand + [0.0] * (n - workspace.width)
     else:
         ev_solutions, demand = (), [0.0] * n
-    dso_solution = solve_dso(dso_sub, eps=eps, start=dso_start, prices=lam)
+    dso = last and last.dso_solution
+    start = dso and (dso.generation_values, dso.storage_values)
+    dso_solution = solve_dso(dso_sub, eps=eps, start=start, prices=lam)
 
     supply = dso_solution.generation_values
     residual = []
@@ -216,7 +219,7 @@ def evaluate_dual(
         residual.append(g - demand[i])
         i += 1
     return DualIterationState(
-        iteration, lam, demand, supply, residual, ev_solutions, dso_solution
+        iterations, lam, demand, supply, residual, ev_solutions, dso_solution
     )
 
 
@@ -226,40 +229,36 @@ def negotiate_slot(
     warm_start_price: float,
     config: ConvergenceConfig = ConvergenceConfig(),
     eps: Tolerances = Tolerances(),
-) -> NegotiationResult:
+) -> DualIterationState:
     """Run the price loop for one slot from a constant warm-start vector.
 
     Iterates agent solves and price updates until the worst per-slot imbalance
     is within ``config.balance_tolerance`` or ``config.max_iterations`` price
-    updates have been spent.  The returned powers and dual value always come
-    from a full agent solve at the returned prices.  Non-convergence is
-    flagged, never raised, and the caller decides policy: a supplier solve
-    that fails with :class:`~evmarket.dso_agent.ConvergenceError`, or a
-    non-finite imbalance, at iteration ``k >= 1`` returns the state of
-    iteration ``k - 1`` with ``converged=False`` and the failure's message in
-    ``supplier_error``.  A failure at iteration 0 leaves no state to settle
-    at and propagates as :class:`~evmarket.dso_agent.ConvergenceError`.  A
-    price update after iteration ``k`` that overflows to ``inf`` is never
-    broadcast: the state of iteration ``k`` is returned, flagged the same way.
+    updates have been spent, and returns the state of the iteration it
+    settled at, with its outcome fields set.  The returned powers and dual
+    value therefore always come from a full agent solve at the returned
+    prices.  Non-convergence is flagged, never raised, and the caller decides
+    policy: a supplier solve that fails with
+    :class:`~evmarket.dso_agent.ConvergenceError`, or a non-finite imbalance,
+    at iteration ``k >= 1`` returns the state of iteration ``k - 1`` with
+    ``converged=False`` and the failure's message in ``supplier_error``.  A
+    failure at iteration 0 leaves no state to settle at and propagates as
+    :class:`~evmarket.dso_agent.ConvergenceError`.  A price update after
+    iteration ``k`` that overflows to ``inf`` is never broadcast: the state of
+    iteration ``k`` is returned, flagged the same way.
     """
     prices = [max(warm_start_price, 0.0)] * dso_sub.window.length
 
     _check_windows(ev_subs, dso_sub)
     history: list[float] = []
     workspace = EVBatchWorkspace(ev_subs) if ev_subs else None
-    previous: EVBatchSolution | None = None
-    dso_start: tuple[list[float], list[float]] | None = None
     state = None
-    converged = False
     supplier_error = None
-    iterations = 0
     # The constant schedule's step, worked out once (None: diminishing).
     step = config.step_size if config.step_schedule == CONSTANT else None
     for k in range(config.max_iterations + 1):
         try:
-            next_state = evaluate_dual(
-                prices, ev_subs, dso_sub, eps, k, previous, dso_start, workspace
-            )
+            next_state = evaluate_dual(prices, ev_subs, dso_sub, eps, k, state, workspace)
             norm = max_abs(next_state.residual_values)
             if not norm <= config.balance_tolerance and not math.isfinite(norm):
                 message = f"non-finite balance residual ({norm}) at iteration {k}"
@@ -274,36 +273,16 @@ def negotiate_slot(
             break
         state = next_state
         history.append(norm)
-        iterations = k
-        if norm <= config.balance_tolerance:
-            converged = True
-            break
-        if k == config.max_iterations:
+        if norm <= config.balance_tolerance or k == config.max_iterations:
             break
         prices = update_price(prices, state.residual_values, step or config.step_at(k))
         if math.inf in prices:
             # No agent is solved at an infinite price: the slot settles here.
             supplier_error = f"price update overflowed (inf) at iteration {k}"
             break
-        if workspace is not None:
-            previous = state.ev_solutions
-        dso = state.dso_solution
-        dso_start = (dso.generation_values, dso.storage_values)
 
     assert state is not None
-    ev_solutions = tuple(state.ev_solutions)
-    return NegotiationResult(
-        prices=PriceVector(state.price_values),
-        demand=state.demand,
-        supply=state.supply,
-        storage_power=state.dso_solution.storage_power,
-        ev_profiles=tuple(sol.profile for sol in ev_solutions),
-        ev_solutions=ev_solutions,
-        iterations=iterations,
-        residual=state.residual,
-        residual_norm=history[-1],
-        converged=converged,
-        dual_value=state.dual_value,
-        residual_history=tuple(history),
-        supplier_error=supplier_error,
-    )
+    state.converged = history[-1] <= config.balance_tolerance
+    state.residual_history = tuple(history)
+    state.supplier_error = supplier_error
+    return state

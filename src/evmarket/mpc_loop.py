@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .coordinator import ConvergenceConfig, NegotiationResult, negotiate_slot
+from .coordinator import ConvergenceConfig, DualIterationState, negotiate_slot
 from .dso_agent import DSOSubproblem
 from .ev_agent import EVSubproblem
 from .model import (
@@ -130,7 +130,7 @@ class Settlement(NamedTuple):
     supplier_error: str | None = None
 
 
-def negotiate_window(state: SimulationState, config: SimulationConfig) -> NegotiationResult:
+def negotiate_window(state: SimulationState, config: SimulationConfig) -> DualIterationState:
     """Run the price loop over the window of ``state.active`` from ``state.slot``,
     warm-started at ``state.last_price``."""
     slot = state.slot

@@ -126,6 +126,40 @@ def test_verify_respects_oracle_cap(small_file, capsys):
     assert "window 1 slots" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_verify_rejects_an_oracle_cap_below_one(small_file, capsys, cap):
+    assert main(["verify", str(small_file), "--oracle-cap", cap]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --oracle-cap must be at least 1, got {cap}\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["run"], "the following arguments are required: scenario"),
+        (["run", "{small}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["run", "{small}", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["verify", "{small}", "--oracle-cap", "x"], "argument --oracle-cap: invalid int"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_exit_1(small_file, capsys, args, message):
+    """A usage error is invalid input (exit 1), never a flagged slot (exit 2);
+    argparse's usage and error lines are still printed."""
+    code = main([arg.format(small=small_file) for arg in args])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage: evmarket")
+    assert message in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("args", [["--help"], ["run", "--help"], ["verify", "--help"]])
+def test_help_exits_0(capsys, args):
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("usage: evmarket")
+
+
 def test_set_override_changes_solver(tmp_path, small_file, capsys):
     out = tmp_path / "o"
     code = main(

@@ -1,3 +1,6 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 
@@ -9,10 +12,12 @@ from evmarket import (
     PriceVector,
     TimeGrid,
     Tolerances,
+    coordinator,
     evaluate_dual,
     negotiate_slot,
     update_price,
 )
+from evmarket.dso_agent import ConvergenceError, DSOSolution
 from evmarket.oracle import welfare
 
 from bruteforce import random_feasible_ev
@@ -176,3 +181,65 @@ def test_warm_start_negative_price_is_clipped():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
     result = negotiate_slot([], make_dso_sub([0.0], dso=dso), warm_start_price=-3.0)
     np.testing.assert_allclose(result.prices.values, [0.0])
+
+
+def scripted_supplier(levels):
+    """A supplier stub offering ``levels[i]`` kW in every slot at its call
+    ``i``, and failing at a ``None``."""
+    calls = []
+
+    def supplier(sub, eps, start, prices):
+        level = levels[len(calls)]
+        calls.append(prices)
+        if level is None:
+            raise ConvergenceError("supplier solve stalled", 1.0)
+        n = sub.window.length
+        return DSOSolution([level] * n, [0.0] * n, 0.0, sub, prices)
+
+    return supplier
+
+
+# Each way the price loop ends: the supplier's script (None: the real
+# agents), the loop settings and the evaluation the slot settles at, counted
+# from the last one.
+EXITS = [
+    ("converged", None, ConvergenceConfig(), -1),
+    ("capped", None, ConvergenceConfig(max_iterations=3), -1),
+    ("supplier failure", [5.0, 5.0, None], ConvergenceConfig(), -1),
+    ("non-finite", [5.0, 5.0, math.nan], ConvergenceConfig(), -2),
+    ("overflow", [-1.0, -1.0, -1e10], ConvergenceConfig(step_size=1e300), -1),
+]
+
+
+@pytest.mark.parametrize(
+    "exit, levels, config, settled", [pytest.param(*case, id=case[0]) for case in EXITS]
+)
+def test_negotiation_returns_the_state_it_settled_at(monkeypatch, exit, levels, config, settled):
+    """One state per evaluation: every evaluation after the first is started
+    from the state accepted before it, and the slot's outcome is the very
+    state of the evaluation it settled at, whichever way the loop ends."""
+    original = coordinator.evaluate_dual
+    lasts, states = [], []
+
+    def spy(*args, **kwargs):
+        lasts.append(inspect.signature(original).bind(*args, **kwargs).arguments.get("last"))
+        states.append(original(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(coordinator, "evaluate_dual", spy)
+    if levels is None:
+        n, evs = 1, [make_ev_subproblem([4.0], energy=5.5)]
+    else:
+        n, evs = 2, []
+        monkeypatch.setattr(coordinator, "solve_dso", scripted_supplier(levels))
+    result = negotiate_slot(evs, make_dso_sub([4.0] * n), 4.0, config=config)
+
+    assert result is states[settled]
+    assert result.converged == (exit == "converged")
+    assert (result.supplier_error is None) == (exit in ("converged", "capped"))
+    assert result.iterations == len(states) + settled
+    assert lasts[0] is None
+    assert all(last is state for last, state in zip(lasts[1:], states))
+    assert len(lasts) == len(states) + (exit == "supplier failure")
+    assert result.iterations == len(result.residual_history) - 1
+    assert result.residual_norm == result.residual_history[-1]
