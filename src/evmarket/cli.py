@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .dso_agent import ConvergenceError
 from .model import EVSession, ScenarioValidationError, validate_scenario
-from .mpc_loop import SimulationState, _config_of, compute_window, negotiate_window
+from .mpc_loop import compute_window, config_of, initial_state, negotiate_window
 from .mpc_loop import run as run_simulation
 from .mpc_loop import simulate_uncontrolled
 from .oracle import CentralProblem, solve_central, welfare
@@ -135,12 +135,10 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--oracle-cap must be at least 1, got {args.oracle_cap}")
     scenario = _load_scenario(args)
     sessions = _truncate_for_oracle(scenario, args.oracle_cap)
-    config = _config_of(scenario)
+    config = config_of(scenario)
     storage, eps = config.storage, config.eps
     window = compute_window(sessions, 0, config.slot_hours)
-    warm = scenario.solver.initial_price * config.slot_hours
-    start = SimulationState(0, sessions, (), storage.energy_initial, warm)
-    result = negotiate_window(start, config)
+    result = negotiate_window(replace(initial_state(scenario, ()), active=sessions), config)
 
     problem = CentralProblem(
         sessions=sessions,

@@ -163,9 +163,11 @@ def update_price(prices, residual, step: float):
 
 
 def _check_windows(ev_subs: Sequence[EVSubproblem], dso_sub: DSOSubproblem) -> None:
+    window = dso_sub.window
     for sub in ev_subs:
-        if sub.window.start != dso_sub.window.start or sub.window.length > dso_sub.window.length:
-            raise ValueError("vehicle windows must be embedded in the coordination window")
+        own = sub.window
+        if (own.start, own.slot_hours) != (window.start, window.slot_hours) or own.end > window.end:
+            raise ValueError("vehicle windows must lie in the coordination window, on its slots")
 
 
 def evaluate_dual(
@@ -180,9 +182,10 @@ def evaluate_dual(
     """Solve every agent subproblem at ``prices`` and assemble the imbalance.
 
     ``prices`` is a list of floats, an array or a :class:`PriceVector` over
-    the coordination window.  Vehicle subproblems see the leading slice
-    covering their own window (the carried price fields are replaced);
-    vehicles contribute zero demand past their departure.  The dual value is
+    the coordination window; every agent solve is given it as a list, and
+    each vehicle sees the leading slots covering its own window.  A list of
+    another length raises ``ValueError`` from the solves.  Vehicles
+    contribute zero demand past their departure.  The dual value is
     the sum of the agents' optimal objectives, computed when it is first read.
     A caller passing ``workspace`` has already checked that it holds
     ``ev_subs`` inside the window.  ``last``, the state of the last iteration
@@ -194,8 +197,6 @@ def evaluate_dual(
     """
     lam = prices if type(prices) is list else _floats(prices)
     n = dso_sub.window.length
-    if len(lam) != n:
-        raise ValueError("price vector length must equal the coordination window")
 
     if ev_subs:
         if workspace is None:
@@ -210,7 +211,7 @@ def evaluate_dual(
         ev_solutions, demand = (), [0.0] * n
     dso = last and last.dso_solution
     start = dso and (dso.generation_values, dso.storage_values)
-    dso_solution = solve_dso(dso_sub, eps=eps, start=start, prices=lam)
+    dso_solution = solve_dso(dso_sub, lam, eps, start=start)
 
     supply = dso_solution.generation_values
     residual = []

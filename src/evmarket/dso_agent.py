@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import DSOSpec, PowerProfile, PriceVector, StorageSpec, TimeGrid, Tolerances
+from .model import DSOSpec, PowerProfile, StorageSpec, TimeGrid, Tolerances
 
 __all__ = [
     "DSOSubproblem",
@@ -53,17 +53,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DSOSubproblem:
-    """Supplier data for one negotiation window; ``energy_now`` is the stored energy."""
+    """Supplier data for one negotiation window; ``energy_now`` is the stored
+    energy.  It holds no prices: each solve is given the window list."""
 
     dso: DSOSpec
     storage: StorageSpec
     energy_now: float
     window: TimeGrid
-    prices: PriceVector
-
-    def __post_init__(self) -> None:
-        if len(self.prices) != self.window.length:
-            raise ValueError("price vector length must equal the window length")
 
 
 @dataclass(eq=False)
@@ -170,25 +166,27 @@ def _newton_system(n: int, quad: float, rho: float, dtc: float, free_key: bytes)
 
 def solve_dso(
     sub: DSOSubproblem,
+    prices: Sequence[float],
     eps: Tolerances = Tolerances(),
     max_iter: int = 100_000,
     start: tuple[Sequence[float], Sequence[float]] | None = None,
-    prices: Sequence[float] | None = None,
 ) -> DSOSolution:
-    """Return the unique maximizer of the supplier objective on the boxes.
+    """Return the unique maximizer of the supplier objective on the boxes at
+    ``prices``, the window list (converted once unless it is a list of
+    floats; another length raises ``ValueError``).
 
     A pinned storage box is solved in closed form, any other by projected
     Newton.  ``start`` warm-starts projected Newton (the coordinator passes
     the last price round's answer): one Newton solve on the start's free set
     is returned if it passes the certificate, else the iteration runs from
     ``start``.  It never changes the answer beyond the stationarity
-    tolerance.  ``prices``, a list of floats over the window,
-    replaces ``sub.prices`` (the price loop passes each broadcast this way).
-    Raises :class:`ConvergenceError` if the residual target is not met
-    (within ``max_iter`` iterations), or at once if the residual is not
-    finite.
+    tolerance.  Raises :class:`ConvergenceError` if the residual target is
+    not met (within ``max_iter`` iterations), or at once if the residual is
+    not finite.
     """
-    lam = sub.prices.values.tolist() if prices is None else prices
+    lam = prices if type(prices) is list else np.asarray(prices, dtype=float).tolist()
+    if len(lam) != sub.window.length:
+        raise ValueError("price list length must equal the window length")
     if sub.storage.power_min == sub.storage.power_max and sub.dso.cost_quadratic > 0:
         gen, storage, residual = _pinned_dispatch(sub, lam, eps)
     else:

@@ -1,6 +1,8 @@
 """Per-vehicle subproblem: maximize charging utility minus energy cost.
 
-Each vehicle maximizes ``sum_t [w * ln(1 + p(t)) - price(t) * p(t)]`` over its
+A subproblem holds no prices: every solve takes the window price list the
+coordinator broadcasts, of which each vehicle sees the leading slots.  Each
+vehicle maximizes ``sum_t [w * ln(1 + p(t)) - price(t) * p(t)]`` over its
 remaining window, subject to its power box and the requirement that the energy
 still needed is fully delivered by departure.  The optimizer has water-filling
 structure: ``p(t) = clamp(w / (price(t) + mu * rate) - 1, p_min, p_max)`` for a
@@ -13,22 +15,21 @@ differentiating ``E(mu, price) = need`` along the price move gives
 ``mu_prev - sum_free (p+1)**2 * dprice / (rate * sum_free (p+1)**2)`` over
 the slots where the previous power ``p`` was strictly inside the box (``w``
 cancels), which already meets the energy tolerance for most vehicles when
-prices move a little.  Without a previous solution the start is a given hint
-or the multiplier that spreads the requirement evenly at the mean price.
-Objective values are computed only when they are read.
+prices move a little.  Without a previous solution the start is the
+multiplier that spreads the requirement evenly at the mean price.  Objective
+values are computed only when they are read.
 
 ``EVBatchWorkspace.solve`` runs that Newton iteration in one of two kernels
 with the same steps: an array kernel that advances the whole batch with one
 NumPy pass per step, and a scalar kernel that solves one vehicle at a time in
 plain floats, for batches of at most ``_SCALAR_WIDTH`` slots and
 ``_SCALAR_VEHICLES`` vehicles, where NumPy's per-call overhead outweighs the
-arithmetic; a workspace picks its kernel once, when it is built.  Both take
-the window price list the coordinator broadcasts and hand back the batch's
-demand (its column sums) as floats; the array kernel converts the prices once
-on entry and the column sums once on exit.  The scalar kernel builds no array:
-whatever the input (the window list or padded rows; no hints, hints or a
-previous answer), it runs one per-vehicle path in loops over lists with a
-counter.  The two give bit-identical powers, multipliers, flags and demand.
+arithmetic; a workspace picks its kernel once, when it is built.  Both hand
+back the batch's demand (its column sums) as floats; the array kernel pads the
+prices into rows once on entry and converts the column sums once on exit.
+The scalar kernel builds no array: cold or started from a previous answer, it
+runs one per-vehicle path in loops over lists with a counter.  The two give
+bit-identical powers, multipliers, flags and demand.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import EVSession, PowerProfile, PriceVector, TimeGrid, Tolerances
+from .model import EVSession, PowerProfile, TimeGrid, Tolerances
 
 __all__ = [
     "EVSubproblem", "EVSolution", "EVBatchSolution", "utility", "solve_ev", "solve_ev_batch"
@@ -64,11 +65,8 @@ class EVSubproblem:
 
     session: EVSession
     window: TimeGrid
-    prices: PriceVector
 
     def __post_init__(self) -> None:
-        if len(self.prices) != self.window.length:
-            raise ValueError("price vector length must equal the window length")
         if self.window.length != self.session.departure - self.window.start:
             raise ValueError("window must span exactly the slots up to departure")
 
@@ -127,9 +125,10 @@ class EVBatchSolution(Sequence[EVSolution]):
     padded ``vehicles x width`` matrix, zero past each departure),
     ``energy_multiplier``, ``feasible`` and ``lam`` (the padded prices) are
     arrays built on first access, ``objective`` is evaluated on first access
-    at ``prices`` (the prices the batch was loaded with), and indexing gives
-    one vehicle's :class:`EVSolution`.  One is made per dual iteration, so it is a plain
-    dataclass: a frozen one takes about three times as long to construct.
+    at ``prices`` (the window list the batch was loaded with), and indexing
+    gives one vehicle's :class:`EVSolution`.  One is made per dual iteration,
+    so it is a plain dataclass: a frozen one takes about three times as long
+    to construct.
     """
 
     workspace: EVBatchWorkspace
@@ -209,15 +208,19 @@ class EVBatchWorkspace:
         self._scalar = self.width <= _SCALAR_WIDTH and len(subproblems) <= _SCALAR_VEHICLES
 
     def load_prices(self, prices) -> None:
-        """Set the prices: one window list whose leading slots every vehicle
-        sees, or one padded row per vehicle; lists of floats are kept as they
-        are, anything else is converted once.  The previous prices are left
-        as they were, for the solutions that refer to them."""
-        self.prices = prices if type(prices) is list else np.asarray(prices).tolist()
+        """Set the prices: the window list, whose leading slots every vehicle
+        sees; a list of floats is kept as it is, anything else is converted
+        once.  The previous prices are left as they were, for the solutions
+        that refer to them."""
+        prices = prices if type(prices) is list else np.asarray(prices).tolist()
+        if len(prices) < self.width:
+            raise ValueError("price list is shorter than the longest vehicle window")
+        self.prices = prices
 
     def padded(self, prices) -> np.ndarray:
-        """``prices`` as a ``vehicles x width`` matrix, padded past departure."""
-        return np.where(self.mask, np.asarray(prices)[..., : self.width], _PAD_PRICE)
+        """The window list ``prices`` as a ``vehicles x width`` matrix, padded
+        past departure."""
+        return np.where(self.mask, np.asarray(prices)[: self.width], _PAD_PRICE)
 
     @property
     def lam(self) -> np.ndarray:
@@ -254,34 +257,24 @@ class EVBatchWorkspace:
     def solve(
         self,
         eps: Tolerances = Tolerances(),
-        mu_hints: Sequence[float] | None = None,
         max_iter: int = 200,
         previous: EVBatchSolution | None = None,
     ) -> EVBatchSolution:
         """Solve every vehicle at the loaded prices, in the kernel the size
         rule picked when the workspace was built (see the module docstring).
 
-        ``mu_hints`` is a sequence of floats, exactly one per vehicle, taken
-        as the starting multipliers.  ``previous``, a solution of this
-        workspace at other prices, starts each vehicle instead from the
+        Each vehicle starts from the even spread of its requirement, or, given
+        ``previous``, a solution of this workspace at other prices, from the
         tangent prediction of the module docstring off its own previous
-        multiplier, or from that multiplier when no slot was free.
+        multiplier (that multiplier itself when no slot was free).
         """
-        if previous is not None and mu_hints is not None:
-            raise ValueError("pass mu_hints or previous, not both")
-        if mu_hints is not None and len(mu_hints) != len(self.lengths):
-            raise ValueError("mu_hints needs one multiplier per vehicle")
         if self._scalar:
-            return self._solve_scalar(eps, mu_hints, max_iter, previous)
-        return self._solve_array(eps, mu_hints, max_iter, previous)
+            return self._solve_scalar(eps, max_iter, previous)
+        return self._solve_array(eps, max_iter, previous)
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def _solve_array(
-        self,
-        eps: Tolerances,
-        mu_hints: Sequence[float] | None,
-        max_iter: int,
-        previous: EVBatchSolution | None = None,
+        self, eps: Tolerances, max_iter: int, previous: EVBatchSolution | None = None
     ) -> EVBatchSolution:
         """Array kernel: all vehicles advance together, one NumPy pass per step."""
         lam, need, rate = self.lam, self.need, self.rate
@@ -293,23 +286,20 @@ class EVBatchWorkspace:
         mu_high = (self.clamp_lo_price - lam.min(axis=1)) / rate + 1.0
 
         # Start from the multiplier that spreads the requirement evenly at the
-        # mean price (exact for flat prices), else from the hints, or from the
-        # tangent prediction off the previous solution over its free slots.
-        # A non-finite start falls to the bracket midpoint.
-        if previous is None and mu_hints is None:
+        # mean price (exact for flat prices), or from the tangent prediction
+        # off the previous solution over its free slots.  A non-finite
+        # prediction falls to the bracket midpoint.
+        if previous is None:
             mean_lam = np.where(self.mask, lam, 0.0).sum(axis=1) / self.lengths
             mu = (self.weight / (1.0 + self.even) - mean_lam) / rate
         else:
-            if previous is None:
-                mu = np.asarray(mu_hints, dtype=float)
-            else:
-                prev = np.asarray(previous.rows)
-                free = (prev > self.lo) & (prev < self.hi)
-                sq = np.where(free, np.square(prev + 1.0), 0.0)
-                num = np.where(free, sq * (lam - previous.lam), 0.0).sum(axis=1)
-                den = sq.sum(axis=1)
-                mu = np.asarray(previous.multipliers, dtype=float)
-                mu = np.where(den > 0, mu - num / (rate * den), mu)
+            prev = np.asarray(previous.rows)
+            free = (prev > self.lo) & (prev < self.hi)
+            sq = np.where(free, np.square(prev + 1.0), 0.0)
+            num = np.where(free, sq * (lam - previous.lam), 0.0).sum(axis=1)
+            den = sq.sum(axis=1)
+            mu = np.asarray(previous.multipliers, dtype=float)
+            mu = np.where(den > 0, mu - num / (rate * den), mu)
             mu = np.where(np.isfinite(mu), mu, 0.5 * (mu_low + mu_high))
 
         # Requirements at (or beyond) a box face get the saturated profile.
@@ -355,11 +345,7 @@ class EVBatchWorkspace:
         return list(zip(*(c.tolist() for c in columns)))
 
     def _solve_scalar(
-        self,
-        eps: Tolerances,
-        mu_hints: Sequence[float] | None,
-        max_iter: int,
-        previous: EVBatchSolution | None = None,
+        self, eps: Tolerances, max_iter: int, previous: EVBatchSolution | None = None
     ) -> EVBatchSolution:
         """Scalar kernel: the array kernel's steps, one vehicle at a time in
         plain floats.  Row sums run left to right, as NumPy's do for rows of
@@ -369,27 +355,22 @@ class EVBatchWorkspace:
         tol, width = eps.energy, self.width
         inf, isfinite = math.inf, math.isfinite
         prices = self.prices
-        # Every input (the window list or padded rows; the even-spread, hinted
-        # or predicted start) reaches the one vehicle loop below, whose loops
-        # run over lists with a counter: on short rows a range, zip or
-        # comprehension costs more than the arithmetic.
-        rowwise = type(prices[0]) is list
-        hints = previous_rows = None
+        # Either start (the even spread or the prediction) reaches the one
+        # vehicle loop below, whose loops run over lists with a counter: on
+        # short rows a range, zip or comprehension costs more than the
+        # arithmetic.
         if previous is not None:
-            hints, previous_rows, previous_prices = (
+            previous_mus, previous_rows, previous_prices = (
                 previous.multipliers, previous.rows, previous.prices
             )
-            if type(hints) is not list:  # a solution of the array kernel
-                hints, previous_rows = hints.tolist(), previous_rows.tolist()
-            previous_rowwise = type(previous_prices[0]) is list
-        elif mu_hints is not None:
-            hints = [float(mu) for mu in mu_hints]
+            if type(previous_mus) is not list:  # a solution of the array kernel
+                previous_mus, previous_rows = previous_mus.tolist(), previous_rows.tolist()
         rows, mus, feasible = [], [], []
         i = 0
         for length, w, lo, hi, rate, coef, need, cap_lo, cap_hi, even, clamp_lo, clamp_hi in (
             self._constants
         ):
-            lam = (prices[i] if rowwise else prices)[:length]
+            lam = prices[:length]
             top, bottom = max(lam), min(lam)
             mu_low = (clamp_hi - top) / rate - 1.0
             mu_high = (clamp_lo - bottom) / rate + 1.0
@@ -401,28 +382,26 @@ class EVBatchWorkspace:
                 mu = mu_high
             else:
                 searching = True
-                if hints is None:
+                if previous is None:
                     total = 0.0
                     for x in lam:
                         total += x
                     mu = (w / (1.0 + even) - total / length) / rate
                 else:
-                    mu = hints[i]
-                    if previous_rows is not None:
-                        # The tangent step over the previously free slots.
-                        previous_row = previous_rows[i]
-                        previous_lam = previous_prices[i] if previous_rowwise else previous_prices
-                        num = den = 0.0
-                        j = 0
-                        for x in lam:
-                            p = previous_row[j]
-                            if lo < p < hi:
-                                sq = (p + 1.0) * (p + 1.0)
-                                num += sq * (x - previous_lam[j])
-                                den += sq
-                            j += 1
-                        if den > 0:
-                            mu -= num / (rate * den)
+                    # The tangent step over the previously free slots.
+                    mu = previous_mus[i]
+                    previous_row = previous_rows[i]
+                    num = den = 0.0
+                    j = 0
+                    for x in lam:
+                        p = previous_row[j]
+                        if lo < p < hi:
+                            sq = (p + 1.0) * (p + 1.0)
+                            num += sq * (x - previous_prices[j])
+                            den += sq
+                        j += 1
+                    if den > 0:
+                        mu -= num / (rate * den)
                     if not isfinite(mu):
                         mu = 0.5 * (mu_low + mu_high)
                 # The bracket clamp; a NaN bracket gives a NaN start, as in NumPy.
@@ -499,37 +478,39 @@ class EVBatchWorkspace:
 
 def solve_ev_batch(
     subproblems: Sequence[EVSubproblem],
+    prices: Sequence[float],
     eps: Tolerances = Tolerances(),
-    mu_hints: np.ndarray | None = None,
     max_iter: int = 200,
 ) -> Sequence[EVSolution]:
-    """Solve several vehicle subproblems at once (vectorized Newton).
+    """Solve several vehicle subproblems at the window list ``prices``, of
+    which each vehicle sees the leading slots.
 
-    All subproblems must share the slot duration.  ``mu_hints`` optionally
-    warm-starts the multipliers from a previous solution.
+    All subproblems must share the slot duration, and ``prices`` must cover
+    the longest vehicle window (else ``ValueError``).
     """
     if not subproblems:
         return []
     ws = EVBatchWorkspace(subproblems)
-    rows = np.zeros((len(subproblems), ws.width))
-    rows[ws.mask] = np.concatenate([sub.prices.values for sub in subproblems])
-    ws.load_prices(rows)
-    return ws.solve(eps=eps, mu_hints=mu_hints, max_iter=max_iter)
+    ws.load_prices(prices)
+    return ws.solve(eps=eps, max_iter=max_iter)
 
 
-def solve_ev(sub: EVSubproblem, eps: Tolerances = Tolerances()) -> EVSolution:
+def solve_ev(
+    sub: EVSubproblem, prices: Sequence[float], eps: Tolerances = Tolerances()
+) -> EVSolution:
     """Solve one vehicle's subproblem; see :func:`solve_ev_batch`."""
-    return solve_ev_batch([sub], eps=eps)[0]
+    return solve_ev_batch([sub], prices, eps=eps)[0]
 
 
 def stationarity_residual(sub: EVSubproblem, solution: EVSolution) -> float:
-    """Largest violation of the first-order optimality conditions.
+    """Largest violation of the first-order optimality conditions, at the
+    prices the solution was solved at.
 
     Interior slots must satisfy ``w/(1+p) = price + mu*rate`` exactly;
     slots at a bound only need the sign of that gradient to point outward.
     """
     p = solution.power
-    lam = sub.prices.values
+    lam = np.asarray(solution._batch.prices[: p.size])
     ses = sub.session
     rate = ses.energy_rate(sub.window.slot_hours)
     grad = ses.weight / (1.0 + p) - lam - solution.energy_multiplier * rate

@@ -151,10 +151,6 @@ class PriceVector:
     def __getitem__(self, idx):
         return self.values[idx]
 
-    @staticmethod
-    def constant(level: float, length: int) -> "PriceVector":
-        return PriceVector(np.full(length, float(level)))
-
 
 @dataclass(frozen=True, eq=False)
 class PowerProfile:

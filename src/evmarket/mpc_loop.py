@@ -24,7 +24,6 @@ from .ev_agent import EVSubproblem
 from .model import (
     DSOSpec,
     EVSession,
-    PriceVector,
     ScenarioValidationError,
     SlotRecord,
     StorageSpec,
@@ -42,6 +41,8 @@ __all__ = [
     "SimulationTrace",
     "Settlement",
     "compute_window",
+    "config_of",
+    "initial_state",
     "negotiate_window",
     "negotiated",
     "uncontrolled",
@@ -134,23 +135,12 @@ def negotiate_window(state: SimulationState, config: SimulationConfig) -> DualIt
     """Run the price loop over the window of ``state.active`` from ``state.slot``,
     warm-started at ``state.last_price``."""
     slot = state.slot
-    window = compute_window(state.active, slot, config.slot_hours)
-    warm = max(state.last_price, 0.0)
     ev_subs = [
-        EVSubproblem(
-            session=s,
-            window=TimeGrid(slot, s.departure - slot, config.slot_hours),
-            prices=PriceVector.constant(warm, s.departure - slot),
-        )
+        EVSubproblem(s, TimeGrid(slot, s.departure - slot, config.slot_hours))
         for s in state.active
     ]
-    dso_sub = DSOSubproblem(
-        dso=config.dso,
-        storage=config.storage,
-        energy_now=state.storage_energy,
-        window=window,
-        prices=PriceVector.constant(warm, window.length),
-    )
+    window = compute_window(state.active, slot, config.slot_hours)
+    dso_sub = DSOSubproblem(config.dso, config.storage, state.storage_energy, window)
     return negotiate_slot(ev_subs, dso_sub, state.last_price, config.convergence, config.eps)
 
 
@@ -253,7 +243,9 @@ def _summarize(
     )
 
 
-def _initial_state(scenario: Scenario, sessions: Sequence[EVSession]) -> SimulationState:
+def initial_state(scenario: Scenario, sessions: Sequence[EVSession]) -> SimulationState:
+    """The state before slot 0: every session pending, the storage at its
+    initial energy and the warm price at ``initial_price`` per kW-slot."""
     return SimulationState(
         slot=0,
         active=(),
@@ -263,7 +255,8 @@ def _initial_state(scenario: Scenario, sessions: Sequence[EVSession]) -> Simulat
     )
 
 
-def _config_of(scenario: Scenario) -> SimulationConfig:
+def config_of(scenario: Scenario) -> SimulationConfig:
+    """The per-slot step's settings named by ``scenario``."""
     sv = scenario.solver
     # The solver section names the loop's settings as ConvergenceConfig does.
     loop = {f.name: getattr(sv, f.name) for f in fields(ConvergenceConfig)}
@@ -292,8 +285,8 @@ def _simulate(scenario: Scenario, policy) -> SimulationTrace:
     if not report.ok:
         raise ScenarioValidationError(report)
     sessions = resolve_sessions(scenario)
-    config = _config_of(scenario)
-    state = _initial_state(scenario, sessions)
+    config = config_of(scenario)
+    state = initial_state(scenario, sessions)
     records: list[SlotRecord] = []
     for _ in range(scenario.grid.num_slots):
         state, record = step(state, config, policy)

@@ -12,19 +12,22 @@ from evmarket import DSOSubproblem, EVSubproblem
 from evmarket.dso_agent import _objective
 
 
-def dso_objective(sub: DSOSubproblem, generation: np.ndarray, storage_power: np.ndarray) -> float:
-    """The supplier objective at any point, at the prices carried by ``sub``."""
-    return _objective(sub, sub.prices.values, generation, storage_power)
+def dso_objective(
+    sub: DSOSubproblem, prices, generation: np.ndarray, storage_power: np.ndarray
+) -> float:
+    """The supplier objective at any point, at the window's ``prices``."""
+    return _objective(sub, np.asarray(prices, dtype=float), generation, storage_power)
 
 
-def ev_objective(sub: EVSubproblem, profile: np.ndarray, offset: float = 1.0) -> float:
-    ses = sub.session
-    lam = sub.prices.values
-    return float(np.sum(ses.weight * np.log(offset + profile) - lam * profile))
+def ev_objective(sub: EVSubproblem, prices, profile: np.ndarray) -> float:
+    lam = np.asarray(prices, dtype=float)
+    return float(np.sum(sub.session.weight * np.log(1.0 + profile) - lam * profile))
 
 
-def ev_bruteforce(sub: EVSubproblem, step: float = 0.001) -> tuple[np.ndarray, float]:
-    """Grid search over the energy-feasible set of a 1..3 slot problem."""
+def ev_bruteforce(sub: EVSubproblem, prices, step: float = 0.001) -> tuple[np.ndarray, float]:
+    """Grid search over the energy-feasible set of a 1..3 slot problem at
+    the window's ``prices``."""
+    lam = np.asarray(prices, dtype=float)
     ses = sub.session
     n = sub.window.length
     rate = ses.energy_rate(sub.window.slot_hours)
@@ -33,7 +36,7 @@ def ev_bruteforce(sub: EVSubproblem, step: float = 0.001) -> tuple[np.ndarray, f
 
     if n == 1:
         profile = np.array([total])
-        return profile, ev_objective(sub, profile)
+        return profile, ev_objective(sub, lam, profile)
 
     axis = np.arange(lo, hi + step / 2, step)
     if n == 2:
@@ -43,8 +46,8 @@ def ev_bruteforce(sub: EVSubproblem, step: float = 0.001) -> tuple[np.ndarray, f
         p0, p1 = p0[ok], np.clip(p1[ok], lo, hi)
         values = (
             ses.weight * (np.log1p(p0) + np.log1p(p1))
-            - sub.prices.values[0] * p0
-            - sub.prices.values[1] * p1
+            - lam[0] * p0
+            - lam[1] * p1
         )
         best = int(np.argmax(values))
         profile = np.array([p0[best], p1[best]])
@@ -55,7 +58,6 @@ def ev_bruteforce(sub: EVSubproblem, step: float = 0.001) -> tuple[np.ndarray, f
         g0, g1 = np.meshgrid(coarse, coarse, indexing="ij")
         g2 = total - g0 - g1
         ok = (g2 >= lo - 1e-12) & (g2 <= hi + 1e-12)
-        lam = sub.prices.values
         values = np.where(
             ok,
             ses.weight * (np.log1p(g0) + np.log1p(g1) + np.log1p(np.clip(g2, lo, hi)))
@@ -88,14 +90,17 @@ def ev_bruteforce(sub: EVSubproblem, step: float = 0.001) -> tuple[np.ndarray, f
     raise ValueError("brute force supports at most 3 slots")
 
 
-def dso_bruteforce_1slot(sub: DSOSubproblem, step: float = 0.01) -> tuple[float, float, float]:
-    """Two-stage grid over the (generation, storage) box of a 1-slot problem."""
+def dso_bruteforce_1slot(
+    sub: DSOSubproblem, prices, step: float = 0.01
+) -> tuple[float, float, float]:
+    """Two-stage grid over the (generation, storage) box of a 1-slot problem
+    at the window's ``prices``."""
+    lam = float(prices[0])
     lo_g, hi_g = sub.dso.power_min, sub.dso.power_max
     lo_s, hi_s = sub.storage.power_min, sub.storage.power_max
 
     def sweep(g_axis, s_axis):
         gg, ss = np.meshgrid(g_axis, s_axis, indexing="ij")
-        lam = sub.prices.values[0]
         net = gg - ss
         cost = sub.dso.cost_quadratic * net * net + sub.dso.cost_linear * net
         dev = sub.energy_now - ss * sub.storage.throughput * sub.window.slot_hours \
@@ -115,9 +120,10 @@ def dso_bruteforce_1slot(sub: DSOSubproblem, step: float = 0.01) -> tuple[float,
 
 
 def dso_bruteforce_storage(
-    sub: DSOSubproblem, step: float = 0.01
+    sub: DSOSubproblem, prices, step: float = 0.01
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Brute force over the storage plane of a 2-slot problem.
+    """Brute force over the storage plane of a 2-slot problem at the
+    window's ``prices``.
 
     Generation is reduced out exactly: for fixed storage powers the objective
     is separable and quadratic in each generation sample, so the optimum is
@@ -127,7 +133,7 @@ def dso_bruteforce_storage(
         raise ValueError("this oracle is for 2-slot problems")
     lo_s, hi_s = sub.storage.power_min, sub.storage.power_max
     a, b = sub.dso.cost_quadratic, sub.dso.cost_linear
-    lam = sub.prices.values
+    lam = np.asarray(prices, dtype=float)
 
     def best_generation(ps):
         vertex = ps + (lam - b) / (2.0 * a)
@@ -140,7 +146,7 @@ def dso_bruteforce_storage(
             for s1 in ps1:
                 ps = np.array([s0, s1])
                 gen = best_generation(ps)
-                value = dso_objective(sub, gen, ps)
+                value = dso_objective(sub, lam, gen, ps)
                 if value > best[2]:
                     best = (gen, ps, value)
         return best

@@ -9,15 +9,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from evmarket import (
     DSOSpec,
+    EVBatchSolution,
     EVSession,
     EVSubproblem,
-    PriceVector,
     Scenario,
     StorageSpec,
     TimeGrid,
     parse_scenario,
     run,
 )
+from evmarket.ev_agent import EVBatchWorkspace
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -65,17 +66,16 @@ def make_session(
     )
 
 
-def make_ev_subproblem(prices, start=0, slot_hours=SLOT_HOURS, **kwargs) -> EVSubproblem:
-    prices = np.asarray(prices, dtype=float)
-    session = make_session(departure=start + prices.size, arrival=start, **kwargs)
-    return EVSubproblem(
-        session=session,
-        window=TimeGrid(start, prices.size, slot_hours),
-        prices=PriceVector(prices),
-    )
+def make_ev_subproblem(slots, start=0, slot_hours=SLOT_HOURS, **kwargs) -> EVSubproblem:
+    """A vehicle present for ``slots`` slots from ``start``."""
+    session = make_session(departure=start + slots, arrival=start, **kwargs)
+    return EVSubproblem(session=session, window=TimeGrid(start, slots, slot_hours))
 
 
-def random_ev_subproblem(rng: np.random.Generator, max_slots=6) -> EVSubproblem:
+def random_ev_subproblem(
+    rng: np.random.Generator, max_slots=6
+) -> tuple[EVSubproblem, list[float]]:
+    """A random vehicle and the prices of its window."""
     n = int(rng.integers(1, max_slots + 1))
     prices = rng.uniform(0.1, 8.0, size=n)
     power_max = float(rng.uniform(5.0, 30.0))
@@ -83,10 +83,18 @@ def random_ev_subproblem(rng: np.random.Generator, max_slots=6) -> EVSubproblem:
     weight = float(rng.uniform(1.0, 20.0))
     rate = (1.0 - loss) * SLOT_HOURS
     energy = float(rng.uniform(0.05, 0.98)) * rate * power_max * n
-    return make_ev_subproblem(
-        prices,
-        power_max=power_max,
-        weight=weight,
-        loss_fraction=loss,
-        energy=energy,
+    sub = make_ev_subproblem(
+        n, power_max=power_max, weight=weight, loss_fraction=loss, energy=energy
     )
+    return sub, prices.tolist()
+
+
+def start_at(ws: EVBatchWorkspace, multipliers, upper=None) -> EVBatchSolution:
+    """A previous solution of ``ws`` with every slot on a bound (the lower
+    one, or the upper one for the vehicles ``upper`` flags): no slot is free,
+    so each vehicle's solve from it starts exactly at its multiplier, a
+    non-finite one included (the bracket midpoint)."""
+    rows = ws.lo if upper is None else np.where(np.asarray(upper)[:, None], ws.hi, ws.lo)
+    rows = rows.tolist()
+    flags = [True] * len(rows)
+    return EVBatchSolution(ws, ws.prices, rows, [float(mu) for mu in multipliers], flags, rows[0])

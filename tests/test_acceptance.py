@@ -76,20 +76,12 @@ def _random_instance(rng: np.random.Generator):
 
 def _negotiate_instance(sessions, window):
     warm = 16.0 * SLOT_HOURS
-    ev_subs = [
-        EVSubproblem(
-            session=s,
-            window=TimeGrid(0, s.departure, SLOT_HOURS),
-            prices=PriceVector.constant(warm, s.departure),
-        )
-        for s in sessions
-    ]
+    ev_subs = [EVSubproblem(s, TimeGrid(0, s.departure, SLOT_HOURS)) for s in sessions]
     dso_sub = DSOSubproblem(
         dso=TABLE1_DSO,
         storage=TABLE1_STORAGE,
         energy_now=TABLE1_STORAGE.energy_initial,
         window=window,
-        prices=PriceVector.constant(warm, window.length),
     )
     return negotiate_slot(ev_subs, dso_sub, warm)
 
@@ -191,10 +183,10 @@ def test_a5_peak_shaving(table1_run, table1_uncontrolled):
 def test_a6_subgradient_identity():
     eps = Tolerances(kkt=1e-9, energy=1e-9)
     evs = [
-        make_ev_subproblem([1.0, 1.0], energy=5.0),
-        make_ev_subproblem([1.0, 1.0], energy=2.5),
+        make_ev_subproblem(2, energy=5.0),
+        make_ev_subproblem(2, energy=2.5),
     ]
-    dso_sub = make_dso_sub(np.zeros(2))
+    dso_sub = make_dso_sub(2)
     rng = np.random.default_rng(66)
     h = 1e-4
     worst = 0.0
@@ -222,8 +214,8 @@ def test_a7_kkt_suites():
     eps = Tolerances()
     worst_ev = 0.0
     for _ in range(100):
-        sub = random_ev_subproblem(rng)
-        sol = solve_ev(sub, eps=eps)
+        sub, prices = random_ev_subproblem(rng)
+        sol = solve_ev(sub, prices, eps=eps)
         worst_ev = max(worst_ev, stationarity_residual(sub, sol))
 
     from evmarket import DSOSpec, StorageSpec
@@ -251,9 +243,9 @@ def test_a7_kkt_suites():
             storage=storage,
             energy_now=float(rng.uniform(80.0, 120.0)),
             window=TimeGrid(0, n, SLOT_HOURS),
-            prices=PriceVector(rng.uniform(0.0, 8.0, size=n)),
         )
-        worst_dso = max(worst_dso, solve_dso(sub, eps=eps).kkt_residual)
+        prices = rng.uniform(0.0, 8.0, size=n)
+        worst_dso = max(worst_dso, solve_dso(sub, prices, eps=eps).kkt_residual)
 
     ok = worst_ev <= 1e-4 and worst_dso <= 1e-4
     report(

@@ -24,14 +24,11 @@ from bruteforce import random_feasible_ev
 from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_ev_subproblem
 
 
-def make_dso_sub(prices, dso=TABLE1_DSO, storage=TABLE1_STORAGE, energy_now=100.0):
-    prices = np.asarray(prices, dtype=float)
+def make_dso_sub(
+    slots, dso=TABLE1_DSO, storage=TABLE1_STORAGE, energy_now=100.0, slot_hours=SLOT_HOURS
+):
     return DSOSubproblem(
-        dso=dso,
-        storage=storage,
-        energy_now=energy_now,
-        window=TimeGrid(0, prices.size, SLOT_HOURS),
-        prices=PriceVector(prices),
+        dso=dso, storage=storage, energy_now=energy_now, window=TimeGrid(0, slots, slot_hours)
     )
 
 
@@ -62,7 +59,7 @@ def test_prices_stay_nonnegative_through_updates():
 
 def test_empty_market_dual_is_zero():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
-    state = evaluate_dual(PriceVector(np.zeros(2)), [], make_dso_sub(np.zeros(2), dso=dso))
+    state = evaluate_dual(PriceVector(np.zeros(2)), [], make_dso_sub(2, dso=dso))
     np.testing.assert_allclose(state.demand.values, 0.0)
     np.testing.assert_allclose(state.supply.values, 0.0, atol=1e-6)
     np.testing.assert_allclose(state.residual.values, 0.0, atol=1e-6)
@@ -71,15 +68,15 @@ def test_empty_market_dual_is_zero():
 
 def test_satisfied_vehicle_adds_nothing():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
-    ev = make_ev_subproblem([0.0, 0.0], energy=0.0)
-    state = evaluate_dual(PriceVector(np.zeros(2)), [ev], make_dso_sub(np.zeros(2), dso=dso))
+    ev = make_ev_subproblem(2, energy=0.0)
+    state = evaluate_dual(PriceVector(np.zeros(2)), [ev], make_dso_sub(2, dso=dso))
     np.testing.assert_allclose(state.demand.values, 0.0, atol=1e-9)
     np.testing.assert_allclose(state.supply.values, 0.0, atol=1e-6)
 
 
 def test_residual_is_supply_minus_demand():
-    ev = make_ev_subproblem([2.0, 3.0], energy=4.0)
-    state = evaluate_dual(PriceVector(np.array([2.0, 3.0])), [ev], make_dso_sub([2.0, 3.0]))
+    ev = make_ev_subproblem(2, energy=4.0)
+    state = evaluate_dual(PriceVector(np.array([2.0, 3.0])), [ev], make_dso_sub(2))
     np.testing.assert_allclose(
         state.residual.values, state.supply.values - state.demand.values
     )
@@ -89,10 +86,10 @@ def test_weak_duality_against_sampled_feasible_points():
     rng = np.random.default_rng(21)
     lam = PriceVector(np.full(2, 16.0 * SLOT_HOURS))
     evs = [
-        make_ev_subproblem([1.0, 1.0], energy=6.0),
-        make_ev_subproblem([1.0, 1.0], energy=3.5, power_max=20.0),
+        make_ev_subproblem(2, energy=6.0),
+        make_ev_subproblem(2, energy=3.5, power_max=20.0),
     ]
-    dso_sub = make_dso_sub(np.zeros(2))
+    dso_sub = make_dso_sub(2)
     state = evaluate_dual(lam, evs, dso_sub)
     window = dso_sub.window
     for _ in range(1000):
@@ -119,10 +116,10 @@ def test_weak_duality_against_sampled_feasible_points():
 def test_dual_gradient_matches_finite_differences():
     eps = Tolerances(kkt=1e-10, energy=1e-10)
     evs = [
-        make_ev_subproblem([1.0, 1.0], energy=5.0),
-        make_ev_subproblem([1.0, 1.0], energy=2.0),
+        make_ev_subproblem(2, energy=5.0),
+        make_ev_subproblem(2, energy=2.0),
     ]
-    dso_sub = make_dso_sub(np.zeros(2))
+    dso_sub = make_dso_sub(2)
     rng = np.random.default_rng(40)
     h = 1e-4
     for _ in range(10):
@@ -139,7 +136,7 @@ def test_dual_gradient_matches_finite_differences():
 
 def test_negotiation_trivially_converged_at_balance():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
-    result = negotiate_slot([], make_dso_sub([0.0], dso=dso), warm_start_price=0.0)
+    result = negotiate_slot([], make_dso_sub(1, dso=dso), warm_start_price=0.0)
     assert result.converged
     assert result.iterations == 0
     np.testing.assert_allclose(result.prices.values, [0.0])
@@ -149,8 +146,8 @@ def test_negotiation_trivially_converged_at_balance():
 def test_negotiation_finds_supply_curve_crossing():
     # one vehicle pinned at 22 kW: the settled price must put the supplier
     # exactly there, which has a closed form from its stationarity conditions
-    ev = make_ev_subproblem([4.0], energy=5.5)
-    result = negotiate_slot([ev], make_dso_sub([4.0]), warm_start_price=4.0)
+    ev = make_ev_subproblem(1, energy=5.5)
+    result = negotiate_slot([ev], make_dso_sub(1), warm_start_price=4.0)
     assert result.converged
     analytic = (22.0 + 0.9 / (2 * 0.06)) / (1 / (2 * 0.06) + 1 / (2 * 0.25 * 0.25))
     assert result.prices[0] == pytest.approx(analytic, abs=0.02)
@@ -159,18 +156,18 @@ def test_negotiation_finds_supply_curve_crossing():
 
 
 def test_nonconvergence_is_flagged_not_raised():
-    ev = make_ev_subproblem([4.0], energy=5.5)
+    ev = make_ev_subproblem(1, energy=5.5)
     config = ConvergenceConfig(step_size=0.005, max_iterations=3)
-    result = negotiate_slot([ev], make_dso_sub([4.0]), 4.0, config=config)
+    result = negotiate_slot([ev], make_dso_sub(1), 4.0, config=config)
     assert not result.converged
     assert result.iterations == 3
     assert len(result.residual_history) == 4
 
 
 def test_diminishing_schedule_best_residual_monotone():
-    ev = make_ev_subproblem([4.0, 4.0], energy=8.0)
+    ev = make_ev_subproblem(2, energy=8.0)
     config = ConvergenceConfig(step_size=0.01, step_schedule="diminishing", max_iterations=400)
-    result = negotiate_slot([ev], make_dso_sub([4.0, 4.0]), 4.0, config=config)
+    result = negotiate_slot([ev], make_dso_sub(2), 4.0, config=config)
     history = np.array(result.residual_history)
     best = np.minimum.accumulate(history)
     assert np.all(np.diff(best) <= 0)
@@ -179,8 +176,19 @@ def test_diminishing_schedule_best_residual_monotone():
 
 def test_warm_start_negative_price_is_clipped():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
-    result = negotiate_slot([], make_dso_sub([0.0], dso=dso), warm_start_price=-3.0)
+    result = negotiate_slot([], make_dso_sub(1, dso=dso), warm_start_price=-3.0)
     np.testing.assert_allclose(result.prices.values, [0.0])
+
+
+def test_vehicle_windows_must_share_the_slot_duration():
+    """Prices per kW-slot mean different things on half-hour and
+    quarter-hour slots, so such a market is refused, not negotiated."""
+    ev = make_ev_subproblem(1, energy=2.0, slot_hours=0.5)
+    with pytest.raises(ValueError, match="on its slots"):
+        negotiate_slot([ev], make_dso_sub(1, slot_hours=0.25), 4.0)
+    with pytest.raises(ValueError, match="on its slots"):
+        evaluate_dual([4.0], [ev], make_dso_sub(1, slot_hours=0.25))
+    assert negotiate_slot([ev], make_dso_sub(1, slot_hours=0.5), 4.0).converged
 
 
 def scripted_supplier(levels):
@@ -188,7 +196,7 @@ def scripted_supplier(levels):
     ``i``, and failing at a ``None``."""
     calls = []
 
-    def supplier(sub, eps, start, prices):
+    def supplier(sub, prices, eps, start):
         level = levels[len(calls)]
         calls.append(prices)
         if level is None:
@@ -228,11 +236,11 @@ def test_negotiation_returns_the_state_it_settled_at(monkeypatch, exit, levels, 
 
     monkeypatch.setattr(coordinator, "evaluate_dual", spy)
     if levels is None:
-        n, evs = 1, [make_ev_subproblem([4.0], energy=5.5)]
+        n, evs = 1, [make_ev_subproblem(1, energy=5.5)]
     else:
         n, evs = 2, []
         monkeypatch.setattr(coordinator, "solve_dso", scripted_supplier(levels))
-    result = negotiate_slot(evs, make_dso_sub([4.0] * n), 4.0, config=config)
+    result = negotiate_slot(evs, make_dso_sub(n), 4.0, config=config)
 
     assert result is states[settled]
     assert result.converged == (exit == "converged")

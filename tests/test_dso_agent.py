@@ -4,7 +4,6 @@ import pytest
 from evmarket import (
     DSOSpec,
     DSOSubproblem,
-    PriceVector,
     StorageSpec,
     TimeGrid,
     Tolerances,
@@ -18,16 +17,12 @@ from bruteforce import dso_bruteforce_1slot, dso_bruteforce_storage, dso_objecti
 from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE
 
 
-def make_sub(prices, dso=TABLE1_DSO, storage=TABLE1_STORAGE, energy_now=None, slot_hours=SLOT_HOURS):
-    prices = np.asarray(prices, dtype=float)
+def make_sub(slots, dso=TABLE1_DSO, storage=TABLE1_STORAGE, energy_now=None, slot_hours=SLOT_HOURS):
+    """The supplier over a window of ``slots`` slots."""
     if energy_now is None:
         energy_now = storage.energy_reference
     return DSOSubproblem(
-        dso=dso,
-        storage=storage,
-        energy_now=energy_now,
-        window=TimeGrid(0, prices.size, slot_hours),
-        prices=PriceVector(prices),
+        dso=dso, storage=storage, energy_now=energy_now, window=TimeGrid(0, slots, slot_hours)
     )
 
 
@@ -54,27 +49,27 @@ def test_tracking_penalty_hand_cases():
 
 def test_zero_price_zero_linear_cost_stays_idle():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
-    sol = solve_dso(make_sub(np.zeros(3), dso=dso))
+    sol = solve_dso(make_sub(3, dso=dso), [0.0] * 3)
     np.testing.assert_allclose(sol.generation.values, 0.0, atol=1e-6)
     np.testing.assert_allclose(sol.storage_power.values, 0.0, atol=1e-6)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_one_slot_zero_price_hand_kkt():
-    sol = solve_dso(make_sub([0.0]))
+    sol = solve_dso(make_sub(1), [0.0])
     # generation pinned at zero, storage at the stationary point of
     # -a*ps^2 + b*ps - (throughput*slot_hours*ps)^2
     expected_ps = 0.9 / (2 * 0.06 + 2 * 0.25 * 0.25)
     np.testing.assert_allclose(sol.generation.values, [0.0], atol=1e-7)
     np.testing.assert_allclose(sol.storage_power.values, [expected_ps], atol=1e-6)
-    gen, ps, value = dso_bruteforce_1slot(make_sub([0.0]))
+    gen, ps, value = dso_bruteforce_1slot(make_sub(1), [0.0])
     assert sol.objective == pytest.approx(value, abs=1e-3)
 
 
 def test_one_slot_table1_price_against_grid():
-    sub = make_sub([16.0 * SLOT_HOURS])
-    sol = solve_dso(sub)
-    gen, ps, value = dso_bruteforce_1slot(sub)
+    sub, prices = make_sub(1), [16.0 * SLOT_HOURS]
+    sol = solve_dso(sub, prices)
+    gen, ps, value = dso_bruteforce_1slot(sub, prices)
     assert sol.objective == pytest.approx(value, rel=1e-6, abs=1e-3)
     np.testing.assert_allclose(sol.generation.values, [gen], atol=0.02)
     np.testing.assert_allclose(sol.storage_power.values, [ps], atol=0.02)
@@ -84,9 +79,9 @@ def test_two_slot_matches_reduced_grid_oracle():
     rng = np.random.default_rng(2)
     for _ in range(3):
         lam = rng.uniform(0.0, 6.0, size=2)
-        sub = make_sub(lam, energy_now=float(rng.uniform(95.0, 105.0)))
-        sol = solve_dso(sub)
-        _, _, ref = dso_bruteforce_storage(sub)
+        sub = make_sub(2, energy_now=float(rng.uniform(95.0, 105.0)))
+        sol = solve_dso(sub, lam)
+        _, _, ref = dso_bruteforce_storage(sub, lam)
         rel = abs(sol.objective - ref) / max(1.0, abs(ref))
         assert rel <= 1e-3
         assert sol.objective >= ref - 1e-3
@@ -112,13 +107,9 @@ def test_solution_respects_boxes_and_stationarity():
             throughput=float(rng.uniform(0.1, 1.0)),
             tracking_weight=float(rng.uniform(0.1, 2.0)),
         )
-        sub = make_sub(
-            rng.uniform(0.0, 8.0, size=n),
-            dso=dso,
-            storage=storage,
-            energy_now=float(rng.uniform(80.0, 120.0)),
-        )
-        sol = solve_dso(sub, eps=eps)
+        prices = rng.uniform(0.0, 8.0, size=n)
+        sub = make_sub(n, dso=dso, storage=storage, energy_now=float(rng.uniform(80.0, 120.0)))
+        sol = solve_dso(sub, prices, eps=eps)
         assert sol.kkt_residual <= 1e-4
         assert np.all(sol.generation.values >= dso.power_min - 1e-9)
         assert np.all(sol.generation.values <= dso.power_max + 1e-9)
@@ -128,13 +119,14 @@ def test_solution_respects_boxes_and_stationarity():
 
 def test_returned_point_beats_random_feasible_points():
     rng = np.random.default_rng(31)
-    sub = make_sub(rng.uniform(0.0, 5.0, size=2))
-    sol = solve_dso(sub)
+    prices = rng.uniform(0.0, 5.0, size=2)
+    sub = make_sub(2)
+    sol = solve_dso(sub, prices)
     best = sol.objective
     for _ in range(10_000):
         gen = rng.uniform(sub.dso.power_min, sub.dso.power_max, size=2)
         ps = rng.uniform(sub.storage.power_min, sub.storage.power_max, size=2)
-        assert dso_objective(sub, gen, ps) <= best + 1e-9
+        assert dso_objective(sub, prices, gen, ps) <= best + 1e-9
 
 
 def test_uniform_price_raise_never_reduces_supply():
@@ -143,24 +135,34 @@ def test_uniform_price_raise_never_reduces_supply():
         n = int(rng.integers(1, 6))
         lam = rng.uniform(0.0, 4.0, size=n)
         bump = float(rng.uniform(0.05, 2.0))
-        low = solve_dso(make_sub(lam)).generation.values.sum()
-        high = solve_dso(make_sub(lam + bump)).generation.values.sum()
+        low = solve_dso(make_sub(n), lam).generation.values.sum()
+        high = solve_dso(make_sub(n), lam + bump).generation.values.sum()
         assert high >= low - 1e-6
 
 
 def test_warm_start_does_not_change_answer():
     rng = np.random.default_rng(4)
     lam = rng.uniform(0.0, 5.0, size=6)
-    sub = make_sub(lam)
-    cold = solve_dso(sub)
-    other = solve_dso(make_sub(lam + 1.0))
-    warm = solve_dso(sub, start=(other.generation.values, other.storage_power.values))
+    sub = make_sub(6)
+    cold = solve_dso(sub, lam)
+    other = solve_dso(sub, lam + 1.0)
+    warm = solve_dso(sub, lam, start=(other.generation.values, other.storage_power.values))
     np.testing.assert_allclose(cold.generation.values, warm.generation.values, atol=1e-5)
     np.testing.assert_allclose(cold.storage_power.values, warm.storage_power.values, atol=1e-5)
 
 
 def test_nonconvergence_raises_with_residual():
-    sub = make_sub([4.0, 2.0])
+    sub = make_sub(2)
     with pytest.raises(ConvergenceError) as info:
-        solve_dso(sub, max_iter=1)
+        solve_dso(sub, [4.0, 2.0], max_iter=1)
     assert info.value.residual > 0
+
+
+def test_wrong_length_prices_raise():
+    """One price for a 3-slot window would otherwise give one generation
+    entry, with five storage entries on the projected-Newton path."""
+    pinned = StorageSpec(0.0, 0.0, 0.0, 0.0)
+    for storage in (TABLE1_STORAGE, pinned):
+        for prices in ([4.0], [4.0] * 4):
+            with pytest.raises(ValueError, match="window length"):
+                solve_dso(make_sub(3, storage=storage), prices)

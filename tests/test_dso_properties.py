@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from evmarket import (
     DSOSpec,
     DSOSubproblem,
-    PriceVector,
     StorageSpec,
     TimeGrid,
     Tolerances,
@@ -66,13 +65,13 @@ def pinned_subproblems(draw):
         throughput=draw(st.floats(0.5, 1.0)),
         tracking_weight=draw(st.floats(0.0, 2.0)),
     )
-    return DSOSubproblem(
+    sub = DSOSubproblem(
         dso=DSOSpec(quad, lin, power_min, power_max),
         storage=storage,
         energy_now=storage.energy_initial,
         window=TimeGrid(0, n, SLOT_HOURS),
-        prices=PriceVector(np.array(prices)),
     )
+    return sub, prices
 
 
 # A supplier box as wide as the reference residual: the iteration stops at
@@ -82,16 +81,16 @@ NARROW_BOX = DSOSubproblem(
     storage=StorageSpec(0.0, 0.0, 0.0, 0.0),
     energy_now=0.0,
     window=TimeGrid(0, 1, SLOT_HOURS),
-    prices=PriceVector(np.array([2.0])),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(sub=pinned_subproblems())
-@example(sub=NARROW_BOX)
-def test_closed_form_matches_projected_newton(sub):
-    lam = sub.prices.values
-    sol = solve_dso(sub, eps=EPS)
+@given(market=pinned_subproblems())
+@example(market=(NARROW_BOX, [2.0]))
+def test_closed_form_matches_projected_newton(market):
+    sub, prices = market
+    lam = np.array(prices)
+    sol = solve_dso(sub, prices, eps=EPS)
     point, _ = _projected_newton(sub, lam, REFERENCE_EPS, 100_000, None)
     np.testing.assert_allclose(sol.point, point, rtol=0.0, atol=1e-9)
     gen = sol.generation.values
@@ -115,10 +114,9 @@ def test_closed_form_raises_on_a_non_finite_residual():
         storage=StorageSpec(0.0, 0.0, 0.0, 0.0),
         energy_now=0.0,
         window=TimeGrid(0, 2, SLOT_HOURS),
-        prices=PriceVector(np.array([4.0, 2.0])),
     )
     with pytest.raises(ConvergenceError, match="closed form"):
-        solve_dso(sub)
+        solve_dso(sub, [4.0, 2.0])
 
 
 @st.composite
@@ -139,24 +137,24 @@ def storage_subproblems(draw):
         throughput=draw(st.floats(0.1, 1.0)),
         tracking_weight=draw(st.floats(0.05, 2.0)),
     )
-    return DSOSubproblem(
+    sub = DSOSubproblem(
         dso=DSOSpec(quad, lin, power_min, power_max),
         storage=storage,
         energy_now=storage.energy_initial,
         window=TimeGrid(0, n, SLOT_HOURS),
-        prices=PriceVector(np.array(prices)),
     )
+    return sub, prices
 
 
-def check_warm_against_cold(sub, start):
+def check_warm_against_cold(sub, prices, start):
     """Run to ``REFERENCE_EPS``, warm and cold answers agree to the closed-form
     test's point bound.  (At ``EPS`` either may stop up to the residual target
     short of the optimum, the cold one often at its zero start.)  At ``EPS``
     the warm answer is certified and in the boxes."""
-    warm = solve_dso(sub, eps=REFERENCE_EPS, start=start)
-    cold = solve_dso(sub, eps=REFERENCE_EPS)
+    warm = solve_dso(sub, prices, eps=REFERENCE_EPS, start=start)
+    cold = solve_dso(sub, prices, eps=REFERENCE_EPS)
     np.testing.assert_allclose(warm.point, cold.point, rtol=0.0, atol=1e-9)
-    warm = solve_dso(sub, eps=EPS, start=start)
+    warm = solve_dso(sub, prices, eps=EPS, start=start)
     assert warm.kkt_residual <= EPS.kkt
     gen, ps = warm.generation.values, warm.storage_power.values
     assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
@@ -164,30 +162,31 @@ def check_warm_against_cold(sub, start):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sub=storage_subproblems(), data=st.data())
-def test_warm_start_near_the_answer_matches_the_cold_solve(sub, data):
+@given(market=storage_subproblems(), data=st.data())
+def test_warm_start_near_the_answer_matches_the_cold_solve(market, data):
     """Started from the answer at slightly moved prices, as in the price loop."""
+    sub, prices = market
     n = sub.window.length
     shift = data.draw(st.lists(st.floats(-0.01, 0.01), min_size=n, max_size=n))
-    nearby = solve_dso(sub, eps=EPS, prices=np.maximum(sub.prices.values + shift, 0.0).tolist())
-    check_warm_against_cold(sub, (nearby.generation_values, nearby.storage_values))
+    nearby = solve_dso(sub, np.maximum(np.array(prices) + shift, 0.0).tolist(), eps=EPS)
+    check_warm_against_cold(sub, prices, (nearby.generation_values, nearby.storage_values))
 
 
 @settings(max_examples=300, deadline=None)
-@given(sub=storage_subproblems(), data=st.data())
-def test_random_warm_start_matches_the_cold_solve(sub, data):
+@given(market=storage_subproblems(), data=st.data())
+def test_random_warm_start_matches_the_cold_solve(market, data):
+    sub, prices = market
     n = sub.window.length
     coords = st.lists(st.floats(-150.0, 250.0), min_size=n, max_size=n)
-    check_warm_against_cold(sub, (data.draw(coords), data.draw(coords)))
+    check_warm_against_cold(sub, prices, (data.draw(coords), data.draw(coords)))
 
 
-def storage_sub(prices):
+def storage_sub(slots):
     return DSOSubproblem(
         dso=TABLE1_DSO,
         storage=TABLE1_STORAGE,
         energy_now=TABLE1_STORAGE.energy_reference,
-        window=TimeGrid(0, len(prices), SLOT_HOURS),
-        prices=PriceVector(np.array(prices)),
+        window=TimeGrid(0, slots, SLOT_HOURS),
     )
 
 
@@ -214,20 +213,20 @@ def test_warm_step_leaving_the_box_falls_back(monkeypatch):
     # Unconstrained optimum Q^-1 g with g = (price - linear, linear).
     lin = TABLE1_DSO.cost_linear
     price = lin + (TABLE1_DSO.power_max + 5e-7 - inverse[0, 1] * lin) / inverse[0, 0]
-    sub = storage_sub([price])
+    sub = storage_sub(1)
     calls = count_iterations(monkeypatch)
-    sol = solve_dso(sub, start=([50.0], [0.0]))
+    sol = solve_dso(sub, [price], start=([50.0], [0.0]))
     assert len(calls) == 1
     assert sol.generation_values == [TABLE1_DSO.power_max]
-    check_warm_against_cold(sub, ([50.0], [0.0]))
+    check_warm_against_cold(sub, [price], ([50.0], [0.0]))
 
 
 def test_warm_start_with_a_nan_price_raises():
-    sub = storage_sub([4.0, 2.0])
-    cold = solve_dso(sub)
+    sub = storage_sub(2)
+    cold = solve_dso(sub, [4.0, 2.0])
     start = (cold.generation_values, cold.storage_values)
     with pytest.raises(ConvergenceError):
-        solve_dso(sub, start=start, prices=[4.0, math.nan])
+        solve_dso(sub, [4.0, math.nan], start=start)
 
 
 def test_warm_step_settles_most_table1_supplier_calls(table1_scenario, monkeypatch):
@@ -243,8 +242,8 @@ def test_warm_step_settles_most_table1_supplier_calls(table1_scenario, monkeypat
 
     monkeypatch.setattr(dso_agent, "_projected_newton", counted)
     fallbacks = count_iterations(monkeypatch)
-    state = mpc_loop._initial_state(table1_scenario, resolve_sessions(table1_scenario))
-    _, record = mpc_loop.step(state, mpc_loop._config_of(table1_scenario))
+    state = mpc_loop.initial_state(table1_scenario, resolve_sessions(table1_scenario))
+    _, record = mpc_loop.step(state, mpc_loop.config_of(table1_scenario))
     assert record.converged
     assert len(warm) == record.iterations >= 50
     # One fallback is the slot's cold first call.

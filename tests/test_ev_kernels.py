@@ -1,6 +1,7 @@
-"""The scalar and the array EV kernels give bit-identical results, on padded
-price rows or on the window list, from the hints or from the tangent
-prediction off a previous solution, and ``EVBatchWorkspace.solve`` sends each
+"""The scalar and the array EV kernels give bit-identical results on the
+window price list, from the even spread or from the tangent prediction off a
+previous solution (a previous solution with every slot on a bound starts each
+vehicle exactly at its multiplier), and ``EVBatchWorkspace.solve`` sends each
 batch to the kernel its size rule names."""
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from evmarket import Tolerances, ev_agent
 from evmarket.ev_agent import EVBatchSolution, EVBatchWorkspace
 
-from conftest import SLOT_HOURS, make_ev_subproblem
+from conftest import SLOT_HOURS, make_ev_subproblem, start_at
 
 EPS = Tolerances()
 
@@ -24,11 +25,9 @@ PRICE = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
 
 
 @st.composite
-def vehicles(draw, width, window=None):
-    """One vehicle of at most ``width`` slots; with a ``window`` list its
-    prices are that list's leading slots, as the coordinator broadcasts them."""
+def vehicles(draw, width):
+    """One vehicle of at most ``width`` slots."""
     n = draw(st.integers(1, width))
-    prices = window[:n] if window else draw(st.lists(PRICE, min_size=n, max_size=n))
     power_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 5.0)))
     power_max = power_min + draw(st.floats(0.5, 30.0))
     loss = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
@@ -47,7 +46,7 @@ def vehicles(draw, width, window=None):
         "under": floor * share,
     }[draw(st.sampled_from(NEEDS))]
     return make_ev_subproblem(
-        prices,
+        n,
         power_min=power_min,
         power_max=power_max,
         weight=weight,
@@ -58,46 +57,46 @@ def vehicles(draw, width, window=None):
 
 @st.composite
 def batches(draw):
-    """A loaded workspace: padded price rows, one per vehicle, or the window
-    list the coordinator broadcasts, which may be longer than every stay."""
+    """A workspace loaded with the window list the coordinator broadcasts,
+    which may be longer than every stay."""
     width = draw(st.integers(1, 7))
-    if draw(st.booleans()):
-        window = draw(st.lists(PRICE, min_size=width, max_size=width))
-        subs = draw(st.lists(vehicles(width, window), min_size=1, max_size=8))
-        ws = EVBatchWorkspace(subs)
-        ws.load_prices(window)
-        return ws
-    subs = draw(st.lists(vehicles(width), min_size=1, max_size=8))
-    ws = EVBatchWorkspace(subs)
-    rows = np.zeros((len(subs), ws.width))
-    for row, sub in zip(rows, subs):
-        row[: sub.window.length] = sub.prices.values
-    ws.load_prices(rows)
+    window = draw(st.lists(PRICE, min_size=width, max_size=width))
+    ws = EVBatchWorkspace(draw(st.lists(vehicles(width), min_size=1, max_size=8)))
+    ws.load_prices(window)
     return ws
 
 
-# Hints: none, finite (near zero, or far below the saturation bound, where
-# every slot is clamped at its upper bound and the slope is zero), non-finite.
-HINTS = st.one_of(
+# Starts: cold, or a previous solution with every slot on a bound, drawn per
+# vehicle, whose multipliers are the exact starts: finite (near zero, or far
+# below the saturation bound, where every slot is clamped at its upper bound
+# and the slope is zero) or non-finite.
+STARTS = st.one_of(
     st.none(),
-    st.lists(
-        st.one_of(
-            st.floats(-10.0, 10.0),
-            st.just(-1e6),
-            st.just(1e6),
-            st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.tuples(
+        st.lists(
+            st.one_of(
+                st.floats(-10.0, 10.0),
+                st.just(-1e6),
+                st.just(1e6),
+                st.sampled_from([np.nan, np.inf, -np.inf]),
+            ),
+            min_size=8,
+            max_size=8,
         ),
-        min_size=8,
-        max_size=8,
+        st.lists(st.booleans(), min_size=8, max_size=8),
     ),
 )
 
 
-def assert_same(ws, hints, max_iter, nan=False):
-    if hints is not None:
-        hints = np.array(hints[: len(ws.lengths)])
-    scalar = ws._solve_scalar(EPS, hints, max_iter)
-    assert_identical(scalar, ws._solve_array(EPS, hints, max_iter), nan)
+def assert_same(ws, start, max_iter, nan=False):
+    """Both kernels agree from ``start``: None (cold), or multipliers and,
+    per vehicle, whether its previous slots sat on the upper bound."""
+    previous = None
+    if start is not None:
+        count = len(ws.lengths)
+        previous = start_at(ws, start[0][:count], start[1][:count])
+    scalar = ws._solve_scalar(EPS, max_iter, previous)
+    assert_identical(scalar, ws._solve_array(EPS, max_iter, previous), nan)
 
 
 def assert_identical(scalar, array, nan=False):
@@ -111,28 +110,25 @@ def assert_identical(scalar, array, nan=False):
 
 
 @settings(max_examples=500, deadline=None)
-@given(ws=batches(), hints=HINTS, max_iter=st.sampled_from([200, 200, 1, 3]))
-def test_scalar_kernel_matches_array_kernel(ws, hints, max_iter):
-    assert_same(ws, hints, max_iter)
+@given(ws=batches(), start=STARTS, max_iter=st.sampled_from([200, 200, 1, 3]))
+def test_scalar_kernel_matches_array_kernel(ws, start, max_iter):
+    assert_same(ws, start, max_iter)
 
 
 @st.composite
 def moves(draw, ws):
-    """Prices (padded rows or the window list, as loaded) before and after a
-    move: a small step, a step large enough to carry slots across the box
-    faces (the free set changes), or either with a NaN slot before or after
-    in a slot some vehicle sees."""
+    """The window list before and after a move: a small step, a step large
+    enough to carry slots across the box faces (the free set changes), or
+    either with a NaN slot before or after in a slot some vehicle sees."""
     now = np.array(ws.prices)
     kind = draw(st.sampled_from(("small", "large", "nan before", "nan after")))
     scale = 0.05 if kind == "small" else 3.0
-    size = now.shape[-1]
-    step = draw(st.lists(st.floats(-scale, scale), min_size=size, max_size=size))
+    step = draw(st.lists(st.floats(-scale, scale), min_size=now.size, max_size=now.size))
     before = np.maximum(now + step, 0.0)
     if kind.startswith("nan"):
         i = draw(st.integers(0, len(ws.lengths) - 1))
-        j = draw(st.integers(0, ws.lengths[i] - 1))
         target = before if kind == "nan before" else now
-        target[(i, j) if target.ndim == 2 else j] = np.nan
+        target[draw(st.integers(0, ws.lengths[i] - 1))] = np.nan
     return kind, before, now
 
 
@@ -142,21 +138,21 @@ def test_kernels_match_on_the_predicted_start(ws, data, max_iter):
     kind, before, now = data.draw(moves(ws))
     nan = kind.startswith("nan")
     ws.load_prices(before)
-    scalar_before = ws._solve_scalar(EPS, None, 200)
-    array_before = ws._solve_array(EPS, None, 200)
+    scalar_before = ws._solve_scalar(EPS, 200)
+    array_before = ws._solve_array(EPS, 200)
     assert_identical(scalar_before, array_before, nan)
     ws.load_prices(now)
-    array = ws._solve_array(EPS, None, max_iter, array_before)
-    assert_identical(ws._solve_scalar(EPS, None, max_iter, scalar_before), array, nan)
+    array = ws._solve_array(EPS, max_iter, array_before)
+    assert_identical(ws._solve_scalar(EPS, max_iter, scalar_before), array, nan)
     # Either kernel predicts from a solution of the other.
-    assert_identical(ws._solve_scalar(EPS, None, max_iter, array_before), array, nan)
+    assert_identical(ws._solve_scalar(EPS, max_iter, array_before), array, nan)
     assert_same(ws, None, max_iter, nan)
 
 
 def starts(ws, previous, nan=False):
     """Each kernel's starting multipliers (``max_iter=0``) from ``previous``."""
-    scalar = ws._solve_scalar(EPS, None, 0, previous)
-    array = ws._solve_array(EPS, None, 0, previous)
+    scalar = ws._solve_scalar(EPS, 0, previous)
+    array = ws._solve_array(EPS, 0, previous)
     assert_identical(scalar, array, nan)
     return scalar.multipliers
 
@@ -164,7 +160,7 @@ def starts(ws, previous, nan=False):
 def one_vehicle(before, row, mu, energy=2.0, now=(2.1, 2.9, 4.5)):
     """A 3-slot vehicle (box [0, 20]) loaded with ``now``, and a previous
     solution at ``before`` with powers ``row`` and multiplier ``mu``."""
-    ws = EVBatchWorkspace([make_ev_subproblem([1.0] * 3, power_max=20.0, energy=energy)])
+    ws = EVBatchWorkspace([make_ev_subproblem(3, power_max=20.0, energy=energy)])
     ws.load_prices(list(now))
     previous = EVBatchSolution(ws, list(before), [list(row)], [mu], [True], list(row))
     return ws, previous
@@ -183,8 +179,6 @@ def test_predicted_start_is_the_tangent_step(last):
 def test_no_free_slot_starts_from_the_previous_multiplier():
     ws, previous = one_vehicle([2.0, 3.0, 4.0], [20.0, 0.0, 0.0], 0.3)
     assert starts(ws, previous) == [0.3]
-    with pytest.raises(ValueError, match="not both"):
-        ws.solve(EPS, [0.3], previous=previous)
 
 
 def test_non_finite_prediction_starts_at_the_bracket_midpoint():
@@ -201,8 +195,8 @@ def test_nan_price_gives_a_nan_start_on_either_kernel():
     for now in ((math.nan, 2.9, 4.5), (2.1, math.nan, 4.5), (2.1, 2.9, math.nan)):
         ws, previous = one_vehicle([2.0, 3.0, 4.0], [1.5, 0.5, 20.0], 0.3, now=now)
         assert math.isnan(starts(ws, previous, nan=True)[0])
-        array = ws._solve_array(EPS, None, 200, previous)
-        assert_identical(ws._solve_scalar(EPS, None, 200, previous), array, nan=True)
+        array = ws._solve_array(EPS, 200, previous)
+        assert_identical(ws._solve_scalar(EPS, 200, previous), array, nan=True)
         assert array.power.tolist() == [[20.0] * 3]
         assert_same(ws, None, 200, nan=True)
 
@@ -215,24 +209,24 @@ def test_saturated_requirement_ignores_the_prediction():
 
 
 def test_nonpositive_effective_price_and_zero_slope():
-    """A hint far below the saturation bound starts every slot at the upper
+    """A start far below the saturation bound puts every slot at the upper
     bound, some at q <= 0; the zero slope there makes the first step bisect."""
-    sub = make_ev_subproblem([0.0, 3.0, 1.0], power_max=30.0, weight=0.1, energy=10.0)
+    sub = make_ev_subproblem(3, power_max=30.0, weight=0.1, energy=10.0)
     ws = EVBatchWorkspace([sub])
-    ws.load_prices(sub.prices.values)
+    ws.load_prices([0.0, 3.0, 1.0])
     mu_low = (ws.clamp_hi_price - ws.lam.max(axis=1)) / ws.rate - 1.0
     q = ws.lam + (mu_low * ws.rate)[:, None]
     assert (q <= 0).any()
     _, _, slope = ws._energy_at(mu_low, ws.lam)
     assert slope[0] == 0.0
     for max_iter in (1, 2, 200):
-        assert_same(ws, [-1e6], max_iter)
-    assert ws.solve(EPS, np.array([-1e6])).feasible.all()
+        assert_same(ws, ([-1e6], [True]), max_iter)
+    assert ws.solve(EPS, previous=start_at(ws, [-1e6])).feasible.all()
 
 
 def batch(vehicles, width):
     subs = [
-        make_ev_subproblem(np.linspace(1.0, 3.0, width), power_max=20.0, energy=2.0)
+        make_ev_subproblem(width, power_max=20.0, energy=2.0)
         for _ in range(vehicles)
     ]
     ws = EVBatchWorkspace(subs)
@@ -273,22 +267,13 @@ def test_one_slot_batches_sum_their_column_like_numpy(count):
     rng = np.random.default_rng(count)
     subs = [
         make_ev_subproblem(
-            [2.0], power_max=float(rng.uniform(5.0, 30.0)), energy=float(rng.uniform(0.1, 1.0))
+            1, power_max=float(rng.uniform(5.0, 30.0)), energy=float(rng.uniform(0.1, 1.0))
         )
         for _ in range(count)
     ]
     ws = EVBatchWorkspace(subs)
     ws.load_prices(np.array([float(rng.uniform(0.5, 4.0))]))
     assert_same(ws, None, 200)
-
-
-@pytest.mark.parametrize("vehicles", [3, ev_agent._SCALAR_VEHICLES + 1])
-def test_hints_need_one_multiplier_per_vehicle(vehicles):
-    """On either kernel; NumPy would broadcast a single hint over the batch."""
-    ws = batch(vehicles, 2)
-    for hints in ([0.3], [0.3] * (vehicles + 1)):
-        with pytest.raises(ValueError, match="one multiplier per vehicle"):
-            ws.solve(EPS, hints)
 
 
 def test_cached_saturation_flags_are_read_only():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from evmarket import Tolerances
 from evmarket.ev_agent import EVBatchWorkspace, stationarity_residual
 
-from conftest import SLOT_HOURS, make_ev_subproblem, random_ev_subproblem
+from conftest import SLOT_HOURS, make_ev_subproblem, random_ev_subproblem, start_at
 
 EPS = Tolerances()
 
@@ -17,11 +17,6 @@ NEEDS = ("zero", "interior", "full", "floor", "over", "under")
 @st.composite
 def vehicles(draw):
     n = draw(st.integers(1, 6))
-    prices = draw(
-        st.lists(
-            st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=n, max_size=n
-        )
-    )
     power_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 5.0)))
     power_max = power_min + draw(st.floats(0.5, 30.0))
     loss = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
@@ -39,7 +34,7 @@ def vehicles(draw):
         "under": floor * share,
     }[kind]
     return make_ev_subproblem(
-        prices,
+        n,
         power_min=power_min,
         power_max=power_max,
         weight=weight,
@@ -48,53 +43,42 @@ def vehicles(draw):
     )
 
 
-def hint_values(hints, count, mu):
-    """Hints of the requested quality for a batch whose exact multipliers are ``mu``."""
-    kind, noise = hints
+def solve(ws, start):
+    """Solve ``ws`` from a start of the requested kind: cold, from the exact
+    multipliers moved by ``1e-3 * noise`` or from bad ones (a previous
+    solution with every slot on a bound starts each vehicle exactly there),
+    or from the tangent prediction off the solution at prices moved by
+    ``0.1 * noise`` in alternating directions."""
+    kind, noise = start
     if kind == "none":
-        return None
+        return ws.solve(eps=EPS)
+    prices = ws.prices
+    if kind == "predicted":
+        signs = (-1.0) ** np.arange(len(prices))
+        ws.load_prices(np.maximum(np.array(prices) + 0.1 * noise * signs, 0.0))
+        previous = ws.solve(eps=EPS)
+        ws.load_prices(prices)
+        return ws.solve(eps=EPS, previous=previous)
     if kind == "good":
-        return mu + noise * 1e-3
-    return np.resize(np.array([noise * 1e6, -noise * 1e6, np.nan, np.inf]), count)
+        mu = ws.solve(eps=EPS).energy_multiplier + noise * 1e-3
+    else:
+        mu = np.resize([noise * 1e6, -noise * 1e6, np.nan, np.inf], len(ws.lengths))
+    return ws.solve(eps=EPS, previous=start_at(ws, mu))
 
 
-def loaded(subs):
-    """A workspace of ``subs`` loaded with their prices, and the padded rows."""
-    ws = EVBatchWorkspace(subs)
-    rows = np.zeros((len(subs), ws.width))
-    for row, sub in zip(rows, subs):
-        row[: sub.window.length] = sub.prices.values
-    ws.load_prices(rows)
-    return ws, rows
-
-
-def solve(subs, hints=None):
-    ws, _ = loaded(subs)
-    return ws.solve(eps=EPS, mu_hints=hints)
-
-
-def solve_predicted(subs, noise):
-    """Solve at prices moved by ``0.1 * noise`` in alternating directions, then
-    at the real prices from the tangent prediction off that solution."""
-    ws, rows = loaded(subs)
-    signs = (-1.0) ** np.arange(ws.width)
-    ws.load_prices(np.maximum(rows + 0.1 * noise * signs, 0.0))
-    previous = ws.solve(eps=EPS)
-    ws.load_prices(rows)
-    return ws.solve(eps=EPS, previous=previous)
+PRICES = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=6, max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     subs=st.lists(vehicles(), min_size=1, max_size=6),
-    hints=st.tuples(st.sampled_from(("none", "good", "bad", "predicted")), st.floats(0.1, 10.0)),
+    window=PRICES,
+    start=st.tuples(st.sampled_from(("none", "good", "bad", "predicted")), st.floats(0.1, 10.0)),
 )
-def test_batch_solutions_are_optimal_and_in_the_box(subs, hints):
-    if hints[0] == "predicted":
-        batch = solve_predicted(subs, hints[1])
-    else:
-        reference = solve(subs)
-        batch = solve(subs, hint_values(hints, len(subs), reference.energy_multiplier))
+def test_batch_solutions_are_optimal_and_in_the_box(subs, window, start):
+    ws = EVBatchWorkspace(subs)
+    ws.load_prices(window)
+    batch = solve(ws, start)
     assert len(batch) == len(subs)
     for sub, sol in zip(subs, batch):
         ses = sub.session
@@ -131,7 +115,7 @@ def test_warm_started_solves_need_few_energy_evaluations():
             power_max = float(rng.uniform(5.0, 30.0))
             subs.append(
                 make_ev_subproblem(
-                    rng.uniform(0.0, 8.0, size=n),
+                    n,
                     power_max=power_max,
                     weight=float(rng.uniform(1.0, 20.0)),
                     energy=float(rng.uniform(0.0, 1.0)) * SLOT_HOURS * power_max * n,
@@ -141,7 +125,7 @@ def test_warm_started_solves_need_few_energy_evaluations():
         width = ws.width
         prices = rng.uniform(0.5, 4.0, size=width)
         ws.load_prices(prices)
-        mu = ws._solve_array(EPS, None, 200).energy_multiplier
+        batch = ws._solve_array(EPS, 200)
         energy_at = ws._energy_at
 
         def counted(m, lam):
@@ -153,9 +137,8 @@ def test_warm_started_solves_need_few_energy_evaluations():
         for _ in range(10):
             prices = np.maximum(prices + rng.normal(0.0, 0.02, size=width), 0.0)
             ws.load_prices(prices)
-            batch = ws._solve_array(EPS, mu, 200)
+            batch = ws._solve_array(EPS, 200, batch)
             assert batch.feasible.all()
-            mu = batch.energy_multiplier
             solves += 1
     assert evaluations / solves <= 5.0, evaluations / solves
 
@@ -166,10 +149,11 @@ def test_predicted_start_meets_the_tolerance_more_often_than_the_last_multiplier
     tolerance before any Newton step (``max_iter=0``) for strictly more
     vehicles of a fixed 30-vehicle batch than the previous multiplier does."""
     rng = np.random.default_rng(0)
-    subs = [random_ev_subproblem(rng) for _ in range(30)]
-    ws, rows = loaded(subs)
+    ws = EVBatchWorkspace([random_ev_subproblem(rng)[0] for _ in range(30)])
+    window = rng.uniform(0.1, 8.0, size=ws.width)
+    ws.load_prices(window)
     previous = ws.solve(eps=EPS)
-    ws.load_prices(np.maximum(rows + rng.normal(0.0, 0.005, size=rows.shape), 0.0))
+    ws.load_prices(np.maximum(window + rng.normal(0.0, 0.005, size=window.size), 0.0))
     predicted = ws.solve(eps=EPS, max_iter=0, previous=previous).feasible.sum()
-    plain = ws.solve(eps=EPS, max_iter=0, mu_hints=previous.multipliers).feasible.sum()
-    assert predicted > plain
+    plain = ws.solve(eps=EPS, max_iter=0, previous=start_at(ws, previous.multipliers))
+    assert predicted > plain.feasible.sum()

@@ -18,7 +18,6 @@ from evmarket import (
     ConvergenceConfig,
     DSOSpec,
     DSOSubproblem,
-    PriceVector,
     StorageSpec,
     TimeGrid,
     Tolerances,
@@ -45,7 +44,6 @@ def dso_sub(n, dso=TABLE1_DSO, storage=NO_STORAGE):
         storage=storage,
         energy_now=storage.energy_initial,
         window=TimeGrid(0, n, SLOT_HOURS),
-        prices=PriceVector(np.full(n, 4.0)),
     )
 
 
@@ -61,7 +59,7 @@ def same_bits(floats, array):
 @pytest.mark.parametrize("prices", [[4.0, NAN], [NAN, 4.0], [2.0, NAN, 6.0]])
 def test_closed_form_raises_on_a_nan_price(prices):
     with pytest.raises(ConvergenceError, match="closed form"):
-        solve_dso(dso_sub(len(prices)), prices=prices)
+        solve_dso(dso_sub(len(prices)), prices)
 
 
 def test_update_price_follows_np_maximum():
@@ -139,7 +137,7 @@ def supplier_turning(last, calls):
     """A supplier stub offering 5 kW per slot, then ``last`` in the last slot
     from its second call on; ``calls`` collects the prices it is asked at."""
 
-    def supplier(sub, eps, start, prices):
+    def supplier(sub, prices, eps, start):
         calls.append(prices)
         gen = [5.0, 5.0] if len(calls) == 1 else [5.0, last]
         return DSOSolution(gen, [0.0, 0.0], 0.0, sub, prices)
@@ -180,7 +178,7 @@ def test_nan_residual_at_the_first_iteration_raises(monkeypatch):
     supplier failure at the first iteration does."""
     calls = []
 
-    def supplier(sub, eps, start, prices):
+    def supplier(sub, prices, eps, start):
         calls.append(prices)
         return DSOSolution([0.0, NAN], [0.0, 0.0], 0.0, sub, prices)
 
@@ -203,7 +201,7 @@ def markets(draw):
         power_max = draw(st.floats(2.0, 30.0))
         subs.append(
             make_ev_subproblem(
-                [0.0] * m,
+                m,
                 power_min=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
                 power_max=power_max,
                 weight=draw(st.floats(1.0, 20.0)),
@@ -266,8 +264,8 @@ def test_every_dual_evaluation_passes_the_benchmark_entry_points(table1_scenario
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
-    config = mpc_loop._config_of(table1_scenario)
-    state = mpc_loop._initial_state(table1_scenario, resolve_sessions(table1_scenario))
+    config = mpc_loop.config_of(table1_scenario)
+    state = mpc_loop.initial_state(table1_scenario, resolve_sessions(table1_scenario))
     for slot in range(6):
         calls.update(dict.fromkeys(calls, 0))
         state, record = mpc_loop.step(state, config)

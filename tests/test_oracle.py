@@ -5,7 +5,6 @@ from evmarket import (
     CentralProblem,
     DSOSpec,
     DSOSubproblem,
-    PriceVector,
     TimeGrid,
     negotiate_slot,
     solve_central,
@@ -103,10 +102,7 @@ def test_oracle_beats_random_feasible_points():
     problem = make_problem(sessions, window_len=2)
     sol = solve_central(problem)
     window = problem.window
-    subs = [
-        EVSubproblem(ses, TimeGrid(0, 2, SLOT_HOURS), PriceVector(np.ones(2)))
-        for ses in sessions
-    ]
+    subs = [EVSubproblem(ses, TimeGrid(0, 2, SLOT_HOURS)) for ses in sessions]
     for _ in range(2000):
         profiles = [random_feasible_ev(rng, sub) for sub in subs]
         storage_power = rng.uniform(
@@ -133,16 +129,9 @@ def test_matches_negotiated_welfare_within_one_percent():
     central = solve_central(problem)
 
     warm = 16.0 * SLOT_HOURS
-    subs = [
-        EVSubproblem(ses, TimeGrid(0, 2, SLOT_HOURS), PriceVector.constant(warm, 2))
-        for ses in sessions
-    ]
+    subs = [EVSubproblem(ses, TimeGrid(0, 2, SLOT_HOURS)) for ses in sessions]
     dso_sub = DSOSubproblem(
-        dso=TABLE1_DSO,
-        storage=TABLE1_STORAGE,
-        energy_now=100.0,
-        window=problem.window,
-        prices=PriceVector.constant(warm, 2),
+        dso=TABLE1_DSO, storage=TABLE1_STORAGE, energy_now=100.0, window=problem.window
     )
     result = negotiate_slot(subs, dso_sub, warm)
     assert result.converged

@@ -73,7 +73,7 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
 def test_supplier_solve_stops_at_a_non_finite_residual():
     dso = DSOSpec(TABLE1_DSO.cost_quadratic, TABLE1_DSO.cost_linear, 0.0, math.nan)
     with pytest.raises(ConvergenceError, match="in iteration 1 of"):
-        solve_dso(make_sub([4.0, 2.0], dso=dso, storage=TABLE1_STORAGE))
+        solve_dso(make_sub(2, dso=dso, storage=TABLE1_STORAGE), [4.0, 2.0])
 
 
 def test_solver_caches_stay_bounded():
@@ -83,7 +83,7 @@ def test_solver_caches_stay_bounded():
     for _ in range(300):
         n = int(rng.integers(1, 7))
         dso = DSOSpec(float(rng.uniform(0.01, 0.3)), 0.9, 0.0, float(rng.uniform(30, 150)))
-        solve_dso(make_sub(rng.uniform(0.0, 8.0, size=n), dso=dso))
+        solve_dso(make_sub(n, dso=dso), rng.uniform(0.0, 8.0, size=n))
     for cache in (_quadratic_form, _newton_system):
         info = cache.cache_info()
         assert info.misses > info.maxsize
