@@ -33,11 +33,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
-from .ev_agent import EVBatchWorkspace, EVSolution, EVSubproblem
-from .model import CONSTANT, PowerProfile, PriceVector, Tolerances, loop_problems, max_abs
+from .ev_agent import EVBatchWorkspace, EVSolution
+from .model import CONSTANT, EVSession, PowerProfile, PriceVector, Tolerances
+from .model import loop_problems, max_abs
 
 __all__ = [
     "ConvergenceConfig",
@@ -135,75 +134,50 @@ class DualIterationState:
         return max_abs(self.residual_values)
 
 
-def _floats(values) -> list[float]:
-    """A validated vector, an array or a list of floats, as a list of floats."""
-    values = getattr(values, "values", values)
-    return values.tolist() if isinstance(values, np.ndarray) else values
-
-
-def update_price(prices, residual, step: float):
+def update_price(prices: list[float], residual: list[float], step: float) -> list[float]:
     """Move prices against the balance violation, clipped at zero.
 
-    Takes lists of floats (as in the price loop), arrays or the validated
-    types; a :class:`PriceVector` in gives a :class:`PriceVector` out,
-    anything else a list.  The clip is ``np.maximum(v, 0.0)`` written out: a
-    NaN imbalance gives a NaN price, and a tie (either zero) gives ``0.0``.
+    The clip is ``np.maximum(v, 0.0)`` written out: a NaN imbalance gives a
+    NaN price, and a tie (either zero) gives ``0.0``.
     """
-    lam = prices if type(prices) is list else _floats(prices)
-    imbalance = residual if type(residual) is list else _floats(residual)
-    if len(lam) != len(imbalance):
+    if len(prices) != len(residual):
         raise ValueError("price and residual lengths differ")
     out = []
     i = 0
-    for x in lam:
-        v = x - step * imbalance[i]
+    for x in prices:
+        v = x - step * residual[i]
         out.append(v if v > 0.0 or v != v else 0.0)
         i += 1
-    return out if lam is prices or not isinstance(prices, PriceVector) else PriceVector(out)
-
-
-def _check_windows(ev_subs: Sequence[EVSubproblem], dso_sub: DSOSubproblem) -> None:
-    window = dso_sub.window
-    for sub in ev_subs:
-        own = sub.window
-        if (own.start, own.slot_hours) != (window.start, window.slot_hours) or own.end > window.end:
-            raise ValueError("vehicle windows must lie in the coordination window, on its slots")
+    return out
 
 
 def evaluate_dual(
-    prices,
-    ev_subs: Sequence[EVSubproblem],
+    prices: list[float],
+    sessions: Sequence[EVSession],
     dso_sub: DSOSubproblem,
     eps: Tolerances = Tolerances(),
-    iterations: int = 0,
     last: DualIterationState | None = None,
-    workspace: EVBatchWorkspace | None = None,
 ) -> DualIterationState:
-    """Solve every agent subproblem at ``prices`` and assemble the imbalance.
+    """Solve every agent at ``prices`` and assemble the imbalance.
 
-    ``prices`` is a list of floats, an array or a :class:`PriceVector` over
-    the coordination window; every agent solve is given it as a list, and
-    each vehicle sees the leading slots covering its own window.  A list of
-    another length raises ``ValueError`` from the solves.  Vehicles
-    contribute zero demand past their departure.  The dual value is
-    the sum of the agents' optimal objectives, computed when it is first read.
-    A caller passing ``workspace`` has already checked that it holds
-    ``ev_subs`` inside the window.  ``last``, the state of the last iteration
-    on that workspace, warm-starts the agents: each vehicle's multiplier
-    search starts from a tangent prediction along the price move (see
-    :mod:`evmarket.ev_agent`) and the supplier from its last dispatch.
-    Without it each vehicle starts from the even spread of its requirement
-    and the supplier from scratch.
+    ``prices`` is the float list broadcast over ``dso_sub.window``, the one
+    window of the supplier and the vehicles; a list of another length raises
+    ``ValueError`` from the solves.  Each vehicle charges on the leading slots
+    up to its departure and adds zero demand past it.  The dual value is the
+    sum of the agents' optimal objectives, computed when it is first read.
+    ``last``, the previous iteration's state on the same agents, lends its
+    vehicle workspace and its iteration count plus one, and warm-starts the
+    agents: each vehicle's multiplier search from a tangent prediction along
+    the price move (see :mod:`evmarket.ev_agent`), the supplier from its last
+    dispatch.  Without it the workspace is built, each vehicle starts from the
+    even spread of its requirement and the supplier from scratch.
     """
-    lam = prices if type(prices) is list else _floats(prices)
-    n = dso_sub.window.length
-
-    if ev_subs:
-        if workspace is None:
-            _check_windows(ev_subs, dso_sub)
-            workspace = EVBatchWorkspace(ev_subs)
-        workspace.load_prices(lam)
-        ev_solutions = workspace.solve(eps, previous=last and last.ev_solutions)
+    window = dso_sub.window
+    n = window.length
+    if sessions:
+        workspace = last.ev_solutions.workspace if last else EVBatchWorkspace(sessions, window)
+        workspace.load_prices(prices)
+        ev_solutions = workspace.solve(eps, last and last.ev_solutions)
         demand = ev_solutions.demand
         if workspace.width < n:
             demand = demand + [0.0] * (n - workspace.width)
@@ -211,7 +185,7 @@ def evaluate_dual(
         ev_solutions, demand = (), [0.0] * n
     dso = last and last.dso_solution
     start = dso and (dso.generation_values, dso.storage_values)
-    dso_solution = solve_dso(dso_sub, lam, eps, start=start)
+    dso_solution = solve_dso(dso_sub, prices, eps, start=start)
 
     supply = dso_solution.generation_values
     residual = []
@@ -219,13 +193,14 @@ def evaluate_dual(
     for g in supply:
         residual.append(g - demand[i])
         i += 1
+    iterations = last.iterations + 1 if last else 0
     return DualIterationState(
-        iterations, lam, demand, supply, residual, ev_solutions, dso_solution
+        iterations, prices, demand, supply, residual, ev_solutions, dso_solution
     )
 
 
 def negotiate_slot(
-    ev_subs: Sequence[EVSubproblem],
+    sessions: Sequence[EVSession],
     dso_sub: DSOSubproblem,
     warm_start_price: float,
     config: ConvergenceConfig = ConvergenceConfig(),
@@ -233,13 +208,15 @@ def negotiate_slot(
 ) -> DualIterationState:
     """Run the price loop for one slot from a constant warm-start vector.
 
-    Iterates agent solves and price updates until the worst per-slot imbalance
-    is within ``config.balance_tolerance`` or ``config.max_iterations`` price
-    updates have been spent, and returns the state of the iteration it
-    settled at, with its outcome fields set.  The returned powers and dual
-    value therefore always come from a full agent solve at the returned
-    prices.  Non-convergence is flagged, never raised, and the caller decides
-    policy: a supplier solve that fails with
+    The vehicles ``sessions`` and the supplier share ``dso_sub.window``; a
+    warm-start price that is not finite raises ``ValueError``.  Iterates agent
+    solves and price updates until the worst per-slot imbalance is within
+    ``config.balance_tolerance`` or ``config.max_iterations`` price updates
+    have been spent, and returns the state of the iteration it settled at,
+    with its outcome fields set.  The returned powers and dual value therefore
+    always come from a full agent solve at the returned prices.
+    Non-convergence is flagged, never raised, and the caller decides policy: a
+    supplier solve that fails with
     :class:`~evmarket.dso_agent.ConvergenceError`, or a non-finite imbalance,
     at iteration ``k >= 1`` returns the state of iteration ``k - 1`` with
     ``converged=False`` and the failure's message in ``supplier_error``.  A
@@ -248,18 +225,17 @@ def negotiate_slot(
     iteration ``k`` that overflows to ``inf`` is never broadcast: the state of
     iteration ``k`` is returned, flagged the same way.
     """
+    if not math.isfinite(warm_start_price):
+        raise ValueError(f"warm-start price must be finite, not {warm_start_price}")
     prices = [max(warm_start_price, 0.0)] * dso_sub.window.length
-
-    _check_windows(ev_subs, dso_sub)
     history: list[float] = []
-    workspace = EVBatchWorkspace(ev_subs) if ev_subs else None
     state = None
     supplier_error = None
     # The constant schedule's step, worked out once (None: diminishing).
     step = config.step_size if config.step_schedule == CONSTANT else None
     for k in range(config.max_iterations + 1):
         try:
-            next_state = evaluate_dual(prices, ev_subs, dso_sub, eps, k, state, workspace)
+            next_state = evaluate_dual(prices, sessions, dso_sub, eps, state)
             norm = max_abs(next_state.residual_values)
             if not norm <= config.balance_tolerance and not math.isfinite(norm):
                 message = f"non-finite balance residual ({norm}) at iteration {k}"

@@ -124,6 +124,9 @@ def storage_tracking_penalty(
 # back to a projected-gradient step.
 _ARC_STEPS = 8
 
+# Projected-Newton iterations before a supplier solve is reported as stalled.
+_MAX_ITER = 100_000
+
 # Quadratic forms, boxes and free-set Newton systems are reused across
 # negotiation iterations, keyed by the window length and cost parameters
 # (prices and stored energy only shift the linear term), the bounds, or the
@@ -168,7 +171,6 @@ def solve_dso(
     sub: DSOSubproblem,
     prices: Sequence[float],
     eps: Tolerances = Tolerances(),
-    max_iter: int = 100_000,
     start: tuple[Sequence[float], Sequence[float]] | None = None,
 ) -> DSOSolution:
     """Return the unique maximizer of the supplier objective on the boxes at
@@ -181,8 +183,7 @@ def solve_dso(
     is returned if it passes the certificate, else the iteration runs from
     ``start``.  It never changes the answer beyond the stationarity
     tolerance.  Raises :class:`ConvergenceError` if the residual target is
-    not met (within ``max_iter`` iterations), or at once if the residual is
-    not finite.
+    not met, or at once if the residual is not finite.
     """
     lam = prices if type(prices) is list else np.asarray(prices, dtype=float).tolist()
     if len(lam) != sub.window.length:
@@ -190,7 +191,7 @@ def solve_dso(
     if sub.storage.power_min == sub.storage.power_max and sub.dso.cost_quadratic > 0:
         gen, storage, residual = _pinned_dispatch(sub, lam, eps)
     else:
-        point, residual = _projected_newton(sub, np.asarray(lam), eps, max_iter, start)
+        point, residual = _projected_newton(sub, np.asarray(lam), eps, _MAX_ITER, start)
         n = len(lam)
         gen, storage = point[:n].tolist(), point[n:].tolist()
     return DSOSolution(gen, storage, residual, sub, lam)

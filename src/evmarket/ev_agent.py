@@ -1,11 +1,11 @@
-"""Per-vehicle subproblem: maximize charging utility minus energy cost.
+"""Vehicle agents: maximize charging utility minus energy cost.
 
-A subproblem holds no prices: every solve takes the window price list the
-coordinator broadcasts, of which each vehicle sees the leading slots.  Each
-vehicle maximizes ``sum_t [w * ln(1 + p(t)) - price(t) * p(t)]`` over its
-remaining window, subject to its power box and the requirement that the energy
-still needed is fully delivered by departure.  The optimizer has water-filling
-structure: ``p(t) = clamp(w / (price(t) + mu * rate) - 1, p_min, p_max)`` for a
+A negotiation has one window, the supplier's, and one price list over it.
+Each vehicle charges on the window's first ``departure - window.start`` slots
+and maximizes ``sum_t [w * ln(1 + p(t)) - price(t) * p(t)]`` over them,
+subject to its power box and the requirement that the energy still needed is
+fully delivered by departure.  The optimizer has water-filling structure:
+``p(t) = clamp(w / (price(t) + mu * rate) - 1, p_min, p_max)`` for a
 scalar multiplier ``mu`` on the terminal-energy constraint.  The delivered
 energy ``E(mu)`` is decreasing, with slope ``-rate**2 * sum_free w / q**2`` over
 the slots strictly inside the box (``q`` the effective price), so ``mu`` is
@@ -42,9 +42,7 @@ import numpy as np
 
 from .model import EVSession, PowerProfile, TimeGrid, Tolerances
 
-__all__ = [
-    "EVSubproblem", "EVSolution", "EVBatchSolution", "utility", "solve_ev", "solve_ev_batch"
-]
+__all__ = ["EVSolution", "EVBatchSolution", "utility", "solve_ev", "solve_ev_batch"]
 
 # Padding price for slots past a vehicle's departure: above any real price, so
 # a row's minimum price is its minimum over the vehicle's own slots.
@@ -58,17 +56,8 @@ _PAD_PRICE = 1e30
 _SCALAR_WIDTH = 7
 _SCALAR_VEHICLES = 24
 
-
-@dataclass(frozen=True)
-class EVSubproblem:
-    """One vehicle's data over its remaining window ``[window.start, departure)``."""
-
-    session: EVSession
-    window: TimeGrid
-
-    def __post_init__(self) -> None:
-        if self.window.length != self.session.departure - self.window.start:
-            raise ValueError("window must span exactly the slots up to departure")
+# Newton steps per vehicle solve before it is left where it stands.
+_MAX_ITER = 200
 
 
 class EVSolution:
@@ -169,33 +158,35 @@ class EVBatchSolution(Sequence[EVSolution]):
 
 
 class EVBatchWorkspace:
-    """Precomputed arrays for repeatedly solving the same set of vehicles.
+    """Precomputed arrays for repeatedly solving the same vehicles on one window.
 
     The coordinator keeps one workspace per negotiation and re-solves it at
     every price update; only the prices change between calls, so everything
-    else the solve needs is built here once.
+    else the solve needs is built here once.  Every vehicle must depart inside
+    the window: ``window.start < departure <= window.end``, else ``ValueError``.
     """
 
-    def __init__(self, subproblems: Sequence[EVSubproblem]):
-        if not subproblems:
-            raise ValueError("workspace needs at least one subproblem")
-        slot_hours = subproblems[0].window.slot_hours
-        for sub in subproblems:
-            if sub.window.slot_hours != slot_hours:
-                raise ValueError("subproblems must share the slot duration")
-        self.lengths = np.array([s.window.length for s in subproblems])
+    def __init__(self, sessions: Sequence[EVSession], window: TimeGrid):
+        if not sessions:
+            raise ValueError("workspace needs at least one vehicle")
+        start, end = window.start, window.end
+        for s in sessions:
+            if not start < s.departure <= end:
+                raise ValueError(f"vehicle {s.ev_id} does not depart inside the window")
+        self.sessions, self.window = sessions, window
+        self.lengths = np.array([s.departure - start for s in sessions])
         self.width = int(self.lengths.max())
         self.mask = np.arange(self.width)[None, :] < self.lengths[:, None]
-        self.weight = np.array([s.session.weight for s in subproblems])
+        self.weight = np.array([s.weight for s in sessions])
         self.weight_col = self.weight[:, None]
-        lo = np.array([s.session.power_min for s in subproblems])
-        hi = np.array([s.session.power_max for s in subproblems])
+        lo = np.array([s.power_min for s in sessions])
+        hi = np.array([s.power_max for s in sessions])
         # Box bounds per slot, zero past departure so padded slots carry no power.
         self.lo = lo[:, None] * self.mask
         self.hi = hi[:, None] * self.mask
-        self.rate = np.array([s.session.energy_rate(slot_hours) for s in subproblems])
+        self.rate = np.array([s.energy_rate(window.slot_hours) for s in sessions])
         self.slope_coef = -self.rate**2 / self.weight
-        self.need = np.array([s.session.energy_needed for s in subproblems])
+        self.need = np.array([s.energy_needed for s in sessions])
         self.cap_lo = self.rate * lo * self.lengths
         self.cap_hi = self.rate * hi * self.lengths
         self.even = np.clip(self.need / (self.rate * self.lengths), lo, hi)
@@ -205,16 +196,16 @@ class EVBatchWorkspace:
         self.max_pad = np.where(self.mask, 0.0, -np.inf)
         self._saturation: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # The kernel, chosen once: the price loop re-solves the same batch.
-        self._scalar = self.width <= _SCALAR_WIDTH and len(subproblems) <= _SCALAR_VEHICLES
+        self._scalar = self.width <= _SCALAR_WIDTH and len(sessions) <= _SCALAR_VEHICLES
 
     def load_prices(self, prices) -> None:
-        """Set the prices: the window list, whose leading slots every vehicle
-        sees; a list of floats is kept as it is, anything else is converted
-        once.  The previous prices are left as they were, for the solutions
-        that refer to them."""
+        """Set the prices: the window list (another length raises
+        ``ValueError``); a list of floats is kept as it is, anything else is
+        converted once.  The previous prices are left as they were, for the
+        solutions that refer to them."""
         prices = prices if type(prices) is list else np.asarray(prices).tolist()
-        if len(prices) < self.width:
-            raise ValueError("price list is shorter than the longest vehicle window")
+        if len(prices) != self.window.length:
+            raise ValueError("price list length must equal the window length")
         self.prices = prices
 
     def padded(self, prices) -> np.ndarray:
@@ -255,10 +246,7 @@ class EVBatchWorkspace:
         return power, self.rate * power.sum(axis=1), slope
 
     def solve(
-        self,
-        eps: Tolerances = Tolerances(),
-        max_iter: int = 200,
-        previous: EVBatchSolution | None = None,
+        self, eps: Tolerances = Tolerances(), previous: EVBatchSolution | None = None
     ) -> EVBatchSolution:
         """Solve every vehicle at the loaded prices, in the kernel the size
         rule picked when the workspace was built (see the module docstring).
@@ -269,8 +257,8 @@ class EVBatchWorkspace:
         multiplier (that multiplier itself when no slot was free).
         """
         if self._scalar:
-            return self._solve_scalar(eps, max_iter, previous)
-        return self._solve_array(eps, max_iter, previous)
+            return self._solve_scalar(eps, _MAX_ITER, previous)
+        return self._solve_array(eps, _MAX_ITER, previous)
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def _solve_array(
@@ -477,32 +465,31 @@ class EVBatchWorkspace:
 
 
 def solve_ev_batch(
-    subproblems: Sequence[EVSubproblem],
+    sessions: Sequence[EVSession],
+    window: TimeGrid,
     prices: Sequence[float],
     eps: Tolerances = Tolerances(),
-    max_iter: int = 200,
 ) -> Sequence[EVSolution]:
-    """Solve several vehicle subproblems at the window list ``prices``, of
-    which each vehicle sees the leading slots.
+    """Solve several vehicles on ``window`` at its price list ``prices``.
 
-    All subproblems must share the slot duration, and ``prices`` must cover
-    the longest vehicle window (else ``ValueError``).
+    Every vehicle must depart inside the window, and ``prices`` must have
+    the window's length (else ``ValueError``).
     """
-    if not subproblems:
+    if not sessions:
         return []
-    ws = EVBatchWorkspace(subproblems)
+    ws = EVBatchWorkspace(sessions, window)
     ws.load_prices(prices)
-    return ws.solve(eps=eps, max_iter=max_iter)
+    return ws.solve(eps)
 
 
 def solve_ev(
-    sub: EVSubproblem, prices: Sequence[float], eps: Tolerances = Tolerances()
+    session: EVSession, window: TimeGrid, prices: Sequence[float], eps: Tolerances = Tolerances()
 ) -> EVSolution:
-    """Solve one vehicle's subproblem; see :func:`solve_ev_batch`."""
-    return solve_ev_batch([sub], prices, eps=eps)[0]
+    """Solve one vehicle; see :func:`solve_ev_batch`."""
+    return solve_ev_batch([session], window, prices, eps)[0]
 
 
-def stationarity_residual(sub: EVSubproblem, solution: EVSolution) -> float:
+def stationarity_residual(solution: EVSolution) -> float:
     """Largest violation of the first-order optimality conditions, at the
     prices the solution was solved at.
 
@@ -510,9 +497,10 @@ def stationarity_residual(sub: EVSubproblem, solution: EVSolution) -> float:
     slots at a bound only need the sign of that gradient to point outward.
     """
     p = solution.power
-    lam = np.asarray(solution._batch.prices[: p.size])
-    ses = sub.session
-    rate = ses.energy_rate(sub.window.slot_hours)
+    batch, i = solution._batch, solution._index
+    lam = np.asarray(batch.prices[: p.size])
+    ses = batch.workspace.sessions[i]
+    rate = float(batch.workspace.rate[i])
     grad = ses.weight / (1.0 + p) - lam - solution.energy_multiplier * rate
     width = ses.power_max - ses.power_min
     edge = 1e-9 * max(1.0, width)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .coordinator import ConvergenceConfig, DualIterationState, negotiate_slot
 from .dso_agent import DSOSubproblem
-from .ev_agent import EVSubproblem
 from .model import (
     DSOSpec,
     EVSession,
@@ -134,14 +133,9 @@ class Settlement(NamedTuple):
 def negotiate_window(state: SimulationState, config: SimulationConfig) -> DualIterationState:
     """Run the price loop over the window of ``state.active`` from ``state.slot``,
     warm-started at ``state.last_price``."""
-    slot = state.slot
-    ev_subs = [
-        EVSubproblem(s, TimeGrid(slot, s.departure - slot, config.slot_hours))
-        for s in state.active
-    ]
-    window = compute_window(state.active, slot, config.slot_hours)
+    window = compute_window(state.active, state.slot, config.slot_hours)
     dso_sub = DSOSubproblem(config.dso, config.storage, state.storage_energy, window)
-    return negotiate_slot(ev_subs, dso_sub, state.last_price, config.convergence, config.eps)
+    return negotiate_slot(state.active, dso_sub, state.last_price, config.convergence, config.eps)
 
 
 def negotiated(state: SimulationState, config: SimulationConfig) -> Settlement:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from evmarket import DSOSubproblem, EVSubproblem
+from evmarket import DSOSubproblem, EVSession, TimeGrid
 from evmarket.dso_agent import _objective
 
 
@@ -19,24 +19,26 @@ def dso_objective(
     return _objective(sub, np.asarray(prices, dtype=float), generation, storage_power)
 
 
-def ev_objective(sub: EVSubproblem, prices, profile: np.ndarray) -> float:
-    lam = np.asarray(prices, dtype=float)
-    return float(np.sum(sub.session.weight * np.log(1.0 + profile) - lam * profile))
+def ev_objective(ses: EVSession, prices, profile: np.ndarray) -> float:
+    """The vehicle objective of ``profile`` at the leading ``prices``."""
+    lam = np.asarray(prices, dtype=float)[: len(profile)]
+    return float(np.sum(ses.weight * np.log(1.0 + profile) - lam * profile))
 
 
-def ev_bruteforce(sub: EVSubproblem, prices, step: float = 0.001) -> tuple[np.ndarray, float]:
-    """Grid search over the energy-feasible set of a 1..3 slot problem at
-    the window's ``prices``."""
+def ev_bruteforce(
+    ses: EVSession, window: TimeGrid, prices, step: float = 0.001
+) -> tuple[np.ndarray, float]:
+    """Grid search over the energy-feasible set of a vehicle charging on 1..3
+    slots of ``window``, at the window's ``prices``."""
     lam = np.asarray(prices, dtype=float)
-    ses = sub.session
-    n = sub.window.length
-    rate = ses.energy_rate(sub.window.slot_hours)
+    n = ses.departure - window.start
+    rate = ses.energy_rate(window.slot_hours)
     total = ses.energy_needed / rate
     lo, hi = ses.power_min, ses.power_max
 
     if n == 1:
         profile = np.array([total])
-        return profile, ev_objective(sub, lam, profile)
+        return profile, ev_objective(ses, lam, profile)
 
     axis = np.arange(lo, hi + step / 2, step)
     if n == 2:
@@ -159,11 +161,13 @@ def dso_bruteforce_storage(
     return gen, ps, value
 
 
-def random_feasible_ev(rng: np.random.Generator, sub: EVSubproblem) -> np.ndarray | None:
-    """A random point of the vehicle's feasible set (box and exact energy)."""
-    ses = sub.session
-    n = sub.window.length
-    rate = ses.energy_rate(sub.window.slot_hours)
+def random_feasible_ev(
+    rng: np.random.Generator, ses: EVSession, window: TimeGrid
+) -> np.ndarray | None:
+    """A random point of the vehicle's feasible set on ``window`` (box and
+    exact energy)."""
+    n = ses.departure - window.start
+    rate = ses.energy_rate(window.slot_hours)
     total = ses.energy_needed / rate
     lo, hi = ses.power_min, ses.power_max
     if not (n * lo - 1e-9 <= total <= n * hi + 1e-9):

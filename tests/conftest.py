@@ -11,7 +11,6 @@ from evmarket import (
     DSOSpec,
     EVBatchSolution,
     EVSession,
-    EVSubproblem,
     Scenario,
     StorageSpec,
     TimeGrid,
@@ -66,16 +65,15 @@ def make_session(
     )
 
 
-def make_ev_subproblem(slots, start=0, slot_hours=SLOT_HOURS, **kwargs) -> EVSubproblem:
-    """A vehicle present for ``slots`` slots from ``start``."""
-    session = make_session(departure=start + slots, arrival=start, **kwargs)
-    return EVSubproblem(session=session, window=TimeGrid(start, slots, slot_hours))
+def make_vehicle(slots, **kwargs) -> tuple[EVSession, TimeGrid]:
+    """A vehicle present for ``slots`` slots from slot 0, and that window."""
+    return make_session(departure=slots, **kwargs), TimeGrid(0, slots, SLOT_HOURS)
 
 
-def random_ev_subproblem(
+def random_vehicle(
     rng: np.random.Generator, max_slots=6
-) -> tuple[EVSubproblem, list[float]]:
-    """A random vehicle and the prices of its window."""
+) -> tuple[EVSession, TimeGrid, list[float]]:
+    """A random vehicle, its window and the window's prices."""
     n = int(rng.integers(1, max_slots + 1))
     prices = rng.uniform(0.1, 8.0, size=n)
     power_max = float(rng.uniform(5.0, 30.0))
@@ -83,10 +81,15 @@ def random_ev_subproblem(
     weight = float(rng.uniform(1.0, 20.0))
     rate = (1.0 - loss) * SLOT_HOURS
     energy = float(rng.uniform(0.05, 0.98)) * rate * power_max * n
-    sub = make_ev_subproblem(
+    session, window = make_vehicle(
         n, power_max=power_max, weight=weight, loss_fraction=loss, energy=energy
     )
-    return sub, prices.tolist()
+    return session, window, prices.tolist()
+
+
+def window_of(sessions) -> TimeGrid:
+    """The window from slot 0 to the last departure of ``sessions``."""
+    return TimeGrid(0, max(s.departure for s in sessions), SLOT_HOURS)
 
 
 def start_at(ws: EVBatchWorkspace, multipliers, upper=None) -> EVBatchSolution:

@@ -11,8 +11,6 @@ import pytest
 from evmarket import (
     CentralProblem,
     DSOSubproblem,
-    EVSubproblem,
-    PriceVector,
     TimeGrid,
     Tolerances,
     evaluate_dual,
@@ -31,9 +29,8 @@ from conftest import (
     SLOT_HOURS,
     TABLE1_DSO,
     TABLE1_STORAGE,
-    make_ev_subproblem,
     make_session,
-    random_ev_subproblem,
+    random_vehicle,
 )
 from test_dso_agent import make_sub as make_dso_sub
 
@@ -76,14 +73,13 @@ def _random_instance(rng: np.random.Generator):
 
 def _negotiate_instance(sessions, window):
     warm = 16.0 * SLOT_HOURS
-    ev_subs = [EVSubproblem(s, TimeGrid(0, s.departure, SLOT_HOURS)) for s in sessions]
     dso_sub = DSOSubproblem(
         dso=TABLE1_DSO,
         storage=TABLE1_STORAGE,
         energy_now=TABLE1_STORAGE.energy_initial,
         window=window,
     )
-    return negotiate_slot(ev_subs, dso_sub, warm)
+    return negotiate_slot(sessions, dso_sub, warm)
 
 
 def test_a1_oracle_equivalence():
@@ -183,8 +179,8 @@ def test_a5_peak_shaving(table1_run, table1_uncontrolled):
 def test_a6_subgradient_identity():
     eps = Tolerances(kkt=1e-9, energy=1e-9)
     evs = [
-        make_ev_subproblem(2, energy=5.0),
-        make_ev_subproblem(2, energy=2.5),
+        make_session(departure=2, energy=5.0),
+        make_session(departure=2, energy=2.5),
     ]
     dso_sub = make_dso_sub(2)
     rng = np.random.default_rng(66)
@@ -193,10 +189,10 @@ def test_a6_subgradient_identity():
     for _ in range(20):
         lam = rng.uniform(0.3, 5.0, size=2)
         slot = int(rng.integers(0, 2))
-        base = evaluate_dual(PriceVector(lam), evs, dso_sub, eps=eps)
+        base = evaluate_dual(lam.tolist(), evs, dso_sub, eps=eps)
         bumped = lam.copy()
         bumped[slot] += h
-        up = evaluate_dual(PriceVector(bumped), evs, dso_sub, eps=eps)
+        up = evaluate_dual(bumped.tolist(), evs, dso_sub, eps=eps)
         fd = (up.dual_value - base.dual_value) / h
         target = base.residual.values[slot]
         rel = abs(fd - target) / max(abs(target), 0.1)
@@ -214,9 +210,9 @@ def test_a7_kkt_suites():
     eps = Tolerances()
     worst_ev = 0.0
     for _ in range(100):
-        sub, prices = random_ev_subproblem(rng)
-        sol = solve_ev(sub, prices, eps=eps)
-        worst_ev = max(worst_ev, stationarity_residual(sub, sol))
+        ses, window, prices = random_vehicle(rng)
+        sol = solve_ev(ses, window, prices, eps=eps)
+        worst_ev = max(worst_ev, stationarity_residual(sol))
 
     from evmarket import DSOSpec, StorageSpec
 

@@ -8,8 +8,7 @@ from evmarket import (
     ConvergenceConfig,
     DSOSpec,
     DSOSubproblem,
-    PowerProfile,
-    PriceVector,
+    StorageSpec,
     TimeGrid,
     Tolerances,
     coordinator,
@@ -21,7 +20,7 @@ from evmarket.dso_agent import ConvergenceError, DSOSolution
 from evmarket.oracle import welfare
 
 from bruteforce import random_feasible_ev
-from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_ev_subproblem
+from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
 
 
 def make_dso_sub(
@@ -33,33 +32,30 @@ def make_dso_sub(
 
 
 def test_update_price_moves_against_imbalance():
-    out = update_price(PriceVector(np.array([16.0])), PowerProfile(np.array([-50.0])), 0.01)
-    np.testing.assert_allclose(out.values, [16.5])
+    np.testing.assert_allclose(update_price([16.0], [-50.0], 0.01), [16.5])
 
 
 def test_update_price_balance_is_fixed_point():
-    prices = PriceVector(np.array([3.0, 7.0, 0.5]))
-    out = update_price(prices, PowerProfile(np.zeros(3)), 0.05)
-    np.testing.assert_allclose(out.values, prices.values)
+    prices = [3.0, 7.0, 0.5]
+    np.testing.assert_allclose(update_price(prices, [0.0] * 3, 0.05), prices)
 
 
 def test_update_price_projects_at_zero():
-    out = update_price(PriceVector(np.array([0.1])), PowerProfile(np.array([100.0])), 0.01)
-    np.testing.assert_allclose(out.values, [0.0])
+    np.testing.assert_allclose(update_price([0.1], [100.0], 0.01), [0.0])
 
 
 def test_prices_stay_nonnegative_through_updates():
     rng = np.random.default_rng(8)
-    prices = PriceVector(rng.uniform(0, 5, size=4))
+    prices = rng.uniform(0, 5, size=4).tolist()
     for _ in range(50):
-        residual = PowerProfile(rng.normal(0, 80, size=4))
+        residual = rng.normal(0, 80, size=4).tolist()
         prices = update_price(prices, residual, 0.01)
-        assert np.all(prices.values >= 0)
+        assert min(prices) >= 0
 
 
 def test_empty_market_dual_is_zero():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
-    state = evaluate_dual(PriceVector(np.zeros(2)), [], make_dso_sub(2, dso=dso))
+    state = evaluate_dual([0.0, 0.0], [], make_dso_sub(2, dso=dso))
     np.testing.assert_allclose(state.demand.values, 0.0)
     np.testing.assert_allclose(state.supply.values, 0.0, atol=1e-6)
     np.testing.assert_allclose(state.residual.values, 0.0, atol=1e-6)
@@ -68,15 +64,15 @@ def test_empty_market_dual_is_zero():
 
 def test_satisfied_vehicle_adds_nothing():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
-    ev = make_ev_subproblem(2, energy=0.0)
-    state = evaluate_dual(PriceVector(np.zeros(2)), [ev], make_dso_sub(2, dso=dso))
+    ev = make_session(departure=2, energy=0.0)
+    state = evaluate_dual([0.0, 0.0], [ev], make_dso_sub(2, dso=dso))
     np.testing.assert_allclose(state.demand.values, 0.0, atol=1e-9)
     np.testing.assert_allclose(state.supply.values, 0.0, atol=1e-6)
 
 
 def test_residual_is_supply_minus_demand():
-    ev = make_ev_subproblem(2, energy=4.0)
-    state = evaluate_dual(PriceVector(np.array([2.0, 3.0])), [ev], make_dso_sub(2))
+    ev = make_session(departure=2, energy=4.0)
+    state = evaluate_dual([2.0, 3.0], [ev], make_dso_sub(2))
     np.testing.assert_allclose(
         state.residual.values, state.supply.values - state.demand.values
     )
@@ -84,16 +80,16 @@ def test_residual_is_supply_minus_demand():
 
 def test_weak_duality_against_sampled_feasible_points():
     rng = np.random.default_rng(21)
-    lam = PriceVector(np.full(2, 16.0 * SLOT_HOURS))
+    lam = [16.0 * SLOT_HOURS] * 2
     evs = [
-        make_ev_subproblem(2, energy=6.0),
-        make_ev_subproblem(2, energy=3.5, power_max=20.0),
+        make_session(departure=2, energy=6.0),
+        make_session(departure=2, energy=3.5, power_max=20.0),
     ]
     dso_sub = make_dso_sub(2)
     state = evaluate_dual(lam, evs, dso_sub)
     window = dso_sub.window
     for _ in range(1000):
-        profiles = [random_feasible_ev(rng, sub) for sub in evs]
+        profiles = [random_feasible_ev(rng, ses, window) for ses in evs]
         assert all(p is not None for p in profiles)
         demand = np.sum(profiles, axis=0)
         if np.any(demand > TABLE1_DSO.power_max) or np.any(demand < TABLE1_DSO.power_min):
@@ -102,7 +98,7 @@ def test_weak_duality_against_sampled_feasible_points():
             TABLE1_STORAGE.power_min, TABLE1_STORAGE.power_max, size=2
         )
         value = welfare(
-            list(zip([sub.session for sub in evs], profiles)),
+            list(zip(evs, profiles)),
             demand,
             storage_power,
             TABLE1_DSO,
@@ -116,19 +112,19 @@ def test_weak_duality_against_sampled_feasible_points():
 def test_dual_gradient_matches_finite_differences():
     eps = Tolerances(kkt=1e-10, energy=1e-10)
     evs = [
-        make_ev_subproblem(2, energy=5.0),
-        make_ev_subproblem(2, energy=2.0),
+        make_session(departure=2, energy=5.0),
+        make_session(departure=2, energy=2.0),
     ]
     dso_sub = make_dso_sub(2)
     rng = np.random.default_rng(40)
     h = 1e-4
     for _ in range(10):
         lam = rng.uniform(0.3, 5.0, size=2)
-        base = evaluate_dual(PriceVector(lam), evs, dso_sub, eps=eps)
+        base = evaluate_dual(lam.tolist(), evs, dso_sub, eps=eps)
         slot = int(rng.integers(0, 2))
         bumped = lam.copy()
         bumped[slot] += h
-        up = evaluate_dual(PriceVector(bumped), evs, dso_sub, eps=eps)
+        up = evaluate_dual(bumped.tolist(), evs, dso_sub, eps=eps)
         fd = (up.dual_value - base.dual_value) / h
         target = base.residual.values[slot]
         assert fd == pytest.approx(target, rel=0.01, abs=0.02)
@@ -146,7 +142,7 @@ def test_negotiation_trivially_converged_at_balance():
 def test_negotiation_finds_supply_curve_crossing():
     # one vehicle pinned at 22 kW: the settled price must put the supplier
     # exactly there, which has a closed form from its stationarity conditions
-    ev = make_ev_subproblem(1, energy=5.5)
+    ev = make_session(departure=1, energy=5.5)
     result = negotiate_slot([ev], make_dso_sub(1), warm_start_price=4.0)
     assert result.converged
     analytic = (22.0 + 0.9 / (2 * 0.06)) / (1 / (2 * 0.06) + 1 / (2 * 0.25 * 0.25))
@@ -156,7 +152,7 @@ def test_negotiation_finds_supply_curve_crossing():
 
 
 def test_nonconvergence_is_flagged_not_raised():
-    ev = make_ev_subproblem(1, energy=5.5)
+    ev = make_session(departure=1, energy=5.5)
     config = ConvergenceConfig(step_size=0.005, max_iterations=3)
     result = negotiate_slot([ev], make_dso_sub(1), 4.0, config=config)
     assert not result.converged
@@ -165,7 +161,7 @@ def test_nonconvergence_is_flagged_not_raised():
 
 
 def test_diminishing_schedule_best_residual_monotone():
-    ev = make_ev_subproblem(2, energy=8.0)
+    ev = make_session(departure=2, energy=8.0)
     config = ConvergenceConfig(step_size=0.01, step_schedule="diminishing", max_iterations=400)
     result = negotiate_slot([ev], make_dso_sub(2), 4.0, config=config)
     history = np.array(result.residual_history)
@@ -180,15 +176,14 @@ def test_warm_start_negative_price_is_clipped():
     np.testing.assert_allclose(result.prices.values, [0.0])
 
 
-def test_vehicle_windows_must_share_the_slot_duration():
-    """Prices per kW-slot mean different things on half-hour and
-    quarter-hour slots, so such a market is refused, not negotiated."""
-    ev = make_ev_subproblem(1, energy=2.0, slot_hours=0.5)
-    with pytest.raises(ValueError, match="on its slots"):
-        negotiate_slot([ev], make_dso_sub(1, slot_hours=0.25), 4.0)
-    with pytest.raises(ValueError, match="on its slots"):
-        evaluate_dual([4.0], [ev], make_dso_sub(1, slot_hours=0.25))
-    assert negotiate_slot([ev], make_dso_sub(1, slot_hours=0.5), 4.0).converged
+@pytest.mark.parametrize("price", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("storage", [TABLE1_STORAGE, StorageSpec(0.0, 0.0, 0.0, 0.0)])
+def test_non_finite_warm_start_price_is_refused(price, storage):
+    """No agent is asked at a price that is not finite: the slot is refused
+    before the first broadcast."""
+    ev = make_session(departure=2, energy=2.0)
+    with pytest.raises(ValueError, match="warm-start price must be finite"):
+        negotiate_slot([ev], make_dso_sub(2, storage=storage), price)
 
 
 def scripted_supplier(levels):
@@ -236,7 +231,7 @@ def test_negotiation_returns_the_state_it_settled_at(monkeypatch, exit, levels, 
 
     monkeypatch.setattr(coordinator, "evaluate_dual", spy)
     if levels is None:
-        n, evs = 1, [make_ev_subproblem(1, energy=5.5)]
+        n, evs = 1, [make_session(departure=1, energy=5.5)]
     else:
         n, evs = 2, []
         monkeypatch.setattr(coordinator, "solve_dso", scripted_supplier(levels))

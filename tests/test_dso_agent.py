@@ -11,6 +11,7 @@ from evmarket import (
     solve_dso,
     storage_tracking_penalty,
 )
+from evmarket import dso_agent
 from evmarket.dso_agent import ConvergenceError
 
 from bruteforce import dso_bruteforce_1slot, dso_bruteforce_storage, dso_objective
@@ -151,10 +152,11 @@ def test_warm_start_does_not_change_answer():
     np.testing.assert_allclose(cold.storage_power.values, warm.storage_power.values, atol=1e-5)
 
 
-def test_nonconvergence_raises_with_residual():
+def test_nonconvergence_raises_with_residual(monkeypatch):
+    monkeypatch.setattr(dso_agent, "_MAX_ITER", 1)
     sub = make_sub(2)
-    with pytest.raises(ConvergenceError) as info:
-        solve_dso(sub, [4.0, 2.0], max_iter=1)
+    with pytest.raises(ConvergenceError, match="in iteration 1 of 1$") as info:
+        solve_dso(sub, [4.0, 2.0])
     assert info.value.residual > 0
 
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmarket import Tolerances, ev_agent
+from evmarket import TimeGrid, Tolerances, ev_agent
 from evmarket.ev_agent import EVBatchSolution, EVBatchWorkspace
 
-from conftest import SLOT_HOURS, make_ev_subproblem, start_at
+from conftest import SLOT_HOURS, make_session, make_vehicle, start_at, window_of
 
 EPS = Tolerances()
 
@@ -26,7 +26,7 @@ PRICE = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
 
 @st.composite
 def vehicles(draw, width):
-    """One vehicle of at most ``width`` slots."""
+    """One vehicle departing within ``width`` slots of slot 0."""
     n = draw(st.integers(1, width))
     power_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 5.0)))
     power_max = power_min + draw(st.floats(0.5, 30.0))
@@ -45,8 +45,8 @@ def vehicles(draw, width):
         "over": cap * (1.0 + share) + 0.01,
         "under": floor * share,
     }[draw(st.sampled_from(NEEDS))]
-    return make_ev_subproblem(
-        n,
+    return make_session(
+        departure=n,
         power_min=power_min,
         power_max=power_max,
         weight=weight,
@@ -61,7 +61,8 @@ def batches(draw):
     which may be longer than every stay."""
     width = draw(st.integers(1, 7))
     window = draw(st.lists(PRICE, min_size=width, max_size=width))
-    ws = EVBatchWorkspace(draw(st.lists(vehicles(width), min_size=1, max_size=8)))
+    sessions = draw(st.lists(vehicles(width), min_size=1, max_size=8))
+    ws = EVBatchWorkspace(sessions, TimeGrid(0, width, SLOT_HOURS))
     ws.load_prices(window)
     return ws
 
@@ -160,7 +161,8 @@ def starts(ws, previous, nan=False):
 def one_vehicle(before, row, mu, energy=2.0, now=(2.1, 2.9, 4.5)):
     """A 3-slot vehicle (box [0, 20]) loaded with ``now``, and a previous
     solution at ``before`` with powers ``row`` and multiplier ``mu``."""
-    ws = EVBatchWorkspace([make_ev_subproblem(3, power_max=20.0, energy=energy)])
+    ses, window = make_vehicle(3, power_max=20.0, energy=energy)
+    ws = EVBatchWorkspace([ses], window)
     ws.load_prices(list(now))
     previous = EVBatchSolution(ws, list(before), [list(row)], [mu], [True], list(row))
     return ws, previous
@@ -211,8 +213,8 @@ def test_saturated_requirement_ignores_the_prediction():
 def test_nonpositive_effective_price_and_zero_slope():
     """A start far below the saturation bound puts every slot at the upper
     bound, some at q <= 0; the zero slope there makes the first step bisect."""
-    sub = make_ev_subproblem(3, power_max=30.0, weight=0.1, energy=10.0)
-    ws = EVBatchWorkspace([sub])
+    ses, window = make_vehicle(3, power_max=30.0, weight=0.1, energy=10.0)
+    ws = EVBatchWorkspace([ses], window)
     ws.load_prices([0.0, 3.0, 1.0])
     mu_low = (ws.clamp_hi_price - ws.lam.max(axis=1)) / ws.rate - 1.0
     q = ws.lam + (mu_low * ws.rate)[:, None]
@@ -225,11 +227,8 @@ def test_nonpositive_effective_price_and_zero_slope():
 
 
 def batch(vehicles, width):
-    subs = [
-        make_ev_subproblem(width, power_max=20.0, energy=2.0)
-        for _ in range(vehicles)
-    ]
-    ws = EVBatchWorkspace(subs)
+    sessions = [make_session(departure=width, power_max=20.0, energy=2.0)] * vehicles
+    ws = EVBatchWorkspace(sessions, window_of(sessions))
     ws.load_prices(np.linspace(1.0, 3.0, width))
     return ws
 
@@ -265,13 +264,15 @@ def test_one_slot_batches_sum_their_column_like_numpy(count):
     """NumPy sums the single column of a one-slot batch pairwise from eight
     vehicles on; the scalar kernel's demand must be that sum, bit for bit."""
     rng = np.random.default_rng(count)
-    subs = [
-        make_ev_subproblem(
-            1, power_max=float(rng.uniform(5.0, 30.0)), energy=float(rng.uniform(0.1, 1.0))
+    sessions = [
+        make_session(
+            departure=1,
+            power_max=float(rng.uniform(5.0, 30.0)),
+            energy=float(rng.uniform(0.1, 1.0)),
         )
         for _ in range(count)
     ]
-    ws = EVBatchWorkspace(subs)
+    ws = EVBatchWorkspace(sessions, window_of(sessions))
     ws.load_prices(np.array([float(rng.uniform(0.5, 4.0))]))
     assert_same(ws, None, 200)
 

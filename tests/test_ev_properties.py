@@ -3,10 +3,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmarket import Tolerances
+from evmarket import TimeGrid, Tolerances
 from evmarket.ev_agent import EVBatchWorkspace, stationarity_residual
 
-from conftest import SLOT_HOURS, make_ev_subproblem, random_ev_subproblem, start_at
+from conftest import SLOT_HOURS, make_session, random_vehicle, start_at, window_of
 
 EPS = Tolerances()
 
@@ -33,8 +33,8 @@ def vehicles(draw):
         "over": cap * (1.0 + share) + 0.01,
         "under": floor * share,
     }[kind]
-    return make_ev_subproblem(
-        n,
+    return make_session(
+        departure=n,
         power_min=power_min,
         power_max=power_max,
         weight=weight,
@@ -71,25 +71,24 @@ PRICES = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=6, max_
 
 @settings(max_examples=300, deadline=None)
 @given(
-    subs=st.lists(vehicles(), min_size=1, max_size=6),
-    window=PRICES,
+    sessions=st.lists(vehicles(), min_size=1, max_size=6),
+    prices=PRICES,
     start=st.tuples(st.sampled_from(("none", "good", "bad", "predicted")), st.floats(0.1, 10.0)),
 )
-def test_batch_solutions_are_optimal_and_in_the_box(subs, window, start):
-    ws = EVBatchWorkspace(subs)
-    ws.load_prices(window)
+def test_batch_solutions_are_optimal_and_in_the_box(sessions, prices, start):
+    ws = EVBatchWorkspace(sessions, TimeGrid(0, 6, SLOT_HOURS))
+    ws.load_prices(prices)
     batch = solve(ws, start)
-    assert len(batch) == len(subs)
-    for sub, sol in zip(subs, batch):
-        ses = sub.session
+    assert len(batch) == len(sessions)
+    for ses, sol in zip(sessions, batch):
         rate = ses.energy_rate(SLOT_HOURS)
-        n = sub.window.length
+        n = ses.departure
         floor, cap = rate * ses.power_min * n, rate * ses.power_max * n
         delivered = rate * sol.profile.values.sum()
         assert sol.profile.values.shape == (n,)
         assert np.all(sol.profile.values >= ses.power_min - 1e-9)
         assert np.all(sol.profile.values <= ses.power_max + 1e-9)
-        assert stationarity_residual(sub, sol) <= 1e-6
+        assert stationarity_residual(sol) <= 1e-6
         if floor <= ses.energy_needed <= cap:
             assert sol.feasible
         if sol.feasible:
@@ -109,19 +108,19 @@ def test_warm_started_solves_need_few_energy_evaluations():
     solves = evaluations = 0
     for _ in range(60):
         count = int(rng.integers(1, 8))
-        subs = []
+        sessions = []
         for _ in range(count):
             n = int(rng.integers(1, 7))
             power_max = float(rng.uniform(5.0, 30.0))
-            subs.append(
-                make_ev_subproblem(
-                    n,
+            sessions.append(
+                make_session(
+                    departure=n,
                     power_max=power_max,
                     weight=float(rng.uniform(1.0, 20.0)),
                     energy=float(rng.uniform(0.0, 1.0)) * SLOT_HOURS * power_max * n,
                 )
             )
-        ws = EVBatchWorkspace(subs)
+        ws = EVBatchWorkspace(sessions, window_of(sessions))
         width = ws.width
         prices = rng.uniform(0.5, 4.0, size=width)
         ws.load_prices(prices)
@@ -146,14 +145,16 @@ def test_warm_started_solves_need_few_energy_evaluations():
 def test_predicted_start_meets_the_tolerance_more_often_than_the_last_multiplier():
     """The tangent start's mechanism, with no timing: after a price-loop-sized
     move (one step of 0.002 on a few kW), the predicted start meets the energy
-    tolerance before any Newton step (``max_iter=0``) for strictly more
-    vehicles of a fixed 30-vehicle batch than the previous multiplier does."""
+    tolerance before any Newton step (a cap of 0) for strictly more vehicles
+    of a fixed 30-vehicle batch, solved on the array kernel, than the
+    previous multiplier does."""
     rng = np.random.default_rng(0)
-    ws = EVBatchWorkspace([random_ev_subproblem(rng)[0] for _ in range(30)])
-    window = rng.uniform(0.1, 8.0, size=ws.width)
-    ws.load_prices(window)
+    sessions = [random_vehicle(rng)[0] for _ in range(30)]
+    ws = EVBatchWorkspace(sessions, window_of(sessions))
+    prices = rng.uniform(0.1, 8.0, size=ws.width)
+    ws.load_prices(prices)
     previous = ws.solve(eps=EPS)
-    ws.load_prices(np.maximum(window + rng.normal(0.0, 0.005, size=window.size), 0.0))
-    predicted = ws.solve(eps=EPS, max_iter=0, previous=previous).feasible.sum()
-    plain = ws.solve(eps=EPS, max_iter=0, previous=start_at(ws, previous.multipliers))
+    ws.load_prices(np.maximum(prices + rng.normal(0.0, 0.005, size=prices.size), 0.0))
+    predicted = ws._solve_array(EPS, 0, previous).feasible.sum()
+    plain = ws._solve_array(EPS, 0, start_at(ws, previous.multipliers))
     assert predicted > plain.feasible.sum()

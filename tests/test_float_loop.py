@@ -32,7 +32,7 @@ from evmarket.coordinator import DualIterationState
 from evmarket.dso_agent import ConvergenceError, DSOSolution, _pinned_dispatch, solve_dso
 from evmarket.model import max_abs
 
-from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_ev_subproblem
+from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
 
 NO_STORAGE = StorageSpec(0.0, 0.0, 0.0, 0.0)
 NAN = math.nan
@@ -67,7 +67,6 @@ def test_update_price_follows_np_maximum():
     residual = [50.0, NAN, 0.0, 1000.0, NAN]
     expected = np.maximum(np.array(prices) - 0.01 * np.array(residual), 0.0)
     assert same_bits(update_price(prices, residual, 0.01), expected)
-    assert same_bits(update_price(np.array(prices), np.array(residual), 0.01), expected)
 
 
 # Any float, the special values drawn often.
@@ -195,13 +194,13 @@ def markets(draw):
     # Up to twelve vehicles, so that one-slot windows reach the batch sizes
     # whose single column NumPy sums pairwise.
     count = draw(st.integers(0, 12))
-    subs = []
+    sessions = []
     for _ in range(count):
         m = draw(st.integers(1, n))
         power_max = draw(st.floats(2.0, 30.0))
-        subs.append(
-            make_ev_subproblem(
-                m,
+        sessions.append(
+            make_session(
+                departure=m,
                 power_min=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
                 power_max=power_max,
                 weight=draw(st.floats(1.0, 20.0)),
@@ -217,17 +216,17 @@ def markets(draw):
         step_schedule=draw(st.sampled_from(["constant", "diminishing"])),
     )
     warm = draw(st.floats(0.0, 8.0))
-    return subs, dso_sub(n, dso=dso, storage=storage), warm, config
+    return sessions, dso_sub(n, dso=dso, storage=storage), warm, config
 
 
 @settings(max_examples=150, deadline=None)
 @given(market=markets())
 def test_loop_is_bit_identical_on_either_kernel(market):
-    subs, dso, warm, config = market
-    routed = negotiate_slot(subs, dso, warm, config=config)
+    sessions, dso, warm, config = market
+    routed = negotiate_slot(sessions, dso, warm, config=config)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ev_agent, "_SCALAR_VEHICLES", 0)
-        forced = negotiate_slot(subs, dso, warm, config=config)
+        forced = negotiate_slot(sessions, dso, warm, config=config)
     assert routed.iterations == forced.iterations
     assert routed.converged == forced.converged
     assert np.array_equal(routed.residual_history, forced.residual_history)

@@ -9,7 +9,6 @@ from evmarket import (
     negotiate_slot,
     solve_central,
 )
-from evmarket.ev_agent import EVSubproblem
 from evmarket.oracle import welfare
 
 from bruteforce import random_feasible_ev
@@ -102,9 +101,8 @@ def test_oracle_beats_random_feasible_points():
     problem = make_problem(sessions, window_len=2)
     sol = solve_central(problem)
     window = problem.window
-    subs = [EVSubproblem(ses, TimeGrid(0, 2, SLOT_HOURS)) for ses in sessions]
     for _ in range(2000):
-        profiles = [random_feasible_ev(rng, sub) for sub in subs]
+        profiles = [random_feasible_ev(rng, ses, window) for ses in sessions]
         storage_power = rng.uniform(
             TABLE1_STORAGE.power_min, TABLE1_STORAGE.power_max, size=2
         )
@@ -129,11 +127,10 @@ def test_matches_negotiated_welfare_within_one_percent():
     central = solve_central(problem)
 
     warm = 16.0 * SLOT_HOURS
-    subs = [EVSubproblem(ses, TimeGrid(0, 2, SLOT_HOURS)) for ses in sessions]
     dso_sub = DSOSubproblem(
         dso=TABLE1_DSO, storage=TABLE1_STORAGE, energy_now=100.0, window=problem.window
     )
-    result = negotiate_slot(subs, dso_sub, warm)
+    result = negotiate_slot(sessions, dso_sub, warm)
     assert result.converged
     negotiated = welfare(
         [(ses, prof.values) for ses, prof in zip(sessions, result.ev_profiles)],
