@@ -169,8 +169,10 @@ def evaluate_dual(
     vehicle workspace and its iteration count plus one, and warm-starts the
     agents: each vehicle's multiplier search from a tangent prediction along
     the price move (see :mod:`evmarket.ev_agent`), the supplier from its last
-    dispatch.  Without it the workspace is built, each vehicle starts from the
-    even spread of its requirement and the supplier from scratch.
+    solution, whose workspace and active set carry over (see
+    :mod:`evmarket.dso_agent`).  Without it the workspaces are built, each
+    vehicle starts from the even spread of its requirement and the supplier
+    from scratch.
     """
     window = dso_sub.window
     n = window.length
@@ -183,9 +185,7 @@ def evaluate_dual(
             demand = demand + [0.0] * (n - workspace.width)
     else:
         ev_solutions, demand = (), [0.0] * n
-    dso = last and last.dso_solution
-    start = dso and (dso.generation_values, dso.storage_values)
-    dso_solution = solve_dso(dso_sub, prices, eps, start=start)
+    dso_solution = solve_dso(dso_sub, prices, eps, start=last and last.dso_solution)
 
     supply = dso_solution.generation_values
     residual = []

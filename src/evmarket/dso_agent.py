@@ -10,17 +10,23 @@ both to 0, as for a scenario without storage) the problem separates per slot
 and is solved in closed form, in plain floats: ``P_s`` sits at the pinned value
 and ``P_l = clip(P_s + (price - linear_cost) / (2 * quadratic_cost))`` on the
 generation box, the clip written out with NumPy's rules for ties, signed zeros
-and NaN.  Otherwise it is solved by projected Newton on arrays.  A warm start
-(in the price loop, the last round's answer) is first tried as the active set:
-one Newton solve on its free variables, accepted if the point stays in the box
-and meets the residual target.  Prices move little between rounds, so this
-usually settles the call.  Failing that, each iteration guesses the active
-bounds from the gradient, solves the Newton system on the free variables
-(cached per free set) and searches along the projection arc, else takes a
-projected-gradient step of length ``1/L``.  Either way the point is certified
-by its projected-stationarity residual and handed back as float lists; the
-stacked array, the validated profiles and the objective value are built only
-when they are read.
+and NaN.  Otherwise it is solved by projected Newton.  A
+:class:`DSOWorkspace`, built on a negotiation's first solve and handed on by
+each solution, holds what the price rounds share: the boxes as floats, the
+storage block's linear term and, per active set met, the free and held
+entries, the inverse of the Hessian's free block ``Q_FF`` and the held
+entries' term ``Q_FX z_X``.  Each solution keeps the active set of its
+point, and the next round's warm start takes one Newton step on it: one BLAS
+product ``inverse @ rhs`` on the free entries, then the box check and the
+certificate, the projected-stationarity residual, in plain floats in O(n)
+from the Hessian's structure.  Prices move little between rounds, so this
+usually settles the call.  Failing that, or from a cold start, each
+iteration guesses the active bounds from the gradient, solves the Newton
+system on the free variables (cached per free set) and searches along the
+projection arc, else takes a projected-gradient step of length ``1/L``.
+Either way the point is certified by its projected-stationarity residual and
+handed back as float lists; the stacked array, the validated profiles and
+the objective value are built only when they are read.
 """
 from __future__ import annotations
 
@@ -69,8 +75,11 @@ class DSOSolution:
     ``generation_values`` and ``storage_values`` are float lists over the
     window; the price loop reads only the former.  ``point`` (the two stacked
     as an array), the validated profiles and ``objective`` are built on first
-    access.  One is made per dual iteration, so it is a plain dataclass: a
-    frozen one takes about three times as long to construct.
+    access.  Projected Newton also sets ``workspace`` and ``active``, the
+    active set of the point: passed back as ``start`` on the same subproblem,
+    the solution starts the next warm step from them.  One is made per dual
+    iteration, so it is a plain dataclass: a frozen one takes about three
+    times as long to construct.
     """
 
     generation_values: list[float]
@@ -78,6 +87,8 @@ class DSOSolution:
     kkt_residual: float
     sub: DSOSubproblem
     prices: Sequence[float]
+    workspace: DSOWorkspace | None = None
+    active: _ActiveSet | None = None
 
     @cached_property
     def point(self) -> np.ndarray:
@@ -127,10 +138,10 @@ _ARC_STEPS = 8
 # Projected-Newton iterations before a supplier solve is reported as stalled.
 _MAX_ITER = 100_000
 
-# Quadratic forms, boxes and free-set Newton systems are reused across
-# negotiation iterations, keyed by the window length and cost parameters
-# (prices and stored energy only shift the linear term), the bounds, or the
-# free set.  The caches are bounded so a long-running process stays small.
+# Quadratic forms and free-set Newton systems are shared across negotiations,
+# keyed by the window length and cost parameters (prices and stored energy
+# only shift the linear term) or the free set.  The caches are bounded so a
+# long-running process stays small.
 
 @lru_cache(maxsize=64)
 def _quadratic_form(n: int, quad: float, rho: float, dtc: float) -> tuple[np.ndarray, float]:
@@ -146,14 +157,6 @@ def _quadratic_form(n: int, quad: float, rho: float, dtc: float) -> tuple[np.nda
     return q_mat, lipschitz
 
 
-@lru_cache(maxsize=64)
-def _box(n: int, *bounds: float) -> np.ndarray:
-    """Rows of lower and upper bounds on the stacked point (read-only)."""
-    box = np.repeat(np.reshape(bounds, (2, 2)), n, axis=1)
-    box.setflags(write=False)
-    return box
-
-
 @lru_cache(maxsize=512)
 def _newton_system(n: int, quad: float, rho: float, dtc: float, free_key: bytes):
     """``(free, fixed, Q_free_fixed, inverse of Q_free_free)``, or None if singular."""
@@ -167,34 +170,175 @@ def _newton_system(n: int, quad: float, rho: float, dtc: float, free_key: bytes)
     return free, fixed, q_mat[np.ix_(free, fixed)], inverse
 
 
+class DSOWorkspace:
+    """What one negotiation's projected-Newton solves share: all but the prices.
+
+    The problem is ``max g.z - z.Q.z / 2`` on the stacked point
+    ``z = (P_l, P_s)``, with ``g = (price - linear_cost, storage_term)``.
+    Built on the first solve of a subproblem and handed on by each
+    :class:`DSOSolution`, it holds the box as float lists (``lower``,
+    ``upper``) and arrays, the storage block of ``g`` and, in ``sets``, every
+    active set the negotiation has met (see :meth:`active_set`).
+    """
+
+    def __init__(self, sub: DSOSubproblem):
+        dso, st = sub.dso, sub.storage
+        n = sub.window.length
+        dtc = st.throughput * sub.window.slot_hours
+        self.sub, self.n, self.lin = sub, n, dso.cost_linear
+        self.key = (n, dso.cost_quadratic, st.tracking_weight, dtc)
+        self.lower = [dso.power_min] * n + [st.power_min] * n
+        self.upper = [dso.power_max] * n + [st.power_max] * n
+        self.lo, self.hi = np.array(self.lower), np.array(self.upper)
+        span = max(dso.power_max - dso.power_min, st.power_max - st.power_min)
+        self.span = span if math.isfinite(span) else 1.0
+        drift = sub.energy_now - st.energy_reference
+        self.storage_term = self.lin + 2.0 * st.tracking_weight * dtc * drift * np.arange(n, 0, -1)
+        self.storage_g = self.storage_term.tolist()
+        # Q z = (c (P_l - P_s), -c (P_l - P_s) + r overlap @ P_s): ``coupling``
+        # is c, ``tracking`` is r and ``overlap[i, j] = n - max(i, j)``.
+        self.coupling = 2.0 * dso.cost_quadratic
+        self.tracking = 2.0 * st.tracking_weight * dtc * dtc
+        self.sets: dict[tuple[int, ...], _ActiveSet] = {}
+
+    def gradient(self, lam: list[float]) -> np.ndarray:
+        """``g`` at the price list ``lam``, as an array."""
+        return np.concatenate([np.asarray(lam) - self.lin, self.storage_term])
+
+    def active_set(self, point: list[float]) -> _ActiveSet | None:
+        """The active set of ``point``, a point in the box: the entries
+        strictly inside it are free, the rest held on the bound they sit on.
+        None if an entry is NaN."""
+        sides = []
+        i = 0
+        for v in point:
+            lo, hi = self.lower[i], self.upper[i]
+            if lo < v < hi:
+                sides.append(0)
+            elif v == lo:
+                sides.append(-1)
+            elif v == hi:
+                sides.append(1)
+            else:
+                return None
+            i += 1
+        key = tuple(sides)
+        found = self.sets.get(key)
+        if found is None:
+            found = self.sets[key] = _ActiveSet(self, key)
+        return found
+
+    def certificate(self, point: list[float], lam: list[float]) -> float:
+        """The projected-stationarity residual of ``point`` at ``lam``:
+        ``max |z - clip(z + g - Q z)|``, NaN if any entry's is.
+
+        O(n) in plain floats: ``Q z`` is written out from Q's structure, the
+        product of the tracking block's ``overlap`` with ``P_s`` as the suffix
+        sums of the prefix sums of ``P_s``.  The clip and the max follow
+        NumPy's rules for ties and NaN.
+        """
+        n, lin, coupling, tracking = self.n, self.lin, self.coupling, self.tracking
+        g_storage = self.storage_g
+        gen_lo, gen_hi = self.lower[0], self.upper[0]
+        st_lo, st_hi = self.lower[n], self.upper[n]
+        prefix = []
+        acc = 0.0
+        i = n
+        while i < 2 * n:
+            acc += point[i]
+            prefix.append(acc)
+            i += 1
+        # Slot by slot from the last, with the suffix sum of the prefix sums.
+        residual = 0.0
+        tail = 0.0
+        i = n - 1
+        while i >= 0:
+            tail += prefix[i]
+            x, s = point[i], point[n + i]
+            d = coupling * (x - s)
+            y = x + (lam[i] - lin - d)
+            y = y if y > gen_lo or y != y else gen_lo
+            y = y if y < gen_hi or y != y else gen_hi
+            gap = abs(x - y)
+            if not gap <= residual and residual == residual:
+                residual = gap
+            y = s + (g_storage[i] + d - tracking * tail)
+            y = y if y > st_lo or y != y else st_lo
+            y = y if y < st_hi or y != y else st_hi
+            gap = abs(s - y)
+            if not gap <= residual and residual == residual:
+                residual = gap
+            i -= 1
+        return residual
+
+
+class _ActiveSet:
+    """One active set of a negotiation and the parts of its Newton step that
+    do not move with the prices.
+
+    ``free`` lists the free entries in ascending order and ``inverse`` is the
+    inverse of their block of Q (None if singular); ``base`` is a point with
+    the held entries on their bounds.  The step's right-hand side is
+    ``g_F - Q_FX z_X``: ``(lam[i] - linear_cost) - shift`` for each
+    ``(i, shift)`` in ``generation``, then the constants in ``storage``.
+    """
+
+    __slots__ = ("free", "inverse", "base", "generation", "storage")
+
+    def __init__(self, ws: DSOWorkspace, sides: tuple[int, ...]):
+        self.base = [
+            ws.lower[i] if side < 0 else ws.upper[i] if side > 0 else 0.0
+            for i, side in enumerate(sides)
+        ]
+        self.free, self.generation, self.storage = [], [], []
+        self.inverse = None
+        system = _newton_system(*ws.key, (np.array(sides) == 0).tobytes())
+        if system is None:
+            return
+        free, fixed, q_fixed, self.inverse = system
+        shift = (q_fixed @ np.array(self.base)[fixed]).tolist()
+        self.free = free.tolist()
+        n = ws.n
+        for i, held in zip(self.free, shift):
+            if i < n:
+                self.generation.append((i, held))
+            else:
+                self.storage.append(ws.storage_g[i - n] - held)
+
+
 def solve_dso(
     sub: DSOSubproblem,
     prices: Sequence[float],
     eps: Tolerances = Tolerances(),
-    start: tuple[Sequence[float], Sequence[float]] | None = None,
+    start: DSOSolution | tuple[Sequence[float], Sequence[float]] | None = None,
 ) -> DSOSolution:
     """Return the unique maximizer of the supplier objective on the boxes at
-    ``prices``, the window list (converted once unless it is a list of
-    floats; another length raises ``ValueError``).
+    ``prices``, the window list (see :meth:`~evmarket.model.TimeGrid.price_list`).
 
     A pinned storage box is solved in closed form, any other by projected
-    Newton.  ``start`` warm-starts projected Newton (the coordinator passes
-    the last price round's answer): one Newton solve on the start's free set
-    is returned if it passes the certificate, else the iteration runs from
-    ``start``.  It never changes the answer beyond the stationarity
-    tolerance.  Raises :class:`ConvergenceError` if the residual target is
-    not met, or at once if the residual is not finite.
+    Newton.  ``start`` warm-starts projected Newton: the coordinator passes
+    the last price round's solution, whose workspace and active set carry
+    over when it was solved on ``sub``; a ``(generation, storage)`` pair, or
+    a solution on another subproblem, has its active set read off its point,
+    clipped to the box.  One Newton solve on that active set is returned if
+    it passes the certificate, else the iteration runs from ``start``.  It
+    never changes the answer beyond the stationarity tolerance.  Raises
+    :class:`ConvergenceError` if the residual target is not met, or at once
+    if the residual is not finite.
     """
-    lam = prices if type(prices) is list else np.asarray(prices, dtype=float).tolist()
-    if len(lam) != sub.window.length:
-        raise ValueError("price list length must equal the window length")
+    lam = sub.window.price_list(prices)
     if sub.storage.power_min == sub.storage.power_max and sub.dso.cost_quadratic > 0:
         gen, storage, residual = _pinned_dispatch(sub, lam, eps)
-    else:
-        point, residual = _projected_newton(sub, np.asarray(lam), eps, _MAX_ITER, start)
-        n = len(lam)
-        gen, storage = point[:n].tolist(), point[n:].tolist()
-    return DSOSolution(gen, storage, residual, sub, lam)
+        return DSOSolution(gen, storage, residual, sub, lam)
+    ws = active = None
+    if type(start) is DSOSolution:
+        if start.sub is sub:
+            ws, active = start.workspace, start.active
+        start = (start.generation_values, start.storage_values)
+    ws = ws or DSOWorkspace(sub)
+    point, residual, active = _projected_newton(ws, lam, eps, start, active)
+    n = len(lam)
+    return DSOSolution(point[:n], point[n:], residual, sub, lam, ws, active)
 
 
 def _pinned_dispatch(
@@ -232,51 +376,75 @@ def _pinned_dispatch(
 
 
 def _projected_newton(
-    sub: DSOSubproblem,
-    lam: np.ndarray,
+    ws: DSOWorkspace,
+    lam: list[float],
     eps: Tolerances,
-    max_iter: int,
     start: tuple[Sequence[float], Sequence[float]] | None,
-) -> tuple[np.ndarray, float]:
-    """Projected Newton on the stacked point; returns it with its residual.
+    active: _ActiveSet | None,
+) -> tuple[list[float], float, _ActiveSet | None]:
+    """Projected Newton on the stacked point; returns it as a float list,
+    with its residual and its active set.
 
-    A warm ``start`` (the last price round's answer) is first tried as an
-    active set: its entries strictly inside the box are free, those on a bound
-    stay there, and one Newton solve on that free set gives a candidate.  It
-    is returned if it lies in the box and its projected-stationarity residual
-    is within ``eps.kkt``, the certificate every answer carries.  Prices move
-    little between rounds, so the bounds rarely change and this is the common
-    case.  Otherwise :func:`_iterate` runs from ``start`` (or from zero).
+    A warm ``start`` (the last price round's answer) is first tried through
+    its active set: ``active`` when it is carried over, else the one read off
+    the start clipped to the box.  :func:`_warm_step` takes one Newton step
+    on it, returned if it lies in the box and its projected-stationarity
+    residual is within ``eps.kkt``, the certificate every answer carries.
+    Prices move little between rounds, so the bounds rarely change and this
+    is the common case.  Otherwise :func:`_iterate` runs from the clipped
+    ``start`` (or from zero).
     """
-    n = sub.window.length
-    st = sub.storage
-    dtc = st.throughput * sub.window.slot_hours
-    key = (n, sub.dso.cost_quadratic, st.tracking_weight, dtc)
-    lin = sub.dso.cost_linear
-    drift = sub.energy_now - st.energy_reference
+    z = None
+    if start is not None:
+        if active is None:
+            z = _clip(np.concatenate(start), ws.lo, ws.hi)
+            active = ws.active_set(z.tolist())
+        found = active and _warm_step(ws, active, lam, eps)
+        if found:
+            return found
+    if z is None:
+        z = _clip(np.zeros(2 * ws.n) if start is None else np.concatenate(start), ws.lo, ws.hi)
+    point, residual = _iterate(ws, z, ws.gradient(lam), eps)
+    point = point.tolist()
+    return point, residual, ws.active_set(point)
 
-    g = np.empty(2 * n)
-    g[:n] = lam - lin
-    g[n:] = lin + 2.0 * st.tracking_weight * dtc * drift * np.arange(n, 0, -1)
-    lo, hi = _box(n, sub.dso.power_min, st.power_min, sub.dso.power_max, st.power_max)
-    if start is None:
-        z = _clip(np.zeros(2 * n), lo, hi)
-    else:
-        z = _clip(np.concatenate(start), lo, hi)
-        system = _newton_system(*key, ((lo < z) & (z < hi)).tobytes())
-        if system is not None:
-            free, fixed, q_fixed, inverse = system
-            newton = z.copy()
-            newton[free] = inverse @ (g[free] - q_fixed @ z[fixed])
-            if ((lo <= newton) & (newton <= hi)).all():
-                q_mat, _ = _quadratic_form(*key)
-                residual = _residual(newton, g - q_mat @ newton, lo, hi)
-                if residual <= eps.kkt:
-                    return newton, residual
 
-    span = max(sub.dso.power_max - sub.dso.power_min, st.power_max - st.power_min)
-    span = span if math.isfinite(span) else 1.0
-    return _iterate(z, g, key, lo, hi, span, eps, max_iter)
+def _warm_step(
+    ws: DSOWorkspace, active: _ActiveSet, lam: list[float], eps: Tolerances
+) -> tuple[list[float], float, _ActiveSet | None] | None:
+    """One Newton solve on ``active``'s free entries at ``lam``.
+
+    The point on the free entries is one BLAS product ``inverse @ rhs``, the
+    held entries stay on their bounds.  It is returned with its residual
+    (:meth:`DSOWorkspace.certificate`) and its active set (``active``, unless
+    a free entry landed on a bound) if it lies in the box and the residual is
+    within ``eps.kkt``; else None.
+    """
+    inverse = active.inverse
+    if inverse is None:
+        return None
+    lin = ws.lin
+    rhs = []
+    for i, shift in active.generation:
+        rhs.append(lam[i] - lin - shift)
+    rhs += active.storage
+    values = (inverse @ np.array(rhs)).tolist()
+    point = active.base.copy()
+    lower, upper = ws.lower, ws.upper
+    interior = True
+    k = 0
+    for i in active.free:
+        v = values[k]
+        if not lower[i] < v < upper[i]:
+            if not lower[i] <= v <= upper[i]:
+                return None
+            interior = False
+        point[i] = v
+        k += 1
+    residual = ws.certificate(point, lam)
+    if not residual <= eps.kkt:
+        return None
+    return point, residual, active if interior else ws.active_set(point)
 
 
 def _clip(point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -289,21 +457,14 @@ def _residual(point: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarra
 
 
 def _iterate(
-    z: np.ndarray,
-    g: np.ndarray,
-    key: tuple[int, float, float, float],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    span: float,
-    eps: Tolerances,
-    max_iter: int,
+    ws: DSOWorkspace, z: np.ndarray, g: np.ndarray, eps: Tolerances
 ) -> tuple[np.ndarray, float]:
-    """Projected-Newton iterations from ``z`` on ``max g.z - z.Q.z / 2``.
-
-    ``key`` is ``(n, quadratic_cost, tracking_weight, throughput * slot_hours)``,
-    which fixes ``Q``; ``span`` is the widest box, for the activity rule.
-    """
-    q_mat, lipschitz = _quadratic_form(*key)
+    """Projected-Newton iterations from ``z`` on ``max g.z - z.Q.z / 2``,
+    at most ``_MAX_ITER`` of them; ``ws.span``, the widest box, scales the
+    activity rule."""
+    q_mat, lipschitz = _quadratic_form(*ws.key)
+    lo, hi = ws.lo, ws.hi
+    max_iter = _MAX_ITER
 
     def value(point: np.ndarray) -> float:
         return float(point @ (g - 0.5 * (q_mat @ point)))
@@ -326,11 +487,11 @@ def _iterate(
             break
         if not math.isfinite(residual):
             break
-        act_tol = min(1e-4 * (1.0 + span), residual)
+        act_tol = min(1e-4 * (1.0 + ws.span), residual)
         at_lo = (z - lo <= act_tol) & (grad < 0)
         at_hi = (hi - z <= act_tol) & (grad > 0)
         free = ~(at_lo | at_hi)
-        system = _newton_system(*key, free.tobytes())
+        system = _newton_system(*ws.key, free.tobytes())
         improved = False
         if system is not None:
             idx, fixed, q_fixed, inverse = system

@@ -199,14 +199,10 @@ class EVBatchWorkspace:
         self._scalar = self.width <= _SCALAR_WIDTH and len(sessions) <= _SCALAR_VEHICLES
 
     def load_prices(self, prices) -> None:
-        """Set the prices: the window list (another length raises
-        ``ValueError``); a list of floats is kept as it is, anything else is
-        converted once.  The previous prices are left as they were, for the
-        solutions that refer to them."""
-        prices = prices if type(prices) is list else np.asarray(prices).tolist()
-        if len(prices) != self.window.length:
-            raise ValueError("price list length must equal the window length")
-        self.prices = prices
+        """Set the prices, the window list (see
+        :meth:`~evmarket.model.TimeGrid.price_list`).  The previous prices are
+        left as they were, for the solutions that refer to them."""
+        self.prices = self.window.price_list(prices)
 
     def padded(self, prices) -> np.ndarray:
         """The window list ``prices`` as a ``vehicles x width`` matrix, padded
@@ -476,6 +472,7 @@ def solve_ev_batch(
     the window's length (else ``ValueError``).
     """
     if not sessions:
+        window.price_list(prices)
         return []
     ws = EVBatchWorkspace(sessions, window)
     ws.load_prices(prices)

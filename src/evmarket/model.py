@@ -58,6 +58,15 @@ class TimeGrid:
     def end(self) -> int:
         return self.start + self.length
 
+    def price_list(self, prices) -> list[float]:
+        """The window's price list as floats, the one length rule of both
+        agents: a list of floats is kept as it is, anything else is converted
+        once, and another length than the window's raises ``ValueError``."""
+        prices = prices if type(prices) is list else np.asarray(prices, dtype=float).tolist()
+        if len(prices) != self.length:
+            raise ValueError("price list length must equal the window length")
+        return prices
+
 
 @dataclass(frozen=True)
 class EVSession:

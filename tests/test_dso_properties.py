@@ -1,5 +1,6 @@
 """Property tests of the supplier's two shortcuts: the closed form for a
-pinned storage box and the warm free-set step of projected Newton.
+pinned storage box and the warm free-set step of projected Newton, with the
+step's certificate in plain floats.
 
 The closed form must agree with the projected-Newton iteration, which solves
 the same problem with the storage treated as a general box.  The closed form
@@ -12,7 +13,9 @@ the step to the closed-form point.
 
 A warm start must give the cold answer to the same point bound, whether the
 step on its free set is accepted (a start at the answer for nearby prices) or
-the iteration takes over (a random start).
+the iteration takes over (a random start).  The step's certificate, written
+out from Q's structure, must read the dense residual ``max |z - clip(z + g -
+Q z)|`` to rounding, and NaN wherever the dense one is NaN.
 """
 import math
 
@@ -33,9 +36,11 @@ from evmarket import (
 )
 from evmarket.dso_agent import (
     ConvergenceError,
+    DSOWorkspace,
     _objective,
     _projected_newton,
     _quadratic_form,
+    _residual,
     solve_dso,
 )
 
@@ -91,7 +96,8 @@ def test_closed_form_matches_projected_newton(market):
     sub, prices = market
     lam = np.array(prices)
     sol = solve_dso(sub, prices, eps=EPS)
-    point, _ = _projected_newton(sub, lam, REFERENCE_EPS, 100_000, None)
+    point, _, _ = _projected_newton(DSOWorkspace(sub), prices, REFERENCE_EPS, None, None)
+    point = np.array(point)
     np.testing.assert_allclose(sol.point, point, rtol=0.0, atol=1e-9)
     gen = sol.generation.values
     assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
@@ -229,18 +235,46 @@ def test_warm_start_with_a_nan_price_raises():
         solve_dso(sub, [4.0, math.nan], start=start)
 
 
+def test_warm_start_with_a_nan_price_on_a_held_slot_raises(monkeypatch):
+    """The NaN-priced slot's generation is held at 0, so the Newton point on
+    the free entries is finite and in the box; only a certificate whose max
+    keeps the NaN sends the call to the iteration, which raises."""
+    sub = storage_sub(2)
+    cold = solve_dso(sub, [4.0, 0.0])
+    assert cold.generation_values[1] == sub.dso.power_min
+    read = []
+    certificate = DSOWorkspace.certificate
+
+    def spied(ws, point, lam):
+        read.append(certificate(ws, point, lam))
+        return read[-1]
+
+    monkeypatch.setattr(DSOWorkspace, "certificate", spied)
+    for start in (cold, (cold.generation_values, cold.storage_values)):
+        read.clear()
+        with pytest.raises(ConvergenceError):
+            solve_dso(sub, [4.0, math.nan], start=start)
+        assert len(read) == 1 and math.isnan(read[0])
+
+
+def count_warm_steps(monkeypatch):
+    """Record whether each call of the warm step certified its point."""
+    certified = []
+    warm_step = dso_agent._warm_step
+
+    def counted(*args):
+        found = warm_step(*args)
+        certified.append(found is not None)
+        return found
+
+    monkeypatch.setattr(dso_agent, "_warm_step", counted)
+    return certified
+
+
 def test_warm_step_settles_most_table1_supplier_calls(table1_scenario, monkeypatch):
     """On table1's first slot the warm step must answer most warm calls; a
     step that silently always fell back would still pass every other test."""
-    warm = []
-    projected_newton = dso_agent._projected_newton
-
-    def counted(sub, lam, eps, max_iter, start):
-        if start is not None:
-            warm.append(start)
-        return projected_newton(sub, lam, eps, max_iter, start)
-
-    monkeypatch.setattr(dso_agent, "_projected_newton", counted)
+    warm = count_warm_steps(monkeypatch)
     fallbacks = count_iterations(monkeypatch)
     state = mpc_loop.initial_state(table1_scenario, resolve_sessions(table1_scenario))
     _, record = mpc_loop.step(state, mpc_loop.config_of(table1_scenario))
@@ -248,3 +282,71 @@ def test_warm_step_settles_most_table1_supplier_calls(table1_scenario, monkeypat
     assert len(warm) == record.iterations >= 50
     # One fallback is the slot's cold first call.
     assert len(fallbacks) - 1 <= len(warm) // 10
+
+
+def test_table1_day_supplier_calls_split_as_before(table1_scenario, monkeypatch):
+    """A table1 day's 4,314 supplier calls: 4,144 warm steps certify, 122 miss
+    and fall back to the iteration, and 48 (each slot's first) start cold,
+    as before the step moved onto a per-negotiation workspace."""
+    warm = count_warm_steps(monkeypatch)
+    fallbacks = count_iterations(monkeypatch)
+    mpc_loop.run(table1_scenario)
+    certified = sum(warm)
+    misses = len(warm) - certified
+    assert (certified, misses, len(fallbacks) - misses) == (4144, 122, 48)
+
+
+@st.composite
+def certificate_cases(draw):
+    """A storage supplier whose boxes may hold generation or storage on a
+    bound (an empty box), a point in the boxes with entries on their bounds,
+    and prices that may hold one NaN."""
+    n = draw(st.integers(1, 8))
+    gen_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
+    gen_max = draw(
+        st.one_of(st.just(gen_min), st.just(math.inf), st.floats(gen_min, gen_min + 150.0))
+    )
+    st_min = -draw(st.one_of(st.just(0.0), st.floats(1.0, 120.0)))
+    st_max = draw(st.one_of(st.just(0.0), st.floats(1.0, 120.0)))
+    storage = StorageSpec(
+        power_min=st_min,
+        power_max=st_max,
+        energy_initial=draw(st.floats(0.0, 200.0)),
+        energy_reference=draw(st.floats(0.0, 200.0)),
+        throughput=draw(st.floats(0.1, 1.0)),
+        tracking_weight=draw(st.floats(0.05, 2.0)),
+    )
+    sub = DSOSubproblem(
+        dso=DSOSpec(draw(st.floats(0.01, 1.0)), draw(st.floats(0.0, 5.0)), gen_min, gen_max),
+        storage=storage,
+        energy_now=draw(st.floats(0.0, 200.0)),
+        window=TimeGrid(0, n, SLOT_HOURS),
+    )
+
+    def entries(lo, hi):
+        top = min(hi, lo + 150.0)
+        inside = st.floats(lo, top) if lo < top else st.just(lo)
+        ends = [st.just(lo)] + ([st.just(hi)] if math.isfinite(hi) else [])
+        return st.lists(st.one_of(inside, *ends), min_size=n, max_size=n)
+
+    point = draw(entries(gen_min, gen_max)) + draw(entries(st_min, st_max))
+    prices = draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
+    nan_slot = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if nan_slot is not None:
+        prices[nan_slot] = math.nan
+    return sub, point, prices
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=certificate_cases())
+def test_float_certificate_matches_the_dense_residual(case):
+    sub, point, prices = case
+    ws = DSOWorkspace(sub)
+    q_mat, _ = _quadratic_form(*ws.key)
+    z, g = np.array(point), ws.gradient(prices)
+    dense = _residual(z, g - q_mat @ z, ws.lo, ws.hi)
+    fast = ws.certificate(point, prices)
+    if any(math.isnan(p) for p in prices):
+        assert math.isnan(fast) and math.isnan(dense)
+    else:
+        assert abs(fast - dense) <= 1e-12 * (1.0 + float(np.abs(g).max()))

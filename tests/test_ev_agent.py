@@ -159,6 +159,13 @@ def test_load_prices_rejects_a_price_list_longer_than_the_window():
         ws.load_prices([2.0, 3.0, 4.0, 9.0])
 
 
+def test_an_empty_batch_applies_the_length_rule():
+    window = TimeGrid(0, 3, SLOT_HOURS)
+    assert solve_ev_batch([], window, [1.0, 2.0, 3.0]) == []
+    with pytest.raises(ValueError, match="must equal the window length"):
+        solve_ev_batch([], window, [1.0])
+
+
 @pytest.mark.parametrize("departure", [3, 5, 9])
 def test_vehicles_must_depart_inside_the_window(departure):
     """The window is slots 5-7: a vehicle leaving at or before its start, or
