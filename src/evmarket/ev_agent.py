@@ -24,12 +24,17 @@ with the same steps: an array kernel that advances the whole batch with one
 NumPy pass per step, and a scalar kernel that solves one vehicle at a time in
 plain floats, for batches of at most ``_SCALAR_WIDTH`` slots and
 ``_SCALAR_VEHICLES`` vehicles, where NumPy's per-call overhead outweighs the
-arithmetic; a workspace picks its kernel once, when it is built.  Both hand
-back the batch's demand (its column sums) as floats; the array kernel pads the
-prices into rows once on entry and converts the column sums once on exit.
-The scalar kernel builds no array: cold or started from a previous answer, it
-runs one per-vehicle path in loops over lists with a counter.  The two give
-bit-identical powers, multipliers, flags and demand.
+arithmetic; a workspace picks its kernel once, when it is built.  Both take
+each vehicle's saturation bracket from the extremes of its own prices and
+hand back the batch's demand (its column sums) as floats.  The array kernel
+reads those extremes from the window list's running maximum and minimum at
+each vehicle's last slot, pads the prices into rows once on entry, evaluates
+power and energy at the start, and only while some row is still searching
+runs a Newton pass, which takes the slope of the evaluation it starts from;
+it converts the column sums once on exit.  The scalar kernel builds no
+array: cold or started from a previous answer, it runs one per-vehicle path
+in loops over lists with a counter.  The two give bit-identical powers,
+multipliers, flags and demand.
 """
 from __future__ import annotations
 
@@ -44,15 +49,16 @@ from .model import EVSession, PowerProfile, TimeGrid, Tolerances
 
 __all__ = ["EVSolution", "EVBatchSolution", "utility", "solve_ev", "solve_ev_batch"]
 
-# Padding price for slots past a vehicle's departure: above any real price, so
-# a row's minimum price is its minimum over the vehicle's own slots.
+# Padding price for slots past a vehicle's departure, whose box is [0, 0]:
+# it only keeps the power there at zero.  The bracket never reads it.
 _PAD_PRICE = 1e30
 
 # Size rule for the scalar kernel.  Its row sums run left to right, which is
 # NumPy's order only for rows of at most seven entries.  Its cost grows with
 # the vehicles, the array kernel's hardly at all: on the measured grid of 1-7
-# slots the scalar kernel is the faster one up to 24 vehicles at every width,
-# and the array kernel from about 28 on wide rows.
+# slots by 8-40 vehicles the scalar kernel is the faster one at every width up
+# to 20 vehicles and, averaged over the widths, up to 26 (0.92-0.98 of the
+# array kernel's time at 24); from 28 on the array kernel is.
 _SCALAR_WIDTH = 7
 _SCALAR_VEHICLES = 24
 
@@ -192,9 +198,11 @@ class EVBatchWorkspace:
         self.even = np.clip(self.need / (self.rate * self.lengths), lo, hi)
         self.clamp_lo_price = self.weight / (1.0 + lo)
         self.clamp_hi_price = self.weight / (1.0 + hi)
-        # Padding that hides slots past departure from a row maximum.
-        self.max_pad = np.where(self.mask, 0.0, -np.inf)
-        self._saturation: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # Each vehicle's last slot, where the window list's running maximum
+        # and minimum hold the extremes of its own prices.
+        self.last = self.lengths - 1
+        # Saturation flags per energy tolerance, and whether any row is at a face.
+        self._saturation: dict[float, tuple[tuple[np.ndarray, ...], bool]] = {}
         # The kernel, chosen once: the price loop re-solves the same batch.
         self._scalar = self.width <= _SCALAR_WIDTH and len(sessions) <= _SCALAR_VEHICLES
 
@@ -217,29 +225,40 @@ class EVBatchWorkspace:
     def _saturated(self, energy_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Requirements at (or beyond) the upper and the lower box face, and the
         rest.  The flags are cached per tolerance, so they are read-only."""
-        flags = self._saturation.get(energy_tol)
-        if flags is None:
+        entry = self._saturation.get(energy_tol)
+        if entry is None:
             at_hi = self.need >= self.cap_hi - energy_tol
             at_lo = self.need <= self.cap_lo + energy_tol
             flags = (at_hi, at_lo, ~(at_hi | at_lo))
             for array in flags:
                 array.setflags(write=False)
-            self._saturation[energy_tol] = flags
-        return flags
+            saturated = bool(np.count_nonzero(flags[2]) < len(self.need))
+            entry = self._saturation[energy_tol] = (flags, saturated)
+        return entry[0]
 
-    def _energy_at(
+    def _power_at(
         self, mu: np.ndarray, lam: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Water-filling power, delivered energy and its slope in ``mu`` at the
-        padded prices ``lam``."""
+        """Water-filling power, its unclamped level and the delivered energy at
+        the padded prices ``lam``."""
         q = lam + (mu * self.rate)[:, None]
         # w/q - 1, or +inf (the upper bound) at a nonpositive price.
         level = np.where(q > 0, self.weight_col / q, np.inf) - 1.0
         power = np.minimum(np.maximum(level, self.lo), self.hi)
-        # On free slots w/q**2 = (power + 1)**2 / w.
-        free_sq = np.square(power + 1.0) * (power == level)
-        slope = self.slope_coef * free_sq.sum(axis=1)
-        return power, self.rate * power.sum(axis=1), slope
+        return power, level, self.rate * np.add.reduce(power, 1)
+
+    def _slope(self, power: np.ndarray, level: np.ndarray) -> np.ndarray:
+        """Slope of the delivered energy in ``mu``: on free slots (where the
+        power is its level) w/q**2 = (power + 1)**2 / w."""
+        return self.slope_coef * np.add.reduce(np.square(power + 1.0) * (power == level), 1)
+
+    def _energy_at(
+        self, mu: np.ndarray, lam: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Power, delivered energy and its slope in ``mu`` at the padded prices
+        ``lam``: one evaluation of the array kernel with its slope."""
+        power, level, energy = self._power_at(mu, lam)
+        return power, energy, self._slope(power, level)
 
     def solve(
         self, eps: Tolerances = Tolerances(), previous: EVBatchSolution | None = None
@@ -260,59 +279,77 @@ class EVBatchWorkspace:
     def _solve_array(
         self, eps: Tolerances, max_iter: int, previous: EVBatchSolution | None = None
     ) -> EVBatchSolution:
-        """Array kernel: all vehicles advance together, one NumPy pass per step."""
-        lam, need, rate = self.lam, self.need, self.rate
+        """Array kernel: all vehicles advance together, one NumPy pass per step.
+
+        The bracket comes from the window list's running maximum and minimum
+        at each vehicle's last slot.  The start is evaluated without its
+        slope; a Newton pass runs only while some row is still searching, and
+        takes the slope of the evaluation it starts from.  On batches this
+        small NumPy's per-call overhead outweighs the arithmetic, so each row
+        or column sum is one ``np.add.reduce``, and the rare fixes (a
+        non-finite prediction, a saturated requirement) run only when some row
+        needs them."""
+        need, rate, tol = self.need, self.rate, eps.energy
+        prices = np.asarray(self.prices)
+        lam = self.padded(prices)
 
         # Saturation bounds: below mu_low every slot sits at the upper bound,
-        # above mu_high every slot sits at the lower bound.
-        lam_max = (lam + self.max_pad).max(axis=1)
-        mu_low = (self.clamp_hi_price - lam_max) / rate - 1.0
-        mu_high = (self.clamp_lo_price - lam.min(axis=1)) / rate + 1.0
+        # above mu_high every slot sits at the lower bound.  A running max or
+        # min keeps a NaN, as a row max or min does.
+        top = np.maximum.accumulate(prices)[self.last]
+        bottom = np.minimum.accumulate(prices)[self.last]
+        mu_low = (self.clamp_hi_price - top) / rate - 1.0
+        mu_high = (self.clamp_lo_price - bottom) / rate + 1.0
 
         # Start from the multiplier that spreads the requirement evenly at the
         # mean price (exact for flat prices), or from the tangent prediction
         # off the previous solution over its free slots.  A non-finite
         # prediction falls to the bracket midpoint.
         if previous is None:
-            mean_lam = np.where(self.mask, lam, 0.0).sum(axis=1) / self.lengths
+            mean_lam = np.add.reduce(np.where(self.mask, lam, 0.0), 1) / self.lengths
             mu = (self.weight / (1.0 + self.even) - mean_lam) / rate
         else:
             prev = np.asarray(previous.rows)
             free = (prev > self.lo) & (prev < self.hi)
             sq = np.where(free, np.square(prev + 1.0), 0.0)
-            num = np.where(free, sq * (lam - previous.lam), 0.0).sum(axis=1)
-            den = sq.sum(axis=1)
+            num = np.add.reduce(np.where(free, sq * (lam - previous.lam), 0.0), 1)
+            den = np.add.reduce(sq, 1)
             mu = np.asarray(previous.multipliers, dtype=float)
             mu = np.where(den > 0, mu - num / (rate * den), mu)
-            mu = np.where(np.isfinite(mu), mu, 0.5 * (mu_low + mu_high))
+            finite = np.isfinite(mu)
+            if np.count_nonzero(finite) < finite.size:
+                mu = np.where(finite, mu, 0.5 * (mu_low + mu_high))
 
         # Requirements at (or beyond) a box face get the saturated profile.
-        at_hi, at_lo, active = self._saturated(eps.energy)
-        inner = np.minimum(np.maximum(mu, mu_low), mu_high)
-        mu = np.where(at_hi, mu_low, np.where(at_lo, mu_high, inner))
+        at_hi, at_lo, active = self._saturated(tol)
+        mu = np.minimum(np.maximum(mu, mu_low), mu_high)
+        if self._saturation[tol][1]:  # some requirement is at a face
+            mu = np.where(at_hi, mu_low, np.where(at_lo, mu_high, mu))
 
         # Safeguarded Newton on the decreasing energy E(mu) inside the shrinking
         # bracket [mu_low, mu_high]: a step that leaves it, meets a zero slope or
         # follows one that failed to halve the gap (cycling at a kink) bisects.
-        power, energy, slope = self._energy_at(mu, lam)
+        power, level, energy = self._power_at(mu, lam)
+        gap = energy - need
+        abs_gap = np.abs(gap)
         last_gap = np.inf
         for _ in range(max_iter):
-            gap = energy - need
-            abs_gap = np.abs(gap)
-            active = active & (abs_gap > eps.energy)
-            if not active.any():
+            active = active & (abs_gap > tol)
+            if not np.count_nonzero(active):
                 break
+            slope = self._slope(power, level)
             mu_low = np.where(gap > 0, mu, mu_low)
             mu_high = np.where(gap < 0, mu, mu_high)
             newton = mu - gap / slope
             inside = (newton > mu_low) & (newton < mu_high) & (abs_gap <= 0.5 * last_gap)
             mu = np.where(active, np.where(inside, newton, 0.5 * (mu_low + mu_high)), mu)
             last_gap = abs_gap
-            power, energy, slope = self._energy_at(mu, lam)
+            power, level, energy = self._power_at(mu, lam)
+            gap = energy - need
+            abs_gap = np.abs(gap)
 
-        feasible = np.abs(energy - need) <= eps.energy
         solution = EVBatchSolution(
-            self, self.prices, power, mu, feasible, power.sum(axis=0).tolist()
+            self, self.prices, power, mu, abs_gap <= tol, np.add.reduce(power, 0).tolist()
         )
         solution.lam = lam  # the padded prices, for the next solve's prediction
         return solution

@@ -205,3 +205,32 @@ def test_each_batch_row_matches_the_vehicle_solved_alone_on_the_window():
         assert joint.power.size == ses.departure - window.start
         np.testing.assert_array_equal(joint.power, alone.power)
         assert joint.energy_multiplier == alone.energy_multiplier
+
+
+def test_kernels_agree_on_prices_above_the_padding_price():
+    """Prices above ``_PAD_PRICE`` (1e30), which a huge price step can reach:
+    a vehicle whose own prices all exceed it gets its bracket from those
+    prices alone on either kernel, so the two agree bit for bit."""
+    rng = np.random.default_rng(29)
+    eps = Tolerances()
+    for _ in range(100):
+        width = int(rng.integers(2, 8))
+        sessions = []
+        for _ in range(int(rng.integers(2, 9))):
+            n = int(rng.integers(1, width + 1))
+            power_max = float(rng.uniform(0.5, 30.0))
+            sessions.append(
+                make_session(
+                    departure=n,
+                    power_max=power_max,
+                    weight=float(rng.uniform(0.5, 20.0)),
+                    energy=float(rng.uniform(0.01, 0.99)) * SLOT_HOURS * power_max * n,
+                )
+            )
+        ws = EVBatchWorkspace(sessions, TimeGrid(0, width, SLOT_HOURS))
+        ws.load_prices(rng.uniform(1e29, 5e31, size=width))
+        scalar, array = ws._solve_scalar(eps, 200), ws._solve_array(eps, 200)
+        np.testing.assert_array_equal(scalar.power, array.power)
+        np.testing.assert_array_equal(scalar.energy_multiplier, array.energy_multiplier)
+        np.testing.assert_array_equal(scalar.feasible, array.feasible)
+        assert scalar.demand == array.demand

@@ -125,14 +125,14 @@ def test_warm_started_solves_need_few_energy_evaluations():
         prices = rng.uniform(0.5, 4.0, size=width)
         ws.load_prices(prices)
         batch = ws._solve_array(EPS, 200)
-        energy_at = ws._energy_at
+        power_at = ws._power_at
 
         def counted(m, lam):
             nonlocal evaluations
             evaluations += 1
-            return energy_at(m, lam)
+            return power_at(m, lam)
 
-        ws._energy_at = counted
+        ws._power_at = counted
         for _ in range(10):
             prices = np.maximum(prices + rng.normal(0.0, 0.02, size=width), 0.0)
             ws.load_prices(prices)

@@ -16,10 +16,13 @@ from conftest import SCENARIO_DIR
 
 DATA = Path(__file__).resolve().parent / "data"
 NO_STORAGE = ["--set", "storage.power_min=0", "--set", "storage.power_max=0"]
+# fleet-run's windows are 8-10 slots wide, so it is the day that runs the
+# array EV kernel; the others run the scalar one.
 DAYS = {
-    "table1": ("table1.scenario", []),
-    "table1-nostorage": ("table1.scenario", NO_STORAGE),
-    "small": ("small.scenario", []),
+    "table1": (SCENARIO_DIR / "table1.scenario", []),
+    "table1-nostorage": (SCENARIO_DIR / "table1.scenario", NO_STORAGE),
+    "small": (SCENARIO_DIR / "small.scenario", []),
+    "fleet": (DATA / "fleet-run.scenario", []),
 }
 TABLES = ["slots.csv", "evs.csv", "summary.csv"]
 
@@ -29,7 +32,7 @@ def run_dirs(tmp_path_factory):
     dirs = {}
     for day, (scenario, overrides) in DAYS.items():
         out = tmp_path_factory.mktemp(day)
-        assert main(["run", str(SCENARIO_DIR / scenario), *overrides, "--out", str(out)]) == 0
+        assert main(["run", str(scenario), *overrides, "--out", str(out)]) == 0
         dirs[day] = out
     return dirs
 
