@@ -15,18 +15,17 @@ and NaN.  Otherwise it is solved by projected Newton.  A
 each solution, holds what the price rounds share: the boxes as floats, the
 storage block's linear term and, per active set met, the free and held
 entries, the inverse of the Hessian's free block ``Q_FF`` and the held
-entries' term ``Q_FX z_X``.  Each solution keeps the active set of its
-point, and the next round's warm start takes one Newton step on it: one BLAS
-product ``inverse @ rhs`` on the free entries, then the box check and the
-certificate, the projected-stationarity residual, in plain floats in O(n)
-from the Hessian's structure.  Prices move little between rounds, so this
-usually settles the call.  Failing that, or from a cold start, each
-iteration guesses the active bounds from the gradient, solves the Newton
-system on the free variables (cached per free set) and searches along the
-projection arc, else takes a projected-gradient step of length ``1/L``.
-Either way the point is certified by its projected-stationarity residual and
-handed back as float lists; the stacked array, the validated profiles and
-the objective value are built only when they are read.
+entries' term ``Q_FX z_X``.  On an active set there is one Newton step: the
+held entries on their bounds, the free ones one BLAS product ``inverse @
+rhs``.  Each solution keeps the active set of its point, and the next
+round's warm start takes the step on it; prices move little between rounds,
+so this usually settles the call.  Failing that, or from a cold start, each
+iteration guesses the active set from the gradient, takes the step on it
+and searches along the projection arc, else takes a projected-gradient step
+of length ``1/L``.  Every answer is certified by one O(n) plain-float check
+of its projected-stationarity residual, written from the Hessian's
+structure, and handed back as float lists; the stacked array, the validated
+profiles and the objective value are built only when they are read.
 """
 from __future__ import annotations
 
@@ -140,8 +139,11 @@ _MAX_ITER = 100_000
 
 # Quadratic forms and free-set Newton systems are shared across negotiations,
 # keyed by the window length and cost parameters (prices and stored energy
-# only shift the linear term) or the free set.  The caches are bounded so a
-# long-running process stays small.
+# only shift the linear term) or the free set.  The caches, and the active
+# sets one negotiation stores, are bounded so a long-running process stays
+# small.
+_MAX_SETS = 512
+
 
 @lru_cache(maxsize=64)
 def _quadratic_form(n: int, quad: float, rho: float, dtc: float) -> tuple[np.ndarray, float]:
@@ -157,15 +159,18 @@ def _quadratic_form(n: int, quad: float, rho: float, dtc: float) -> tuple[np.nda
     return q_mat, lipschitz
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=_MAX_SETS)
 def _newton_system(n: int, quad: float, rho: float, dtc: float, free_key: bytes):
-    """``(free, fixed, Q_free_fixed, inverse of Q_free_free)``, or None if singular."""
+    """``(free, fixed, Q_free_fixed, inverse of Q_free_free)``, or None if
+    singular or if the inverse overflows (a subnormal tracking weight)."""
     q_mat, _ = _quadratic_form(n, quad, rho, dtc)
     mask = np.frombuffer(free_key, dtype=bool)
     free, fixed = np.flatnonzero(mask), np.flatnonzero(~mask)
     try:
         inverse = np.linalg.inv(q_mat[np.ix_(free, free)])
     except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(inverse).all():
         return None
     return free, fixed, q_mat[np.ix_(free, fixed)], inverse
 
@@ -177,8 +182,8 @@ class DSOWorkspace:
     ``z = (P_l, P_s)``, with ``g = (price - linear_cost, storage_term)``.
     Built on the first solve of a subproblem and handed on by each
     :class:`DSOSolution`, it holds the box as float lists (``lower``,
-    ``upper``) and arrays, the storage block of ``g`` and, in ``sets``, every
-    active set the negotiation has met (see :meth:`active_set`).
+    ``upper``) and arrays, the storage block of ``g`` and, in ``sets``, the
+    active sets the negotiation has met, keyed by sides (see :meth:`set_for`).
     """
 
     def __init__(self, sub: DSOSubproblem):
@@ -222,10 +227,18 @@ class DSOWorkspace:
             else:
                 return None
             i += 1
-        key = tuple(sides)
-        found = self.sets.get(key)
+        return self.set_for(tuple(sides))
+
+    def set_for(self, sides: tuple[int, ...]) -> _ActiveSet:
+        """The active set holding entry ``i`` on its lower bound where
+        ``sides[i]`` is -1, on its upper bound where it is 1, and free where
+        it is 0.  Stored for the negotiation's later rounds until ``sets``
+        holds ``_MAX_SETS``; past that a new set is built on each call."""
+        found = self.sets.get(sides)
         if found is None:
-            found = self.sets[key] = _ActiveSet(self, key)
+            found = _ActiveSet(self, sides)
+            if len(self.sets) < _MAX_SETS:
+                self.sets[sides] = found
         return found
 
     def certificate(self, point: list[float], lam: list[float]) -> float:
@@ -305,6 +318,20 @@ class _ActiveSet:
             else:
                 self.storage.append(ws.storage_g[i - n] - held)
 
+    def newton(self, lam: list[float], lin: float) -> list[float] | None:
+        """The Newton point at the window list ``lam``: ``base`` with the free
+        entries set to ``inverse @ rhs``; None if the free block is singular."""
+        if self.inverse is None:
+            return None
+        rhs = []
+        for i, shift in self.generation:
+            rhs.append(lam[i] - lin - shift)
+        rhs += self.storage
+        point = self.base.copy()
+        for i, v in zip(self.free, (self.inverse @ np.array(rhs)).tolist()):
+            point[i] = v
+        return point
+
 
 def solve_dso(
     sub: DSOSubproblem,
@@ -336,7 +363,14 @@ def solve_dso(
             ws, active = start.workspace, start.active
         start = (start.generation_values, start.storage_values)
     ws = ws or DSOWorkspace(sub)
-    point, residual, active = _projected_newton(ws, lam, eps, start, active)
+    if start is not None and active is None:
+        active = ws.active_set(_clip(np.concatenate(start), ws.lo, ws.hi).tolist())
+    found = active and _warm_step(ws, active, lam, eps)
+    if not found:
+        z = _clip(np.zeros(2 * ws.n) if start is None else np.concatenate(start), ws.lo, ws.hi)
+        point, residual = _iterate(ws, z, lam, eps)
+        found = point, residual, ws.active_set(point)
+    point, residual, active = found
     n = len(lam)
     return DSOSolution(point[:n], point[n:], residual, sub, lam, ws, active)
 
@@ -375,72 +409,25 @@ def _pinned_dispatch(
     return gen, [pin] * len(gen), residual
 
 
-def _projected_newton(
-    ws: DSOWorkspace,
-    lam: list[float],
-    eps: Tolerances,
-    start: tuple[Sequence[float], Sequence[float]] | None,
-    active: _ActiveSet | None,
-) -> tuple[list[float], float, _ActiveSet | None]:
-    """Projected Newton on the stacked point; returns it as a float list,
-    with its residual and its active set.
-
-    A warm ``start`` (the last price round's answer) is first tried through
-    its active set: ``active`` when it is carried over, else the one read off
-    the start clipped to the box.  :func:`_warm_step` takes one Newton step
-    on it, returned if it lies in the box and its projected-stationarity
-    residual is within ``eps.kkt``, the certificate every answer carries.
-    Prices move little between rounds, so the bounds rarely change and this
-    is the common case.  Otherwise :func:`_iterate` runs from the clipped
-    ``start`` (or from zero).
-    """
-    z = None
-    if start is not None:
-        if active is None:
-            z = _clip(np.concatenate(start), ws.lo, ws.hi)
-            active = ws.active_set(z.tolist())
-        found = active and _warm_step(ws, active, lam, eps)
-        if found:
-            return found
-    if z is None:
-        z = _clip(np.zeros(2 * ws.n) if start is None else np.concatenate(start), ws.lo, ws.hi)
-    point, residual = _iterate(ws, z, ws.gradient(lam), eps)
-    point = point.tolist()
-    return point, residual, ws.active_set(point)
-
-
 def _warm_step(
     ws: DSOWorkspace, active: _ActiveSet, lam: list[float], eps: Tolerances
 ) -> tuple[list[float], float, _ActiveSet | None] | None:
-    """One Newton solve on ``active``'s free entries at ``lam``.
-
-    The point on the free entries is one BLAS product ``inverse @ rhs``, the
-    held entries stay on their bounds.  It is returned with its residual
+    """``active``'s Newton point at ``lam``, returned with its residual
     (:meth:`DSOWorkspace.certificate`) and its active set (``active``, unless
     a free entry landed on a bound) if it lies in the box and the residual is
     within ``eps.kkt``; else None.
     """
-    inverse = active.inverse
-    if inverse is None:
+    point = active.newton(lam, ws.lin)
+    if point is None:
         return None
-    lin = ws.lin
-    rhs = []
-    for i, shift in active.generation:
-        rhs.append(lam[i] - lin - shift)
-    rhs += active.storage
-    values = (inverse @ np.array(rhs)).tolist()
-    point = active.base.copy()
     lower, upper = ws.lower, ws.upper
     interior = True
-    k = 0
     for i in active.free:
-        v = values[k]
+        v = point[i]
         if not lower[i] < v < upper[i]:
             if not lower[i] <= v <= upper[i]:
                 return None
             interior = False
-        point[i] = v
-        k += 1
     residual = ws.certificate(point, lam)
     if not residual <= eps.kkt:
         return None
@@ -451,19 +438,17 @@ def _clip(point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(point, lo), hi)
 
 
-def _residual(point: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Projected-stationarity residual: how far a gradient step moves ``point``."""
-    return float(np.abs(point - _clip(point + grad, lo, hi)).max())
-
-
 def _iterate(
-    ws: DSOWorkspace, z: np.ndarray, g: np.ndarray, eps: Tolerances
-) -> tuple[np.ndarray, float]:
-    """Projected-Newton iterations from ``z`` on ``max g.z - z.Q.z / 2``,
-    at most ``_MAX_ITER`` of them; ``ws.span``, the widest box, scales the
-    activity rule."""
+    ws: DSOWorkspace, z: np.ndarray, lam: list[float], eps: Tolerances
+) -> tuple[list[float], float]:
+    """Projected-Newton iterations from ``z`` on ``max g.z - z.Q.z / 2`` at
+    the window list ``lam``, at most ``_MAX_ITER`` of them, until
+    :meth:`DSOWorkspace.certificate` is within ``eps.kkt``; returns the point
+    as a float list with its residual.  ``ws.span``, the widest box, scales
+    the activity rule."""
     q_mat, lipschitz = _quadratic_form(*ws.key)
     lo, hi = ws.lo, ws.hi
+    g = ws.gradient(lam)
     max_iter = _MAX_ITER
 
     def value(point: np.ndarray) -> float:
@@ -480,24 +465,22 @@ def _iterate(
     converged = False
     it = 0
     for it in range(max_iter):
-        grad = g - q_mat @ z
-        residual = _residual(z, grad, lo, hi)
+        point = z.tolist()
+        residual = ws.certificate(point, lam)
         if residual <= eps.kkt:
             converged = True
             break
         if not math.isfinite(residual):
             break
+        grad = g - q_mat @ z
         act_tol = min(1e-4 * (1.0 + ws.span), residual)
         at_lo = (z - lo <= act_tol) & (grad < 0)
         at_hi = (hi - z <= act_tol) & (grad > 0)
-        free = ~(at_lo | at_hi)
-        system = _newton_system(*ws.key, free.tobytes())
+        sides = tuple((at_hi.astype(int) - at_lo).tolist())
+        newton = ws.set_for(sides).newton(lam, ws.lin)
         improved = False
-        if system is not None:
-            idx, fixed, q_fixed, inverse = system
-            newton = np.where(at_lo, lo, np.where(at_hi, hi, z))
-            newton[idx] = inverse @ (g[idx] - q_fixed @ newton[fixed])
-            step = newton - z
+        if newton is not None:
+            step = np.array(newton) - z
             for _ in range(_ARC_STEPS):
                 trial = _clip(z + step, lo, hi)
                 trial_value = value(trial)
@@ -515,8 +498,7 @@ def _iterate(
             f"in iteration {it + 1} of {max_iter}",
             residual,
         )
-
-    return z, residual
+    return point, residual
 
 
 def _objective(sub: DSOSubproblem, lam: np.ndarray, gen: np.ndarray, ps: np.ndarray) -> float:

@@ -252,14 +252,6 @@ class EVBatchWorkspace:
         power is its level) w/q**2 = (power + 1)**2 / w."""
         return self.slope_coef * np.add.reduce(np.square(power + 1.0) * (power == level), 1)
 
-    def _energy_at(
-        self, mu: np.ndarray, lam: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Power, delivered energy and its slope in ``mu`` at the padded prices
-        ``lam``: one evaluation of the array kernel with its slope."""
-        power, level, energy = self._power_at(mu, lam)
-        return power, energy, self._slope(power, level)
-
     def solve(
         self, eps: Tolerances = Tolerances(), previous: EVBatchSolution | None = None
     ) -> EVBatchSolution:

@@ -226,11 +226,17 @@ def _summarize(
     prices = np.array([rec.price_applied for rec in records]) if records else np.zeros(1)
     demand = np.array([rec.demand_total for rec in records]) if records else np.zeros(1)
     initial = sum(s.energy_needed for s in sessions)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stdev = float(prices.std())
+        if not np.isfinite(stdev):
+            # Squared prices past 1e154 overflow: scale the prices to 1 first.
+            scale = float(np.abs(prices).max())
+            stdev = scale * float((prices / scale).std())
     # An overshoot within the energy tolerance leaves a slightly negative
     # remainder; it counts as met, not as negative unmet energy.
     return TraceSummary(
         price_mean=float(prices.mean()),
-        price_stdev=float(prices.std()),
+        price_stdev=stdev,
         peak_demand=float(demand.max()),
         energy_delivered=initial - sum(final_energy.values()),
         energy_unmet=sum(max(left, 0.0) for left in final_energy.values()),

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,21 @@ def test_set_override_changes_solver(tmp_path, small_file, capsys):
     assert code == 2
     text = (out / "slots.csv").read_text()
     assert "false" in text
+
+
+def test_huge_prices_give_a_finite_summary(tmp_path, small_file, capsys):
+    """A step of 1e300 drives the prices past 1e300, whose squares overflow;
+    the summary's spread is still finite, and no RuntimeWarning is raised."""
+    out = tmp_path / "o"
+    args = ["--set", "solver.step_size=1e300", "--set", "solver.max_iterations=5"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(small_file), "--out", str(out), *args]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    header, row = (out / "summary.csv").read_text().splitlines()
+    summary = dict(zip(header.split(","), map(float, row.split(","))))
+    assert summary["price_mean"] > 1e300
+    assert all(math.isfinite(v) for v in summary.values())
 
 
 def test_set_override_validates(tmp_path, small_file):

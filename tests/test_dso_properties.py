@@ -1,6 +1,6 @@
 """Property tests of the supplier's two shortcuts: the closed form for a
 pinned storage box and the warm free-set step of projected Newton, with the
-step's certificate in plain floats.
+step's certificate in plain floats and its Newton point on an active set.
 
 The closed form must agree with the projected-Newton iteration, which solves
 the same problem with the storage treated as a general box.  The closed form
@@ -15,7 +15,10 @@ A warm start must give the cold answer to the same point bound, whether the
 step on its free set is accepted (a start at the answer for nearby prices) or
 the iteration takes over (a random start).  The step's certificate, written
 out from Q's structure, must read the dense residual ``max |z - clip(z + g -
-Q z)|`` to rounding, and NaN wherever the dense one is NaN.
+Q z)|`` to rounding, and NaN wherever the dense one is NaN.  The Newton
+point of an active set must equal, bit for bit, the dense formula it
+replaced, and a negotiation's store of active sets must stay bounded without
+changing an answer.
 """
 import math
 
@@ -37,10 +40,11 @@ from evmarket import (
 from evmarket.dso_agent import (
     ConvergenceError,
     DSOWorkspace,
+    _clip,
+    _iterate,
+    _newton_system,
     _objective,
-    _projected_newton,
     _quadratic_form,
-    _residual,
     solve_dso,
 )
 
@@ -49,6 +53,12 @@ from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE
 EPS = Tolerances()
 # The reference iteration is run to a much tighter residual than the check.
 REFERENCE_EPS = Tolerances(kkt=1e-12)
+
+
+def _residual(point, grad, lo, hi):
+    """Dense projected-stationarity residual: how far a gradient step moves
+    ``point``."""
+    return float(np.abs(point - _clip(point + grad, lo, hi)).max())
 
 
 @st.composite
@@ -88,15 +98,26 @@ NARROW_BOX = DSOSubproblem(
     window=TimeGrid(0, 1, SLOT_HOURS),
 )
 
+# A subnormal tracking weight: the all-free block's inverse overflows, so the
+# iteration must treat it as singular rather than step to inf or NaN.
+SUBNORMAL_TRACKING = DSOSubproblem(
+    dso=DSOSpec(1.0, 0.0, 0.0, math.inf),
+    storage=StorageSpec(0.0, 0.0, 0.0, 0.0, 1.0, 1.1125369292536007e-308),
+    energy_now=0.0,
+    window=TimeGrid(0, 2, SLOT_HOURS),
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(market=pinned_subproblems())
 @example(market=(NARROW_BOX, [2.0]))
+@example(market=(SUBNORMAL_TRACKING, [0.0, 1.0]))
 def test_closed_form_matches_projected_newton(market):
     sub, prices = market
     lam = np.array(prices)
     sol = solve_dso(sub, prices, eps=EPS)
-    point, _, _ = _projected_newton(DSOWorkspace(sub), prices, REFERENCE_EPS, None, None)
+    ws = DSOWorkspace(sub)
+    point, _ = _iterate(ws, _clip(np.zeros(2 * ws.n), ws.lo, ws.hi), prices, REFERENCE_EPS)
     point = np.array(point)
     np.testing.assert_allclose(sol.point, point, rtol=0.0, atol=1e-9)
     gen = sol.generation.values
@@ -238,23 +259,28 @@ def test_warm_start_with_a_nan_price_raises():
 def test_warm_start_with_a_nan_price_on_a_held_slot_raises(monkeypatch):
     """The NaN-priced slot's generation is held at 0, so the Newton point on
     the free entries is finite and in the box; only a certificate whose max
-    keeps the NaN sends the call to the iteration, which raises."""
+    keeps the NaN (the first read, the warm step's) sends the call to the
+    iteration, which raises."""
     sub = storage_sub(2)
     cold = solve_dso(sub, [4.0, 0.0])
     assert cold.generation_values[1] == sub.dso.power_min
+    fallbacks = count_iterations(monkeypatch)
+    # Each read with the number of iterations begun before it.
     read = []
     certificate = DSOWorkspace.certificate
 
     def spied(ws, point, lam):
-        read.append(certificate(ws, point, lam))
-        return read[-1]
+        read.append((len(fallbacks), certificate(ws, point, lam)))
+        return read[-1][1]
 
     monkeypatch.setattr(DSOWorkspace, "certificate", spied)
     for start in (cold, (cold.generation_values, cold.storage_values)):
         read.clear()
+        fallbacks.clear()
         with pytest.raises(ConvergenceError):
             solve_dso(sub, [4.0, math.nan], start=start)
-        assert len(read) == 1 and math.isnan(read[0])
+        assert len(fallbacks) == 1
+        assert read[0][0] == 0 and math.isnan(read[0][1])
 
 
 def count_warm_steps(monkeypatch):
@@ -350,3 +376,82 @@ def test_float_certificate_matches_the_dense_residual(case):
         assert math.isnan(fast) and math.isnan(dense)
     else:
         assert abs(fast - dense) <= 1e-12 * (1.0 + float(np.abs(g).max()))
+
+
+@st.composite
+def active_set_cases(draw):
+    """A storage supplier, possibly with no generation cap or no tracking
+    (whose all-free set is singular), random sides and random prices."""
+    n = draw(st.integers(1, 6))
+    gen_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
+    gen_max = draw(st.one_of(st.just(math.inf), st.floats(gen_min + 1.0, gen_min + 150.0)))
+    storage = StorageSpec(
+        power_min=-draw(st.floats(1.0, 120.0)),
+        power_max=draw(st.floats(1.0, 120.0)),
+        energy_initial=draw(st.floats(0.0, 200.0)),
+        energy_reference=draw(st.floats(0.0, 200.0)),
+        throughput=draw(st.floats(0.1, 1.0)),
+        tracking_weight=draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0))),
+    )
+    sub = DSOSubproblem(
+        dso=DSOSpec(draw(st.floats(0.01, 1.0)), draw(st.floats(0.0, 5.0)), gen_min, gen_max),
+        storage=storage,
+        energy_now=draw(st.floats(0.0, 200.0)),
+        window=TimeGrid(0, n, SLOT_HOURS),
+    )
+    # No entry is held on an infinite bound: the iteration holds an entry
+    # only within its activity tolerance of the bound.
+    gen_sides = (-1, 0, 1) if math.isfinite(gen_max) else (-1, 0)
+    sides = tuple(
+        draw(st.lists(st.sampled_from(gen_sides), min_size=n, max_size=n))
+        + draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
+    )
+    prices = draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
+    return sub, sides, prices
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=active_set_cases())
+def test_active_set_newton_point_matches_the_dense_formula(case):
+    """Held entries from ``np.where`` on the bounds, free entries from
+    ``inverse @ (g_F - Q_FX z_X)`` through ``_newton_system``: the formula
+    the iteration used before it took the active set's step."""
+    sub, sides, prices = case
+    ws = DSOWorkspace(sub)
+    fast = ws.set_for(sides).newton(prices, ws.lin)
+    at_lo, at_hi = np.array(sides) < 0, np.array(sides) > 0
+    system = _newton_system(*ws.key, (~(at_lo | at_hi)).tobytes())
+    assert (fast is None) == (system is None)
+    if system is None:
+        return
+    idx, fixed, q_fixed, inverse = system
+    g = ws.gradient(prices)
+    dense = np.where(at_lo, ws.lo, np.where(at_hi, ws.hi, 0.0))
+    dense[idx] = inverse @ (g[idx] - q_fixed @ dense[fixed])
+    fast = np.array(fast)
+    nan = np.isnan(dense)
+    np.testing.assert_array_equal(np.isnan(fast), nan)
+    np.testing.assert_array_equal(fast[~nan].view(np.int64), dense[~nan].view(np.int64))
+
+
+def test_active_set_store_stops_at_its_bound(monkeypatch):
+    """A negotiation's warm solves on table1's supplier store each active
+    set met until the store holds ``_MAX_SETS``; lowered, the store stops
+    there and every answer stays the same."""
+    sub = storage_sub(8)
+    rng = np.random.default_rng(16)
+    rounds = [rng.uniform(0.0, 12.0, size=8).tolist() for _ in range(40)]
+
+    def negotiate():
+        answers, sol = [], None
+        for prices in rounds:
+            sol = solve_dso(sub, prices, start=sol)
+            answers.append((sol.generation_values, sol.storage_values, sol.kkt_residual))
+        return answers, sol.workspace.sets
+
+    free, sets = negotiate()
+    assert len(sets) > 3
+    monkeypatch.setattr(dso_agent, "_MAX_SETS", 3)
+    bounded, sets = negotiate()
+    assert len(sets) == 3
+    assert bounded == free

@@ -219,7 +219,7 @@ def test_nonpositive_effective_price_and_zero_slope():
     mu_low = (ws.clamp_hi_price - ws.lam.max(axis=1)) / ws.rate - 1.0
     q = ws.lam + (mu_low * ws.rate)[:, None]
     assert (q <= 0).any()
-    _, _, slope = ws._energy_at(mu_low, ws.lam)
+    slope = ws._slope(*ws._power_at(mu_low, ws.lam)[:2])
     assert slope[0] == 0.0
     for max_iter in (1, 2, 200):
         assert_same(ws, ([-1e6], [True]), max_iter)
