@@ -157,6 +157,7 @@ def evaluate_dual(
     dso_sub: DSOSubproblem,
     eps: Tolerances = Tolerances(),
     last: DualIterationState | None = None,
+    dispatch: DSOSolution | None = None,
 ) -> DualIterationState:
     """Solve every agent at ``prices`` and assemble the imbalance.
 
@@ -172,7 +173,8 @@ def evaluate_dual(
     solution, whose workspace and active set carry over (see
     :mod:`evmarket.dso_agent`).  Without it the workspaces are built, each
     vehicle starts from the even spread of its requirement and the supplier
-    from scratch.
+    from ``dispatch``, its settled dispatch of an earlier slot, which the
+    supplier aligns by slot (from scratch when that is None too).
     """
     window = dso_sub.window
     n = window.length
@@ -185,7 +187,7 @@ def evaluate_dual(
             demand = demand + [0.0] * (n - workspace.width)
     else:
         ev_solutions, demand = (), [0.0] * n
-    dso_solution = solve_dso(dso_sub, prices, eps, start=last and last.dso_solution)
+    dso_solution = solve_dso(dso_sub, prices, eps, start=last.dso_solution if last else dispatch)
 
     supply = dso_solution.generation_values
     residual = []
@@ -205,11 +207,14 @@ def negotiate_slot(
     warm_start_price: float,
     config: ConvergenceConfig = ConvergenceConfig(),
     eps: Tolerances = Tolerances(),
+    dispatch: DSOSolution | None = None,
 ) -> DualIterationState:
     """Run the price loop for one slot from a constant warm-start vector.
 
     The vehicles ``sessions`` and the supplier share ``dso_sub.window``; a
-    warm-start price that is not finite raises ``ValueError``.  Iterates agent
+    warm-start price that is not finite raises ``ValueError``.  ``dispatch``,
+    the supplier's settled dispatch of the previous slot, starts its first
+    solve; the coordinator hands it on unread.  Iterates agent
     solves and price updates until the worst per-slot imbalance is within
     ``config.balance_tolerance`` or ``config.max_iterations`` price updates
     have been spent, and returns the state of the iteration it settled at,
@@ -235,7 +240,7 @@ def negotiate_slot(
     step = config.step_size if config.step_schedule == CONSTANT else None
     for k in range(config.max_iterations + 1):
         try:
-            next_state = evaluate_dual(prices, sessions, dso_sub, eps, state)
+            next_state = evaluate_dual(prices, sessions, dso_sub, eps, state, dispatch)
             norm = max_abs(next_state.residual_values)
             if not norm <= config.balance_tolerance and not math.isfinite(norm):
                 message = f"non-finite balance residual ({norm}) at iteration {k}"

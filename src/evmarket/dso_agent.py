@@ -10,26 +10,38 @@ both to 0, as for a scenario without storage) the problem separates per slot
 and is solved in closed form, in plain floats: ``P_s`` sits at the pinned value
 and ``P_l = clip(P_s + (price - linear_cost) / (2 * quadratic_cost))`` on the
 generation box, the clip written out with NumPy's rules for ties, signed zeros
-and NaN.  Otherwise it is solved by projected Newton.  A
+and NaN.  Otherwise it is solved by Newton steps on active sets.  A
 :class:`DSOWorkspace`, built on a negotiation's first solve and handed on by
 each solution, holds what the price rounds share: the boxes as floats, the
-storage block's linear term and, per active set met, the free and held
-entries, the inverse of the Hessian's free block ``Q_FF`` and the held
-entries' term ``Q_FX z_X``.  On an active set there is one Newton step: the
-held entries on their bounds, the free ones one BLAS product ``inverse @
-rhs``.  Each solution keeps the active set of its point, and the next
-round's warm start takes the step on it; prices move little between rounds,
-so this usually settles the call.  Failing that, or from a cold start, each
-iteration guesses the active set from the gradient, takes the step on it
-and searches along the projection arc, else takes a projected-gradient step
-of length ``1/L``.  Every answer is certified by one O(n) plain-float check
-of its projected-stationarity residual, written from the Hessian's
-structure, and handed back as float lists; the stacked array, the validated
-profiles and the objective value are built only when they are read.
+storage block's linear term and, per active set met (:class:`_ActiveSet`),
+the free and held entries, the inverse of the Hessian's free block ``Q_FF``
+and the held entries' term ``Q_FX z_X``; all of it but the storage entries'
+linear term is shared by every negotiation of the supplier.  On an active
+set there is one Newton step: the held entries on their bounds, the free ones
+one BLAS product ``inverse @ rhs``.
+
+A warm start names the first active set: the last price round's solution
+carries its own, and a slot's first call reads it off the supplier's settled
+dispatch of the previous slot, aligned by slot.  From it, primal-dual
+active-set rounds run (Hintermüller, Ito & Kunisch, SIAM J. Optim. 2002).
+Each round takes the Newton step on its set and returns the point if it lies
+in the box and passes the certificate.  Otherwise the next set holds each
+free entry that left the box on the bound it crossed, and releases each held
+entry whose gradient ``g - Q z`` points into the box.  Prices move little
+between rounds, so the first round usually settles the call.  When a set
+repeats, after twice as many rounds as the point has entries, or from a cold
+start, the projected-Newton iteration runs instead: each iteration guesses
+the active set from the gradient, takes the step on it and searches along the
+projection arc, else takes a projected-gradient step of length ``1/L``.
+Every answer is certified by one O(n) plain-float check of its
+projected-stationarity residual, written from the Hessian's structure, and
+handed back as float lists; the stacked array, the validated profiles and the
+objective value are built only when they are read.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -74,9 +86,9 @@ class DSOSolution:
     ``generation_values`` and ``storage_values`` are float lists over the
     window; the price loop reads only the former.  ``point`` (the two stacked
     as an array), the validated profiles and ``objective`` are built on first
-    access.  Projected Newton also sets ``workspace`` and ``active``, the
+    access.  A solve with storage also sets ``workspace`` and ``active``, the
     active set of the point: passed back as ``start`` on the same subproblem,
-    the solution starts the next warm step from them.  One is made per dual
+    the solution starts the next round from them.  One is made per dual
     iteration, so it is a plain dataclass: a frozen one takes about three
     times as long to construct.
     """
@@ -137,9 +149,10 @@ _ARC_STEPS = 8
 # Projected-Newton iterations before a supplier solve is reported as stalled.
 _MAX_ITER = 100_000
 
-# Quadratic forms and free-set Newton systems are shared across negotiations,
-# keyed by the window length and cost parameters (prices and stored energy
-# only shift the linear term) or the free set.  The caches, and the active
+# Quadratic forms, free-set Newton systems and active-set shapes are shared
+# across negotiations, keyed by the window length and cost parameters (prices
+# and stored energy only shift the linear term), the free set, and the boxes
+# and sides.  The caches, and the active
 # sets one negotiation stores, are bounded so a long-running process stays
 # small.
 _MAX_SETS = 512
@@ -175,6 +188,37 @@ def _newton_system(n: int, quad: float, rho: float, dtc: float, free_key: bytes)
     return free, fixed, q_mat[np.ix_(free, fixed)], inverse
 
 
+@lru_cache(maxsize=_MAX_SETS)
+def _set_shape(key: tuple, bounds: tuple[float, float, float, float], sides: tuple[int, ...]):
+    """What an active set's Newton step shares across the negotiations of
+    one supplier: everything but the stored energy, which moves only the
+    storage entries' linear term.  ``key`` is :attr:`DSOWorkspace.key` and
+    ``bounds`` the generation then the storage box.  Returns ``(free,
+    inverse, limit, base, generation, held)`` as :class:`_ActiveSet` keeps
+    them, with ``held`` the ``(i, shift)`` pairs of the free storage entries;
+    no free entry and ``inverse`` None if the free block is singular.  Each
+    is shared by every set of that shape, so all but ``inverse`` are tuples
+    (the inverse is only read)."""
+    n = key[0]
+    gen_lo, gen_hi, st_lo, st_hi = bounds
+    lower, upper = [gen_lo] * n + [st_lo] * n, [gen_hi] * n + [st_hi] * n
+    base = [
+        lower[i] if side < 0 else upper[i] if side > 0 else 0.0 for i, side in enumerate(sides)
+    ]
+    system = _newton_system(*key, bytes([side == 0 for side in sides]))
+    if system is None:
+        return (), None, math.inf, tuple(base), (), ()
+    free, fixed, q_fixed, inverse = system
+    norm = float(np.abs(inverse).sum(axis=1).max(initial=0.0))
+    limit = sys.float_info.max / (2.0 * norm) if norm else math.inf
+    shift = (q_fixed @ np.array(base)[fixed]).tolist()
+    free = tuple(free.tolist())
+    pairs = tuple(zip(free, shift))
+    generation = tuple(pair for pair in pairs if pair[0] < n)
+    held = tuple(pair for pair in pairs if pair[0] >= n)
+    return free, inverse, limit, tuple(base), generation, held
+
+
 class DSOWorkspace:
     """What one negotiation's projected-Newton solves share: all but the prices.
 
@@ -192,6 +236,7 @@ class DSOWorkspace:
         dtc = st.throughput * sub.window.slot_hours
         self.sub, self.n, self.lin = sub, n, dso.cost_linear
         self.key = (n, dso.cost_quadratic, st.tracking_weight, dtc)
+        self.bounds = (dso.power_min, dso.power_max, st.power_min, st.power_max)
         self.lower = [dso.power_min] * n + [st.power_min] * n
         self.upper = [dso.power_max] * n + [st.power_max] * n
         self.lo, self.hi = np.array(self.lower), np.array(self.upper)
@@ -284,51 +329,94 @@ class DSOWorkspace:
             i -= 1
         return residual
 
+    def slope(self, point: list[float], lam: list[float]) -> list[float]:
+        """The gradient ``g - Q z`` of the objective at ``point``, a float
+        list over the stacked entries, with :meth:`certificate`'s algebra."""
+        n, lin, coupling, tracking = self.n, self.lin, self.coupling, self.tracking
+        g_storage = self.storage_g
+        prefix = []
+        acc = 0.0
+        for v in point[n:]:
+            acc += v
+            prefix.append(acc)
+        out = [0.0] * (2 * n)
+        tail = 0.0
+        for i in range(n - 1, -1, -1):
+            tail += prefix[i]
+            d = coupling * (point[i] - point[n + i])
+            out[i] = lam[i] - lin - d
+            out[n + i] = g_storage[i] + d - tracking * tail
+        return out
+
+    def next_sides(
+        self, active: _ActiveSet, point: list[float], lam: list[float]
+    ) -> tuple[int, ...] | None:
+        """The sides of the round after ``active``'s Newton point ``point``:
+        each free entry that left the box held on the bound it crossed, each
+        held entry whose gradient points into the box released.  None if a
+        free entry is NaN."""
+        lower, upper = self.lower, self.upper
+        sides = list(active.sides)
+        for i in active.free:
+            v = point[i]
+            if v < lower[i]:
+                sides[i] = -1
+            elif v > upper[i]:
+                sides[i] = 1
+            elif v != v:
+                return None
+        slope = self.slope(point, lam)
+        for i, side in enumerate(active.sides):
+            if side < 0 and slope[i] > 0 or side > 0 and slope[i] < 0:
+                sides[i] = 0
+        return tuple(sides)
+
 
 class _ActiveSet:
     """One active set of a negotiation and the parts of its Newton step that
-    do not move with the prices.
+    do not move with the prices; all but ``storage`` come from the supplier's
+    shared :func:`_set_shape`.
 
+    ``sides`` is the key it is stored under (see :meth:`DSOWorkspace.set_for`).
     ``free`` lists the free entries in ascending order and ``inverse`` is the
     inverse of their block of Q (None if singular); ``base`` is a point with
     the held entries on their bounds.  The step's right-hand side is
     ``g_F - Q_FX z_X``: ``(lam[i] - linear_cost) - shift`` for each
     ``(i, shift)`` in ``generation``, then the constants in ``storage``.
+    ``limit`` is half the float range over the inverse's row-sum norm: while
+    every right-hand side is below it in size, no entry of the product, nor
+    any partial sum in it, can overflow, rounding included.
     """
 
-    __slots__ = ("free", "inverse", "base", "generation", "storage")
+    __slots__ = ("sides", "free", "inverse", "limit", "base", "generation", "storage")
 
     def __init__(self, ws: DSOWorkspace, sides: tuple[int, ...]):
-        self.base = [
-            ws.lower[i] if side < 0 else ws.upper[i] if side > 0 else 0.0
-            for i, side in enumerate(sides)
-        ]
-        self.free, self.generation, self.storage = [], [], []
-        self.inverse = None
-        system = _newton_system(*ws.key, (np.array(sides) == 0).tobytes())
-        if system is None:
-            return
-        free, fixed, q_fixed, self.inverse = system
-        shift = (q_fixed @ np.array(self.base)[fixed]).tolist()
-        self.free = free.tolist()
-        n = ws.n
-        for i, held in zip(self.free, shift):
-            if i < n:
-                self.generation.append((i, held))
-            else:
-                self.storage.append(ws.storage_g[i - n] - held)
+        self.sides = sides
+        shape = _set_shape(ws.key, ws.bounds, sides)
+        self.free, self.inverse, self.limit, self.base, self.generation, held = shape
+        n, storage_g = ws.n, ws.storage_g
+        self.storage = [storage_g[i - n] - shift for i, shift in held]
 
     def newton(self, lam: list[float], lin: float) -> list[float] | None:
         """The Newton point at the window list ``lam``: ``base`` with the free
-        entries set to ``inverse @ rhs``; None if the free block is singular."""
+        entries set to ``inverse @ rhs``; None if the free block is singular.
+        At prices so large that the product may overflow, or a right-hand
+        side that is not finite, it is taken with NumPy's warnings off and
+        its entries may be infinite or NaN."""
         if self.inverse is None:
             return None
         rhs = []
         for i, shift in self.generation:
             rhs.append(lam[i] - lin - shift)
         rhs += self.storage
-        point = self.base.copy()
-        for i, v in zip(self.free, (self.inverse @ np.array(rhs)).tolist()):
+        limit = self.limit
+        if rhs and not (-limit < min(rhs) and max(rhs) < limit):
+            with np.errstate(over="ignore", invalid="ignore"):
+                free = self.inverse.dot(np.array(rhs)).tolist()
+        else:
+            free = self.inverse.dot(np.array(rhs)).tolist()
+        point = list(self.base)
+        for i, v in zip(self.free, free):
             point[i] = v
         return point
 
@@ -342,16 +430,24 @@ def solve_dso(
     """Return the unique maximizer of the supplier objective on the boxes at
     ``prices``, the window list (see :meth:`~evmarket.model.TimeGrid.price_list`).
 
-    A pinned storage box is solved in closed form, any other by projected
-    Newton.  ``start`` warm-starts projected Newton: the coordinator passes
+    A pinned storage box is solved in closed form, any other by Newton steps
+    on active sets.  ``start`` names the first set: the coordinator passes
     the last price round's solution, whose workspace and active set carry
-    over when it was solved on ``sub``; a ``(generation, storage)`` pair, or
-    a solution on another subproblem, has its active set read off its point,
-    clipped to the box.  One Newton solve on that active set is returned if
-    it passes the certificate, else the iteration runs from ``start``.  It
-    never changes the answer beyond the stationarity tolerance.  Raises
-    :class:`ConvergenceError` if the residual target is not met, or at once
-    if the residual is not finite.
+    over when it was solved on ``sub``.  A ``(generation, storage)`` pair
+    over the window, or a solution on another subproblem, has its set read
+    off its point, clipped to the box; the coordinator passes the settled
+    dispatch of the previous slot for a slot's first call.  A solution on
+    another window is aligned by slot first: the slots before ``sub``'s
+    window are dropped and its last value fills the slots past its end.
+    From that set, primal-dual active-set rounds run (see
+    :func:`_rounds`); the first point that lies in the box and passes the
+    certificate is returned.  When a set repeats, after ``4 n`` rounds
+    (``n`` the window length, so two per entry of the point), or without
+    ``start``, the projected-Newton iteration runs from ``start`` (zero
+    without one), clipped to the box.
+    ``start`` never changes the answer beyond the stationarity tolerance.
+    Raises :class:`ConvergenceError` if the residual target is not met, or
+    at once if the residual or the objective is not finite.
     """
     lam = sub.window.price_list(prices)
     if sub.storage.power_min == sub.storage.power_max and sub.dso.cost_quadratic > 0:
@@ -359,13 +455,17 @@ def solve_dso(
         return DSOSolution(gen, storage, residual, sub, lam)
     ws = active = None
     if type(start) is DSOSolution:
+        values = start.generation_values, start.storage_values
         if start.sub is sub:
             ws, active = start.workspace, start.active
-        start = (start.generation_values, start.storage_values)
+            start = values
+        else:
+            shift = sub.window.start - start.sub.window.start
+            start = tuple(_aligned(v, shift, sub.window.length) for v in values)
     ws = ws or DSOWorkspace(sub)
     if start is not None and active is None:
         active = ws.active_set(_clip(np.concatenate(start), ws.lo, ws.hi).tolist())
-    found = active and _warm_step(ws, active, lam, eps)
+    found = active and _rounds(ws, active, lam, eps)
     if not found:
         z = _clip(np.zeros(2 * ws.n) if start is None else np.concatenate(start), ws.lo, ws.hi)
         point, residual = _iterate(ws, z, lam, eps)
@@ -373,6 +473,14 @@ def solve_dso(
     point, residual, active = found
     n = len(lam)
     return DSOSolution(point[:n], point[n:], residual, sub, lam, ws, active)
+
+
+def _aligned(values: list[float], shift: int, n: int) -> list[float]:
+    """``values``, over a window that starts ``shift`` slots before one of
+    length ``n``, read at that window's slots; past either end of ``values``
+    its nearest value repeats."""
+    last = len(values) - 1
+    return [values[min(max(t + shift, 0), last)] for t in range(n)]
 
 
 def _pinned_dispatch(
@@ -409,29 +517,45 @@ def _pinned_dispatch(
     return gen, [pin] * len(gen), residual
 
 
-def _warm_step(
+def _rounds(
     ws: DSOWorkspace, active: _ActiveSet, lam: list[float], eps: Tolerances
 ) -> tuple[list[float], float, _ActiveSet | None] | None:
-    """``active``'s Newton point at ``lam``, returned with its residual
-    (:meth:`DSOWorkspace.certificate`) and its active set (``active``, unless
-    a free entry landed on a bound) if it lies in the box and the residual is
-    within ``eps.kkt``; else None.
+    """Primal-dual active-set rounds from ``active`` at ``lam``.
+
+    Each round takes its set's Newton point and returns it, with its residual
+    (:meth:`DSOWorkspace.certificate`) and its active set (the round's,
+    unless a free entry landed on a bound), if it lies in the box and the
+    residual is within ``eps.kkt``.  Otherwise the next round's set comes
+    from :meth:`DSOWorkspace.next_sides`.  None, for the iteration to take
+    over, when the free block is singular, a free entry is NaN, a set
+    repeats, or after twice as many rounds as the point has entries: each
+    round changes the side of some entry, so by then the rounds have held
+    and released every entry once on average.
     """
-    point = active.newton(lam, ws.lin)
-    if point is None:
-        return None
     lower, upper = ws.lower, ws.upper
-    interior = True
-    for i in active.free:
-        v = point[i]
-        if not lower[i] < v < upper[i]:
-            if not lower[i] <= v <= upper[i]:
-                return None
-            interior = False
-    residual = ws.certificate(point, lam)
-    if not residual <= eps.kkt:
-        return None
-    return point, residual, active if interior else ws.active_set(point)
+    seen = set()
+    while True:
+        point = active.newton(lam, ws.lin)
+        if point is None:
+            return None
+        interior = True
+        for i in active.free:
+            v = point[i]
+            if not lower[i] < v < upper[i]:
+                interior = False
+                if not lower[i] <= v <= upper[i]:
+                    break
+        else:
+            residual = ws.certificate(point, lam)
+            if residual <= eps.kkt:
+                return point, residual, active if interior else ws.active_set(point)
+        seen.add(active.sides)
+        if len(seen) == 2 * len(lower):
+            return None
+        sides = ws.next_sides(active, point, lam)
+        if sides is None or sides in seen:
+            return None
+        active = ws.set_for(sides)
 
 
 def _clip(point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -448,7 +572,6 @@ def _iterate(
     the activity rule."""
     q_mat, lipschitz = _quadratic_form(*ws.key)
     lo, hi = ws.lo, ws.hi
-    g = ws.gradient(lam)
     max_iter = _MAX_ITER
 
     def value(point: np.ndarray) -> float:
@@ -458,43 +581,49 @@ def _iterate(
     # estimated free set, searched along the projection arc and accepted only
     # when it improves the objective, makes the active set settle in a handful
     # of iterations.  Convergence is always certified by the
-    # projected-stationarity residual, never assumed.
+    # projected-stationarity residual, never assumed.  At prices near the
+    # float limit the objective overflows: NumPy's warnings are off, and an
+    # objective that is not finite ends the search unless its point is
+    # certified.
     inv_l = 1.0 / lipschitz
-    best = value(z)
     residual = math.inf
     converged = False
     it = 0
-    for it in range(max_iter):
-        point = z.tolist()
-        residual = ws.certificate(point, lam)
-        if residual <= eps.kkt:
-            converged = True
-            break
-        if not math.isfinite(residual):
-            break
-        grad = g - q_mat @ z
-        act_tol = min(1e-4 * (1.0 + ws.span), residual)
-        at_lo = (z - lo <= act_tol) & (grad < 0)
-        at_hi = (hi - z <= act_tol) & (grad > 0)
-        sides = tuple((at_hi.astype(int) - at_lo).tolist())
-        newton = ws.set_for(sides).newton(lam, ws.lin)
-        improved = False
-        if newton is not None:
-            step = np.array(newton) - z
-            for _ in range(_ARC_STEPS):
-                trial = _clip(z + step, lo, hi)
-                trial_value = value(trial)
-                improved = trial_value > best + 1e-14 * (1.0 + abs(best))
-                if improved:
-                    z, best = trial, trial_value
-                    break
-                step *= 0.5
-        if not improved:
-            z = _clip(z + inv_l * grad, lo, hi)
-            best = value(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = ws.gradient(lam)
+        best = value(z)
+        for it in range(max_iter):
+            point = z.tolist()
+            residual = ws.certificate(point, lam)
+            if residual <= eps.kkt:
+                converged = True
+                break
+            if not (math.isfinite(residual) and math.isfinite(best)):
+                break
+            grad = g - q_mat @ z
+            act_tol = min(1e-4 * (1.0 + ws.span), residual)
+            at_lo = (z - lo <= act_tol) & (grad < 0)
+            at_hi = (hi - z <= act_tol) & (grad > 0)
+            sides = tuple((at_hi.astype(int) - at_lo).tolist())
+            newton = ws.set_for(sides).newton(lam, ws.lin)
+            improved = False
+            if newton is not None:
+                step = np.array(newton) - z
+                for _ in range(_ARC_STEPS):
+                    trial = _clip(z + step, lo, hi)
+                    trial_value = value(trial)
+                    improved = trial_value > best + 1e-14 * (1.0 + abs(best))
+                    if improved:
+                        z, best = trial, trial_value
+                        break
+                    step *= 0.5
+            if not improved:
+                z = _clip(z + inv_l * grad, lo, hi)
+                best = value(z)
     if not converged:
+        reason = "stalled" if math.isfinite(best) else "overflowed its objective"
         raise ConvergenceError(
-            f"supplier solve stalled at residual {residual:.3e} "
+            f"supplier solve {reason} at residual {residual:.3e} "
             f"in iteration {it + 1} of {max_iter}",
             residual,
         )

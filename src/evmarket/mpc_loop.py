@@ -5,7 +5,8 @@ applies only the first sample of every vehicle's power, advances the battery
 states and moves on.  Two policies share that step.  :func:`negotiated` is the
 market: it builds the prediction window up to the latest departure among
 active vehicles and negotiates prices for the whole window; the first element
-of the settled price vector seeds the next slot's negotiation.
+of the settled price vector seeds the next slot's negotiation, and the
+supplier's settled dispatch its first solve.
 :func:`uncontrolled` is the baseline: maximum power at price 0.
 
 Prices inside the loop are per kW-slot; they are converted back to euro cent
@@ -19,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .coordinator import ConvergenceConfig, DualIterationState, negotiate_slot
-from .dso_agent import DSOSubproblem
+from .dso_agent import DSOSolution, DSOSubproblem
 from .model import (
     DSOSpec,
     EVSession,
@@ -75,6 +76,10 @@ class SimulationState:
     ``active`` holds vehicles currently plugged in and still needing energy;
     ``pending`` holds future arrivals ordered by arrival slot.  ``last_price``
     is the warm start for the next negotiation, in per-kW-slot units.
+    ``storage_energy`` and ``dispatch`` are the supplier's private state: its
+    stored energy, and its settled dispatch of the last negotiated slot
+    (None before the first), from which its next negotiation's first solve
+    starts.  The coordinator hands the dispatch on unread.
     """
 
     slot: int
@@ -82,6 +87,7 @@ class SimulationState:
     pending: tuple[EVSession, ...]
     storage_energy: float
     last_price: float
+    dispatch: DSOSolution | None = None
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,8 @@ def compute_window(active: Sequence[EVSession], slot: int, slot_hours: float) ->
 
 class Settlement(NamedTuple):
     """One slot as a power policy settles it: the price (per kW-slot), the
-    first power sample of every active vehicle in order, the supply and the
-    outcome of the price loop."""
+    first power sample of every active vehicle in order, the supply, the
+    outcome of the price loop and the supplier's settled dispatch."""
 
     price: float
     powers: list[float]
@@ -128,14 +134,17 @@ class Settlement(NamedTuple):
     residual: float = 0.0
     converged: bool = True
     supplier_error: str | None = None
+    dispatch: DSOSolution | None = None
 
 
 def negotiate_window(state: SimulationState, config: SimulationConfig) -> DualIterationState:
     """Run the price loop over the window of ``state.active`` from ``state.slot``,
-    warm-started at ``state.last_price``."""
+    warm-started at ``state.last_price`` and ``state.dispatch``."""
     window = compute_window(state.active, state.slot, config.slot_hours)
     dso_sub = DSOSubproblem(config.dso, config.storage, state.storage_energy, window)
-    return negotiate_slot(state.active, dso_sub, state.last_price, config.convergence, config.eps)
+    return negotiate_slot(
+        state.active, dso_sub, state.last_price, config.convergence, config.eps, state.dispatch
+    )
 
 
 def negotiated(state: SimulationState, config: SimulationConfig) -> Settlement:
@@ -150,6 +159,7 @@ def negotiated(state: SimulationState, config: SimulationConfig) -> Settlement:
         result.residual_norm,
         result.converged,
         result.supplier_error,
+        result.dso_solution,
     )
 
 
@@ -216,6 +226,7 @@ def step(
         pending=pending,
         storage_energy=storage_energy,
         last_price=settled.price,
+        dispatch=settled.dispatch,
     )
     return next_state, record
 

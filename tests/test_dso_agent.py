@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from evmarket import (
     TimeGrid,
     Tolerances,
     generation_cost,
+    parse_scenario,
     solve_dso,
     storage_tracking_penalty,
 )
@@ -15,7 +18,7 @@ from evmarket import dso_agent
 from evmarket.dso_agent import ConvergenceError
 
 from bruteforce import dso_bruteforce_1slot, dso_bruteforce_storage, dso_objective
-from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE
+from conftest import SCENARIO_DIR, SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE
 
 
 def make_sub(slots, dso=TABLE1_DSO, storage=TABLE1_STORAGE, energy_now=None, slot_hours=SLOT_HOURS):
@@ -168,3 +171,25 @@ def test_wrong_length_prices_raise():
         for prices in ([4.0], [4.0] * 4):
             with pytest.raises(ValueError, match="window length"):
                 solve_dso(make_sub(3, storage=storage), prices)
+
+
+def test_prices_near_the_float_limit_settle_on_the_cap_or_raise():
+    """At 1e307 the objective's value overflows.  From scratch the iteration
+    raises ConvergenceError or answers; warm-started, the rounds hold
+    generation on its cap and answer there.  Neither path warns."""
+    small = parse_scenario((SCENARIO_DIR / "small.scenario").read_bytes())
+    sub = DSOSubproblem(small.dso, small.storage, 100.0, TimeGrid(0, 2, 0.25))
+    cap = [small.dso.power_max] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moderate = solve_dso(sub, [10.0, 12.0])
+        try:
+            cold = solve_dso(sub, [1e307, 1e307])
+        except ConvergenceError:
+            pass
+        else:
+            assert cold.generation_values == cap
+            assert cold.kkt_residual <= Tolerances().kkt
+        warm = solve_dso(sub, [1e307, 1e307], start=moderate)
+    assert warm.generation_values == cap
+    assert warm.kkt_residual <= Tolerances().kkt

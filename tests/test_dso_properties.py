@@ -1,6 +1,7 @@
 """Property tests of the supplier's two shortcuts: the closed form for a
-pinned storage box and the warm free-set step of projected Newton, with the
-step's certificate in plain floats and its Newton point on an active set.
+pinned storage box and the warm active-set rounds ahead of projected Newton,
+with their certificate in plain floats and their Newton point on an active
+set.
 
 The closed form must agree with the projected-Newton iteration, which solves
 the same problem with the storage treated as a general box.  The closed form
@@ -12,10 +13,12 @@ reference's shortfall, which concavity bounds by the reference gradient times
 the step to the closed-form point.
 
 A warm start must give the cold answer to the same point bound, whether the
-step on its free set is accepted (a start at the answer for nearby prices) or
-the iteration takes over (a random start).  The step's certificate, written
-out from Q's structure, must read the dense residual ``max |z - clip(z + g -
-Q z)|`` to rounding, and NaN wherever the dense one is NaN.  The Newton
+rounds settle the call (a start at the answer for nearby or far prices, or a
+dispatch settled on an earlier window, aligned by slot) or the iteration
+takes over (a random start); the rounds never return an uncertified point.
+The certificate, written out from Q's structure, must read the dense
+residual ``max |z - clip(z + g - Q z)|`` to rounding, and NaN wherever the
+dense one is NaN.  The Newton
 point of an active set must equal, bit for bit, the dense formula it
 replaced, and a negotiation's store of active sets must stay bounded without
 changing an answer.
@@ -28,11 +31,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evmarket import (
+    ConvergenceConfig,
     DSOSpec,
     DSOSubproblem,
     StorageSpec,
     TimeGrid,
     Tolerances,
+    coordinator,
     dso_agent,
     mpc_loop,
     resolve_sessions,
@@ -208,6 +213,72 @@ def test_random_warm_start_matches_the_cold_solve(market, data):
     check_warm_against_cold(sub, prices, (data.draw(coords), data.draw(coords)))
 
 
+# The loop's shipped price step.  Scaled by 100, one round moves a price by
+# at most this step times an imbalance as wide as the generation box.
+SHIPPED_STEP = ConvergenceConfig().step_size
+
+
+@settings(max_examples=300, deadline=None)
+@given(market=storage_subproblems(), data=st.data())
+def test_rounds_after_a_large_price_move_match_the_cold_iteration(market, data):
+    """Started from the answer at prices one round of a step 100 times the
+    shipped one away, the active-set rounds return the cold iteration's
+    answer from zero, certified and in the box, or give way to the
+    iteration; they never return an uncertified point."""
+    sub, prices = market
+    n = sub.window.length
+    dso = sub.dso
+    cap = dso.power_max if math.isfinite(dso.power_max) else dso.power_min + 150.0
+    reach = 100.0 * SHIPPED_STEP * (cap - dso.power_min)
+    shift = data.draw(st.lists(st.floats(-reach, reach), min_size=n, max_size=n))
+    moved = np.maximum(np.array(prices) + shift, 0.0).tolist()
+    start = solve_dso(sub, moved, eps=REFERENCE_EPS)
+    ws = start.workspace
+    found = dso_agent._rounds(ws, start.active, prices, REFERENCE_EPS)
+    if found is not None:
+        point, residual, active = found
+        assert residual <= REFERENCE_EPS.kkt
+        assert all(lo <= v <= hi for lo, v, hi in zip(ws.lower, point, ws.upper))
+        assert active is ws.active_set(point)
+        cold, _ = _iterate(ws, _clip(np.zeros(2 * n), ws.lo, ws.hi), prices, REFERENCE_EPS)
+        np.testing.assert_allclose(point, cold, rtol=0.0, atol=1e-9)
+    check_warm_against_cold(sub, prices, start)
+
+
+@pytest.mark.parametrize("length", [2, 3, 5])
+def test_start_from_the_previous_window_is_aligned_by_slot(length, monkeypatch):
+    """A slot's first call starts from the dispatch settled on the window
+    ``[3, 7)``.  On ``[4, 4 + length)``, shorter than, as long as and longer
+    than its overlap, the start drops slot 3 and repeats slot 6's value, and
+    the answer is the cold one."""
+    settled_on = DSOSubproblem(
+        TABLE1_DSO, TABLE1_STORAGE, TABLE1_STORAGE.energy_reference, TimeGrid(3, 4, SLOT_HOURS)
+    )
+    settled = solve_dso(settled_on, [6.0, 30.0, 2.0, 12.0])
+    sub = DSOSubproblem(
+        TABLE1_DSO, TABLE1_STORAGE, TABLE1_STORAGE.energy_reference - 2.0,
+        TimeGrid(4, length, SLOT_HOURS),
+    )
+    prices = [25.0, 4.0, 9.0, 14.0, 7.0][:length]
+    read = []
+    active_set = DSOWorkspace.active_set
+
+    def spied(ws, point):
+        read.append(point)
+        return active_set(ws, point)
+
+    monkeypatch.setattr(DSOWorkspace, "active_set", spied)
+    warm = solve_dso(sub, prices, eps=REFERENCE_EPS, start=settled)
+
+    def aligned(values):
+        return (values[1:] + [values[-1]] * length)[:length]
+
+    gen, storage = settled.generation_values, settled.storage_values
+    assert read[0] == aligned(gen) + aligned(storage)
+    cold = solve_dso(sub, prices, eps=REFERENCE_EPS)
+    np.testing.assert_allclose(warm.point, cold.point, rtol=0.0, atol=1e-9)
+
+
 def storage_sub(slots):
     return DSOSubproblem(
         dso=TABLE1_DSO,
@@ -234,7 +305,8 @@ def test_warm_step_leaving_the_box_falls_back(monkeypatch):
     """From an interior start every entry is free.  At this price the Newton
     point on all of them lies 5e-7 kW beyond the generation cap, closer than
     the residual target, so its residual passes and only the box check sends
-    the call to the iteration, which answers on the cap."""
+    the call on.  The second round holds generation on the cap and answers
+    there, without the iteration."""
     q_mat, _ = _quadratic_form(1, TABLE1_DSO.cost_quadratic, 1.0, SLOT_HOURS)
     inverse = np.linalg.inv(q_mat)
     # Unconstrained optimum Q^-1 g with g = (price - linear, linear).
@@ -243,7 +315,7 @@ def test_warm_step_leaving_the_box_falls_back(monkeypatch):
     sub = storage_sub(1)
     calls = count_iterations(monkeypatch)
     sol = solve_dso(sub, [price], start=([50.0], [0.0]))
-    assert len(calls) == 1
+    assert calls == []
     assert sol.generation_values == [TABLE1_DSO.power_max]
     check_warm_against_cold(sub, [price], ([50.0], [0.0]))
 
@@ -283,43 +355,56 @@ def test_warm_start_with_a_nan_price_on_a_held_slot_raises(monkeypatch):
         assert read[0][0] == 0 and math.isnan(read[0][1])
 
 
-def count_warm_steps(monkeypatch):
-    """Record whether each call of the warm step certified its point."""
-    certified = []
-    warm_step = dso_agent._warm_step
+def count_rounds(monkeypatch):
+    """Per supplier call of the price loop, ``[rounds, fell_back]``: the
+    Newton points taken before the iteration, and whether it ran."""
+    calls = []
+    newton, iterate, solve = dso_agent._ActiveSet.newton, dso_agent._iterate, coordinator.solve_dso
 
-    def counted(*args):
-        found = warm_step(*args)
-        certified.append(found is not None)
-        return found
+    def counted_newton(*args):
+        calls[-1][0] += not calls[-1][1]
+        return newton(*args)
 
-    monkeypatch.setattr(dso_agent, "_warm_step", counted)
-    return certified
+    def counted_iterate(*args):
+        calls[-1][1] = True
+        return iterate(*args)
+
+    def counted_solve(*args, **kwargs):
+        calls.append([0, False])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dso_agent._ActiveSet, "newton", counted_newton)
+    monkeypatch.setattr(dso_agent, "_iterate", counted_iterate)
+    monkeypatch.setattr(coordinator, "solve_dso", counted_solve)
+    return calls
 
 
 def test_warm_step_settles_most_table1_supplier_calls(table1_scenario, monkeypatch):
-    """On table1's first slot the warm step must answer most warm calls; a
-    step that silently always fell back would still pass every other test."""
-    warm = count_warm_steps(monkeypatch)
-    fallbacks = count_iterations(monkeypatch)
+    """On table1's first slot the rounds must answer every warm call, most
+    in the first; rounds that silently always fell back would still pass
+    every other test.  The one iteration is the day's cold first call."""
+    calls = count_rounds(monkeypatch)
     state = mpc_loop.initial_state(table1_scenario, resolve_sessions(table1_scenario))
     _, record = mpc_loop.step(state, mpc_loop.config_of(table1_scenario))
     assert record.converged
-    assert len(warm) == record.iterations >= 50
-    # One fallback is the slot's cold first call.
-    assert len(fallbacks) - 1 <= len(warm) // 10
+    assert len(calls) - 1 == record.iterations >= 50
+    assert calls[0] == [0, True]
+    assert all(not fell_back for _, fell_back in calls[1:])
+    assert sum(rounds > 1 for rounds, _ in calls) <= len(calls) // 10
 
 
 def test_table1_day_supplier_calls_split_as_before(table1_scenario, monkeypatch):
-    """A table1 day's 4,314 supplier calls: 4,144 warm steps certify, 122 miss
-    and fall back to the iteration, and 48 (each slot's first) start cold,
-    as before the step moved onto a per-negotiation workspace."""
-    warm = count_warm_steps(monkeypatch)
-    fallbacks = count_iterations(monkeypatch)
+    """A table1 day's 4,314 supplier calls: 4,160 certify in the first round,
+    153 in later rounds, and one, the day's first, runs the iteration from
+    scratch.  Before the rounds and the slot-first starts, 4,144 certified
+    in the one warm step and 170 ran the iteration (122 misses and 48
+    slot-first calls); the split may move only toward fewer iterations."""
+    calls = count_rounds(monkeypatch)
     mpc_loop.run(table1_scenario)
-    certified = sum(warm)
-    misses = len(warm) - certified
-    assert (certified, misses, len(fallbacks) - misses) == (4144, 122, 48)
+    first = sum(rounds == 1 and not fell_back for rounds, fell_back in calls)
+    later = sum(rounds > 1 and not fell_back for rounds, fell_back in calls)
+    fallbacks = sum(fell_back for _, fell_back in calls)
+    assert (first, later, fallbacks) == (4160, 153, 1)
 
 
 @st.composite
