@@ -341,6 +341,11 @@ def validate_scenario(scenario) -> ValidationReport:
             out.append("storage: throughput must lie in (0, 1]")
         if not storage.tracking_weight >= 0:
             out.append("storage: tracking_weight must be nonnegative")
+        elif storage.tracking_weight == 0 and storage.power_min < storage.power_max:
+            out.append(
+                "storage: tracking not strictly convex "
+                "(tracking_weight must be positive when the power bounds differ)"
+            )
         if not all(map(isfinite, (storage.power_min, storage.power_max, storage.energy_initial,
                                   storage.energy_reference, storage.tracking_weight))):
             out.append("storage: power bounds, energies and tracking_weight must be finite")

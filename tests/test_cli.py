@@ -226,6 +226,13 @@ def test_zero_fleet_weight_override_is_rejected(tmp_path, capsys):
     assert_rejected(path, capsys, "fleet: weight must be positive", "--set", "fleet.weight=0")
 
 
+def test_zero_tracking_weight_override_is_rejected(tmp_path, capsys):
+    path = tmp_path / "small.scenario"
+    path.write_text(SMALL)
+    message = "storage: tracking not strictly convex"
+    assert_rejected(path, capsys, message, "--set", "storage.tracking_weight=0")
+
+
 def test_bad_override_key_rejected(tmp_path, small_file):
     assert main(["run", str(small_file), "--out", str(tmp_path), "--set", "nope.key=1"]) == 1
 

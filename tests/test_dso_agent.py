@@ -156,10 +156,12 @@ def test_warm_start_does_not_change_answer():
 
 
 def test_nonconvergence_raises_with_residual(monkeypatch):
-    monkeypatch.setattr(dso_agent, "_MAX_ITER", 1)
+    """From scratch this call takes 6 rounds; bounded at one round per entry
+    of the point, it stops in the fourth and reports the last residual read."""
+    monkeypatch.setattr(dso_agent, "_ROUNDS_PER_ENTRY", 1)
     sub = make_sub(2)
-    with pytest.raises(ConvergenceError, match="in iteration 1 of 1$") as info:
-        solve_dso(sub, [4.0, 2.0])
+    with pytest.raises(ConvergenceError, match="in round 4 of 4$") as info:
+        solve_dso(sub, [4.0, 18.0])
     assert info.value.residual > 0
 
 
@@ -173,23 +175,18 @@ def test_wrong_length_prices_raise():
                 solve_dso(make_sub(3, storage=storage), prices)
 
 
-def test_prices_near_the_float_limit_settle_on_the_cap_or_raise():
-    """At 1e307 the objective's value overflows.  From scratch the iteration
-    raises ConvergenceError or answers; warm-started, the rounds hold
-    generation on its cap and answer there.  Neither path warns."""
+def test_prices_near_the_float_limit_settle_on_the_cap():
+    """At 1e307 the objective's value overflows.  From scratch and
+    warm-started, the rounds hold generation on its cap and answer there,
+    without a warning."""
     small = parse_scenario((SCENARIO_DIR / "small.scenario").read_bytes())
     sub = DSOSubproblem(small.dso, small.storage, 100.0, TimeGrid(0, 2, 0.25))
     cap = [small.dso.power_max] * 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         moderate = solve_dso(sub, [10.0, 12.0])
-        try:
-            cold = solve_dso(sub, [1e307, 1e307])
-        except ConvergenceError:
-            pass
-        else:
-            assert cold.generation_values == cap
-            assert cold.kkt_residual <= Tolerances().kkt
+        cold = solve_dso(sub, [1e307, 1e307])
         warm = solve_dso(sub, [1e307, 1e307], start=moderate)
-    assert warm.generation_values == cap
-    assert warm.kkt_residual <= Tolerances().kkt
+    for sol in (cold, warm):
+        assert sol.generation_values == cap
+        assert sol.kkt_residual <= Tolerances().kkt

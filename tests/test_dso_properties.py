@@ -1,27 +1,26 @@
-"""Property tests of the supplier's two shortcuts: the closed form for a
-pinned storage box and the warm active-set rounds ahead of projected Newton,
-with their certificate in plain floats and their Newton point on an active
-set.
+"""Property tests of the supplier's solvers: the closed form for a pinned
+storage box and the primal-dual active-set rounds, with their certificate in
+plain floats and their Newton point on an active set.
 
-The closed form must agree with the projected-Newton iteration, which solves
-the same problem with the storage treated as a general box.  The closed form
-is exact; the iteration stops once its stationarity residual is within
-``REFERENCE_EPS``, so on a supplier box narrower than that it may stop one box
-width short of the optimum.  The closed-form objective is therefore bounded on
-both sides: below by the reference, above by the reference plus the
-reference's shortfall, which concavity bounds by the reference gradient times
-the step to the closed-form point.
+The closed form must agree with the rounds, which solve the same problem with
+the storage treated as a general box.  The closed form is exact; the rounds
+stop once the stationarity residual is within ``REFERENCE_EPS``, so on a
+supplier box narrower than that they may stop one box width short of the
+optimum.  The closed-form objective is therefore bounded on both sides: below
+by the reference, above by the reference plus the reference's shortfall,
+which concavity bounds by the reference gradient times the step to the
+closed-form point.
 
-A warm start must give the cold answer to the same point bound, whether the
-rounds settle the call (a start at the answer for nearby or far prices, or a
-dispatch settled on an earlier window, aligned by slot) or the iteration
-takes over (a random start); the rounds never return an uncertified point.
-The certificate, written out from Q's structure, must read the dense
-residual ``max |z - clip(z + g - Q z)|`` to rounding, and NaN wherever the
-dense one is NaN.  The Newton
-point of an active set must equal, bit for bit, the dense formula it
-replaced, and a negotiation's store of active sets must stay bounded without
-changing an answer.
+A warm start must give the cold answer to the same point bound, whether from
+the answer for nearby or far prices, a dispatch settled on an earlier window,
+aligned by slot, or a random point.  Cold solves on windows as long as
+table1's, with tracking weights over seven decades, are certified within the
+round bound, the least-index phase included.  The certificate, written out
+from Q's structure, must read the dense residual
+``max |z - clip(z + g - Q z)|`` to rounding, and NaN wherever the dense one
+is NaN.  The Newton point of an active set must equal, bit for bit, the
+dense formula it replaced, and a negotiation's store of active sets must stay
+bounded without changing an answer.
 """
 import math
 
@@ -45,8 +44,6 @@ from evmarket import (
 from evmarket.dso_agent import (
     ConvergenceError,
     DSOWorkspace,
-    _clip,
-    _iterate,
     _newton_system,
     _objective,
     _quadratic_form,
@@ -56,14 +53,20 @@ from evmarket.dso_agent import (
 from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE
 
 EPS = Tolerances()
-# The reference iteration is run to a much tighter residual than the check.
+# The reference solve is run to a much tighter residual than the check.
 REFERENCE_EPS = Tolerances(kkt=1e-12)
 
 
 def _residual(point, grad, lo, hi):
     """Dense projected-stationarity residual: how far a gradient step moves
     ``point``."""
-    return float(np.abs(point - _clip(point + grad, lo, hi)).max())
+    return float(np.abs(point - np.minimum(np.maximum(point + grad, lo), hi)).max())
+
+
+def dense_problem(ws, prices):
+    """``g`` at ``prices`` and the box's lower and upper bounds, as arrays."""
+    g = np.concatenate([np.asarray(prices) - ws.lin, ws.storage_term])
+    return g, np.array(ws.lower), np.array(ws.upper)
 
 
 @st.composite
@@ -94,7 +97,7 @@ def pinned_subproblems(draw):
     return sub, prices
 
 
-# A supplier box as wide as the reference residual: the iteration stops at
+# A supplier box as wide as the reference residual: the rounds stop at
 # the lower bound with residual 1e-12 and objective 0, the optimum is the cap.
 NARROW_BOX = DSOSubproblem(
     dso=DSOSpec(1.0, 0.0, 0.0, 1e-12),
@@ -104,7 +107,7 @@ NARROW_BOX = DSOSubproblem(
 )
 
 # A subnormal tracking weight: the all-free block's inverse overflows, so the
-# iteration must treat it as singular rather than step to inf or NaN.
+# rounds must treat it as singular rather than step to inf or NaN.
 SUBNORMAL_TRACKING = DSOSubproblem(
     dso=DSOSpec(1.0, 0.0, 0.0, math.inf),
     storage=StorageSpec(0.0, 0.0, 0.0, 0.0, 1.0, 1.1125369292536007e-308),
@@ -118,11 +121,15 @@ SUBNORMAL_TRACKING = DSOSubproblem(
 @example(market=(NARROW_BOX, [2.0]))
 @example(market=(SUBNORMAL_TRACKING, [0.0, 1.0]))
 def test_closed_form_matches_projected_newton(market):
+    """Against the active-set rounds, a semismooth Newton method on the
+    projection (Hintermüller, Ito & Kunisch 2002), from the zero point's set
+    on the pinned box."""
     sub, prices = market
     lam = np.array(prices)
     sol = solve_dso(sub, prices, eps=EPS)
     ws = DSOWorkspace(sub)
-    point, _ = _iterate(ws, _clip(np.zeros(2 * ws.n), ws.lo, ws.hi), prices, REFERENCE_EPS)
+    zero_set = ws.active_set([0.0] * (2 * ws.n))
+    point, _, _ = dso_agent._rounds(ws, zero_set, prices, REFERENCE_EPS)
     point = np.array(point)
     np.testing.assert_allclose(sol.point, point, rtol=0.0, atol=1e-9)
     gen = sol.generation.values
@@ -152,8 +159,8 @@ def test_closed_form_raises_on_a_non_finite_residual():
 
 
 @st.composite
-def storage_subproblems(draw):
-    n = draw(st.integers(1, 6))
+def storage_subproblems(draw, max_slots=6, weights=st.floats(0.05, 2.0)):
+    n = draw(st.integers(1, max_slots))
     quad = draw(st.floats(0.01, 1.0))
     lin = draw(st.floats(0.0, 5.0))
     power_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
@@ -167,7 +174,7 @@ def storage_subproblems(draw):
         energy_initial=draw(st.floats(0.0, 200.0)),
         energy_reference=draw(st.floats(0.0, 200.0)),
         throughput=draw(st.floats(0.1, 1.0)),
-        tracking_weight=draw(st.floats(0.05, 2.0)),
+        tracking_weight=draw(weights),
     )
     sub = DSOSubproblem(
         dso=DSOSpec(quad, lin, power_min, power_max),
@@ -213,6 +220,52 @@ def test_random_warm_start_matches_the_cold_solve(market, data):
     check_warm_against_cold(sub, prices, (data.draw(coords), data.draw(coords)))
 
 
+# Eight slots whose block rounds from the zero point's set propose a set
+# met before in round 7; least-index pivots settle the call in round 11.
+CYCLING_BLOCK_ROUNDS = DSOSubproblem(
+    dso=DSOSpec(0.31, 2.2, 0.0, math.inf),
+    storage=StorageSpec(-15.0, 115.0, 195.0, 190.0, 0.1, 50.11872336272722),
+    energy_now=195.0,
+    window=TimeGrid(0, 8, SLOT_HOURS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    market=storage_subproblems(48, st.floats(-4.0, 3.0).map(lambda e: 10.0**e)),
+)
+@example(market=(CYCLING_BLOCK_ROUNDS, [33.6, 48.4, 12.7, 9.7, 27.1, 73.7, 5.5, 15.5]))
+def test_cold_solves_on_long_windows_settle_within_the_round_bound(market):
+    """Windows up to table1's longest, tracking weights over seven decades:
+    each cold solve is certified and in the box within the round bound.
+    A round whose set is not the one ``next_sides`` proposed took a single
+    pivot in place of a block of changes; the pinned example takes two."""
+    sub, prices = market
+    taken, proposed = [], []
+    newton, next_sides = dso_agent._ActiveSet.newton, DSOWorkspace.next_sides
+
+    def spied_newton(active, lam, lin):
+        taken.append(active.sides)
+        return newton(active, lam, lin)
+
+    def spied_next_sides(ws, active, point, lam):
+        proposed.append(next_sides(ws, active, point, lam))
+        return proposed[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dso_agent._ActiveSet, "newton", spied_newton)
+        patch.setattr(DSOWorkspace, "next_sides", spied_next_sides)
+        sol = solve_dso(sub, prices, eps=EPS)
+    assert sol.kkt_residual <= EPS.kkt
+    gen, ps = sol.generation.values, sol.storage_power.values
+    assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
+    assert np.all(ps >= sub.storage.power_min) and np.all(ps <= sub.storage.power_max)
+    assert len(taken) <= dso_agent._ROUNDS_PER_ENTRY * 2 * sub.window.length
+    pivots = sum(sides != taken[k + 1] for k, sides in enumerate(proposed))
+    if sub is CYCLING_BLOCK_ROUNDS:
+        assert pivots == 2 and len(taken) == 11
+
+
 # The loop's shipped price step.  Scaled by 100, one round moves a price by
 # at most this step times an imbalance as wide as the generation box.
 SHIPPED_STEP = ConvergenceConfig().step_size
@@ -220,11 +273,10 @@ SHIPPED_STEP = ConvergenceConfig().step_size
 
 @settings(max_examples=300, deadline=None)
 @given(market=storage_subproblems(), data=st.data())
-def test_rounds_after_a_large_price_move_match_the_cold_iteration(market, data):
+def test_rounds_after_a_large_price_move_match_the_cold_solve(market, data):
     """Started from the answer at prices one round of a step 100 times the
-    shipped one away, the active-set rounds return the cold iteration's
-    answer from zero, certified and in the box, or give way to the
-    iteration; they never return an uncertified point."""
+    shipped one away, the active-set rounds return the cold solve's answer,
+    certified and in the box."""
     sub, prices = market
     n = sub.window.length
     dso = sub.dso
@@ -234,14 +286,12 @@ def test_rounds_after_a_large_price_move_match_the_cold_iteration(market, data):
     moved = np.maximum(np.array(prices) + shift, 0.0).tolist()
     start = solve_dso(sub, moved, eps=REFERENCE_EPS)
     ws = start.workspace
-    found = dso_agent._rounds(ws, start.active, prices, REFERENCE_EPS)
-    if found is not None:
-        point, residual, active = found
-        assert residual <= REFERENCE_EPS.kkt
-        assert all(lo <= v <= hi for lo, v, hi in zip(ws.lower, point, ws.upper))
-        assert active is ws.active_set(point)
-        cold, _ = _iterate(ws, _clip(np.zeros(2 * n), ws.lo, ws.hi), prices, REFERENCE_EPS)
-        np.testing.assert_allclose(point, cold, rtol=0.0, atol=1e-9)
+    point, residual, active = dso_agent._rounds(ws, start.active, prices, REFERENCE_EPS)
+    assert residual <= REFERENCE_EPS.kkt
+    assert all(lo <= v <= hi for lo, v, hi in zip(ws.lower, point, ws.upper))
+    assert active is ws.active_set(point)
+    cold = solve_dso(sub, prices, eps=REFERENCE_EPS)
+    np.testing.assert_allclose(point, cold.point, rtol=0.0, atol=1e-9)
     check_warm_against_cold(sub, prices, start)
 
 
@@ -288,17 +338,17 @@ def storage_sub(slots):
     )
 
 
-def count_iterations(monkeypatch):
-    """Count the calls that reach the projected-Newton iteration."""
-    calls = []
-    iterate = dso_agent._iterate
+def count_newton_points(monkeypatch):
+    """A one-entry list counting the Newton points taken, one per round."""
+    taken = [0]
+    newton = dso_agent._ActiveSet.newton
 
     def counted(*args):
-        calls.append(args)
-        return iterate(*args)
+        taken[0] += 1
+        return newton(*args)
 
-    monkeypatch.setattr(dso_agent, "_iterate", counted)
-    return calls
+    monkeypatch.setattr(dso_agent._ActiveSet, "newton", counted)
+    return taken
 
 
 def test_warm_step_leaving_the_box_falls_back(monkeypatch):
@@ -306,16 +356,16 @@ def test_warm_step_leaving_the_box_falls_back(monkeypatch):
     point on all of them lies 5e-7 kW beyond the generation cap, closer than
     the residual target, so its residual passes and only the box check sends
     the call on.  The second round holds generation on the cap and answers
-    there, without the iteration."""
-    q_mat, _ = _quadratic_form(1, TABLE1_DSO.cost_quadratic, 1.0, SLOT_HOURS)
+    there."""
+    q_mat = _quadratic_form(1, TABLE1_DSO.cost_quadratic, 1.0, SLOT_HOURS)
     inverse = np.linalg.inv(q_mat)
     # Unconstrained optimum Q^-1 g with g = (price - linear, linear).
     lin = TABLE1_DSO.cost_linear
     price = lin + (TABLE1_DSO.power_max + 5e-7 - inverse[0, 1] * lin) / inverse[0, 0]
     sub = storage_sub(1)
-    calls = count_iterations(monkeypatch)
+    rounds = count_newton_points(monkeypatch)
     sol = solve_dso(sub, [price], start=([50.0], [0.0]))
-    assert calls == []
+    assert rounds == [2]
     assert sol.generation_values == [TABLE1_DSO.power_max]
     check_warm_against_cold(sub, [price], ([50.0], [0.0]))
 
@@ -331,80 +381,76 @@ def test_warm_start_with_a_nan_price_raises():
 def test_warm_start_with_a_nan_price_on_a_held_slot_raises(monkeypatch):
     """The NaN-priced slot's generation is held at 0, so the Newton point on
     the free entries is finite and in the box; only a certificate whose max
-    keeps the NaN (the first read, the warm step's) sends the call to the
-    iteration, which raises."""
+    keeps the NaN refuses it.  No side is left to change, so the first round
+    raises with that NaN."""
     sub = storage_sub(2)
     cold = solve_dso(sub, [4.0, 0.0])
     assert cold.generation_values[1] == sub.dso.power_min
-    fallbacks = count_iterations(monkeypatch)
-    # Each read with the number of iterations begun before it.
+    rounds = count_newton_points(monkeypatch)
     read = []
     certificate = DSOWorkspace.certificate
 
     def spied(ws, point, lam):
-        read.append((len(fallbacks), certificate(ws, point, lam)))
-        return read[-1][1]
+        read.append(certificate(ws, point, lam))
+        return read[-1]
 
     monkeypatch.setattr(DSOWorkspace, "certificate", spied)
     for start in (cold, (cold.generation_values, cold.storage_values)):
         read.clear()
-        fallbacks.clear()
-        with pytest.raises(ConvergenceError):
+        rounds[0] = 0
+        with pytest.raises(ConvergenceError, match="stalled at residual nan in round 1 of") as info:
             solve_dso(sub, [4.0, math.nan], start=start)
-        assert len(fallbacks) == 1
-        assert read[0][0] == 0 and math.isnan(read[0][1])
+        assert math.isnan(info.value.residual)
+        assert rounds == [1] and len(read) == 1 and math.isnan(read[0])
 
 
 def count_rounds(monkeypatch):
-    """Per supplier call of the price loop, ``[rounds, fell_back]``: the
-    Newton points taken before the iteration, and whether it ran."""
+    """Per supplier call of the price loop, ``[rounds, failed]``: the Newton
+    points taken, and whether the call raised."""
     calls = []
-    newton, iterate, solve = dso_agent._ActiveSet.newton, dso_agent._iterate, coordinator.solve_dso
+    newton, solve = dso_agent._ActiveSet.newton, coordinator.solve_dso
 
     def counted_newton(*args):
-        calls[-1][0] += not calls[-1][1]
+        calls[-1][0] += 1
         return newton(*args)
 
-    def counted_iterate(*args):
-        calls[-1][1] = True
-        return iterate(*args)
-
     def counted_solve(*args, **kwargs):
-        calls.append([0, False])
-        return solve(*args, **kwargs)
+        calls.append([0, True])
+        sol = solve(*args, **kwargs)
+        calls[-1][1] = False
+        return sol
 
     monkeypatch.setattr(dso_agent._ActiveSet, "newton", counted_newton)
-    monkeypatch.setattr(dso_agent, "_iterate", counted_iterate)
     monkeypatch.setattr(coordinator, "solve_dso", counted_solve)
     return calls
 
 
 def test_warm_step_settles_most_table1_supplier_calls(table1_scenario, monkeypatch):
-    """On table1's first slot the rounds must answer every warm call, most
-    in the first; rounds that silently always fell back would still pass
-    every other test.  The one iteration is the day's cold first call."""
+    """On table1's first slot the rounds must answer every call, most warm
+    calls in the first round; rounds that silently took many more would
+    still pass every other test.  The day's cold first call takes 3."""
     calls = count_rounds(monkeypatch)
     state = mpc_loop.initial_state(table1_scenario, resolve_sessions(table1_scenario))
     _, record = mpc_loop.step(state, mpc_loop.config_of(table1_scenario))
     assert record.converged
     assert len(calls) - 1 == record.iterations >= 50
-    assert calls[0] == [0, True]
-    assert all(not fell_back for _, fell_back in calls[1:])
+    assert calls[0] == [3, False]
+    assert all(not failed for _, failed in calls[1:])
     assert sum(rounds > 1 for rounds, _ in calls) <= len(calls) // 10
 
 
 def test_table1_day_supplier_calls_split_as_before(table1_scenario, monkeypatch):
     """A table1 day's 4,314 supplier calls: 4,160 certify in the first round,
-    153 in later rounds, and one, the day's first, runs the iteration from
-    scratch.  Before the rounds and the slot-first starts, 4,144 certified
-    in the one warm step and 170 ran the iteration (122 misses and 48
-    slot-first calls); the split may move only toward fewer iterations."""
+    154 in later rounds, the day's cold first call among them, and none
+    fails.  Before the rounds and the slot-first starts, 4,144 certified in
+    one warm step and 170 ran a projected-Newton iteration (122 misses and 48
+    slot-first calls)."""
     calls = count_rounds(monkeypatch)
     mpc_loop.run(table1_scenario)
-    first = sum(rounds == 1 and not fell_back for rounds, fell_back in calls)
-    later = sum(rounds > 1 and not fell_back for rounds, fell_back in calls)
-    fallbacks = sum(fell_back for _, fell_back in calls)
-    assert (first, later, fallbacks) == (4160, 153, 1)
+    first = sum(rounds == 1 and not failed for rounds, failed in calls)
+    later = sum(rounds > 1 and not failed for rounds, failed in calls)
+    failures = sum(failed for _, failed in calls)
+    assert (first, later, failures) == (4160, 154, 0)
 
 
 @st.composite
@@ -453,9 +499,10 @@ def certificate_cases(draw):
 def test_float_certificate_matches_the_dense_residual(case):
     sub, point, prices = case
     ws = DSOWorkspace(sub)
-    q_mat, _ = _quadratic_form(*ws.key)
-    z, g = np.array(point), ws.gradient(prices)
-    dense = _residual(z, g - q_mat @ z, ws.lo, ws.hi)
+    q_mat = _quadratic_form(*ws.key)
+    g, lo, hi = dense_problem(ws, prices)
+    z = np.array(point)
+    dense = _residual(z, g - q_mat @ z, lo, hi)
     fast = ws.certificate(point, prices)
     if any(math.isnan(p) for p in prices):
         assert math.isnan(fast) and math.isnan(dense)
@@ -484,8 +531,8 @@ def active_set_cases(draw):
         energy_now=draw(st.floats(0.0, 200.0)),
         window=TimeGrid(0, n, SLOT_HOURS),
     )
-    # No entry is held on an infinite bound: the iteration holds an entry
-    # only within its activity tolerance of the bound.
+    # No entry is held on an infinite bound: the rounds hold an entry only
+    # on a bound it crossed.
     gen_sides = (-1, 0, 1) if math.isfinite(gen_max) else (-1, 0)
     sides = tuple(
         draw(st.lists(st.sampled_from(gen_sides), min_size=n, max_size=n))
@@ -500,7 +547,7 @@ def active_set_cases(draw):
 def test_active_set_newton_point_matches_the_dense_formula(case):
     """Held entries from ``np.where`` on the bounds, free entries from
     ``inverse @ (g_F - Q_FX z_X)`` through ``_newton_system``: the formula
-    the iteration used before it took the active set's step."""
+    the supplier used before each active set kept its step's parts."""
     sub, sides, prices = case
     ws = DSOWorkspace(sub)
     fast = ws.set_for(sides).newton(prices, ws.lin)
@@ -510,8 +557,8 @@ def test_active_set_newton_point_matches_the_dense_formula(case):
     if system is None:
         return
     idx, fixed, q_fixed, inverse = system
-    g = ws.gradient(prices)
-    dense = np.where(at_lo, ws.lo, np.where(at_hi, ws.hi, 0.0))
+    g, lo, hi = dense_problem(ws, prices)
+    dense = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
     dense[idx] = inverse @ (g[idx] - q_fixed @ dense[fixed])
     fast = np.array(fast)
     nan = np.isnan(dense)

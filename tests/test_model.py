@@ -74,6 +74,20 @@ def test_validate_flags_nonconvex_cost(table1_scenario):
     assert any("cost not strictly convex" in v for v in report.violations)
 
 
+def test_validate_flags_untracked_storage_that_can_move(table1_scenario):
+    """With no tracking weight a movable storage is a free, unlimited
+    source, and the supplier's maximizer is not unique; a pinned storage
+    needs no tracking."""
+    from dataclasses import replace
+
+    untracked = replace(table1_scenario.storage, tracking_weight=0.0)
+    report = validate_scenario(replace(table1_scenario, storage=untracked))
+    assert not report.ok
+    assert any(v.startswith("storage: tracking not strictly convex") for v in report.violations)
+    pinned = replace(untracked, power_min=0.0, power_max=0.0)
+    assert validate_scenario(replace(table1_scenario, storage=pinned)).ok
+
+
 def test_validate_flags_empty_charging_window(table1_scenario):
     from dataclasses import replace
 

@@ -72,8 +72,9 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
 
 def test_supplier_solve_stops_at_a_non_finite_residual():
     dso = DSOSpec(TABLE1_DSO.cost_quadratic, TABLE1_DSO.cost_linear, 0.0, math.nan)
-    with pytest.raises(ConvergenceError, match="in iteration 1 of"):
+    with pytest.raises(ConvergenceError, match="stalled at residual nan in round") as info:
         solve_dso(make_sub(2, dso=dso, storage=TABLE1_STORAGE), [4.0, 2.0])
+    assert math.isnan(info.value.residual)
 
 
 def test_solver_caches_stay_bounded():
