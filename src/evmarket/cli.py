@@ -110,7 +110,7 @@ def _load_scenario(args) -> Scenario:
     for spec in getattr(args, "overrides", []):
         scenario = _apply_override(scenario, spec)
     if getattr(args, "seed", None) is not None:
-        scenario = replace(scenario, seed=args.seed)
+        scenario = _apply_override(scenario, f"seed={args.seed}")
     report = validate_scenario(scenario)
     if not report.ok:
         raise ScenarioValidationError(report)

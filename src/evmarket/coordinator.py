@@ -157,7 +157,6 @@ def evaluate_dual(
     dso_sub: DSOSubproblem,
     eps: Tolerances = Tolerances(),
     last: DualIterationState | None = None,
-    dispatch: DSOSolution | None = None,
 ) -> DualIterationState:
     """Solve every agent at ``prices`` and assemble the imbalance.
 
@@ -173,8 +172,7 @@ def evaluate_dual(
     solution, whose workspace and active set carry over (see
     :mod:`evmarket.dso_agent`).  Without it the workspaces are built, each
     vehicle starts from the even spread of its requirement and the supplier
-    from ``dispatch``, its settled dispatch of an earlier slot, which the
-    supplier aligns by slot (from scratch when that is None too).
+    from the zero point.
     """
     window = dso_sub.window
     n = window.length
@@ -187,7 +185,7 @@ def evaluate_dual(
             demand = demand + [0.0] * (n - workspace.width)
     else:
         ev_solutions, demand = (), [0.0] * n
-    dso_solution = solve_dso(dso_sub, prices, eps, start=last.dso_solution if last else dispatch)
+    dso_solution = solve_dso(dso_sub, prices, eps, start=last and last.dso_solution)
 
     supply = dso_solution.generation_values
     residual = []
@@ -207,19 +205,18 @@ def negotiate_slot(
     warm_start_price: float,
     config: ConvergenceConfig = ConvergenceConfig(),
     eps: Tolerances = Tolerances(),
-    dispatch: DSOSolution | None = None,
 ) -> DualIterationState:
     """Run the price loop for one slot from a constant warm-start vector.
 
     The vehicles ``sessions`` and the supplier share ``dso_sub.window``; a
-    warm-start price that is not finite raises ``ValueError``.  ``dispatch``,
-    the supplier's settled dispatch of the previous slot, starts its first
-    solve; the coordinator hands it on unread.  Iterates agent
-    solves and price updates until the worst per-slot imbalance is within
-    ``config.balance_tolerance`` or ``config.max_iterations`` price updates
-    have been spent, and returns the state of the iteration it settled at,
-    with its outcome fields set.  The returned powers and dual value therefore
-    always come from a full agent solve at the returned prices.
+    warm-start price that is not finite raises ``ValueError``.  The price is
+    all the loop takes from earlier slots: the agents' first solves start
+    from scratch.  Iterates agent solves and price updates until the worst
+    per-slot imbalance is within ``config.balance_tolerance`` or
+    ``config.max_iterations`` price updates have been spent, and returns the
+    state of the iteration it settled at, with its outcome fields set.  The
+    returned powers and dual value therefore always come from a full agent
+    solve at the returned prices.
     Non-convergence is flagged, never raised, and the caller decides policy: a
     supplier solve that fails with
     :class:`~evmarket.dso_agent.ConvergenceError`, or a non-finite imbalance,
@@ -240,7 +237,7 @@ def negotiate_slot(
     step = config.step_size if config.step_schedule == CONSTANT else None
     for k in range(config.max_iterations + 1):
         try:
-            next_state = evaluate_dual(prices, sessions, dso_sub, eps, state, dispatch)
+            next_state = evaluate_dual(prices, sessions, dso_sub, eps, state)
             norm = max_abs(next_state.residual_values)
             if not norm <= config.balance_tolerance and not math.isfinite(norm):
                 message = f"non-finite balance residual ({norm}) at iteration {k}"

@@ -22,9 +22,9 @@ step: the held entries on their bounds, the free ones one BLAS product
 ``inverse @ rhs``.
 
 The first set comes from the start: the last price round's solution carries
-its own, a slot's first call reads it off the supplier's settled dispatch of
-the previous slot, aligned by slot, and a call without a start reads it off
-the zero point, each entry outside the box held on the bound it crossed.
+its own, and a slot's first call reads it off the zero point, each entry
+outside the box held on the bound it crossed; nothing outlives a negotiation
+but the shared caches below.
 Each round takes the Newton step on its set and returns the point if it lies
 in the box and passes the certificate.  Otherwise the next set holds each
 free entry that left the box on the bound it crossed, and releases each held
@@ -415,17 +415,14 @@ def solve_dso(
 
     A pinned storage box is solved in closed form, any other by primal-dual
     active-set rounds (see :func:`_rounds`).  ``start`` names the first set:
-    the coordinator passes the last price round's solution, whose workspace
-    and active set carry over when it was solved on ``sub``.  A
-    ``(generation, storage)`` pair over the window, or a solution on another
-    subproblem, has its set read off its point, each entry outside the box
-    held on the bound it crossed; the coordinator passes the settled dispatch
-    of the previous slot for a slot's first call.  A solution on another
-    window is aligned by slot first: the slots before ``sub``'s window are
-    dropped and its last value fills the slots past its end.  Without
-    ``start`` the set is read off the zero point.  The first point that lies
-    in the box and passes the certificate is returned, so ``start`` never
-    changes the answer beyond the stationarity tolerance.
+    the coordinator passes the last price round's solution on ``sub``, whose
+    workspace and active set carry over, and nothing for a slot's first
+    call, whose set is read off the zero point; a solution on another
+    subproblem raises ``ValueError``.  A ``(generation, storage)`` pair over
+    the window has its set read off its point, each entry outside the box
+    held on the bound it crossed.  The first point that lies in the
+    box and passes the certificate is returned, so ``start`` never changes
+    the answer beyond the stationarity tolerance.
     Raises :class:`ConvergenceError` if the rounds stall or reach their bound
     of ``_ROUNDS_PER_ENTRY`` per entry of the point, or if the closed form's
     residual misses the target or is not finite.
@@ -434,30 +431,17 @@ def solve_dso(
     if sub.storage.power_min == sub.storage.power_max and sub.dso.cost_quadratic > 0:
         gen, storage, residual = _pinned_dispatch(sub, lam, eps)
         return DSOSolution(gen, storage, residual, sub, lam)
-    ws = active = None
     if type(start) is DSOSolution:
-        values = start.generation_values, start.storage_values
-        if start.sub is sub:
-            ws, active = start.workspace, start.active
-            start = values
-        else:
-            shift = sub.window.start - start.sub.window.start
-            start = tuple(_aligned(v, shift, sub.window.length) for v in values)
-    ws = ws or DSOWorkspace(sub)
-    if active is None:
+        if start.sub is not sub:
+            raise ValueError("start was solved on another subproblem")
+        ws, active = start.workspace, start.active
+    else:
+        ws = DSOWorkspace(sub)
         point = [0.0] * (2 * ws.n) if start is None else [*start[0], *start[1]]
         active = ws.active_set(point)
     point, residual, active = _rounds(ws, active, lam, eps)
     n = len(lam)
     return DSOSolution(point[:n], point[n:], residual, sub, lam, ws, active)
-
-
-def _aligned(values: list[float], shift: int, n: int) -> list[float]:
-    """``values``, over a window that starts ``shift`` slots before one of
-    length ``n``, read at that window's slots; past either end of ``values``
-    its nearest value repeats."""
-    last = len(values) - 1
-    return [values[min(max(t + shift, 0), last)] for t in range(n)]
 
 
 def _pinned_dispatch(

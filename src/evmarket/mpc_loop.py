@@ -5,8 +5,8 @@ applies only the first sample of every vehicle's power, advances the battery
 states and moves on.  Two policies share that step.  :func:`negotiated` is the
 market: it builds the prediction window up to the latest departure among
 active vehicles and negotiates prices for the whole window; the first element
-of the settled price vector seeds the next slot's negotiation, and the
-supplier's settled dispatch its first solve.
+of the settled price vector seeds the next slot's negotiation.  Only that
+price and the agents' own states cross from one slot to the next.
 :func:`uncontrolled` is the baseline: maximum power at price 0.
 
 Prices inside the loop are per kW-slot; they are converted back to euro cent
@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .coordinator import ConvergenceConfig, DualIterationState, negotiate_slot
-from .dso_agent import DSOSolution, DSOSubproblem
+from .dso_agent import DSOSubproblem
 from .model import (
     DSOSpec,
     EVSession,
@@ -76,10 +76,7 @@ class SimulationState:
     ``active`` holds vehicles currently plugged in and still needing energy;
     ``pending`` holds future arrivals ordered by arrival slot.  ``last_price``
     is the warm start for the next negotiation, in per-kW-slot units.
-    ``storage_energy`` and ``dispatch`` are the supplier's private state: its
-    stored energy, and its settled dispatch of the last negotiated slot
-    (None before the first), from which its next negotiation's first solve
-    starts.  The coordinator hands the dispatch on unread.
+    ``storage_energy`` is the supplier's private state, its stored energy.
     """
 
     slot: int
@@ -87,7 +84,6 @@ class SimulationState:
     pending: tuple[EVSession, ...]
     storage_energy: float
     last_price: float
-    dispatch: DSOSolution | None = None
 
 
 @dataclass(frozen=True)
@@ -123,8 +119,8 @@ def compute_window(active: Sequence[EVSession], slot: int, slot_hours: float) ->
 
 class Settlement(NamedTuple):
     """One slot as a power policy settles it: the price (per kW-slot), the
-    first power sample of every active vehicle in order, the supply, the
-    outcome of the price loop and the supplier's settled dispatch."""
+    first power sample of every active vehicle in order, the supply and the
+    outcome of the price loop."""
 
     price: float
     powers: list[float]
@@ -134,17 +130,14 @@ class Settlement(NamedTuple):
     residual: float = 0.0
     converged: bool = True
     supplier_error: str | None = None
-    dispatch: DSOSolution | None = None
 
 
 def negotiate_window(state: SimulationState, config: SimulationConfig) -> DualIterationState:
     """Run the price loop over the window of ``state.active`` from ``state.slot``,
-    warm-started at ``state.last_price`` and ``state.dispatch``."""
+    warm-started at ``state.last_price``."""
     window = compute_window(state.active, state.slot, config.slot_hours)
     dso_sub = DSOSubproblem(config.dso, config.storage, state.storage_energy, window)
-    return negotiate_slot(
-        state.active, dso_sub, state.last_price, config.convergence, config.eps, state.dispatch
-    )
+    return negotiate_slot(state.active, dso_sub, state.last_price, config.convergence, config.eps)
 
 
 def negotiated(state: SimulationState, config: SimulationConfig) -> Settlement:
@@ -159,7 +152,6 @@ def negotiated(state: SimulationState, config: SimulationConfig) -> Settlement:
         result.residual_norm,
         result.converged,
         result.supplier_error,
-        result.dso_solution,
     )
 
 
@@ -226,7 +218,6 @@ def step(
         pending=pending,
         storage_energy=storage_energy,
         last_price=settled.price,
-        dispatch=settled.dispatch,
     )
     return next_state, record
 

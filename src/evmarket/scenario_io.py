@@ -160,6 +160,10 @@ def _finite_or_inf(value: float) -> str | None:
     return None if math.isfinite(value) or value == math.inf else "must be finite or inf"
 
 
+def _nonnegative(value: int) -> str | None:
+    return None if value >= 0 else "must be nonnegative"
+
+
 def _csv_field(value: str) -> str | None:
     """Vehicle ids are written unquoted into ``evs.csv``."""
     if value and "," not in value and '"' not in value:
@@ -179,7 +183,7 @@ SECTIONS = {
 
 # Every entry, in the canonical order of write_scenario.
 SCHEMA = (
-    Entry("", "seed", "seed", int),
+    Entry("", "seed", "seed", int, None, _nonnegative),
     Entry("grid", "slot_minutes", "slot_minutes", float, REQUIRED),
     Entry("grid", "num_slots", "num_slots", int, REQUIRED),
     Entry("dso", "quadratic_cost", "cost_quadratic", float, REQUIRED),
@@ -237,12 +241,13 @@ def parse_value(entry: Entry, raw: str, line: int | None = None):
     return value
 
 
-def _parse_tree(text: str) -> dict[str, list[dict]]:
-    """Each section's blocks of parsed values by attribute, "" holding the
-    top level; raises on any malformed line."""
+def _parse_tree(text: str) -> dict[str, list[tuple[int | None, dict]]]:
+    """Each section's blocks, "" holding the top level: the line of the
+    block's header (None for the top level) and its parsed values by
+    attribute; raises on any malformed line."""
     top, keys, section = ENTRIES[""], {}, ""
     top_block: dict = {}
-    blocks: dict[str, list[dict]] = {"": [top_block]}
+    blocks: dict[str, list[tuple[int | None, dict]]] = {"": [(None, top_block)]}
     current: dict | None = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].rstrip()
@@ -257,7 +262,7 @@ def _parse_tree(text: str) -> dict[str, list[dict]]:
             if section in blocks and SECTIONS[section][2] != "repeated":
                 raise ScenarioFormatError(f"duplicate section {section!r}", lineno, col)
             current = {}
-            blocks.setdefault(section, []).append(current)
+            blocks.setdefault(section, []).append((lineno, current))
             keys = ENTRIES[section]
             continue
         if "=" not in body:
@@ -281,12 +286,13 @@ def _parse_tree(text: str) -> dict[str, list[dict]]:
     return blocks
 
 
-def _arguments(section: str, block: dict) -> dict:
-    """Keyword arguments of the section's type from one parsed block."""
+def _arguments(section: str, line: int | None, block: dict) -> dict:
+    """Keyword arguments of the section's type from one parsed block; a
+    missing required key is reported at ``line``, the block's header."""
     for entry in _ROWS[section]:
         if entry.default is not None and entry.attr not in block:
             if entry.default is REQUIRED:
-                raise ScenarioFormatError(f"missing required key: {entry.name}")
+                raise ScenarioFormatError(f"missing required key: {entry.name}", line)
             block[entry.attr] = entry.default
     return block
 
@@ -303,9 +309,9 @@ def parse_scenario(text: str | bytes, validate: bool = True) -> Scenario:
     for name, (_, _, presence) in SECTIONS.items():
         if presence == "required" and name not in blocks:
             raise ScenarioFormatError(f"missing required key: {name}")
-    kwargs = _arguments("", blocks[""][0])
+    kwargs = _arguments("", *blocks[""][0])
     for name, (attr, kind, presence) in SECTIONS.items():
-        built = [kind(**_arguments(name, block)) for block in blocks.get(name, ())]
+        built = [kind(**_arguments(name, *block)) for block in blocks.get(name, ())]
         if presence == "repeated":
             kwargs[attr] = tuple(built)
         elif built:

@@ -155,6 +155,14 @@ def test_warm_start_does_not_change_answer():
     np.testing.assert_allclose(cold.storage_power.values, warm.storage_power.values, atol=1e-5)
 
 
+def test_start_solved_on_another_subproblem_raises():
+    """A solution lends its workspace only to the subproblem it was solved
+    on; an equal subproblem built anew is another one."""
+    settled = solve_dso(make_sub(3), [6.0, 30.0, 2.0])
+    with pytest.raises(ValueError, match="another subproblem"):
+        solve_dso(make_sub(3), [6.0, 30.0, 2.0], start=settled)
+
+
 def test_nonconvergence_raises_with_residual(monkeypatch):
     """From scratch this call takes 6 rounds; bounded at one round per entry
     of the point, it stops in the fourth and reports the last residual read."""

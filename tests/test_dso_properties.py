@@ -12,10 +12,9 @@ which concavity bounds by the reference gradient times the step to the
 closed-form point.
 
 A warm start must give the cold answer to the same point bound, whether from
-the answer for nearby or far prices, a dispatch settled on an earlier window,
-aligned by slot, or a random point.  Cold solves on windows as long as
-table1's, with tracking weights over seven decades, are certified within the
-round bound, the least-index phase included.  The certificate, written out
+the answer for nearby or far prices or a random point.  Cold solves on
+windows as long as table1's, with tracking weights over seven decades, are
+certified within the round bound, the least-index phase included.  The certificate, written out
 from Q's structure, must read the dense residual
 ``max |z - clip(z + g - Q z)|`` to rounding, and NaN wherever the dense one
 is NaN.  The Newton point of an active set must equal, bit for bit, the
@@ -295,40 +294,6 @@ def test_rounds_after_a_large_price_move_match_the_cold_solve(market, data):
     check_warm_against_cold(sub, prices, start)
 
 
-@pytest.mark.parametrize("length", [2, 3, 5])
-def test_start_from_the_previous_window_is_aligned_by_slot(length, monkeypatch):
-    """A slot's first call starts from the dispatch settled on the window
-    ``[3, 7)``.  On ``[4, 4 + length)``, shorter than, as long as and longer
-    than its overlap, the start drops slot 3 and repeats slot 6's value, and
-    the answer is the cold one."""
-    settled_on = DSOSubproblem(
-        TABLE1_DSO, TABLE1_STORAGE, TABLE1_STORAGE.energy_reference, TimeGrid(3, 4, SLOT_HOURS)
-    )
-    settled = solve_dso(settled_on, [6.0, 30.0, 2.0, 12.0])
-    sub = DSOSubproblem(
-        TABLE1_DSO, TABLE1_STORAGE, TABLE1_STORAGE.energy_reference - 2.0,
-        TimeGrid(4, length, SLOT_HOURS),
-    )
-    prices = [25.0, 4.0, 9.0, 14.0, 7.0][:length]
-    read = []
-    active_set = DSOWorkspace.active_set
-
-    def spied(ws, point):
-        read.append(point)
-        return active_set(ws, point)
-
-    monkeypatch.setattr(DSOWorkspace, "active_set", spied)
-    warm = solve_dso(sub, prices, eps=REFERENCE_EPS, start=settled)
-
-    def aligned(values):
-        return (values[1:] + [values[-1]] * length)[:length]
-
-    gen, storage = settled.generation_values, settled.storage_values
-    assert read[0] == aligned(gen) + aligned(storage)
-    cold = solve_dso(sub, prices, eps=REFERENCE_EPS)
-    np.testing.assert_allclose(warm.point, cold.point, rtol=0.0, atol=1e-9)
-
-
 def storage_sub(slots):
     return DSOSubproblem(
         dso=TABLE1_DSO,
@@ -440,17 +405,16 @@ def test_warm_step_settles_most_table1_supplier_calls(table1_scenario, monkeypat
 
 
 def test_table1_day_supplier_calls_split_as_before(table1_scenario, monkeypatch):
-    """A table1 day's 4,314 supplier calls: 4,160 certify in the first round,
-    154 in later rounds, the day's cold first call among them, and none
-    fails.  Before the rounds and the slot-first starts, 4,144 certified in
-    one warm step and 170 ran a projected-Newton iteration (122 misses and 48
-    slot-first calls)."""
+    """A table1 day's 4,314 supplier calls: 4,149 certify in the first round
+    and 165 in later rounds, and none fails.  Each slot's first call starts
+    from the zero point; 43 of the 48 take more than one round, 218 Newton
+    points in all."""
     calls = count_rounds(monkeypatch)
     mpc_loop.run(table1_scenario)
     first = sum(rounds == 1 and not failed for rounds, failed in calls)
     later = sum(rounds > 1 and not failed for rounds, failed in calls)
     failures = sum(failed for _, failed in calls)
-    assert (first, later, failures) == (4160, 154, 0)
+    assert (first, later, failures) == (4149, 165, 0)
 
 
 @st.composite

@@ -9,9 +9,12 @@ from evmarket import (
     write_scenario,
     write_trace,
 )
+from evmarket.cli import main
 from evmarket.scenario_io import FleetSpec, GridConfig
 from evmarket.model import SlotRecord
 from evmarket.mpc_loop import SimulationTrace, TraceSummary
+
+from conftest import SCENARIO_DIR
 
 MINIMAL = """
 grid:
@@ -53,6 +56,21 @@ def test_minimal_scenario_gets_defaults():
 def test_empty_file_reports_missing_grid():
     with pytest.raises(ScenarioFormatError, match="missing required key: grid"):
         parse_scenario("")
+
+
+def test_missing_required_key_names_the_line_of_its_section(tmp_path, capsys):
+    """table1 has 20 vehicle sections; without the third one's energy, the
+    error names that section's header line."""
+    lines = (SCENARIO_DIR / "table1.scenario").read_text().splitlines(keepends=True)
+    assert lines[45] == "ev:\n" and lines[53] == "  energy = 4.91\n"
+    path = tmp_path / "table1.scenario"
+    path.write_text("".join(lines[:53] + lines[54:]))
+    message = "line 46: missing required key: ev.energy"
+    with pytest.raises(ScenarioFormatError, match=f"^{message}$") as info:
+        parse_scenario(path.read_bytes())
+    assert info.value.line == 46
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_key_is_an_error():

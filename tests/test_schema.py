@@ -213,6 +213,20 @@ def test_set_seed_reports_through_the_entry(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cannot parse 'abc' as int for seed\n"
 
 
+def test_negative_seed_is_rejected_by_its_entry(tmp_path, capsys):
+    """A negative seed fails the entry's own check, before the fleet draws
+    with it: at its line in a file, by name from ``--seed`` and ``--set``."""
+    path = tmp_path / "fleet.scenario"
+    path.write_text("seed = -1\n" + SMALL.replace("seed = 3\n", "") + FLEET)
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+        assert main(command) == 1
+        assert capsys.readouterr().err == "error: line 1: seed must be nonnegative, got '-1'\n"
+    path.write_text(SMALL + FLEET)
+    for override in (["--seed", "-1"], ["--set", "seed=-1"]):
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), *override]) == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got '-1'\n"
+
+
 def with_first_id(value):
     return SMALL.replace("  id = a\n", f"  id = {value}\n", 1)
 
