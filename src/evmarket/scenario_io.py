@@ -394,7 +394,10 @@ def resolve_sessions(scenario: Scenario) -> tuple[EVSession, ...]:
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+    """Six decimals; a value that rounds to zero is written ``0.000000``
+    whatever its sign, so round-off in a sign never moves a byte."""
+    text = f"{x:.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 # Each table's columns: the header and the function that prints a row's cell

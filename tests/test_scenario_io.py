@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from evmarket import (
@@ -185,3 +187,13 @@ def test_write_trace_formats_fixed_decimals(tmp_path):
 def test_write_trace_flags_nonconverged_row(tmp_path):
     write_trace(_tiny_trace(converged=False), tmp_path)
     assert (tmp_path / "slots.csv").read_text().splitlines()[1].endswith(",false")
+
+
+def test_write_trace_prints_no_negative_zero(tmp_path):
+    """A cell that rounds to zero reads ``0.000000`` whatever its sign."""
+    trace = _tiny_trace()
+    record = replace(trace.records[0], storage_power=-1e-9, per_ev={"a": (-0.0, -1e-9)})
+    write_trace(replace(trace, records=(record,)), tmp_path)
+    assert "-0.000000" not in (tmp_path / "slots.csv").read_text()
+    assert (tmp_path / "slots.csv").read_text().splitlines()[1].split(",")[5] == "0.000000"
+    assert (tmp_path / "evs.csv").read_text().splitlines()[1] == "0,a,0.000000,0.000000"
