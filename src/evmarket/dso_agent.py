@@ -14,17 +14,17 @@ and NaN.  Otherwise primal-dual active-set rounds solve it (Hintermüller, Ito
 & Kunisch, SIAM J. Optim. 2002).  A :class:`DSOWorkspace`, built on a
 negotiation's first solve and handed on by each solution, holds what the
 price rounds share: the boxes as floats, the storage block's linear term and,
-per active set met (:class:`_ActiveSet`), the free and held entries, the
-inverse of the Hessian's free block ``Q_FF`` and the held entries' term
-``Q_FX z_X``; all of it but the storage entries' linear term is shared by
-every negotiation of the supplier.  On an active set there is one Newton
-step: the held entries on their bounds, the free ones one BLAS product
-``inverse @ rhs``.
+per active set met (:class:`_ActiveSet`), the free and held entries and the
+elimination of its Newton system.  In the stored energy after each slot and
+its costate, that system is tridiagonal, one row per slot, the structure
+fast MPC solvers exploit (Rao, Wright & Rawlings, J. Optim. Theory Appl.
+1998).  A Riccati recursion eliminates it from the last slot once per set,
+so on an active set the one Newton step is one backward and one forward
+sweep in plain floats: O(n), with no matrix built or inverted.
 
 The first set comes from the start: the last price round's solution carries
 its own, and a slot's first call reads it off the zero point, each entry
-outside the box held on the bound it crossed; nothing outlives a negotiation
-but the shared caches below.
+outside the box held on the bound it crossed; nothing outlives a negotiation.
 Each round takes the Newton step on its set and returns the point if it lies
 in the box and passes the certificate.  Otherwise the next set holds each
 free entry that left the box on the bound it crossed, and releases each held
@@ -32,7 +32,7 @@ entry whose gradient ``g - Q z`` points into the box.  Prices move little
 between rounds, so the first round usually settles a warm call.  When a set
 repeats, or after twice as many rounds as the point has entries, each round
 makes only the lowest-index of those changes (Júdice & Pires, Comput. Oper.
-Res. 1994).  The rounds are bounded by the window length; a singular block, a
+Res. 1994).  The rounds are bounded by the window length; a singular set, a
 NaN entry, no change left or the bound raises :class:`ConvergenceError`.
 Every answer is certified by one O(n) plain-float check of its
 projected-stationarity residual, written from the Hessian's structure, and
@@ -42,9 +42,8 @@ objective value are built only when they are read.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -149,80 +148,16 @@ def storage_tracking_penalty(
 # 166 rounds on a 38-slot window.
 _ROUNDS_PER_ENTRY = 8
 
-# Quadratic forms, free-set Newton systems and active-set shapes are shared
-# across negotiations, keyed by the window length and cost parameters (prices
-# and stored energy only shift the linear term), the free set, and the boxes
-# and sides.  The caches, and the active
-# sets one negotiation stores, are bounded so a long-running process stays
-# small.
+# A negotiation stores each active set it meets, with its elimination, for
+# its later rounds, up to this many, so a long-running process stays small.
 _MAX_SETS = 512
-
-
-@lru_cache(maxsize=64)
-def _quadratic_form(n: int, quad: float, rho: float, dtc: float) -> np.ndarray:
-    eye = np.eye(n)
-    top = np.hstack([eye, -eye])
-    bot = np.hstack([-eye, eye])
-    q_mat = 2.0 * quad * np.vstack([top, bot])
-    idx = np.arange(n)
-    overlap = n - np.maximum(idx[:, None], idx[None, :])
-    q_mat[n:, n:] += 2.0 * rho * dtc * dtc * overlap
-    q_mat.setflags(write=False)
-    return q_mat
-
-
-@lru_cache(maxsize=_MAX_SETS)
-def _newton_system(n: int, quad: float, rho: float, dtc: float, free_key: bytes):
-    """``(free, fixed, Q_free_fixed, inverse of Q_free_free)``, or None if
-    singular or if the inverse overflows (a subnormal tracking weight)."""
-    q_mat = _quadratic_form(n, quad, rho, dtc)
-    mask = np.frombuffer(free_key, dtype=bool)
-    free, fixed = np.flatnonzero(mask), np.flatnonzero(~mask)
-    try:
-        inverse = np.linalg.inv(q_mat[np.ix_(free, free)])
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(inverse).all():
-        return None
-    return free, fixed, q_mat[np.ix_(free, fixed)], inverse
-
-
-@lru_cache(maxsize=_MAX_SETS)
-def _set_shape(key: tuple, bounds: tuple[float, float, float, float], sides: tuple[int, ...]):
-    """What an active set's Newton step shares across the negotiations of
-    one supplier: everything but the stored energy, which moves only the
-    storage entries' linear term.  ``key`` is :attr:`DSOWorkspace.key` and
-    ``bounds`` the generation then the storage box.  Returns ``(free,
-    inverse, limit, base, generation, held)`` as :class:`_ActiveSet` keeps
-    them, with ``held`` the ``(i, shift)`` pairs of the free storage entries;
-    no free entry and ``inverse`` None if the free block is singular.  Each
-    is shared by every set of that shape, so all but ``inverse`` are tuples
-    (the inverse is only read)."""
-    n = key[0]
-    gen_lo, gen_hi, st_lo, st_hi = bounds
-    lower, upper = [gen_lo] * n + [st_lo] * n, [gen_hi] * n + [st_hi] * n
-    base = [
-        lower[i] if side < 0 else upper[i] if side > 0 else 0.0 for i, side in enumerate(sides)
-    ]
-    system = _newton_system(*key, bytes([side == 0 for side in sides]))
-    if system is None:
-        return (), None, math.inf, tuple(base), (), ()
-    free, fixed, q_fixed, inverse = system
-    norm = float(np.abs(inverse).sum(axis=1).max(initial=0.0))
-    limit = sys.float_info.max / (2.0 * norm) if norm else math.inf
-    shift = (q_fixed @ np.array(base)[fixed]).tolist()
-    free = tuple(free.tolist())
-    pairs = tuple(zip(free, shift))
-    generation = tuple(pair for pair in pairs if pair[0] < n)
-    held = tuple(pair for pair in pairs if pair[0] >= n)
-    return free, inverse, limit, tuple(base), generation, held
 
 
 class DSOWorkspace:
     """What one negotiation's active-set rounds share: all but the prices.
 
     The problem is ``max g.z - z.Q.z / 2`` on the stacked point
-    ``z = (P_l, P_s)``, with ``g = (price - linear_cost, storage_term)``.
+    ``z = (P_l, P_s)``, with ``g = (price - linear_cost, storage_g)``.
     Built on the first solve of a subproblem and handed on by each
     :class:`DSOSolution`, it holds the box as float lists (``lower``,
     ``upper``), the storage block of ``g`` and, in ``sets``, the
@@ -232,19 +167,21 @@ class DSOWorkspace:
     def __init__(self, sub: DSOSubproblem):
         dso, st = sub.dso, sub.storage
         n = sub.window.length
-        dtc = st.throughput * sub.window.slot_hours
         self.sub, self.n, self.lin = sub, n, dso.cost_linear
-        self.key = (n, dso.cost_quadratic, st.tracking_weight, dtc)
-        self.bounds = (dso.power_min, dso.power_max, st.power_min, st.power_max)
         self.lower = [dso.power_min] * n + [st.power_min] * n
         self.upper = [dso.power_max] * n + [st.power_max] * n
-        drift = sub.energy_now - st.energy_reference
-        self.storage_term = self.lin + 2.0 * st.tracking_weight * dtc * drift * np.arange(n, 0, -1)
-        self.storage_g = self.storage_term.tolist()
+        # ``rate`` is the energy one kW of storage power moves in a slot,
+        # ``drift`` the stored energy's deviation from its reference and
+        # ``weight`` the tracking penalty's gradient per kWh of deviation.
+        self.rate = st.throughput * sub.window.slot_hours
+        self.drift = sub.energy_now - st.energy_reference
+        self.weight = 2.0 * st.tracking_weight * self.rate
+        scale = self.weight * self.drift
+        self.storage_g = [self.lin + scale * k for k in range(n, 0, -1)]
         # Q z = (c (P_l - P_s), -c (P_l - P_s) + r overlap @ P_s): ``coupling``
         # is c, ``tracking`` is r and ``overlap[i, j] = n - max(i, j)``.
         self.coupling = 2.0 * dso.cost_quadratic
-        self.tracking = 2.0 * st.tracking_weight * dtc * dtc
+        self.tracking = self.weight * self.rate
         self.sets: dict[tuple[int, ...], _ActiveSet] = {}
 
     def active_set(self, point: list[float]) -> _ActiveSet:
@@ -356,51 +293,91 @@ class DSOWorkspace:
 
 
 class _ActiveSet:
-    """One active set of a negotiation and the parts of its Newton step that
-    do not move with the prices; all but ``storage`` come from the supplier's
-    shared :func:`_set_shape`.
+    """One active set of a negotiation and the elimination of its Newton
+    system, which does not move with the prices.
 
-    ``sides`` is the key it is stored under (see :meth:`DSOWorkspace.set_for`).
-    ``free`` lists the free entries in ascending order and ``inverse`` is the
-    inverse of their block of Q (None if singular); ``base`` is a point with
-    the held entries on their bounds.  The step's right-hand side is
-    ``g_F - Q_FX z_X``: ``(lam[i] - linear_cost) - shift`` for each
-    ``(i, shift)`` in ``generation``, then the constants in ``storage``.
-    ``limit`` is half the float range over the inverse's row-sum norm: while
-    every right-hand side is below it in size, no entry of the product, nor
-    any partial sum in it, can overflow, rounding included.
+    ``sides`` is the key it is stored under (see :meth:`DSOWorkspace.set_for`),
+    ``free`` lists the free entries in ascending order and ``base`` is a point
+    with the held entries on their bounds.  The Newton point sets the free
+    entries' gradient to zero.  Write ``e_t`` for the stored energy's
+    deviation after slot ``t`` (``e_t = e_(t-1) - d s_t`` from ``e_-1``, the
+    workspace's ``drift``, with ``d`` its ``rate``) and ``P_t = q (e_t + ... +
+    e_(n-1))`` for the costate, ``q`` the workspace's ``weight``.  The storage
+    entry's gradient is then ``lin + P_t + c (x_t - s_t)``, so slot ``t``
+    gives one relation:
+
+    - storage and generation free: ``P_t = -lam_t``;
+    - generation held on ``x_t``: ``s_t = x_t + (lin + P_t) / c``;
+    - storage held on ``s_t``: none, ``s_t`` is known.
+
+    Free generation follows as ``s_t + (lam_t - lin) / c``.  With ``P_t = M_t
+    e_t + k_(t+1)``, ``M_t = K_(t+1) + q``, eliminating from the last slot
+    (a Riccati recursion on this tridiagonal system) gives ``P_t = K_t e_(t-1)
+    + k_t``, where only ``k`` moves with the prices: ``k_t = -lam_t`` on a
+    free slot and ``a_t k_(t+1) + b_t`` on the others.  ``rows`` holds, per
+    slot, ``(priced, K_t, a_t, b_t, 1 / M_t)``, priced on a free slot; it is
+    None if ``M_t`` is zero on a free slot (a singular set, which takes no
+    tracking), or if an entry is free and ``c`` is zero.
     """
 
-    __slots__ = ("sides", "free", "inverse", "limit", "base", "generation", "storage")
+    __slots__ = ("sides", "free", "base", "rows", "generation", "coupling", "rate", "drift")
 
     def __init__(self, ws: DSOWorkspace, sides: tuple[int, ...]):
-        self.sides = sides
-        shape = _set_shape(ws.key, ws.bounds, sides)
-        self.free, self.inverse, self.limit, self.base, self.generation, held = shape
-        n, storage_g = ws.n, ws.storage_g
-        self.storage = [storage_g[i - n] - shift for i, shift in held]
+        n, c, rate, q = ws.n, ws.coupling, ws.rate, ws.weight
+        lower, upper = ws.lower, ws.upper
+        base = [
+            lower[i] if side < 0 else upper[i] if side > 0 else 0.0 for i, side in enumerate(sides)
+        ]
+        self.sides, self.base = sides, base
+        self.coupling, self.rate, self.drift = c, rate, ws.drift
+        self.free = tuple(i for i, side in enumerate(sides) if side == 0)
+        self.generation = tuple(t for t in range(n) if sides[t] == 0)
+        rows = [None] * n
+        gain = 0.0
+        try:
+            for t in range(n - 1, -1, -1):
+                m = gain + q
+                if sides[n + t]:
+                    gain = m
+                    rows[t] = (False, gain, 1.0, -m * rate * base[n + t], 0.0)
+                elif sides[t]:
+                    h = c / (c + m * rate)
+                    gain = m * h
+                    rows[t] = (False, gain, h, -h * m * rate * (base[t] + ws.lin / c), 0.0)
+                else:
+                    gain = 0.0
+                    rows[t] = (True, gain, 0.0, 0.0, 1.0 / m)
+        except ZeroDivisionError:
+            rows = None
+        self.rows = rows if c or not self.free else None
 
     def newton(self, lam: list[float], lin: float) -> list[float] | None:
         """The Newton point at the window list ``lam``: ``base`` with the free
-        entries set to ``inverse @ rhs``; None if the free block is singular.
-        At prices so large that the product may overflow, or a right-hand
-        side that is not finite, it is taken with NumPy's warnings off and
-        its entries may be infinite or NaN."""
-        if self.inverse is None:
+        entries from one backward sweep for ``k`` and one forward sweep for
+        ``e``; None if the set is singular.  Plain floats, so prices near the
+        float limit may give infinite or NaN entries, without a warning."""
+        rows = self.rows
+        if rows is None:
             return None
-        rhs = []
-        for i, shift in self.generation:
-            rhs.append(lam[i] - lin - shift)
-        rhs += self.storage
-        limit = self.limit
-        if rhs and not (-limit < min(rhs) and max(rhs) < limit):
-            with np.errstate(over="ignore", invalid="ignore"):
-                free = self.inverse.dot(np.array(rhs)).tolist()
-        else:
-            free = self.inverse.dot(np.array(rhs)).tolist()
-        point = list(self.base)
-        for i, v in zip(self.free, free):
-            point[i] = v
+        n = len(rows)
+        k = [0.0] * (n + 1)
+        for t in range(n - 1, -1, -1):
+            priced, _, a, b, _ = rows[t]
+            k[t] = -lam[t] if priced else a * k[t + 1] + b
+        c, rate, sides = self.coupling, self.rate, self.sides
+        point = self.base[:]
+        e = self.drift
+        for t, (priced, gain, _, _, inverse) in enumerate(rows):
+            if priced:
+                after = (-lam[t] - k[t + 1]) * inverse
+                point[n + t] = (e - after) / rate
+                e = after
+            else:
+                if not sides[n + t]:
+                    point[n + t] = point[t] + (lin + (gain * e + k[t])) / c
+                e = e - rate * point[n + t]
+        for t in self.generation:
+            point[t] = point[n + t] + (lam[t] - lin) / c
         return point
 
 
@@ -494,7 +471,7 @@ def _rounds(
     (Comput. Oper. Res. 1994) use to safeguard block pivoting, is finite on a
     positive definite Q, though not in a number of rounds linear in ``n``.
     Raises :class:`ConvergenceError` with the last residual read (inf if
-    none was) when the free block is singular, a free entry is NaN, no side
+    none was) when the set is singular, a free entry is NaN, no side
     is left to change, or after ``_ROUNDS_PER_ENTRY`` rounds per entry of
     the point.
     """

@@ -17,9 +17,11 @@ windows as long as table1's, with tracking weights over seven decades, are
 certified within the round bound, the least-index phase included.  The certificate, written out
 from Q's structure, must read the dense residual
 ``max |z - clip(z + g - Q z)|`` to rounding, and NaN wherever the dense one
-is NaN.  The Newton point of an active set must equal, bit for bit, the
-dense formula it replaced, and a negotiation's store of active sets must stay
-bounded without changing an answer.
+is NaN.  The Newton point of an active set, a Riccati sweep of a
+tridiagonal system, must match the dense formula ``inverse @ (g_F - Q_FX z_X)`` on the
+Hessian Q written out below, and call the same sets singular; a
+negotiation's store of active sets must stay bounded without changing an
+answer.
 """
 import math
 
@@ -43,9 +45,7 @@ from evmarket import (
 from evmarket.dso_agent import (
     ConvergenceError,
     DSOWorkspace,
-    _newton_system,
     _objective,
-    _quadratic_form,
     solve_dso,
 )
 
@@ -62,9 +62,36 @@ def _residual(point, grad, lo, hi):
     return float(np.abs(point - np.minimum(np.maximum(point + grad, lo), hi)).max())
 
 
+def quadratic_form(sub):
+    """The supplier's dense Hessian: the problem is ``max g.z - z.Q.z / 2``
+    on ``z = (P_l, P_s)``, and ``Q z = (c (P_l - P_s), -c (P_l - P_s) + r
+    overlap @ P_s)`` with ``c = 2 quad``, ``r = 2 rho dtc^2`` and
+    ``overlap[i, j] = n - max(i, j)``."""
+    n = sub.window.length
+    dtc = sub.storage.throughput * sub.window.slot_hours
+    eye = np.eye(n)
+    q_mat = 2.0 * sub.dso.cost_quadratic * np.block([[eye, -eye], [-eye, eye]])
+    idx = np.arange(n)
+    overlap = n - np.maximum(idx[:, None], idx[None, :])
+    q_mat[n:, n:] += 2.0 * sub.storage.tracking_weight * dtc * dtc * overlap
+    return q_mat
+
+
+def newton_system(sub, free):
+    """``(free, fixed, Q_free_fixed, inverse of Q_free_free)`` for the mask
+    ``free``, or None if the free block is singular: rank deficient, since
+    LU in floats may miss an exactly zero pivot by a rounding."""
+    q_mat = quadratic_form(sub)
+    free, fixed = np.flatnonzero(free), np.flatnonzero(~free)
+    block = q_mat[np.ix_(free, free)]
+    if np.linalg.matrix_rank(block) < len(free):
+        return None
+    return free, fixed, q_mat[np.ix_(free, fixed)], np.linalg.inv(block)
+
+
 def dense_problem(ws, prices):
     """``g`` at ``prices`` and the box's lower and upper bounds, as arrays."""
-    g = np.concatenate([np.asarray(prices) - ws.lin, ws.storage_term])
+    g = np.concatenate([np.asarray(prices) - ws.lin, ws.storage_g])
     return g, np.array(ws.lower), np.array(ws.upper)
 
 
@@ -265,6 +292,25 @@ def test_cold_solves_on_long_windows_settle_within_the_round_bound(market):
         assert pivots == 2 and len(taken) == 11
 
 
+# Zero prices and no linear cost: the optimum holds generation at 0 with a
+# zero gradient on slots 1-4.  A Newton point that puts those entries a
+# rounding either side of the bound makes the rounds cycle; one that solved
+# for the suffix sums of the storage's prefix sums did, by 2e-15.
+DEGENERATE_OPTIMUM = DSOSubproblem(
+    dso=DSOSpec(0.5, 0.0, 0.0, math.inf),
+    storage=StorageSpec(-1.0, 4.0, 78.0, 77.0, 1.0, 0.5942549756094643),
+    energy_now=78.0,
+    window=TimeGrid(0, 5, SLOT_HOURS),
+)
+
+
+@pytest.mark.parametrize("eps", [EPS, REFERENCE_EPS])
+def test_rounds_settle_an_optimum_on_a_bound_with_a_zero_gradient(eps):
+    sol = solve_dso(DEGENERATE_OPTIMUM, [0.0] * 5, eps=eps)
+    assert sol.kkt_residual <= eps.kkt
+    assert sol.generation_values == [4.0, 0.0, 0.0, 0.0, 0.0]
+
+
 # The loop's shipped price step.  Scaled by 100, one round moves a price by
 # at most this step times an imbalance as wide as the generation box.
 SHIPPED_STEP = ConvergenceConfig().step_size
@@ -322,12 +368,11 @@ def test_warm_step_leaving_the_box_falls_back(monkeypatch):
     the residual target, so its residual passes and only the box check sends
     the call on.  The second round holds generation on the cap and answers
     there."""
-    q_mat = _quadratic_form(1, TABLE1_DSO.cost_quadratic, 1.0, SLOT_HOURS)
-    inverse = np.linalg.inv(q_mat)
+    sub = storage_sub(1)
+    inverse = np.linalg.inv(quadratic_form(sub))
     # Unconstrained optimum Q^-1 g with g = (price - linear, linear).
     lin = TABLE1_DSO.cost_linear
     price = lin + (TABLE1_DSO.power_max + 5e-7 - inverse[0, 1] * lin) / inverse[0, 0]
-    sub = storage_sub(1)
     rounds = count_newton_points(monkeypatch)
     sol = solve_dso(sub, [price], start=([50.0], [0.0]))
     assert rounds == [2]
@@ -463,7 +508,7 @@ def certificate_cases(draw):
 def test_float_certificate_matches_the_dense_residual(case):
     sub, point, prices = case
     ws = DSOWorkspace(sub)
-    q_mat = _quadratic_form(*ws.key)
+    q_mat = quadratic_form(sub)
     g, lo, hi = dense_problem(ws, prices)
     z = np.array(point)
     dense = _residual(z, g - q_mat @ z, lo, hi)
@@ -476,9 +521,10 @@ def test_float_certificate_matches_the_dense_residual(case):
 
 @st.composite
 def active_set_cases(draw):
-    """A storage supplier, possibly with no generation cap or no tracking
-    (whose all-free set is singular), random sides and random prices."""
-    n = draw(st.integers(1, 6))
+    """A storage supplier on a window of up to 48 slots, possibly with no
+    generation cap or no tracking (whose all-free set is singular), tracking
+    weights over seven decades, random sides and random prices."""
+    n = draw(st.integers(1, 48))
     gen_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
     gen_max = draw(st.one_of(st.just(math.inf), st.floats(gen_min + 1.0, gen_min + 150.0)))
     storage = StorageSpec(
@@ -487,7 +533,9 @@ def active_set_cases(draw):
         energy_initial=draw(st.floats(0.0, 200.0)),
         energy_reference=draw(st.floats(0.0, 200.0)),
         throughput=draw(st.floats(0.1, 1.0)),
-        tracking_weight=draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0))),
+        tracking_weight=draw(
+            st.one_of(st.just(0.0), st.floats(-4.0, 3.0).map(lambda e: 10.0**e))
+        ),
     )
     sub = DSOSubproblem(
         dso=DSOSpec(draw(st.floats(0.01, 1.0)), draw(st.floats(0.0, 5.0)), gen_min, gen_max),
@@ -506,17 +554,27 @@ def active_set_cases(draw):
     return sub, sides, prices
 
 
+# How far the sweep's Newton point may be from the dense formula's, relative
+# to the largest entry: float64's 2.2e-16 times the free blocks' condition
+# numbers, up to about 1e8 at a tracking weight of 1e-4 on 48 slots.  3,000
+# draws of the strategy below came within 1.1e-9, where an exact rational
+# solve put the dense formula 1.0e-9 and the sweep 1.5e-10 from the answer.
+NEWTON_TOL = 1e-8
+
+
 @settings(max_examples=500, deadline=None)
 @given(case=active_set_cases())
 def test_active_set_newton_point_matches_the_dense_formula(case):
     """Held entries from ``np.where`` on the bounds, free entries from
-    ``inverse @ (g_F - Q_FX z_X)`` through ``_newton_system``: the formula
-    the supplier used before each active set kept its step's parts."""
+    ``inverse @ (g_F - Q_FX z_X)`` through ``newton_system``: the formula the
+    supplier used before its Newton point became a Riccati sweep.  Both
+    call the same sets singular, and the points agree within ``NEWTON_TOL``
+    relative to the largest entry."""
     sub, sides, prices = case
     ws = DSOWorkspace(sub)
     fast = ws.set_for(sides).newton(prices, ws.lin)
     at_lo, at_hi = np.array(sides) < 0, np.array(sides) > 0
-    system = _newton_system(*ws.key, (~(at_lo | at_hi)).tobytes())
+    system = newton_system(sub, ~(at_lo | at_hi))
     assert (fast is None) == (system is None)
     if system is None:
         return
@@ -525,9 +583,7 @@ def test_active_set_newton_point_matches_the_dense_formula(case):
     dense = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
     dense[idx] = inverse @ (g[idx] - q_fixed @ dense[fixed])
     fast = np.array(fast)
-    nan = np.isnan(dense)
-    np.testing.assert_array_equal(np.isnan(fast), nan)
-    np.testing.assert_array_equal(fast[~nan].view(np.int64), dense[~nan].view(np.int64))
+    assert np.all(np.abs(fast - dense) <= NEWTON_TOL * (1.0 + np.abs(dense).max()))
 
 
 def test_active_set_store_stops_at_its_bound(monkeypatch):

@@ -1,21 +1,15 @@
-"""Non-finite inputs fail fast, and the supplier's solver caches stay bounded
-and never change an answer."""
+"""Non-finite inputs fail fast."""
 import math
 
-import numpy as np
 import pytest
 
 from evmarket import DSOSpec, ScenarioFormatError, parse_scenario, solve_dso
 from evmarket.cli import main
-from evmarket.dso_agent import ConvergenceError, _newton_system, _quadratic_form, _set_shape
+from evmarket.dso_agent import ConvergenceError
 
-from conftest import SCENARIO_DIR, TABLE1_DSO, TABLE1_STORAGE
+from conftest import TABLE1_DSO, TABLE1_STORAGE
 from test_cli import SMALL
 from test_dso_agent import make_sub
-from test_run_trace import DATA, TABLES
-
-# The supplier's process-wide caches: all it keeps between negotiations.
-CACHES = (_quadratic_form, _newton_system, _set_shape)
 
 
 def with_entry(text: str, section: str, key: str, value: str) -> str:
@@ -80,32 +74,3 @@ def test_supplier_solve_stops_at_a_non_finite_residual():
     with pytest.raises(ConvergenceError, match="stalled at residual nan in round") as info:
         solve_dso(make_sub(2, dso=dso, storage=TABLE1_STORAGE), [4.0, 2.0])
     assert math.isnan(info.value.residual)
-
-
-def test_solver_caches_stay_bounded():
-    rng = np.random.default_rng(12)
-    for cache in CACHES:
-        cache.cache_clear()
-    for _ in range(300):
-        n = int(rng.integers(1, 7))
-        dso = DSOSpec(float(rng.uniform(0.01, 0.3)), 0.9, 0.0, float(rng.uniform(30, 150)))
-        solve_dso(make_sub(n, dso=dso), rng.uniform(0.0, 8.0, size=n))
-    for cache in CACHES:
-        info = cache.cache_info()
-        assert info.misses > info.maxsize
-        assert info.currsize <= info.maxsize
-
-
-def test_solver_caches_never_change_a_day(tmp_path):
-    """table1 writes its pinned tables from empty caches, and again with the
-    caches its first run filled, which the second run reads."""
-    for cache in CACHES:
-        cache.cache_clear()
-    hits = []
-    for run in ("cold", "warm"):
-        out = tmp_path / run
-        assert main(["run", str(SCENARIO_DIR / "table1.scenario"), "--out", str(out)]) == 0
-        for name in TABLES:
-            assert (out / name).read_bytes() == (DATA / "table1-run" / name).read_bytes()
-        hits.append(_set_shape.cache_info().hits)
-    assert hits[1] > hits[0]
