@@ -270,6 +270,12 @@ class ScenarioValidationError(ValueError):
 CONSTANT, DIMINISHING = STEP_SCHEDULES = ("constant", "diminishing")
 
 
+def nonnegative(value: int) -> str | None:
+    """What is wrong with a scenario ``seed``, else None: the seed's schema
+    row and :func:`validate_scenario` both check it with this rule."""
+    return None if value >= 0 else "must be nonnegative"
+
+
 def loop_problems(loop) -> list[str]:
     """Every broken rule of the price loop's settings, which ``loop`` holds
     under their own names; each test holds for legal values, so NaN fails it."""
@@ -312,6 +318,9 @@ def validate_scenario(scenario) -> ValidationReport:
     ``inf``; each test holds for legal values, so NaN fails it.
     """
     out: list[str] = []
+    problem = nonnegative(scenario.seed)
+    if problem:
+        out.append(f"seed {problem}")
 
     grid = scenario.grid
     if not grid.num_slots >= 1:

@@ -40,6 +40,7 @@ from .model import (
     StorageSpec,
     Tolerances,
     ValidationReport,
+    nonnegative,
     validate_scenario,
 )
 
@@ -160,10 +161,6 @@ def _finite_or_inf(value: float) -> str | None:
     return None if math.isfinite(value) or value == math.inf else "must be finite or inf"
 
 
-def _nonnegative(value: int) -> str | None:
-    return None if value >= 0 else "must be nonnegative"
-
-
 def _csv_field(value: str) -> str | None:
     """Vehicle ids are written unquoted into ``evs.csv``."""
     if value and "," not in value and '"' not in value:
@@ -183,7 +180,7 @@ SECTIONS = {
 
 # Every entry, in the canonical order of write_scenario.
 SCHEMA = (
-    Entry("", "seed", "seed", int, None, _nonnegative),
+    Entry("", "seed", "seed", int, None, nonnegative),
     Entry("grid", "slot_minutes", "slot_minutes", float, REQUIRED),
     Entry("grid", "num_slots", "num_slots", int, REQUIRED),
     Entry("dso", "quadratic_cost", "cost_quadratic", float, REQUIRED),

@@ -17,9 +17,12 @@ from evmarket import (
     DSOSpec,
     EVSession,
     ScenarioFormatError,
+    ScenarioValidationError,
     StorageSpec,
     Tolerances,
     parse_scenario,
+    run,
+    validate_scenario,
     write_scenario,
 )
 from evmarket.cli import _load_scenario, main
@@ -225,6 +228,16 @@ def test_negative_seed_is_rejected_by_its_entry(tmp_path, capsys):
     for override in (["--seed", "-1"], ["--set", "seed=-1"]):
         assert main(["run", str(path), "--out", str(tmp_path / "o"), *override]) == 1
         assert capsys.readouterr().err == "error: seed must be nonnegative, got '-1'\n"
+
+
+def test_negative_seed_fails_validation_in_the_python_api():
+    """The Python API runs the seed entry's rule too, so a scenario built in
+    code with a negative seed never reaches the fleet's generator."""
+    scenario = dataclasses.replace(parse_scenario(SMALL + FLEET), seed=-1)
+    report = validate_scenario(scenario)
+    assert report.violations == ("seed must be nonnegative",)
+    with pytest.raises(ScenarioValidationError, match="seed must be nonnegative"):
+        run(scenario)
 
 
 def with_first_id(value):
