@@ -155,14 +155,17 @@ def negotiated(state: SimulationState, config: SimulationConfig) -> Settlement:
     )
 
 
+def _within_need(ses: EVSession, power: float, slot_hours: float) -> float:
+    """``power`` clipped so the battery never overshoots its requirement,
+    and not below the vehicle's ``power_min``."""
+    return max(min(power, ses.energy_needed / ses.energy_rate(slot_hours)), ses.power_min)
+
+
 def uncontrolled(state: SimulationState, config: SimulationConfig) -> Settlement:
     """The baseline without pricing: every vehicle draws its maximum power,
     clipped so its battery never overshoots the requirement; the grid serves
     whatever is drawn and the storage idles."""
-    powers = [
-        max(min(s.power_max, s.energy_needed / s.energy_rate(config.slot_hours)), s.power_min)
-        for s in state.active
-    ]
+    powers = [_within_need(s, s.power_max, config.slot_hours) for s in state.active]
     return Settlement(price=0.0, powers=powers, generation=float(sum(powers)), storage_power=0.0)
 
 
@@ -173,7 +176,9 @@ def step(
     samples and advance all states.
 
     ``policy(state, config)`` sees the slot's state with arrivals admitted and
-    finished vehicles dropped, and returns a :class:`Settlement`.
+    finished vehicles dropped, and returns a :class:`Settlement`.  A slot
+    whose price loop did not converge applies each power clipped as
+    :func:`uncontrolled` clips it, so no battery overshoots its requirement.
     """
     slot = state.slot
     arrived = tuple(s for s in state.pending if s.arrival <= slot)
@@ -189,6 +194,8 @@ def step(
     per_ev: dict[str, tuple[float, float]] = {}
     new_active = []
     for ses, power in zip(active, settled.powers):
+        if not settled.converged:
+            power = _within_need(ses, power, config.slot_hours)
         energy_left = remaining_energy_after(
             ses.energy_needed, power, ses.loss_fraction, config.slot_hours
         )

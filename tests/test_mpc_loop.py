@@ -8,6 +8,7 @@ from evmarket import (
     StorageSpec,
     Tolerances,
     compute_window,
+    parse_scenario,
     run,
     simulate_uncontrolled,
     step,
@@ -15,7 +16,7 @@ from evmarket import (
 from evmarket.mpc_loop import SimulationConfig, SimulationState
 from evmarket.scenario_io import GridConfig, Scenario, SolverConfig
 
-from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
+from conftest import SCENARIO_DIR, SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
 
 
 def small_scenario(evs, storage=None, num_slots=8, **solver_kw) -> Scenario:
@@ -153,6 +154,21 @@ def test_nonconvergence_degrades_but_completes():
     assert len(trace.records) == 4
     assert not trace.converged
     assert any(not rec.converged for rec in trace.records)
+
+
+def test_flagged_slots_apply_no_more_than_each_vehicle_needs():
+    """A price step near the float limit caps both of ``small``'s slots at
+    prices past 1e300.  Each flagged slot applies its powers clipped as the
+    uncontrolled baseline clips them, so the day delivers the 9 kWh needed,
+    not more."""
+    scenario = parse_scenario((SCENARIO_DIR / "small.scenario").read_bytes())
+    trace = run(replace(scenario, solver=replace(scenario.solver, step_size=1e300)))
+    assert not any(rec.converged for rec in trace.records)
+    powers = [power for rec in trace.records for power, _ in rec.per_ev.values()]
+    assert powers == pytest.approx([22.0, 12.0, 2.0])
+    eps = Tolerances().energy
+    assert all(left >= -eps for rec in trace.records for _, left in rec.per_ev.values())
+    assert trace.summary.energy_delivered == pytest.approx(9.0)
 
 
 def test_uncontrolled_sums_maxima():
