@@ -143,9 +143,9 @@ def storage_tracking_penalty(
 
 
 # Active-set rounds per entry of the point before a supplier solve is
-# reported as stalled (see :func:`_rounds`).  Cold solves on windows of 1-48
-# slots, with tracking weights from 1e-4 to 1e3, took at most 2.2 per entry:
-# 166 rounds on a 38-slot window.
+# reported as stalled (see :func:`_rounds`).  Cold solves on windows of 1-96
+# slots, with tracking weights from 1e-4 to 1e3, took at most 3.3 per entry:
+# 309 rounds on a 47-slot window.
 _ROUNDS_PER_ENTRY = 8
 
 # A negotiation stores each active set it meets, with its elimination, for
@@ -315,9 +315,9 @@ class _ActiveSet:
     (a Riccati recursion on this tridiagonal system) gives ``P_t = K_t e_(t-1)
     + k_t``, where only ``k`` moves with the prices: ``k_t = -lam_t`` on a
     free slot and ``a_t k_(t+1) + b_t`` on the others.  ``rows`` holds, per
-    slot, ``(priced, K_t, a_t, b_t, 1 / M_t)``, priced on a free slot; it is
-    None if ``M_t`` is zero on a free slot (a singular set, which takes no
-    tracking), or if an entry is free and ``c`` is zero.
+    slot, ``(priced, K_t, a_t, b_t, 1 / M_t)``, priced on a free slot.  It is
+    None if the set is singular, ``M_t`` zero on a free slot (only a zero
+    tracking weight gives one), or if an entry is free and ``c`` is zero.
     """
 
     __slots__ = ("sides", "free", "base", "rows", "generation", "coupling", "rate", "drift")

@@ -18,10 +18,10 @@ certified within the round bound, the least-index phase included.  The certifica
 from Q's structure, must read the dense residual
 ``max |z - clip(z + g - Q z)|`` to rounding, and NaN wherever the dense one
 is NaN.  The Newton point of an active set, a Riccati sweep of a
-tridiagonal system, must match the dense formula ``inverse @ (g_F - Q_FX z_X)`` on the
-Hessian Q written out below, and call the same sets singular; a
-negotiation's store of active sets must stay bounded without changing an
-answer.
+tridiagonal system, must match the dense formula
+``inverse @ (g_F - Q_FX z_X)`` on the Hessian Q written out below and call
+the same sets singular, and a negotiation's store of active sets must stay
+bounded without changing an answer.
 """
 import math
 
@@ -132,8 +132,8 @@ NARROW_BOX = DSOSubproblem(
     window=TimeGrid(0, 1, SLOT_HOURS),
 )
 
-# A subnormal tracking weight: the all-free block's inverse overflows, so the
-# rounds must treat it as singular rather than step to inf or NaN.
+# A subnormal tracking weight on a pinned storage box: a set that freed the
+# storage would step to inf or NaN, so the rounds must keep it held.
 SUBNORMAL_TRACKING = DSOSubproblem(
     dso=DSOSpec(1.0, 0.0, 0.0, math.inf),
     storage=StorageSpec(0.0, 0.0, 0.0, 0.0, 1.0, 1.1125369292536007e-308),
