@@ -5,7 +5,6 @@ from .dso_agent import *  # noqa: F401,F403
 from .ev_agent import *  # noqa: F401,F403
 from .model import *  # noqa: F401,F403
 from .mpc_loop import *  # noqa: F401,F403
-from .oracle import *  # noqa: F401,F403
 from .scenario_io import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -4,26 +4,28 @@ Commands:
 
 * ``run``           simulate the scenario under negotiated prices
 * ``uncontrolled``  simulate the maximum-power baseline
-* ``verify``        compare one negotiation against the centralized solver
+* ``verify``        certify every slot of the ``run`` day by weak duality
 * ``validate``      print the scenario validation report
 
 Exit codes: 0 success, 1 validation failure (a usage error included),
-2 runtime non-convergence (a flagged slot, a ``verify`` gap above 1% or a
-failed supplier solve), 3 I/O error.
+2 runtime non-convergence (a flagged slot, a failed supplier solve, or in
+``verify`` a slot not certified, a gap below -1e-9 max(1, |W|) or a day gap
+above 1% of max(1, |sum W|)), 3 I/O error.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .dso_agent import ConvergenceError
-from .model import EVSession, ScenarioValidationError, validate_scenario
-from .mpc_loop import compute_window, config_of, initial_state, negotiate_window
+from .ev_agent import stationarity_residual
+from .model import ScenarioValidationError, validate_scenario
+from .mpc_loop import _simulate, negotiate_window, settle
 from .mpc_loop import run as run_simulation
 from .mpc_loop import simulate_uncontrolled
-from .oracle import CentralProblem, solve_central, welfare
 from .scenario_io import (
     ENTRIES,
     SECTIONS,
@@ -66,12 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
         common(p_sim)
         p_sim.add_argument("--out", default="out", help="output directory (default: out)")
 
-    p_ver = sub.add_parser("verify", help="negotiation vs centralized solver on a small window")
+    p_ver = sub.add_parser("verify", help="certify every slot of the negotiated day")
     p_ver.set_defaults(handler=_cmd_verify)
     common(p_ver)
-    p_ver.add_argument(
-        "--oracle-cap", type=int, default=6, help="slot cap for the centralized solver"
-    )
 
     p_val = sub.add_parser("validate", help="print the validation report")
     p_val.set_defaults(handler=_cmd_validate)
@@ -117,66 +116,57 @@ def _load_scenario(args) -> Scenario:
     return scenario
 
 
-def _truncate_for_oracle(scenario: Scenario, slot_cap: int) -> tuple[EVSession, ...]:
-    """Shift the earliest sessions the oracle takes to a common start inside the slot cap."""
-    slots = min(slot_cap, scenario.grid.num_slots)
-    earliest = sorted(resolve_sessions(scenario), key=lambda s: (s.arrival, s.ev_id))
-    shifted = []
-    for ses in earliest[: CentralProblem.max_evs]:
-        stay = max(1, min(ses.departure - ses.arrival, slots))
-        cap = ses.energy_rate(scenario.grid.slot_hours) * ses.power_max * stay
-        energy = min(ses.energy_needed, cap)
-        shifted.append(replace(ses, arrival=0, departure=stay, energy_needed=energy))
-    return tuple(shifted)
-
-
 def _cmd_verify(args) -> int:
-    if args.oracle_cap < 1:
-        raise ValueError(f"--oracle-cap must be at least 1, got {args.oracle_cap}")
+    """Run the day as ``run`` does, writing nothing, and certify each slot by
+    weak duality: its dual value D bounds the welfare from above, and D minus
+    the gap, the supplier's loss at generating the demand, is the welfare W of
+    that point, a lower bound on the optimum if the demand is in the box."""
     scenario = _load_scenario(args)
-    sessions = _truncate_for_oracle(scenario, args.oracle_cap)
-    config = config_of(scenario)
-    storage, eps = config.storage, config.eps
-    window = compute_window(sessions, 0, config.slot_hours)
-    result = negotiate_window(replace(initial_state(scenario, ()), active=sessions), config)
+    slots = []  # (slot, D, gap, demand overshoot in kW, EV and supplier residuals)
 
-    problem = CentralProblem(
-        sessions=sessions,
-        dso=scenario.dso,
-        storage=storage,
-        energy_now=storage.energy_initial,
-        window=window,
-        max_slots=window.length,
-    )
-    central = solve_central(problem, eps=eps)
+    def certified(state, config):
+        result = negotiate_window(state, config)
+        lo, hi = config.dso.power_min, config.dso.power_max
+        over = max(max(d - hi, lo - d) for d in result.demand_values)
+        ev = max(map(stationarity_residual, result.ev_solutions), default=0.0)
+        kkt = result.dso_solution.kkt_residual
+        slots.append((state.slot, result.dual_value, result.duality_gap, over, ev, kkt))
+        return settle(result)
 
-    negotiated_welfare = welfare(
-        [(s, prof.values) for s, prof in zip(sessions, result.ev_profiles)],
-        result.demand.values,
-        result.storage_power.values,
-        scenario.dso,
-        storage,
-        storage.energy_initial,
-        window,
-    )
-    gap = abs(negotiated_welfare - central.welfare) / max(abs(central.welfare), 1e-9)
+    trace = _simulate(scenario, certified)
+    flagged = _report_flagged(trace)
+    failed = flagged > 0
+    dual = welfare = gap = worst = 0.0
+    worst_slot = "-"
+    for slot, d, g, over, _, _ in slots:
+        w = d - g
+        if over > 0 or not math.isfinite(w):
+            why = f"demand leaves the generation box by {over:.4f} kW" if over > 0 else f"D = {d}"
+            print(f"error: slot {slot} not certified: {why}", file=sys.stderr)
+            failed = True
+            continue
+        share = g / max(1.0, abs(w))
+        if share < -1e-9:
+            print(f"error: slot {slot} has a negative gap {g:.3e}", file=sys.stderr)
+            failed = True
+        dual, welfare, gap = dual + d, welfare + w, gap + g
+        if share > worst:
+            worst, worst_slot = share, slot
+    relative = gap / max(1.0, abs(welfare))
+    recs = trace.records
     print(
-        f"window {window.length} slots, {len(sessions)} vehicles, "
-        f"{result.iterations} dual iterations, "
-        f"max balance residual {result.residual_norm:.4f} kW"
+        f"{len(recs)} slots, {sum(r.iterations for r in recs)} dual iterations, "
+        f"max balance residual {max(r.residual for r in recs):.4f} kW, flagged slots {flagged}"
     )
     print(
-        f"negotiated welfare {negotiated_welfare:.6f}, "
-        f"centralized welfare {central.welfare:.6f}, gap {100 * gap:.3f}%"
+        f"dual value {dual:.6f}, recovered welfare {welfare:.6f}, gap {gap:.3e} "
+        f"(relative {relative:.2e}), worst slot {worst_slot} at {worst:.2e}"
     )
-    if result.supplier_error is not None:
-        print(
-            f"error: settled at iteration {result.iterations}: {result.supplier_error}",
-            file=sys.stderr,
-        )
-    if not result.converged or gap > 0.01:
-        return 2
-    return 0
+    print(
+        f"max EV stationarity residual {max(s[4] for s in slots):.2e}, "
+        f"max supplier kkt residual {max(s[5] for s in slots):.2e}"
+    )
+    return 2 if failed or relative > 0.01 else 0
 
 
 def _cmd_validate(args) -> int:
@@ -224,15 +214,8 @@ def _cmd_simulate(args) -> int:
     else:
         trace = simulate_uncontrolled(scenario)
     write_trace(trace, args.out)
-    for rec in trace.records:
-        if rec.supplier_error is not None:
-            print(
-                f"error: slot {rec.slot} settled at iteration {rec.iterations}: "
-                f"{rec.supplier_error}",
-                file=sys.stderr,
-            )
+    flagged = _report_flagged(trace)
     s = trace.summary
-    flagged = sum(1 for rec in trace.records if not rec.converged)
     max_iters = max((rec.iterations for rec in trace.records), default=0)
     print(
         f"{len(trace.records)} slots, peak demand {s.peak_demand:.2f} kW, "
@@ -245,6 +228,19 @@ def _cmd_simulate(args) -> int:
     if flagged:
         return 2
     return 0
+
+
+def _report_flagged(trace) -> int:
+    """Name each slot a failure settled early on stderr; return the number
+    of slots that did not converge."""
+    for rec in trace.records:
+        if rec.supplier_error is not None:
+            print(
+                f"error: slot {rec.slot} settled at iteration {rec.iterations}: "
+                f"{rec.supplier_error}",
+                file=sys.stderr,
+            )
+    return sum(1 for rec in trace.records if not rec.converged)
 
 
 def entry() -> None:  # pragma: no cover

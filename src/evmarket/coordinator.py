@@ -105,6 +105,16 @@ class DualIterationState:
         return self.dso_solution.objective + ev_value
 
     @cached_property
+    def duality_gap(self) -> float:
+        """``dual_value`` minus the welfare of the recovered point: the
+        vehicles' powers, the supplier's storage and generation equal to the
+        demand.  The supplier reports it as its loss at that generation, so
+        no cost reaches the coordinator.  With every answer optimal and the
+        demand inside the generation box, the point is feasible and the gap
+        bounds its distance to the optimum (weak duality)."""
+        return self.dso_solution.loss_at(self.demand_values)
+
+    @cached_property
     def prices(self) -> PriceVector:
         return PriceVector(self.price_values)
 

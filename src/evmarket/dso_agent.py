@@ -110,6 +110,13 @@ class DSOSolution:
         n = len(self.generation_values)
         return _objective(self.sub, np.asarray(self.prices), self.point[:n], self.point[n:])
 
+    def loss_at(self, generation: Sequence[float]) -> float:
+        """What the supplier gives up by generating ``generation`` instead of
+        its answer, its storage kept: ``objective`` minus the objective there."""
+        n = len(self.generation_values)
+        lam, other = np.asarray(self.prices), np.asarray(generation, dtype=float)
+        return self.objective - _objective(self.sub, lam, other, self.point[n:])
+
     @cached_property
     def generation(self) -> PowerProfile:
         return PowerProfile(self.generation_values)

@@ -207,7 +207,12 @@ class SlotRecord:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances shared by the agent solvers; ``inf`` sets no target."""
+    """Numeric tolerances shared by the agent solvers; ``inf`` sets no target.
+
+    The supplier's plain-float certificate rounds at about 1e-12 on windows
+    of 20-48 slots, so a ``kkt`` below that can flag slots that are solved as
+    well as floats allow.
+    """
 
     kkt: float = 1e-6
     energy: float = 1e-6

@@ -44,6 +44,7 @@ __all__ = [
     "config_of",
     "initial_state",
     "negotiate_window",
+    "settle",
     "negotiated",
     "uncontrolled",
     "step",
@@ -140,9 +141,8 @@ def negotiate_window(state: SimulationState, config: SimulationConfig) -> DualIt
     return negotiate_slot(state.active, dso_sub, state.last_price, config.convergence, config.eps)
 
 
-def negotiated(state: SimulationState, config: SimulationConfig) -> Settlement:
-    """The market: settle at the first sample of the window's negotiation."""
-    result = negotiate_window(state, config)
+def settle(result: DualIterationState) -> Settlement:
+    """The first sample of a negotiation's window, with its outcome."""
     return Settlement(
         float(result.prices[0]),
         [float(profile[0]) for profile in result.ev_profiles],
@@ -153,6 +153,11 @@ def negotiated(state: SimulationState, config: SimulationConfig) -> Settlement:
         result.converged,
         result.supplier_error,
     )
+
+
+def negotiated(state: SimulationState, config: SimulationConfig) -> Settlement:
+    """The market: settle at the first sample of the window's negotiation."""
+    return settle(negotiate_window(state, config))
 
 
 def _within_need(ses: EVSession, power: float, slot_hours: float) -> float:

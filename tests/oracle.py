@@ -4,8 +4,8 @@ The oracle maximizes total vehicle utility minus generation cost minus the
 storage tracking penalty, with the per-slot balance handled by substituting
 generation with total demand.  Each vehicle's delivered-energy equality is
 enforced inside the projection step by bisecting a per-vehicle shift.  It is
-deliberately capped to a few slots and vehicles: the negotiated market is the
-production path, this module only exists to check it.
+deliberately capped to a few slots and vehicles: it is the reference the
+tests hold the negotiated market against.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dso_agent import generation_cost, storage_tracking_penalty
-from .model import DSOSpec, EVSession, PowerProfile, StorageSpec, TimeGrid, Tolerances
+from evmarket.dso_agent import generation_cost, storage_tracking_penalty
+from evmarket.model import DSOSpec, EVSession, PowerProfile, StorageSpec, TimeGrid, Tolerances
 
 __all__ = ["CentralProblem", "CentralSolution", "solve_central", "welfare"]
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from evmarket import (
-    CentralProblem,
     DSOSubproblem,
     TimeGrid,
     Tolerances,
@@ -17,13 +16,11 @@ from evmarket import (
     negotiate_slot,
     run,
     simulate_uncontrolled,
-    solve_central,
     solve_dso,
     solve_ev,
     write_trace,
 )
 from evmarket.ev_agent import stationarity_residual
-from evmarket.oracle import welfare
 
 from conftest import (
     SLOT_HOURS,
@@ -32,6 +29,7 @@ from conftest import (
     make_session,
     random_vehicle,
 )
+from oracle import CentralProblem, solve_central, welfare
 from test_dso_agent import make_sub as make_dso_sub
 
 
@@ -87,6 +85,7 @@ def test_a1_oracle_equivalence():
     start = time.perf_counter()
     worst_gap = 0.0
     worst_residual = 0.0
+    bracketed, gap_error = True, 0.0
     for _ in range(25):
         sessions, window = _random_instance(rng)
         result = _negotiate_instance(sessions, window)
@@ -115,13 +114,19 @@ def test_a1_oracle_equivalence():
         gap = abs(negotiated - central.welfare) / abs(central.welfare)
         worst_gap = max(worst_gap, gap)
         worst_residual = max(worst_residual, result.residual_norm)
+        # Weak duality brackets the optimum: D >= W* >= W, and the gap the
+        # supplier reports is D - W.
+        dual = result.dual_value
+        bracketed = bracketed and dual >= central.welfare >= negotiated
+        gap_error = max(gap_error, abs(dual - negotiated - result.duality_gap) / abs(negotiated))
     elapsed = time.perf_counter() - start
-    ok = worst_gap <= 0.01 and worst_residual <= 0.1
+    ok = worst_gap <= 0.01 and worst_residual <= 0.1 and bracketed and gap_error <= 1e-12
     report(
         "A1 oracle equivalence",
         ok,
         f"25 instances, max welfare gap {100 * worst_gap:.3f}%, "
-        f"max residual {worst_residual:.3f} kW, {elapsed:.1f} s",
+        f"max residual {worst_residual:.3f} kW, D >= W* >= W {bracketed}, "
+        f"reported gap off by {gap_error:.1e}, {elapsed:.1f} s",
     )
 
 

@@ -1,9 +1,11 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 
+from evmarket import parse_scenario, run
 from evmarket.cli import main
 from evmarket.dso_agent import ConvergenceError
 
@@ -103,36 +105,45 @@ def test_missing_file_exits_3(tmp_path):
     assert main(["run", str(tmp_path / "nope.scenario"), "--out", str(tmp_path)]) == 3
 
 
-def test_verify_small_scenario_within_one_percent(small_file, capsys):
-    code = main(["verify", str(small_file)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "gap" in out
+def test_verify_small_scenario_within_one_percent(small_file, capsys, monkeypatch):
+    """`verify` certifies the day `run` settles, slot by slot, with the
+    iterations `run` takes, writes no file and reports a day gap within 1%."""
+    import evmarket.cli
 
+    negotiate_window = evmarket.cli.negotiate_window
+    iterations = []
 
-def test_verify_respects_oracle_cap(small_file, capsys):
-    # the one-slot instance has small welfare, so tighten the balance to keep
-    # the relative gap meaningful
-    code = main(
-        [
-            "verify",
-            str(small_file),
-            "--oracle-cap",
-            "1",
-            "--set",
-            "solver.balance_tolerance=0.005",
-        ]
-    )
-    assert code == 0
-    assert "window 1 slots" in capsys.readouterr().out
+    def counted(state, config):
+        result = negotiate_window(state, config)
+        iterations.append(result.iterations)
+        return result
 
-
-@pytest.mark.parametrize("cap", ["0", "-5"])
-def test_verify_rejects_an_oracle_cap_below_one(small_file, capsys, cap):
-    assert main(["verify", str(small_file), "--oracle-cap", cap]) == 1
+    monkeypatch.setattr(evmarket.cli, "negotiate_window", counted)
+    monkeypatch.chdir(small_file.parent)
+    assert main(["verify", str(small_file)]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: --oracle-cap must be at least 1, got {cap}\n"
+    assert err == ""
+    assert sorted(p.name for p in small_file.parent.iterdir()) == ["small.scenario"]
+    day = run(parse_scenario(small_file.read_bytes()))
+    assert iterations == [rec.iterations for rec in day.records]
+    head, sums, residuals = out.splitlines()
+    assert head.startswith(f"2 slots, {sum(iterations)} dual iterations, ")
+    assert head.endswith("flagged slots 0")
+    relative = float(re.search(r"\(relative ([^)]+)\)", sums).group(1))
+    assert 0.0 <= relative <= 0.01
+    agents = [float(v) for v in re.findall(r"residual ([-+.e\d]+)", residuals)]
+    assert len(agents) == 2 and max(agents) < 1e-9
+
+
+def test_verify_names_slots_whose_demand_leaves_the_generation_box(small_file, capsys):
+    """5 kW of generation cannot serve 9 kWh in two 15-minute slots: no price
+    clears either slot, so `verify` certifies neither, names both with their
+    overshoot and exits 2."""
+    assert main(["verify", str(small_file), "--set", "dso.power_max=5"]) == 2
+    out, err = capsys.readouterr()
+    assert "flagged slots 2" in out
+    named = re.findall(r"^error: slot (\d) not certified: demand leaves the generation box", err, re.M)
+    assert named == ["0", "1"]
 
 
 @pytest.mark.parametrize(
@@ -141,7 +152,7 @@ def test_verify_rejects_an_oracle_cap_below_one(small_file, capsys, cap):
         (["run"], "the following arguments are required: scenario"),
         (["run", "{small}", "--bogus"], "unrecognized arguments: --bogus"),
         (["run", "{small}", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
-        (["verify", "{small}", "--oracle-cap", "x"], "argument --oracle-cap: invalid int"),
+        (["verify", "{small}", "--oracle-cap", "1"], "unrecognized arguments: --oracle-cap 1"),
         ([], "the following arguments are required: command"),
     ],
 )
@@ -346,8 +357,8 @@ def test_late_nan_imbalance_flags_the_slot(tmp_path, small_file, capsys, monkeyp
 
 
 def test_late_supplier_failure_in_verify_names_the_error(small_file, capsys, monkeypatch):
-    """`verify` settles at the iteration before a late supplier failure, still
-    compares welfare, and names the failure on stderr with exit 2."""
+    """A supplier failure at the day's 11th call settles slot 0 at iteration
+    9; `verify` flags that slot with `run`'s error line and exits 2."""
     import evmarket.coordinator
 
     solve_dso = evmarket.coordinator.solve_dso
@@ -363,7 +374,7 @@ def test_late_supplier_failure_in_verify_names_the_error(small_file, capsys, mon
     monkeypatch.setattr(evmarket.coordinator, "solve_dso", supplier_failing_on_call_11)
     assert main(["verify", str(small_file)]) == 2
     captured = capsys.readouterr()
-    assert "9 dual iterations" in captured.out
+    assert "flagged slots 1" in captured.out
     assert captured.err == (
-        "error: settled at iteration 9: supplier solve stalled at residual 1.000e+00\n"
+        "error: slot 0 settled at iteration 9: supplier solve stalled at residual 1.000e+00\n"
     )

@@ -17,10 +17,10 @@ from evmarket import (
     update_price,
 )
 from evmarket.dso_agent import ConvergenceError, DSOSolution
-from evmarket.oracle import welfare
 
 from bruteforce import random_feasible_ev
 from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
+from oracle import welfare
 
 
 def make_dso_sub(

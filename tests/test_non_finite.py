@@ -136,9 +136,15 @@ def test_overflowing_price_update_flags_the_slot(tmp_path, capsys, scenario_file
 
 
 def test_overflowing_price_update_in_verify(capsys):
+    """`verify` names each slot an overflowing price update settled with
+    `run`'s error line, still prints finite figures and exits 2."""
     assert main(["verify", str(SMALL), "--set", "solver.step_size=1e308"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: settled at iteration ") and "overflowed (inf)" in err
+    out, err = capsys.readouterr()
+    assert "flagged slots 2" in out and not re.search(r"\b(inf|nan)\b", out)
+    assert len(err.splitlines()) == 2
+    for slot, line in enumerate(err.splitlines()):
+        settled = rf"error: slot {slot} settled at iteration (\d+): "
+        assert re.fullmatch(settled + r"price update overflowed \(inf\) at iteration \1", line)
 
 
 def test_overflowing_warm_start_is_rejected(tmp_path, capsys):

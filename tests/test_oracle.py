@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
 
-from evmarket import (
-    CentralProblem,
-    DSOSpec,
-    DSOSubproblem,
-    TimeGrid,
-    negotiate_slot,
-    solve_central,
-)
-from evmarket.oracle import welfare
+from evmarket import DSOSpec, DSOSubproblem, TimeGrid, negotiate_slot
 
 from bruteforce import random_feasible_ev
 from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
+from oracle import CentralProblem, solve_central, welfare
 
 
 def make_problem(sessions, window_len=None, dso=TABLE1_DSO, storage=TABLE1_STORAGE):
