@@ -104,15 +104,12 @@ def _apply_override(scenario: Scenario, spec: str) -> Scenario:
 
 
 def _load_scenario(args) -> Scenario:
-    text = Path(args.scenario).read_bytes()
-    scenario = parse_scenario(text)
+    """The scenario file with the overrides applied; the simulation validates it."""
+    scenario = parse_scenario(Path(args.scenario).read_bytes())
     for spec in getattr(args, "overrides", []):
         scenario = _apply_override(scenario, spec)
     if getattr(args, "seed", None) is not None:
         scenario = _apply_override(scenario, f"seed={args.seed}")
-    report = validate_scenario(scenario)
-    if not report.ok:
-        raise ScenarioValidationError(report)
     return scenario
 
 
@@ -171,7 +168,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_validate(args) -> int:
     # main reports unreadable files (exit 3) and malformed text (exit 1).
-    scenario = parse_scenario(Path(args.scenario).read_bytes(), validate=False)
+    scenario = parse_scenario(Path(args.scenario).read_bytes())
     report = validate_scenario(scenario)
     if report.ok:
         try:

@@ -19,7 +19,7 @@ demand, the supply and the residual are lists of floats, and the price update
 (its clip at zero written out inline) and the residual norm are float loops
 with NumPy's arithmetic, NaN included.  On lists this short a zip, a range or
 a comprehension costs more than the arithmetic, so these loops index with a
-counter, and the loop works its constant step out once.
+counter.
 One :class:`DualIterationState` per evaluation holds the lists and the
 agents' solutions; the loop warm-starts each evaluation from the last one and
 returns the state it settled at.  The validated
@@ -51,10 +51,10 @@ __all__ = [
 class ConvergenceConfig:
     """Settings of the price-adjustment loop.
 
-    ``step_size`` is in price units per kW of imbalance.  With the
-    :data:`~evmarket.model.DIMINISHING` schedule the step at iteration ``k``
-    is ``step_size / sqrt(k + 1)``.  The settings must pass
-    :func:`~evmarket.model.loop_problems`; the first rule broken is raised.
+    ``step_size`` is in price units per kW of imbalance; the loop steps by
+    it at every iteration, the :data:`~evmarket.model.CONSTANT` schedule.
+    The settings must pass :func:`~evmarket.model.loop_problems`; the first
+    rule broken is raised.
     """
 
     step_size: float = 0.005
@@ -65,11 +65,6 @@ class ConvergenceConfig:
     def __post_init__(self) -> None:
         for problem in loop_problems(self):
             raise ValueError(problem)
-
-    def step_at(self, k: int) -> float:
-        if self.step_schedule == CONSTANT:
-            return self.step_size
-        return self.step_size / math.sqrt(k + 1)
 
 
 @dataclass(eq=False)
@@ -243,8 +238,6 @@ def negotiate_slot(
     history: list[float] = []
     state = None
     supplier_error = None
-    # The constant schedule's step, worked out once (None: diminishing).
-    step = config.step_size if config.step_schedule == CONSTANT else None
     for k in range(config.max_iterations + 1):
         try:
             next_state = evaluate_dual(prices, sessions, dso_sub, eps, state)
@@ -264,7 +257,7 @@ def negotiate_slot(
         history.append(norm)
         if norm <= config.balance_tolerance or k == config.max_iterations:
             break
-        prices = update_price(prices, state.residual_values, step or config.step_at(k))
+        prices = update_price(prices, state.residual_values, config.step_size)
         if math.inf in prices:
             # No agent is solved at an infinite price: the slot settles here.
             supplier_error = f"price update overflowed (inf) at iteration {k}"

@@ -13,14 +13,14 @@ generation box, the clip written out with NumPy's rules for ties, signed zeros
 and NaN.  Otherwise primal-dual active-set rounds solve it (Hintermüller, Ito
 & Kunisch, SIAM J. Optim. 2002).  A :class:`DSOWorkspace`, built on a
 negotiation's first solve and handed on by each solution, holds what the
-price rounds share: the boxes as floats, the storage block's linear term and,
-per active set met (:class:`_ActiveSet`), the free and held entries and the
-elimination of its Newton system.  In the stored energy after each slot and
-its costate, that system is tridiagonal, one row per slot, the structure
-fast MPC solvers exploit (Rao, Wright & Rawlings, J. Optim. Theory Appl.
-1998).  A Riccati recursion eliminates it from the last slot once per set,
-so on an active set the one Newton step is one backward and one forward
-sweep in plain floats: O(n), with no matrix built or inverted.
+price rounds share: the boxes as floats and the storage block's linear
+term.  Each round's active set (:class:`_ActiveSet`) holds its free and held
+entries and the elimination of its Newton system.  In the stored energy after
+each slot and its costate, that system is tridiagonal, one row per slot, the
+structure fast MPC solvers exploit (Rao, Wright & Rawlings, J. Optim. Theory
+Appl. 1998).  A Riccati recursion eliminates it from the last slot as the
+set is built, so on an active set the one Newton step is one backward and
+one forward sweep in plain floats: O(n), with no matrix built or inverted.
 
 The first set comes from the start: the last price round's solution carries
 its own, and a slot's first call reads it off the zero point, each entry
@@ -155,10 +155,6 @@ def storage_tracking_penalty(
 # 309 rounds on a 47-slot window.
 _ROUNDS_PER_ENTRY = 8
 
-# A negotiation stores each active set it meets, with its elimination, for
-# its later rounds, up to this many, so a long-running process stays small.
-_MAX_SETS = 512
-
 
 class DSOWorkspace:
     """What one negotiation's active-set rounds share: all but the prices.
@@ -167,8 +163,7 @@ class DSOWorkspace:
     ``z = (P_l, P_s)``, with ``g = (price - linear_cost, storage_g)``.
     Built on the first solve of a subproblem and handed on by each
     :class:`DSOSolution`, it holds the box as float lists (``lower``,
-    ``upper``), the storage block of ``g`` and, in ``sets``, the
-    active sets the negotiation has met, keyed by sides (see :meth:`set_for`).
+    ``upper``) and the storage block of ``g``.
     """
 
     def __init__(self, sub: DSOSubproblem):
@@ -189,7 +184,6 @@ class DSOWorkspace:
         # is c, ``tracking`` is r and ``overlap[i, j] = n - max(i, j)``.
         self.coupling = 2.0 * dso.cost_quadratic
         self.tracking = self.weight * self.rate
-        self.sets: dict[tuple[int, ...], _ActiveSet] = {}
 
     def active_set(self, point: list[float]) -> _ActiveSet:
         """The active set of ``point``: each entry on or past a bound held
@@ -199,19 +193,7 @@ class DSOWorkspace:
         sides = tuple(
             -1 if v <= lower[i] else 1 if v >= upper[i] else 0 for i, v in enumerate(point)
         )
-        return self.set_for(sides)
-
-    def set_for(self, sides: tuple[int, ...]) -> _ActiveSet:
-        """The active set holding entry ``i`` on its lower bound where
-        ``sides[i]`` is -1, on its upper bound where it is 1, and free where
-        it is 0.  Stored for the negotiation's later rounds until ``sets``
-        holds ``_MAX_SETS``; past that a new set is built on each call."""
-        found = self.sets.get(sides)
-        if found is None:
-            found = _ActiveSet(self, sides)
-            if len(self.sets) < _MAX_SETS:
-                self.sets[sides] = found
-        return found
+        return _ActiveSet(self, sides)
 
     def certificate(self, point: list[float], lam: list[float]) -> float:
         """The projected-stationarity residual of ``point`` at ``lam``:
@@ -303,9 +285,10 @@ class _ActiveSet:
     """One active set of a negotiation and the elimination of its Newton
     system, which does not move with the prices.
 
-    ``sides`` is the key it is stored under (see :meth:`DSOWorkspace.set_for`),
-    ``free`` lists the free entries in ascending order and ``base`` is a point
-    with the held entries on their bounds.  The Newton point sets the free
+    ``sides`` holds entry ``i`` on its lower bound where it is -1, on its
+    upper bound where it is 1 and free where it is 0; ``free`` lists the
+    free entries in ascending order and ``base`` is a point with the held
+    entries on their bounds.  The Newton point sets the free
     entries' gradient to zero.  Write ``e_t`` for the stored energy's
     deviation after slot ``t`` (``e_t = e_(t-1) - d s_t`` from ``e_-1``, the
     workspace's ``drift``, with ``d`` its ``rate``) and ``P_t = q (e_t + ... +
@@ -514,7 +497,7 @@ def _rounds(
                     break
             else:
                 break
-        active = ws.set_for(sides)
+        active = _ActiveSet(ws, sides)
     raise ConvergenceError(
         f"supplier solve stalled at residual {residual:.3e} in round {rounds} of {bound}",
         residual,

@@ -217,11 +217,6 @@ class EVBatchWorkspace:
         past departure."""
         return np.where(self.mask, np.asarray(prices)[: self.width], _PAD_PRICE)
 
-    @property
-    def lam(self) -> np.ndarray:
-        """The loaded prices as a padded matrix, built on each access."""
-        return self.padded(self.prices)
-
     def _saturated(self, energy_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Requirements at (or beyond) the upper and the lower box face, and the
         rest.  The flags are cached per tolerance, so they are read-only."""

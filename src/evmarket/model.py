@@ -271,14 +271,23 @@ class ScenarioValidationError(ValueError):
         self.report = report
 
 
-# The price loop's step schedules (see ``ConvergenceConfig.step_at``).
-CONSTANT, DIMINISHING = STEP_SCHEDULES = ("constant", "diminishing")
+# The price loop's step schedules; ``constant`` steps by ``step_size`` at
+# every iteration.
+(CONSTANT,) = STEP_SCHEDULES = ("constant",)
 
 
 def nonnegative(value: int) -> str | None:
     """What is wrong with a scenario ``seed``, else None: the seed's schema
     row and :func:`validate_scenario` both check it with this rule."""
     return None if value >= 0 else "must be nonnegative"
+
+
+def known_schedule(value: str) -> str | None:
+    """What is wrong with a ``step_schedule``, else None: its schema row and
+    :func:`loop_problems` both check it with this rule."""
+    if value in STEP_SCHEDULES:
+        return None
+    return f"must be {' or '.join(map(repr, STEP_SCHEDULES))}"
 
 
 def loop_problems(loop) -> list[str]:
@@ -293,8 +302,9 @@ def loop_problems(loop) -> list[str]:
         out.append("step_size, balance_tolerance and max_iterations must be finite")
     if not loop.max_iterations >= 1:
         out.append("max_iterations must be at least 1")
-    if loop.step_schedule not in STEP_SCHEDULES:
-        out.append(f"step_schedule must be {' or '.join(map(repr, STEP_SCHEDULES))}")
+    problem = known_schedule(loop.step_schedule)
+    if problem:
+        out.append(f"step_schedule {problem}")
     return out
 
 

@@ -295,6 +295,8 @@ def _final_energy(
 
 
 def _simulate(scenario: Scenario, policy) -> SimulationTrace:
+    """The day of ``scenario`` under ``policy``; every command that simulates
+    validates the scenario here, and only here."""
     report = validate_scenario(scenario)
     if not report.ok:
         raise ScenarioValidationError(report)

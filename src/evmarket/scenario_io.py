@@ -18,7 +18,9 @@ missing section means no storage, i.e. both power bounds zero), ``solver``
 ``ev`` sections for explicit sessions.  ``seed`` is the only top-level key.
 Every entry is one row of :data:`SCHEMA`, which parsing, writing and the
 command line's ``--set`` all read.  Unknown sections or keys are errors, as
-are missing required keys and invariant violations.
+are missing required keys and values that fail their entry's check.  The
+invariants are not parsing's concern: :func:`~evmarket.model.validate_scenario`
+checks them when a run starts, after the command line's overrides.
 
 Everything downstream is deterministic: one seeded generator, fixed iteration
 order, fixed numeric formatting, so traces are byte-identical across runs.
@@ -40,8 +42,9 @@ from .model import (
     StorageSpec,
     Tolerances,
     ValidationReport,
+    known_schedule,
     nonnegative,
-    validate_scenario,
+    validate_scenario,  # noqa: F401 -- bench/run.py wraps it here by name
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -197,7 +200,7 @@ SCHEMA = (
     Entry("solver", "step_size", "step_size", float),
     Entry("solver", "balance_tolerance", "balance_tolerance", float),
     Entry("solver", "max_iterations", "max_iterations", int),
-    Entry("solver", "step_schedule", "step_schedule", str),
+    Entry("solver", "step_schedule", "step_schedule", str, None, known_schedule),
     Entry("solver", "kkt_tolerance", "kkt_tolerance", float),
     Entry("solver", "energy_tolerance", "energy_tolerance", float),
     Entry("fleet", "count", "count", int, REQUIRED),
@@ -294,8 +297,9 @@ def _arguments(section: str, line: int | None, block: dict) -> dict:
     return block
 
 
-def parse_scenario(text: str | bytes, validate: bool = True) -> Scenario:
-    """Parse scenario text; with ``validate`` raise on invariant violations."""
+def parse_scenario(text: str | bytes) -> Scenario:
+    """Parse scenario text, raising :class:`ScenarioFormatError` on the first
+    malformed line; the scenario is not validated (see the module notes)."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -313,13 +317,7 @@ def parse_scenario(text: str | bytes, validate: bool = True) -> Scenario:
             kwargs[attr] = tuple(built)
         elif built:
             kwargs[attr] = built[0]
-    scenario = Scenario(**kwargs)
-
-    if validate:
-        report = validate_scenario(scenario)
-        if not report.ok:
-            raise ScenarioValidationError(report)
-    return scenario
+    return Scenario(**kwargs)
 
 
 def _entry_lines(section: str, owner, indent: str = "  ") -> list[str]:

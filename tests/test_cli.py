@@ -9,6 +9,8 @@ from evmarket import parse_scenario, run
 from evmarket.cli import main
 from evmarket.dso_agent import ConvergenceError
 
+from conftest import SCENARIO_DIR
+
 SMALL = """
 seed = 3
 grid:
@@ -210,6 +212,39 @@ def test_set_override_validates(tmp_path, small_file):
         ["run", str(small_file), "--out", str(tmp_path / "x"), "--set", "dso.quadratic_cost=-1"]
     )
     assert code == 1
+
+
+def test_overrides_apply_before_validation(tmp_path, capsys):
+    """An override can repair a file entry: the scenario is validated once
+    the overrides are applied, not as the file is parsed."""
+    text = (SCENARIO_DIR / "small.scenario").read_text()
+    path = tmp_path / "negative-step.scenario"
+    path.write_text(text.replace("  initial_price = 16\n", "  initial_price = 16\n  step_size = -1\n"))
+    assert_rejected(path, capsys, "solver: step_size must be positive")
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out), "--set", "solver.step_size=0.001"]) == 0
+    assert (out / "summary.csv").exists()
+
+
+def test_run_validates_the_scenario_once(tmp_path, small_file, monkeypatch):
+    """``evmarket run`` checks the invariants at one point, the simulation's
+    start, wherever ``validate_scenario`` is imported."""
+    import evmarket.cli
+    import evmarket.model
+    import evmarket.mpc_loop
+    import evmarket.scenario_io
+
+    calls = []
+    validate = evmarket.model.validate_scenario
+
+    def spied(scenario):
+        calls.append(scenario)
+        return validate(scenario)
+
+    for module in (evmarket.cli, evmarket.model, evmarket.mpc_loop, evmarket.scenario_io):
+        monkeypatch.setattr(module, "validate_scenario", spied)
+    assert main(["run", str(small_file), "--out", str(tmp_path / "o"), "--seed", "4"]) == 0
+    assert len(calls) == 1 and calls[0].seed == 4
 
 
 def assert_rejected(path, capsys, message, *overrides):

@@ -160,16 +160,6 @@ def test_nonconvergence_is_flagged_not_raised():
     assert len(result.residual_history) == 4
 
 
-def test_diminishing_schedule_best_residual_monotone():
-    ev = make_session(departure=2, energy=8.0)
-    config = ConvergenceConfig(step_size=0.01, step_schedule="diminishing", max_iterations=400)
-    result = negotiate_slot([ev], make_dso_sub(2), 4.0, config=config)
-    history = np.array(result.residual_history)
-    best = np.minimum.accumulate(history)
-    assert np.all(np.diff(best) <= 0)
-    assert best[-1] < history[0]
-
-
 def test_warm_start_negative_price_is_clipped():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
     result = negotiate_slot([], make_dso_sub(1, dso=dso), warm_start_price=-3.0)

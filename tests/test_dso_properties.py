@@ -334,7 +334,7 @@ def test_rounds_after_a_large_price_move_match_the_cold_solve(market, data):
     point, residual, active = dso_agent._rounds(ws, start.active, prices, REFERENCE_EPS)
     assert residual <= REFERENCE_EPS.kkt
     assert all(lo <= v <= hi for lo, v, hi in zip(ws.lower, point, ws.upper))
-    assert active is ws.active_set(point)
+    assert active.sides == ws.active_set(point).sides
     cold = solve_dso(sub, prices, eps=REFERENCE_EPS)
     np.testing.assert_allclose(point, cold.point, rtol=0.0, atol=1e-9)
     check_warm_against_cold(sub, prices, start)
@@ -572,7 +572,7 @@ def test_active_set_newton_point_matches_the_dense_formula(case):
     relative to the largest entry."""
     sub, sides, prices = case
     ws = DSOWorkspace(sub)
-    fast = ws.set_for(sides).newton(prices, ws.lin)
+    fast = dso_agent._ActiveSet(ws, sides).newton(prices, ws.lin)
     at_lo, at_hi = np.array(sides) < 0, np.array(sides) > 0
     system = newton_system(sub, ~(at_lo | at_hi))
     assert (fast is None) == (system is None)
@@ -584,26 +584,3 @@ def test_active_set_newton_point_matches_the_dense_formula(case):
     dense[idx] = inverse @ (g[idx] - q_fixed @ dense[fixed])
     fast = np.array(fast)
     assert np.all(np.abs(fast - dense) <= NEWTON_TOL * (1.0 + np.abs(dense).max()))
-
-
-def test_active_set_store_stops_at_its_bound(monkeypatch):
-    """A negotiation's warm solves on table1's supplier store each active
-    set met until the store holds ``_MAX_SETS``; lowered, the store stops
-    there and every answer stays the same."""
-    sub = storage_sub(8)
-    rng = np.random.default_rng(16)
-    rounds = [rng.uniform(0.0, 12.0, size=8).tolist() for _ in range(40)]
-
-    def negotiate():
-        answers, sol = [], None
-        for prices in rounds:
-            sol = solve_dso(sub, prices, start=sol)
-            answers.append((sol.generation_values, sol.storage_values, sol.kkt_residual))
-        return answers, sol.workspace.sets
-
-    free, sets = negotiate()
-    assert len(sets) > 3
-    monkeypatch.setattr(dso_agent, "_MAX_SETS", 3)
-    bounded, sets = negotiate()
-    assert len(sets) == 3
-    assert bounded == free

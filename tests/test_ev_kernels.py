@@ -216,10 +216,11 @@ def test_nonpositive_effective_price_and_zero_slope():
     ses, window = make_vehicle(3, power_max=30.0, weight=0.1, energy=10.0)
     ws = EVBatchWorkspace([ses], window)
     ws.load_prices([0.0, 3.0, 1.0])
-    mu_low = (ws.clamp_hi_price - ws.lam.max(axis=1)) / ws.rate - 1.0
-    q = ws.lam + (mu_low * ws.rate)[:, None]
+    lam = ws.padded(ws.prices)
+    mu_low = (ws.clamp_hi_price - lam.max(axis=1)) / ws.rate - 1.0
+    q = lam + (mu_low * ws.rate)[:, None]
     assert (q <= 0).any()
-    slope = ws._slope(*ws._power_at(mu_low, ws.lam)[:2])
+    slope = ws._slope(*ws._power_at(mu_low, lam)[:2])
     assert slope[0] == 0.0
     for max_iter in (1, 2, 200):
         assert_same(ws, ([-1e6], [True]), max_iter)

@@ -213,7 +213,6 @@ def markets(draw):
     config = ConvergenceConfig(
         step_size=draw(st.sampled_from([0.0005, 0.002, 0.01])),
         max_iterations=draw(st.integers(1, 40)),
-        step_schedule=draw(st.sampled_from(["constant", "diminishing"])),
     )
     warm = draw(st.floats(0.0, 8.0))
     return sessions, dso_sub(n, dso=dso, storage=storage), warm, config

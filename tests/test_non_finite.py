@@ -99,7 +99,7 @@ def test_tolerances_reject_nan_and_minus_inf(name, value):
 def test_convergence_config_raises_the_first_rule_broken():
     with pytest.raises(ValueError, match="^step_size must be positive$"):
         ConvergenceConfig(step_size=0.0, balance_tolerance=0.0)
-    with pytest.raises(ValueError, match="^step_schedule must be 'constant' or 'diminishing'$"):
+    with pytest.raises(ValueError, match="^step_schedule must be 'constant'$"):
         ConvergenceConfig(step_schedule="adaptive")
 
 

@@ -4,10 +4,10 @@ import pytest
 
 from evmarket import (
     ScenarioFormatError,
-    ScenarioValidationError,
     generate_evs,
     parse_scenario,
     resolve_sessions,
+    validate_scenario,
     write_scenario,
     write_trace,
 )
@@ -100,11 +100,10 @@ def test_invalid_loss_fraction_is_invariant_violation():
         "\nev:\n  id = a\n  arrival = 0\n  departure = 2\n"
         "  power_max = 22\n  weight = 10\n  loss_fraction = 1.2\n  energy = 2\n"
     )
-    with pytest.raises(ScenarioValidationError, match="loss fraction"):
-        parse_scenario(text)
-    # without validation the scenario still parses
-    scn = parse_scenario(text, validate=False)
+    # Parsing checks no invariant; validation names the broken one.
+    scn = parse_scenario(text)
     assert scn.evs[0].loss_fraction == 1.2
+    assert validate_scenario(scn).violations == ("ev a: loss fraction must lie in [0, 1)",)
 
 
 def test_duplicate_section_rejected():

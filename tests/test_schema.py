@@ -36,6 +36,7 @@ from evmarket.scenario_io import (
     SolverConfig,
 )
 
+from conftest import SCENARIO_DIR
 from test_cli import SMALL
 
 FLEET = "fleet:\n  count = 3\n  power_max = 22\n  weight = 10\n"
@@ -148,7 +149,6 @@ def scenarios(draw):
             step_size=draw(floats(1e-4, 4e-3)),
             balance_tolerance=draw(floats(0.2, 5.0)),
             max_iterations=draw(st.integers(1, 1999)),
-            step_schedule="diminishing",
             kkt_tolerance=draw(floats(1e-12, 1e-7)),
             energy_tolerance=draw(floats(1e-12, 1e-7)),
         ),
@@ -166,7 +166,8 @@ def owners(scenario, section):
 @given(scenarios())
 def test_written_scenario_parses_back_to_itself(scenario):
     for entry in SCHEMA:
-        if entry.default is REQUIRED:
+        # step_schedule has one legal value, its default.
+        if entry.default is REQUIRED or entry.key == "step_schedule":
             continue
         default = own_default(entry) if entry.default is None else entry.default
         section_owners = owners(scenario, entry.section) if entry.section else (scenario,)
@@ -176,9 +177,10 @@ def test_written_scenario_parses_back_to_itself(scenario):
 
 
 def changed(value):
-    """A different value of the same type that keeps SMALL plus FLEET valid."""
+    """A different value of the same type that keeps SMALL plus FLEET valid;
+    the one string entry, step_schedule, has one legal value."""
     if isinstance(value, str):
-        return "diminishing"
+        return value
     if isinstance(value, int):
         return value + 1
     return value / 2 if value else 0.25
@@ -238,6 +240,27 @@ def test_negative_seed_fails_validation_in_the_python_api():
     assert report.violations == ("seed must be nonnegative",)
     with pytest.raises(ScenarioValidationError, match="seed must be nonnegative"):
         run(scenario)
+
+
+def test_unknown_step_schedule_is_rejected_by_its_entry(tmp_path, capsys):
+    """The step schedule's row and ``validate_scenario`` share one rule: a
+    schedule other than ``constant`` fails at its line in a file, by name
+    from ``--set`` and as a violation in the Python API."""
+    text = (SCENARIO_DIR / "table1.scenario").read_text()
+    path = tmp_path / "diminishing.scenario"
+    path.write_text(text.replace("step_schedule = constant", "step_schedule = diminishing"))
+    message = "solver.step_schedule must be 'constant', got 'diminishing'\n"
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+        assert main(command) == 1
+        assert capsys.readouterr().err == "error: line 26: " + message
+    override = ["--set", "solver.step_schedule=diminishing"]
+    small = str(SCENARIO_DIR / "small.scenario")
+    assert main(["run", small, "--out", str(tmp_path / "o"), *override]) == 1
+    assert capsys.readouterr().err == "error: " + message
+    scenario = parse_scenario(text)
+    solver = dataclasses.replace(scenario.solver, step_schedule="diminishing")
+    report = validate_scenario(dataclasses.replace(scenario, solver=solver))
+    assert report.violations == ("solver: step_schedule must be 'constant'",)
 
 
 def with_first_id(value):
