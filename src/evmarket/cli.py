@@ -121,9 +121,9 @@ def _cmd_verify(args) -> int:
     scenario = _load_scenario(args)
     slots = []  # (slot, D, gap, demand overshoot in kW, EV and supplier residuals)
 
-    def certified(state, config):
-        result = negotiate_window(state, config)
-        lo, hi = config.dso.power_min, config.dso.power_max
+    def certified(state, scenario):
+        result = negotiate_window(state, scenario)
+        lo, hi = scenario.dso.power_min, scenario.dso.power_max
         over = max(max(d - hi, lo - d) for d in result.demand_values)
         ev = max(map(stationarity_residual, result.ev_solutions), default=0.0)
         kkt = result.dso_solution.kkt_residual

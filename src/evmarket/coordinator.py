@@ -35,36 +35,15 @@ from typing import Sequence
 
 from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
 from .ev_agent import EVBatchWorkspace, EVSolution
-from .model import CONSTANT, EVSession, PowerProfile, PriceVector, Tolerances
+from .model import EVSession, PowerProfile, PriceVector, SolverConfig, Tolerances
 from .model import loop_problems, max_abs
 
 __all__ = [
-    "ConvergenceConfig",
     "DualIterationState",
     "update_price",
     "evaluate_dual",
     "negotiate_slot",
 ]
-
-
-@dataclass(frozen=True)
-class ConvergenceConfig:
-    """Settings of the price-adjustment loop.
-
-    ``step_size`` is in price units per kW of imbalance; the loop steps by
-    it at every iteration, the :data:`~evmarket.model.CONSTANT` schedule.
-    The settings must pass :func:`~evmarket.model.loop_problems`; the first
-    rule broken is raised.
-    """
-
-    step_size: float = 0.005
-    balance_tolerance: float = 0.1
-    max_iterations: int = 2000
-    step_schedule: str = CONSTANT
-
-    def __post_init__(self) -> None:
-        for problem in loop_problems(self):
-            raise ValueError(problem)
 
 
 @dataclass(eq=False)
@@ -208,17 +187,18 @@ def negotiate_slot(
     sessions: Sequence[EVSession],
     dso_sub: DSOSubproblem,
     warm_start_price: float,
-    config: ConvergenceConfig = ConvergenceConfig(),
-    eps: Tolerances = Tolerances(),
+    solver: SolverConfig = SolverConfig(),
 ) -> DualIterationState:
     """Run the price loop for one slot from a constant warm-start vector.
 
-    The vehicles ``sessions`` and the supplier share ``dso_sub.window``; a
-    warm-start price that is not finite raises ``ValueError``.  The price is
-    all the loop takes from earlier slots: the agents' first solves start
-    from scratch.  Iterates agent solves and price updates until the worst
-    per-slot imbalance is within ``config.balance_tolerance`` or
-    ``config.max_iterations`` price updates have been spent, and returns the
+    The vehicles ``sessions`` and the supplier share ``dso_sub.window``.  The
+    first rule of :func:`~evmarket.model.loop_problems` that ``solver``
+    breaks, or a warm-start price that is not finite, raises ``ValueError``.
+    The price is all the loop takes from earlier slots: the agents' first
+    solves start from scratch, to ``solver``'s tolerances.  Iterates agent
+    solves and price updates by ``solver.step_size`` until the worst
+    per-slot imbalance is within ``solver.balance_tolerance`` or
+    ``solver.max_iterations`` price updates have been spent, and returns the
     state of the iteration it settled at, with its outcome fields set.  The
     returned powers and dual value therefore always come from a full agent
     solve at the returned prices.
@@ -232,17 +212,21 @@ def negotiate_slot(
     iteration ``k`` that overflows to ``inf`` is never broadcast: the state of
     iteration ``k`` is returned, flagged the same way.
     """
+    for problem in loop_problems(solver):
+        raise ValueError(problem)
     if not math.isfinite(warm_start_price):
         raise ValueError(f"warm-start price must be finite, not {warm_start_price}")
+    eps = Tolerances(solver.kkt_tolerance, solver.energy_tolerance)
+    tolerance = solver.balance_tolerance
     prices = [max(warm_start_price, 0.0)] * dso_sub.window.length
     history: list[float] = []
     state = None
     supplier_error = None
-    for k in range(config.max_iterations + 1):
+    for k in range(solver.max_iterations + 1):
         try:
             next_state = evaluate_dual(prices, sessions, dso_sub, eps, state)
             norm = max_abs(next_state.residual_values)
-            if not norm <= config.balance_tolerance and not math.isfinite(norm):
+            if not norm <= tolerance and not math.isfinite(norm):
                 message = f"non-finite balance residual ({norm}) at iteration {k}"
                 raise ConvergenceError(message, norm)
         except ConvergenceError as exc:
@@ -255,16 +239,16 @@ def negotiate_slot(
             break
         state = next_state
         history.append(norm)
-        if norm <= config.balance_tolerance or k == config.max_iterations:
+        if norm <= tolerance or k == solver.max_iterations:
             break
-        prices = update_price(prices, state.residual_values, config.step_size)
+        prices = update_price(prices, state.residual_values, solver.step_size)
         if math.inf in prices:
             # No agent is solved at an infinite price: the slot settles here.
             supplier_error = f"price update overflowed (inf) at iteration {k}"
             break
 
     assert state is not None
-    state.converged = history[-1] <= config.balance_tolerance
+    state.converged = history[-1] <= tolerance
     state.residual_history = tuple(history)
     state.supplier_error = supplier_error
     return state

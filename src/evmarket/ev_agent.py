@@ -170,8 +170,11 @@ class EVBatchWorkspace:
     every price update; only the prices change between calls, so everything
     else the solve needs is built here once.  Every vehicle must depart inside
     the window: ``window.start < departure <= window.end``, else ``ValueError``.
+    Extreme slot lengths overflow the precomputed rates quietly, as in the
+    solve.
     """
 
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def __init__(self, sessions: Sequence[EVSession], window: TimeGrid):
         if not sessions:
             raise ValueError("workspace needs at least one vehicle")

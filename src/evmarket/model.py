@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "PowerProfile",
     "SlotRecord",
     "Tolerances",
+    "SolverConfig",
     "ValidationReport",
     "ScenarioValidationError",
     "remaining_energy_after",
@@ -78,9 +80,9 @@ class EVSession:
     stores ``(1 - loss_fraction) * slot_hours * p`` kWh.
 
     Invariants (checked by :func:`validate_scenario`, not the constructor):
-    arrival <= departure, 0 <= power_min <= power_max, energy_needed >= 0,
-    0 <= loss_fraction < 1, weight > 0 (the utility's slope at zero power,
-    by which the water-filling solve divides).
+    integer arrival <= departure <= the day's slot count, 0 <= power_min <=
+    power_max, energy_needed >= 0, 0 <= loss_fraction < 1, weight > 0 (the
+    utility's slope at zero power, by which the water-filling solve divides).
     """
 
     ev_id: str
@@ -222,6 +224,33 @@ class Tolerances:
             raise ValueError("tolerances must be positive")
 
 
+# The price loop's step schedules; ``constant`` steps by ``step_size`` at
+# every iteration.
+(CONSTANT,) = STEP_SCHEDULES = ("constant",)
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Settings of the negotiation, the scenario's ``solver`` section.
+
+    The first slot's price loop starts at ``initial_price`` (euro cent per
+    kWh).  The loop steps by ``step_size``, in price units per kW of
+    imbalance, until the worst per-slot imbalance is within
+    ``balance_tolerance`` or ``max_iterations`` price updates are spent; the
+    agents solve to the slot's :class:`Tolerances`, ``kkt_tolerance`` and
+    ``energy_tolerance``.  :func:`loop_problems` names what is wrong with the
+    settings; :func:`~evmarket.coordinator.negotiate_slot` raises the first.
+    """
+
+    initial_price: float = 16.0
+    step_size: float = 0.005
+    balance_tolerance: float = 0.1
+    max_iterations: int = 2000
+    step_schedule: str = CONSTANT
+    kkt_tolerance: float = Tolerances.kkt
+    energy_tolerance: float = Tolerances.energy
+
+
 def remaining_energy_after(
     energy_needed: float, power: float, loss_fraction: float, slot_hours: float
 ) -> float:
@@ -271,11 +300,6 @@ class ScenarioValidationError(ValueError):
         self.report = report
 
 
-# The price loop's step schedules; ``constant`` steps by ``step_size`` at
-# every iteration.
-(CONSTANT,) = STEP_SCHEDULES = ("constant",)
-
-
 def nonnegative(value: int) -> str | None:
     """What is wrong with a scenario ``seed``, else None: the seed's schema
     row and :func:`validate_scenario` both check it with this rule."""
@@ -290,21 +314,36 @@ def known_schedule(value: str) -> str | None:
     return f"must be {' or '.join(map(repr, STEP_SCHEDULES))}"
 
 
-def loop_problems(loop) -> list[str]:
-    """Every broken rule of the price loop's settings, which ``loop`` holds
-    under their own names; each test holds for legal values, so NaN fails it."""
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer, NumPy's included; an exact ``int``
+    skips the slower abstract-class check."""
+    return type(value) is int or isinstance(value, Integral)
+
+
+def loop_problems(solver: SolverConfig) -> list[str]:
+    """Every broken rule of the negotiation's settings but ``initial_price``,
+    whose rule reads the grid (see :func:`validate_scenario`); each test
+    holds for legal values, so NaN fails it."""
     out = []
-    if not loop.step_size > 0:
+    if not solver.step_size > 0:
         out.append("step_size must be positive")
-    if not loop.balance_tolerance > 0:
+    if not solver.balance_tolerance > 0:
         out.append("balance_tolerance must be positive")
-    if not (loop.step_size < inf and loop.balance_tolerance < inf and loop.max_iterations < inf):
-        out.append("step_size, balance_tolerance and max_iterations must be finite")
-    if not loop.max_iterations >= 1:
+    if not (solver.step_size < inf and solver.balance_tolerance < inf):
+        out.append("step_size and balance_tolerance must be finite")
+    if not _integral(solver.max_iterations):
+        out.append("max_iterations must be an integer")
+    elif not solver.max_iterations >= 1:
         out.append("max_iterations must be at least 1")
-    problem = known_schedule(loop.step_schedule)
+    problem = known_schedule(solver.step_schedule)
     if problem:
         out.append(f"step_schedule {problem}")
+    if not solver.kkt_tolerance > 0:
+        out.append("kkt_tolerance must be positive")
+    if not solver.energy_tolerance > 0:
+        out.append("energy_tolerance must be positive")
+    if not (solver.kkt_tolerance < inf and solver.energy_tolerance < inf):
+        out.append("kkt_tolerance and energy_tolerance must be finite")
     return out
 
 
@@ -333,11 +372,15 @@ def validate_scenario(scenario) -> ValidationReport:
     ``inf``; each test holds for legal values, so NaN fails it.
     """
     out: list[str] = []
+    if not _integral(scenario.seed):
+        out.append("seed must be an integer")
     problem = nonnegative(scenario.seed)
     if problem:
         out.append(f"seed {problem}")
 
     grid = scenario.grid
+    if not _integral(grid.num_slots):
+        out.append("grid: num_slots must be an integer")
     if not grid.num_slots >= 1:
         out.append("grid: num_slots must be at least 1")
     if not grid.slot_minutes > 0:
@@ -381,15 +424,11 @@ def validate_scenario(scenario) -> ValidationReport:
         # The price loop starts from initial_price per kW-slot.
         out.append("solver: initial_price must be finite per kW-slot")
     out += [f"solver: {problem}" for problem in loop_problems(solver)]
-    if not solver.kkt_tolerance > 0:
-        out.append("solver: kkt_tolerance must be positive")
-    if not solver.energy_tolerance > 0:
-        out.append("solver: energy_tolerance must be positive")
-    if not (solver.kkt_tolerance < inf and solver.energy_tolerance < inf):
-        out.append("solver: kkt_tolerance and energy_tolerance must be finite")
 
     fleet = scenario.fleet
     if fleet is not None:
+        if not _integral(fleet.count):
+            out.append("fleet: count must be an integer")
         if not fleet.count >= 0:
             out.append("fleet: count must be nonnegative")
         _check_box(fleet, "fleet", out)
@@ -400,8 +439,12 @@ def validate_scenario(scenario) -> ValidationReport:
         if ev.ev_id in seen:
             out.append(f"{label}: duplicate id")
         seen.add(ev.ev_id)
+        if not (_integral(ev.arrival) and _integral(ev.departure)):
+            out.append(f"{label}: arrival and departure must be integers")
         if not ev.departure >= ev.arrival:
             out.append(f"{label}: empty charging window (departure before arrival)")
+        if not ev.departure <= grid.num_slots:
+            out.append(f"{label}: departure after the horizon")
         _check_box(ev, label, out, ev.energy_needed)
 
     return ValidationReport(tuple(out))

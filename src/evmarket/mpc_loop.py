@@ -2,7 +2,9 @@
 
 Each slot :func:`step` admits arrivals, lets a power policy settle the slot,
 applies only the first sample of every vehicle's power, advances the battery
-states and moves on.  Two policies share that step.  :func:`negotiated` is the
+states and moves on.  The step and the policies read the supplier, the grid
+and the negotiation's settings from the :class:`~evmarket.scenario_io.Scenario`
+itself.  Two policies share that step.  :func:`negotiated` is the
 market: it builds the prediction window up to the latest departure among
 active vehicles and negotiates prices for the whole window; the first element
 of the settled price vector seeds the next slot's negotiation.  Only that
@@ -14,21 +16,19 @@ per kWh when recorded, so traces carry scenario units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .coordinator import ConvergenceConfig, DualIterationState, negotiate_slot
+from .coordinator import DualIterationState, negotiate_slot
 from .dso_agent import DSOSubproblem
 from .model import (
-    DSOSpec,
     EVSession,
     ScenarioValidationError,
     SlotRecord,
     StorageSpec,
     TimeGrid,
-    Tolerances,
     remaining_energy_after,
     validate_scenario,
 )
@@ -36,12 +36,10 @@ from .scenario_io import Scenario, resolve_sessions
 
 __all__ = [
     "SimulationState",
-    "SimulationConfig",
     "TraceSummary",
     "SimulationTrace",
     "Settlement",
     "compute_window",
-    "config_of",
     "initial_state",
     "negotiate_window",
     "settle",
@@ -57,17 +55,6 @@ __all__ = [
 _NO_STORAGE = StorageSpec(
     power_min=0.0, power_max=0.0, energy_initial=0.0, energy_reference=0.0
 )
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Everything the per-slot step needs besides the evolving state."""
-
-    dso: DSOSpec
-    storage: StorageSpec
-    slot_hours: float
-    convergence: ConvergenceConfig
-    eps: Tolerances
 
 
 @dataclass(frozen=True)
@@ -133,12 +120,13 @@ class Settlement(NamedTuple):
     supplier_error: str | None = None
 
 
-def negotiate_window(state: SimulationState, config: SimulationConfig) -> DualIterationState:
+def negotiate_window(state: SimulationState, scenario: Scenario) -> DualIterationState:
     """Run the price loop over the window of ``state.active`` from ``state.slot``,
     warm-started at ``state.last_price``."""
-    window = compute_window(state.active, state.slot, config.slot_hours)
-    dso_sub = DSOSubproblem(config.dso, config.storage, state.storage_energy, window)
-    return negotiate_slot(state.active, dso_sub, state.last_price, config.convergence, config.eps)
+    window = compute_window(state.active, state.slot, scenario.grid.slot_hours)
+    storage = scenario.storage or _NO_STORAGE
+    dso_sub = DSOSubproblem(scenario.dso, storage, state.storage_energy, window)
+    return negotiate_slot(state.active, dso_sub, state.last_price, scenario.solver)
 
 
 def settle(result: DualIterationState) -> Settlement:
@@ -155,9 +143,9 @@ def settle(result: DualIterationState) -> Settlement:
     )
 
 
-def negotiated(state: SimulationState, config: SimulationConfig) -> Settlement:
+def negotiated(state: SimulationState, scenario: Scenario) -> Settlement:
     """The market: settle at the first sample of the window's negotiation."""
-    return settle(negotiate_window(state, config))
+    return settle(negotiate_window(state, scenario))
 
 
 def _within_need(ses: EVSession, power: float, slot_hours: float) -> float:
@@ -166,54 +154,53 @@ def _within_need(ses: EVSession, power: float, slot_hours: float) -> float:
     return max(min(power, ses.energy_needed / ses.energy_rate(slot_hours)), ses.power_min)
 
 
-def uncontrolled(state: SimulationState, config: SimulationConfig) -> Settlement:
+def uncontrolled(state: SimulationState, scenario: Scenario) -> Settlement:
     """The baseline without pricing: every vehicle draws its maximum power,
     clipped so its battery never overshoots the requirement; the grid serves
     whatever is drawn and the storage idles."""
-    powers = [_within_need(s, s.power_max, config.slot_hours) for s in state.active]
+    hours = scenario.grid.slot_hours
+    powers = [_within_need(s, s.power_max, hours) for s in state.active]
     return Settlement(price=0.0, powers=powers, generation=float(sum(powers)), storage_power=0.0)
 
 
 def step(
-    state: SimulationState, config: SimulationConfig, policy=negotiated
+    state: SimulationState, scenario: Scenario, policy=negotiated
 ) -> tuple[SimulationState, SlotRecord]:
     """Admit arrivals, settle the slot with ``policy``, apply its first power
     samples and advance all states.
 
-    ``policy(state, config)`` sees the slot's state with arrivals admitted and
-    finished vehicles dropped, and returns a :class:`Settlement`.  A slot
+    ``policy(state, scenario)`` sees the slot's state with arrivals admitted
+    and finished vehicles dropped, and returns a :class:`Settlement`.  A slot
     whose price loop did not converge applies each power clipped as
     :func:`uncontrolled` clips it, so no battery overshoots its requirement.
+    Without a storage section the stored energy stays where it is.
     """
-    slot = state.slot
+    slot, hours = state.slot, scenario.grid.slot_hours
+    energy_tolerance = scenario.solver.energy_tolerance
     arrived = tuple(s for s in state.pending if s.arrival <= slot)
     pending = tuple(s for s in state.pending if s.arrival > slot)
     # Vehicles past departure or already satisfied leave the market.
     active = tuple(
         s
         for s in state.active + arrived
-        if s.departure > slot and s.energy_needed > config.eps.energy
+        if s.departure > slot and s.energy_needed > energy_tolerance
     )
-    settled = policy(replace(state, active=active, pending=pending), config)
+    settled = policy(replace(state, active=active, pending=pending), scenario)
 
     per_ev: dict[str, tuple[float, float]] = {}
     new_active = []
     for ses, power in zip(active, settled.powers):
         if not settled.converged:
-            power = _within_need(ses, power, config.slot_hours)
-        energy_left = remaining_energy_after(
-            ses.energy_needed, power, ses.loss_fraction, config.slot_hours
-        )
+            power = _within_need(ses, power, hours)
+        energy_left = remaining_energy_after(ses.energy_needed, power, ses.loss_fraction, hours)
         per_ev[ses.ev_id] = (power, energy_left)
         new_active.append(replace(ses, energy_needed=energy_left))
 
-    storage_energy = (
-        state.storage_energy
-        - settled.storage_power * config.storage.throughput * config.slot_hours
-    )
+    throughput = (scenario.storage or _NO_STORAGE).throughput
+    storage_energy = state.storage_energy - settled.storage_power * throughput * hours
     record = SlotRecord(
         slot=slot,
-        price_applied=settled.price / config.slot_hours,
+        price_applied=settled.price / hours,
         demand_total=float(sum(p for p, _ in per_ev.values())),
         generation=settled.generation,
         storage_power=settled.storage_power,
@@ -241,15 +228,17 @@ def _summarize(
     demand = np.array([rec.demand_total for rec in records]) if records else np.zeros(1)
     initial = sum(s.energy_needed for s in sessions)
     with np.errstate(over="ignore", invalid="ignore"):
-        stdev = float(prices.std())
-        if not np.isfinite(stdev):
-            # Squared prices past 1e154 overflow: scale the prices to 1 first.
+        mean, stdev = float(prices.mean()), float(prices.std())
+        if not (np.isfinite(mean) and np.isfinite(stdev)):
+            # Sums of prices near 1e308, and squares past 1e154, overflow:
+            # scale the prices to 1 first.
             scale = float(np.abs(prices).max())
-            stdev = scale * float((prices / scale).std())
+            scaled = prices / scale
+            mean, stdev = scale * float(scaled.mean()), scale * float(scaled.std())
     # An overshoot within the energy tolerance leaves a slightly negative
     # remainder; it counts as met, not as negative unmet energy.
     return TraceSummary(
-        price_mean=float(prices.mean()),
+        price_mean=mean,
         price_stdev=stdev,
         peak_demand=float(demand.max()),
         energy_delivered=initial - sum(final_energy.values()),
@@ -266,20 +255,6 @@ def initial_state(scenario: Scenario, sessions: Sequence[EVSession]) -> Simulati
         pending=tuple(sorted(sessions, key=lambda s: (s.arrival, s.ev_id))),
         storage_energy=(scenario.storage or _NO_STORAGE).energy_initial,
         last_price=scenario.solver.initial_price * scenario.grid.slot_hours,
-    )
-
-
-def config_of(scenario: Scenario) -> SimulationConfig:
-    """The per-slot step's settings named by ``scenario``."""
-    sv = scenario.solver
-    # The solver section names the loop's settings as ConvergenceConfig does.
-    loop = {f.name: getattr(sv, f.name) for f in fields(ConvergenceConfig)}
-    return SimulationConfig(
-        dso=scenario.dso,
-        storage=scenario.storage or _NO_STORAGE,
-        slot_hours=scenario.grid.slot_hours,
-        convergence=ConvergenceConfig(**loop),
-        eps=Tolerances(kkt=sv.kkt_tolerance, energy=sv.energy_tolerance),
     )
 
 
@@ -301,11 +276,10 @@ def _simulate(scenario: Scenario, policy) -> SimulationTrace:
     if not report.ok:
         raise ScenarioValidationError(report)
     sessions = resolve_sessions(scenario)
-    config = config_of(scenario)
     state = initial_state(scenario, sessions)
     records: list[SlotRecord] = []
     for _ in range(scenario.grid.num_slots):
-        state, record = step(state, config, policy)
+        state, record = step(state, scenario, policy)
         records.append(record)
     final_energy = _final_energy(sessions, records)
     return SimulationTrace(

@@ -14,8 +14,9 @@ Scenario files are a small key/value tree, UTF-8, one entry per line::
 
 Sections: ``grid`` (required), ``dso`` (required), ``storage`` (optional; a
 missing section means no storage, i.e. both power bounds zero), ``solver``
-(optional), ``fleet`` (optional, randomly generated sessions) and repeatable
-``ev`` sections for explicit sessions.  ``seed`` is the only top-level key.
+(optional, the negotiation's :class:`~evmarket.model.SolverConfig`),
+``fleet`` (optional, randomly generated sessions) and repeatable ``ev``
+sections for explicit sessions.  ``seed`` is the only top-level key.
 Every entry is one row of :data:`SCHEMA`, which parsing, writing and the
 command line's ``--set`` all read.  Unknown sections or keys are errors, as
 are missing required keys and values that fail their entry's check.  The
@@ -34,13 +35,12 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .coordinator import ConvergenceConfig
 from .model import (
     DSOSpec,
     EVSession,
     ScenarioValidationError,
+    SolverConfig,
     StorageSpec,
-    Tolerances,
     ValidationReport,
     known_schedule,
     nonnegative,
@@ -56,7 +56,6 @@ __all__ = [
     "Entry",
     "GridConfig",
     "FleetSpec",
-    "SolverConfig",
     "Scenario",
     "ScenarioFormatError",
     "parse_value",
@@ -87,23 +86,6 @@ class FleetSpec:
     weight: float
     power_min: float = 0.0
     loss_fraction: float = 0.0
-
-
-# The loop and tolerance defaults are those of the Python API.
-_LOOP, _EPS = ConvergenceConfig(), Tolerances()
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Negotiation settings; ``initial_price`` is in euro cent per kWh."""
-
-    initial_price: float = 16.0
-    step_size: float = _LOOP.step_size
-    balance_tolerance: float = _LOOP.balance_tolerance
-    max_iterations: int = _LOOP.max_iterations
-    step_schedule: str = _LOOP.step_schedule
-    kkt_tolerance: float = _EPS.kkt
-    energy_tolerance: float = _EPS.energy
 
 
 @dataclass(frozen=True)

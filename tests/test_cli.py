@@ -256,6 +256,17 @@ def assert_rejected(path, capsys, message, *overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("departure", ["3", "50", "99999999999999999999"])
+def test_departure_after_the_horizon_is_rejected(tmp_path, capsys, departure):
+    """A vehicle may stay to the end of the day, not past it: its windows
+    would run past the last slot."""
+    path = tmp_path / "late.scenario"
+    path.write_text(SMALL.replace("  departure = 2\n", f"  departure = {departure}\n", 1))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "ev a: departure after the horizon\n"
+    assert_rejected(path, capsys, "ev a: departure after the horizon")
+
+
 def test_zero_vehicle_weight_is_rejected(tmp_path, capsys):
     """The water-filling solve divides by the weight, so a vehicle with
     weight 0 is invalid rather than run to the iteration cap."""

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from evmarket import (
-    ConvergenceConfig,
     DSOSpec,
     DSOSubproblem,
+    SolverConfig,
     StorageSpec,
     TimeGrid,
     Tolerances,
@@ -153,8 +153,8 @@ def test_negotiation_finds_supply_curve_crossing():
 
 def test_nonconvergence_is_flagged_not_raised():
     ev = make_session(departure=1, energy=5.5)
-    config = ConvergenceConfig(step_size=0.005, max_iterations=3)
-    result = negotiate_slot([ev], make_dso_sub(1), 4.0, config=config)
+    solver = SolverConfig(step_size=0.005, max_iterations=3)
+    result = negotiate_slot([ev], make_dso_sub(1), 4.0, solver=solver)
     assert not result.converged
     assert result.iterations == 3
     assert len(result.residual_history) == 4
@@ -196,18 +196,18 @@ def scripted_supplier(levels):
 # agents), the loop settings and the evaluation the slot settles at, counted
 # from the last one.
 EXITS = [
-    ("converged", None, ConvergenceConfig(), -1),
-    ("capped", None, ConvergenceConfig(max_iterations=3), -1),
-    ("supplier failure", [5.0, 5.0, None], ConvergenceConfig(), -1),
-    ("non-finite", [5.0, 5.0, math.nan], ConvergenceConfig(), -2),
-    ("overflow", [-1.0, -1.0, -1e10], ConvergenceConfig(step_size=1e300), -1),
+    ("converged", None, SolverConfig(), -1),
+    ("capped", None, SolverConfig(max_iterations=3), -1),
+    ("supplier failure", [5.0, 5.0, None], SolverConfig(), -1),
+    ("non-finite", [5.0, 5.0, math.nan], SolverConfig(), -2),
+    ("overflow", [-1.0, -1.0, -1e10], SolverConfig(step_size=1e300), -1),
 ]
 
 
 @pytest.mark.parametrize(
-    "exit, levels, config, settled", [pytest.param(*case, id=case[0]) for case in EXITS]
+    "exit, levels, solver, settled", [pytest.param(*case, id=case[0]) for case in EXITS]
 )
-def test_negotiation_returns_the_state_it_settled_at(monkeypatch, exit, levels, config, settled):
+def test_negotiation_returns_the_state_it_settled_at(monkeypatch, exit, levels, solver, settled):
     """One state per evaluation: every evaluation after the first is started
     from the state accepted before it, and the slot's outcome is the very
     state of the evaluation it settled at, whichever way the loop ends."""
@@ -225,7 +225,7 @@ def test_negotiation_returns_the_state_it_settled_at(monkeypatch, exit, levels, 
     else:
         n, evs = 2, []
         monkeypatch.setattr(coordinator, "solve_dso", scripted_supplier(levels))
-    result = negotiate_slot(evs, make_dso_sub(n), 4.0, config=config)
+    result = negotiate_slot(evs, make_dso_sub(n), 4.0, solver=solver)
 
     assert result is states[settled]
     assert result.converged == (exit == "converged")

@@ -31,9 +31,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evmarket import (
-    ConvergenceConfig,
     DSOSpec,
     DSOSubproblem,
+    SolverConfig,
     StorageSpec,
     TimeGrid,
     Tolerances,
@@ -313,7 +313,7 @@ def test_rounds_settle_an_optimum_on_a_bound_with_a_zero_gradient(eps):
 
 # The loop's shipped price step.  Scaled by 100, one round moves a price by
 # at most this step times an imbalance as wide as the generation box.
-SHIPPED_STEP = ConvergenceConfig().step_size
+SHIPPED_STEP = SolverConfig().step_size
 
 
 @settings(max_examples=300, deadline=None)
@@ -441,7 +441,7 @@ def test_warm_step_settles_most_table1_supplier_calls(table1_scenario, monkeypat
     still pass every other test.  The day's cold first call takes 3."""
     calls = count_rounds(monkeypatch)
     state = mpc_loop.initial_state(table1_scenario, resolve_sessions(table1_scenario))
-    _, record = mpc_loop.step(state, mpc_loop.config_of(table1_scenario))
+    _, record = mpc_loop.step(state, table1_scenario)
     assert record.converged
     assert len(calls) - 1 == record.iterations >= 50
     assert calls[0] == [3, False]

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmarket import (
-    ConvergenceConfig,
     DSOSpec,
     DSOSubproblem,
+    SolverConfig,
     StorageSpec,
     TimeGrid,
     Tolerances,
@@ -150,8 +150,8 @@ def test_nan_residual_never_reads_as_converged(monkeypatch):
     asking the agents."""
     calls = []
     monkeypatch.setattr(coordinator, "solve_dso", supplier_turning(NAN, calls))
-    config = ConvergenceConfig(max_iterations=3)
-    result = negotiate_slot([], dso_sub(2), warm_start_price=1.0, config=config)
+    solver = SolverConfig(max_iterations=3)
+    result = negotiate_slot([], dso_sub(2), warm_start_price=1.0, solver=solver)
     assert not result.converged
     assert result.iterations == 0
     assert result.supplier_error == "non-finite balance residual (nan) at iteration 1"
@@ -166,7 +166,7 @@ def test_infinite_residual_settles_the_slot(monkeypatch):
     """An infinite supply is settled like a NaN one, at the previous iteration."""
     calls = []
     monkeypatch.setattr(coordinator, "solve_dso", supplier_turning(math.inf, calls))
-    result = negotiate_slot([], dso_sub(2), 1.0, config=ConvergenceConfig(max_iterations=3))
+    result = negotiate_slot([], dso_sub(2), 1.0, solver=SolverConfig(max_iterations=3))
     assert (result.converged, result.iterations) == (False, 0)
     assert result.supplier_error == "non-finite balance residual (inf) at iteration 1"
     assert len(calls) == 2
@@ -182,9 +182,9 @@ def test_nan_residual_at_the_first_iteration_raises(monkeypatch):
         return DSOSolution([0.0, NAN], [0.0, 0.0], 0.0, sub, prices)
 
     monkeypatch.setattr(coordinator, "solve_dso", supplier)
-    config = ConvergenceConfig(max_iterations=3)
+    solver = SolverConfig(max_iterations=3)
     with pytest.raises(ConvergenceError, match="non-finite balance residual"):
-        negotiate_slot([], dso_sub(2), warm_start_price=0.0, config=config)
+        negotiate_slot([], dso_sub(2), warm_start_price=0.0, solver=solver)
     assert len(calls) == 1
 
 
@@ -210,22 +210,22 @@ def markets(draw):
         )
     storage = draw(st.sampled_from([NO_STORAGE, TABLE1_STORAGE]))
     dso = DSOSpec(draw(st.floats(0.02, 0.3)), 0.9, 0.0, draw(st.floats(30.0, 150.0)))
-    config = ConvergenceConfig(
+    solver = SolverConfig(
         step_size=draw(st.sampled_from([0.0005, 0.002, 0.01])),
         max_iterations=draw(st.integers(1, 40)),
     )
     warm = draw(st.floats(0.0, 8.0))
-    return sessions, dso_sub(n, dso=dso, storage=storage), warm, config
+    return sessions, dso_sub(n, dso=dso, storage=storage), warm, solver
 
 
 @settings(max_examples=150, deadline=None)
 @given(market=markets())
 def test_loop_is_bit_identical_on_either_kernel(market):
-    sessions, dso, warm, config = market
-    routed = negotiate_slot(sessions, dso, warm, config=config)
+    sessions, dso, warm, solver = market
+    routed = negotiate_slot(sessions, dso, warm, solver=solver)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ev_agent, "_SCALAR_VEHICLES", 0)
-        forced = negotiate_slot(sessions, dso, warm, config=config)
+        forced = negotiate_slot(sessions, dso, warm, solver=solver)
     assert routed.iterations == forced.iterations
     assert routed.converged == forced.converged
     assert np.array_equal(routed.residual_history, forced.residual_history)
@@ -262,11 +262,10 @@ def test_every_dual_evaluation_passes_the_benchmark_entry_points(table1_scenario
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
-    config = mpc_loop.config_of(table1_scenario)
     state = mpc_loop.initial_state(table1_scenario, resolve_sessions(table1_scenario))
     for slot in range(6):
         calls.update(dict.fromkeys(calls, 0))
-        state, record = mpc_loop.step(state, config)
+        state, record = mpc_loop.step(state, table1_scenario)
         assert record.converged and record.supplier_error is None
         evaluations = record.iterations + 1
         vehicles = slot == 5

@@ -3,9 +3,7 @@ from dataclasses import replace
 import pytest
 
 from evmarket import (
-    ConvergenceConfig,
     ScenarioValidationError,
-    StorageSpec,
     Tolerances,
     compute_window,
     parse_scenario,
@@ -13,7 +11,7 @@ from evmarket import (
     simulate_uncontrolled,
     step,
 )
-from evmarket.mpc_loop import SimulationConfig, SimulationState
+from evmarket.mpc_loop import SimulationState
 from evmarket.scenario_io import GridConfig, Scenario, SolverConfig
 
 from conftest import SCENARIO_DIR, SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
@@ -45,22 +43,12 @@ def test_compute_window_departing_next_slot():
     assert compute_window(active, 3, SLOT_HOURS).length == 1
 
 
-def base_config(storage=None) -> SimulationConfig:
-    return SimulationConfig(
-        dso=TABLE1_DSO,
-        storage=storage or StorageSpec(0.0, 0.0, 0.0, 0.0),
-        slot_hours=SLOT_HOURS,
-        convergence=ConvergenceConfig(),
-        eps=Tolerances(),
-    )
-
-
 def test_step_applies_first_sample_and_updates_energy():
     ses = make_session(ev_id="a", arrival=0, departure=4, energy=3.0)
     state = SimulationState(
         slot=0, active=(), pending=(ses,), storage_energy=0.0, last_price=4.0
     )
-    new_state, record = step(state, base_config())
+    new_state, record = step(state, small_scenario([]))
     power, energy_left = record.per_ev["a"]
     assert energy_left == pytest.approx(3.0 - 0.25 * power, abs=1e-12)
     assert new_state.slot == 1
@@ -72,7 +60,7 @@ def test_idle_slot_with_storage_settles_at_dso_solution():
     state = SimulationState(
         slot=0, active=(), pending=(), storage_energy=100.0, last_price=4.0
     )
-    new_state, record = step(state, base_config(storage=TABLE1_STORAGE))
+    new_state, record = step(state, small_scenario([], storage=TABLE1_STORAGE))
     assert record.demand_total == 0.0
     # supplier sells nothing once the price settles, and the storage sits at
     # the stationary point of its own terms (independent of the price here)
@@ -89,7 +77,7 @@ def test_completed_vehicle_leaves_market():
     state = SimulationState(
         slot=2, active=(ses,), pending=(), storage_energy=0.0, last_price=1.0
     )
-    _, record = step(state, base_config())
+    _, record = step(state, small_scenario([]))
     assert "a" not in record.per_ev
     assert record.demand_total == 0.0
 

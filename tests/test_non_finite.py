@@ -13,10 +13,15 @@ from dataclasses import fields, replace
 import pytest
 
 from evmarket import (
-    ConvergenceConfig,
+    DSOSpec,
+    DSOSubproblem,
     FleetSpec,
     ScenarioValidationError,
+    SolverConfig,
+    StorageSpec,
+    TimeGrid,
     Tolerances,
+    negotiate_slot,
     parse_scenario,
     run,
     validate_scenario,
@@ -81,11 +86,18 @@ def test_non_finite_floats_are_reported_by_section(scenario, attr, value):
             run(changed)
 
 
+# A one-slot market with no vehicle, for the price loop's settings checks.
+IDLE_SLOT = DSOSubproblem(
+    DSOSpec(0.06, 0.9, 0.0, 100.0), StorageSpec(0.0, 0.0, 0.0, 0.0), 0.0, TimeGrid(0, 1, 0.25)
+)
+
+
 @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["step_size", "balance_tolerance", "max_iterations"])
 def test_convergence_config_rejects_non_finite(name, value):
+    """The price loop refuses loop settings that are not finite."""
     with pytest.raises(ValueError):
-        ConvergenceConfig(**{name: value})
+        negotiate_slot([], IDLE_SLOT, 1.0, SolverConfig(**{name: value}))
 
 
 @pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "-inf"])
@@ -97,10 +109,30 @@ def test_tolerances_reject_nan_and_minus_inf(name, value):
 
 
 def test_convergence_config_raises_the_first_rule_broken():
+    """The price loop raises the first rule its settings break, before any
+    agent is solved."""
     with pytest.raises(ValueError, match="^step_size must be positive$"):
-        ConvergenceConfig(step_size=0.0, balance_tolerance=0.0)
+        negotiate_slot([], IDLE_SLOT, 1.0, SolverConfig(step_size=0.0, balance_tolerance=0.0))
     with pytest.raises(ValueError, match="^step_schedule must be 'constant'$"):
-        ConvergenceConfig(step_schedule="adaptive")
+        negotiate_slot([], IDLE_SLOT, 1.0, SolverConfig(step_schedule="adaptive"))
+    with pytest.raises(ValueError, match="^max_iterations must be an integer$"):
+        negotiate_slot([], IDLE_SLOT, 1.0, SolverConfig(max_iterations=2.5))
+    with pytest.raises(ValueError, match="^kkt_tolerance must be positive$"):
+        negotiate_slot([], IDLE_SLOT, 1.0, SolverConfig(kkt_tolerance=0.0))
+
+
+@pytest.mark.parametrize(
+    "override", ["solver.initial_price=1e308", "grid.slot_minutes=1e308", "grid.slot_minutes=1e-308"]
+)
+def test_extreme_valid_entries_warn_nothing_and_write_finite_numbers(tmp_path, capsys, override):
+    """Prices near the float limit average without overflow, and slots of
+    1e308 or 1e-308 minutes build the vehicles' rates quietly (the suite
+    makes a RuntimeWarning an error)."""
+    out = tmp_path / "out"
+    assert main(["run", str(SMALL), "--out", str(out), "--set", override]) in (0, 2)
+    for table in out.glob("*.csv"):
+        text = table.read_text()
+        assert not re.search(r"\b(inf|nan)\b", text, re.IGNORECASE), (table.name, text)
 
 
 def flagged_slots(out):

@@ -1,13 +1,17 @@
-"""Non-finite inputs fail fast."""
+"""Non-finite and corrupted inputs fail fast."""
 import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evmarket import DSOSpec, ScenarioFormatError, parse_scenario, solve_dso
 from evmarket.cli import main
 from evmarket.dso_agent import ConvergenceError
+from evmarket.scenario_io import SCHEMA, SECTIONS
 
-from conftest import TABLE1_DSO, TABLE1_STORAGE
+from conftest import SCENARIO_DIR, TABLE1_DSO, TABLE1_STORAGE
 from test_cli import SMALL
 from test_dso_agent import make_sub
 
@@ -74,3 +78,82 @@ def test_supplier_solve_stops_at_a_non_finite_residual():
     with pytest.raises(ConvergenceError, match="stalled at residual nan in round") as info:
         solve_dso(make_sub(2, dso=dso, storage=TABLE1_STORAGE), [4.0, 2.0])
     assert math.isnan(info.value.residual)
+
+
+SMALL_LINES = (SCENARIO_DIR / "small.scenario").read_text().splitlines()
+# The lines of small.scenario that hold an entry.
+ENTRY_LINES = [i for i, line in enumerate(SMALL_LINES) if "=" in line]
+VALUES = ["-1", "0", "2.5", "x", "", "nan", "inf", "-0", "1e308", "-1e308", "1e-308", "1e400"]
+KEYS = sorted({entry.key for entry in SCHEMA})
+# One line of text: str.splitlines breaks at each of these characters.
+BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+LINE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=BREAKS), max_size=24
+)
+# Integers stay small: a valid day of 10**20 slots never ends.
+LINES = st.one_of(
+    LINE_TEXT,
+    st.builds(
+        "  {} = {}".format,
+        st.sampled_from(KEYS),
+        st.one_of(st.sampled_from(VALUES), st.integers(-3, 60).map(str)),
+    ),
+    st.sampled_from([*SECTIONS, "unknown"]).map("{}:".format),
+)
+
+
+def malformed(line: str) -> bool:
+    """A line that no section can hold: neither a known section's header nor
+    a known key's entry, once its comment is stripped."""
+    body = line.split("#", 1)[0].strip()
+    if not body:
+        return False
+    if body.endswith(":") and "=" not in body:
+        return body[:-1].strip() not in SECTIONS
+    return "=" not in body or body.partition("=")[0].strip() not in KEYS
+
+
+@st.composite
+def corrupted(draw):
+    """small.scenario with one line replaced, deleted or duplicated, or one
+    entry set to an odd value; and the numbers of the lines a format error
+    may name (None: any)."""
+    lines = list(SMALL_LINES)
+    change = draw(st.sampled_from(["replace", "delete", "duplicate", "set"]))
+    if change == "set":
+        i = draw(st.sampled_from(ENTRY_LINES))
+        lines[i] = f"{lines[i].partition('=')[0]}= {draw(st.sampled_from(VALUES))}"
+        return lines, {i + 1}
+    i = draw(st.integers(0, len(lines) - 1))
+    if change == "delete":
+        del lines[i]
+        return lines, None
+    if change == "duplicate":
+        lines.insert(i, lines[i])
+        return lines, {i + 1, i + 2}
+    lines[i] = draw(LINES)
+    return lines, {i + 1} if malformed(lines[i]) else None
+
+
+# Each example overwrites one scenario file and its output directory, so the
+# function-scoped fixtures are safe to share between examples.
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=corrupted())
+def test_a_corrupted_scenario_runs_or_exits_with_one_message(tmp_path, capsys, case):
+    """Any one-line change to a scenario file is run (exit 0 or 2) or refused
+    (exit 1), never raised or warned; a refusal prints one ``error:`` line,
+    and a malformed line is named."""
+    lines, named = case
+    path = tmp_path / "day.scenario"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    if code != 1:
+        return
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1, err
+    if named is not None and not err.startswith("error: invalid scenario"):
+        where = re.match(r"error: line (\d+)[:,]", err)
+        assert where and int(where[1]) in named, (err, named)

@@ -6,20 +6,20 @@ reaches every entry of a non-repeated section.
 """
 import argparse
 import dataclasses
+import re
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmarket import (
-    ConvergenceConfig,
     DSOSpec,
     EVSession,
     ScenarioFormatError,
     ScenarioValidationError,
     StorageSpec,
-    Tolerances,
     parse_scenario,
     run,
     validate_scenario,
@@ -82,13 +82,6 @@ def test_only_vehicle_power_min_and_loss_fraction_restate_a_default():
     for entry in SCHEMA:
         if entry.default is None:
             assert own_default(entry) is not dataclasses.MISSING, entry.name
-
-
-def test_solver_defaults_are_the_python_api_defaults():
-    solver, loop, eps = SolverConfig(), ConvergenceConfig(), Tolerances()
-    for field in dataclasses.fields(ConvergenceConfig):
-        assert getattr(solver, field.name) == getattr(loop, field.name)
-    assert (solver.kkt_tolerance, solver.energy_tolerance) == (eps.kkt, eps.energy)
 
 
 def floats(lo, hi):
@@ -261,6 +254,46 @@ def test_unknown_step_schedule_is_rejected_by_its_entry(tmp_path, capsys):
     solver = dataclasses.replace(scenario.solver, step_schedule="diminishing")
     report = validate_scenario(dataclasses.replace(scenario, solver=solver))
     assert report.violations == ("solver: step_schedule must be 'constant'",)
+
+
+def with_entry(scenario, entry, value):
+    """``scenario`` with ``entry`` set to ``value``, on the first vehicle for
+    a vehicle entry."""
+    if not entry.section:
+        return dataclasses.replace(scenario, **{entry.attr: value})
+    attr, _, presence = SECTIONS[entry.section]
+    first, *rest = owners(scenario, entry.section)
+    owner = dataclasses.replace(first, **{entry.attr: value})
+    return dataclasses.replace(scenario, **{attr: (owner, *rest) if presence == "repeated" else owner})
+
+
+INTEGER_ENTRIES = [e for e in SCHEMA if e.kind is int]
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES, ids=lambda e: e.name)
+def test_a_non_integral_integer_entry_is_reported(entry):
+    """Files and ``--set`` parse integers, but the Python API takes any
+    number: a float in an integer entry is a violation, so the run stops
+    before its first slot; a NumPy integer is an integer."""
+    scenario = parse_scenario(SMALL + FLEET)
+    value = getattr(owners(scenario, entry.section)[0] if entry.section else scenario, entry.attr)
+    for odd in (value + 0.5, float(value)):
+        changed = with_entry(scenario, entry, odd)
+        violations = validate_scenario(changed).violations
+        integer = rf"\b{entry.key}\b.* must be (an integer|integers)$"
+        assert any(re.search(integer, v) for v in violations), violations
+        with pytest.raises(ScenarioValidationError):
+            run(changed)
+    assert validate_scenario(with_entry(scenario, entry, np.int64(value))).ok
+
+
+def test_numpy_integers_run_the_same_day():
+    scenario = parse_scenario(SMALL + FLEET)
+    numpy = scenario
+    for entry in INTEGER_ENTRIES:
+        value = getattr(owners(numpy, entry.section)[0] if entry.section else numpy, entry.attr)
+        numpy = with_entry(numpy, entry, np.int64(value))
+    assert run(numpy) == run(scenario)
 
 
 def with_first_id(value):

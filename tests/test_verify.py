@@ -83,9 +83,9 @@ def test_verify_certifies_random_small_days(tmp_path, capsys, monkeypatch, scena
     negotiate_window = evmarket.cli.negotiate_window
     slots = []
 
-    def spied(state, config):
-        result = negotiate_window(state, config)
-        slots.append((state, config, result))
+    def spied(state, day):
+        result = negotiate_window(state, day)
+        slots.append((state, day, result))
         return result
 
     monkeypatch.setattr(evmarket.cli, "negotiate_window", spied)
@@ -95,17 +95,17 @@ def test_verify_certifies_random_small_days(tmp_path, capsys, monkeypatch, scena
     text = "".join(capsys.readouterr())
     assert not re.search(r"\b(inf|nan)\b", text, re.IGNORECASE), text
     assert len(slots) == scenario.grid.num_slots
-    for state, config, result in slots:
+    for state, day, result in slots:
         demand = result.demand_values
-        if not all(config.dso.power_min <= d <= config.dso.power_max for d in demand):
+        if not all(day.dso.power_min <= d <= day.dso.power_max for d in demand):
             continue
-        window = compute_window(state.active, state.slot, config.slot_hours)
+        window = compute_window(state.active, state.slot, day.grid.slot_hours)
         recovered = welfare(
             [(s, p.values) for s, p in zip(state.active, result.ev_profiles)],
             demand,
             result.storage_power.values,
-            config.dso,
-            config.storage,
+            day.dso,
+            day.storage or StorageSpec(0.0, 0.0, 0.0, 0.0),
             state.storage_energy,
             window,
         )
