@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf, isfinite
 from numbers import Integral
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -306,6 +306,19 @@ def nonnegative(value: int) -> str | None:
     return None if value >= 0 else "must be nonnegative"
 
 
+# The most slots a day and vehicles a fleet may have, which bound the work of
+# any accepted scenario: at about 50 us an idle slot, a day at the limit takes
+# seconds, and generate_evs draws that many sessions in under a second.
+MAX_SLOTS = 100_000
+MAX_FLEET = 100_000
+
+
+def at_most(limit: int) -> Callable[[int], str | None]:
+    """The rule that a count is at most ``limit``, which the schema rows of
+    ``grid.num_slots`` and ``fleet.count`` and :func:`validate_scenario` use."""
+    return lambda value: None if value <= limit else f"must be at most {limit}"
+
+
 def known_schedule(value: str) -> str | None:
     """What is wrong with a ``step_schedule``, else None: its schema row and
     :func:`loop_problems` both check it with this rule."""
@@ -383,6 +396,8 @@ def validate_scenario(scenario) -> ValidationReport:
         out.append("grid: num_slots must be an integer")
     if not grid.num_slots >= 1:
         out.append("grid: num_slots must be at least 1")
+    elif problem := at_most(MAX_SLOTS)(grid.num_slots):
+        out.append(f"grid: num_slots {problem}")
     if not grid.slot_minutes > 0:
         out.append("grid: slot_minutes must be positive")
     elif grid.slot_minutes == inf:
@@ -431,6 +446,8 @@ def validate_scenario(scenario) -> ValidationReport:
             out.append("fleet: count must be an integer")
         if not fleet.count >= 0:
             out.append("fleet: count must be nonnegative")
+        elif problem := at_most(MAX_FLEET)(fleet.count):
+            out.append(f"fleet: count {problem}")
         _check_box(fleet, "fleet", out)
 
     seen: set[str] = set()

@@ -22,6 +22,10 @@ command line's ``--set`` all read.  Unknown sections or keys are errors, as
 are missing required keys and values that fail their entry's check.  The
 invariants are not parsing's concern: :func:`~evmarket.model.validate_scenario`
 checks them when a run starts, after the command line's overrides.
+Parsing reads tables built once from the schema: one lookup finds a line's
+entry, and an ``int`` or finite ``float`` whose row has no check is converted
+inline.  Every other value, and every failed conversion, goes through
+:func:`parse_value`, the one place that words a conversion error.
 
 Everything downstream is deterministic: one seeded generator, fixed iteration
 order, fixed numeric formatting, so traces are byte-identical across runs.
@@ -36,12 +40,15 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from .model import (
+    MAX_FLEET,
+    MAX_SLOTS,
     DSOSpec,
     EVSession,
     ScenarioValidationError,
     SolverConfig,
     StorageSpec,
     ValidationReport,
+    at_most,
     known_schedule,
     nonnegative,
     validate_scenario,  # noqa: F401 -- bench/run.py wraps it here by name
@@ -167,7 +174,7 @@ SECTIONS = {
 SCHEMA = (
     Entry("", "seed", "seed", int, None, nonnegative),
     Entry("grid", "slot_minutes", "slot_minutes", float, REQUIRED),
-    Entry("grid", "num_slots", "num_slots", int, REQUIRED),
+    Entry("grid", "num_slots", "num_slots", int, REQUIRED, at_most(MAX_SLOTS)),
     Entry("dso", "quadratic_cost", "cost_quadratic", float, REQUIRED),
     Entry("dso", "linear_cost", "cost_linear", float, REQUIRED),
     Entry("dso", "power_min", "power_min", float),
@@ -185,7 +192,7 @@ SCHEMA = (
     Entry("solver", "step_schedule", "step_schedule", str, None, known_schedule),
     Entry("solver", "kkt_tolerance", "kkt_tolerance", float),
     Entry("solver", "energy_tolerance", "energy_tolerance", float),
-    Entry("fleet", "count", "count", int, REQUIRED),
+    Entry("fleet", "count", "count", int, REQUIRED, at_most(MAX_FLEET)),
     Entry("fleet", "power_min", "power_min", float),
     Entry("fleet", "power_max", "power_max", float, REQUIRED),
     Entry("fleet", "weight", "weight", float, REQUIRED),
@@ -202,6 +209,13 @@ SCHEMA = (
 _ROWS = {name: tuple(e for e in SCHEMA if e.section == name) for name in ("", *SECTIONS)}
 # Section name ("" for the top level) -> key -> entry.
 ENTRIES = {name: {e.key: e for e in rows} for name, rows in _ROWS.items()}
+# Parsing's tables.  Section name -> key -> (entry, attribute, the kind that
+# is converted inline, or None); a section also holds the top-level keys.
+_KEYS = {name: {e.key: (e, e.attr, e.kind if e.check is None and e.kind in (int, float) else None)
+                for e in (*rows, *_ROWS[""])} for name, rows in _ROWS.items()}
+# Section name -> (its defaults by attribute, its required entries).
+_FILLS = {name: ({e.attr: e.default for e in rows if e.default not in (None, REQUIRED)},
+                 [e for e in rows if e.default is REQUIRED]) for name, rows in _ROWS.items()}
 
 
 def parse_value(entry: Entry, raw: str, line: int | None = None):
@@ -227,56 +241,65 @@ def _parse_tree(text: str) -> dict[str, list[tuple[int | None, dict]]]:
     """Each section's blocks, "" holding the top level: the line of the
     block's header (None for the top level) and its parsed values by
     attribute; raises on any malformed line."""
-    top, keys, section = ENTRIES[""], {}, ""
+    keys, section = _KEYS[""], ""
     top_block: dict = {}
     blocks: dict[str, list[tuple[int | None, dict]]] = {"": [(None, top_block)]}
     current: dict | None = None
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        stripped = rawline.split("#", 1)[0].rstrip()
-        body = stripped.lstrip()
-        if not body:
-            continue
-        col = len(stripped) - len(body) + 1
-        if body.endswith(":") and "=" not in body:
-            section = body[:-1].strip()
-            if section not in SECTIONS:
-                raise ScenarioFormatError(f"unknown section {section!r}", lineno, col)
-            if section in blocks and SECTIONS[section][2] != "repeated":
-                raise ScenarioFormatError(f"duplicate section {section!r}", lineno, col)
-            current = {}
-            blocks.setdefault(section, []).append((lineno, current))
-            keys = ENTRIES[section]
-            continue
-        if "=" not in body:
-            raise ScenarioFormatError("expected 'key = value' or 'section:'", lineno, col)
-        key, _, raw = body.partition("=")
-        key = key.strip()
-        if key in top:  # Top-level keys may appear anywhere.
-            entry, block = top[key], top_block
-        elif current is None:
-            raise ScenarioFormatError(
-                f"key {key!r} outside any section (only 'seed' may be top level)", lineno, col
-            )
-        elif key in keys:
-            entry, block = keys[key], current
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        key, eq, raw = line.partition("=")
+        if eq:
+            key = key.strip()
+            row = keys.get(key)
+            if row is not None:
+                entry, attr, plain = row
+                block = current if entry.section else top_block
+                if attr not in block:
+                    if plain is not None:
+                        try:
+                            value = plain(raw)
+                            if value - value == 0:  # finite
+                                block[attr] = value
+                                continue
+                        except ValueError:
+                            pass
+                    block[attr] = parse_value(entry, raw.strip(), lineno)
+                    continue
+                inside = f" in section {section!r}" if entry.section else ""
+                problem = f"duplicate key {key!r}{inside}"
+            elif current is None:
+                problem = f"key {key!r} outside any section (only 'seed' may be top level)"
+            else:
+                problem = f"unknown key {key!r} in section {section!r}"
         else:
-            raise ScenarioFormatError(f"unknown key {key!r} in section {section!r}", lineno, col)
-        if entry.attr in block:
-            inside = f" in section {section!r}" if entry.section else ""
-            raise ScenarioFormatError(f"duplicate key {key!r}{inside}", lineno, col)
-        block[entry.attr] = parse_value(entry, raw.strip(), lineno)
+            body = line.strip()
+            if not body:
+                continue
+            name = body[:-1].strip()
+            if not body.endswith(":"):
+                problem = "expected 'key = value' or 'section:'"
+            elif name not in SECTIONS:
+                problem = f"unknown section {name!r}"
+            elif name in blocks and SECTIONS[name][2] != "repeated":
+                problem = f"duplicate section {name!r}"
+            else:
+                section, keys, current = name, _KEYS[name], {}
+                blocks.setdefault(name, []).append((lineno, current))
+                continue
+        # Only a malformed line gets here; the column is that of its text.
+        raise ScenarioFormatError(problem, lineno, len(line) - len(line.lstrip()) + 1)
     return blocks
 
 
 def _arguments(section: str, line: int | None, block: dict) -> dict:
     """Keyword arguments of the section's type from one parsed block; a
     missing required key is reported at ``line``, the block's header."""
-    for entry in _ROWS[section]:
-        if entry.default is not None and entry.attr not in block:
-            if entry.default is REQUIRED:
-                raise ScenarioFormatError(f"missing required key: {entry.name}", line)
-            block[entry.attr] = entry.default
-    return block
+    defaults, required = _FILLS[section]
+    for entry in required:
+        if entry.attr not in block:
+            raise ScenarioFormatError(f"missing required key: {entry.name}", line)
+    return {**defaults, **block}
 
 
 def parse_scenario(text: str | bytes) -> Scenario:

@@ -83,14 +83,16 @@ def test_supplier_solve_stops_at_a_non_finite_residual():
 SMALL_LINES = (SCENARIO_DIR / "small.scenario").read_text().splitlines()
 # The lines of small.scenario that hold an entry.
 ENTRY_LINES = [i for i, line in enumerate(SMALL_LINES) if "=" in line]
-VALUES = ["-1", "0", "2.5", "x", "", "nan", "inf", "-0", "1e308", "-1e308", "1e-308", "1e400"]
+VALUES = [
+    "-1", "0", "2.5", "x", "", "nan", "inf", "-0", "1e308", "-1e308", "1e-308", "1e400",
+    str(10**6), "99999999999999999999",
+]
 KEYS = sorted({entry.key for entry in SCHEMA})
 # One line of text: str.splitlines breaks at each of these characters.
 BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 LINE_TEXT = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters=BREAKS), max_size=24
 )
-# Integers stay small: a valid day of 10**20 slots never ends.
 LINES = st.one_of(
     LINE_TEXT,
     st.builds(

@@ -26,7 +26,9 @@ from evmarket import (
     write_scenario,
 )
 from evmarket.cli import _load_scenario, main
+from evmarket.model import MAX_FLEET, MAX_SLOTS
 from evmarket.scenario_io import (
+    ENTRIES,
     REQUIRED,
     SCHEMA,
     SECTIONS,
@@ -34,6 +36,7 @@ from evmarket.scenario_io import (
     GridConfig,
     Scenario,
     SolverConfig,
+    parse_value,
 )
 
 from conftest import SCENARIO_DIR
@@ -254,6 +257,81 @@ def test_unknown_step_schedule_is_rejected_by_its_entry(tmp_path, capsys):
     solver = dataclasses.replace(scenario.solver, step_schedule="diminishing")
     report = validate_scenario(dataclasses.replace(scenario, solver=solver))
     assert report.violations == ("solver: step_schedule must be 'constant'",)
+
+
+HUGE = "99999999999999999999"
+
+
+def test_a_day_or_fleet_past_its_limit_is_rejected(tmp_path, capsys):
+    """``grid.num_slots`` and ``fleet.count`` share one rule with
+    ``validate_scenario``, so no accepted scenario asks for unbounded work:
+    past its limit a count fails at its line in a file, by name from
+    ``--set`` and as a violation in the Python API."""
+    scenario = parse_scenario(SMALL + FLEET)
+    grid, fleet = scenario.grid, scenario.fleet
+    for section, changed, name in (
+        ("grid", dataclasses.replace(grid, num_slots=MAX_SLOTS + 1), "grid: num_slots"),
+        ("fleet", dataclasses.replace(fleet, count=MAX_FLEET + 1), "fleet: count"),
+    ):
+        report = validate_scenario(dataclasses.replace(scenario, **{section: changed}))
+        assert report.violations == (f"{name} must be at most 100000",)
+    at_limits = dataclasses.replace(
+        scenario,
+        grid=dataclasses.replace(grid, num_slots=MAX_SLOTS),
+        fleet=dataclasses.replace(fleet, count=MAX_FLEET),
+    )
+    assert validate_scenario(at_limits).ok
+    path = tmp_path / "huge.scenario"
+    for name, text in (
+        ("grid.num_slots", (SMALL + FLEET).replace("num_slots = 2", f"num_slots = {HUGE}")),
+        ("fleet.count", (SMALL + FLEET).replace("count = 3", f"count = {HUGE}")),
+    ):
+        message = f"{name} must be at most 100000, got '{HUGE}'\n"
+        line = text.splitlines().index(f"  {name.partition('.')[2]} = {HUGE}") + 1
+        path.write_text(text)
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+            assert main(command) == 1
+            assert capsys.readouterr().err == f"error: line {line}: {message}"
+        path.write_text(SMALL + FLEET)
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), "--set", f"{name}={HUGE}"]) == 1
+        assert capsys.readouterr().err == f"error: {message}"
+    assert not (tmp_path / "o").exists()
+
+
+# Values that int, float and str.strip may read differently; '\x1f' is
+# whitespace to str.strip only.
+FORMS = [
+    " 7 ", "7.0", "1_000", "+3", "-0", "0x10", "\u0663", "\t2.5\t", "", "x",
+    "1e400", "nan", "inf", HUGE, "\x1f7",
+]
+
+
+def test_every_value_parses_as_parse_value_reads_it():
+    """Plain numbers are converted inline: for every entry line of
+    small.scenario and a fleet section, each odd value parses to what
+    ``parse_value`` returns for it, or fails with its message."""
+    lines = ((SCENARIO_DIR / "small.scenario").read_text() + FLEET).splitlines()
+    section, vehicles = "", 0
+    for i, line in enumerate(lines):
+        if line.endswith(":"):
+            section = line[:-1]
+            vehicles += section == "ev"
+            continue
+        if "=" not in line:
+            continue
+        entry = ENTRIES[section][line.partition("=")[0].strip()]
+        for raw in FORMS:
+            text = "\n".join([*lines[:i], f"{line.partition('=')[0]}={raw}", *lines[i + 1:]])
+            try:
+                expected = parse_value(entry, raw.strip(), i + 1)
+            except ScenarioFormatError as exc:
+                with pytest.raises(ScenarioFormatError) as info:
+                    parse_scenario(text)
+                assert str(info.value) == str(exc)
+                continue
+            owner = owners(parse_scenario(text), section)[vehicles - 1 if section == "ev" else 0]
+            got = getattr(owner, entry.attr)
+            assert (type(got), repr(got)) == (type(expected), repr(expected)), (entry, raw)
 
 
 def with_entry(scenario, entry, value):
