@@ -22,9 +22,8 @@ a comprehension costs more than the arithmetic, so these loops index with a
 counter.
 One :class:`DualIterationState` per evaluation holds the lists and the
 agents' solutions; the loop warm-starts each evaluation from the last one and
-returns the state it settled at.  The validated
-:class:`~evmarket.model.PriceVector` and :class:`~evmarket.model.PowerProfile`
-objects, and the agents' arrays, are built on first access from that state.
+returns the state it settled at, whose lists the slot is settled from.  The
+agents' arrays and objectives are built on first access from that state.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from typing import Sequence
 
 from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
 from .ev_agent import EVBatchWorkspace, EVSolution
-from .model import EVSession, PowerProfile, PriceVector, SolverConfig, Tolerances
+from .model import EVSession, SolverConfig, Tolerances
 from .model import loop_problems, max_abs
 
 __all__ = [
@@ -51,10 +50,10 @@ class DualIterationState:
     """One evaluation of the dual function, and the state a negotiation settles at.
 
     The prices, demand, supply and residual are lists of floats over the
-    window; ``prices``, ``demand``, ``supply``, ``residual``,
-    ``storage_power`` and ``ev_profiles`` are the validated vectors, and
-    ``dual_value`` the sum of the agents' objectives, built on first access.
-    ``iterations`` counts the price updates before this evaluation.
+    window, and ``ev_solutions`` and ``dso_solution`` the agents' answers at
+    those prices; ``dual_value``, the sum of the agents' objectives, and
+    ``duality_gap`` are built on first access.  ``iterations`` counts the
+    price updates before this evaluation.
     :func:`negotiate_slot` sets the outcome fields on the state it returns:
     ``residual_history`` holds the residual norm of every accepted iteration,
     and ``supplier_error`` is the message of a supplier failure, a non-finite
@@ -87,35 +86,6 @@ class DualIterationState:
         demand inside the generation box, the point is feasible and the gap
         bounds its distance to the optimum (weak duality)."""
         return self.dso_solution.loss_at(self.demand_values)
-
-    @cached_property
-    def prices(self) -> PriceVector:
-        return PriceVector(self.price_values)
-
-    @cached_property
-    def demand(self) -> PowerProfile:
-        return PowerProfile(self.demand_values)
-
-    @cached_property
-    def supply(self) -> PowerProfile:
-        return PowerProfile(self.supply_values)
-
-    @cached_property
-    def residual(self) -> PowerProfile:
-        return PowerProfile(self.residual_values)
-
-    @property
-    def storage_power(self) -> PowerProfile:
-        return self.dso_solution.storage_power
-
-    @cached_property
-    def ev_profiles(self) -> tuple[PowerProfile, ...]:
-        return tuple(sol.profile for sol in self.ev_solutions)
-
-    @property
-    def residual_norm(self) -> float:
-        """The worst per-slot imbalance; NaN if any slot's is NaN."""
-        return max_abs(self.residual_values)
 
 
 def update_price(prices: list[float], residual: list[float], step: float) -> list[float]:
@@ -209,7 +179,9 @@ def negotiate_slot(
     ``converged=False`` and the failure's message in ``supplier_error``.  A
     failure at iteration 0 leaves no state to settle at and propagates as
     :class:`~evmarket.dso_agent.ConvergenceError`.  A price update after
-    iteration ``k`` that overflows to ``inf`` is never broadcast: the state of
+    iteration ``k`` that overflows to ``inf``, or whose first price does in
+    the per-kWh unit a slot is recorded in (over
+    ``dso_sub.window.slot_hours``), is never broadcast: the state of
     iteration ``k`` is returned, flagged the same way.
     """
     for problem in loop_problems(solver):
@@ -217,7 +189,7 @@ def negotiate_slot(
     if not math.isfinite(warm_start_price):
         raise ValueError(f"warm-start price must be finite, not {warm_start_price}")
     eps = Tolerances(solver.kkt_tolerance, solver.energy_tolerance)
-    tolerance = solver.balance_tolerance
+    tolerance, hours = solver.balance_tolerance, dso_sub.window.slot_hours
     prices = [max(warm_start_price, 0.0)] * dso_sub.window.length
     history: list[float] = []
     state = None
@@ -242,8 +214,9 @@ def negotiate_slot(
         if norm <= tolerance or k == solver.max_iterations:
             break
         prices = update_price(prices, state.residual_values, solver.step_size)
-        if math.inf in prices:
-            # No agent is solved at an infinite price: the slot settles here.
+        if math.inf in prices or not prices[0] / hours < math.inf:
+            # No agent is solved at an infinite price, and no slot records
+            # one per kWh: the slot settles here.
             supplier_error = f"price update overflowed (inf) at iteration {k}"
             break
 

@@ -36,8 +36,8 @@ Res. 1994).  The rounds are bounded by the window length; a singular set, a
 NaN entry, no change left or the bound raises :class:`ConvergenceError`.
 Every answer is certified by one O(n) plain-float check of its
 projected-stationarity residual, written from the Hessian's structure, and
-handed back as float lists; the stacked array, the validated profiles and the
-objective value are built only when they are read.
+handed back as float lists; the stacked array and the objective value are
+built only when they are read.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import DSOSpec, PowerProfile, StorageSpec, TimeGrid, Tolerances
+from .model import DSOSpec, StorageSpec, TimeGrid, Tolerances
 
 __all__ = [
     "DSOSubproblem",
@@ -84,13 +84,13 @@ class DSOSolution:
     """Optimal dispatch at ``prices`` (the broadcast it was solved for).
 
     ``generation_values`` and ``storage_values`` are float lists over the
-    window; the price loop reads only the former.  ``point`` (the two stacked
-    as an array), the validated profiles and ``objective`` are built on first
-    access.  A solve with storage also sets ``workspace`` and ``active``, the
-    active set of the point: passed back as ``start`` on the same subproblem,
-    the solution starts the next round from them.  One is made per dual
-    iteration, so it is a plain dataclass: a frozen one takes about three
-    times as long to construct.
+    window; the price loop reads the former, and a settled slot the first
+    entry of both.  ``point`` (the two stacked as an array) and ``objective``
+    are built on first access.  A solve with storage also sets ``workspace``
+    and ``active``, the active set of the point: passed back as ``start`` on
+    the same subproblem, the solution starts the next round from them.  One
+    is made per dual iteration, so it is a plain dataclass: a frozen one
+    takes about three times as long to construct.
     """
 
     generation_values: list[float]
@@ -117,14 +117,6 @@ class DSOSolution:
         lam, other = np.asarray(self.prices), np.asarray(generation, dtype=float)
         return self.objective - _objective(self.sub, lam, other, self.point[n:])
 
-    @cached_property
-    def generation(self) -> PowerProfile:
-        return PowerProfile(self.generation_values)
-
-    @cached_property
-    def storage_power(self) -> PowerProfile:
-        return PowerProfile(self.storage_values)
-
 
 def generation_cost(net_power, quad_coeff: float, lin_coeff: float):
     """Cost of producing ``net_power`` for one slot: ``quad*q**2 + lin*q``."""
@@ -139,9 +131,7 @@ def storage_tracking_penalty(
     The stored energy after slot ``j`` is ``energy_now`` minus the cumulative
     discharged energy ``throughput * slot_hours * sum_{i<=j} P_s(i)``.
     """
-    values = storage_power.values if isinstance(storage_power, PowerProfile) else np.asarray(
-        storage_power, dtype=float
-    )
+    values = np.asarray(storage_power, dtype=float)
     if values.size != grid.length:
         raise ValueError("profile length must equal the window length")
     moved = storage.throughput * grid.slot_hours * np.cumsum(values)

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import EVSession, PowerProfile, TimeGrid, Tolerances
+from .model import EVSession, TimeGrid, Tolerances
 
 __all__ = ["EVSolution", "EVBatchSolution", "utility", "solve_ev", "solve_ev_batch"]
 
@@ -67,14 +67,14 @@ _MAX_ITER = 200
 
 
 class EVSolution:
-    """Optimal charging power (kW per slot) plus the terminal-energy multiplier.
+    """One vehicle of a batch solve: its optimal charging power (kW per slot,
+    an array up to its departure) plus the terminal-energy multiplier.
 
     ``energy_multiplier`` prices one kWh of required energy in the same money
     unit as the slot prices.  ``feasible`` is False when the requirement cannot
-    be met inside the box, in which case the profile is the best-effort
-    saturation at the violated bound.  One vehicle of a batch solve: each
-    field is read from the batch when it is accessed, so reading a flag builds
-    no array.
+    be met inside the box, in which case ``power`` is the best-effort
+    saturation at the violated bound.  Each field is read from the batch when
+    it is accessed, so reading a flag builds no array.
     """
 
     def __init__(self, batch: EVBatchSolution, index: int):
@@ -97,10 +97,6 @@ class EVSolution:
     @property
     def feasible(self) -> bool:
         return bool(self._batch.flags[self._index])
-
-    @cached_property
-    def profile(self) -> PowerProfile:
-        return PowerProfile(self.power)
 
 
 def utility(power: float, weight: float) -> float:

@@ -140,6 +140,8 @@ def _as_readonly_vector(values) -> np.ndarray:
     return arr
 
 
+# PriceVector and PowerProfile are kept only because bench/run.py's
+# instrument wraps their __post_init__ by name; the program builds neither.
 @dataclass(frozen=True, eq=False)
 class PriceVector:
     """Nonnegative per-slot prices over one planning window."""
@@ -236,10 +238,11 @@ class SolverConfig:
     The first slot's price loop starts at ``initial_price`` (euro cent per
     kWh).  The loop steps by ``step_size``, in price units per kW of
     imbalance, until the worst per-slot imbalance is within
-    ``balance_tolerance`` or ``max_iterations`` price updates are spent; the
-    agents solve to the slot's :class:`Tolerances`, ``kkt_tolerance`` and
-    ``energy_tolerance``.  :func:`loop_problems` names what is wrong with the
-    settings; :func:`~evmarket.coordinator.negotiate_slot` raises the first.
+    ``balance_tolerance`` or ``max_iterations`` (at most
+    :data:`MAX_ITERATIONS`) price updates are spent; the agents solve to the
+    slot's :class:`Tolerances`, ``kkt_tolerance`` and ``energy_tolerance``.
+    :func:`loop_problems` names what is wrong with the settings;
+    :func:`~evmarket.coordinator.negotiate_slot` raises the first.
     """
 
     initial_price: float = 16.0
@@ -306,16 +309,20 @@ def nonnegative(value: int) -> str | None:
     return None if value >= 0 else "must be nonnegative"
 
 
-# The most slots a day and vehicles a fleet may have, which bound the work of
-# any accepted scenario: at about 50 us an idle slot, a day at the limit takes
-# seconds, and generate_evs draws that many sessions in under a second.
+# The most slots a day, vehicles a fleet and price updates a slot may have,
+# which bound the work of any accepted scenario: at about 50 us an idle slot,
+# a day at the limit takes seconds, generate_evs draws that many sessions in
+# under a second, and a slot of a few vehicles at the iteration limit takes
+# about a second.
 MAX_SLOTS = 100_000
 MAX_FLEET = 100_000
+MAX_ITERATIONS = 100_000
 
 
 def at_most(limit: int) -> Callable[[int], str | None]:
     """The rule that a count is at most ``limit``, which the schema rows of
-    ``grid.num_slots`` and ``fleet.count`` and :func:`validate_scenario` use."""
+    ``grid.num_slots``, ``fleet.count`` and ``solver.max_iterations``,
+    :func:`validate_scenario` and :func:`loop_problems` use."""
     return lambda value: None if value <= limit else f"must be at most {limit}"
 
 
@@ -348,6 +355,8 @@ def loop_problems(solver: SolverConfig) -> list[str]:
         out.append("max_iterations must be an integer")
     elif not solver.max_iterations >= 1:
         out.append("max_iterations must be at least 1")
+    elif problem := at_most(MAX_ITERATIONS)(solver.max_iterations):
+        out.append(f"max_iterations {problem}")
     problem = known_schedule(solver.step_schedule)
     if problem:
         out.append(f"step_schedule {problem}")

@@ -130,14 +130,16 @@ def negotiate_window(state: SimulationState, scenario: Scenario) -> DualIteratio
 
 
 def settle(result: DualIterationState) -> Settlement:
-    """The first sample of a negotiation's window, with its outcome."""
+    """The first sample of a negotiation's window, with its outcome, read
+    from the settled state's float lists."""
+    evs = result.ev_solutions
     return Settlement(
-        float(result.prices[0]),
-        [float(profile[0]) for profile in result.ev_profiles],
-        float(result.supply[0]),
-        float(result.storage_power[0]),
+        result.price_values[0],
+        [float(row[0]) for row in evs.rows] if evs else [],
+        result.supply_values[0],
+        result.dso_solution.storage_values[0],
         result.iterations,
-        result.residual_norm,
+        result.residual_history[-1],
         result.converged,
         result.supplier_error,
     )

@@ -41,6 +41,7 @@ import numpy as np
 
 from .model import (
     MAX_FLEET,
+    MAX_ITERATIONS,
     MAX_SLOTS,
     DSOSpec,
     EVSession,
@@ -188,7 +189,7 @@ SCHEMA = (
     Entry("solver", "initial_price", "initial_price", float),
     Entry("solver", "step_size", "step_size", float),
     Entry("solver", "balance_tolerance", "balance_tolerance", float),
-    Entry("solver", "max_iterations", "max_iterations", int),
+    Entry("solver", "max_iterations", "max_iterations", int, None, at_most(MAX_ITERATIONS)),
     Entry("solver", "step_schedule", "step_schedule", str, None, known_schedule),
     Entry("solver", "kkt_tolerance", "kkt_tolerance", float),
     Entry("solver", "energy_tolerance", "energy_tolerance", float),

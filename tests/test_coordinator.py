@@ -17,6 +17,7 @@ from evmarket import (
     update_price,
 )
 from evmarket.dso_agent import ConvergenceError, DSOSolution
+from evmarket.model import max_abs
 
 from bruteforce import random_feasible_ev
 from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
@@ -56,9 +57,9 @@ def test_prices_stay_nonnegative_through_updates():
 def test_empty_market_dual_is_zero():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
     state = evaluate_dual([0.0, 0.0], [], make_dso_sub(2, dso=dso))
-    np.testing.assert_allclose(state.demand.values, 0.0)
-    np.testing.assert_allclose(state.supply.values, 0.0, atol=1e-6)
-    np.testing.assert_allclose(state.residual.values, 0.0, atol=1e-6)
+    np.testing.assert_allclose(state.demand_values, 0.0)
+    np.testing.assert_allclose(state.supply_values, 0.0, atol=1e-6)
+    np.testing.assert_allclose(state.residual_values, 0.0, atol=1e-6)
     assert state.dual_value == pytest.approx(0.0, abs=1e-8)
 
 
@@ -66,15 +67,15 @@ def test_satisfied_vehicle_adds_nothing():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
     ev = make_session(departure=2, energy=0.0)
     state = evaluate_dual([0.0, 0.0], [ev], make_dso_sub(2, dso=dso))
-    np.testing.assert_allclose(state.demand.values, 0.0, atol=1e-9)
-    np.testing.assert_allclose(state.supply.values, 0.0, atol=1e-6)
+    np.testing.assert_allclose(state.demand_values, 0.0, atol=1e-9)
+    np.testing.assert_allclose(state.supply_values, 0.0, atol=1e-6)
 
 
 def test_residual_is_supply_minus_demand():
     ev = make_session(departure=2, energy=4.0)
     state = evaluate_dual([2.0, 3.0], [ev], make_dso_sub(2))
     np.testing.assert_allclose(
-        state.residual.values, state.supply.values - state.demand.values
+        state.residual_values, np.subtract(state.supply_values, state.demand_values)
     )
 
 
@@ -126,7 +127,7 @@ def test_dual_gradient_matches_finite_differences():
         bumped[slot] += h
         up = evaluate_dual(bumped.tolist(), evs, dso_sub, eps=eps)
         fd = (up.dual_value - base.dual_value) / h
-        target = base.residual.values[slot]
+        target = base.residual_values[slot]
         assert fd == pytest.approx(target, rel=0.01, abs=0.02)
 
 
@@ -135,8 +136,8 @@ def test_negotiation_trivially_converged_at_balance():
     result = negotiate_slot([], make_dso_sub(1, dso=dso), warm_start_price=0.0)
     assert result.converged
     assert result.iterations == 0
-    np.testing.assert_allclose(result.prices.values, [0.0])
-    np.testing.assert_allclose(result.residual.values, 0.0, atol=1e-6)
+    np.testing.assert_allclose(result.price_values, [0.0])
+    np.testing.assert_allclose(result.residual_values, 0.0, atol=1e-6)
 
 
 def test_negotiation_finds_supply_curve_crossing():
@@ -146,9 +147,9 @@ def test_negotiation_finds_supply_curve_crossing():
     result = negotiate_slot([ev], make_dso_sub(1), warm_start_price=4.0)
     assert result.converged
     analytic = (22.0 + 0.9 / (2 * 0.06)) / (1 / (2 * 0.06) + 1 / (2 * 0.25 * 0.25))
-    assert result.prices[0] == pytest.approx(analytic, abs=0.02)
-    assert result.supply[0] == pytest.approx(22.0, abs=0.1)
-    assert result.demand[0] == pytest.approx(22.0, abs=1e-6)
+    assert result.price_values[0] == pytest.approx(analytic, abs=0.02)
+    assert result.supply_values[0] == pytest.approx(22.0, abs=0.1)
+    assert result.demand_values[0] == pytest.approx(22.0, abs=1e-6)
 
 
 def test_nonconvergence_is_flagged_not_raised():
@@ -163,7 +164,7 @@ def test_nonconvergence_is_flagged_not_raised():
 def test_warm_start_negative_price_is_clipped():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
     result = negotiate_slot([], make_dso_sub(1, dso=dso), warm_start_price=-3.0)
-    np.testing.assert_allclose(result.prices.values, [0.0])
+    np.testing.assert_allclose(result.price_values, [0.0])
 
 
 @pytest.mark.parametrize("price", [math.inf, -math.inf, math.nan])
@@ -235,4 +236,4 @@ def test_negotiation_returns_the_state_it_settled_at(monkeypatch, exit, levels, 
     assert all(last is state for last, state in zip(lasts[1:], states))
     assert len(lasts) == len(states) + (exit == "supplier failure")
     assert result.iterations == len(result.residual_history) - 1
-    assert result.residual_norm == result.residual_history[-1]
+    assert max_abs(result.residual_values) == result.residual_history[-1]

@@ -54,8 +54,8 @@ def test_tracking_penalty_hand_cases():
 def test_zero_price_zero_linear_cost_stays_idle():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
     sol = solve_dso(make_sub(3, dso=dso), [0.0] * 3)
-    np.testing.assert_allclose(sol.generation.values, 0.0, atol=1e-6)
-    np.testing.assert_allclose(sol.storage_power.values, 0.0, atol=1e-6)
+    np.testing.assert_allclose(sol.generation_values, 0.0, atol=1e-6)
+    np.testing.assert_allclose(sol.storage_values, 0.0, atol=1e-6)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
@@ -64,8 +64,8 @@ def test_one_slot_zero_price_hand_kkt():
     # generation pinned at zero, storage at the stationary point of
     # -a*ps^2 + b*ps - (throughput*slot_hours*ps)^2
     expected_ps = 0.9 / (2 * 0.06 + 2 * 0.25 * 0.25)
-    np.testing.assert_allclose(sol.generation.values, [0.0], atol=1e-7)
-    np.testing.assert_allclose(sol.storage_power.values, [expected_ps], atol=1e-6)
+    np.testing.assert_allclose(sol.generation_values, [0.0], atol=1e-7)
+    np.testing.assert_allclose(sol.storage_values, [expected_ps], atol=1e-6)
     gen, ps, value = dso_bruteforce_1slot(make_sub(1), [0.0])
     assert sol.objective == pytest.approx(value, abs=1e-3)
 
@@ -75,8 +75,8 @@ def test_one_slot_table1_price_against_grid():
     sol = solve_dso(sub, prices)
     gen, ps, value = dso_bruteforce_1slot(sub, prices)
     assert sol.objective == pytest.approx(value, rel=1e-6, abs=1e-3)
-    np.testing.assert_allclose(sol.generation.values, [gen], atol=0.02)
-    np.testing.assert_allclose(sol.storage_power.values, [ps], atol=0.02)
+    np.testing.assert_allclose(sol.generation_values, [gen], atol=0.02)
+    np.testing.assert_allclose(sol.storage_values, [ps], atol=0.02)
 
 
 def test_two_slot_matches_reduced_grid_oracle():
@@ -115,10 +115,10 @@ def test_solution_respects_boxes_and_stationarity():
         sub = make_sub(n, dso=dso, storage=storage, energy_now=float(rng.uniform(80.0, 120.0)))
         sol = solve_dso(sub, prices, eps=eps)
         assert sol.kkt_residual <= 1e-4
-        assert np.all(sol.generation.values >= dso.power_min - 1e-9)
-        assert np.all(sol.generation.values <= dso.power_max + 1e-9)
-        assert np.all(sol.storage_power.values >= storage.power_min - 1e-9)
-        assert np.all(sol.storage_power.values <= storage.power_max + 1e-9)
+        assert np.all(np.array(sol.generation_values) >= dso.power_min - 1e-9)
+        assert np.all(np.array(sol.generation_values) <= dso.power_max + 1e-9)
+        assert np.all(np.array(sol.storage_values) >= storage.power_min - 1e-9)
+        assert np.all(np.array(sol.storage_values) <= storage.power_max + 1e-9)
 
 
 def test_returned_point_beats_random_feasible_points():
@@ -139,8 +139,8 @@ def test_uniform_price_raise_never_reduces_supply():
         n = int(rng.integers(1, 6))
         lam = rng.uniform(0.0, 4.0, size=n)
         bump = float(rng.uniform(0.05, 2.0))
-        low = solve_dso(make_sub(n), lam).generation.values.sum()
-        high = solve_dso(make_sub(n), lam + bump).generation.values.sum()
+        low = np.sum(solve_dso(make_sub(n), lam).generation_values)
+        high = np.sum(solve_dso(make_sub(n), lam + bump).generation_values)
         assert high >= low - 1e-6
 
 
@@ -150,9 +150,9 @@ def test_warm_start_does_not_change_answer():
     sub = make_sub(6)
     cold = solve_dso(sub, lam)
     other = solve_dso(sub, lam + 1.0)
-    warm = solve_dso(sub, lam, start=(other.generation.values, other.storage_power.values))
-    np.testing.assert_allclose(cold.generation.values, warm.generation.values, atol=1e-5)
-    np.testing.assert_allclose(cold.storage_power.values, warm.storage_power.values, atol=1e-5)
+    warm = solve_dso(sub, lam, start=(other.generation_values, other.storage_values))
+    np.testing.assert_allclose(cold.generation_values, warm.generation_values, atol=1e-5)
+    np.testing.assert_allclose(cold.storage_values, warm.storage_values, atol=1e-5)
 
 
 def test_start_solved_on_another_subproblem_raises():

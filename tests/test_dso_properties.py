@@ -158,9 +158,9 @@ def test_closed_form_matches_projected_newton(market):
     point, _, _ = dso_agent._rounds(ws, zero_set, prices, REFERENCE_EPS)
     point = np.array(point)
     np.testing.assert_allclose(sol.point, point, rtol=0.0, atol=1e-9)
-    gen = sol.generation.values
+    gen = np.array(sol.generation_values)
     assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
-    np.testing.assert_array_equal(sol.storage_power.values, 0.0)
+    np.testing.assert_array_equal(sol.storage_values, 0.0)
     n = sub.window.length
     assert sol.objective == _objective(sub, lam, sol.point[:n], sol.point[n:])
     reference = _objective(sub, lam, point[:n], point[n:])
@@ -221,7 +221,7 @@ def check_warm_against_cold(sub, prices, start):
     np.testing.assert_allclose(warm.point, cold.point, rtol=0.0, atol=1e-9)
     warm = solve_dso(sub, prices, eps=EPS, start=start)
     assert warm.kkt_residual <= EPS.kkt
-    gen, ps = warm.generation.values, warm.storage_power.values
+    gen, ps = np.array(warm.generation_values), np.array(warm.storage_values)
     assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
     assert np.all(ps >= sub.storage.power_min) and np.all(ps <= sub.storage.power_max)
 
@@ -283,7 +283,7 @@ def test_cold_solves_on_long_windows_settle_within_the_round_bound(market):
         patch.setattr(DSOWorkspace, "next_sides", spied_next_sides)
         sol = solve_dso(sub, prices, eps=EPS)
     assert sol.kkt_residual <= EPS.kkt
-    gen, ps = sol.generation.values, sol.storage_power.values
+    gen, ps = np.array(sol.generation_values), np.array(sol.storage_values)
     assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
     assert np.all(ps >= sub.storage.power_min) and np.all(ps <= sub.storage.power_max)
     assert len(taken) <= dso_agent._ROUNDS_PER_ENTRY * 2 * sub.window.length

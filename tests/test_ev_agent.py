@@ -32,21 +32,21 @@ def test_utility_concave_increasing():
 def test_zero_requirement_charges_nothing():
     sol = solve_ev(*make_vehicle(3, energy=0.0), [3.0, 8.0, 1.0])
     assert sol.feasible
-    np.testing.assert_allclose(sol.profile.values, 0.0, atol=1e-9)
+    np.testing.assert_allclose(sol.power, 0.0, atol=1e-9)
 
 
 def test_single_slot_unique_feasible_point_ignores_price():
     for price in (0.0, 4.0, 50.0):
         sol = solve_ev(*make_vehicle(1, energy=5.5), [price])
         assert sol.feasible
-        np.testing.assert_allclose(sol.profile.values, [22.0], atol=1e-7)
+        np.testing.assert_allclose(sol.power, [22.0], atol=1e-7)
 
 
 def test_two_slot_example_against_bruteforce():
     ses, window = make_vehicle(2, energy=3.0)
     sol = solve_ev(ses, window, [16.0, 32.0])
     assert sol.feasible
-    profile = sol.profile.values
+    profile = sol.power
     assert profile[0] > profile[1]
     delivered = SLOT_HOURS * profile.sum()
     assert delivered == pytest.approx(3.0, abs=1e-6)
@@ -58,7 +58,7 @@ def test_two_slot_example_against_bruteforce():
 def test_infeasible_requirement_saturates_and_flags():
     sol = solve_ev(*make_vehicle(2, energy=50.0), [1.0, 1.0])
     assert not sol.feasible
-    np.testing.assert_allclose(sol.profile.values, 22.0)
+    np.testing.assert_allclose(sol.power, 22.0)
 
 
 def test_objective_matches_bruteforce_on_small_windows():
@@ -80,23 +80,23 @@ def test_kkt_conditions_on_random_inputs():
         sol = solve_ev(ses, window, prices, eps=eps)
         assert sol.feasible
         rate = ses.energy_rate(SLOT_HOURS)
-        delivered = rate * sol.profile.values.sum()
+        delivered = rate * sol.power.sum()
         assert abs(delivered - ses.energy_needed) <= eps.energy
         assert stationarity_residual(sol) <= 1e-6
         lo, hi = ses.power_min, ses.power_max
-        assert np.all(sol.profile.values >= lo - 1e-9)
-        assert np.all(sol.profile.values <= hi + 1e-9)
+        assert np.all(sol.power >= lo - 1e-9)
+        assert np.all(sol.power <= hi + 1e-9)
 
 
 def test_raising_one_price_never_raises_that_slot_power():
     rng = np.random.default_rng(23)
     for _ in range(40):
         ses, window, prices = random_vehicle(rng, max_slots=5)
-        base = solve_ev(ses, window, prices).profile.values
+        base = solve_ev(ses, window, prices).power
         slot = int(rng.integers(0, window.length))
         bumped = list(prices)
         bumped[slot] += rng.uniform(0.1, 3.0)
-        after = solve_ev(ses, window, bumped).profile.values
+        after = solve_ev(ses, window, bumped).power
         # slack on the scale of the bisection's energy tolerance
         assert after[slot] <= base[slot] + 1e-4
 
@@ -109,7 +109,7 @@ def test_batch_matches_individual_solves():
     batch = solve_ev_batch(sessions, window, prices)
     singles = [solve_ev(ses, window, prices) for ses in sessions]
     for joint, single in zip(batch, singles):
-        np.testing.assert_allclose(joint.profile.values, single.profile.values, atol=1e-7)
+        np.testing.assert_allclose(joint.power, single.power, atol=1e-7)
 
 
 def test_previous_start_does_not_change_solutions():
@@ -123,14 +123,14 @@ def test_previous_start_does_not_change_solutions():
     ws.load_prices(prices)
     cold, warm = ws.solve(), ws.solve(previous=previous)
     for a, b in zip(cold, warm):
-        np.testing.assert_allclose(a.profile.values, b.profile.values, atol=1e-5)
+        np.testing.assert_allclose(a.power, b.power, atol=1e-5)
 
 
 def test_objective_value_is_the_priced_utility():
     ses, window = make_vehicle(2, energy=4.0)
     sol = solve_ev(ses, window, [2.0, 3.0])
     assert sol.objective == pytest.approx(
-        ev_objective(ses, [2.0, 3.0], sol.profile.values), abs=1e-9
+        ev_objective(ses, [2.0, 3.0], sol.power), abs=1e-9
     )
 
 

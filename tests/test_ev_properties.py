@@ -84,10 +84,10 @@ def test_batch_solutions_are_optimal_and_in_the_box(sessions, prices, start):
         rate = ses.energy_rate(SLOT_HOURS)
         n = ses.departure
         floor, cap = rate * ses.power_min * n, rate * ses.power_max * n
-        delivered = rate * sol.profile.values.sum()
-        assert sol.profile.values.shape == (n,)
-        assert np.all(sol.profile.values >= ses.power_min - 1e-9)
-        assert np.all(sol.profile.values <= ses.power_max + 1e-9)
+        delivered = rate * sol.power.sum()
+        assert sol.power.shape == (n,)
+        assert np.all(sol.power >= ses.power_min - 1e-9)
+        assert np.all(sol.power <= ses.power_max + 1e-9)
         assert stationarity_residual(sol) <= 1e-6
         if floor <= ses.energy_needed <= cap:
             assert sol.feasible
@@ -96,7 +96,7 @@ def test_batch_solutions_are_optimal_and_in_the_box(sessions, prices, start):
         else:
             assert abs(delivered - ses.energy_needed) > EPS.energy * (1 - 1e-9)
             bound = ses.power_max if ses.energy_needed > cap else ses.power_min
-            np.testing.assert_allclose(sol.profile.values, bound)
+            np.testing.assert_allclose(sol.power, bound)
 
 
 def test_warm_started_solves_need_few_energy_evaluations():

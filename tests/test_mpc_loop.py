@@ -1,6 +1,9 @@
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evmarket import (
     ScenarioValidationError,
@@ -15,6 +18,7 @@ from evmarket.mpc_loop import SimulationState
 from evmarket.scenario_io import GridConfig, Scenario, SolverConfig
 
 from conftest import SCENARIO_DIR, SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
+from test_verify import scenarios
 
 
 def small_scenario(evs, storage=None, num_slots=8, **solver_kw) -> Scenario:
@@ -157,6 +161,55 @@ def test_flagged_slots_apply_no_more_than_each_vehicle_needs():
     eps = Tolerances().energy
     assert all(left >= -eps for rec in trace.records for _, left in rec.per_ev.values())
     assert trace.summary.energy_delivered == pytest.approx(9.0)
+
+
+def assert_finite_records(trace):
+    """Every slot, flagged or not, records finite numbers and a price >= 0."""
+    for rec in trace.records:
+        powers = [power for power, _ in rec.per_ev.values()]
+        numbers = [rec.demand_total, rec.generation, rec.storage_power, rec.storage_energy]
+        assert all(map(math.isfinite, numbers + powers)), rec
+        assert math.isfinite(rec.price_applied) and rec.price_applied >= 0, rec
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scenario=scenarios(),
+    step_size=st.sampled_from([None, 1e300, 2e306, 5e306]),
+    max_iterations=st.sampled_from([1, 5, 500]),
+    power_max=st.sampled_from([None, math.inf]),
+)
+def test_every_settled_slot_is_finite(scenario, step_size, max_iterations, power_max):
+    """The slot is settled from the price loop's float lists, which no
+    validated vector checks: every slot the loop settles, including those
+    flagged after a capped loop, an overflowing price update or a supplier
+    failure, must still record finite numbers."""
+    solver = replace(
+        scenario.solver,
+        step_size=step_size or scenario.solver.step_size,
+        max_iterations=max_iterations,
+    )
+    dso = replace(scenario.dso, power_max=power_max or scenario.dso.power_max)
+    assert_finite_records(run(replace(scenario, solver=solver, dso=dso)))
+
+
+@pytest.mark.parametrize(
+    "step_size, unbounded, reason",
+    [(1e300, False, None), (2e306, True, "supplier closed form left residual nan")],
+    ids=["capped", "supplier failure"],
+)
+def test_small_at_extreme_steps_records_finite_numbers(step_size, unbounded, reason):
+    """``small`` at five price updates a slot, capped at prices near 1e302,
+    or failing in an unbounded supplier's closed form after the first."""
+    scenario = parse_scenario((SCENARIO_DIR / "small.scenario").read_bytes())
+    if unbounded:
+        dso = replace(scenario.dso, power_max=math.inf)
+        scenario = replace(scenario, dso=dso, storage=None)
+    solver = replace(scenario.solver, step_size=step_size, max_iterations=5)
+    trace = run(replace(scenario, solver=solver))
+    assert not trace.converged
+    assert trace.records[0].supplier_error == reason
+    assert_finite_records(trace)
 
 
 def test_uncontrolled_sums_maxima():

@@ -122,11 +122,18 @@ def test_convergence_config_raises_the_first_rule_broken():
 
 
 @pytest.mark.parametrize(
-    "override", ["solver.initial_price=1e308", "grid.slot_minutes=1e308", "grid.slot_minutes=1e-308"]
+    "override",
+    [
+        "solver.initial_price=1e308",
+        "grid.slot_minutes=1e308",
+        "grid.slot_minutes=1e-308",
+        "solver.step_size=5e306",
+    ],
 )
 def test_extreme_valid_entries_warn_nothing_and_write_finite_numbers(tmp_path, capsys, override):
-    """Prices near the float limit average without overflow, and slots of
-    1e308 or 1e-308 minutes build the vehicles' rates quietly (the suite
+    """Prices near the float limit average without overflow, a price update
+    that is finite per kW-slot but not per kWh is never recorded, and slots
+    of 1e308 or 1e-308 minutes build the vehicles' rates quietly (the suite
     makes a RuntimeWarning an error)."""
     out = tmp_path / "out"
     assert main(["run", str(SMALL), "--out", str(out), "--set", override]) in (0, 2)

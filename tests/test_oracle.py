@@ -126,9 +126,9 @@ def test_matches_negotiated_welfare_within_one_percent():
     result = negotiate_slot(sessions, dso_sub, warm)
     assert result.converged
     negotiated = welfare(
-        [(ses, prof.values) for ses, prof in zip(sessions, result.ev_profiles)],
-        result.demand.values,
-        result.storage_power.values,
+        [(ses, sol.power) for ses, sol in zip(sessions, result.ev_solutions)],
+        result.demand_values,
+        result.dso_solution.storage_values,
         TABLE1_DSO,
         TABLE1_STORAGE,
         100.0,

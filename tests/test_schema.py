@@ -20,13 +20,14 @@ from evmarket import (
     ScenarioFormatError,
     ScenarioValidationError,
     StorageSpec,
+    negotiate_slot,
     parse_scenario,
     run,
     validate_scenario,
     write_scenario,
 )
 from evmarket.cli import _load_scenario, main
-from evmarket.model import MAX_FLEET, MAX_SLOTS
+from evmarket.model import MAX_FLEET, MAX_ITERATIONS, MAX_SLOTS
 from evmarket.scenario_io import (
     ENTRIES,
     REQUIRED,
@@ -41,6 +42,7 @@ from evmarket.scenario_io import (
 
 from conftest import SCENARIO_DIR
 from test_cli import SMALL
+from test_dso_agent import make_sub as make_dso_sub
 
 FLEET = "fleet:\n  count = 3\n  power_max = 22\n  weight = 10\n"
 
@@ -295,6 +297,37 @@ def test_a_day_or_fleet_past_its_limit_is_rejected(tmp_path, capsys):
         path.write_text(SMALL + FLEET)
         assert main(["run", str(path), "--out", str(tmp_path / "o"), "--set", f"{name}={HUGE}"]) == 1
         assert capsys.readouterr().err == f"error: {message}"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_price_loop_past_its_limit_is_rejected(tmp_path, capsys):
+    """``solver.max_iterations`` bounds the work of a slot that cannot clear,
+    so it shares the count limit's rule: at its line in a file, by name from
+    ``--set``, as a violation of ``validate_scenario`` and as a
+    ``ValueError`` of ``negotiate_slot``."""
+    scenario = parse_scenario(SMALL)
+    for count, violations in (
+        (MAX_ITERATIONS, ()),
+        (MAX_ITERATIONS + 1, ("solver: max_iterations must be at most 100000",)),
+    ):
+        solver = dataclasses.replace(scenario.solver, max_iterations=count)
+        report = validate_scenario(dataclasses.replace(scenario, solver=solver))
+        assert report.violations == violations
+    sub = make_dso_sub(1)
+    with pytest.raises(ValueError, match="^max_iterations must be at most 100000$"):
+        negotiate_slot([], sub, 1.0, dataclasses.replace(scenario.solver, max_iterations=10**20))
+    message = f"solver.max_iterations must be at most 100000, got '{HUGE}'\n"
+    text = SMALL.replace("initial_price = 16", f"initial_price = 16\n  max_iterations = {HUGE}")
+    line = text.splitlines().index(f"  max_iterations = {HUGE}") + 1
+    path = tmp_path / "endless.scenario"
+    path.write_text(text)
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+        assert main(command) == 1
+        assert capsys.readouterr().err == f"error: line {line}: {message}"
+    path.write_text(SMALL)
+    setting = f"solver.max_iterations={HUGE}"
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--set", setting]) == 1
+    assert capsys.readouterr().err == f"error: {message}"
     assert not (tmp_path / "o").exists()
 
 

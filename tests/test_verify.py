@@ -101,9 +101,9 @@ def test_verify_certifies_random_small_days(tmp_path, capsys, monkeypatch, scena
             continue
         window = compute_window(state.active, state.slot, day.grid.slot_hours)
         recovered = welfare(
-            [(s, p.values) for s, p in zip(state.active, result.ev_profiles)],
+            [(s, sol.power) for s, sol in zip(state.active, result.ev_solutions)],
             demand,
-            result.storage_power.values,
+            result.dso_solution.storage_values,
             day.dso,
             day.storage or StorageSpec(0.0, 0.0, 0.0, 0.0),
             state.storage_energy,
