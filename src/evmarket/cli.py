@@ -31,6 +31,7 @@ from .scenario_io import (
     SECTIONS,
     Scenario,
     ScenarioFormatError,
+    _fmt,
     parse_scenario,
     parse_value,
     resolve_sessions,
@@ -156,7 +157,7 @@ def _cmd_verify(args) -> int:
         f"max balance residual {max(r.residual for r in recs):.4f} kW, flagged slots {flagged}"
     )
     print(
-        f"dual value {dual:.6f}, recovered welfare {welfare:.6f}, gap {gap:.3e} "
+        f"dual value {_fmt(dual)}, recovered welfare {_fmt(welfare)}, gap {gap:.3e} "
         f"(relative {relative:.2e}), worst slot {worst_slot} at {worst:.2e}"
     )
     print(

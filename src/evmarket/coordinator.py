@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
 from .ev_agent import EVBatchWorkspace, EVSolution
-from .model import EVSession, SolverConfig, Tolerances
+from .model import EVSession, SolverConfig
 from .model import loop_problems, max_abs
 
 __all__ = [
@@ -109,37 +109,41 @@ def evaluate_dual(
     prices: list[float],
     sessions: Sequence[EVSession],
     dso_sub: DSOSubproblem,
-    eps: Tolerances = Tolerances(),
+    solver: SolverConfig = SolverConfig(),
     last: DualIterationState | None = None,
 ) -> DualIterationState:
     """Solve every agent at ``prices`` and assemble the imbalance.
 
-    ``prices`` is the float list broadcast over ``dso_sub.window``, the one
-    window of the supplier and the vehicles; a list of another length raises
-    ``ValueError`` from the solves.  Each vehicle charges on the leading slots
-    up to its departure and adds zero demand past it.  The dual value is the
-    sum of the agents' optimal objectives, computed when it is first read.
-    ``last``, the previous iteration's state on the same agents, lends its
-    vehicle workspace and its iteration count plus one, and warm-starts the
-    agents: each vehicle's multiplier search from a tangent prediction along
-    the price move (see :mod:`evmarket.ev_agent`), the supplier from its last
-    solution, whose workspace and active set carry over (see
-    :mod:`evmarket.dso_agent`).  Without it the workspaces are built, each
-    vehicle starts from the even spread of its requirement and the supplier
-    from the zero point.
+    Of ``solver`` only the agents' tolerances are read: the supplier solves
+    to ``solver.kkt_tolerance`` and a vehicle workspace built here to
+    ``solver.energy_tolerance``.  ``prices`` is the float list broadcast over
+    ``dso_sub.window``, the one window of the supplier and the vehicles; a
+    list of another length raises ``ValueError`` from the solves.  Each
+    vehicle charges on the leading slots up to its departure and adds zero
+    demand past it.  The dual value is the sum of the agents' optimal
+    objectives, computed when it is first read.  ``last``, the previous
+    iteration's state on the same agents, lends its vehicle workspace and its
+    iteration count plus one, and warm-starts the agents: each vehicle's
+    multiplier search from a tangent prediction along the price move (see
+    :mod:`evmarket.ev_agent`), the supplier from its last solution, whose
+    workspace and active set carry over (see :mod:`evmarket.dso_agent`).
+    Without it the workspaces are built, each vehicle starts from the even
+    spread of its requirement and the supplier from the zero point.
     """
     window = dso_sub.window
     n = window.length
     if sessions:
-        workspace = last.ev_solutions.workspace if last else EVBatchWorkspace(sessions, window)
+        workspace = last.ev_solutions.workspace if last else EVBatchWorkspace(
+            sessions, window, solver.energy_tolerance
+        )
         workspace.load_prices(prices)
-        ev_solutions = workspace.solve(eps, last and last.ev_solutions)
+        ev_solutions = workspace.solve(last and last.ev_solutions)
         demand = ev_solutions.demand
         if workspace.width < n:
             demand = demand + [0.0] * (n - workspace.width)
     else:
         ev_solutions, demand = (), [0.0] * n
-    dso_solution = solve_dso(dso_sub, prices, eps, start=last and last.dso_solution)
+    dso_solution = solve_dso(dso_sub, prices, solver.kkt_tolerance, last and last.dso_solution)
 
     supply = dso_solution.generation_values
     residual = []
@@ -188,7 +192,6 @@ def negotiate_slot(
         raise ValueError(problem)
     if not math.isfinite(warm_start_price):
         raise ValueError(f"warm-start price must be finite, not {warm_start_price}")
-    eps = Tolerances(solver.kkt_tolerance, solver.energy_tolerance)
     tolerance, hours = solver.balance_tolerance, dso_sub.window.slot_hours
     prices = [max(warm_start_price, 0.0)] * dso_sub.window.length
     history: list[float] = []
@@ -196,7 +199,7 @@ def negotiate_slot(
     supplier_error = None
     for k in range(solver.max_iterations + 1):
         try:
-            next_state = evaluate_dual(prices, sessions, dso_sub, eps, state)
+            next_state = evaluate_dual(prices, sessions, dso_sub, solver, state)
             norm = max_abs(next_state.residual_values)
             if not norm <= tolerance and not math.isfinite(norm):
                 message = f"non-finite balance residual ({norm}) at iteration {k}"

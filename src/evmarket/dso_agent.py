@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import DSOSpec, StorageSpec, TimeGrid, Tolerances
+from .model import DSOSpec, SolverConfig, StorageSpec, TimeGrid
 
 __all__ = [
     "DSOSubproblem",
@@ -364,7 +364,7 @@ class _ActiveSet:
 def solve_dso(
     sub: DSOSubproblem,
     prices: Sequence[float],
-    eps: Tolerances = Tolerances(),
+    kkt_tolerance: float = SolverConfig.kkt_tolerance,
     start: DSOSolution | tuple[Sequence[float], Sequence[float]] | None = None,
 ) -> DSOSolution:
     """Return the unique maximizer of the supplier objective on the boxes at
@@ -377,16 +377,16 @@ def solve_dso(
     call, whose set is read off the zero point; a solution on another
     subproblem raises ``ValueError``.  A ``(generation, storage)`` pair over
     the window has its set read off its point, each entry outside the box
-    held on the bound it crossed.  The first point that lies in the
-    box and passes the certificate is returned, so ``start`` never changes
-    the answer beyond the stationarity tolerance.
+    held on the bound it crossed.  The first point that lies in the box and
+    whose certificate is within ``kkt_tolerance`` is returned, so ``start``
+    never changes the answer beyond that tolerance.
     Raises :class:`ConvergenceError` if the rounds stall or reach their bound
     of ``_ROUNDS_PER_ENTRY`` per entry of the point, or if the closed form's
-    residual misses the target or is not finite.
+    residual misses ``kkt_tolerance`` or is not finite.
     """
     lam = sub.window.price_list(prices)
     if sub.storage.power_min == sub.storage.power_max and sub.dso.cost_quadratic > 0:
-        gen, storage, residual = _pinned_dispatch(sub, lam, eps)
+        gen, storage, residual = _pinned_dispatch(sub, lam, kkt_tolerance)
         return DSOSolution(gen, storage, residual, sub, lam)
     if type(start) is DSOSolution:
         if start.sub is not sub:
@@ -396,20 +396,20 @@ def solve_dso(
         ws = DSOWorkspace(sub)
         point = [0.0] * (2 * ws.n) if start is None else [*start[0], *start[1]]
         active = ws.active_set(point)
-    point, residual, active = _rounds(ws, active, lam, eps)
+    point, residual, active = _rounds(ws, active, lam, kkt_tolerance)
     n = len(lam)
     return DSOSolution(point[:n], point[n:], residual, sub, lam, ws, active)
 
 
 def _pinned_dispatch(
-    sub: DSOSubproblem, lam: Sequence[float], eps: Tolerances
+    sub: DSOSubproblem, lam: Sequence[float], kkt_tolerance: float
 ) -> tuple[list[float], list[float], float]:
     """Closed form when storage cannot move: every slot clears on its own.
 
     Plain floats, slot by slot, with the clip written out as NumPy's
     ``np.minimum(np.maximum(x, lo), hi)``: a NaN stays NaN, a tie takes the
-    bound.  The residual is ``np.abs(gaps).max()``, NaN if any gap is, and a
-    NaN price or bound gives a NaN residual, which raises.
+    bound.  The residual is ``np.abs(gaps).max()``, NaN if any gap is, as at
+    a NaN price or bound; one not within ``kkt_tolerance`` raises.
     """
     dso, pin = sub.dso, sub.storage.power_min
     lin, lo, hi = dso.cost_linear, dso.power_min, dso.power_max
@@ -430,20 +430,20 @@ def _pinned_dispatch(
         gap = abs(g - x)
         if not gap <= residual and residual == residual:
             residual = gap
-    if not residual <= eps.kkt:
+    if not residual <= kkt_tolerance:
         raise ConvergenceError(f"supplier closed form left residual {residual:.3e}", residual)
     return gen, [pin] * len(gen), residual
 
 
 def _rounds(
-    ws: DSOWorkspace, active: _ActiveSet, lam: list[float], eps: Tolerances
+    ws: DSOWorkspace, active: _ActiveSet, lam: list[float], kkt_tolerance: float
 ) -> tuple[list[float], float, _ActiveSet]:
     """Primal-dual active-set rounds from ``active`` at ``lam``.
 
     Each round takes its set's Newton point and returns it, with its residual
     (:meth:`DSOWorkspace.certificate`) and its active set (the round's,
     unless a free entry landed on a bound), if it lies in the box and the
-    residual is within ``eps.kkt``.  Otherwise the next round's set comes
+    residual is within ``kkt_tolerance``.  Otherwise the next round's set comes
     from :meth:`DSOWorkspace.next_sides`, all its changes at once, until a
     set repeats or twice as many sets as the point has entries were met.
     From then on each round makes only the lowest-index change of
@@ -473,7 +473,7 @@ def _rounds(
                     break
         else:
             residual = ws.certificate(point, lam)
-            if residual <= eps.kkt:
+            if residual <= kkt_tolerance:
                 return point, residual, active if interior else ws.active_set(point)
         sides = ws.next_sides(active, point, lam)
         if sides is None:

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import EVSession, TimeGrid, Tolerances
+from .model import EVSession, SolverConfig, TimeGrid
 
 __all__ = ["EVSolution", "EVBatchSolution", "utility", "solve_ev", "solve_ev_batch"]
 
@@ -164,21 +164,28 @@ class EVBatchWorkspace:
 
     The coordinator keeps one workspace per negotiation and re-solves it at
     every price update; only the prices change between calls, so everything
-    else the solve needs is built here once.  Every vehicle must depart inside
-    the window: ``window.start < departure <= window.end``, else ``ValueError``.
+    else the solve needs is built here once, the tolerance too: each vehicle
+    is solved to ``energy_tolerance`` kWh of its requirement.  Every vehicle
+    must depart inside the window: ``window.start < departure <= window.end``,
+    else ``ValueError``.
     Extreme slot lengths overflow the precomputed rates quietly, as in the
     solve.
     """
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def __init__(self, sessions: Sequence[EVSession], window: TimeGrid):
+    def __init__(
+        self,
+        sessions: Sequence[EVSession],
+        window: TimeGrid,
+        energy_tolerance: float = SolverConfig.energy_tolerance,
+    ):
         if not sessions:
             raise ValueError("workspace needs at least one vehicle")
         start, end = window.start, window.end
         for s in sessions:
             if not start < s.departure <= end:
                 raise ValueError(f"vehicle {s.ev_id} does not depart inside the window")
-        self.sessions, self.window = sessions, window
+        self.sessions, self.window, self.energy_tolerance = sessions, window, energy_tolerance
         self.lengths = np.array([s.departure - start for s in sessions])
         self.width = int(self.lengths.max())
         self.mask = np.arange(self.width)[None, :] < self.lengths[:, None]
@@ -200,8 +207,17 @@ class EVBatchWorkspace:
         # Each vehicle's last slot, where the window list's running maximum
         # and minimum hold the extremes of its own prices.
         self.last = self.lengths - 1
-        # Saturation flags per energy tolerance, and whether any row is at a face.
-        self._saturation: dict[float, tuple[tuple[np.ndarray, ...], bool]] = {}
+        # Requirements within the tolerance of (or beyond) the upper and the
+        # lower box face, the rest, and whether some requirement is at a face.
+        # Every solve reads the flags, so they are read-only.  They are set here,
+        # not on first use: on CPython 3.11 a second attribute added after
+        # construction (``prices`` is the first) slows every attribute read.
+        at_hi = self.need >= self.cap_hi - energy_tolerance
+        at_lo = self.need <= self.cap_lo + energy_tolerance
+        faces = (at_hi, at_lo, ~(at_hi | at_lo))
+        for array in faces:
+            array.setflags(write=False)
+        self._saturation = (*faces, bool(np.count_nonzero(faces[2]) < len(sessions)))
         # The kernel, chosen once: the price loop re-solves the same batch.
         self._scalar = self.width <= _SCALAR_WIDTH and len(sessions) <= _SCALAR_VEHICLES
 
@@ -215,20 +231,6 @@ class EVBatchWorkspace:
         """The window list ``prices`` as a ``vehicles x width`` matrix, padded
         past departure."""
         return np.where(self.mask, np.asarray(prices)[: self.width], _PAD_PRICE)
-
-    def _saturated(self, energy_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Requirements at (or beyond) the upper and the lower box face, and the
-        rest.  The flags are cached per tolerance, so they are read-only."""
-        entry = self._saturation.get(energy_tol)
-        if entry is None:
-            at_hi = self.need >= self.cap_hi - energy_tol
-            at_lo = self.need <= self.cap_lo + energy_tol
-            flags = (at_hi, at_lo, ~(at_hi | at_lo))
-            for array in flags:
-                array.setflags(write=False)
-            saturated = bool(np.count_nonzero(flags[2]) < len(self.need))
-            entry = self._saturation[energy_tol] = (flags, saturated)
-        return entry[0]
 
     def _power_at(
         self, mu: np.ndarray, lam: np.ndarray
@@ -246,9 +248,7 @@ class EVBatchWorkspace:
         power is its level) w/q**2 = (power + 1)**2 / w."""
         return self.slope_coef * np.add.reduce(np.square(power + 1.0) * (power == level), 1)
 
-    def solve(
-        self, eps: Tolerances = Tolerances(), previous: EVBatchSolution | None = None
-    ) -> EVBatchSolution:
+    def solve(self, previous: EVBatchSolution | None = None) -> EVBatchSolution:
         """Solve every vehicle at the loaded prices, in the kernel the size
         rule picked when the workspace was built (see the module docstring).
 
@@ -258,12 +258,12 @@ class EVBatchWorkspace:
         multiplier (that multiplier itself when no slot was free).
         """
         if self._scalar:
-            return self._solve_scalar(eps, _MAX_ITER, previous)
-        return self._solve_array(eps, _MAX_ITER, previous)
+            return self._solve_scalar(_MAX_ITER, previous)
+        return self._solve_array(_MAX_ITER, previous)
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def _solve_array(
-        self, eps: Tolerances, max_iter: int, previous: EVBatchSolution | None = None
+        self, max_iter: int, previous: EVBatchSolution | None = None
     ) -> EVBatchSolution:
         """Array kernel: all vehicles advance together, one NumPy pass per step.
 
@@ -275,7 +275,7 @@ class EVBatchWorkspace:
         or column sum is one ``np.add.reduce``, and the rare fixes (a
         non-finite prediction, a saturated requirement) run only when some row
         needs them."""
-        need, rate, tol = self.need, self.rate, eps.energy
+        need, rate, tol = self.need, self.rate, self.energy_tolerance
         prices = np.asarray(self.prices)
         lam = self.padded(prices)
 
@@ -307,9 +307,9 @@ class EVBatchWorkspace:
                 mu = np.where(finite, mu, 0.5 * (mu_low + mu_high))
 
         # Requirements at (or beyond) a box face get the saturated profile.
-        at_hi, at_lo, active = self._saturated(tol)
+        at_hi, at_lo, active, saturated = self._saturation
         mu = np.minimum(np.maximum(mu, mu_low), mu_high)
-        if self._saturation[tol][1]:  # some requirement is at a face
+        if saturated:
             mu = np.where(at_hi, mu_low, np.where(at_lo, mu_high, mu))
 
         # Safeguarded Newton on the decreasing energy E(mu) inside the shrinking
@@ -352,14 +352,14 @@ class EVBatchWorkspace:
         return list(zip(*(c.tolist() for c in columns)))
 
     def _solve_scalar(
-        self, eps: Tolerances, max_iter: int, previous: EVBatchSolution | None = None
+        self, max_iter: int, previous: EVBatchSolution | None = None
     ) -> EVBatchSolution:
         """Scalar kernel: the array kernel's steps, one vehicle at a time in
         plain floats.  Row sums run left to right, as NumPy's do for rows of
         at most seven entries, and the column sums vehicle by vehicle, as
         NumPy's do over a strided axis; where NumPy would divide by a zero
         slope the step bisects, which is where NumPy's inf or nan leads."""
-        tol, width = eps.energy, self.width
+        tol, width = self.energy_tolerance, self.width
         inf, isfinite = math.inf, math.isfinite
         prices = self.prices
         # Either start (the even spread or the prediction) reaches the one
@@ -487,9 +487,10 @@ def solve_ev_batch(
     sessions: Sequence[EVSession],
     window: TimeGrid,
     prices: Sequence[float],
-    eps: Tolerances = Tolerances(),
+    energy_tolerance: float = SolverConfig.energy_tolerance,
 ) -> Sequence[EVSolution]:
-    """Solve several vehicles on ``window`` at its price list ``prices``.
+    """Solve several vehicles on ``window`` at its price list ``prices``, each
+    to ``energy_tolerance`` kWh of its requirement.
 
     Every vehicle must depart inside the window, and ``prices`` must have
     the window's length (else ``ValueError``).
@@ -497,16 +498,19 @@ def solve_ev_batch(
     if not sessions:
         window.price_list(prices)
         return []
-    ws = EVBatchWorkspace(sessions, window)
+    ws = EVBatchWorkspace(sessions, window, energy_tolerance)
     ws.load_prices(prices)
-    return ws.solve(eps)
+    return ws.solve()
 
 
 def solve_ev(
-    session: EVSession, window: TimeGrid, prices: Sequence[float], eps: Tolerances = Tolerances()
+    session: EVSession,
+    window: TimeGrid,
+    prices: Sequence[float],
+    energy_tolerance: float = SolverConfig.energy_tolerance,
 ) -> EVSolution:
     """Solve one vehicle; see :func:`solve_ev_batch`."""
-    return solve_ev_batch([session], window, prices, eps)[0]
+    return solve_ev_batch([session], window, prices, energy_tolerance)[0]
 
 
 def stationarity_residual(solution: EVSolution) -> float:

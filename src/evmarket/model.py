@@ -29,7 +29,6 @@ __all__ = [
     "PriceVector",
     "PowerProfile",
     "SlotRecord",
-    "Tolerances",
     "SolverConfig",
     "ValidationReport",
     "ScenarioValidationError",
@@ -209,23 +208,6 @@ class SlotRecord:
     supplier_error: str | None = None
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances shared by the agent solvers; ``inf`` sets no target.
-
-    The supplier's plain-float certificate rounds at about 1e-12 on windows
-    of 20-48 slots, so a ``kkt`` below that can flag slots that are solved as
-    well as floats allow.
-    """
-
-    kkt: float = 1e-6
-    energy: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not (self.kkt > 0 and self.energy > 0):
-            raise ValueError("tolerances must be positive")
-
-
 # The price loop's step schedules; ``constant`` steps by ``step_size`` at
 # every iteration.
 (CONSTANT,) = STEP_SCHEDULES = ("constant",)
@@ -239,8 +221,13 @@ class SolverConfig:
     kWh).  The loop steps by ``step_size``, in price units per kW of
     imbalance, until the worst per-slot imbalance is within
     ``balance_tolerance`` or ``max_iterations`` (at most
-    :data:`MAX_ITERATIONS`) price updates are spent; the agents solve to the
-    slot's :class:`Tolerances`, ``kkt_tolerance`` and ``energy_tolerance``.
+    :data:`MAX_ITERATIONS`) price updates are spent.  The supplier solves to
+    the residual ``kkt_tolerance``, each vehicle to ``energy_tolerance`` kWh;
+    the agents' defaults are these fields, and ``inf`` sets no target in a
+    direct agent call.  The supplier's certificate rounds at about 1e-12 on
+    windows of 20-48 slots, so a ``kkt_tolerance`` below that can flag a
+    slot (table1 at 1e-15) or fail a day's first supplier call, which has no
+    state to settle at (table1 at 1e-16).
     :func:`loop_problems` names what is wrong with the settings;
     :func:`~evmarket.coordinator.negotiate_slot` raises the first.
     """
@@ -250,8 +237,8 @@ class SolverConfig:
     balance_tolerance: float = 0.1
     max_iterations: int = 2000
     step_schedule: str = CONSTANT
-    kkt_tolerance: float = Tolerances.kkt
-    energy_tolerance: float = Tolerances.energy
+    kkt_tolerance: float = 1e-6
+    energy_tolerance: float = 1e-6
 
 
 def remaining_energy_after(

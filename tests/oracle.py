@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from evmarket.dso_agent import generation_cost, storage_tracking_penalty
-from evmarket.model import DSOSpec, EVSession, PowerProfile, StorageSpec, TimeGrid, Tolerances
+from evmarket.model import DSOSpec, EVSession, PowerProfile, SolverConfig, StorageSpec, TimeGrid
 
 __all__ = ["CentralProblem", "CentralSolution", "solve_central", "welfare"]
 
@@ -118,7 +118,7 @@ def _project_rows_to_energy(
 
 def solve_central(
     problem: CentralProblem,
-    eps: Tolerances = Tolerances(),
+    solver: SolverConfig = SolverConfig(),
 ) -> CentralSolution:
     """Maximize welfare subject to boxes, balance and per-vehicle energy.
 
@@ -126,7 +126,9 @@ def solve_central(
     eliminated through the balance), with the energy equalities handled inside
     the projection.  Vehicles whose requirement exceeds their window capacity
     are pinned at full power and reported infeasible, mirroring the market
-    agents' best-effort policy.
+    agents' best-effort policy.  ``solver``'s tolerances are read as the
+    agents read them: the energy one at the box faces, the kkt one as the
+    stopping residual.
     """
     window = problem.window
     n = window.length
@@ -152,10 +154,10 @@ def solve_central(
     for i, ses in enumerate(sessions):
         cap = rate[i] * float(hi[i].sum()) if count else 0.0
         floor = rate[i] * float(lo[i].sum())
-        if ses.energy_needed > cap + eps.energy:
+        if ses.energy_needed > cap + solver.energy_tolerance:
             lo[i] = hi[i]
             feasible[i] = False
-        elif ses.energy_needed < floor - eps.energy:
+        elif ses.energy_needed < floor - solver.energy_tolerance:
             hi[i] = lo[i]
             feasible[i] = False
         else:
@@ -215,7 +217,7 @@ def solve_central(
             float(np.abs(r_p - p_new).max()) if count else 0.0,
             float(np.abs(r_ps - ps_new).max()),
         )
-        if residual <= eps.kkt:
+        if residual <= solver.kkt_tolerance:
             p, ps = p_new, ps_new
             break
         ascent = float((g_p * (p_new - p)).sum() + g_ps @ (ps_new - ps))

@@ -10,8 +10,8 @@ import pytest
 
 from evmarket import (
     DSOSubproblem,
+    SolverConfig,
     TimeGrid,
-    Tolerances,
     evaluate_dual,
     negotiate_slot,
     run,
@@ -183,7 +183,7 @@ def test_a5_peak_shaving(table1_run, table1_uncontrolled):
 
 
 def test_a6_subgradient_identity():
-    eps = Tolerances(kkt=1e-9, energy=1e-9)
+    solver = SolverConfig(kkt_tolerance=1e-9, energy_tolerance=1e-9)
     evs = [
         make_session(departure=2, energy=5.0),
         make_session(departure=2, energy=2.5),
@@ -195,10 +195,10 @@ def test_a6_subgradient_identity():
     for _ in range(20):
         lam = rng.uniform(0.3, 5.0, size=2)
         slot = int(rng.integers(0, 2))
-        base = evaluate_dual(lam.tolist(), evs, dso_sub, eps=eps)
+        base = evaluate_dual(lam.tolist(), evs, dso_sub, solver=solver)
         bumped = lam.copy()
         bumped[slot] += h
-        up = evaluate_dual(bumped.tolist(), evs, dso_sub, eps=eps)
+        up = evaluate_dual(bumped.tolist(), evs, dso_sub, solver=solver)
         fd = (up.dual_value - base.dual_value) / h
         target = base.residual_values[slot]
         rel = abs(fd - target) / max(abs(target), 0.1)
@@ -213,11 +213,11 @@ def test_a6_subgradient_identity():
 
 def test_a7_kkt_suites():
     rng = np.random.default_rng(99)
-    eps = Tolerances()
+    solver = SolverConfig()
     worst_ev = 0.0
     for _ in range(100):
         ses, window, prices = random_vehicle(rng)
-        sol = solve_ev(ses, window, prices, eps=eps)
+        sol = solve_ev(ses, window, prices, energy_tolerance=solver.energy_tolerance)
         worst_ev = max(worst_ev, stationarity_residual(sol))
 
     from evmarket import DSOSpec, StorageSpec
@@ -247,7 +247,7 @@ def test_a7_kkt_suites():
             window=TimeGrid(0, n, SLOT_HOURS),
         )
         prices = rng.uniform(0.0, 8.0, size=n)
-        worst_dso = max(worst_dso, solve_dso(sub, prices, eps=eps).kkt_residual)
+        worst_dso = max(worst_dso, solve_dso(sub, prices, solver.kkt_tolerance).kkt_residual)
 
     ok = worst_ev <= 1e-4 and worst_dso <= 1e-4
     report(

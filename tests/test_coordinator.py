@@ -10,7 +10,6 @@ from evmarket import (
     SolverConfig,
     StorageSpec,
     TimeGrid,
-    Tolerances,
     coordinator,
     evaluate_dual,
     negotiate_slot,
@@ -111,7 +110,7 @@ def test_weak_duality_against_sampled_feasible_points():
 
 
 def test_dual_gradient_matches_finite_differences():
-    eps = Tolerances(kkt=1e-10, energy=1e-10)
+    solver = SolverConfig(kkt_tolerance=1e-10, energy_tolerance=1e-10)
     evs = [
         make_session(departure=2, energy=5.0),
         make_session(departure=2, energy=2.0),
@@ -121,11 +120,11 @@ def test_dual_gradient_matches_finite_differences():
     h = 1e-4
     for _ in range(10):
         lam = rng.uniform(0.3, 5.0, size=2)
-        base = evaluate_dual(lam.tolist(), evs, dso_sub, eps=eps)
+        base = evaluate_dual(lam.tolist(), evs, dso_sub, solver=solver)
         slot = int(rng.integers(0, 2))
         bumped = lam.copy()
         bumped[slot] += h
-        up = evaluate_dual(bumped.tolist(), evs, dso_sub, eps=eps)
+        up = evaluate_dual(bumped.tolist(), evs, dso_sub, solver=solver)
         fd = (up.dual_value - base.dual_value) / h
         target = base.residual_values[slot]
         assert fd == pytest.approx(target, rel=0.01, abs=0.02)
@@ -182,7 +181,7 @@ def scripted_supplier(levels):
     ``i``, and failing at a ``None``."""
     calls = []
 
-    def supplier(sub, prices, eps, start):
+    def supplier(sub, prices, kkt_tolerance, start):
         level = levels[len(calls)]
         calls.append(prices)
         if level is None:

@@ -6,9 +6,9 @@ import pytest
 from evmarket import (
     DSOSpec,
     DSOSubproblem,
+    SolverConfig,
     StorageSpec,
     TimeGrid,
-    Tolerances,
     generation_cost,
     parse_scenario,
     solve_dso,
@@ -93,7 +93,7 @@ def test_two_slot_matches_reduced_grid_oracle():
 
 def test_solution_respects_boxes_and_stationarity():
     rng = np.random.default_rng(9)
-    eps = Tolerances()
+    kkt_tolerance = SolverConfig.kkt_tolerance
     for _ in range(100):
         n = int(rng.integers(1, 7))
         dso = DSOSpec(
@@ -113,7 +113,7 @@ def test_solution_respects_boxes_and_stationarity():
         )
         prices = rng.uniform(0.0, 8.0, size=n)
         sub = make_sub(n, dso=dso, storage=storage, energy_now=float(rng.uniform(80.0, 120.0)))
-        sol = solve_dso(sub, prices, eps=eps)
+        sol = solve_dso(sub, prices, kkt_tolerance)
         assert sol.kkt_residual <= 1e-4
         assert np.all(np.array(sol.generation_values) >= dso.power_min - 1e-9)
         assert np.all(np.array(sol.generation_values) <= dso.power_max + 1e-9)
@@ -197,4 +197,4 @@ def test_prices_near_the_float_limit_settle_on_the_cap():
         warm = solve_dso(sub, [1e307, 1e307], start=moderate)
     for sol in (cold, warm):
         assert sol.generation_values == cap
-        assert sol.kkt_residual <= Tolerances().kkt
+        assert sol.kkt_residual <= SolverConfig.kkt_tolerance

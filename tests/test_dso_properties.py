@@ -36,7 +36,6 @@ from evmarket import (
     SolverConfig,
     StorageSpec,
     TimeGrid,
-    Tolerances,
     coordinator,
     dso_agent,
     mpc_loop,
@@ -51,9 +50,9 @@ from evmarket.dso_agent import (
 
 from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE
 
-EPS = Tolerances()
+EPS = SolverConfig()
 # The reference solve is run to a much tighter residual than the check.
-REFERENCE_EPS = Tolerances(kkt=1e-12)
+REFERENCE_EPS = SolverConfig(kkt_tolerance=1e-12)
 
 
 def _residual(point, grad, lo, hi):
@@ -152,10 +151,10 @@ def test_closed_form_matches_projected_newton(market):
     on the pinned box."""
     sub, prices = market
     lam = np.array(prices)
-    sol = solve_dso(sub, prices, eps=EPS)
+    sol = solve_dso(sub, prices, EPS.kkt_tolerance)
     ws = DSOWorkspace(sub)
     zero_set = ws.active_set([0.0] * (2 * ws.n))
-    point, _, _ = dso_agent._rounds(ws, zero_set, prices, REFERENCE_EPS)
+    point, _, _ = dso_agent._rounds(ws, zero_set, prices, REFERENCE_EPS.kkt_tolerance)
     point = np.array(point)
     np.testing.assert_allclose(sol.point, point, rtol=0.0, atol=1e-9)
     gen = np.array(sol.generation_values)
@@ -170,7 +169,7 @@ def test_closed_form_matches_projected_newton(market):
     shortfall = max(float(grad @ (sol.point[:n] - point[:n])), 0.0)
     rounding = 1e-12 + 1e-9 * abs(reference)
     assert reference - rounding <= sol.objective <= reference + shortfall + rounding
-    assert sol.kkt_residual <= EPS.kkt
+    assert sol.kkt_residual <= EPS.kkt_tolerance
 
 
 def test_closed_form_raises_on_a_non_finite_residual():
@@ -216,11 +215,11 @@ def check_warm_against_cold(sub, prices, start):
     test's point bound.  (At ``EPS`` either may stop up to the residual target
     short of the optimum, the cold one often at its zero start.)  At ``EPS``
     the warm answer is certified and in the boxes."""
-    warm = solve_dso(sub, prices, eps=REFERENCE_EPS, start=start)
-    cold = solve_dso(sub, prices, eps=REFERENCE_EPS)
+    warm = solve_dso(sub, prices, REFERENCE_EPS.kkt_tolerance, start=start)
+    cold = solve_dso(sub, prices, REFERENCE_EPS.kkt_tolerance)
     np.testing.assert_allclose(warm.point, cold.point, rtol=0.0, atol=1e-9)
-    warm = solve_dso(sub, prices, eps=EPS, start=start)
-    assert warm.kkt_residual <= EPS.kkt
+    warm = solve_dso(sub, prices, EPS.kkt_tolerance, start=start)
+    assert warm.kkt_residual <= EPS.kkt_tolerance
     gen, ps = np.array(warm.generation_values), np.array(warm.storage_values)
     assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
     assert np.all(ps >= sub.storage.power_min) and np.all(ps <= sub.storage.power_max)
@@ -233,7 +232,7 @@ def test_warm_start_near_the_answer_matches_the_cold_solve(market, data):
     sub, prices = market
     n = sub.window.length
     shift = data.draw(st.lists(st.floats(-0.01, 0.01), min_size=n, max_size=n))
-    nearby = solve_dso(sub, np.maximum(np.array(prices) + shift, 0.0).tolist(), eps=EPS)
+    nearby = solve_dso(sub, np.maximum(np.array(prices) + shift, 0.0).tolist(), EPS.kkt_tolerance)
     check_warm_against_cold(sub, prices, (nearby.generation_values, nearby.storage_values))
 
 
@@ -281,8 +280,8 @@ def test_cold_solves_on_long_windows_settle_within_the_round_bound(market):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dso_agent._ActiveSet, "newton", spied_newton)
         patch.setattr(DSOWorkspace, "next_sides", spied_next_sides)
-        sol = solve_dso(sub, prices, eps=EPS)
-    assert sol.kkt_residual <= EPS.kkt
+        sol = solve_dso(sub, prices, EPS.kkt_tolerance)
+    assert sol.kkt_residual <= EPS.kkt_tolerance
     gen, ps = np.array(sol.generation_values), np.array(sol.storage_values)
     assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
     assert np.all(ps >= sub.storage.power_min) and np.all(ps <= sub.storage.power_max)
@@ -306,8 +305,8 @@ DEGENERATE_OPTIMUM = DSOSubproblem(
 
 @pytest.mark.parametrize("eps", [EPS, REFERENCE_EPS])
 def test_rounds_settle_an_optimum_on_a_bound_with_a_zero_gradient(eps):
-    sol = solve_dso(DEGENERATE_OPTIMUM, [0.0] * 5, eps=eps)
-    assert sol.kkt_residual <= eps.kkt
+    sol = solve_dso(DEGENERATE_OPTIMUM, [0.0] * 5, eps.kkt_tolerance)
+    assert sol.kkt_residual <= eps.kkt_tolerance
     assert sol.generation_values == [4.0, 0.0, 0.0, 0.0, 0.0]
 
 
@@ -329,13 +328,13 @@ def test_rounds_after_a_large_price_move_match_the_cold_solve(market, data):
     reach = 100.0 * SHIPPED_STEP * (cap - dso.power_min)
     shift = data.draw(st.lists(st.floats(-reach, reach), min_size=n, max_size=n))
     moved = np.maximum(np.array(prices) + shift, 0.0).tolist()
-    start = solve_dso(sub, moved, eps=REFERENCE_EPS)
+    start = solve_dso(sub, moved, REFERENCE_EPS.kkt_tolerance)
     ws = start.workspace
-    point, residual, active = dso_agent._rounds(ws, start.active, prices, REFERENCE_EPS)
-    assert residual <= REFERENCE_EPS.kkt
+    point, residual, active = dso_agent._rounds(ws, start.active, prices, REFERENCE_EPS.kkt_tolerance)
+    assert residual <= REFERENCE_EPS.kkt_tolerance
     assert all(lo <= v <= hi for lo, v, hi in zip(ws.lower, point, ws.upper))
     assert active.sides == ws.active_set(point).sides
-    cold = solve_dso(sub, prices, eps=REFERENCE_EPS)
+    cold = solve_dso(sub, prices, REFERENCE_EPS.kkt_tolerance)
     np.testing.assert_allclose(point, cold.point, rtol=0.0, atol=1e-9)
     check_warm_against_cold(sub, prices, start)
 

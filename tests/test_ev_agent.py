@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evmarket import TimeGrid, Tolerances, solve_ev, solve_ev_batch, utility
+from evmarket import SolverConfig, TimeGrid, solve_ev, solve_ev_batch, utility
 from evmarket.ev_agent import EVBatchWorkspace, stationarity_residual
 
 from bruteforce import ev_bruteforce, ev_objective
@@ -74,14 +74,14 @@ def test_objective_matches_bruteforce_on_small_windows():
 
 def test_kkt_conditions_on_random_inputs():
     rng = np.random.default_rng(7)
-    eps = Tolerances()
+    energy_tolerance = SolverConfig.energy_tolerance
     for _ in range(100):
         ses, window, prices = random_vehicle(rng)
-        sol = solve_ev(ses, window, prices, eps=eps)
+        sol = solve_ev(ses, window, prices, energy_tolerance)
         assert sol.feasible
         rate = ses.energy_rate(SLOT_HOURS)
         delivered = rate * sol.power.sum()
-        assert abs(delivered - ses.energy_needed) <= eps.energy
+        assert abs(delivered - ses.energy_needed) <= energy_tolerance
         assert stationarity_residual(sol) <= 1e-6
         lo, hi = ses.power_min, ses.power_max
         assert np.all(sol.power >= lo - 1e-9)
@@ -212,7 +212,6 @@ def test_kernels_agree_on_prices_above_the_padding_price():
     a vehicle whose own prices all exceed it gets its bracket from those
     prices alone on either kernel, so the two agree bit for bit."""
     rng = np.random.default_rng(29)
-    eps = Tolerances()
     for _ in range(100):
         width = int(rng.integers(2, 8))
         sessions = []
@@ -229,7 +228,7 @@ def test_kernels_agree_on_prices_above_the_padding_price():
             )
         ws = EVBatchWorkspace(sessions, TimeGrid(0, width, SLOT_HOURS))
         ws.load_prices(rng.uniform(1e29, 5e31, size=width))
-        scalar, array = ws._solve_scalar(eps, 200), ws._solve_array(eps, 200)
+        scalar, array = ws._solve_scalar(200), ws._solve_array(200)
         np.testing.assert_array_equal(scalar.power, array.power)
         np.testing.assert_array_equal(scalar.energy_multiplier, array.energy_multiplier)
         np.testing.assert_array_equal(scalar.feasible, array.feasible)

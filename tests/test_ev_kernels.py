@@ -10,12 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmarket import TimeGrid, Tolerances, ev_agent
+from evmarket import TimeGrid, ev_agent
 from evmarket.ev_agent import EVBatchSolution, EVBatchWorkspace
 
 from conftest import SLOT_HOURS, make_session, make_vehicle, start_at, window_of
-
-EPS = Tolerances()
 
 # Where the requirement sits relative to the energy the box can deliver.
 NEEDS = ("zero", "interior", "full", "floor", "over", "under")
@@ -96,8 +94,8 @@ def assert_same(ws, start, max_iter, nan=False):
     if start is not None:
         count = len(ws.lengths)
         previous = start_at(ws, start[0][:count], start[1][:count])
-    scalar = ws._solve_scalar(EPS, max_iter, previous)
-    assert_identical(scalar, ws._solve_array(EPS, max_iter, previous), nan)
+    scalar = ws._solve_scalar(max_iter, previous)
+    assert_identical(scalar, ws._solve_array(max_iter, previous), nan)
 
 
 def assert_identical(scalar, array, nan=False):
@@ -139,21 +137,21 @@ def test_kernels_match_on_the_predicted_start(ws, data, max_iter):
     kind, before, now = data.draw(moves(ws))
     nan = kind.startswith("nan")
     ws.load_prices(before)
-    scalar_before = ws._solve_scalar(EPS, 200)
-    array_before = ws._solve_array(EPS, 200)
+    scalar_before = ws._solve_scalar(200)
+    array_before = ws._solve_array(200)
     assert_identical(scalar_before, array_before, nan)
     ws.load_prices(now)
-    array = ws._solve_array(EPS, max_iter, array_before)
-    assert_identical(ws._solve_scalar(EPS, max_iter, scalar_before), array, nan)
+    array = ws._solve_array(max_iter, array_before)
+    assert_identical(ws._solve_scalar(max_iter, scalar_before), array, nan)
     # Either kernel predicts from a solution of the other.
-    assert_identical(ws._solve_scalar(EPS, max_iter, array_before), array, nan)
+    assert_identical(ws._solve_scalar(max_iter, array_before), array, nan)
     assert_same(ws, None, max_iter, nan)
 
 
 def starts(ws, previous, nan=False):
     """Each kernel's starting multipliers (``max_iter=0``) from ``previous``."""
-    scalar = ws._solve_scalar(EPS, 0, previous)
-    array = ws._solve_array(EPS, 0, previous)
+    scalar = ws._solve_scalar(0, previous)
+    array = ws._solve_array(0, previous)
     assert_identical(scalar, array, nan)
     return scalar.multipliers
 
@@ -197,8 +195,8 @@ def test_nan_price_gives_a_nan_start_on_either_kernel():
     for now in ((math.nan, 2.9, 4.5), (2.1, math.nan, 4.5), (2.1, 2.9, math.nan)):
         ws, previous = one_vehicle([2.0, 3.0, 4.0], [1.5, 0.5, 20.0], 0.3, now=now)
         assert math.isnan(starts(ws, previous, nan=True)[0])
-        array = ws._solve_array(EPS, 200, previous)
-        assert_identical(ws._solve_scalar(EPS, 200, previous), array, nan=True)
+        array = ws._solve_array(200, previous)
+        assert_identical(ws._solve_scalar(200, previous), array, nan=True)
         assert array.power.tolist() == [[20.0] * 3]
         assert_same(ws, None, 200, nan=True)
 
@@ -224,7 +222,7 @@ def test_nonpositive_effective_price_and_zero_slope():
     assert slope[0] == 0.0
     for max_iter in (1, 2, 200):
         assert_same(ws, ([-1e6], [True]), max_iter)
-    assert ws.solve(EPS, previous=start_at(ws, [-1e6])).feasible.all()
+    assert ws.solve(previous=start_at(ws, [-1e6])).feasible.all()
 
 
 def batch(vehicles, width):
@@ -243,7 +241,7 @@ def kernel_used(ws, monkeypatch):
             return _kernel(*args)
 
         monkeypatch.setattr(ws, name, spy)
-    ws.solve(EPS)
+    ws.solve()
     return used
 
 
@@ -280,8 +278,8 @@ def test_one_slot_batches_sum_their_column_like_numpy(count):
 
 def test_cached_saturation_flags_are_read_only():
     ws = batch(3, 4)
-    flags = ws._saturated(EPS.energy)
-    for array in flags:
+    flags = ws._saturation
+    for array in flags[:3]:
         with pytest.raises(ValueError):
             array &= False
-    assert ws._saturated(EPS.energy) is flags
+    assert ws._saturation is flags

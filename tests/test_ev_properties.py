@@ -3,12 +3,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmarket import TimeGrid, Tolerances
+from evmarket import SolverConfig, TimeGrid
 from evmarket.ev_agent import EVBatchWorkspace, stationarity_residual
 
 from conftest import SLOT_HOURS, make_session, random_vehicle, start_at, window_of
 
-EPS = Tolerances()
+EPS = SolverConfig()
 
 # Where the requirement sits relative to the energy the box can deliver.
 NEEDS = ("zero", "interior", "full", "floor", "over", "under")
@@ -51,19 +51,19 @@ def solve(ws, start):
     ``0.1 * noise`` in alternating directions."""
     kind, noise = start
     if kind == "none":
-        return ws.solve(eps=EPS)
+        return ws.solve()
     prices = ws.prices
     if kind == "predicted":
         signs = (-1.0) ** np.arange(len(prices))
         ws.load_prices(np.maximum(np.array(prices) + 0.1 * noise * signs, 0.0))
-        previous = ws.solve(eps=EPS)
+        previous = ws.solve()
         ws.load_prices(prices)
-        return ws.solve(eps=EPS, previous=previous)
+        return ws.solve(previous=previous)
     if kind == "good":
-        mu = ws.solve(eps=EPS).energy_multiplier + noise * 1e-3
+        mu = ws.solve().energy_multiplier + noise * 1e-3
     else:
         mu = np.resize([noise * 1e6, -noise * 1e6, np.nan, np.inf], len(ws.lengths))
-    return ws.solve(eps=EPS, previous=start_at(ws, mu))
+    return ws.solve(previous=start_at(ws, mu))
 
 
 PRICES = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=6, max_size=6)
@@ -76,7 +76,7 @@ PRICES = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=6, max_
     start=st.tuples(st.sampled_from(("none", "good", "bad", "predicted")), st.floats(0.1, 10.0)),
 )
 def test_batch_solutions_are_optimal_and_in_the_box(sessions, prices, start):
-    ws = EVBatchWorkspace(sessions, TimeGrid(0, 6, SLOT_HOURS))
+    ws = EVBatchWorkspace(sessions, TimeGrid(0, 6, SLOT_HOURS), EPS.energy_tolerance)
     ws.load_prices(prices)
     batch = solve(ws, start)
     assert len(batch) == len(sessions)
@@ -92,9 +92,9 @@ def test_batch_solutions_are_optimal_and_in_the_box(sessions, prices, start):
         if floor <= ses.energy_needed <= cap:
             assert sol.feasible
         if sol.feasible:
-            assert abs(delivered - ses.energy_needed) <= EPS.energy * (1 + 1e-9)
+            assert abs(delivered - ses.energy_needed) <= EPS.energy_tolerance * (1 + 1e-9)
         else:
-            assert abs(delivered - ses.energy_needed) > EPS.energy * (1 - 1e-9)
+            assert abs(delivered - ses.energy_needed) > EPS.energy_tolerance * (1 - 1e-9)
             bound = ses.power_max if ses.energy_needed > cap else ses.power_min
             np.testing.assert_allclose(sol.power, bound)
 
@@ -124,7 +124,7 @@ def test_warm_started_solves_need_few_energy_evaluations():
         width = ws.width
         prices = rng.uniform(0.5, 4.0, size=width)
         ws.load_prices(prices)
-        batch = ws._solve_array(EPS, 200)
+        batch = ws._solve_array(200)
         power_at = ws._power_at
 
         def counted(m, lam):
@@ -136,7 +136,7 @@ def test_warm_started_solves_need_few_energy_evaluations():
         for _ in range(10):
             prices = np.maximum(prices + rng.normal(0.0, 0.02, size=width), 0.0)
             ws.load_prices(prices)
-            batch = ws._solve_array(EPS, 200, batch)
+            batch = ws._solve_array(200, batch)
             assert batch.feasible.all()
             solves += 1
     assert evaluations / solves <= 5.0, evaluations / solves
@@ -153,8 +153,8 @@ def test_predicted_start_meets_the_tolerance_more_often_than_the_last_multiplier
     ws = EVBatchWorkspace(sessions, window_of(sessions))
     prices = rng.uniform(0.1, 8.0, size=ws.width)
     ws.load_prices(prices)
-    previous = ws.solve(eps=EPS)
+    previous = ws.solve()
     ws.load_prices(np.maximum(prices + rng.normal(0.0, 0.005, size=prices.size), 0.0))
-    predicted = ws._solve_array(EPS, 0, previous).feasible.sum()
-    plain = ws._solve_array(EPS, 0, start_at(ws, previous.multipliers))
+    predicted = ws._solve_array(0, previous).feasible.sum()
+    plain = ws._solve_array(0, start_at(ws, previous.multipliers))
     assert predicted > plain.feasible.sum()

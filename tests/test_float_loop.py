@@ -20,7 +20,6 @@ from evmarket import (
     SolverConfig,
     StorageSpec,
     TimeGrid,
-    Tolerances,
     coordinator,
     ev_agent,
     mpc_loop,
@@ -109,12 +108,11 @@ def test_pinned_dispatch_is_the_numpy_closed_form_bit_for_bit(prices, lin, lo, h
         gen = np.minimum(np.maximum(pin + margin / scale, lo), hi)
         moved = np.minimum(np.maximum(gen + (margin - scale * (gen - pin)), lo), hi)
         residual = np.abs(gen - moved).max()
-    eps = Tolerances(kkt=math.inf)
     if math.isnan(residual):
         with pytest.raises(ConvergenceError, match="closed form"):
-            _pinned_dispatch(sub, prices, eps)
+            _pinned_dispatch(sub, prices, math.inf)
         return
-    values, storage, kkt = _pinned_dispatch(sub, prices, eps)
+    values, storage, kkt = _pinned_dispatch(sub, prices, math.inf)
     assert same_bits(values, gen)
     assert same_bits([kkt], [residual])
     assert same_bits(storage, [pin] * len(prices))
@@ -136,7 +134,7 @@ def supplier_turning(last, calls):
     """A supplier stub offering 5 kW per slot, then ``last`` in the last slot
     from its second call on; ``calls`` collects the prices it is asked at."""
 
-    def supplier(sub, prices, eps, start):
+    def supplier(sub, prices, kkt_tolerance, start):
         calls.append(prices)
         gen = [5.0, 5.0] if len(calls) == 1 else [5.0, last]
         return DSOSolution(gen, [0.0, 0.0], 0.0, sub, prices)
@@ -177,7 +175,7 @@ def test_nan_residual_at_the_first_iteration_raises(monkeypatch):
     supplier failure at the first iteration does."""
     calls = []
 
-    def supplier(sub, prices, eps, start):
+    def supplier(sub, prices, kkt_tolerance, start):
         calls.append(prices)
         return DSOSolution([0.0, NAN], [0.0, 0.0], 0.0, sub, prices)
 

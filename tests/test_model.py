@@ -5,7 +5,6 @@ from evmarket import (
     PowerProfile,
     PriceVector,
     TimeGrid,
-    Tolerances,
     remaining_energy_after,
     validate_scenario,
 )
@@ -36,11 +35,6 @@ def test_power_profile_accepts_negative_but_not_nan():
     assert profile[0] == -3.0
     with pytest.raises(ValueError):
         PowerProfile(np.array([np.nan]))
-
-
-def test_tolerances_positive():
-    with pytest.raises(ValueError):
-        Tolerances(kkt=0.0)
 
 
 def test_remaining_energy_recursion():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from evmarket import (
     ScenarioValidationError,
-    Tolerances,
     compute_window,
     parse_scenario,
     run,
@@ -158,7 +157,7 @@ def test_flagged_slots_apply_no_more_than_each_vehicle_needs():
     assert not any(rec.converged for rec in trace.records)
     powers = [power for rec in trace.records for power, _ in rec.per_ev.values()]
     assert powers == pytest.approx([22.0, 12.0, 2.0])
-    eps = Tolerances().energy
+    eps = SolverConfig.energy_tolerance
     assert all(left >= -eps for rec in trace.records for _, left in rec.per_ev.values())
     assert trace.summary.energy_delivered == pytest.approx(9.0)
 
