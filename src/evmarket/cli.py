@@ -31,6 +31,7 @@ from .scenario_io import (
     SECTIONS,
     Scenario,
     ScenarioFormatError,
+    _EXPONENT_FROM,
     _fmt,
     parse_scenario,
     parse_value,
@@ -216,16 +217,23 @@ def _cmd_simulate(args) -> int:
     s = trace.summary
     max_iters = max((rec.iterations for rec in trace.records), default=0)
     print(
-        f"{len(trace.records)} slots, peak demand {s.peak_demand:.2f} kW, "
-        f"delivered {s.energy_delivered:.2f} kWh, unmet {s.energy_unmet:.4f} kWh"
+        f"{len(trace.records)} slots, peak demand {_short(s.peak_demand, 2)} kW, "
+        f"delivered {_short(s.energy_delivered, 2)} kWh, unmet {_short(s.energy_unmet, 4)} kWh"
     )
     print(
-        f"price mean {s.price_mean:.3f} stdev {s.price_stdev:.3f} cent/kWh, "
+        f"price mean {_short(s.price_mean, 3)} stdev {_short(s.price_stdev, 3)} cent/kWh, "
         f"max dual iterations {max_iters}, non-converged slots {flagged}"
     )
     if flagged:
         return 2
     return 0
+
+
+def _short(x: float, decimals: int) -> str:
+    """``x`` to ``decimals`` places, in exponent form from the magnitude on
+    which the trace's cells take it, so no console figure runs to hundreds
+    of digits."""
+    return f"{x:.{decimals}f}" if abs(x) < _EXPONENT_FROM else f"{x:.{decimals}e}"
 
 
 def _report_flagged(trace) -> int:

@@ -10,12 +10,14 @@ both to 0, as for a scenario without storage) the problem separates per slot
 and is solved in closed form, in plain floats: ``P_s`` sits at the pinned value
 and ``P_l = clip(P_s + (price - linear_cost) / (2 * quadratic_cost))`` on the
 generation box, the clip written out with NumPy's rules for ties, signed zeros
-and NaN.  Otherwise primal-dual active-set rounds solve it (Hintermüller, Ito
-& Kunisch, SIAM J. Optim. 2002).  A :class:`DSOWorkspace`, built on a
-negotiation's first solve and handed on by each solution, holds what the
-price rounds share: the boxes as floats and the storage block's linear
-term.  Each round's active set (:class:`_ActiveSet`) holds its free and held
-entries and the elimination of its Newton system.  In the stored energy after
+and NaN.  The pinned test and the form's constants are read once per
+negotiation, when its :class:`DSOSubproblem` is built.  Otherwise primal-dual
+active-set rounds solve it (Hintermüller, Ito & Kunisch, SIAM J. Optim.
+2002).  A :class:`DSOWorkspace`, built on a negotiation's first solve and
+handed on by each solution, holds what the price rounds share: the boxes as
+floats and the storage block's linear term.  Each round's active set
+(:class:`_ActiveSet`) holds its free and held entries and the elimination
+of its Newton system.  In the stored energy after
 each slot and its costate, that system is tridiagonal, one row per slot, the
 structure fast MPC solvers exploit (Rao, Wright & Rawlings, J. Optim. Theory
 Appl. 1998).  A Riccati recursion eliminates it from the last slot as the
@@ -29,7 +31,8 @@ Each round takes the Newton step on its set and returns the point if it lies
 in the box and passes the certificate.  Otherwise the next set holds each
 free entry that left the box on the bound it crossed, and releases each held
 entry whose gradient ``g - Q z`` points into the box.  Prices move little
-between rounds, so the first round usually settles a warm call.  When a set
+between rounds, so the first round usually settles a warm call, and the
+bookkeeping of later rounds is set up only when it does not.  When a set
 repeats, or after twice as many rounds as the point has entries, each round
 makes only the lowest-index of those changes (Júdice & Pires, Comput. Oper.
 Res. 1994).  The rounds are bounded by the window length; a singular set, a
@@ -71,12 +74,31 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class DSOSubproblem:
     """Supplier data for one negotiation window; ``energy_now`` is the stored
-    energy.  It holds no prices: each solve is given the window list."""
+    energy.  It holds no prices: each solve is given the window list.
+
+    ``_closed_form`` is found once, when the subproblem is built: whether
+    the closed form solves it (a pinned storage box and a strictly convex
+    cost), then the form's constants, the pinned storage power, the linear
+    cost, the generation box and twice the quadratic cost.  It is a plain
+    attribute because every solve reads it; a cached property reads slower.
+    """
 
     dso: DSOSpec
     storage: StorageSpec
     energy_now: float
     window: TimeGrid
+
+    def __post_init__(self) -> None:
+        dso, storage = self.dso, self.storage
+        closed_form = (
+            storage.power_min == storage.power_max and dso.cost_quadratic > 0,
+            storage.power_min,
+            dso.cost_linear,
+            dso.power_min,
+            dso.power_max,
+            2.0 * dso.cost_quadratic,
+        )
+        object.__setattr__(self, "_closed_form", closed_form)
 
 
 @dataclass(eq=False)
@@ -385,7 +407,7 @@ def solve_dso(
     residual misses ``kkt_tolerance`` or is not finite.
     """
     lam = sub.window.price_list(prices)
-    if sub.storage.power_min == sub.storage.power_max and sub.dso.cost_quadratic > 0:
+    if sub._closed_form[0]:
         gen, storage, residual = _pinned_dispatch(sub, lam, kkt_tolerance)
         return DSOSolution(gen, storage, residual, sub, lam)
     if type(start) is DSOSolution:
@@ -406,14 +428,13 @@ def _pinned_dispatch(
 ) -> tuple[list[float], list[float], float]:
     """Closed form when storage cannot move: every slot clears on its own.
 
-    Plain floats, slot by slot, with the clip written out as NumPy's
-    ``np.minimum(np.maximum(x, lo), hi)``: a NaN stays NaN, a tie takes the
-    bound.  The residual is ``np.abs(gaps).max()``, NaN if any gap is, as at
-    a NaN price or bound; one not within ``kkt_tolerance`` raises.
+    The constants are read from ``sub``, which finds them once per
+    negotiation.  Plain floats, slot by slot, with the clip written out as
+    NumPy's ``np.minimum(np.maximum(x, lo), hi)``: a NaN stays NaN, a tie
+    takes the bound.  The residual is ``np.abs(gaps).max()``, NaN if any gap
+    is, as at a NaN price or bound; one not within ``kkt_tolerance`` raises.
     """
-    dso, pin = sub.dso, sub.storage.power_min
-    lin, lo, hi = dso.cost_linear, dso.power_min, dso.power_max
-    scale = 2.0 * dso.cost_quadratic
+    _, pin, lin, lo, hi, scale = sub._closed_form
     gen = []
     residual = 0.0
     for price in lam:
@@ -453,14 +474,15 @@ def _rounds(
     Raises :class:`ConvergenceError` with the last residual read (inf if
     none was) when the set is singular, a free entry is NaN, no side
     is left to change, or after ``_ROUNDS_PER_ENTRY`` rounds per entry of
-    the point.
+    the point.  Most warm calls settle in the first round, so the repeat
+    set and the round bound are set up only once it misses.
     """
     lower, upper = ws.lower, ws.upper
-    bound = _ROUNDS_PER_ENTRY * len(lower)
-    seen = set()
+    seen = None
     single = False
     residual = math.inf
-    for rounds in range(1, bound + 1):
+    rounds = 1
+    while True:
         point = active.newton(lam, ws.lin)
         if point is None:
             break
@@ -475,6 +497,10 @@ def _rounds(
             residual = ws.certificate(point, lam)
             if residual <= kkt_tolerance:
                 return point, residual, active if interior else ws.active_set(point)
+        if seen is None:
+            bound, seen = _ROUNDS_PER_ENTRY * len(lower), set()
+        if rounds == bound:
+            break
         sides = ws.next_sides(active, point, lam)
         if sides is None:
             break
@@ -488,8 +514,10 @@ def _rounds(
             else:
                 break
         active = _ActiveSet(ws, sides)
+        rounds += 1
     raise ConvergenceError(
-        f"supplier solve stalled at residual {residual:.3e} in round {rounds} of {bound}",
+        f"supplier solve stalled at residual {residual:.3e} in round {rounds} of "
+        f"{_ROUNDS_PER_ENTRY * len(lower)}",
         residual,
     )
 

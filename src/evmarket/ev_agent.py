@@ -25,16 +25,17 @@ NumPy pass per step, and a scalar kernel that solves one vehicle at a time in
 plain floats, for batches of at most ``_SCALAR_WIDTH`` slots and
 ``_SCALAR_VEHICLES`` vehicles, where NumPy's per-call overhead outweighs the
 arithmetic; a workspace picks its kernel once, when it is built.  Both take
-each vehicle's saturation bracket from the extremes of its own prices and
-hand back the batch's demand (its column sums) as floats.  The array kernel
-reads those extremes from the window list's running maximum and minimum at
-each vehicle's last slot, pads the prices into rows once on entry, evaluates
-power and energy at the start, and only while some row is still searching
-runs a Newton pass, which takes the slope of the evaluation it starts from;
-it converts the column sums once on exit.  The scalar kernel builds no
-array: cold or started from a previous answer, it runs one per-vehicle path
-in loops over lists with a counter.  The two give bit-identical powers,
-multipliers, flags and demand.
+each vehicle's saturation bracket from the extremes of its own prices, read
+its face (a requirement at or beyond a box face, or one to search for) from
+flags found when the workspace is built, evaluate only power and energy,
+sum the slope only before a Newton step, and hand back the batch's demand
+(its column sums) as floats.  The array kernel reads those extremes from the
+window list's running maximum and minimum at each vehicle's last slot, pads
+the prices into rows once on entry and converts the column sums once on
+exit.  The scalar kernel builds no array: cold or started from a previous
+answer, it runs one per-vehicle path in loops over lists with a counter,
+on the window list itself for a stay that spans all of it.  The two give
+bit-identical powers, multipliers, flags and demand.
 """
 from __future__ import annotations
 
@@ -199,8 +200,6 @@ class EVBatchWorkspace:
         self.rate = np.array([s.energy_rate(window.slot_hours) for s in sessions])
         self.slope_coef = -self.rate**2 / self.weight
         self.need = np.array([s.energy_needed for s in sessions])
-        self.cap_lo = self.rate * lo * self.lengths
-        self.cap_hi = self.rate * hi * self.lengths
         self.even = np.clip(self.need / (self.rate * self.lengths), lo, hi)
         self.clamp_lo_price = self.weight / (1.0 + lo)
         self.clamp_hi_price = self.weight / (1.0 + hi)
@@ -208,12 +207,13 @@ class EVBatchWorkspace:
         # and minimum hold the extremes of its own prices.
         self.last = self.lengths - 1
         # Requirements within the tolerance of (or beyond) the upper and the
-        # lower box face, the rest, and whether some requirement is at a face.
-        # Every solve reads the flags, so they are read-only.  They are set here,
-        # not on first use: on CPython 3.11 a second attribute added after
-        # construction (``prices`` is the first) slows every attribute read.
-        at_hi = self.need >= self.cap_hi - energy_tolerance
-        at_lo = self.need <= self.cap_lo + energy_tolerance
+        # lower box face, the rest, and whether some requirement is at a face:
+        # the one face rule of both kernels.  Every solve reads the flags, so
+        # they are read-only.  They are set here, not on first use: on CPython
+        # 3.11 a second attribute added after construction (``prices`` is the
+        # first) slows every attribute read.
+        at_hi = self.need >= self.rate * hi * self.lengths - energy_tolerance
+        at_lo = self.need <= self.rate * lo * self.lengths + energy_tolerance
         faces = (at_hi, at_lo, ~(at_hi | at_lo))
         for array in faces:
             array.setflags(write=False)
@@ -342,12 +342,15 @@ class EVBatchWorkspace:
 
     @cached_property
     def _constants(self) -> list[tuple]:
-        """Per-vehicle constants as plain floats, for the scalar kernel.  The
-        box bounds are read from the first slot, which every vehicle has."""
+        """Per-vehicle constants as plain floats, for the scalar kernel, each
+        with its face from ``_saturation``: 1 at the upper, -1 at the lower,
+        0 searching.  The box bounds are read from the first slot, which
+        every vehicle has."""
+        at_hi, at_lo = self._saturation[:2]
         columns = (
             self.lengths, self.weight, self.lo[:, 0], self.hi[:, 0], self.rate,
-            self.slope_coef, self.need, self.cap_lo, self.cap_hi, self.even,
-            self.clamp_lo_price, self.clamp_hi_price,
+            self.slope_coef, self.need, self.even, self.clamp_lo_price,
+            self.clamp_hi_price, np.where(at_hi, 1, np.where(at_lo, -1, 0)),
         )
         return list(zip(*(c.tolist() for c in columns)))
 
@@ -355,13 +358,18 @@ class EVBatchWorkspace:
         self, max_iter: int, previous: EVBatchSolution | None = None
     ) -> EVBatchSolution:
         """Scalar kernel: the array kernel's steps, one vehicle at a time in
-        plain floats.  Row sums run left to right, as NumPy's do for rows of
+        plain floats.  Each vehicle's face is read from the flags built with
+        the workspace, a stay over the whole window reads the window list
+        itself, and each energy evaluation sums only the powers: the slope
+        over the free slots is summed, as the array kernel's is, only before
+        a Newton step.  Row sums run left to right, as NumPy's do for rows of
         at most seven entries, and the column sums vehicle by vehicle, as
         NumPy's do over a strided axis; where NumPy would divide by a zero
         slope the step bisects, which is where NumPy's inf or nan leads."""
         tol, width = self.energy_tolerance, self.width
         inf, isfinite = math.inf, math.isfinite
         prices = self.prices
+        n = len(prices)
         # Either start (the even spread or the prediction) reaches the one
         # vehicle loop below, whose loops run over lists with a counter: on
         # short rows a range, zip or comprehension costs more than the
@@ -374,18 +382,18 @@ class EVBatchWorkspace:
                 previous_mus, previous_rows = previous_mus.tolist(), previous_rows.tolist()
         rows, mus, feasible = [], [], []
         i = 0
-        for length, w, lo, hi, rate, coef, need, cap_lo, cap_hi, even, clamp_lo, clamp_hi in (
+        for length, w, lo, hi, rate, coef, need, even, clamp_lo, clamp_hi, face in (
             self._constants
         ):
-            lam = prices[:length]
+            lam = prices if length == n else prices[:length]
             top, bottom = max(lam), min(lam)
             mu_low = (clamp_hi - top) / rate - 1.0
             mu_high = (clamp_lo - bottom) / rate + 1.0
             # Requirements at (or beyond) a box face get the saturated profile.
             searching = False
-            if need >= cap_hi - tol:
+            if face > 0:
                 mu = mu_low
-            elif need <= cap_lo + tol:
+            elif face < 0:
                 mu = mu_high
             else:
                 searching = True
@@ -421,10 +429,10 @@ class EVBatchWorkspace:
             k = 0
             nan_q = False
             while True:
-                # Water-filling power, delivered energy and its slope at mu.
+                # Water-filling power and delivered energy at mu.
                 shift = mu * rate
                 power = []
-                total = free = 0.0
+                total = 0.0
                 for x in lam:
                     q = x + shift
                     if q > 0:
@@ -437,8 +445,6 @@ class EVBatchWorkspace:
                         p = hi
                     power.append(p)
                     total += p
-                    if p == level:
-                        free += (p + 1.0) * (p + 1.0)
                 gap = rate * total - need
                 abs_gap = abs(gap)
                 if nan_q and mu == mu and any(x != x for x in lam):
@@ -454,6 +460,15 @@ class EVBatchWorkspace:
                     mu_low = mu
                 elif gap < 0:
                     mu_high = mu
+                # The slope at mu, over the slots where the power is its level.
+                free = 0.0
+                j = 0
+                for x in lam:
+                    q = x + shift
+                    p = power[j]
+                    if p == (w / q - 1.0 if q > 0 else inf):
+                        free += (p + 1.0) * (p + 1.0)
+                    j += 1
                 slope = coef * free
                 newton = mu - gap / slope if slope != 0 else inf
                 if mu_low < newton < mu_high and abs_gap <= 0.5 * last_gap:

@@ -394,12 +394,17 @@ def resolve_sessions(scenario: Scenario) -> tuple[EVSession, ...]:
     return scenario.evs + generated
 
 
+# From this magnitude on a float's spacing passes 0.1, and numbers are
+# written in exponent form: the trace's cells and the console's figures.
+_EXPONENT_FROM = 1e15
+
+
 def _fmt(x: float) -> str:
-    """Six decimals, or ``%.6e`` from a magnitude of 1e15 on, where a float's
-    spacing passes 0.1, so a cell has at most 23 characters; a value that
-    rounds to zero is written ``0.000000`` whatever its sign, so round-off in
-    a sign never moves a byte."""
-    text = f"{x:.6f}" if abs(x) < 1e15 else f"{x:.6e}"
+    """Six decimals, or ``%.6e`` from a magnitude of ``_EXPONENT_FROM`` on,
+    so a cell has at most 23 characters; a value that rounds to zero is
+    written ``0.000000`` whatever its sign, so round-off in a sign never
+    moves a byte."""
+    text = f"{x:.6f}" if abs(x) < _EXPONENT_FROM else f"{x:.6e}"
     return "0.000000" if text == "-0.000000" else text
 
 

@@ -207,6 +207,35 @@ def test_huge_prices_give_a_finite_summary(tmp_path, small_file, capsys):
     assert all(math.isfinite(v) for v in summary.values())
 
 
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        (SCENARIO_DIR / "small.scenario", ["solver.step_size=1e300"]),
+        (
+            Path(__file__).parent / "data" / "fleet-run.scenario",
+            ["fleet.power_max=1e300", "dso.power_max=1e300"],
+        ),
+    ],
+    ids=["prices", "powers"],
+)
+def test_console_summary_keeps_its_numbers_short(tmp_path, capsys, scenario, overrides):
+    """Prices near 1e301, or a peak demand near 1e302, print in exponent
+    form, not as numbers of 300 digits."""
+    args = [arg for entry in overrides for arg in ("--set", entry)]
+    args += ["--set", "solver.max_iterations=5", "--out", str(tmp_path / "o")]
+    assert main(["run", str(scenario), *args]) == 2
+    tokens = capsys.readouterr().out.split()
+    assert "mean" in tokens and max(map(len, tokens)) <= 20
+
+
+def test_console_summary_of_a_normal_day(tmp_path, capsys):
+    assert main(["run", str(SCENARIO_DIR / "small.scenario"), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "2 slots, peak demand 21.63 kW, delivered 9.00 kWh, unmet 0.0000 kWh",
+        "price mean 8.526 stdev 0.690 cent/kWh, max dual iterations 90, non-converged slots 0",
+    ]
+
+
 def test_set_override_validates(tmp_path, small_file):
     code = main(
         ["run", str(small_file), "--out", str(tmp_path / "x"), "--set", "dso.quadratic_cost=-1"]

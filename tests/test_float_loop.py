@@ -7,7 +7,6 @@ certificate.  And the loop must give the same prices, powers, multipliers and
 iteration counts bit for bit whichever EV kernel solves its batches.
 """
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,10 +97,7 @@ def test_pinned_dispatch_is_the_numpy_closed_form_bit_for_bit(prices, lin, lo, h
     clip and reduction on any input, NaN, infinities and signed zeros
     included; a NaN residual raises.  No residual target is set, so every
     other residual is returned."""
-    sub = SimpleNamespace(
-        dso=SimpleNamespace(cost_quadratic=quad, cost_linear=lin, power_min=lo, power_max=hi),
-        storage=SimpleNamespace(power_min=pin),
-    )
+    sub = dso_sub(len(prices), DSOSpec(quad, lin, lo, hi), StorageSpec(pin, pin, 0.0, 0.0))
     with np.errstate(all="ignore"):
         margin = np.array(prices) - lin
         scale = 2.0 * quad

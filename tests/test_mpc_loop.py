@@ -211,6 +211,57 @@ def test_small_at_extreme_steps_records_finite_numbers(step_size, unbounded, rea
     assert_finite_records(trace)
 
 
+@st.composite
+def fleet_scenarios(draw) -> str:
+    """Scenario text for a generated fleet: table1's supplier, with its
+    storage, storage pinned at zero or no storage section, and a ``fleet``
+    section of 0-30 vehicles."""
+    storage = draw(st.sampled_from([100, 0, None]))
+    storage_section = [] if storage is None else [
+        "storage:",
+        f"  power_min = {-storage}",
+        f"  power_max = {storage}",
+        "  energy_initial = 100",
+        "  energy_reference = 100",
+        "  throughput = 0.1",
+    ]
+    lines = [
+        f"seed = {draw(st.integers(0, 2**32 - 1))}",
+        "grid:",
+        "  slot_minutes = 15",
+        f"  num_slots = {draw(st.integers(6, 16))}",
+        "dso:",
+        "  quadratic_cost = 0.06",
+        "  linear_cost = 0.9",
+        f"  power_max = {draw(st.sampled_from([50, 100, 1000]))}",
+        *storage_section,
+        "solver:",
+        "  initial_price = 16",
+        f"  step_size = {draw(st.sampled_from([0.0005, 0.002]))}",
+        f"  max_iterations = {draw(st.integers(1, 300))}",
+        "fleet:",
+        f"  count = {draw(st.integers(0, 30))}",
+        f"  power_min = {draw(st.sampled_from([0, 2]))}",
+        f"  power_max = {draw(st.sampled_from([7, 22]))}",
+        f"  weight = {draw(st.sampled_from([1, 10]))}",
+        f"  loss_fraction = {draw(st.sampled_from([0, 0.1]))}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=fleet_scenarios())
+def test_any_generated_fleet_runs(text):
+    """Any valid scenario with a generated fleet runs under both policies
+    without an exception and records finite numbers; a slot may hit the
+    iteration cap.  The costliest draw (30 vehicles over 16 slots, every
+    slot capped at 300 updates) takes about 0.2 s, so 40 examples stay
+    under 10 s."""
+    scenario = parse_scenario(text)
+    for simulate in (run, simulate_uncontrolled):
+        assert_finite_records(simulate(scenario))
+
+
 def test_uncontrolled_sums_maxima():
     evs = [
         make_session(ev_id=f"e{i}", arrival=1, departure=5, energy=20.0) for i in range(3)
