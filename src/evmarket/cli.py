@@ -140,7 +140,11 @@ def _cmd_verify(args) -> int:
     for slot, d, g, over, _, _ in slots:
         w = d - g
         if over > 0 or not math.isfinite(w):
-            why = f"demand leaves the generation box by {over:.4f} kW" if over > 0 else f"D = {d}"
+            why = (
+                f"demand leaves the generation box by {_short(over, 4)} kW"
+                if over > 0
+                else f"D = {d}"
+            )
             print(f"error: slot {slot} not certified: {why}", file=sys.stderr)
             failed = True
             continue
@@ -155,7 +159,8 @@ def _cmd_verify(args) -> int:
     recs = trace.records
     print(
         f"{len(recs)} slots, {sum(r.iterations for r in recs)} dual iterations, "
-        f"max balance residual {max(r.residual for r in recs):.4f} kW, flagged slots {flagged}"
+        f"max balance residual {_short(max(r.residual for r in recs), 4)} kW, "
+        f"flagged slots {flagged}"
     )
     print(
         f"dual value {_fmt(dual)}, recovered welfare {_fmt(welfare)}, gap {gap:.3e} "

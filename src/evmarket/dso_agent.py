@@ -522,6 +522,7 @@ def _rounds(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _objective(sub: DSOSubproblem, lam: np.ndarray, gen: np.ndarray, ps: np.ndarray) -> float:
     net = gen - ps
     revenue = float(lam @ gen)

@@ -34,8 +34,14 @@ window list's running maximum and minimum at each vehicle's last slot, pads
 the prices into rows once on entry and converts the column sums once on
 exit.  The scalar kernel builds no array: cold or started from a previous
 answer, it runs one per-vehicle path in loops over lists with a counter,
-on the window list itself for a stay that spans all of it.  The two give
-bit-identical powers, multipliers, flags and demand.
+on the window list itself for a stay that spans all of it.  It builds a
+searching vehicle's bracket only when the start misses the tolerance or
+cannot be certified inside the bracket: a row total off both all-bound
+totals puts some slot below its upper face and some above its lower one,
+which places the start inside the bracket by a margin of 1 on each side,
+and while ``|mu * rate|`` and the clamp prices stay below ``_CERTIFIED``
+rates rounding cannot cross that margin, so the clamp would leave the start
+as it is.  The two give bit-identical powers, multipliers, flags and demand.
 """
 from __future__ import annotations
 
@@ -65,6 +71,11 @@ _SCALAR_VEHICLES = 24
 
 # Newton steps per vehicle solve before it is left where it stands.
 _MAX_ITER = 200
+
+# The scalar kernel certifies a start inside the bracket only while
+# ``|mu * rate|`` and the clamp prices stay below this many rates: there
+# rounding moves each bracket side by far less than its margin of 1.
+_CERTIFIED = 2.0**40
 
 
 class EVSolution:
@@ -148,6 +159,7 @@ class EVBatchSolution(Sequence[EVSolution]):
         return self.workspace.padded(self.prices)
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def objective(self) -> np.ndarray:
         ws = self.workspace
         term = ws.weight_col * np.log(1.0 + self.power) - self.lam * self.power
@@ -341,16 +353,27 @@ class EVBatchWorkspace:
         return solution
 
     @cached_property
+    @np.errstate(over="ignore")
     def _constants(self) -> list[tuple]:
         """Per-vehicle constants as plain floats, for the scalar kernel, each
-        with its face from ``_saturation``: 1 at the upper, -1 at the lower,
-        0 searching.  The box bounds are read from the first slot, which
-        every vehicle has."""
+        with its face from ``_saturation`` (1 at the upper, -1 at the lower,
+        0 searching) and the three numbers of the start's certificate: the
+        all-upper and the all-lower row totals, summed in the kernel's order,
+        and the bound on ``|mu * rate|``, 0 (never certified) where a clamp
+        price reaches it or the rate is too small or too large for the
+        rounding argument.  The box bounds are read from the first slot,
+        which every vehicle has."""
         at_hi, at_lo = self._saturation[:2]
+        rows = np.arange(len(self.lengths))
+        rate = np.where((self.rate > 2.0**-1000) & (self.rate < 2.0**900), self.rate, 0.0)
+        limit = _CERTIFIED * rate
+        inside = (np.abs(self.clamp_lo_price) < limit) & (np.abs(self.clamp_hi_price) < limit)
         columns = (
             self.lengths, self.weight, self.lo[:, 0], self.hi[:, 0], self.rate,
             self.slope_coef, self.need, self.even, self.clamp_lo_price,
             self.clamp_hi_price, np.where(at_hi, 1, np.where(at_lo, -1, 0)),
+            np.cumsum(self.hi, 1)[rows, self.last], np.cumsum(self.lo, 1)[rows, self.last],
+            np.where(inside, limit, 0.0),
         )
         return list(zip(*(c.tolist() for c in columns)))
 
@@ -365,7 +388,22 @@ class EVBatchWorkspace:
         a Newton step.  Row sums run left to right, as NumPy's do for rows of
         at most seven entries, and the column sums vehicle by vehicle, as
         NumPy's do over a strided axis; where NumPy would divide by a zero
-        slope the step bisects, which is where NumPy's inf or nan leads."""
+        slope the step bisects, which is where NumPy's inf or nan leads.
+
+        A searching vehicle is evaluated at its start before its bracket is
+        built.  When that evaluation meets the tolerance and certifies the
+        start inside the bracket, the clamp would leave the start where it
+        is, and the vehicle is done without a bracket.  The certificate takes
+        no per-slot work: (1) the row total differs from the all-upper and
+        the all-lower totals of ``_constants``, so some slot is below ``hi``
+        (its ``q`` above ``clamp_hi``: the start lies above ``mu_low``, with
+        a margin of 1) and some slot above ``lo`` (the start lies below
+        ``mu_high``); (2) no ``q`` is NaN; (3) ``|mu * rate|`` and the clamp
+        prices are below ``_CERTIFIED`` rates.  Under (3) rounding moves a
+        bracket end by far less than its margin, or the price extreme is so
+        far out that the end is out of the start's reach.  Otherwise the
+        bracket is built and clamps the start, which is evaluated again only
+        if the clamp moved it."""
         tol, width = self.energy_tolerance, self.width
         inf, isfinite = math.inf, math.isfinite
         prices = self.prices
@@ -382,48 +420,38 @@ class EVBatchWorkspace:
                 previous_mus, previous_rows = previous_mus.tolist(), previous_rows.tolist()
         rows, mus, feasible = [], [], []
         i = 0
-        for length, w, lo, hi, rate, coef, need, even, clamp_lo, clamp_hi, face in (
-            self._constants
-        ):
+        for (
+            length, w, lo, hi, rate, coef, need, even, clamp_lo, clamp_hi, face,
+            upper, lower, limit,
+        ) in self._constants:
             lam = prices if length == n else prices[:length]
-            top, bottom = max(lam), min(lam)
-            mu_low = (clamp_hi - top) / rate - 1.0
-            mu_high = (clamp_lo - bottom) / rate + 1.0
-            # Requirements at (or beyond) a box face get the saturated profile.
-            searching = False
-            if face > 0:
-                mu = mu_low
-            elif face < 0:
-                mu = mu_high
+            # Requirements at (or beyond) a box face get the saturated
+            # profile; a search starts unbracketed.
+            bracketed = face != 0
+            searching = not bracketed
+            if face:
+                mu_low, mu_high = _bracket(lam, rate, clamp_lo, clamp_hi)
+                mu = mu_low if face > 0 else mu_high
+            elif previous is None:
+                total = 0.0
+                for x in lam:
+                    total += x
+                mu = (w / (1.0 + even) - total / length) / rate
             else:
-                searching = True
-                if previous is None:
-                    total = 0.0
-                    for x in lam:
-                        total += x
-                    mu = (w / (1.0 + even) - total / length) / rate
-                else:
-                    # The tangent step over the previously free slots.
-                    mu = previous_mus[i]
-                    previous_row = previous_rows[i]
-                    num = den = 0.0
-                    j = 0
-                    for x in lam:
-                        p = previous_row[j]
-                        if lo < p < hi:
-                            sq = (p + 1.0) * (p + 1.0)
-                            num += sq * (x - previous_prices[j])
-                            den += sq
-                        j += 1
-                    if den > 0:
-                        mu -= num / (rate * den)
-                    if not isfinite(mu):
-                        mu = 0.5 * (mu_low + mu_high)
-                # The bracket clamp; a NaN bracket gives a NaN start, as in NumPy.
-                if mu < mu_low or mu_low != mu_low:
-                    mu = mu_low
-                elif mu > mu_high:
-                    mu = mu_high
+                # The tangent step over the previously free slots.
+                mu = previous_mus[i]
+                previous_row = previous_rows[i]
+                num = den = 0.0
+                j = 0
+                for x in lam:
+                    p = previous_row[j]
+                    if lo < p < hi:
+                        sq = (p + 1.0) * (p + 1.0)
+                        num += sq * (x - previous_prices[j])
+                        den += sq
+                    j += 1
+                if den > 0:
+                    mu -= num / (rate * den)
 
             last_gap = inf
             k = 0
@@ -451,8 +479,27 @@ class EVBatchWorkspace:
                     # A NaN price (it makes q NaN) makes NumPy's row max and
                     # min, not Python's, the bracket and mu NaN: every slot at
                     # its upper bound, evaluated once more.
-                    mu, searching = math.nan, False
+                    mu, searching, bracketed = math.nan, False, True
                     continue
+                if not bracketed:
+                    if (
+                        abs_gap <= tol and not nan_q and -limit < shift < limit
+                        and total != upper and total != lower
+                    ):
+                        break  # the start, certified inside the bracket
+                    bracketed = True
+                    mu_low, mu_high = _bracket(lam, rate, clamp_lo, clamp_hi)
+                    start = mu
+                    if previous is not None and not isfinite(mu):
+                        mu = 0.5 * (mu_low + mu_high)
+                    # The bracket clamp; a NaN bracket gives a NaN start, as
+                    # in NumPy.  A start it leaves keeps its evaluation.
+                    if mu < mu_low or mu_low != mu_low:
+                        mu = mu_low
+                    elif mu > mu_high:
+                        mu = mu_high
+                    if mu != start:
+                        continue
                 if not (searching and abs_gap > tol) or k == max_iter:
                     break
                 k += 1
@@ -496,6 +543,13 @@ class EVBatchWorkspace:
                     demand[j] += p
                     j += 1
         return EVBatchSolution(self, prices, rows, mus, feasible, demand)
+
+
+def _bracket(lam: list[float], rate: float, clamp_lo: float, clamp_hi: float):
+    """One vehicle's saturation bracket at its prices ``lam``, for the scalar
+    kernel: below the first bound every slot sits at its upper bound, above
+    the second at its lower bound."""
+    return (clamp_hi - max(lam)) / rate - 1.0, (clamp_lo - min(lam)) / rate + 1.0
 
 
 def solve_ev_batch(

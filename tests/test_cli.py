@@ -148,6 +148,20 @@ def test_verify_names_slots_whose_demand_leaves_the_generation_box(small_file, c
     assert named == ["0", "1"]
 
 
+
+def test_verify_of_huge_powers_warns_nothing_and_keeps_its_numbers_short(capsys):
+    """Powers near 1e300 leave every slot outside the generation box: `verify`
+    certifies none and exits 2, its objectives overflow to inf without a
+    RuntimeWarning (the suite makes one an error), and its overshoot and
+    balance residual print in exponent form, not as numbers of 300 digits."""
+    overrides = ["fleet.power_max=1e300", "dso.power_max=1e300", "solver.max_iterations=5"]
+    args = [arg for entry in overrides for arg in ("--set", entry)]
+    fleet = Path(__file__).parent / "data" / "fleet-run.scenario"
+    assert main(["verify", str(fleet), *args]) == 2
+    out, err = capsys.readouterr()
+    assert "not certified" in err and "max balance residual" in out
+    assert max(map(len, (out + err).split())) <= 20
+
 @pytest.mark.parametrize(
     "args, message",
     [
