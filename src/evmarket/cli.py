@@ -213,10 +213,8 @@ def main(argv=None) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
-    if args.command == "run":
-        trace = run_simulation(scenario)
-    else:
-        trace = simulate_uncontrolled(scenario)
+    simulate = run_simulation if args.command == "run" else simulate_uncontrolled
+    trace = simulate(scenario)
     write_trace(trace, args.out)
     flagged = _report_flagged(trace)
     s = trace.summary
@@ -229,9 +227,7 @@ def _cmd_simulate(args) -> int:
         f"price mean {_short(s.price_mean, 3)} stdev {_short(s.price_stdev, 3)} cent/kWh, "
         f"max dual iterations {max_iters}, non-converged slots {flagged}"
     )
-    if flagged:
-        return 2
-    return 0
+    return 2 if flagged else 0
 
 
 def _short(x: float, decimals: int) -> str:

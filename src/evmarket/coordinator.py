@@ -160,15 +160,16 @@ def evaluate_dual(
 def negotiate_slot(
     sessions: Sequence[EVSession],
     dso_sub: DSOSubproblem,
-    warm_start_price: float,
+    start: Sequence[float],
     solver: SolverConfig = SolverConfig(),
 ) -> DualIterationState:
-    """Run the price loop for one slot from a constant warm-start vector.
+    """Run the price loop for one slot from the price list ``start``.
 
     The vehicles ``sessions`` and the supplier share ``dso_sub.window``.  The
     first rule of :func:`~evmarket.model.loop_problems` that ``solver``
-    breaks, or a warm-start price that is not finite, raises ``ValueError``.
-    The price is all the loop takes from earlier slots: the agents' first
+    breaks, or a ``start`` that is not a window price list of finite,
+    nonnegative entries, raises ``ValueError``.  The list is the first
+    broadcast and all the loop takes from earlier slots: the agents' first
     solves start from scratch, to ``solver``'s tolerances.  Iterates agent
     solves and price updates by ``solver.step_size`` until the worst
     per-slot imbalance is within ``solver.balance_tolerance`` or
@@ -190,10 +191,10 @@ def negotiate_slot(
     """
     for problem in loop_problems(solver):
         raise ValueError(problem)
-    if not math.isfinite(warm_start_price):
-        raise ValueError(f"warm-start price must be finite, not {warm_start_price}")
+    prices = dso_sub.window.price_list(start)
+    if not all(0.0 <= price < math.inf for price in prices):
+        raise ValueError(f"start prices must be finite and nonnegative, not {prices}")
     tolerance, hours = solver.balance_tolerance, dso_sub.window.slot_hours
-    prices = [max(warm_start_price, 0.0)] * dso_sub.window.length
     history: list[float] = []
     state = None
     supplier_error = None

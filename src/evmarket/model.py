@@ -296,6 +296,15 @@ def nonnegative(value: int) -> str | None:
     return None if value >= 0 else "must be nonnegative"
 
 
+def csv_field(value: str) -> str | None:
+    """What is wrong with a vehicle id, else None: the id's schema row and
+    :func:`validate_scenario` check that ``evs.csv`` and the scenario text keep it."""
+    if value.isalnum():  # the usual id, settled at once
+        return None
+    ok = value.splitlines() == [value.strip()] == [value] and not set(',"#') & set(value)
+    return None if ok else "must be non-empty, unpadded, one line and free of ',', '\"' and '#'"
+
+
 # The most slots a day, vehicles a fleet and price updates a slot may have,
 # which bound the work of any accepted scenario: at about 50 us an idle slot,
 # a day at the limit takes seconds, generate_evs draws that many sessions in
@@ -316,9 +325,7 @@ def at_most(limit: int) -> Callable[[int], str | None]:
 def known_schedule(value: str) -> str | None:
     """What is wrong with a ``step_schedule``, else None: its schema row and
     :func:`loop_problems` both check it with this rule."""
-    if value in STEP_SCHEDULES:
-        return None
-    return f"must be {' or '.join(map(repr, STEP_SCHEDULES))}"
+    return None if value in STEP_SCHEDULES else f"must be {' or '.join(map(repr, STEP_SCHEDULES))}"
 
 
 def _integral(value) -> bool:
@@ -344,8 +351,7 @@ def loop_problems(solver: SolverConfig) -> list[str]:
         out.append("max_iterations must be at least 1")
     elif problem := at_most(MAX_ITERATIONS)(solver.max_iterations):
         out.append(f"max_iterations {problem}")
-    problem = known_schedule(solver.step_schedule)
-    if problem:
+    if problem := known_schedule(solver.step_schedule):
         out.append(f"step_schedule {problem}")
     if not solver.kkt_tolerance > 0:
         out.append("kkt_tolerance must be positive")
@@ -383,8 +389,7 @@ def validate_scenario(scenario) -> ValidationReport:
     out: list[str] = []
     if not _integral(scenario.seed):
         out.append("seed must be an integer")
-    problem = nonnegative(scenario.seed)
-    if problem:
+    if problem := nonnegative(scenario.seed):
         out.append(f"seed {problem}")
 
     grid = scenario.grid
@@ -448,7 +453,10 @@ def validate_scenario(scenario) -> ValidationReport:
 
     seen: set[str] = set()
     for ev in scenario.evs:
-        label = f"ev {ev.ev_id}"
+        problem = csv_field(ev.ev_id)
+        label = f"ev {ev.ev_id!r}" if problem else f"ev {ev.ev_id}"
+        if problem:
+            out.append(f"{label}: id {problem}")
         if ev.ev_id in seen:
             out.append(f"{label}: duplicate id")
         seen.add(ev.ev_id)

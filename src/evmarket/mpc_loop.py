@@ -6,9 +6,9 @@ states and moves on.  The step and the policies read the supplier, the grid
 and the negotiation's settings from the :class:`~evmarket.scenario_io.Scenario`
 itself.  Two policies share that step.  :func:`negotiated` is the
 market: it builds the prediction window up to the latest departure among
-active vehicles and negotiates prices for the whole window; the first element
-of the settled price vector seeds the next slot's negotiation.  Only that
-price and the agents' own states cross from one slot to the next.
+active vehicles and negotiates prices for the whole window, starting from
+the price list the previous slot settled at.  Only that list and the agents'
+own states cross from one slot to the next.
 :func:`uncontrolled` is the baseline: maximum power at price 0.
 
 Prices inside the loop are per kW-slot; they are converted back to euro cent
@@ -62,8 +62,8 @@ class SimulationState:
     """Closed-loop state between slots.
 
     ``active`` holds vehicles currently plugged in and still needing energy;
-    ``pending`` holds future arrivals ordered by arrival slot.  ``last_price``
-    is the warm start for the next negotiation, in per-kW-slot units.
+    ``pending`` holds future arrivals ordered by arrival slot.  ``prices``
+    is the price list, per kW-slot, that the previous slot settled at.
     ``storage_energy`` is the supplier's private state, its stored energy.
     """
 
@@ -71,7 +71,7 @@ class SimulationState:
     active: tuple[EVSession, ...]
     pending: tuple[EVSession, ...]
     storage_energy: float
-    last_price: float
+    prices: list[float]
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,18 @@ def compute_window(active: Sequence[EVSession], slot: int, slot_hours: float) ->
     """Prediction window from ``slot`` to the latest active departure.
 
     With no active vehicle the market still clears a one-slot window, so the
-    next warm-start price stays meaningful.
+    next slot's start stays meaningful.
     """
     length = max((ses.departure - slot for ses in active), default=1)
     return TimeGrid(start=slot, length=length, slot_hours=slot_hours)
 
 
 class Settlement(NamedTuple):
-    """One slot as a power policy settles it: the price (per kW-slot), the
-    first power sample of every active vehicle in order, the supply and the
-    outcome of the price loop."""
+    """One slot as a power policy settles it: the window's price list (per
+    kW-slot), the first power sample of every active vehicle in order, the
+    supply and the outcome of the price loop."""
 
-    price: float
+    prices: list[float]
     powers: list[float]
     generation: float
     storage_power: float
@@ -122,19 +122,20 @@ class Settlement(NamedTuple):
 
 def negotiate_window(state: SimulationState, scenario: Scenario) -> DualIterationState:
     """Run the price loop over the window of ``state.active`` from ``state.slot``,
-    warm-started at ``state.last_price``."""
+    started flat at ``state.prices[0]``: the one place a state becomes a start."""
     window = compute_window(state.active, state.slot, scenario.grid.slot_hours)
     storage = scenario.storage or _NO_STORAGE
     dso_sub = DSOSubproblem(scenario.dso, storage, state.storage_energy, window)
-    return negotiate_slot(state.active, dso_sub, state.last_price, scenario.solver)
+    start = [state.prices[0]] * window.length
+    return negotiate_slot(state.active, dso_sub, start, scenario.solver)
 
 
 def settle(result: DualIterationState) -> Settlement:
-    """The first sample of a negotiation's window, with its outcome, read
-    from the settled state's float lists."""
+    """The settled price list and the first sample of a negotiation's window,
+    with its outcome, read from the settled state's float lists."""
     evs = result.ev_solutions
     return Settlement(
-        result.price_values[0],
+        result.price_values,
         [float(row[0]) for row in evs.rows] if evs else [],
         result.supply_values[0],
         result.dso_solution.storage_values[0],
@@ -162,7 +163,7 @@ def uncontrolled(state: SimulationState, scenario: Scenario) -> Settlement:
     whatever is drawn and the storage idles."""
     hours = scenario.grid.slot_hours
     powers = [_within_need(s, s.power_max, hours) for s in state.active]
-    return Settlement(price=0.0, powers=powers, generation=float(sum(powers)), storage_power=0.0)
+    return Settlement(prices=[0.0], powers=powers, generation=float(sum(powers)), storage_power=0.0)
 
 
 def step(
@@ -202,7 +203,7 @@ def step(
     storage_energy = state.storage_energy - settled.storage_power * throughput * hours
     record = SlotRecord(
         slot=slot,
-        price_applied=settled.price / hours,
+        price_applied=settled.prices[0] / hours,
         demand_total=float(sum(p for p, _ in per_ev.values())),
         generation=settled.generation,
         storage_power=settled.storage_power,
@@ -218,7 +219,7 @@ def step(
         active=tuple(new_active),
         pending=pending,
         storage_energy=storage_energy,
-        last_price=settled.price,
+        prices=settled.prices,
     )
     return next_state, record
 
@@ -250,13 +251,13 @@ def _summarize(
 
 def initial_state(scenario: Scenario, sessions: Sequence[EVSession]) -> SimulationState:
     """The state before slot 0: every session pending, the storage at its
-    initial energy and the warm price at ``initial_price`` per kW-slot."""
+    initial energy and the price list at ``initial_price`` per kW-slot."""
     return SimulationState(
         slot=0,
         active=(),
         pending=tuple(sorted(sessions, key=lambda s: (s.arrival, s.ev_id))),
         storage_energy=(scenario.storage or _NO_STORAGE).energy_initial,
-        last_price=scenario.solver.initial_price * scenario.grid.slot_hours,
+        prices=[scenario.solver.initial_price * scenario.grid.slot_hours],
     )
 
 

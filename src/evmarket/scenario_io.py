@@ -50,6 +50,7 @@ from .model import (
     StorageSpec,
     ValidationReport,
     at_most,
+    csv_field,
     known_schedule,
     nonnegative,
     validate_scenario,  # noqa: F401 -- bench/run.py wraps it here by name
@@ -154,13 +155,6 @@ def _finite_or_inf(value: float) -> str | None:
     return None if math.isfinite(value) or value == math.inf else "must be finite or inf"
 
 
-def _csv_field(value: str) -> str | None:
-    """Vehicle ids are written unquoted into ``evs.csv``."""
-    if value and "," not in value and '"' not in value:
-        return None
-    return "must be non-empty and free of ',' and '\"'"
-
-
 # Section name -> (Scenario attribute, type, presence).
 SECTIONS = {
     "grid": ("grid", GridConfig, "required"),
@@ -198,7 +192,7 @@ SCHEMA = (
     Entry("fleet", "power_max", "power_max", float, REQUIRED),
     Entry("fleet", "weight", "weight", float, REQUIRED),
     Entry("fleet", "loss_fraction", "loss_fraction", float),
-    Entry("ev", "id", "ev_id", str, REQUIRED, _csv_field),
+    Entry("ev", "id", "ev_id", str, REQUIRED, csv_field),
     Entry("ev", "arrival", "arrival", int, REQUIRED),
     Entry("ev", "departure", "departure", int, REQUIRED),
     Entry("ev", "power_min", "power_min", float, 0.0),

@@ -78,7 +78,7 @@ def _negotiate_instance(sessions, window):
         energy_now=TABLE1_STORAGE.energy_initial,
         window=window,
     )
-    return negotiate_slot(sessions, dso_sub, warm)
+    return negotiate_slot(sessions, dso_sub, [warm] * window.length)
 
 
 def test_a1_oracle_equivalence():

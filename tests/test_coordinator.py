@@ -132,7 +132,7 @@ def test_dual_gradient_matches_finite_differences():
 
 def test_negotiation_trivially_converged_at_balance():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
-    result = negotiate_slot([], make_dso_sub(1, dso=dso), warm_start_price=0.0)
+    result = negotiate_slot([], make_dso_sub(1, dso=dso), [0.0])
     assert result.converged
     assert result.iterations == 0
     np.testing.assert_allclose(result.price_values, [0.0])
@@ -143,7 +143,7 @@ def test_negotiation_finds_supply_curve_crossing():
     # one vehicle pinned at 22 kW: the settled price must put the supplier
     # exactly there, which has a closed form from its stationarity conditions
     ev = make_session(departure=1, energy=5.5)
-    result = negotiate_slot([ev], make_dso_sub(1), warm_start_price=4.0)
+    result = negotiate_slot([ev], make_dso_sub(1), [4.0])
     assert result.converged
     analytic = (22.0 + 0.9 / (2 * 0.06)) / (1 / (2 * 0.06) + 1 / (2 * 0.25 * 0.25))
     assert result.price_values[0] == pytest.approx(analytic, abs=0.02)
@@ -154,26 +154,51 @@ def test_negotiation_finds_supply_curve_crossing():
 def test_nonconvergence_is_flagged_not_raised():
     ev = make_session(departure=1, energy=5.5)
     solver = SolverConfig(step_size=0.005, max_iterations=3)
-    result = negotiate_slot([ev], make_dso_sub(1), 4.0, solver=solver)
+    result = negotiate_slot([ev], make_dso_sub(1), [4.0], solver=solver)
     assert not result.converged
     assert result.iterations == 3
     assert len(result.residual_history) == 4
 
 
-def test_warm_start_negative_price_is_clipped():
-    dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
-    result = negotiate_slot([], make_dso_sub(1, dso=dso), warm_start_price=-3.0)
-    np.testing.assert_allclose(result.price_values, [0.0])
+REFUSED_STARTS = {
+    "nan": ([math.nan, 1.0], "finite and nonnegative"),
+    "inf": ([1.0, math.inf], "finite and nonnegative"),
+    "-inf": ([-math.inf, 1.0], "finite and nonnegative"),
+    "negative": ([1.0, -3.0], "finite and nonnegative"),
+    "short": ([1.0], "length must equal the window length"),
+    "long": ([1.0] * 3, "length must equal the window length"),
+}
 
 
-@pytest.mark.parametrize("price", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("case", REFUSED_STARTS)
 @pytest.mark.parametrize("storage", [TABLE1_STORAGE, StorageSpec(0.0, 0.0, 0.0, 0.0)])
-def test_non_finite_warm_start_price_is_refused(price, storage):
-    """No agent is asked at a price that is not finite: the slot is refused
+def test_start_that_is_not_a_window_price_list_is_refused(monkeypatch, case, storage):
+    """No agent is asked at a start entry that is negative or not finite, or
+    at a start of another length than the window: the slot is refused
     before the first broadcast."""
+    calls = []
+    monkeypatch.setattr(coordinator, "solve_dso", lambda *args: calls.append(args))
+    start, message = REFUSED_STARTS[case]
     ev = make_session(departure=2, energy=2.0)
-    with pytest.raises(ValueError, match="warm-start price must be finite"):
-        negotiate_slot([ev], make_dso_sub(2, storage=storage), price)
+    with pytest.raises(ValueError, match=message):
+        negotiate_slot([ev], make_dso_sub(2, storage=storage), start)
+    assert calls == []
+
+
+def test_start_is_the_first_broadcast(monkeypatch):
+    """A start that is not flat reaches the agents as it is: it is the first
+    evaluation's price list, and the caller's list is left alone."""
+    original, states = coordinator.evaluate_dual, []
+
+    def spy(*args, **kwargs):
+        states.append(original(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(coordinator, "evaluate_dual", spy)
+    start = [0.5, 4.0, 2.25]
+    negotiate_slot([make_session(departure=3, energy=5.0)], make_dso_sub(3), start)
+    assert states[0].price_values == [0.5, 4.0, 2.25]
+    assert start == [0.5, 4.0, 2.25] and len(states) > 1
 
 
 def scripted_supplier(levels):
@@ -225,7 +250,7 @@ def test_negotiation_returns_the_state_it_settled_at(monkeypatch, exit, levels, 
     else:
         n, evs = 2, []
         monkeypatch.setattr(coordinator, "solve_dso", scripted_supplier(levels))
-    result = negotiate_slot(evs, make_dso_sub(n), 4.0, solver=solver)
+    result = negotiate_slot(evs, make_dso_sub(n), [4.0] * n, solver=solver)
 
     assert result is states[settled]
     assert result.converged == (exit == "converged")

@@ -145,7 +145,7 @@ def test_nan_residual_never_reads_as_converged(monkeypatch):
     calls = []
     monkeypatch.setattr(coordinator, "solve_dso", supplier_turning(NAN, calls))
     solver = SolverConfig(max_iterations=3)
-    result = negotiate_slot([], dso_sub(2), warm_start_price=1.0, solver=solver)
+    result = negotiate_slot([], dso_sub(2), [1.0, 1.0], solver=solver)
     assert not result.converged
     assert result.iterations == 0
     assert result.supplier_error == "non-finite balance residual (nan) at iteration 1"
@@ -160,7 +160,7 @@ def test_infinite_residual_settles_the_slot(monkeypatch):
     """An infinite supply is settled like a NaN one, at the previous iteration."""
     calls = []
     monkeypatch.setattr(coordinator, "solve_dso", supplier_turning(math.inf, calls))
-    result = negotiate_slot([], dso_sub(2), 1.0, solver=SolverConfig(max_iterations=3))
+    result = negotiate_slot([], dso_sub(2), [1.0, 1.0], solver=SolverConfig(max_iterations=3))
     assert (result.converged, result.iterations) == (False, 0)
     assert result.supplier_error == "non-finite balance residual (inf) at iteration 1"
     assert len(calls) == 2
@@ -178,7 +178,7 @@ def test_nan_residual_at_the_first_iteration_raises(monkeypatch):
     monkeypatch.setattr(coordinator, "solve_dso", supplier)
     solver = SolverConfig(max_iterations=3)
     with pytest.raises(ConvergenceError, match="non-finite balance residual"):
-        negotiate_slot([], dso_sub(2), warm_start_price=0.0, solver=solver)
+        negotiate_slot([], dso_sub(2), [0.0, 0.0], solver=solver)
     assert len(calls) == 1
 
 
@@ -208,7 +208,7 @@ def markets(draw):
         step_size=draw(st.sampled_from([0.0005, 0.002, 0.01])),
         max_iterations=draw(st.integers(1, 40)),
     )
-    warm = draw(st.floats(0.0, 8.0))
+    warm = [draw(st.floats(0.0, 8.0))] * n
     return sessions, dso_sub(n, dso=dso, storage=storage), warm, solver
 
 

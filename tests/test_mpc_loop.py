@@ -49,7 +49,7 @@ def test_compute_window_departing_next_slot():
 def test_step_applies_first_sample_and_updates_energy():
     ses = make_session(ev_id="a", arrival=0, departure=4, energy=3.0)
     state = SimulationState(
-        slot=0, active=(), pending=(ses,), storage_energy=0.0, last_price=4.0
+        slot=0, active=(), pending=(ses,), storage_energy=0.0, prices=[4.0]
     )
     new_state, record = step(state, small_scenario([]))
     power, energy_left = record.per_ev["a"]
@@ -61,7 +61,7 @@ def test_step_applies_first_sample_and_updates_energy():
 
 def test_idle_slot_with_storage_settles_at_dso_solution():
     state = SimulationState(
-        slot=0, active=(), pending=(), storage_energy=100.0, last_price=4.0
+        slot=0, active=(), pending=(), storage_energy=100.0, prices=[4.0]
     )
     new_state, record = step(state, small_scenario([], storage=TABLE1_STORAGE))
     assert record.demand_total == 0.0
@@ -78,7 +78,7 @@ def test_completed_vehicle_leaves_market():
     # terminal equality was met early: the vehicle must not negotiate again
     ses = make_session(ev_id="a", arrival=0, departure=8, energy=1e-9)
     state = SimulationState(
-        slot=2, active=(ses,), pending=(), storage_energy=0.0, last_price=1.0
+        slot=2, active=(ses,), pending=(), storage_energy=0.0, prices=[1.0]
     )
     _, record = step(state, small_scenario([]))
     assert "a" not in record.per_ev

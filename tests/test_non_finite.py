@@ -96,7 +96,7 @@ IDLE_SLOT = DSOSubproblem(
 def test_convergence_config_rejects_non_finite(name, value):
     """The price loop refuses loop settings that are not finite."""
     with pytest.raises(ValueError):
-        negotiate_slot([], IDLE_SLOT, 1.0, SolverConfig(**{name: value}))
+        negotiate_slot([], IDLE_SLOT, [1.0], SolverConfig(**{name: value}))
 
 
 @pytest.mark.parametrize("value", [0.0, math.nan, -math.inf], ids=["zero", "nan", "-inf"])
@@ -105,18 +105,18 @@ def test_agent_tolerances_reject_zero_nan_and_minus_inf(name, value):
     """The price loop refuses an agent tolerance that is not positive, as
     ``loop_problems`` names it."""
     with pytest.raises(ValueError, match=f"^{name} must be positive$"):
-        negotiate_slot([], IDLE_SLOT, 1.0, SolverConfig(**{name: value}))
+        negotiate_slot([], IDLE_SLOT, [1.0], SolverConfig(**{name: value}))
 
 
 def test_convergence_config_raises_the_first_rule_broken():
     """The price loop raises the first rule its settings break, before any
     agent is solved."""
     with pytest.raises(ValueError, match="^step_size must be positive$"):
-        negotiate_slot([], IDLE_SLOT, 1.0, SolverConfig(step_size=0.0, balance_tolerance=0.0))
+        negotiate_slot([], IDLE_SLOT, [1.0], SolverConfig(step_size=0.0, balance_tolerance=0.0))
     with pytest.raises(ValueError, match="^step_schedule must be 'constant'$"):
-        negotiate_slot([], IDLE_SLOT, 1.0, SolverConfig(step_schedule="adaptive"))
+        negotiate_slot([], IDLE_SLOT, [1.0], SolverConfig(step_schedule="adaptive"))
     with pytest.raises(ValueError, match="^max_iterations must be an integer$"):
-        negotiate_slot([], IDLE_SLOT, 1.0, SolverConfig(max_iterations=2.5))
+        negotiate_slot([], IDLE_SLOT, [1.0], SolverConfig(max_iterations=2.5))
 
 
 @pytest.mark.parametrize(

@@ -123,7 +123,7 @@ def test_matches_negotiated_welfare_within_one_percent():
     dso_sub = DSOSubproblem(
         dso=TABLE1_DSO, storage=TABLE1_STORAGE, energy_now=100.0, window=problem.window
     )
-    result = negotiate_slot(sessions, dso_sub, warm)
+    result = negotiate_slot(sessions, dso_sub, [warm] * 2)
     assert result.converged
     negotiated = welfare(
         [(ses, sol.power) for ses, sol in zip(sessions, result.ev_solutions)],

@@ -315,7 +315,7 @@ def test_a_price_loop_past_its_limit_is_rejected(tmp_path, capsys):
         assert report.violations == violations
     sub = make_dso_sub(1)
     with pytest.raises(ValueError, match="^max_iterations must be at most 100000$"):
-        negotiate_slot([], sub, 1.0, dataclasses.replace(scenario.solver, max_iterations=10**20))
+        negotiate_slot([], sub, [1.0], dataclasses.replace(scenario.solver, max_iterations=10**20))
     message = f"solver.max_iterations must be at most 100000, got '{HUGE}'\n"
     text = SMALL.replace("initial_price = 16", f"initial_price = 16\n  max_iterations = {HUGE}")
     line = text.splitlines().index(f"  max_iterations = {HUGE}") + 1
@@ -426,6 +426,30 @@ def test_vehicle_id_that_breaks_evs_csv_is_rejected_with_its_line(tmp_path, caps
 
 def test_vehicle_id_with_punctuation_is_accepted():
     assert parse_scenario(with_first_id("car-01.x_y")).evs[0].ev_id == "car-01.x_y"
+
+
+def with_ev_ids(scenario, *ev_ids):
+    evs = tuple(dataclasses.replace(ev, ev_id=i) for ev, i in zip(scenario.evs, ev_ids))
+    return dataclasses.replace(scenario, evs=evs + scenario.evs[len(evs):])
+
+
+@pytest.mark.parametrize("value", ["a,b", "a#b", " a", "a\nb", 'a"b', ""])
+def test_validation_refuses_an_id_that_evs_csv_or_the_scenario_text_breaks(value):
+    """An id built in Python meets the rule of the id's schema row: a comma
+    or a quote splits or quotes its ``evs.csv`` row, a '#', padding or a
+    line break changes what its written scenario line parses back to.  Every
+    message about such an id quotes it, so each stays on one line."""
+    report = validate_scenario(with_ev_ids(parse_scenario(SMALL), value, value))
+    rule = f"ev {value!r}: id must be non-empty, unpadded, one line and free of ',', '\"' and '#'"
+    assert report.violations == (rule, rule, f"ev {value!r}: duplicate id")
+
+
+@settings(max_examples=200, deadline=None)
+@given(ev_id=st.text(min_size=1, max_size=8))
+def test_every_id_the_rule_accepts_round_trips_through_the_text(ev_id):
+    scenario = with_ev_ids(parse_scenario(SMALL), ev_id)
+    if validate_scenario(scenario).ok:
+        assert parse_scenario(write_scenario(scenario)) == scenario
 
 
 def test_explicit_id_that_the_fleet_generates_is_rejected(tmp_path, capsys):

@@ -37,7 +37,7 @@ def test_uncontrolled_power_is_clipped_to_the_box():
     # 0.5 kWh over one slot is 2 kW, below the 5 kW floor.
     low = make_session(ev_id="a", departure=4, power_min=5.0, energy=0.5)
     high = make_session(ev_id="b", departure=4, power_max=22.0, energy=50.0)
-    state = SimulationState(0, (), (low, high), 100.0, 4.0)
+    state = SimulationState(0, (), (low, high), 100.0, [4.0])
     new_state, record = step(state, scenario, uncontrolled)
     assert record.per_ev == {"a": (5.0, -0.75), "b": (22.0, 44.5)}
     assert record.generation == record.demand_total == 27.0
