@@ -15,15 +15,17 @@ are independent of each other and could run concurrently; they are evaluated
 in a fixed order here so that runs stay bit-reproducible.
 
 Windows are a few slots long, so inside the loop the broadcast prices, the
-demand, the supply and the residual are lists of floats, and the price update
-(its clip at zero written out inline) and the residual norm are float loops
-with NumPy's arithmetic, NaN included.  On lists this short a zip, a range or
-a comprehension costs more than the arithmetic, so these loops index with a
-counter.
-One :class:`DualIterationState` per evaluation holds the lists and the
-agents' solutions; the loop warm-starts each evaluation from the last one and
-returns the state it settled at, whose lists the slot is settled from.  The
-agents' arrays and objectives are built on first access from that state.
+demand, the supply and the residual are lists of floats, and the loop makes
+two float passes over the window per evaluation with NumPy's arithmetic, NaN
+included: the residual pass, which also takes the residual norm, and the
+price update, its clip at zero written out inline.  On lists this short a
+zip, a range or a comprehension costs more than the arithmetic, so these
+loops index with a counter.
+One :class:`DualIterationState` per evaluation holds the lists, the norm
+and the agents' solutions; the loop warm-starts each evaluation from the last
+one and returns the state it settled at, whose lists the slot is settled
+from.  The agents' arrays and objectives are built on first access from that
+state.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from typing import Sequence
 from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
 from .ev_agent import EVBatchWorkspace, EVSolution
 from .model import EVSession, SolverConfig
-from .model import loop_problems, max_abs
+from .model import loop_problems
 
 __all__ = [
     "DualIterationState",
@@ -53,7 +55,9 @@ class DualIterationState:
     window, and ``ev_solutions`` and ``dso_solution`` the agents' answers at
     those prices; ``dual_value``, the sum of the agents' objectives, and
     ``duality_gap`` are built on first access.  ``iterations`` counts the
-    price updates before this evaluation.
+    price updates before this evaluation, and ``residual_norm`` is the worst
+    per-slot imbalance, ``np.abs(residual_values).max()`` (NaN if any entry
+    is, and NaN on a state built without it).
     :func:`negotiate_slot` sets the outcome fields on the state it returns:
     ``residual_history`` holds the residual norm of every accepted iteration,
     and ``supplier_error`` is the message of a supplier failure, a non-finite
@@ -68,6 +72,7 @@ class DualIterationState:
     residual_values: list[float]
     ev_solutions: Sequence[EVSolution]
     dso_solution: DSOSolution
+    residual_norm: float = math.nan
     converged: bool = False
     residual_history: tuple[float, ...] = ()
     supplier_error: str | None = None
@@ -114,13 +119,16 @@ def evaluate_dual(
 ) -> DualIterationState:
     """Solve every agent at ``prices`` and assemble the imbalance.
 
-    Of ``solver`` only the agents' tolerances are read: the supplier solves
-    to ``solver.kkt_tolerance`` and a vehicle workspace built here to
+    Of ``solver`` only the agents' tolerances are read: the supplier solves to
+    ``solver.kkt_tolerance`` and a vehicle workspace built here to
     ``solver.energy_tolerance``.  ``prices`` is the float list broadcast over
-    ``dso_sub.window``, the one window of the supplier and the vehicles; a
-    list of another length raises ``ValueError`` from the solves.  Each
-    vehicle charges on the leading slots up to its departure and adds zero
-    demand past it.  The dual value is the sum of the agents' optimal
+    ``dso_sub.window``, the one window of the supplier and the vehicles; a list
+    of another length raises ``ValueError`` from the solves.  Each vehicle
+    charges on the leading slots up to its departure and adds zero demand past
+    it.  The pass that forms the residual also takes its norm by NumPy's rule:
+    Python's ``max`` drops a NaN that is not its first argument, so the norm is
+    written out, and a NaN imbalance, once met, stays the norm and never reads
+    as a small number.  The dual value is the sum of the agents' optimal
     objectives, computed when it is first read.  ``last``, the previous
     iteration's state on the same agents, lends its vehicle workspace and its
     iteration count plus one, and warm-starts the agents: each vehicle's
@@ -147,13 +155,18 @@ def evaluate_dual(
 
     supply = dso_solution.generation_values
     residual = []
+    norm = 0.0
     i = 0
     for g in supply:
-        residual.append(g - demand[i])
+        r = g - demand[i]
+        residual.append(r)
+        r = abs(r)
+        if not r <= norm and norm == norm:
+            norm = r
         i += 1
     iterations = last.iterations + 1 if last else 0
     return DualIterationState(
-        iterations, prices, demand, supply, residual, ev_solutions, dso_solution
+        iterations, prices, demand, supply, residual, ev_solutions, dso_solution, norm
     )
 
 
@@ -195,14 +208,15 @@ def negotiate_slot(
     if not all(0.0 <= price < math.inf for price in prices):
         raise ValueError(f"start prices must be finite and nonnegative, not {prices}")
     tolerance, hours = solver.balance_tolerance, dso_sub.window.slot_hours
+    cap, step, inf = solver.max_iterations, solver.step_size, math.inf
     history: list[float] = []
     state = None
     supplier_error = None
-    for k in range(solver.max_iterations + 1):
+    for k in range(cap + 1):
         try:
             next_state = evaluate_dual(prices, sessions, dso_sub, solver, state)
-            norm = max_abs(next_state.residual_values)
-            if not norm <= tolerance and not math.isfinite(norm):
+            norm = next_state.residual_norm
+            if not norm <= tolerance and (norm != norm or norm == inf):
                 message = f"non-finite balance residual ({norm}) at iteration {k}"
                 raise ConvergenceError(message, norm)
         except ConvergenceError as exc:
@@ -215,10 +229,10 @@ def negotiate_slot(
             break
         state = next_state
         history.append(norm)
-        if norm <= tolerance or k == solver.max_iterations:
+        if norm <= tolerance or k == cap:
             break
-        prices = update_price(prices, state.residual_values, solver.step_size)
-        if math.inf in prices or not prices[0] / hours < math.inf:
+        prices = update_price(prices, state.residual_values, step)
+        if inf in prices or not prices[0] / hours < inf:
             # No agent is solved at an infinite price, and no slot records
             # one per kWh: the slot settles here.
             supplier_error = f"price update overflowed (inf) at iteration {k}"

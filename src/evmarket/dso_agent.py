@@ -7,11 +7,12 @@ reference, over box bounds on both generation ``P_l`` and storage power
 
 When the storage box is pinned (``power_min == power_max``; validation forces
 both to 0, as for a scenario without storage) the problem separates per slot
-and is solved in closed form, in plain floats: ``P_s`` sits at the pinned value
-and ``P_l = clip(P_s + (price - linear_cost) / (2 * quadratic_cost))`` on the
-generation box, the clip written out with NumPy's rules for ties, signed zeros
-and NaN.  The pinned test and the form's constants are read once per
-negotiation, when its :class:`DSOSubproblem` is built.  Otherwise primal-dual
+and :func:`solve_dso` solves it in closed form itself, in plain floats:
+``P_s`` sits at the pinned value and ``P_l = clip(P_s + (price -
+linear_cost) / (2 * quadratic_cost))`` on the generation box, the clip written
+out with NumPy's rules for ties, signed zeros and NaN.  The pinned test and
+the form's constants are read once per negotiation, when its
+:class:`DSOSubproblem` is built.  Otherwise primal-dual
 active-set rounds solve it (Hintermüller, Ito & Kunisch, SIAM J. Optim.
 2002).  A :class:`DSOWorkspace`, built on a negotiation's first solve and
 handed on by each solution, holds what the price rounds share: the boxes as
@@ -390,15 +391,19 @@ def solve_dso(
     start: DSOSolution | tuple[Sequence[float], Sequence[float]] | None = None,
 ) -> DSOSolution:
     """Return the unique maximizer of the supplier objective on the boxes at
-    ``prices``, the window list (see :meth:`~evmarket.model.TimeGrid.price_list`).
+    ``prices``, the window list (see :meth:`~evmarket.model.TimeGrid.price_list`):
+    a list of the window's length is kept as it is, without the call.
 
-    A pinned storage box is solved in closed form, any other by primal-dual
-    active-set rounds (see :func:`_rounds`).  ``start`` names the first set:
-    the coordinator passes the last price round's solution on ``sub``, whose
-    workspace and active set carry over, and nothing for a slot's first
-    call, whose set is read off the zero point; a solution on another
-    subproblem raises ``ValueError``.  A ``(generation, storage)`` pair over
-    the window has its set read off its point, each entry outside the box
+    A pinned storage box is solved here in closed form, slot by slot, with the
+    clip written out as ``np.minimum(np.maximum(x, lo), hi)`` (a NaN stays NaN,
+    a tie takes the bound); its residual, of one clipped gradient step, is
+    ``np.abs(gaps).max()``, NaN if any gap is.  Any other box is solved by
+    primal-dual active-set rounds (see :func:`_rounds`).  ``start`` names the
+    rounds' first set: the coordinator passes the last price round's solution
+    on ``sub``, whose workspace and active set carry over, and nothing for a
+    slot's first call, whose set is read off the zero point; a solution on
+    another subproblem raises ``ValueError``.  A ``(generation, storage)`` pair
+    over the window has its set read off its point, each entry outside the box
     held on the bound it crossed.  The first point that lies in the box and
     whose certificate is within ``kkt_tolerance`` is returned, so ``start``
     never changes the answer beyond that tolerance.
@@ -406,10 +411,30 @@ def solve_dso(
     of ``_ROUNDS_PER_ENTRY`` per entry of the point, or if the closed form's
     residual misses ``kkt_tolerance`` or is not finite.
     """
-    lam = sub.window.price_list(prices)
-    if sub._closed_form[0]:
-        gen, storage, residual = _pinned_dispatch(sub, lam, kkt_tolerance)
-        return DSOSolution(gen, storage, residual, sub, lam)
+    lam, n = prices, sub.window.length
+    if type(lam) is not list or len(lam) != n:
+        lam = sub.window.price_list(prices)
+    closed, pin, lin, lo, hi, scale = sub._closed_form
+    if closed:
+        gen = []
+        residual = 0.0
+        for price in lam:
+            margin = price - lin
+            g = pin + margin / scale
+            g = g if g > lo or g != g else lo
+            g = g if g < hi or g != g else hi
+            gen.append(g)
+            # One clipped gradient step; the storage block sits on its pinned
+            # bounds, so its residual is zero.
+            x = g + (margin - scale * (g - pin))
+            x = x if x > lo or x != x else lo
+            x = x if x < hi or x != x else hi
+            gap = abs(g - x)
+            if not gap <= residual and residual == residual:
+                residual = gap
+        if not residual <= kkt_tolerance:
+            raise ConvergenceError(f"supplier closed form left residual {residual:.3e}", residual)
+        return DSOSolution(gen, [pin] * n, residual, sub, lam)
     if type(start) is DSOSolution:
         if start.sub is not sub:
             raise ValueError("start was solved on another subproblem")
@@ -419,41 +444,7 @@ def solve_dso(
         point = [0.0] * (2 * ws.n) if start is None else [*start[0], *start[1]]
         active = ws.active_set(point)
     point, residual, active = _rounds(ws, active, lam, kkt_tolerance)
-    n = len(lam)
     return DSOSolution(point[:n], point[n:], residual, sub, lam, ws, active)
-
-
-def _pinned_dispatch(
-    sub: DSOSubproblem, lam: Sequence[float], kkt_tolerance: float
-) -> tuple[list[float], list[float], float]:
-    """Closed form when storage cannot move: every slot clears on its own.
-
-    The constants are read from ``sub``, which finds them once per
-    negotiation.  Plain floats, slot by slot, with the clip written out as
-    NumPy's ``np.minimum(np.maximum(x, lo), hi)``: a NaN stays NaN, a tie
-    takes the bound.  The residual is ``np.abs(gaps).max()``, NaN if any gap
-    is, as at a NaN price or bound; one not within ``kkt_tolerance`` raises.
-    """
-    _, pin, lin, lo, hi, scale = sub._closed_form
-    gen = []
-    residual = 0.0
-    for price in lam:
-        margin = price - lin
-        g = pin + margin / scale
-        g = g if g > lo or g != g else lo
-        g = g if g < hi or g != g else hi
-        gen.append(g)
-        # One clipped gradient step; the storage block sits on its pinned
-        # bounds, so its residual is zero.
-        x = g + (margin - scale * (g - pin))
-        x = x if x > lo or x != x else lo
-        x = x if x < hi or x != x else hi
-        gap = abs(g - x)
-        if not gap <= residual and residual == residual:
-            residual = gap
-    if not residual <= kkt_tolerance:
-        raise ConvergenceError(f"supplier closed form left residual {residual:.3e}", residual)
-    return gen, [pin] * len(gen), residual
 
 
 def _rounds(

@@ -235,9 +235,12 @@ class EVBatchWorkspace:
 
     def load_prices(self, prices) -> None:
         """Set the prices, the window list (see
-        :meth:`~evmarket.model.TimeGrid.price_list`).  The previous prices are
+        :meth:`~evmarket.model.TimeGrid.price_list`): a list of the window's
+        length is kept as it is, without the call.  The previous prices are
         left as they were, for the solutions that refer to them."""
-        self.prices = self.window.price_list(prices)
+        if type(prices) is not list or len(prices) != self.window.length:
+            prices = self.window.price_list(prices)
+        self.prices = prices
 
     def padded(self, prices) -> np.ndarray:
         """The window list ``prices`` as a ``vehicles x width`` matrix, padded

@@ -248,24 +248,6 @@ def remaining_energy_after(
     return energy_needed - (1.0 - loss_fraction) * slot_hours * power
 
 
-# The float form of the residual norm the price loop takes of its short
-# vectors.  Python's max drops a NaN that is not its first argument; this
-# follows NumPy, so a NaN imbalance is never read as a small number.
-
-
-def max_abs(values) -> float:
-    """``np.abs(values).max()`` of a non-empty sequence of floats: NaN if any
-    value is NaN."""
-    norm = 0.0
-    for x in values:
-        x = abs(x)
-        if not x <= norm:
-            if x != x:
-                return x
-            norm = x
-    return norm
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of scenario validation; empty ``violations`` means well-formed."""

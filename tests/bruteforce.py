@@ -129,36 +129,39 @@ def dso_bruteforce_storage(
 
     Generation is reduced out exactly: for fixed storage powers the objective
     is separable and quadratic in each generation sample, so the optimum is
-    the clipped vertex.  The remaining search is an honest 2-D grid.
+    the clipped vertex.  The remaining search is an honest 2-D grid, each
+    sweep one array over it with the objective written out for two slots;
+    the chosen point is the grid's first maximum with ``s0`` the outer axis,
+    and the value reported is :func:`dso_objective` there.
     """
     if sub.window.length != 2:
         raise ValueError("this oracle is for 2-slot problems")
-    lo_s, hi_s = sub.storage.power_min, sub.storage.power_max
-    a, b = sub.dso.cost_quadratic, sub.dso.cost_linear
+    dso, storage = sub.dso, sub.storage
+    lo_s, hi_s = storage.power_min, storage.power_max
+    a, b = dso.cost_quadratic, dso.cost_linear
     lam = np.asarray(prices, dtype=float)
-
-    def best_generation(ps):
-        vertex = ps + (lam - b) / (2.0 * a)
-        return np.clip(vertex, sub.dso.power_min, sub.dso.power_max)
+    rate = storage.throughput * sub.window.slot_hours
 
     def sweep(axis0, axis1):
-        best = (None, None, -np.inf)
-        for s0 in axis0:
-            ps1 = np.asarray(axis1)
-            for s1 in ps1:
-                ps = np.array([s0, s1])
-                gen = best_generation(ps)
-                value = dso_objective(sub, lam, gen, ps)
-                if value > best[2]:
-                    best = (gen, ps, value)
-        return best
+        s0, s1 = np.meshgrid(axis0, axis1, indexing="ij")
+        shift = (lam - b) / (2.0 * a)
+        g0 = np.clip(s0 + shift[0], dso.power_min, dso.power_max)
+        g1 = np.clip(s1 + shift[1], dso.power_min, dso.power_max)
+        net0, net1 = g0 - s0, g1 - s1
+        cost = (a * net0 * net0 + b * net0) + (a * net1 * net1 + b * net1)
+        dev0 = sub.energy_now - rate * s0 - storage.energy_reference
+        dev1 = sub.energy_now - rate * (s0 + s1) - storage.energy_reference
+        value = (lam[0] * g0 + lam[1] * g1) - cost
+        value = value - storage.tracking_weight * (dev0 * dev0 + dev1 * dev1)
+        i, j = np.unravel_index(int(np.argmax(value)), value.shape)
+        gen, ps = np.array([g0[i, j], g1[i, j]]), np.array([s0[i, j], s1[i, j]])
+        return gen, ps, dso_objective(sub, lam, gen, ps)
 
     coarse_axis = np.arange(lo_s, hi_s + 0.25, 0.5)
     _, ps_c, _ = sweep(coarse_axis, coarse_axis)
     fine0 = np.arange(max(lo_s, ps_c[0] - 0.5), min(hi_s, ps_c[0] + 0.5) + step / 2, step)
     fine1 = np.arange(max(lo_s, ps_c[1] - 0.5), min(hi_s, ps_c[1] + 0.5) + step / 2, step)
-    gen, ps, value = sweep(fine0, fine1)
-    return gen, ps, value
+    return sweep(fine0, fine1)
 
 
 def random_feasible_ev(

@@ -16,7 +16,6 @@ from evmarket import (
     update_price,
 )
 from evmarket.dso_agent import ConvergenceError, DSOSolution
-from evmarket.model import max_abs
 
 from bruteforce import random_feasible_ev
 from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
@@ -260,4 +259,5 @@ def test_negotiation_returns_the_state_it_settled_at(monkeypatch, exit, levels, 
     assert all(last is state for last, state in zip(lasts[1:], states))
     assert len(lasts) == len(states) + (exit == "supplier failure")
     assert result.iterations == len(result.residual_history) - 1
-    assert max_abs(result.residual_values) == result.residual_history[-1]
+    assert result.residual_norm == result.residual_history[-1]
+    assert result.residual_norm == np.abs(result.residual_values).max()

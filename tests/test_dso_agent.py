@@ -81,7 +81,7 @@ def test_one_slot_table1_price_against_grid():
 
 def test_two_slot_matches_reduced_grid_oracle():
     rng = np.random.default_rng(2)
-    for _ in range(3):
+    for _ in range(30):
         lam = rng.uniform(0.0, 6.0, size=2)
         sub = make_sub(2, energy_now=float(rng.uniform(95.0, 105.0)))
         sol = solve_dso(sub, lam)

@@ -21,14 +21,14 @@ from evmarket import (
     TimeGrid,
     coordinator,
     ev_agent,
+    evaluate_dual,
     mpc_loop,
     negotiate_slot,
     resolve_sessions,
     update_price,
 )
 from evmarket.coordinator import DualIterationState
-from evmarket.dso_agent import ConvergenceError, DSOSolution, _pinned_dispatch, solve_dso
-from evmarket.model import max_abs
+from evmarket.dso_agent import ConvergenceError, DSOSolution, solve_dso
 
 from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
 
@@ -98,6 +98,9 @@ def test_pinned_dispatch_is_the_numpy_closed_form_bit_for_bit(prices, lin, lo, h
     included; a NaN residual raises.  No residual target is set, so every
     other residual is returned."""
     sub = dso_sub(len(prices), DSOSpec(quad, lin, lo, hi), StorageSpec(pin, pin, 0.0, 0.0))
+    # A NaN pin fails the pinned test (NaN != NaN); the closed form's
+    # arithmetic is still checked on it.
+    object.__setattr__(sub, "_closed_form", (True, *sub._closed_form[1:]))
     with np.errstate(all="ignore"):
         margin = np.array(prices) - lin
         scale = 2.0 * quad
@@ -106,24 +109,32 @@ def test_pinned_dispatch_is_the_numpy_closed_form_bit_for_bit(prices, lin, lo, h
         residual = np.abs(gen - moved).max()
     if math.isnan(residual):
         with pytest.raises(ConvergenceError, match="closed form"):
-            _pinned_dispatch(sub, prices, math.inf)
+            solve_dso(sub, prices, math.inf)
         return
-    values, storage, kkt = _pinned_dispatch(sub, prices, math.inf)
-    assert same_bits(values, gen)
-    assert same_bits([kkt], [residual])
-    assert same_bits(storage, [pin] * len(prices))
+    solution = solve_dso(sub, prices, math.inf)
+    assert same_bits(solution.generation_values, gen)
+    assert same_bits([solution.kkt_residual], [residual])
+    assert same_bits(solution.storage_values, [pin] * len(prices))
 
 
-def test_residual_norm_follows_np_max():
+def test_residual_norm_follows_np_max(monkeypatch):
+    """With no vehicles the residual is the supply, so a supplier answering
+    with the draw puts it through the residual pass unchanged."""
     rng = np.random.default_rng(5)
     for _ in range(200):
         values = rng.normal(0.0, 10.0, size=int(rng.integers(1, 8)))
         values[rng.uniform(size=values.size) < 0.3] = NAN
         values[rng.uniform(size=values.size) < 0.2] = -0.0
-        expected = np.abs(values).max()
-        assert same_bits([max_abs(values.tolist())], [expected])
-    state = DualIterationState(0, [0.0] * 3, [0.0] * 3, [0.0] * 3, [0.5, NAN, 0.2], (), None)
-    assert math.isnan(max_abs(state.residual_values))
+
+        def supplier(sub, prices, kkt_tolerance, start, _gen=values.tolist()):
+            return DSOSolution(_gen, [0.0] * len(_gen), 0.0, sub, prices)
+
+        monkeypatch.setattr(coordinator, "solve_dso", supplier)
+        state = evaluate_dual([0.0] * values.size, [], dso_sub(values.size))
+        assert same_bits(state.residual_values, values)
+        assert same_bits([state.residual_norm], [np.abs(values).max()])
+    state = DualIterationState(0, [0.0] * 3, [0.0] * 3, [0.0] * 3, [0.5, 0.1, 0.2], (), None)
+    assert math.isnan(state.residual_norm)
 
 
 def supplier_turning(last, calls):
@@ -150,7 +161,7 @@ def test_nan_residual_never_reads_as_converged(monkeypatch):
     assert result.iterations == 0
     assert result.supplier_error == "non-finite balance residual (nan) at iteration 1"
     assert result.residual_history == (5.0,)
-    assert max_abs(result.residual_values) == 5.0
+    assert result.residual_norm == 5.0
     np.testing.assert_array_equal(result.price_values, [1.0, 1.0])
     np.testing.assert_array_equal(result.supply_values, [5.0, 5.0])
     assert len(calls) == 2
@@ -183,11 +194,11 @@ def test_nan_residual_at_the_first_iteration_raises(monkeypatch):
 
 
 @st.composite
-def markets(draw):
-    n = draw(st.integers(1, 6))
-    # Up to twelve vehicles, so that one-slot windows reach the batch sizes
-    # whose single column NumPy sums pairwise.
-    count = draw(st.integers(0, 12))
+def markets(draw, max_slots=6, max_vehicles=12):
+    n = draw(st.integers(1, max_slots))
+    # Up to twelve vehicles by default, so that one-slot windows reach the
+    # batch sizes whose single column NumPy sums pairwise.
+    count = draw(st.integers(0, max_vehicles))
     sessions = []
     for _ in range(count):
         m = draw(st.integers(1, n))
@@ -230,6 +241,68 @@ def test_loop_is_bit_identical_on_either_kernel(market):
         assert np.array_equal(a.power, b.power)
         assert a.energy_multiplier == b.energy_multiplier
         assert a.feasible == b.feasible
+
+
+@settings(max_examples=100, deadline=None)
+@given(market=markets(max_slots=4, max_vehicles=4))
+def test_every_state_carries_the_norm_of_its_residual(market):
+    """The norm the residual pass takes is NumPy's, on every evaluation of a
+    negotiation, and the history records it."""
+    sessions, dso, warm, solver = market
+    original, states = coordinator.evaluate_dual, []
+
+    def spy(*args, **kwargs):
+        states.append(original(*args, **kwargs))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coordinator, "evaluate_dual", spy)
+        result = negotiate_slot(sessions, dso, warm, solver=solver)
+    for state in states:
+        assert same_bits([state.residual_norm], [np.abs(state.residual_values).max()])
+    history = result.residual_history
+    assert list(history) == [state.residual_norm for state in states[: len(history)]]
+    assert history[-1] == result.residual_norm
+
+
+def window_solve(kind):
+    """One agent's solve on a three-slot window, as a function of the price
+    input that returns the list the solve kept and its answer as floats."""
+    if kind == "load_prices":
+        ws = ev_agent.EVBatchWorkspace([make_session(departure=3, energy=4.0)], dso_sub(3).window)
+
+        def solve(prices):
+            ws.load_prices(prices)
+            batch = ws.solve()
+            return batch.prices, [*batch.demand, *batch.multipliers]
+
+        return solve
+    sub = dso_sub(3, storage=NO_STORAGE if kind == "pinned" else TABLE1_STORAGE)
+
+    def solve(prices):
+        solution = solve_dso(sub, prices)
+        values = solution.generation_values + solution.storage_values
+        return solution.prices, [*values, solution.kkt_residual]
+
+    return solve
+
+
+@pytest.mark.parametrize("kind", ["load_prices", "pinned", "free"])
+def test_a_window_list_is_kept_and_anything_else_takes_the_length_rule(kind):
+    """A list of the window's length reaches the solve as it is; a tuple or
+    an array is converted by ``TimeGrid.price_list`` to the same answer, and
+    a list of another length is refused with its message."""
+    solve = window_solve(kind)
+    prices = [1.5, 4.0, 2.25]
+    kept, answer = solve(prices)
+    assert kept is prices
+    for other in (tuple(prices), np.array(prices)):
+        kept, converted = solve(other)
+        assert type(kept) is list and kept == prices
+        assert same_bits(converted, answer)
+    for wrong in (prices[:2], prices + [3.0]):
+        with pytest.raises(ValueError, match="^price list length must equal the window length$"):
+            solve(wrong)
 
 
 def test_every_dual_evaluation_passes_the_benchmark_entry_points(table1_scenario, monkeypatch):
