@@ -134,9 +134,9 @@ def evaluate_dual(
     iteration count plus one, and warm-starts the agents: each vehicle's
     multiplier search from a tangent prediction along the price move (see
     :mod:`evmarket.ev_agent`), the supplier from its last solution, whose
-    workspace and active set carry over (see :mod:`evmarket.dso_agent`).
-    Without it the workspaces are built, each vehicle starts from the even
-    spread of its requirement and the supplier from the zero point.
+    active set carries over (see :mod:`evmarket.dso_agent`).  Without it the
+    vehicle workspace is built, each vehicle starts from the even spread of
+    its requirement and the supplier from the zero point.
     """
     window = dso_sub.window
     n = window.length

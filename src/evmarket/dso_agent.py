@@ -10,20 +10,19 @@ both to 0, as for a scenario without storage) the problem separates per slot
 and :func:`solve_dso` solves it in closed form itself, in plain floats:
 ``P_s`` sits at the pinned value and ``P_l = clip(P_s + (price -
 linear_cost) / (2 * quadratic_cost))`` on the generation box, the clip written
-out with NumPy's rules for ties, signed zeros and NaN.  The pinned test and
-the form's constants are read once per negotiation, when its
-:class:`DSOSubproblem` is built.  Otherwise primal-dual
+out with NumPy's rules for ties, signed zeros and NaN.  Otherwise primal-dual
 active-set rounds solve it (Hintermüller, Ito & Kunisch, SIAM J. Optim.
-2002).  A :class:`DSOWorkspace`, built on a negotiation's first solve and
-handed on by each solution, holds what the price rounds share: the boxes as
-floats and the storage block's linear term.  Each round's active set
-(:class:`_ActiveSet`) holds its free and held entries and the elimination
-of its Newton system.  In the stored energy after
-each slot and its costate, that system is tridiagonal, one row per slot, the
-structure fast MPC solvers exploit (Rao, Wright & Rawlings, J. Optim. Theory
-Appl. 1998).  A Riccati recursion eliminates it from the last slot as the
-set is built, so on an active set the one Newton step is one backward and
-one forward sweep in plain floats: O(n), with no matrix built or inverted.
+2002).  A negotiation's :class:`DSOSubproblem`, built once for its window,
+holds what every solve on it shares: the pinned test and the form's
+constants, and for the rounds the boxes as float lists and the storage
+block's linear term.  Each round's active set (:class:`_ActiveSet`) holds
+its free and held entries and the elimination of its Newton system.  In the
+stored energy after each slot and its costate, that system is tridiagonal,
+one row per slot, the structure fast MPC solvers exploit (Rao, Wright &
+Rawlings, J. Optim. Theory Appl. 1998).  A Riccati recursion eliminates it
+from the last slot as the set is built, so on an active set the one Newton
+step is one backward and one forward sweep in plain floats: O(n), with no
+matrix built or inverted.
 
 The first set comes from the start: the last price round's solution carries
 its own, and a slot's first call reads it off the zero point, each entry
@@ -77,11 +76,14 @@ class DSOSubproblem:
     """Supplier data for one negotiation window; ``energy_now`` is the stored
     energy.  It holds no prices: each solve is given the window list.
 
-    ``_closed_form`` is found once, when the subproblem is built: whether
-    the closed form solves it (a pinned storage box and a strictly convex
-    cost), then the form's constants, the pinned storage power, the linear
-    cost, the generation box and twice the quadratic cost.  It is a plain
-    attribute because every solve reads it; a cached property reads slower.
+    What every solve on it shares is derived once, when it is built, as plain
+    attributes: every solve reads them, and a cached property reads slower.
+    ``_closed_form`` is whether the closed form solves it (a pinned storage
+    box and a strictly convex cost), then the form's constants: the pinned
+    storage power, the linear cost, the generation box and twice the
+    quadratic cost.  The rest serves the active-set rounds, which solve ``max
+    g.z - z.Q.z / 2`` on the stacked point ``z = (P_l, P_s)`` with ``g =
+    (price - lin, storage_g)``; ``lower`` and ``upper`` are its box.
     """
 
     dso: DSOSpec
@@ -90,113 +92,33 @@ class DSOSubproblem:
     window: TimeGrid
 
     def __post_init__(self) -> None:
-        dso, storage = self.dso, self.storage
-        closed_form = (
-            storage.power_min == storage.power_max and dso.cost_quadratic > 0,
-            storage.power_min,
-            dso.cost_linear,
-            dso.power_min,
-            dso.power_max,
-            2.0 * dso.cost_quadratic,
-        )
-        object.__setattr__(self, "_closed_form", closed_form)
-
-
-@dataclass(eq=False)
-class DSOSolution:
-    """Optimal dispatch at ``prices`` (the broadcast it was solved for).
-
-    ``generation_values`` and ``storage_values`` are float lists over the
-    window; the price loop reads the former, and a settled slot the first
-    entry of both.  ``point`` (the two stacked as an array) and ``objective``
-    are built on first access.  A solve with storage also sets ``workspace``
-    and ``active``, the active set of the point: passed back as ``start`` on
-    the same subproblem, the solution starts the next round from them.  One
-    is made per dual iteration, so it is a plain dataclass: a frozen one
-    takes about three times as long to construct.
-    """
-
-    generation_values: list[float]
-    storage_values: list[float]
-    kkt_residual: float
-    sub: DSOSubproblem
-    prices: Sequence[float]
-    workspace: DSOWorkspace | None = None
-    active: _ActiveSet | None = None
-
-    @cached_property
-    def point(self) -> np.ndarray:
-        return np.array(self.generation_values + self.storage_values)
-
-    @cached_property
-    def objective(self) -> float:
-        n = len(self.generation_values)
-        return _objective(self.sub, np.asarray(self.prices), self.point[:n], self.point[n:])
-
-    def loss_at(self, generation: Sequence[float]) -> float:
-        """What the supplier gives up by generating ``generation`` instead of
-        its answer, its storage kept: ``objective`` minus the objective there."""
-        n = len(self.generation_values)
-        lam, other = np.asarray(self.prices), np.asarray(generation, dtype=float)
-        return self.objective - _objective(self.sub, lam, other, self.point[n:])
-
-
-def generation_cost(net_power, quad_coeff: float, lin_coeff: float):
-    """Cost of producing ``net_power`` for one slot: ``quad*q**2 + lin*q``."""
-    return quad_coeff * net_power * net_power + lin_coeff * net_power
-
-
-def storage_tracking_penalty(
-    energy_now: float, storage_power, storage: StorageSpec, grid: TimeGrid
-) -> float:
-    """Sum over the window of squared deviation of stored energy from reference.
-
-    The stored energy after slot ``j`` is ``energy_now`` minus the cumulative
-    discharged energy ``throughput * slot_hours * sum_{i<=j} P_s(i)``.
-    """
-    values = np.asarray(storage_power, dtype=float)
-    if values.size != grid.length:
-        raise ValueError("profile length must equal the window length")
-    moved = storage.throughput * grid.slot_hours * np.cumsum(values)
-    dev = energy_now - moved - storage.energy_reference
-    return float(np.dot(dev, dev))
-
-
-# Active-set rounds per entry of the point before a supplier solve is
-# reported as stalled (see :func:`_rounds`).  Cold solves on windows of 1-96
-# slots, with tracking weights from 1e-4 to 1e3, took at most 3.3 per entry:
-# 309 rounds on a 47-slot window.
-_ROUNDS_PER_ENTRY = 8
-
-
-class DSOWorkspace:
-    """What one negotiation's active-set rounds share: all but the prices.
-
-    The problem is ``max g.z - z.Q.z / 2`` on the stacked point
-    ``z = (P_l, P_s)``, with ``g = (price - linear_cost, storage_g)``.
-    Built on the first solve of a subproblem and handed on by each
-    :class:`DSOSolution`, it holds the box as float lists (``lower``,
-    ``upper``) and the storage block of ``g``.
-    """
-
-    def __init__(self, sub: DSOSubproblem):
-        dso, st = sub.dso, sub.storage
-        n = sub.window.length
-        self.sub, self.n, self.lin = sub, n, dso.cost_linear
-        self.lower = [dso.power_min] * n + [st.power_min] * n
-        self.upper = [dso.power_max] * n + [st.power_max] * n
+        dso, st = self.dso, self.storage
+        n = self.window.length
         # ``rate`` is the energy one kW of storage power moves in a slot,
         # ``drift`` the stored energy's deviation from its reference and
         # ``weight`` the tracking penalty's gradient per kWh of deviation.
-        self.rate = st.throughput * sub.window.slot_hours
-        self.drift = sub.energy_now - st.energy_reference
-        self.weight = 2.0 * st.tracking_weight * self.rate
-        scale = self.weight * self.drift
-        self.storage_g = [self.lin + scale * k for k in range(n, 0, -1)]
+        rate = st.throughput * self.window.slot_hours
+        drift = self.energy_now - st.energy_reference
+        weight = 2.0 * st.tracking_weight * rate
+        scale = weight * drift
+        lin = dso.cost_linear
         # Q z = (c (P_l - P_s), -c (P_l - P_s) + r overlap @ P_s): ``coupling``
         # is c, ``tracking`` is r and ``overlap[i, j] = n - max(i, j)``.
-        self.coupling = 2.0 * dso.cost_quadratic
-        self.tracking = self.weight * self.rate
+        coupling = 2.0 * dso.cost_quadratic
+        derived = dict(
+            _closed_form=(
+                st.power_min == st.power_max and dso.cost_quadratic > 0,
+                st.power_min, lin, dso.power_min, dso.power_max, coupling,
+            ),
+            n=n, lin=lin, rate=rate, drift=drift, weight=weight, coupling=coupling,
+            lower=[dso.power_min] * n + [st.power_min] * n,
+            upper=[dso.power_max] * n + [st.power_max] * n,
+            storage_g=[lin + scale * k for k in range(n, 0, -1)],
+            tracking=weight * rate,
+        )
+        # One by one: writing through ``__dict__`` would slow every later read.
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def active_set(self, point: list[float]) -> _ActiveSet:
         """The active set of ``point``: each entry on or past a bound held
@@ -294,6 +216,72 @@ class DSOWorkspace:
         return tuple(sides)
 
 
+@dataclass(eq=False)
+class DSOSolution:
+    """Optimal dispatch at ``prices`` (the broadcast it was solved for).
+
+    ``generation_values`` and ``storage_values`` are float lists over the
+    window; the price loop reads the former, and a settled slot the first
+    entry of both.  ``point`` (the two stacked as an array) and ``objective``
+    are built on first access.  A solve with storage also sets ``active``,
+    the active set of the point: passed back as ``start`` on the same
+    subproblem, the solution starts the next round from it.  One is made per
+    dual iteration, so it is a plain dataclass: a frozen one takes about
+    three times as long to construct.
+    """
+
+    generation_values: list[float]
+    storage_values: list[float]
+    kkt_residual: float
+    sub: DSOSubproblem
+    prices: Sequence[float]
+    active: _ActiveSet | None = None
+
+    @cached_property
+    def point(self) -> np.ndarray:
+        return np.array(self.generation_values + self.storage_values)
+
+    @cached_property
+    def objective(self) -> float:
+        n = len(self.generation_values)
+        return _objective(self.sub, np.asarray(self.prices), self.point[:n], self.point[n:])
+
+    def loss_at(self, generation: Sequence[float]) -> float:
+        """What the supplier gives up by generating ``generation`` instead of
+        its answer, its storage kept: ``objective`` minus the objective there."""
+        n = len(self.generation_values)
+        lam, other = np.asarray(self.prices), np.asarray(generation, dtype=float)
+        return self.objective - _objective(self.sub, lam, other, self.point[n:])
+
+
+def generation_cost(net_power, quad_coeff: float, lin_coeff: float):
+    """Cost of producing ``net_power`` for one slot: ``quad*q**2 + lin*q``."""
+    return quad_coeff * net_power * net_power + lin_coeff * net_power
+
+
+def storage_tracking_penalty(
+    energy_now: float, storage_power, storage: StorageSpec, grid: TimeGrid
+) -> float:
+    """Sum over the window of squared deviation of stored energy from reference.
+
+    The stored energy after slot ``j`` is ``energy_now`` minus the cumulative
+    discharged energy ``throughput * slot_hours * sum_{i<=j} P_s(i)``.
+    """
+    values = np.asarray(storage_power, dtype=float)
+    if values.size != grid.length:
+        raise ValueError("profile length must equal the window length")
+    moved = storage.throughput * grid.slot_hours * np.cumsum(values)
+    dev = energy_now - moved - storage.energy_reference
+    return float(np.dot(dev, dev))
+
+
+# Active-set rounds per entry of the point before a supplier solve is
+# reported as stalled (see :func:`_rounds`).  Cold solves on windows of 1-96
+# slots, with tracking weights from 1e-4 to 1e3, took at most 3.3 per entry:
+# 309 rounds on a 47-slot window.
+_ROUNDS_PER_ENTRY = 8
+
+
 class _ActiveSet:
     """One active set of a negotiation and the elimination of its Newton
     system, which does not move with the prices.
@@ -304,8 +292,8 @@ class _ActiveSet:
     entries on their bounds.  The Newton point sets the free
     entries' gradient to zero.  Write ``e_t`` for the stored energy's
     deviation after slot ``t`` (``e_t = e_(t-1) - d s_t`` from ``e_-1``, the
-    workspace's ``drift``, with ``d`` its ``rate``) and ``P_t = q (e_t + ... +
-    e_(n-1))`` for the costate, ``q`` the workspace's ``weight``.  The storage
+    subproblem's ``drift``, with ``d`` its ``rate``) and ``P_t = q (e_t + ... +
+    e_(n-1))`` for the costate, ``q`` the subproblem's ``weight``.  The storage
     entry's gradient is then ``lin + P_t + c (x_t - s_t)``, so slot ``t``
     gives one relation:
 
@@ -325,14 +313,14 @@ class _ActiveSet:
 
     __slots__ = ("sides", "free", "base", "rows", "generation", "coupling", "rate", "drift")
 
-    def __init__(self, ws: DSOWorkspace, sides: tuple[int, ...]):
-        n, c, rate, q = ws.n, ws.coupling, ws.rate, ws.weight
-        lower, upper = ws.lower, ws.upper
+    def __init__(self, sub: DSOSubproblem, sides: tuple[int, ...]):
+        n, c, rate, q = sub.n, sub.coupling, sub.rate, sub.weight
+        lower, upper = sub.lower, sub.upper
         base = [
             lower[i] if side < 0 else upper[i] if side > 0 else 0.0 for i, side in enumerate(sides)
         ]
         self.sides, self.base = sides, base
-        self.coupling, self.rate, self.drift = c, rate, ws.drift
+        self.coupling, self.rate, self.drift = c, rate, sub.drift
         self.free = tuple(i for i, side in enumerate(sides) if side == 0)
         self.generation = tuple(t for t in range(n) if sides[t] == 0)
         rows = [None] * n
@@ -346,7 +334,7 @@ class _ActiveSet:
                 elif sides[t]:
                     h = c / (c + m * rate)
                     gain = m * h
-                    rows[t] = (False, gain, h, -h * m * rate * (base[t] + ws.lin / c), 0.0)
+                    rows[t] = (False, gain, h, -h * m * rate * (base[t] + sub.lin / c), 0.0)
                 else:
                     gain = 0.0
                     rows[t] = (True, gain, 0.0, 0.0, 1.0 / m)
@@ -400,18 +388,19 @@ def solve_dso(
     ``np.abs(gaps).max()``, NaN if any gap is.  Any other box is solved by
     primal-dual active-set rounds (see :func:`_rounds`).  ``start`` names the
     rounds' first set: the coordinator passes the last price round's solution
-    on ``sub``, whose workspace and active set carry over, and nothing for a
-    slot's first call, whose set is read off the zero point; a solution on
-    another subproblem raises ``ValueError``.  A ``(generation, storage)`` pair
-    over the window has its set read off its point, each entry outside the box
-    held on the bound it crossed.  The first point that lies in the box and
-    whose certificate is within ``kkt_tolerance`` is returned, so ``start``
-    never changes the answer beyond that tolerance.
+    on ``sub``, whose active set carries over, and nothing for a slot's first
+    call, whose set is read off the zero point; a solution on another
+    subproblem raises ``ValueError``.  A ``(generation, storage)`` pair over
+    the window has its set read off its point, each entry outside the box held
+    on the bound it crossed.  Nothing is built per call: the rounds read the
+    data ``sub`` derived when it was built.  The first point that lies in the
+    box and whose certificate is within ``kkt_tolerance`` is returned, so
+    ``start`` never changes the answer beyond that tolerance.
     Raises :class:`ConvergenceError` if the rounds stall or reach their bound
     of ``_ROUNDS_PER_ENTRY`` per entry of the point, or if the closed form's
     residual misses ``kkt_tolerance`` or is not finite.
     """
-    lam, n = prices, sub.window.length
+    lam, n = prices, sub.n
     if type(lam) is not list or len(lam) != n:
         lam = sub.window.price_list(prices)
     closed, pin, lin, lo, hi, scale = sub._closed_form
@@ -438,25 +427,24 @@ def solve_dso(
     if type(start) is DSOSolution:
         if start.sub is not sub:
             raise ValueError("start was solved on another subproblem")
-        ws, active = start.workspace, start.active
+        active = start.active
     else:
-        ws = DSOWorkspace(sub)
-        point = [0.0] * (2 * ws.n) if start is None else [*start[0], *start[1]]
-        active = ws.active_set(point)
-    point, residual, active = _rounds(ws, active, lam, kkt_tolerance)
-    return DSOSolution(point[:n], point[n:], residual, sub, lam, ws, active)
+        point = [0.0] * (2 * n) if start is None else [*start[0], *start[1]]
+        active = sub.active_set(point)
+    point, residual, active = _rounds(sub, active, lam, kkt_tolerance)
+    return DSOSolution(point[:n], point[n:], residual, sub, lam, active)
 
 
 def _rounds(
-    ws: DSOWorkspace, active: _ActiveSet, lam: list[float], kkt_tolerance: float
+    sub: DSOSubproblem, active: _ActiveSet, lam: list[float], kkt_tolerance: float
 ) -> tuple[list[float], float, _ActiveSet]:
     """Primal-dual active-set rounds from ``active`` at ``lam``.
 
     Each round takes its set's Newton point and returns it, with its residual
-    (:meth:`DSOWorkspace.certificate`) and its active set (the round's,
+    (:meth:`DSOSubproblem.certificate`) and its active set (the round's,
     unless a free entry landed on a bound), if it lies in the box and the
     residual is within ``kkt_tolerance``.  Otherwise the next round's set comes
-    from :meth:`DSOWorkspace.next_sides`, all its changes at once, until a
+    from :meth:`DSOSubproblem.next_sides`, all its changes at once, until a
     set repeats or twice as many sets as the point has entries were met.
     From then on each round makes only the lowest-index change of
     ``next_sides``: the least-index single pivot, which Júdice & Pires
@@ -468,13 +456,13 @@ def _rounds(
     the point.  Most warm calls settle in the first round, so the repeat
     set and the round bound are set up only once it misses.
     """
-    lower, upper = ws.lower, ws.upper
+    lower, upper = sub.lower, sub.upper
     seen = None
     single = False
     residual = math.inf
     rounds = 1
     while True:
-        point = active.newton(lam, ws.lin)
+        point = active.newton(lam, sub.lin)
         if point is None:
             break
         interior = True
@@ -485,14 +473,14 @@ def _rounds(
                 if not lower[i] <= v <= upper[i]:
                     break
         else:
-            residual = ws.certificate(point, lam)
+            residual = sub.certificate(point, lam)
             if residual <= kkt_tolerance:
-                return point, residual, active if interior else ws.active_set(point)
+                return point, residual, active if interior else sub.active_set(point)
         if seen is None:
             bound, seen = _ROUNDS_PER_ENTRY * len(lower), set()
         if rounds == bound:
             break
-        sides = ws.next_sides(active, point, lam)
+        sides = sub.next_sides(active, point, lam)
         if sides is None:
             break
         seen.add(active.sides)
@@ -504,7 +492,7 @@ def _rounds(
                     break
             else:
                 break
-        active = _ActiveSet(ws, sides)
+        active = _ActiveSet(sub, sides)
         rounds += 1
     raise ConvergenceError(
         f"supplier solve stalled at residual {residual:.3e} in round {rounds} of "

@@ -344,8 +344,9 @@ def loop_problems(solver: SolverConfig) -> list[str]:
     return out
 
 
-def _check_box(spec, label: str, out: list[str], energy: float = 0.0) -> None:
-    """Checks of a session's or a fleet's power box, utility and losses."""
+def _check_box(spec, label: str, out: list[str], hours: float, energy: float = 0.0) -> None:
+    """Checks of a session's or a fleet's power box, utility and losses; a
+    positive slot of ``hours`` must store some energy per kW drawn."""
     if not spec.power_min >= 0:
         out.append(f"{label}: power_min must be nonnegative")
     if not spec.power_max >= spec.power_min:
@@ -354,6 +355,8 @@ def _check_box(spec, label: str, out: list[str], energy: float = 0.0) -> None:
         out.append(f"{label}: energy must be nonnegative")
     if not 0 <= spec.loss_fraction < 1:
         out.append(f"{label}: loss fraction must lie in [0, 1)")
+    elif (1.0 - spec.loss_fraction) * hours == 0 and hours > 0:
+        out.append(f"{label}: loss fraction leaves no stored energy in a slot of slot_minutes")
     if not spec.weight > 0:
         out.append(f"{label}: weight must be positive")
     if not (spec.power_max < inf and spec.weight < inf and energy < inf):
@@ -375,6 +378,7 @@ def validate_scenario(scenario) -> ValidationReport:
         out.append(f"seed {problem}")
 
     grid = scenario.grid
+    hours = grid.slot_hours
     if not _integral(grid.num_slots):
         out.append("grid: num_slots must be an integer")
     if not grid.num_slots >= 1:
@@ -385,6 +389,8 @@ def validate_scenario(scenario) -> ValidationReport:
         out.append("grid: slot_minutes must be positive")
     elif grid.slot_minutes == inf:
         out.append("grid: slot_minutes must be finite")
+    elif hours == 0:
+        out.append("grid: slot_minutes must be positive in hours")
 
     dso = scenario.dso
     if not dso.cost_quadratic > 0:
@@ -418,7 +424,7 @@ def validate_scenario(scenario) -> ValidationReport:
     solver = scenario.solver
     if not solver.initial_price >= 0:
         out.append("solver: initial_price must be nonnegative")
-    elif not solver.initial_price * grid.slot_hours < inf:
+    elif not solver.initial_price * hours < inf:
         # The price loop starts from initial_price per kW-slot.
         out.append("solver: initial_price must be finite per kW-slot")
     out += [f"solver: {problem}" for problem in loop_problems(solver)]
@@ -431,7 +437,7 @@ def validate_scenario(scenario) -> ValidationReport:
             out.append("fleet: count must be nonnegative")
         elif problem := at_most(MAX_FLEET)(fleet.count):
             out.append(f"fleet: count {problem}")
-        _check_box(fleet, "fleet", out)
+        _check_box(fleet, "fleet", out, hours)
 
     seen: set[str] = set()
     for ev in scenario.evs:
@@ -448,7 +454,7 @@ def validate_scenario(scenario) -> ValidationReport:
             out.append(f"{label}: empty charging window (departure before arrival)")
         if not ev.departure <= grid.num_slots:
             out.append(f"{label}: departure after the horizon")
-        _check_box(ev, label, out, ev.energy_needed)
+        _check_box(ev, label, out, hours, ev.energy_needed)
 
     return ValidationReport(tuple(out))
 

@@ -43,7 +43,6 @@ from evmarket import (
 )
 from evmarket.dso_agent import (
     ConvergenceError,
-    DSOWorkspace,
     _objective,
     solve_dso,
 )
@@ -152,7 +151,7 @@ def test_closed_form_matches_projected_newton(market):
     sub, prices = market
     lam = np.array(prices)
     sol = solve_dso(sub, prices, EPS.kkt_tolerance)
-    ws = DSOWorkspace(sub)
+    ws = sub
     zero_set = ws.active_set([0.0] * (2 * ws.n))
     point, _, _ = dso_agent._rounds(ws, zero_set, prices, REFERENCE_EPS.kkt_tolerance)
     point = np.array(point)
@@ -267,7 +266,7 @@ def test_cold_solves_on_long_windows_settle_within_the_round_bound(market):
     pivot in place of a block of changes; the pinned example takes two."""
     sub, prices = market
     taken, proposed = [], []
-    newton, next_sides = dso_agent._ActiveSet.newton, DSOWorkspace.next_sides
+    newton, next_sides = dso_agent._ActiveSet.newton, DSOSubproblem.next_sides
 
     def spied_newton(active, lam, lin):
         taken.append(active.sides)
@@ -279,7 +278,7 @@ def test_cold_solves_on_long_windows_settle_within_the_round_bound(market):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dso_agent._ActiveSet, "newton", spied_newton)
-        patch.setattr(DSOWorkspace, "next_sides", spied_next_sides)
+        patch.setattr(DSOSubproblem, "next_sides", spied_next_sides)
         sol = solve_dso(sub, prices, EPS.kkt_tolerance)
     assert sol.kkt_residual <= EPS.kkt_tolerance
     gen, ps = np.array(sol.generation_values), np.array(sol.storage_values)
@@ -329,7 +328,7 @@ def test_rounds_after_a_large_price_move_match_the_cold_solve(market, data):
     shift = data.draw(st.lists(st.floats(-reach, reach), min_size=n, max_size=n))
     moved = np.maximum(np.array(prices) + shift, 0.0).tolist()
     start = solve_dso(sub, moved, REFERENCE_EPS.kkt_tolerance)
-    ws = start.workspace
+    ws = start.sub
     point, residual, active = dso_agent._rounds(ws, start.active, prices, REFERENCE_EPS.kkt_tolerance)
     assert residual <= REFERENCE_EPS.kkt_tolerance
     assert all(lo <= v <= hi for lo, v, hi in zip(ws.lower, point, ws.upper))
@@ -397,13 +396,13 @@ def test_warm_start_with_a_nan_price_on_a_held_slot_raises(monkeypatch):
     assert cold.generation_values[1] == sub.dso.power_min
     rounds = count_newton_points(monkeypatch)
     read = []
-    certificate = DSOWorkspace.certificate
+    certificate = DSOSubproblem.certificate
 
     def spied(ws, point, lam):
         read.append(certificate(ws, point, lam))
         return read[-1]
 
-    monkeypatch.setattr(DSOWorkspace, "certificate", spied)
+    monkeypatch.setattr(DSOSubproblem, "certificate", spied)
     for start in (cold, (cold.generation_values, cold.storage_values)):
         read.clear()
         rounds[0] = 0
@@ -506,7 +505,7 @@ def certificate_cases(draw):
 @given(case=certificate_cases())
 def test_float_certificate_matches_the_dense_residual(case):
     sub, point, prices = case
-    ws = DSOWorkspace(sub)
+    ws = sub
     q_mat = quadratic_form(sub)
     g, lo, hi = dense_problem(ws, prices)
     z = np.array(point)
@@ -570,7 +569,7 @@ def test_active_set_newton_point_matches_the_dense_formula(case):
     call the same sets singular, and the points agree within ``NEWTON_TOL``
     relative to the largest entry."""
     sub, sides, prices = case
-    ws = DSOWorkspace(sub)
+    ws = sub
     fast = dso_agent._ActiveSet(ws, sides).newton(prices, ws.lin)
     at_lo, at_hi = np.array(sides) < 0, np.array(sides) > 0
     system = newton_system(sub, ~(at_lo | at_hi))

@@ -3,10 +3,10 @@ import math
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evmarket import DSOSpec, ScenarioFormatError, parse_scenario, solve_dso
+from evmarket import DSOSpec, ScenarioFormatError, parse_scenario, solve_dso, validate_scenario
 from evmarket.cli import main
 from evmarket.dso_agent import ConvergenceError
 from evmarket.scenario_io import SCHEMA, SECTIONS
@@ -159,3 +159,34 @@ def test_a_corrupted_scenario_runs_or_exits_with_one_message(tmp_path, capsys, c
     if named is not None and not err.startswith("error: invalid scenario"):
         where = re.match(r"error: line (\d+)[:,]", err)
         assert where and int(where[1]) in named, (err, named)
+
+
+LOSSES = ["0", "0.5", "0.9999999999999999"]
+
+
+# Each example overwrites one scenario file and its output directory, as above.
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    slot_minutes=st.floats(math.log(5e-324), math.log(1e3)).map(math.exp),
+    losses=st.tuples(st.sampled_from(LOSSES), st.sampled_from(LOSSES)),
+)
+@example(slot_minutes=5e-324, losses=("0", "0"))
+@example(slot_minutes=1e-310, losses=(LOSSES[2], LOSSES[2]))
+def test_extreme_slot_lengths_and_losses_are_refused_or_run(tmp_path, capsys, slot_minutes, losses):
+    """A slot from 5e-324 minutes to 1e3 and losses up to just below 1:
+    either validation refuses the day, or every command runs it to exit 0 or
+    2 without raising."""
+    text = (SCENARIO_DIR / "small.scenario").read_text()
+    text = text.replace("slot_minutes = 15", f"slot_minutes = {slot_minutes!r}")
+    head, first, second = text.split("loss_fraction = 0\n")
+    text = f"{head}loss_fraction = {losses[0]}\n{first}loss_fraction = {losses[1]}\n{second}"
+    path = tmp_path / "day.scenario"
+    path.write_text(text)
+    if not validate_scenario(parse_scenario(text)).ok:
+        return
+    for command in ("run", "uncontrolled", "verify"):
+        extra = ["--out", str(tmp_path / "out")] if command != "verify" else []
+        code = main([command, str(path), "--set", "solver.max_iterations=20", *extra])
+        assert code in (0, 2), capsys.readouterr().err

@@ -471,3 +471,48 @@ def test_explicit_ids_next_to_a_fleet_are_accepted(tmp_path, capsys):
     path.write_text(SMALL + FLEET)
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out == "scenario ok\n"
+
+
+def small_with(slot_minutes: str, loss_fraction: str = "0") -> str:
+    """small.scenario with its slot length and both vehicles' losses set."""
+    text = (SCENARIO_DIR / "small.scenario").read_text()
+    text = text.replace("slot_minutes = 15", f"slot_minutes = {slot_minutes}")
+    return text.replace("loss_fraction = 0\n", f"loss_fraction = {loss_fraction}\n")
+
+
+NO_ENERGY = "loss fraction leaves no stored energy in a slot of slot_minutes"
+
+
+@pytest.mark.parametrize(
+    "text,violations",
+    [
+        # 5e-324 minutes is 0 hours.
+        (small_with("5e-324"), ("grid: slot_minutes must be positive in hours",)),
+        # (1 - 0.9999999999999999) * 1e-310 / 60 underflows to 0 kWh per kW.
+        (small_with("1e-310", "0.9999999999999999"), (f"ev a: {NO_ENERGY}", f"ev b: {NO_ENERGY}")),
+    ],
+    ids=["zero-hours", "zero-rate"],
+)
+def test_a_slot_that_stores_no_energy_per_kw_is_refused_by_its_entry(
+    tmp_path, capsys, text, violations
+):
+    """Each entry passes its own rule, but the slot gives a vehicle no energy
+    per kW, which every energy-to-power division reads: the scenario is
+    refused with exit 1 on every command, naming the entry, with no traceback."""
+    assert validate_scenario(parse_scenario(text)).violations == violations
+    path = tmp_path / "tiny.scenario"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    for command in (["validate"], ["run", "--out", str(out_dir)],
+                    ["uncontrolled", "--out", str(out_dir)], ["verify"]):
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        report = captured.out if command == ["validate"] else captured.err
+        assert report.splitlines()[-len(violations):] == list(violations)
+    assert not out_dir.exists()
+
+
+def test_a_fleet_whose_slot_stores_no_energy_is_refused_by_its_label():
+    text = small_with("1e-310") + FLEET + "  loss_fraction = 0.9999999999999999\n"
+    assert validate_scenario(parse_scenario(text)).violations == (f"fleet: {NO_ENERGY}",)
