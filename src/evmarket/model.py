@@ -14,7 +14,7 @@ concurrently running agent solves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf, isfinite
 from numbers import Integral
 from typing import Callable, Mapping
@@ -76,7 +76,9 @@ class EVSession:
     ``energy_needed`` is the energy (kWh) that still has to reach the battery
     before ``departure``; it shrinks as power is applied.  ``loss_fraction``
     is the share of drawn power lost in conversion, so one slot at ``p`` kW
-    stores ``(1 - loss_fraction) * slot_hours * p`` kWh.
+    stores ``(1 - loss_fraction) * slot_hours * p`` kWh.  The two optional
+    fields, ``power_min`` and ``loss_fraction``, are keyword-only with a 0.0
+    default.
 
     Invariants (checked by :func:`validate_scenario`, not the constructor):
     integer arrival <= departure <= the day's slot count, 0 <= power_min <=
@@ -87,10 +89,10 @@ class EVSession:
     ev_id: str
     arrival: int
     departure: int
-    power_min: float
+    power_min: float = field(default=0.0, kw_only=True)
     power_max: float
     weight: float
-    loss_fraction: float
+    loss_fraction: float = field(default=0.0, kw_only=True)
     energy_needed: float
 
     def energy_rate(self, slot_hours: float) -> float:

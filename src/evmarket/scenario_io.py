@@ -23,9 +23,13 @@ are missing required keys and values that fail their entry's check.  The
 invariants are not parsing's concern: :func:`~evmarket.model.validate_scenario`
 checks them when a run starts, after the command line's overrides.
 Parsing reads tables built once from the schema: one lookup finds a line's
-entry, and an ``int`` or finite ``float`` whose row has no check is converted
-inline.  Every other value, and every failed conversion, goes through
-:func:`parse_value`, the one place that words a conversion error.
+entry, and one finds a repeated section's header written without padding;
+any other header text takes the header checks.  An ``int`` or finite
+``float`` whose row has no check is converted inline, and a ``str`` row's
+check runs inline on the stripped text.  Every other value, and every failed
+conversion or check, goes through :func:`parse_value`, the one place that
+words a conversion error.  A block needs no defaults filled in: an optional
+entry's default is its type's own.
 
 Everything downstream is deterministic: one seeded generator, fixed iteration
 order, fixed numeric formatting, so traces are byte-identical across runs.
@@ -130,9 +134,9 @@ class Entry(NamedTuple):
     """One scenario entry: ``key`` in ``section`` ("" for the top level) sets
     attribute ``attr`` of the section's type to a ``kind`` value.
 
-    ``default`` is :data:`REQUIRED`, a value, or ``None`` for the type's own
-    default.  ``check`` names what is wrong with a parsed value, else returns
-    ``None``; numbers without one must be finite.
+    ``default`` is :data:`REQUIRED` or ``None``, for the type's own default;
+    no row restates a default.  ``check`` names what is wrong with a parsed
+    value, else returns ``None``; numbers without one must be finite.
     """
 
     section: str
@@ -195,22 +199,31 @@ SCHEMA = (
     Entry("ev", "id", "ev_id", str, REQUIRED, csv_field),
     Entry("ev", "arrival", "arrival", int, REQUIRED),
     Entry("ev", "departure", "departure", int, REQUIRED),
-    Entry("ev", "power_min", "power_min", float, 0.0),
+    Entry("ev", "power_min", "power_min", float),
     Entry("ev", "power_max", "power_max", float, REQUIRED),
     Entry("ev", "weight", "weight", float, REQUIRED),
-    Entry("ev", "loss_fraction", "loss_fraction", float, 0.0),
+    Entry("ev", "loss_fraction", "loss_fraction", float),
     Entry("ev", "energy", "energy_needed", float, REQUIRED),
 )
 _ROWS = {name: tuple(e for e in SCHEMA if e.section == name) for name in ("", *SECTIONS)}
 # Section name ("" for the top level) -> key -> entry.
 ENTRIES = {name: {e.key: e for e in rows} for name, rows in _ROWS.items()}
-# Parsing's tables.  Section name -> key -> (entry, attribute, the kind that
-# is converted inline, or None); a section also holds the top-level keys.
-_KEYS = {name: {e.key: (e, e.attr, e.kind if e.check is None and e.kind in (int, float) else None)
-                for e in (*rows, *_ROWS[""])} for name, rows in _ROWS.items()}
-# Section name -> (its defaults by attribute, its required entries).
-_FILLS = {name: ({e.attr: e.default for e in rows if e.default not in (None, REQUIRED)},
-                 [e for e in rows if e.default is REQUIRED]) for name, rows in _ROWS.items()}
+# Parsing's tables.  Section name -> key -> (entry, attribute, whether the
+# entry is top-level, the kind of a number converted inline or None, the check
+# of a string run inline or None); a section also holds the top-level keys.
+_KEYS = {
+    name: {e.key: (e, e.attr, not e.section,
+                   e.kind if e.check is None and e.kind in (int, float) else None,
+                   e.check if e.kind is str else None)
+           for e in (*rows, *_ROWS[""])}
+    for name, rows in _ROWS.items()
+}
+# Header text -> section name, for a repeated section's header written
+# without padding.
+_HEADERS = {f"{name}:": name for name, (_, _, p) in SECTIONS.items() if p == "repeated"}
+# Section name -> the attributes of its required entries.
+_FILLS = {name: frozenset(e.attr for e in rows if e.default is REQUIRED)
+          for name, rows in _ROWS.items()}
 
 
 def parse_value(entry: Entry, raw: str, line: int | None = None):
@@ -248,8 +261,8 @@ def _parse_tree(text: str) -> dict[str, list[tuple[int | None, dict]]]:
             key = key.strip()
             row = keys.get(key)
             if row is not None:
-                entry, attr, plain = row
-                block = current if entry.section else top_block
+                entry, attr, top, plain, check = row
+                block = top_block if top else current
                 if attr not in block:
                     if plain is not None:
                         try:
@@ -259,9 +272,14 @@ def _parse_tree(text: str) -> dict[str, list[tuple[int | None, dict]]]:
                                 continue
                         except ValueError:
                             pass
+                    elif check is not None:
+                        value = raw.strip()
+                        if check(value) is None:
+                            block[attr] = value
+                            continue
                     block[attr] = parse_value(entry, raw.strip(), lineno)
                     continue
-                inside = f" in section {section!r}" if entry.section else ""
+                inside = "" if top else f" in section {section!r}"
                 problem = f"duplicate key {key!r}{inside}"
             elif current is None:
                 problem = f"key {key!r} outside any section (only 'seed' may be top level)"
@@ -269,16 +287,18 @@ def _parse_tree(text: str) -> dict[str, list[tuple[int | None, dict]]]:
                 problem = f"unknown key {key!r} in section {section!r}"
         else:
             body = line.strip()
-            if not body:
-                continue
-            name = body[:-1].strip()
-            if not body.endswith(":"):
-                problem = "expected 'key = value' or 'section:'"
-            elif name not in SECTIONS:
-                problem = f"unknown section {name!r}"
-            elif name in blocks and SECTIONS[name][2] != "repeated":
-                problem = f"duplicate section {name!r}"
-            else:
+            name, problem = _HEADERS.get(body), None
+            if name is None:
+                if not body:
+                    continue
+                name = body[:-1].strip()
+                if not body.endswith(":"):
+                    problem = "expected 'key = value' or 'section:'"
+                elif name not in SECTIONS:
+                    problem = f"unknown section {name!r}"
+                elif name in blocks and SECTIONS[name][2] != "repeated":
+                    problem = f"duplicate section {name!r}"
+            if problem is None:
                 section, keys, current = name, _KEYS[name], {}
                 blocks.setdefault(name, []).append((lineno, current))
                 continue
@@ -288,13 +308,13 @@ def _parse_tree(text: str) -> dict[str, list[tuple[int | None, dict]]]:
 
 
 def _arguments(section: str, line: int | None, block: dict) -> dict:
-    """Keyword arguments of the section's type from one parsed block; a
-    missing required key is reported at ``line``, the block's header."""
-    defaults, required = _FILLS[section]
-    for entry in required:
-        if entry.attr not in block:
-            raise ScenarioFormatError(f"missing required key: {entry.name}", line)
-    return {**defaults, **block}
+    """One parsed block, the keyword arguments of the section's type, once it
+    holds every required key; a missing one is reported at ``line``, the
+    block's header."""
+    if not block.keys() >= _FILLS[section]:
+        entry = next(e for e in _ROWS[section] if e.default is REQUIRED and e.attr not in block)
+        raise ScenarioFormatError(f"missing required key: {entry.name}", line)
+    return block
 
 
 def parse_scenario(text: str | bytes) -> Scenario:

@@ -156,7 +156,7 @@ def test_warm_start_does_not_change_answer():
 
 
 def test_start_solved_on_another_subproblem_raises():
-    """A solution lends its workspace only to the subproblem it was solved
+    """A solution lends its active set only to the subproblem it was solved
     on; an equal subproblem built anew is another one."""
     settled = solve_dso(make_sub(3), [6.0, 30.0, 2.0])
     with pytest.raises(ValueError, match="another subproblem"):

@@ -77,16 +77,20 @@ def own_default(entry):
     return field.default
 
 
-def test_only_vehicle_power_min_and_loss_fraction_restate_a_default():
-    written = [e for e in SCHEMA if e.default not in (None, REQUIRED)]
-    assert [(e.section, e.key, e.default) for e in written] == [
-        ("ev", "power_min", 0.0),
-        ("ev", "loss_fraction", 0.0),
-    ]
-    # Every other optional entry falls back to its type's own default.
+def test_no_row_restates_a_default_and_every_optional_row_has_one():
+    """A row is required or takes its type's own default, so parsing fills
+    no block with defaults: every optional row's field carries one."""
+    assert {e.default for e in SCHEMA} == {None, REQUIRED}
     for entry in SCHEMA:
         if entry.default is None:
             assert own_default(entry) is not dataclasses.MISSING, entry.name
+
+
+def test_a_vehicle_takes_its_optional_fields_by_keyword_only():
+    session = EVSession("a", 0, 2, 22.0, 10.0, 3.0)
+    assert (session.power_min, session.loss_fraction, session.energy_needed) == (0.0, 0.0, 3.0)
+    with pytest.raises(TypeError):
+        EVSession("a", 0, 2, 0.0, 22.0, 10.0, 0.0, 3.0)
 
 
 def floats(lo, hi):
@@ -167,7 +171,7 @@ def test_written_scenario_parses_back_to_itself(scenario):
         # step_schedule has one legal value, its default.
         if entry.default is REQUIRED or entry.key == "step_schedule":
             continue
-        default = own_default(entry) if entry.default is None else entry.default
+        default = own_default(entry)
         section_owners = owners(scenario, entry.section) if entry.section else (scenario,)
         for owner in section_owners:
             assert getattr(owner, entry.attr) != default, entry.name
@@ -332,37 +336,41 @@ def test_a_price_loop_past_its_limit_is_rejected(tmp_path, capsys):
 
 
 # Values that int, float and str.strip may read differently; '\x1f' is
-# whitespace to str.strip only.
+# whitespace to str.strip only, and a '#' starts a comment that the line loses.
 FORMS = [
     " 7 ", "7.0", "1_000", "+3", "-0", "0x10", "\u0663", "\t2.5\t", "", "x",
-    "1e400", "nan", "inf", HUGE, "\x1f7",
+    "1e400", "nan", " nan ", "inf", "-inf", HUGE, "\x1f7", "5e-324", "1.000e+00",
+    "a,b", '"q"', "a#b", "#", " constant ",
 ]
+# small.scenario and a fleet section, written with every row.
+EVERY_ROW = write_scenario(parse_scenario(SMALL + FLEET)).splitlines()
 
 
 def test_every_value_parses_as_parse_value_reads_it():
-    """Plain numbers are converted inline: for every entry line of
-    small.scenario and a fleet section, each odd value parses to what
-    ``parse_value`` returns for it, or fails with its message."""
-    lines = ((SCENARIO_DIR / "small.scenario").read_text() + FLEET).splitlines()
+    """Plain numbers are converted inline and a string's check runs inline:
+    for every entry line of a scenario that writes every row, each odd value
+    parses to what ``parse_value`` returns for its stripped, comment-cut text,
+    or fails with its message at its line."""
     section, vehicles = "", 0
-    for i, line in enumerate(lines):
+    for i, line in enumerate(EVERY_ROW):
         if line.endswith(":"):
             section = line[:-1]
             vehicles += section == "ev"
             continue
-        if "=" not in line:
-            continue
         entry = ENTRIES[section][line.partition("=")[0].strip()]
         for raw in FORMS:
-            text = "\n".join([*lines[:i], f"{line.partition('=')[0]}={raw}", *lines[i + 1:]])
+            written = f"{line.partition('=')[0]}={raw}"
+            text = "\n".join([*EVERY_ROW[:i], written, *EVERY_ROW[i + 1:]])
             try:
-                expected = parse_value(entry, raw.strip(), i + 1)
+                expected = parse_value(entry, raw.partition("#")[0].strip(), i + 1)
             except ScenarioFormatError as exc:
                 with pytest.raises(ScenarioFormatError) as info:
                     parse_scenario(text)
-                assert str(info.value) == str(exc)
+                assert (str(info.value), info.value.line) == (str(exc), i + 1)
                 continue
-            owner = owners(parse_scenario(text), section)[vehicles - 1 if section == "ev" else 0]
+            scenario = parse_scenario(text)
+            index = vehicles - 1 if section == "ev" else 0
+            owner = owners(scenario, section)[index] if section else scenario
             got = getattr(owner, entry.attr)
             assert (type(got), repr(got)) == (type(expected), repr(expected)), (entry, raw)
 
