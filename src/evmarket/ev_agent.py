@@ -42,6 +42,15 @@ which places the start inside the bracket by a margin of 1 on each side,
 and while ``|mu * rate|`` and the clamp prices stay below ``_CERTIFIED``
 rates rounding cannot cross that margin, so the clamp would leave the start
 as it is.  The two give bit-identical powers, multipliers, flags and demand.
+
+A workspace picks its kernel before it builds anything.  A scalar batch gets
+its per-vehicle constants in plain floats, straight from the sessions and bit
+for bit NumPy's derivation; the NumPy matrices are built with the workspace
+for an array batch and, for a scalar batch, only on first read.  Every
+attribute is set in the constructor, so none is added after it: on CPython
+3.11 a later one (as a ``functools.cached_property`` adds) makes every
+attribute read on the workspace about 3 times slower and every write about 4
+times, for the rest of the negotiation.
 """
 from __future__ import annotations
 
@@ -129,9 +138,10 @@ class EVBatchSolution(Sequence[EVSolution]):
     ``energy_multiplier``, ``feasible`` and ``lam`` (the padded prices) are
     arrays built on first access, ``objective`` is evaluated on first access
     at ``prices`` (the window list the batch was loaded with), and indexing
-    gives one vehicle's :class:`EVSolution`.  One is made per dual iteration,
-    so it is a plain dataclass: a frozen one takes about three times as long
-    to construct.
+    gives one vehicle's :class:`EVSolution`.  Reading ``power``, ``lam`` or
+    ``objective`` builds a scalar batch's workspace matrices, which they are
+    read with.  One is made per dual iteration, so it is a plain dataclass:
+    a frozen one takes about three times as long to construct.
     """
 
     workspace: EVBatchWorkspace
@@ -143,6 +153,7 @@ class EVBatchSolution(Sequence[EVSolution]):
 
     @cached_property
     def power(self) -> np.ndarray:
+        self.workspace._matrices()  # NumPy readers compare it with the boxes
         return np.asarray(self.rows)
 
     @cached_property
@@ -161,8 +172,8 @@ class EVBatchSolution(Sequence[EVSolution]):
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
     def objective(self) -> np.ndarray:
-        ws = self.workspace
-        term = ws.weight_col * np.log(1.0 + self.power) - self.lam * self.power
+        power, lam, ws = self.power, self.lam, self.workspace
+        term = ws.weight_col * np.log(1.0 + power) - lam * power
         return np.where(ws.mask, term, 0.0).sum(axis=1)
 
     def __len__(self) -> int:
@@ -173,7 +184,7 @@ class EVBatchSolution(Sequence[EVSolution]):
 
 
 class EVBatchWorkspace:
-    """Precomputed arrays for repeatedly solving the same vehicles on one window.
+    """Precomputed data for repeatedly solving the same vehicles on one window.
 
     The coordinator keeps one workspace per negotiation and re-solves it at
     every price update; only the prices change between calls, so everything
@@ -181,11 +192,25 @@ class EVBatchWorkspace:
     is solved to ``energy_tolerance`` kWh of its requirement.  Every vehicle
     must depart inside the window: ``window.start < departure <= window.end``,
     else ``ValueError``.
+
+    The kernel is picked first.  A scalar batch gets its per-vehicle
+    constants straight from the sessions in plain floats, with NumPy's
+    results bit for bit; a scalar-sized batch where one of them would divide
+    by zero (a rate or a weight of 0, a ``power_min`` of -1), which Python
+    refuses and NumPy answers with an inf or a NaN, goes to the array kernel
+    instead.  The NumPy matrices and vectors (``mask``, ``lo``, ``hi``,
+    ``weight_col``, ``rate``, ``_saturation`` and the rest) are built here
+    for an array batch and, for a scalar batch, the first time
+    :meth:`padded`, an array solve or a solution's ``power``, ``lam`` or
+    ``objective`` needs them; until then they are None.  Every attribute is
+    set here, so none is added after construction: on CPython 3.11 an
+    attribute added later (a ``functools.cached_property`` writing into
+    ``__dict__``) makes every later read on the workspace about 3 times
+    slower (9.5 to 27 ns) and every write about 4 times (12 to 45 ns).
     Extreme slot lengths overflow the precomputed rates quietly, as in the
     solve.
     """
 
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def __init__(
         self,
         sessions: Sequence[EVSession],
@@ -195,43 +220,63 @@ class EVBatchWorkspace:
         if not sessions:
             raise ValueError("workspace needs at least one vehicle")
         start, end = window.start, window.end
+        lengths = []
         for s in sessions:
             if not start < s.departure <= end:
                 raise ValueError(f"vehicle {s.ev_id} does not depart inside the window")
+            lengths.append(s.departure - start)
         self.sessions, self.window, self.energy_tolerance = sessions, window, energy_tolerance
-        self.lengths = np.array([s.departure - start for s in sessions])
-        self.width = int(self.lengths.max())
-        self.mask = np.arange(self.width)[None, :] < self.lengths[:, None]
-        self.weight = np.array([s.weight for s in sessions])
-        self.weight_col = self.weight[:, None]
-        lo = np.array([s.power_min for s in sessions])
-        hi = np.array([s.power_max for s in sessions])
-        # Box bounds per slot, zero past departure so padded slots carry no power.
-        self.lo = lo[:, None] * self.mask
-        self.hi = hi[:, None] * self.mask
-        self.rate = np.array([s.energy_rate(window.slot_hours) for s in sessions])
-        self.slope_coef = -self.rate**2 / self.weight
-        self.need = np.array([s.energy_needed for s in sessions])
-        self.even = np.clip(self.need / (self.rate * self.lengths), lo, hi)
-        self.clamp_lo_price = self.weight / (1.0 + lo)
-        self.clamp_hi_price = self.weight / (1.0 + hi)
-        # Each vehicle's last slot, where the window list's running maximum
-        # and minimum hold the extremes of its own prices.
-        self.last = self.lengths - 1
-        # Requirements within the tolerance of (or beyond) the upper and the
-        # lower box face, the rest, and whether some requirement is at a face:
-        # the one face rule of both kernels.  Every solve reads the flags, so
-        # they are read-only.  They are set here, not on first use: on CPython
-        # 3.11 a second attribute added after construction (``prices`` is the
-        # first) slows every attribute read.
-        at_hi = self.need >= self.rate * hi * self.lengths - energy_tolerance
-        at_lo = self.need <= self.rate * lo * self.lengths + energy_tolerance
+        self.prices = None
+        self.lengths = np.array(lengths)
+        self.width = width = max(lengths)
+        self.mask = self.weight = self.weight_col = self.lo = self.hi = None
+        self.rate = self.slope_coef = self.need = self.even = self.last = None
+        self.clamp_lo_price = self.clamp_hi_price = self._saturation = None
+        # The kernel, chosen once: the price loop re-solves the same batch.
+        self._constants = None
+        if width <= _SCALAR_WIDTH and len(sessions) <= _SCALAR_VEHICLES:
+            hours = window.slot_hours
+            try:
+                self._constants = _scalar_constants(sessions, lengths, hours, energy_tolerance)
+            except ZeroDivisionError:
+                pass  # the array kernel, with NumPy's inf or NaN
+        if self._constants is None:
+            self._matrices()
+
+    def _matrices(self) -> None:
+        """Build the array kernel's matrices and vectors, once."""
+        if self.mask is not None:
+            return
+        sessions, lengths = self.sessions, self.lengths
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.mask = np.arange(self.width)[None, :] < lengths[:, None]
+            self.weight = np.array([s.weight for s in sessions])
+            self.weight_col = self.weight[:, None]
+            lo = np.array([s.power_min for s in sessions])
+            hi = np.array([s.power_max for s in sessions])
+            # Box bounds per slot, zero past departure so padded slots carry no power.
+            self.lo = lo[:, None] * self.mask
+            self.hi = hi[:, None] * self.mask
+            self.rate = np.array([s.energy_rate(self.window.slot_hours) for s in sessions])
+            self.slope_coef = -self.rate**2 / self.weight
+            self.need = np.array([s.energy_needed for s in sessions])
+            self.even = np.clip(self.need / (self.rate * lengths), lo, hi)
+            self.clamp_lo_price = self.weight / (1.0 + lo)
+            self.clamp_hi_price = self.weight / (1.0 + hi)
+            # Each vehicle's last slot, where the window list's running maximum
+            # and minimum hold the extremes of its own prices.
+            self.last = lengths - 1
+            # Requirements within the tolerance of (or beyond) the upper and the
+            # lower box face, the rest, and whether some requirement is at a
+            # face: the one face rule of both kernels.  Every solve reads the
+            # flags, so they are read-only.
+            tol = self.energy_tolerance
+            at_hi = self.need >= self.rate * hi * lengths - tol
+            at_lo = self.need <= self.rate * lo * lengths + tol
         faces = (at_hi, at_lo, ~(at_hi | at_lo))
         for array in faces:
             array.setflags(write=False)
         self._saturation = (*faces, bool(np.count_nonzero(faces[2]) < len(sessions)))
-        # The kernel, chosen once: the price loop re-solves the same batch.
-        self._scalar = self.width <= _SCALAR_WIDTH and len(sessions) <= _SCALAR_VEHICLES
 
     def load_prices(self, prices) -> None:
         """Set the prices, the window list (see
@@ -245,6 +290,7 @@ class EVBatchWorkspace:
     def padded(self, prices) -> np.ndarray:
         """The window list ``prices`` as a ``vehicles x width`` matrix, padded
         past departure."""
+        self._matrices()
         return np.where(self.mask, np.asarray(prices)[: self.width], _PAD_PRICE)
 
     def _power_at(
@@ -272,9 +318,9 @@ class EVBatchWorkspace:
         tangent prediction of the module docstring off its own previous
         multiplier (that multiplier itself when no slot was free).
         """
-        if self._scalar:
-            return self._solve_scalar(_MAX_ITER, previous)
-        return self._solve_array(_MAX_ITER, previous)
+        if self._constants is None:
+            return self._solve_array(_MAX_ITER, previous)
+        return self._solve_scalar(_MAX_ITER, previous)
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def _solve_array(
@@ -290,9 +336,9 @@ class EVBatchWorkspace:
         or column sum is one ``np.add.reduce``, and the rare fixes (a
         non-finite prediction, a saturated requirement) run only when some row
         needs them."""
-        need, rate, tol = self.need, self.rate, self.energy_tolerance
         prices = np.asarray(self.prices)
-        lam = self.padded(prices)
+        lam = self.padded(prices)  # first: it builds a scalar batch's matrices
+        need, rate, tol = self.need, self.rate, self.energy_tolerance
 
         # Saturation bounds: below mu_low every slot sits at the upper bound,
         # above mu_high every slot sits at the lower bound.  A running max or
@@ -355,37 +401,12 @@ class EVBatchWorkspace:
         solution.lam = lam  # the padded prices, for the next solve's prediction
         return solution
 
-    @cached_property
-    @np.errstate(over="ignore")
-    def _constants(self) -> list[tuple]:
-        """Per-vehicle constants as plain floats, for the scalar kernel, each
-        with its face from ``_saturation`` (1 at the upper, -1 at the lower,
-        0 searching) and the three numbers of the start's certificate: the
-        all-upper and the all-lower row totals, summed in the kernel's order,
-        and the bound on ``|mu * rate|``, 0 (never certified) where a clamp
-        price reaches it or the rate is too small or too large for the
-        rounding argument.  The box bounds are read from the first slot,
-        which every vehicle has."""
-        at_hi, at_lo = self._saturation[:2]
-        rows = np.arange(len(self.lengths))
-        rate = np.where((self.rate > 2.0**-1000) & (self.rate < 2.0**900), self.rate, 0.0)
-        limit = _CERTIFIED * rate
-        inside = (np.abs(self.clamp_lo_price) < limit) & (np.abs(self.clamp_hi_price) < limit)
-        columns = (
-            self.lengths, self.weight, self.lo[:, 0], self.hi[:, 0], self.rate,
-            self.slope_coef, self.need, self.even, self.clamp_lo_price,
-            self.clamp_hi_price, np.where(at_hi, 1, np.where(at_lo, -1, 0)),
-            np.cumsum(self.hi, 1)[rows, self.last], np.cumsum(self.lo, 1)[rows, self.last],
-            np.where(inside, limit, 0.0),
-        )
-        return list(zip(*(c.tolist() for c in columns)))
-
     def _solve_scalar(
         self, max_iter: int, previous: EVBatchSolution | None = None
     ) -> EVBatchSolution:
         """Scalar kernel: the array kernel's steps, one vehicle at a time in
-        plain floats.  Each vehicle's face is read from the flags built with
-        the workspace, a stay over the whole window reads the window list
+        plain floats.  Each vehicle's face is read from its constants, built
+        with the workspace, a stay over the whole window reads the window list
         itself, and each energy evaluation sums only the powers: the slope
         over the free slots is summed, as the array kernel's is, only before
         a Newton step.  Row sums run left to right, as NumPy's do for rows of
@@ -555,6 +576,48 @@ def _bracket(lam: list[float], rate: float, clamp_lo: float, clamp_hi: float):
     return (clamp_hi - max(lam)) / rate - 1.0, (clamp_lo - min(lam)) / rate + 1.0
 
 
+def _scalar_constants(
+    sessions: Sequence[EVSession], lengths: list[int], hours: float, tol: float
+) -> list[tuple]:
+    """Per-vehicle constants as plain floats, for the scalar kernel, each
+    with its face (1 at the upper, -1 at the lower, 0 searching; the array
+    kernel's ``_saturation`` rule) and the three numbers of the start's
+    certificate: the all-upper and the all-lower row totals, summed left to
+    right as the kernel sums a row, and the bound on ``|mu * rate|``, 0
+    (never certified) where a clamp price reaches it or the rate is too
+    small or too large for the rounding argument.  Each is the array
+    kernel's value bit for bit: ``rate * rate`` is NumPy's ``rate**2``, and
+    the even spread is clipped by ``np.clip``'s rule, under which a tie
+    keeps the bound (``-0.0`` against ``0.0``) and a NaN keeps itself.  A
+    zero divisor raises ``ZeroDivisionError``."""
+    constants = []
+    for s, length in zip(sessions, lengths):
+        w, lo, hi, need = s.weight, s.power_min, s.power_max, s.energy_needed
+        rate = s.energy_rate(hours)
+        even = need / (rate * length)
+        if not (even > lo or even != even):
+            even = lo
+        if not (even < hi or even != even):
+            even = hi
+        clamp_lo, clamp_hi = w / (1.0 + lo), w / (1.0 + hi)
+        if need >= rate * hi * length - tol:
+            face = 1
+        else:
+            face = -1 if need <= rate * lo * length + tol else 0
+        upper, lower = hi, lo
+        for _ in range(length - 1):
+            upper += hi
+            lower += lo
+        limit = _CERTIFIED * rate if 2.0**-1000 < rate < 2.0**900 else 0.0
+        if not (abs(clamp_lo) < limit and abs(clamp_hi) < limit):
+            limit = 0.0
+        constants.append((
+            length, w, lo, hi, rate, -(rate * rate) / w, need, even, clamp_lo, clamp_hi,
+            face, upper, lower, limit,
+        ))
+    return constants
+
+
 def solve_ev_batch(
     sessions: Sequence[EVSession],
     window: TimeGrid,
@@ -596,7 +659,7 @@ def stationarity_residual(solution: EVSolution) -> float:
     batch, i = solution._batch, solution._index
     lam = np.asarray(batch.prices[: p.size])
     ses = batch.workspace.sessions[i]
-    rate = float(batch.workspace.rate[i])
+    rate = ses.energy_rate(batch.workspace.window.slot_hours)
     grad = ses.weight / (1.0 + p) - lam - solution.energy_multiplier * rate
     width = ses.power_max - ses.power_min
     edge = 1e-9 * max(1.0, width)

@@ -97,6 +97,7 @@ def start_at(ws: EVBatchWorkspace, multipliers, upper=None) -> EVBatchSolution:
     one, or the upper one for the vehicles ``upper`` flags): no slot is free,
     so each vehicle's solve from it starts exactly at its multiplier, a
     non-finite one included (the bracket midpoint)."""
+    ws._matrices()
     rows = ws.lo if upper is None else np.where(np.asarray(upper)[:, None], ws.hi, ws.lo)
     rows = rows.tolist()
     flags = [True] * len(rows)

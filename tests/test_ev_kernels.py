@@ -184,9 +184,10 @@ def test_no_free_slot_starts_from_the_previous_multiplier():
 def test_non_finite_prediction_starts_at_the_bracket_midpoint():
     """A NaN previous price on a free slot makes the step NaN."""
     ws, previous = one_vehicle([2.0, math.nan, 4.0], [1.5, 0.5, 20.0], 0.3)
+    start = starts(ws, previous)
     mu_low = (ws.clamp_hi_price - 4.5) / ws.rate - 1.0
     mu_high = (ws.clamp_lo_price - 2.1) / ws.rate + 1.0
-    assert starts(ws, previous) == (0.5 * (mu_low + mu_high)).tolist()
+    assert start == (0.5 * (mu_low + mu_high)).tolist()
 
 
 def test_nan_price_gives_a_nan_start_on_either_kernel():
@@ -277,9 +278,15 @@ def test_one_slot_batches_sum_their_column_like_numpy(count):
 
 
 def test_cached_saturation_flags_are_read_only():
-    ws = batch(3, 4)
-    flags = ws._saturation
-    for array in flags[:3]:
-        with pytest.raises(ValueError):
-            array &= False
-    assert ws._saturation is flags
+    """An array batch builds its face flags with the workspace, a scalar
+    batch on its first array solve; either builds them once."""
+    array_batch, scalar_batch = batch(ev_agent._SCALAR_VEHICLES + 1, 4), batch(3, 4)
+    assert scalar_batch._saturation is None
+    scalar_batch._solve_array(200)
+    for ws in (array_batch, scalar_batch):
+        flags = ws._saturation
+        for array in flags[:3]:
+            with pytest.raises(ValueError):
+                array &= False
+        ws._solve_array(200)
+        assert ws._saturation is flags
