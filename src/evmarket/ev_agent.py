@@ -43,10 +43,10 @@ and while ``|mu * rate|`` and the clamp prices stay below ``_CERTIFIED``
 rates rounding cannot cross that margin, so the clamp would leave the start
 as it is.  The two give bit-identical powers, multipliers, flags and demand.
 
-A workspace picks its kernel before it builds anything.  A scalar batch gets
-its per-vehicle constants in plain floats, straight from the sessions and bit
-for bit NumPy's derivation; the NumPy matrices are built with the workspace
-for an array batch and, for a scalar batch, only on first read.  Every
+A workspace derives each vehicle's constants once, in plain floats, and both
+kernels read them: the array kernel's NumPy vectors are stacked from their
+columns, with the workspace for an array batch and on first read for a scalar
+one.  A vehicle whose constants would divide by zero is refused.  Every
 attribute is set in the constructor, so none is added after it: on CPython
 3.11 a later one (as a ``functools.cached_property`` adds) makes every
 attribute read on the workspace about 3 times slower and every write about 4
@@ -138,10 +138,11 @@ class EVBatchSolution(Sequence[EVSolution]):
     ``energy_multiplier``, ``feasible`` and ``lam`` (the padded prices) are
     arrays built on first access, ``objective`` is evaluated on first access
     at ``prices`` (the window list the batch was loaded with), and indexing
-    gives one vehicle's :class:`EVSolution`.  Reading ``power``, ``lam`` or
-    ``objective`` builds a scalar batch's workspace matrices, which they are
-    read with.  One is made per dual iteration, so it is a plain dataclass:
-    a frozen one takes about three times as long to construct.
+    gives one vehicle's :class:`EVSolution`.  Reading ``lam`` or
+    ``objective`` builds a scalar batch's workspace matrices, which the
+    objective is read with.  One is made per dual iteration, so it is a
+    plain dataclass: a frozen one takes about three times as long to
+    construct.
     """
 
     workspace: EVBatchWorkspace
@@ -153,7 +154,6 @@ class EVBatchSolution(Sequence[EVSolution]):
 
     @cached_property
     def power(self) -> np.ndarray:
-        self.workspace._matrices()  # NumPy readers compare it with the boxes
         return np.asarray(self.rows)
 
     @cached_property
@@ -193,17 +193,16 @@ class EVBatchWorkspace:
     must depart inside the window: ``window.start < departure <= window.end``,
     else ``ValueError``.
 
-    The kernel is picked first.  A scalar batch gets its per-vehicle
-    constants straight from the sessions in plain floats, with NumPy's
-    results bit for bit; a scalar-sized batch where one of them would divide
-    by zero (a rate or a weight of 0, a ``power_min`` of -1), which Python
-    refuses and NumPy answers with an inf or a NaN, goes to the array kernel
-    instead.  The NumPy matrices and vectors (``mask``, ``lo``, ``hi``,
-    ``weight_col``, ``rate``, ``_saturation`` and the rest) are built here
-    for an array batch and, for a scalar batch, the first time
-    :meth:`padded`, an array solve or a solution's ``power``, ``lam`` or
-    ``objective`` needs them; until then they are None.  Every attribute is
-    set here, so none is added after construction: on CPython 3.11 an
+    Each vehicle's constants are derived here once, in plain floats (see
+    :func:`_scalar_constants`): a weight of 0, a ``power_min`` of -1 or a
+    slot that stores no energy raises ``ValueError`` naming the vehicle.
+    The size rule then picks the kernel.  The array kernel's matrices and
+    vectors (``mask``, ``lo``, ``hi``, ``weight_col``, ``rate``,
+    ``_saturation`` and the rest), stacked from the constants' columns, are
+    built here for an array batch and, for a scalar batch, the first time
+    :meth:`padded`, an array solve or a solution's ``lam`` or ``objective``
+    needs them; until then they are None.  Every attribute is set here, so
+    none is added after construction: on CPython 3.11 an
     attribute added later (a ``functools.cached_property`` writing into
     ``__dict__``) makes every later read on the workspace about 3 times
     slower (9.5 to 27 ns) and every write about 4 times (12 to 45 ns).
@@ -229,54 +228,40 @@ class EVBatchWorkspace:
         self.prices = None
         self.lengths = np.array(lengths)
         self.width = width = max(lengths)
+        self._constants = _scalar_constants(sessions, lengths, window.slot_hours, energy_tolerance)
         self.mask = self.weight = self.weight_col = self.lo = self.hi = None
         self.rate = self.slope_coef = self.need = self.even = self.last = None
         self.clamp_lo_price = self.clamp_hi_price = self._saturation = None
         # The kernel, chosen once: the price loop re-solves the same batch.
-        self._constants = None
-        if width <= _SCALAR_WIDTH and len(sessions) <= _SCALAR_VEHICLES:
-            hours = window.slot_hours
-            try:
-                self._constants = _scalar_constants(sessions, lengths, hours, energy_tolerance)
-            except ZeroDivisionError:
-                pass  # the array kernel, with NumPy's inf or NaN
-        if self._constants is None:
+        self._scalar = width <= _SCALAR_WIDTH and len(sessions) <= _SCALAR_VEHICLES
+        if not self._scalar:
             self._matrices()
 
     def _matrices(self) -> None:
-        """Build the array kernel's matrices and vectors, once."""
+        """Stack the array kernel's matrices and vectors from the columns of
+        the per-vehicle constants, once."""
         if self.mask is not None:
             return
-        sessions, lengths = self.sessions, self.lengths
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.mask = np.arange(self.width)[None, :] < lengths[:, None]
-            self.weight = np.array([s.weight for s in sessions])
-            self.weight_col = self.weight[:, None]
-            lo = np.array([s.power_min for s in sessions])
-            hi = np.array([s.power_max for s in sessions])
-            # Box bounds per slot, zero past departure so padded slots carry no power.
-            self.lo = lo[:, None] * self.mask
-            self.hi = hi[:, None] * self.mask
-            self.rate = np.array([s.energy_rate(self.window.slot_hours) for s in sessions])
-            self.slope_coef = -self.rate**2 / self.weight
-            self.need = np.array([s.energy_needed for s in sessions])
-            self.even = np.clip(self.need / (self.rate * lengths), lo, hi)
-            self.clamp_lo_price = self.weight / (1.0 + lo)
-            self.clamp_hi_price = self.weight / (1.0 + hi)
-            # Each vehicle's last slot, where the window list's running maximum
-            # and minimum hold the extremes of its own prices.
-            self.last = lengths - 1
-            # Requirements within the tolerance of (or beyond) the upper and the
-            # lower box face, the rest, and whether some requirement is at a
-            # face: the one face rule of both kernels.  Every solve reads the
-            # flags, so they are read-only.
-            tol = self.energy_tolerance
-            at_hi = self.need >= self.rate * hi * lengths - tol
-            at_lo = self.need <= self.rate * lo * lengths + tol
-        faces = (at_hi, at_lo, ~(at_hi | at_lo))
+        lengths = self.lengths
+        (
+            _, weight, lo, hi, self.rate, self.slope_coef, self.need, self.even,
+            self.clamp_lo_price, self.clamp_hi_price, face,
+        ) = np.array(list(zip(*self._constants))[:11])
+        self.mask = np.arange(self.width)[None, :] < lengths[:, None]
+        self.weight, self.weight_col = weight, weight[:, None]
+        # Box bounds per slot, zero past departure so padded slots carry no power.
+        self.lo = lo[:, None] * self.mask
+        self.hi = hi[:, None] * self.mask
+        # Each vehicle's last slot, where the window list's running maximum
+        # and minimum hold the extremes of its own prices.
+        self.last = lengths - 1
+        # Requirements at (or beyond) the upper and the lower box face, the
+        # rest, and whether some requirement is at a face.  Every solve reads
+        # the flags, so they are read-only.
+        faces = (face == 1, face == -1, face == 0)
         for array in faces:
             array.setflags(write=False)
-        self._saturation = (*faces, bool(np.count_nonzero(faces[2]) < len(sessions)))
+        self._saturation = (*faces, bool(np.count_nonzero(faces[2]) < len(lengths)))
 
     def load_prices(self, prices) -> None:
         """Set the prices, the window list (see
@@ -318,9 +303,9 @@ class EVBatchWorkspace:
         tangent prediction of the module docstring off its own previous
         multiplier (that multiplier itself when no slot was free).
         """
-        if self._constants is None:
-            return self._solve_array(_MAX_ITER, previous)
-        return self._solve_scalar(_MAX_ITER, previous)
+        if self._scalar:
+            return self._solve_scalar(_MAX_ITER, previous)
+        return self._solve_array(_MAX_ITER, previous)
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def _solve_array(
@@ -440,8 +425,6 @@ class EVBatchWorkspace:
             previous_mus, previous_rows, previous_prices = (
                 previous.multipliers, previous.rows, previous.prices
             )
-            if type(previous_mus) is not list:  # a solution of the array kernel
-                previous_mus, previous_rows = previous_mus.tolist(), previous_rows.tolist()
         rows, mus, feasible = [], [], []
         i = 0
         for (
@@ -579,27 +562,35 @@ def _bracket(lam: list[float], rate: float, clamp_lo: float, clamp_hi: float):
 def _scalar_constants(
     sessions: Sequence[EVSession], lengths: list[int], hours: float, tol: float
 ) -> list[tuple]:
-    """Per-vehicle constants as plain floats, for the scalar kernel, each
-    with its face (1 at the upper, -1 at the lower, 0 searching; the array
-    kernel's ``_saturation`` rule) and the three numbers of the start's
-    certificate: the all-upper and the all-lower row totals, summed left to
-    right as the kernel sums a row, and the bound on ``|mu * rate|``, 0
-    (never certified) where a clamp price reaches it or the rate is too
-    small or too large for the rounding argument.  Each is the array
-    kernel's value bit for bit: ``rate * rate`` is NumPy's ``rate**2``, and
-    the even spread is clipped by ``np.clip``'s rule, under which a tie
-    keeps the bound (``-0.0`` against ``0.0``) and a NaN keeps itself.  A
-    zero divisor raises ``ZeroDivisionError``."""
+    """Each vehicle's constants in plain floats, the one derivation both
+    kernels read (the array kernel stacks its vectors from the columns):
+    length, weight, box, rate, slope coefficient, requirement, even spread,
+    clamp prices, face (1 at the upper, -1 at the lower, 0 searching) and
+    the scalar kernel's start certificate: the all-upper and the all-lower
+    row totals, summed left to right as the kernel sums a row, and the bound
+    on ``|mu * rate|``, 0 (never certified) where a clamp price reaches it
+    or the rate is too small or too large for the rounding argument.  Each
+    is NumPy's elementwise value bit for bit: ``rate * rate`` is NumPy's
+    square, and the even spread is clipped by NumPy's clip rule, under which
+    a tie keeps the bound (``-0.0`` against ``0.0``) and a NaN keeps itself.
+    A zero divisor raises ``ValueError`` naming the vehicle."""
     constants = []
     for s, length in zip(sessions, lengths):
         w, lo, hi, need = s.weight, s.power_min, s.power_max, s.energy_needed
         rate = s.energy_rate(hours)
-        even = need / (rate * length)
+        try:
+            even = need / (rate * length)
+            clamp_lo, clamp_hi = w / (1.0 + lo), w / (1.0 + hi)
+            coef = -(rate * rate) / w
+        except ZeroDivisionError:
+            raise ValueError(
+                f"vehicle {s.ev_id} divides by zero: a weight of 0, a power bound"
+                " of -1 or a slot that stores no energy"
+            ) from None
         if not (even > lo or even != even):
             even = lo
         if not (even < hi or even != even):
             even = hi
-        clamp_lo, clamp_hi = w / (1.0 + lo), w / (1.0 + hi)
         if need >= rate * hi * length - tol:
             face = 1
         else:
@@ -612,7 +603,7 @@ def _scalar_constants(
         if not (abs(clamp_lo) < limit and abs(clamp_hi) < limit):
             limit = 0.0
         constants.append((
-            length, w, lo, hi, rate, -(rate * rate) / w, need, even, clamp_lo, clamp_hi,
+            length, w, lo, hi, rate, coef, need, even, clamp_lo, clamp_hi,
             face, upper, lower, limit,
         ))
     return constants
@@ -628,7 +619,8 @@ def solve_ev_batch(
     to ``energy_tolerance`` kWh of its requirement.
 
     Every vehicle must depart inside the window, and ``prices`` must have
-    the window's length (else ``ValueError``).
+    the window's length (else ``ValueError``); see :class:`EVBatchWorkspace`
+    for the vehicles it refuses.
     """
     if not sessions:
         window.price_list(prices)

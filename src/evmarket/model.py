@@ -32,7 +32,6 @@ __all__ = [
     "SolverConfig",
     "ValidationReport",
     "ScenarioValidationError",
-    "remaining_energy_after",
     "validate_scenario",
 ]
 
@@ -241,13 +240,6 @@ class SolverConfig:
     step_schedule: str = CONSTANT
     kkt_tolerance: float = 1e-6
     energy_tolerance: float = 1e-6
-
-
-def remaining_energy_after(
-    energy_needed: float, power: float, loss_fraction: float, slot_hours: float
-) -> float:
-    """Remaining required energy after one slot at ``power`` kW."""
-    return energy_needed - (1.0 - loss_fraction) * slot_hours * power
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .model import (
     SlotRecord,
     StorageSpec,
     TimeGrid,
-    remaining_energy_after,
     validate_scenario,
 )
 from .scenario_io import Scenario, resolve_sessions
@@ -195,7 +194,7 @@ def step(
     for ses, power in zip(active, settled.powers):
         if not settled.converged:
             power = _within_need(ses, power, hours)
-        energy_left = remaining_energy_after(ses.energy_needed, power, ses.loss_fraction, hours)
+        energy_left = ses.energy_needed - ses.energy_rate(hours) * power
         per_ev[ses.ev_id] = (power, energy_left)
         new_active.append(replace(ses, energy_needed=energy_left))
 
@@ -227,8 +226,8 @@ def step(
 def _summarize(
     records: Sequence[SlotRecord], sessions: Sequence[EVSession], final_energy: dict[str, float]
 ) -> TraceSummary:
-    prices = np.array([rec.price_applied for rec in records]) if records else np.zeros(1)
-    demand = np.array([rec.demand_total for rec in records]) if records else np.zeros(1)
+    prices = np.array([rec.price_applied for rec in records])
+    demand = np.array([rec.demand_total for rec in records])
     initial = sum(s.energy_needed for s in sessions)
     with np.errstate(over="ignore", invalid="ignore"):
         mean, stdev = float(prices.mean()), float(prices.std())

@@ -143,8 +143,6 @@ def test_kernels_match_on_the_predicted_start(ws, data, max_iter):
     ws.load_prices(now)
     array = ws._solve_array(max_iter, array_before)
     assert_identical(ws._solve_scalar(max_iter, scalar_before), array, nan)
-    # Either kernel predicts from a solution of the other.
-    assert_identical(ws._solve_scalar(max_iter, array_before), array, nan)
     assert_same(ws, None, max_iter, nan)
 
 

@@ -72,6 +72,7 @@ def assert_identical(scalar, array):
 
 def has_free_slot(solution):
     ws = solution.workspace
+    ws._matrices()
     power = np.asarray(solution.power)
     return bool(np.any(ws.mask & (power > ws.lo) & (power < ws.hi)))
 
@@ -79,8 +80,8 @@ def has_free_slot(solution):
 @settings(max_examples=400, deadline=None)
 @given(ws=batches(), data=st.data(), max_iter=st.sampled_from([0, 1, 200]))
 def test_scalar_kernel_matches_array_kernel_after_a_move(ws, data, max_iter):
-    before = ws._solve_array(200)
-    assert_identical(ws._solve_scalar(200), before)
+    before = ws._solve_scalar(200)
+    assert_identical(before, ws._solve_array(200))
     assume(has_free_slot(before))
     ws.load_prices(moved(data.draw, ws.prices, len(ws.prices)))
     array = ws._solve_array(max_iter, before)

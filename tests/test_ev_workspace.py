@@ -1,6 +1,8 @@
-"""The vehicle workspace's set-up: a scalar batch's per-vehicle constants,
-built in plain floats, are the NumPy derivation's bit for bit, and a
-workspace gains no attribute after its constructor."""
+"""The vehicle workspace's set-up: each vehicle's constants are derived once,
+in plain floats, and they and the array kernel's vectors stacked from them
+are the NumPy derivation's bit for bit; a vehicle whose constants would
+divide by zero is refused by name; and a workspace gains no attribute after
+its constructor."""
 from functools import cached_property
 
 import numpy as np
@@ -9,31 +11,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmarket import DSOSubproblem, StorageSpec, TimeGrid, ev_agent, negotiate_slot
-from evmarket.ev_agent import EVBatchWorkspace, stationarity_residual
+from evmarket.ev_agent import EVBatchWorkspace, solve_ev_batch, stationarity_residual
 
 from conftest import SLOT_HOURS, TABLE1_DSO, make_session
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def numpy_constants(ws: EVBatchWorkspace) -> list[tuple]:
-    """The scalar kernel's constants derived from the workspace's matrices
-    with NumPy: each vehicle's length, weight, box, rate, slope coefficient,
-    requirement, even spread and clamp prices, its face, its all-upper and
-    all-lower row totals and its certificate bound."""
-    ws._matrices()
-    at_hi, at_lo = ws._saturation[:2]
-    rows = np.arange(len(ws.lengths))
-    rate = np.where((ws.rate > 2.0**-1000) & (ws.rate < 2.0**900), ws.rate, 0.0)
-    limit = ev_agent._CERTIFIED * rate
-    inside = (np.abs(ws.clamp_lo_price) < limit) & (np.abs(ws.clamp_hi_price) < limit)
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def numpy_reference(sessions, window: TimeGrid, tol: float) -> dict:
+    """The per-vehicle constants and the array kernel's matrices, derived
+    from the sessions with NumPy: each vehicle's length, weight, box, rate,
+    slope coefficient, requirement, even spread, clamp prices and face, its
+    all-upper and all-lower row totals and its certificate bound, and the
+    padded mask and boxes."""
+    lengths = np.array([s.departure - window.start for s in sessions])
+    width = int(lengths.max())
+    weight = np.array([s.weight for s in sessions])
+    lo = np.array([s.power_min for s in sessions])
+    hi = np.array([s.power_max for s in sessions])
+    rate = np.array([s.energy_rate(window.slot_hours) for s in sessions])
+    need = np.array([s.energy_needed for s in sessions])
+    mask = np.arange(width)[None, :] < lengths[:, None]
+    at_hi = need >= rate * hi * lengths - tol
+    at_lo = need <= rate * lo * lengths + tol
+    clamp_lo, clamp_hi = weight / (1.0 + lo), weight / (1.0 + hi)
+    rows = np.arange(len(lengths))
+    last = lengths - 1
+    tiny_or_huge = (rate > 2.0**-1000) & (rate < 2.0**900)
+    limit = ev_agent._CERTIFIED * np.where(tiny_or_huge, rate, 0.0)
+    inside = (np.abs(clamp_lo) < limit) & (np.abs(clamp_hi) < limit)
     columns = (
-        ws.lengths, ws.weight, ws.lo[:, 0], ws.hi[:, 0], ws.rate,
-        ws.slope_coef, ws.need, ws.even, ws.clamp_lo_price,
-        ws.clamp_hi_price, np.where(at_hi, 1, np.where(at_lo, -1, 0)),
-        np.cumsum(ws.hi, 1)[rows, ws.last], np.cumsum(ws.lo, 1)[rows, ws.last],
+        lengths, weight, lo, hi, rate, -rate**2 / weight, need,
+        np.clip(need / (rate * lengths), lo, hi), clamp_lo, clamp_hi,
+        np.where(at_hi, 1, np.where(at_lo, -1, 0)),
+        np.cumsum(hi[:, None] * mask, 1)[rows, last],
+        np.cumsum(lo[:, None] * mask, 1)[rows, last],
         np.where(inside, limit, 0.0),
     )
-    return list(zip(*(c.tolist() for c in columns)))
+    return dict(
+        constants=list(zip(*(c.tolist() for c in columns))),
+        lengths=lengths, mask=mask, last=last, weight=weight, weight_col=weight[:, None],
+        lo=lo[:, None] * mask, hi=hi[:, None] * mask, rate=rate,
+        slope_coef=columns[5], need=need, even=columns[7],
+        clamp_lo_price=clamp_lo, clamp_hi_price=clamp_hi,
+        # The kernel reads the lower face only where the upper one is not.
+        faces=(at_hi, at_lo & ~at_hi, ~(at_hi | at_lo)),
+        saturated=bool((at_hi | at_lo).any()),
+    )
 
 
 def bits(constants: list[tuple]) -> list[tuple]:
@@ -86,42 +109,76 @@ def vehicle(draw, width, hours):
 
 
 @st.composite
-def workspaces(draw):
-    """A scalar-sized workspace: 1-7 slots, 1-24 vehicles."""
-    width = draw(st.integers(1, ev_agent._SCALAR_WIDTH))
+def batches(draw):
+    """The sessions, window and tolerance of a workspace: scalar-sized (1-7
+    slots, 1-24 vehicles) or array-sized (8-12 slots, 1-40 vehicles)."""
+    if draw(st.integers(0, 3)):
+        width = draw(st.integers(1, ev_agent._SCALAR_WIDTH))
+        count = draw(st.integers(1, ev_agent._SCALAR_VEHICLES))
+    else:
+        width = draw(st.integers(ev_agent._SCALAR_WIDTH + 1, 12))
+        count = draw(st.integers(1, 40))
     hours = draw(HOURS)
-    count = draw(st.integers(1, ev_agent._SCALAR_VEHICLES))
     sessions = draw(st.lists(vehicle(width, hours), min_size=count, max_size=count))
     tolerance = draw(st.sampled_from([1e-6, 1e-3, 0.0]))
-    return EVBatchWorkspace(sessions, TimeGrid(0, width, hours), tolerance)
+    return sessions, TimeGrid(0, width, hours), tolerance
 
 
-@settings(max_examples=400, deadline=None)
-@given(ws=workspaces())
-def test_plain_float_constants_are_numpys_bit_for_bit(ws):
-    """A batch with a zero rate, where Python's division raises and NumPy's
-    gives an inf or a NaN, goes to the array kernel instead."""
-    hours = ws.window.slot_hours
-    if any(s.energy_rate(hours) == 0.0 for s in ws.sessions):
-        assert ws._constants is None and ws._saturation is not None
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert bits([actual.ravel().tolist()]) == bits([expected.ravel().tolist()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=batches())
+def test_plain_float_constants_are_numpys_bit_for_bit(batch):
+    """Every vehicle's constants, built once in plain floats, are the NumPy
+    derivation's bit for bit, and so are the array kernel's vectors stacked
+    from them (built with an array batch, on first read for a scalar one).
+    A batch with a zero rate, which Python's division refuses and NumPy
+    would answer with an inf or a NaN, is refused."""
+    sessions, window, tol = batch
+    if any(s.energy_rate(window.slot_hours) == 0.0 for s in sessions):
+        with pytest.raises(ValueError, match="divides by zero"):
+            EVBatchWorkspace(sessions, window, tol)
         return
-    assert bits(ws._constants) == bits(numpy_constants(ws))
+    ws = EVBatchWorkspace(sessions, window, tol)
+    reference = numpy_reference(sessions, window, tol)
+    assert bits(ws._constants) == bits(reference["constants"])
+    assert (ws.mask is None) == ws._scalar
+    ws._matrices()
+    for name in (
+        "lengths", "mask", "last", "weight", "weight_col", "lo", "hi", "rate",
+        "slope_coef", "need", "even", "clamp_lo_price", "clamp_hi_price",
+    ):
+        assert_same_bits(getattr(ws, name), reference[name])
+    for flags, expected in zip(ws._saturation, reference["faces"]):
+        assert_same_bits(flags, expected)
+    assert ws._saturation[3] is reference["saturated"]
 
 
+@pytest.mark.parametrize("count", [1, ev_agent._SCALAR_VEHICLES + 1])
 @pytest.mark.parametrize(
     "fields",
     [dict(weight=0.0), dict(power_min=-1.0, power_max=0.0), dict(loss_fraction=0.75)],
 )
-def test_a_zero_divisor_sends_a_small_batch_to_the_array_kernel(fields):
+def test_a_zero_divisor_is_refused_naming_the_vehicle(fields, count):
     """A zero weight, a ``power_min`` of -1 or a zero rate (a quarter of
-    the smallest subnormal slot) would divide by zero in plain floats; the
-    batch is solved by the array kernel, which answers with NumPy's inf or
-    NaN."""
+    the smallest subnormal slot) would divide by zero in a vehicle's
+    constants: a workspace, a batch solve and a negotiation refuse the
+    vehicle by name, on a scalar-sized batch and an array-sized one."""
     hours = 5e-324 if "loss_fraction" in fields else SLOT_HOURS
-    ws = EVBatchWorkspace([make_session(departure=2, **fields)], TimeGrid(0, 2, hours))
-    assert ws._constants is None
-    ws.load_prices([1.0, 2.0])
-    assert isinstance(ws.solve().multipliers, np.ndarray)  # the array kernel's
+    window = TimeGrid(0, 2, hours)
+    sessions = [make_session(ev_id=f"ev{k}") for k in range(count - 1)]
+    sessions.append(make_session(ev_id="bad", **fields))
+    dso_sub = DSOSubproblem(TABLE1_DSO, StorageSpec(0.0, 0.0, 0.0, 0.0), 0.0, window)
+    refused = pytest.raises(ValueError, match="^vehicle bad divides by zero")
+    with refused:
+        EVBatchWorkspace(sessions, window)
+    with refused:
+        solve_ev_batch(sessions, window, [1.0, 2.0])
+    with refused:
+        negotiate_slot(sessions, dso_sub, [3.0, 3.0])
 
 
 def test_no_attribute_is_added_after_construction(monkeypatch):

@@ -5,7 +5,6 @@ from evmarket import (
     PowerProfile,
     PriceVector,
     TimeGrid,
-    remaining_energy_after,
     validate_scenario,
 )
 from conftest import make_session
@@ -38,9 +37,12 @@ def test_power_profile_accepts_negative_but_not_nan():
 
 
 def test_remaining_energy_recursion():
-    assert remaining_energy_after(3.0, 4.0, 0.0, 0.25) == pytest.approx(2.0)
+    """The energy still needed after a slot at 4 kW, as the day applies it."""
+    ses = make_session(energy=3.0)
+    assert ses.energy_needed - ses.energy_rate(0.25) * 4.0 == pytest.approx(2.0)
     # lossy charging stores less
-    assert remaining_energy_after(3.0, 4.0, 0.5, 0.25) == pytest.approx(2.5)
+    ses = make_session(energy=3.0, loss_fraction=0.5)
+    assert ses.energy_needed - ses.energy_rate(0.25) * 4.0 == pytest.approx(2.5)
 
 
 def test_remaining_energy_never_increases_for_nonnegative_power():
@@ -50,7 +52,8 @@ def test_remaining_energy_never_increases_for_nonnegative_power():
         p = rng.uniform(0, 40)
         xi = rng.uniform(0, 0.99)
         tc = rng.uniform(0.05, 1.0)
-        assert remaining_energy_after(e, p, xi, tc) <= e + 1e-12
+        ses = make_session(energy=e, loss_fraction=xi)
+        assert ses.energy_needed - ses.energy_rate(tc) * p <= e + 1e-12
 
 
 def test_validate_table1_scenario_clean(table1_scenario):
