@@ -23,9 +23,8 @@ from pathlib import Path
 from .dso_agent import ConvergenceError
 from .ev_agent import stationarity_residual
 from .model import ScenarioValidationError, validate_scenario
-from .mpc_loop import _simulate, negotiate_window, settle
+from .mpc_loop import negotiate_window, negotiated, settle, uncontrolled
 from .mpc_loop import run as run_simulation
-from .mpc_loop import simulate_uncontrolled
 from .scenario_io import (
     ENTRIES,
     SECTIONS,
@@ -61,12 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override a scenario entry by dotted path, e.g. solver.step_size=0.002",
         )
 
-    for name, text in (
-        ("run", "simulate under negotiated prices"),
-        ("uncontrolled", "simulate the maximum-power baseline"),
+    for name, text, policy in (
+        ("run", "simulate under negotiated prices", negotiated),
+        ("uncontrolled", "simulate the maximum-power baseline", uncontrolled),
     ):
         p_sim = sub.add_parser(name, help=text)
-        p_sim.set_defaults(handler=_cmd_simulate)
+        p_sim.set_defaults(handler=_cmd_simulate, policy=policy)
         common(p_sim)
         p_sim.add_argument("--out", default="out", help="output directory (default: out)")
 
@@ -132,7 +131,7 @@ def _cmd_verify(args) -> int:
         slots.append((state.slot, result.dual_value, result.duality_gap, over, ev, kkt))
         return settle(result)
 
-    trace = _simulate(scenario, certified)
+    trace = run_simulation(scenario, certified)
     flagged = _report_flagged(trace)
     failed = flagged > 0
     dual = welfare = gap = worst = 0.0
@@ -212,9 +211,7 @@ def main(argv=None) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _load_scenario(args)
-    simulate = run_simulation if args.command == "run" else simulate_uncontrolled
-    trace = simulate(scenario)
+    trace = run_simulation(_load_scenario(args), args.policy)
     write_trace(trace, args.out)
     flagged = _report_flagged(trace)
     s = trace.summary

@@ -30,27 +30,24 @@ its face (a requirement at or beyond a box face, or one to search for) from
 flags found when the workspace is built, evaluate only power and energy,
 sum the slope only before a Newton step, and hand back the batch's demand
 (its column sums) as floats.  The array kernel reads those extremes from the
-window list's running maximum and minimum at each vehicle's last slot, pads
-the prices into rows once on entry and converts the column sums once on
-exit.  The scalar kernel builds no array: cold or started from a previous
-answer, it runs one per-vehicle path in loops over lists with a counter,
-on the window list itself for a stay that spans all of it.  It builds a
-searching vehicle's bracket only when the start misses the tolerance or
-cannot be certified inside the bracket: a row total off both all-bound
-totals puts some slot below its upper face and some above its lower one,
-which places the start inside the bracket by a margin of 1 on each side,
-and while ``|mu * rate|`` and the clamp prices stay below ``_CERTIFIED``
-rates rounding cannot cross that margin, so the clamp would leave the start
-as it is.  The two give bit-identical powers, multipliers, flags and demand.
+window list's running maximum and minimum at each vehicle's last slot,
+broadcasts the window list as one row of prices against the whole batch and
+converts the column sums once on exit.  Past a vehicle's departure its box
+and its weight are zero, so its level there is -1 (or +inf where the
+effective price is not positive, or NaN): the power is clamped to 0 and is
+never free, so the prices there never move the vehicle's answer.  The scalar
+kernel builds no array: cold or started from a previous answer, it runs one
+per-vehicle path in loops over lists with a counter, on the window list
+itself for a stay that spans all of it, and builds a searching vehicle's
+bracket only when its start misses the tolerance or cannot be certified
+inside the bracket (see :meth:`EVBatchWorkspace._solve_scalar`).  The two
+give bit-identical powers, multipliers, flags and demand.
 
 A workspace derives each vehicle's constants once, in plain floats, and both
 kernels read them: the array kernel's NumPy vectors are stacked from their
-columns, with the workspace for an array batch and on first read for a scalar
-one.  A vehicle whose constants would divide by zero is refused.  Every
-attribute is set in the constructor, so none is added after it: on CPython
-3.11 a later one (as a ``functools.cached_property`` adds) makes every
-attribute read on the workspace about 3 times slower and every write about 4
-times, for the rest of the negotiation.
+columns.  A vehicle whose constants would divide by zero is refused, and no
+attribute is added to a workspace after its constructor (see
+:class:`EVBatchWorkspace`).
 """
 from __future__ import annotations
 
@@ -64,10 +61,6 @@ import numpy as np
 from .model import EVSession, SolverConfig, TimeGrid
 
 __all__ = ["EVSolution", "EVBatchSolution", "utility", "solve_ev", "solve_ev_batch"]
-
-# Padding price for slots past a vehicle's departure, whose box is [0, 0]:
-# it only keeps the power there at zero.  The bracket never reads it.
-_PAD_PRICE = 1e30
 
 # Size rule for the scalar kernel.  Its row sums run left to right, which is
 # NumPy's order only for rows of at most seven entries.  Its cost grows with
@@ -134,15 +127,15 @@ class EVBatchSolution(Sequence[EVSolution]):
     The price loop reads ``demand`` (the column sums over the batch width, as
     floats) and hands the whole solution to the next solve, which predicts its
     start from ``prices``, ``rows`` and ``multipliers``.  ``power`` (the
-    padded ``vehicles x width`` matrix, zero past each departure),
-    ``energy_multiplier``, ``feasible`` and ``lam`` (the padded prices) are
-    arrays built on first access, ``objective`` is evaluated on first access
-    at ``prices`` (the window list the batch was loaded with), and indexing
-    gives one vehicle's :class:`EVSolution`.  Reading ``lam`` or
-    ``objective`` builds a scalar batch's workspace matrices, which the
-    objective is read with.  One is made per dual iteration, so it is a
-    plain dataclass: a frozen one takes about three times as long to
-    construct.
+    ``vehicles x width`` matrix, zero past each departure),
+    ``energy_multiplier`` and ``feasible`` are arrays built on first access,
+    ``objective`` is evaluated on first access at ``prices`` (the window list
+    the batch was loaded with, one row for every vehicle, read only up to
+    each departure), and indexing gives one vehicle's :class:`EVSolution`.
+    Reading ``objective`` builds a scalar batch's workspace matrices, which
+    it is read with.  The kernel sets every field when it builds one.  One
+    is made per dual iteration, so it is a plain dataclass: a frozen one
+    takes about three times as long to construct.
     """
 
     workspace: EVBatchWorkspace
@@ -165,14 +158,11 @@ class EVBatchSolution(Sequence[EVSolution]):
         return np.asarray(self.flags)
 
     @cached_property
-    def lam(self) -> np.ndarray:
-        """``prices`` as the padded ``vehicles x width`` matrix."""
-        return self.workspace.padded(self.prices)
-
-    @cached_property
     @np.errstate(over="ignore", invalid="ignore")
     def objective(self) -> np.ndarray:
-        power, lam, ws = self.power, self.lam, self.workspace
+        ws = self.workspace
+        ws._matrices()
+        power, lam = self.power, np.asarray(self.prices)[: ws.width]
         term = ws.weight_col * np.log(1.0 + power) - lam * power
         return np.where(ws.mask, term, 0.0).sum(axis=1)
 
@@ -200,14 +190,15 @@ class EVBatchWorkspace:
     vectors (``mask``, ``lo``, ``hi``, ``weight_col``, ``rate``,
     ``_saturation`` and the rest), stacked from the constants' columns, are
     built here for an array batch and, for a scalar batch, the first time
-    :meth:`padded`, an array solve or a solution's ``lam`` or ``objective``
-    needs them; until then they are None.  Every attribute is set here, so
-    none is added after construction: on CPython 3.11 an
-    attribute added later (a ``functools.cached_property`` writing into
-    ``__dict__``) makes every later read on the workspace about 3 times
-    slower (9.5 to 27 ns) and every write about 4 times (12 to 45 ns).
-    Extreme slot lengths overflow the precomputed rates quietly, as in the
-    solve.
+    an array solve or a solution's ``objective`` needs them; until then
+    they are None.  Each vehicle's departure is recorded there once: its
+    weight and box are zero past it.  Every attribute is set here, so none
+    is added after construction: on CPython 3.11 an attribute added later
+    (a ``functools.cached_property`` writing into ``__dict__``) makes every
+    later read on the workspace about 3 times slower (9.5 to 27 ns) and
+    every write about 4 times (12 to 45 ns), for the rest of the
+    negotiation.  Extreme slot lengths overflow the precomputed rates
+    quietly, as in the solve.
     """
 
     def __init__(
@@ -247,11 +238,13 @@ class EVBatchWorkspace:
             _, weight, lo, hi, self.rate, self.slope_coef, self.need, self.even,
             self.clamp_lo_price, self.clamp_hi_price, face,
         ) = np.array(list(zip(*self._constants))[:11])
-        self.mask = np.arange(self.width)[None, :] < lengths[:, None]
-        self.weight, self.weight_col = weight, weight[:, None]
-        # Box bounds per slot, zero past departure so padded slots carry no power.
-        self.lo = lo[:, None] * self.mask
-        self.hi = hi[:, None] * self.mask
+        self.mask = mask = np.arange(self.width)[None, :] < lengths[:, None]
+        # Weight and box per slot, zero past departure: there the level is
+        # -1 or +inf whatever the price, so the power is clamped to 0 and
+        # the slope never counts the slot.
+        self.weight, self.weight_col = weight, np.where(mask, weight[:, None], 0.0)
+        self.lo = lo[:, None] * mask
+        self.hi = hi[:, None] * mask
         # Each vehicle's last slot, where the window list's running maximum
         # and minimum hold the extremes of its own prices.
         self.last = lengths - 1
@@ -272,17 +265,13 @@ class EVBatchWorkspace:
             prices = self.window.price_list(prices)
         self.prices = prices
 
-    def padded(self, prices) -> np.ndarray:
-        """The window list ``prices`` as a ``vehicles x width`` matrix, padded
-        past departure."""
-        self._matrices()
-        return np.where(self.mask, np.asarray(prices)[: self.width], _PAD_PRICE)
-
     def _power_at(
         self, mu: np.ndarray, lam: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Water-filling power, its unclamped level and the delivered energy at
-        the padded prices ``lam``."""
+        the row of prices ``lam``, the window list up to the batch width.
+        Past a departure the weight is 0, so the level is -1, or +inf where
+        ``q`` is not positive or is NaN, and the zero box clamps it."""
         q = lam + (mu * self.rate)[:, None]
         # w/q - 1, or +inf (the upper bound) at a nonpositive price.
         level = np.where(q > 0, self.weight_col / q, np.inf) - 1.0
@@ -321,8 +310,9 @@ class EVBatchWorkspace:
         or column sum is one ``np.add.reduce``, and the rare fixes (a
         non-finite prediction, a saturated requirement) run only when some row
         needs them."""
+        self._matrices()
         prices = np.asarray(self.prices)
-        lam = self.padded(prices)  # first: it builds a scalar batch's matrices
+        lam = prices[: self.width]
         need, rate, tol = self.need, self.rate, self.energy_tolerance
 
         # Saturation bounds: below mu_low every slot sits at the upper bound,
@@ -344,7 +334,8 @@ class EVBatchWorkspace:
             prev = np.asarray(previous.rows)
             free = (prev > self.lo) & (prev < self.hi)
             sq = np.where(free, np.square(prev + 1.0), 0.0)
-            num = np.add.reduce(np.where(free, sq * (lam - previous.lam), 0.0), 1)
+            move = lam - np.asarray(previous.prices)[: self.width]
+            num = np.add.reduce(np.where(free, sq * move, 0.0), 1)
             den = np.add.reduce(sq, 1)
             mu = np.asarray(previous.multipliers, dtype=float)
             mu = np.where(den > 0, mu - num / (rate * den), mu)
@@ -380,11 +371,9 @@ class EVBatchWorkspace:
             gap = energy - need
             abs_gap = np.abs(gap)
 
-        solution = EVBatchSolution(
+        return EVBatchSolution(
             self, self.prices, power, mu, abs_gap <= tol, np.add.reduce(power, 0).tolist()
         )
-        solution.lam = lam  # the padded prices, for the next solve's prediction
-        return solution
 
     def _solve_scalar(
         self, max_iter: int, previous: EVBatchSolution | None = None

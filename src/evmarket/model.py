@@ -14,9 +14,9 @@ concurrently running agent solves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import inf, isfinite
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Mapping
 
 import numpy as np
@@ -338,6 +338,25 @@ def loop_problems(solver: SolverConfig) -> list[str]:
     return out
 
 
+def _mistyped(obj, label: str = "") -> list[str]:
+    """A violation naming each field of the dataclass ``obj``, or of its
+    sections and vehicles, not of its annotated kind: a real number for
+    ``int`` and ``float`` (integrality is a range test), a string for ``str``."""
+    out = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", "float", "str"):
+            kind, noun = (str, "a string") if f.type == "str" else (Real, "a number")
+            if not isinstance(value, kind):
+                out.append(f"{label}{f.name} must be {noun}, not {type(value).__name__}")
+        elif f.name == "evs":
+            for ev in value:
+                out += _mistyped(ev, f"ev {ev.ev_id!r}: ")
+        elif value is not None:
+            out += _mistyped(value, f"{f.name}: ")
+    return out
+
+
 def _check_box(spec, label: str, out: list[str], hours: float, energy: float = 0.0) -> None:
     """Checks of a session's or a fleet's power box, utility and losses; a
     positive slot of ``hours`` must store some energy per kW drawn."""
@@ -360,11 +379,23 @@ def _check_box(spec, label: str, out: list[str], hours: float, energy: float = 0
 def validate_scenario(scenario) -> ValidationReport:
     """Collect every invariant violation in ``scenario``; empty report iff well-formed.
 
-    Accepts any object with the :class:`~evmarket.scenario_io.Scenario` field
-    layout (duck typed so the model layer stays free of parsing concerns).
-    Every number must be finite, except ``dso.power_max``, which may be
-    ``inf``; each test holds for legal values, so NaN fails it.
+    Accepts any dataclass with the :class:`~evmarket.scenario_io.Scenario`
+    field layout (so the model layer stays free of parsing concerns).  Every
+    number must be finite, except ``dso.power_max``, which may be ``inf``;
+    each test holds for legal values, so NaN fails it.  A field of the wrong
+    type (in a scenario built in Python) that makes a test raise is reported
+    by name instead; a well-typed scenario pays nothing for that check.
     """
+    try:
+        return ValidationReport(tuple(_violations(scenario)))
+    except (TypeError, AttributeError, ValueError):
+        if mistyped := _mistyped(scenario):
+            return ValidationReport(tuple(mistyped))
+        raise
+
+
+def _violations(scenario) -> list[str]:
+    """The tests of :func:`validate_scenario`, each broken one worded."""
     out: list[str] = []
     if not _integral(scenario.seed):
         out.append("seed must be an integer")
@@ -449,6 +480,5 @@ def validate_scenario(scenario) -> ValidationReport:
         if not ev.departure <= grid.num_slots:
             out.append(f"{label}: departure after the horizon")
         _check_box(ev, label, out, hours, ev.energy_needed)
-
-    return ValidationReport(tuple(out))
+    return out
 

@@ -4,12 +4,12 @@ Each slot :func:`step` admits arrivals, lets a power policy settle the slot,
 applies only the first sample of every vehicle's power, advances the battery
 states and moves on.  The step and the policies read the supplier, the grid
 and the negotiation's settings from the :class:`~evmarket.scenario_io.Scenario`
-itself.  Two policies share that step.  :func:`negotiated` is the
-market: it builds the prediction window up to the latest departure among
-active vehicles and negotiates prices for the whole window, starting from
-the price list the previous slot settled at.  Only that list and the agents'
-own states cross from one slot to the next.
-:func:`uncontrolled` is the baseline: maximum power at price 0.
+itself.  Two policies share that step, and :func:`run` drives a day with
+either.  :func:`negotiated` is the market: it builds the prediction window
+up to the latest departure among active vehicles and negotiates prices for
+the whole window, starting from the price list the previous slot settled
+at.  Only that list and the agents' own states cross from one slot to the
+next.  :func:`uncontrolled` is the baseline: maximum power at price 0.
 
 Prices inside the loop are per kW-slot; they are converted back to euro cent
 per kWh when recorded, so traces carry scenario units.
@@ -46,7 +46,6 @@ __all__ = [
     "uncontrolled",
     "step",
     "run",
-    "simulate_uncontrolled",
 ]
 
 # Storage of a scenario without one: pinned at zero power, which the supplier
@@ -260,43 +259,27 @@ def initial_state(scenario: Scenario, sessions: Sequence[EVSession]) -> Simulati
     )
 
 
-def _final_energy(
-    sessions: Sequence[EVSession], records: Sequence[SlotRecord]
-) -> dict[str, float]:
-    """Remaining required energy per vehicle; the last record wins."""
-    out = {s.ev_id: s.energy_needed for s in sessions}
-    for rec in records:
-        for ev_id, (_, energy_left) in rec.per_ev.items():
-            out[ev_id] = energy_left
-    return out
-
-
-def _simulate(scenario: Scenario, policy) -> SimulationTrace:
-    """The day of ``scenario`` under ``policy``; every command that simulates
-    validates the scenario here, and only here."""
+def run(scenario: Scenario, policy=negotiated) -> SimulationTrace:
+    """Simulate the whole horizon of ``scenario``, each slot settled by
+    ``policy`` (see :func:`step`): negotiated prices by default, or
+    :func:`uncontrolled` for the maximum-power baseline.  Every command that
+    simulates validates the scenario here, and only here."""
     report = validate_scenario(scenario)
     if not report.ok:
         raise ScenarioValidationError(report)
     sessions = resolve_sessions(scenario)
     state = initial_state(scenario, sessions)
+    # Remaining required energy per vehicle: its last record's.
+    final_energy = {s.ev_id: s.energy_needed for s in sessions}
     records: list[SlotRecord] = []
     for _ in range(scenario.grid.num_slots):
         state, record = step(state, scenario, policy)
         records.append(record)
-    final_energy = _final_energy(sessions, records)
+        for ev_id, (_, energy_left) in record.per_ev.items():
+            final_energy[ev_id] = energy_left
     return SimulationTrace(
         records=tuple(records),
         slot_hours=scenario.grid.slot_hours,
         final_energy=final_energy,
         summary=_summarize(records, sessions, final_energy),
     )
-
-
-def run(scenario: Scenario) -> SimulationTrace:
-    """Simulate the whole horizon under negotiated prices."""
-    return _simulate(scenario, negotiated)
-
-
-def simulate_uncontrolled(scenario: Scenario) -> SimulationTrace:
-    """Simulate the whole horizon under the maximum-power baseline."""
-    return _simulate(scenario, uncontrolled)

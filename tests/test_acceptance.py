@@ -15,9 +15,9 @@ from evmarket import (
     evaluate_dual,
     negotiate_slot,
     run,
-    simulate_uncontrolled,
     solve_dso,
     solve_ev,
+    uncontrolled,
     write_trace,
 )
 from evmarket.ev_agent import stationarity_residual
@@ -47,7 +47,7 @@ def table1_run(table1_scenario):
 
 @pytest.fixture(scope="module")
 def table1_uncontrolled(table1_scenario):
-    return simulate_uncontrolled(table1_scenario)
+    return run(table1_scenario, uncontrolled)
 
 
 def _random_instance(rng: np.random.Generator):

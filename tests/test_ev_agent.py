@@ -207,10 +207,10 @@ def test_each_batch_row_matches_the_vehicle_solved_alone_on_the_window():
         assert joint.energy_multiplier == alone.energy_multiplier
 
 
-def test_kernels_agree_on_prices_above_the_padding_price():
-    """Prices above ``_PAD_PRICE`` (1e30), which a huge price step can reach:
-    a vehicle whose own prices all exceed it gets its bracket from those
-    prices alone on either kernel, so the two agree bit for bit."""
+def test_kernels_agree_on_huge_prices():
+    """Prices from 1e29 to 5e31, which a huge price step can reach: each
+    vehicle gets its bracket from its own prices alone on either kernel, so
+    the two agree bit for bit."""
     rng = np.random.default_rng(29)
     for _ in range(100):
         width = int(rng.integers(2, 8))

@@ -146,6 +146,70 @@ def test_kernels_match_on_the_predicted_start(ws, data, max_iter):
     assert_same(ws, None, max_iter, nan)
 
 
+@st.composite
+def short_stays(draw):
+    """Vehicles on a window of 2-12 slots, the first of which departs before
+    its end, and two window lists: one before a move and one after it."""
+    width = draw(st.integers(2, 12))
+    first = draw(vehicles(width - 1))
+    sessions = [first, *draw(st.lists(vehicles(width), min_size=1, max_size=30))]
+    before, now = (draw(st.lists(PRICE, min_size=width, max_size=width)) for _ in range(2))
+    return sessions, TimeGrid(0, width, SLOT_HOURS), before, now
+
+
+def first_answer(solution):
+    """The first vehicle's row, multiplier, flag and objective, as bytes."""
+    return (
+        solution.power[0].tobytes(),
+        np.asarray(solution.multipliers, dtype=float)[0].tobytes(),
+        bool(solution.flags[0]),
+        solution.objective[0].tobytes(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    batch=short_stays(),
+    past=st.sampled_from([0.0, 1e300, math.nan]),
+    warm=st.booleans(),
+    kernel=st.sampled_from(["_solve_scalar", "_solve_array"]),
+)
+def test_a_vehicle_reads_only_its_own_prices(batch, past, warm, kernel):
+    """Prices past a vehicle's departure (0, 1e300 or NaN, where its weight
+    and box are zero) leave its row, multiplier, flag and objective the same
+    bit for bit on either kernel: solved cold, or from the tangent
+    prediction off a previous solution whose prices moved there too."""
+    sessions, window, before, now = batch
+    n = sessions[0].departure - window.start
+    answers = []
+    for lists in ((before, now), [p[:n] + [past] * (len(p) - n) for p in (before, now)]):
+        ws = EVBatchWorkspace(sessions, window)
+        previous = None
+        if warm:
+            ws.load_prices(lists[0])
+            previous = getattr(ws, kernel)(200)
+        ws.load_prices(lists[1])
+        answers.append(first_answer(getattr(ws, kernel)(200, previous)))
+    assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("kernel", ["_solve_scalar", "_solve_array"])
+def test_a_price_past_departure_adds_no_free_slot(kernel):
+    """At multiplier 0 a price equal to the weight puts the level at 0, on
+    a zero box.  Past a departure the weight is 0 too, so the level there is
+    -1 and the first Newton step's slope is the same as at a price of 0."""
+    sessions = [
+        make_session(departure=1, power_max=10.0, weight=5.0, energy=0.5),
+        make_session(ev_id="b", departure=2, power_max=10.0, weight=5.0, energy=1.0),
+    ]
+    answers = []
+    for past in (0.0, 5.0):
+        ws = EVBatchWorkspace(sessions, TimeGrid(0, 2, SLOT_HOURS))
+        ws.load_prices([1.0, past])
+        answers.append(first_answer(getattr(ws, kernel)(1, start_at(ws, [0.0, 0.0]))))
+    assert answers[0] == answers[1]
+
+
 def starts(ws, previous, nan=False):
     """Each kernel's starting multipliers (``max_iter=0``) from ``previous``."""
     scalar = ws._solve_scalar(0, previous)
@@ -213,8 +277,9 @@ def test_nonpositive_effective_price_and_zero_slope():
     ses, window = make_vehicle(3, power_max=30.0, weight=0.1, energy=10.0)
     ws = EVBatchWorkspace([ses], window)
     ws.load_prices([0.0, 3.0, 1.0])
-    lam = ws.padded(ws.prices)
-    mu_low = (ws.clamp_hi_price - lam.max(axis=1)) / ws.rate - 1.0
+    ws._matrices()
+    lam = np.asarray(ws.prices)[: ws.width]
+    mu_low = (ws.clamp_hi_price - lam.max()) / ws.rate - 1.0
     q = lam + (mu_low * ws.rate)[:, None]
     assert (q <= 0).any()
     slope = ws._slope(*ws._power_at(mu_low, lam)[:2])

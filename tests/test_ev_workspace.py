@@ -22,7 +22,7 @@ def numpy_reference(sessions, window: TimeGrid, tol: float) -> dict:
     from the sessions with NumPy: each vehicle's length, weight, box, rate,
     slope coefficient, requirement, even spread, clamp prices and face, its
     all-upper and all-lower row totals and its certificate bound, and the
-    padded mask and boxes."""
+    mask with the weights and boxes, zero past each departure."""
     lengths = np.array([s.departure - window.start for s in sessions])
     width = int(lengths.max())
     weight = np.array([s.weight for s in sessions])
@@ -49,7 +49,8 @@ def numpy_reference(sessions, window: TimeGrid, tol: float) -> dict:
     )
     return dict(
         constants=list(zip(*(c.tolist() for c in columns))),
-        lengths=lengths, mask=mask, last=last, weight=weight, weight_col=weight[:, None],
+        lengths=lengths, mask=mask, last=last, weight=weight,
+        weight_col=np.where(mask, weight[:, None], 0.0),
         lo=lo[:, None] * mask, hi=hi[:, None] * mask, rate=rate,
         slope_coef=columns[5], need=need, even=columns[7],
         clamp_lo_price=clamp_lo, clamp_hi_price=clamp_hi,

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from evmarket import (
     ScenarioValidationError,
     compute_window,
+    negotiated,
     parse_scenario,
     run,
-    simulate_uncontrolled,
     step,
+    uncontrolled,
 )
 from evmarket.mpc_loop import SimulationState
 from evmarket.scenario_io import GridConfig, Scenario, SolverConfig
@@ -258,22 +259,22 @@ def test_any_generated_fleet_runs(text):
     slot capped at 300 updates) takes about 0.2 s, so 40 examples stay
     under 10 s."""
     scenario = parse_scenario(text)
-    for simulate in (run, simulate_uncontrolled):
-        assert_finite_records(simulate(scenario))
+    for policy in (negotiated, uncontrolled):
+        assert_finite_records(run(scenario, policy))
 
 
 def test_uncontrolled_sums_maxima():
     evs = [
         make_session(ev_id=f"e{i}", arrival=1, departure=5, energy=20.0) for i in range(3)
     ]
-    trace = simulate_uncontrolled(small_scenario(evs))
+    trace = run(small_scenario(evs), uncontrolled)
     assert trace.records[1].demand_total == pytest.approx(66.0)
     assert trace.records[0].demand_total == 0.0
 
 
 def test_uncontrolled_clips_final_energy():
     evs = [make_session(ev_id="a", arrival=0, departure=4, energy=1.0)]
-    trace = simulate_uncontrolled(small_scenario(evs))
+    trace = run(small_scenario(evs), uncontrolled)
     assert trace.records[0].per_ev["a"][0] == pytest.approx(4.0)
     assert trace.final_energy["a"] == pytest.approx(0.0, abs=1e-12)
 
@@ -289,8 +290,8 @@ def test_uncontrolled_peak_at_least_controlled(table1_scenario):
         ),
     )
     controlled = run(scn)
-    uncontrolled = simulate_uncontrolled(scn)
-    assert controlled.summary.peak_demand <= uncontrolled.summary.peak_demand + 1e-9
+    baseline = run(scn, uncontrolled)
+    assert controlled.summary.peak_demand <= baseline.summary.peak_demand + 1e-9
 
 
 def test_warm_start_carries_first_price():

@@ -406,6 +406,33 @@ def test_a_non_integral_integer_entry_is_reported(entry):
     assert validate_scenario(with_entry(scenario, entry, np.int64(value))).ok
 
 
+@pytest.mark.parametrize("value", ["2", None])
+@pytest.mark.parametrize("entry", SCHEMA, ids=lambda e: e.name)
+def test_a_mistyped_field_is_reported_by_name(entry, value):
+    """The Python API takes any value in any field.  A string in a number
+    field (a number in a string field), or None in any field, is a violation
+    that names the field, not an exception, and the run stops before its
+    first slot.  Where a range test would raise on the value the report
+    names the field's type; where it words the value's fault (an integer
+    entry that is no integer, an unknown step schedule) it keeps that."""
+    if entry.kind is str and value is not None:
+        value = 2
+    changed = with_entry(parse_scenario(SMALL + FLEET), entry, value)
+    if entry.section == "ev":
+        label = f"ev {value!r}: " if entry.attr == "ev_id" else "ev 'a': "
+    else:
+        label = f"{entry.section}: " if entry.section else ""
+    kind = "a string" if entry.kind is str else "a number"
+    mistyped = f"{label}{entry.attr} must be {kind}, not {type(value).__name__}"
+    violations = validate_scenario(changed).violations
+    if entry.name in ("solver.max_iterations", "solver.step_schedule"):
+        assert violations[0].startswith(f"{label}{entry.attr} must be ")
+    else:
+        assert violations == (mistyped,)
+    with pytest.raises(ScenarioValidationError):
+        run(changed)
+
+
 def test_numpy_integers_run_the_same_day():
     scenario = parse_scenario(SMALL + FLEET)
     numpy = scenario
@@ -472,6 +499,21 @@ def test_explicit_id_that_the_fleet_generates_is_rejected(tmp_path, capsys):
     assert err.startswith("error: invalid scenario\n") and "ev ev02: duplicate id" in err
     assert not out_dir.exists()
     assert main(["uncontrolled", str(path), "--out", str(out_dir)]) == 1
+
+
+@pytest.mark.parametrize("ev_id", ["ev01", "ev1"])
+def test_an_id_the_fleet_generates_is_named_by_validate_and_run(tmp_path, capsys, ev_id):
+    """A fleet of 2 generates ev01 and ev02: an explicit ev01 fails validate
+    and run with exit 1 and the clash's message; ev1 is another id."""
+    path = tmp_path / "clash.scenario"
+    path.write_text(with_first_id(ev_id) + FLEET.replace("count = 3", "count = 2"))
+    clash = ev_id == "ev01"
+    message = f"ev {ev_id}: duplicate id (the fleet generates it too)\n"
+    assert main(["validate", str(path)]) == (1 if clash else 0)
+    assert capsys.readouterr().out == (message if clash else "scenario ok\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == (1 if clash else 0)
+    err = capsys.readouterr().err
+    assert err == ("error: invalid scenario\n" + message if clash else "")
 
 
 def test_explicit_ids_next_to_a_fleet_are_accepted(tmp_path, capsys):
