@@ -243,8 +243,8 @@ class EVBatchWorkspace:
         # -1 or +inf whatever the price, so the power is clamped to 0 and
         # the slope never counts the slot.
         self.weight, self.weight_col = weight, np.where(mask, weight[:, None], 0.0)
-        self.lo = lo[:, None] * mask
-        self.hi = hi[:, None] * mask
+        self.lo = np.where(mask, lo[:, None], 0.0)
+        self.hi = np.where(mask, hi[:, None], 0.0)
         # Each vehicle's last slot, where the window list's running maximum
         # and minimum hold the extremes of its own prices.
         self.last = lengths - 1

@@ -341,19 +341,31 @@ def loop_problems(solver: SolverConfig) -> list[str]:
 def _mistyped(obj, label: str = "") -> list[str]:
     """A violation naming each field of the dataclass ``obj``, or of its
     sections and vehicles, not of its annotated kind: a real number for
-    ``int`` and ``float`` (integrality is a range test), a string for ``str``."""
+    ``int`` and ``float`` (integrality is a range test), a string for
+    ``str``, an instance of the annotated class for a section (or None where
+    the annotation allows it), and a tuple or list of :class:`EVSession` for
+    ``evs``, whose other items are named by position."""
     out = []
     for f in fields(obj):
         value = getattr(obj, f.name)
+        got = type(value).__name__
         if f.type in ("int", "float", "str"):
             kind, noun = (str, "a string") if f.type == "str" else (Real, "a number")
             if not isinstance(value, kind):
-                out.append(f"{label}{f.name} must be {noun}, not {type(value).__name__}")
+                out.append(f"{label}{f.name} must be {noun}, not {got}")
         elif f.name == "evs":
-            for ev in value:
-                out += _mistyped(ev, f"ev {ev.ev_id!r}: ")
-        elif value is not None:
+            if not isinstance(value, (tuple, list)):
+                out.append(f"evs must be a tuple of EVSession, not {got}")
+                continue
+            for i, ev in enumerate(value):
+                if isinstance(ev, EVSession):
+                    out += _mistyped(ev, f"ev {ev.ev_id!r}: ")
+                else:
+                    out.append(f"evs[{i}] must be an EVSession, not {type(ev).__name__}")
+        elif got == f.type.partition(" ")[0]:
             out += _mistyped(value, f"{f.name}: ")
+        elif value is not None or not f.type.endswith("| None"):
+            out.append(f"{f.name} must be {f.type.replace(' | ', ' or ')}, not {got}")
     return out
 
 

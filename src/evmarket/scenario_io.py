@@ -1,6 +1,7 @@
 """Scenario files, seeded fleet generation and trace serialization.
 
-Scenario files are a small key/value tree, UTF-8, one entry per line::
+Scenario files are a small key/value tree, UTF-8 (one leading byte-order
+mark is dropped), one entry per line::
 
     # comment
     grid:
@@ -29,7 +30,11 @@ any other header text takes the header checks.  An ``int`` or finite
 check runs inline on the stripped text.  Every other value, and every failed
 conversion or check, goes through :func:`parse_value`, the one place that
 words a conversion error.  A block needs no defaults filled in: an optional
-entry's default is its type's own.
+entry's default is its type's own.  Each ``ev`` block becomes its
+:class:`~evmarket.model.EVSession` the way pickle rebuilds one, by filling
+the new instance's ``__dict__``: the frozen constructor's eight
+``object.__setattr__`` calls cost about a third of a vehicle's parse, and it
+checks nothing (:func:`~evmarket.model.validate_scenario` does).
 
 Everything downstream is deterministic: one seeded generator, fixed iteration
 order, fixed numeric formatting, so traces are byte-identical across runs.
@@ -37,7 +42,7 @@ order, fixed numeric formatting, so traces are byte-identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -317,6 +322,17 @@ def _arguments(section: str, line: int | None, block: dict) -> dict:
     return block
 
 
+# The defaults of EVSession's optional fields, which an ``ev`` block may omit.
+_EV_DEFAULTS = {f.name: f.default for f in fields(EVSession) if f.default is not MISSING}
+
+
+def _session(args: dict) -> EVSession:
+    """``EVSession(**args)`` built as pickle rebuilds it (see the module notes)."""
+    ev = object.__new__(EVSession)
+    ev.__dict__.update(_EV_DEFAULTS, **args)
+    return ev
+
+
 def parse_scenario(text: str | bytes) -> Scenario:
     """Parse scenario text, raising :class:`ScenarioFormatError` on the first
     malformed line; the scenario is not validated (see the module notes)."""
@@ -326,17 +342,17 @@ def parse_scenario(text: str | bytes) -> Scenario:
         except UnicodeDecodeError as exc:
             raise ScenarioFormatError(f"not valid UTF-8: {exc}") from None
 
-    blocks = _parse_tree(text)
+    blocks = _parse_tree(text.removeprefix("\ufeff"))
     for name, (_, _, presence) in SECTIONS.items():
         if presence == "required" and name not in blocks:
             raise ScenarioFormatError(f"missing required key: {name}")
     kwargs = _arguments("", *blocks[""][0])
     for name, (attr, kind, presence) in SECTIONS.items():
-        built = [kind(**_arguments(name, *block)) for block in blocks.get(name, ())]
+        args = [_arguments(name, *block) for block in blocks.get(name, ())]
         if presence == "repeated":
-            kwargs[attr] = tuple(built)
-        elif built:
-            kwargs[attr] = built[0]
+            kwargs[attr] = tuple(map(_session, args))  # ev, the one repeated section
+        elif args:
+            kwargs[attr] = kind(**args[0])
     return Scenario(**kwargs)
 
 

@@ -98,14 +98,24 @@ def assert_same(ws, start, max_iter, nan=False):
     assert_identical(scalar, ws._solve_array(max_iter, previous), nan)
 
 
+def signs(values) -> np.ndarray:
+    """The sign bit of each value, a NaN's read as set."""
+    values = np.asarray(values, dtype=float)
+    return np.signbit(values) | np.isnan(values)
+
+
 def assert_identical(scalar, array, nan=False):
-    """Bit-identical answers; ``nan=True`` lets a NaN multiplier match a NaN
-    in the same place, which only a NaN price may cause."""
-    assert np.array_equal(scalar.power, array.power)
+    """Bit-identical answers, the sign of a zero included; ``nan=True`` lets
+    a NaN multiplier match a NaN in the same place, which only a NaN price
+    may cause."""
+    assert scalar.power.dtype == array.power.dtype
+    assert scalar.power.tobytes() == array.power.tobytes()
     assert np.array_equal(scalar.energy_multiplier, array.energy_multiplier, equal_nan=nan)
+    assert np.array_equal(signs(scalar.energy_multiplier), signs(array.energy_multiplier))
     assert np.array_equal(scalar.feasible, array.feasible)
     assert scalar.feasible.dtype == array.feasible.dtype
     assert scalar.demand == array.demand == array.power.sum(axis=0).tolist()
+    assert np.array_equal(signs(scalar.demand), signs(array.demand))
 
 
 @settings(max_examples=500, deadline=None)
@@ -208,6 +218,20 @@ def test_a_price_past_departure_adds_no_free_slot(kernel):
         ws.load_prices([1.0, past])
         answers.append(first_answer(getattr(ws, kernel)(1, start_at(ws, [0.0, 0.0]))))
     assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("start", [None, ([0.0, 0.0], [False, False])])
+def test_kernels_agree_on_the_sign_of_zero_past_a_departure(start):
+    """A box of ``[-0.0, -0.0]``, which validation accepts, holds the power
+    at -0.0 during the stay; past the departure both kernels pad with 0.0."""
+    sessions = [
+        make_session(departure=1, power_min=-0.0, power_max=-0.0, energy=0.0),
+        make_session(ev_id="b", departure=3, power_max=10.0, energy=1.0),
+    ]
+    ws = EVBatchWorkspace(sessions, TimeGrid(0, 3, SLOT_HOURS))
+    ws.load_prices([1.0, 2.0, 3.0])
+    assert_same(ws, start, 200)
+    assert np.signbit(ws._solve_array(200).power[0]).tolist() == [True, False, False]
 
 
 def starts(ws, previous, nan=False):

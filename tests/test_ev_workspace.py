@@ -51,7 +51,7 @@ def numpy_reference(sessions, window: TimeGrid, tol: float) -> dict:
         constants=list(zip(*(c.tolist() for c in columns))),
         lengths=lengths, mask=mask, last=last, weight=weight,
         weight_col=np.where(mask, weight[:, None], 0.0),
-        lo=lo[:, None] * mask, hi=hi[:, None] * mask, rate=rate,
+        lo=np.where(mask, lo[:, None], 0.0), hi=np.where(mask, hi[:, None], 0.0), rate=rate,
         slope_coef=columns[5], need=need, even=columns[7],
         clamp_lo_price=clamp_lo, clamp_hi_price=clamp_hi,
         # The kernel reads the lower face only where the upper one is not.

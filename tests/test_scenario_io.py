@@ -1,3 +1,6 @@
+import hashlib
+import pickle
+import runpy
 from dataclasses import replace
 
 import pytest
@@ -13,7 +16,7 @@ from evmarket import (
 )
 from evmarket.cli import main
 from evmarket.scenario_io import FleetSpec, GridConfig
-from evmarket.model import SlotRecord
+from evmarket.model import EVSession, SlotRecord
 from evmarket.mpc_loop import SimulationTrace, TraceSummary
 
 from conftest import SCENARIO_DIR
@@ -130,6 +133,138 @@ def test_roundtrip_with_explicit_ev_and_no_storage():
     )
     scn = parse_scenario(text)
     assert parse_scenario(write_scenario(scn)) == scn
+
+
+EV = (
+    "ev:\n  id = {}\n  arrival = 0\n  departure = 2\n"
+    "  power_max = 22\n  weight = 10\n  energy = 2\n"
+)
+
+
+def test_a_line_repeated_in_one_block_is_a_duplicate_at_its_line():
+    """A line that earlier blocks also hold is a duplicate key when it
+    repeats inside one block, at the repeat's line."""
+    text = MINIMAL + EV.format("a") + EV.format("b") + "  weight = 10\n"
+    line = text.count("\n")
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(text)
+    assert str(info.value) == f"line {line}, column 3: duplicate key 'weight' in section 'ev'"
+
+
+def test_the_same_line_under_two_sections_sets_each_sections_field():
+    text = MINIMAL.replace("  power_max = 100\n", "  power_max = 100\n  power_min = 5\n")
+    text += EV.format("a").replace("  energy", "  power_min = 5\n  energy")
+    scn = parse_scenario(text)
+    assert scn.dso.power_min == scn.evs[0].power_min == 5.0
+    # A line accepted in one section is still unknown in another.
+    fleet = "fleet:\n  count = 1\n  power_max = 22\n  weight = 10\n"
+    text = MINIMAL + fleet + "solver:\n  weight = 10\n"
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(text)
+    line = text.count("\n")
+    assert str(info.value) == f"line {line}, column 3: unknown key 'weight' in section 'solver'"
+
+
+@pytest.mark.parametrize("top", ["seed = 3\n", ""])
+def test_a_repeated_seed_inside_a_section_is_a_duplicate(top):
+    """``seed`` may be set once, at the top or inside a block; the same line
+    inside a later block is a duplicate of the top-level key."""
+    once = top + MINIMAL + EV.format("a") + ("" if top else "  seed = 3\n")
+    assert parse_scenario(once).seed == 3
+    line = once.count("\n") + EV.format("b").count("\n") + 1
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(once + EV.format("b") + "  seed = 3\n")
+    assert str(info.value) == f"line {line}, column 3: duplicate key 'seed'"
+
+
+def fleet_200_texts():
+    """The benchmark's fleet-200 scenario text of seeds 1-10."""
+    fleet_200 = runpy.run_path(str(SCENARIO_DIR.parent / "bench" / "workloads.py"))["fleet_200"]
+    return {f"fleet-200/{seed}": fleet_200(seed).encode() for seed in range(1, 11)}
+
+
+# SHA-256 (first 16 digits) of the repr of each parsed scenario, taken when
+# every vehicle was built by EVSession's constructor: the vehicles parsing
+# builds without it are the same, bit for bit.
+PARSED = {
+    "scenarios/small.scenario": "d23aef5263e9c3a6",
+    "scenarios/table1.scenario": "60b8df5d9668fdf7",
+    "tests/data/fleet-run.scenario": "859aa38e781ed234",
+    "fleet-200/1": "016ea3904a9b2ef1",
+    "fleet-200/2": "76db27d2c4c2e57c",
+    "fleet-200/3": "866954659b35f3be",
+    "fleet-200/4": "0e3cfb3187f65764",
+    "fleet-200/5": "a4dc95b89f7d300c",
+    "fleet-200/6": "8fdbc681637b05cc",
+    "fleet-200/7": "ad05d10fe4ab867a",
+    "fleet-200/8": "d9a62e714cd93153",
+    "fleet-200/9": "1eab8e3947039f8e",
+    "fleet-200/10": "ae5c09032013bb59",
+}
+
+
+def test_scenarios_parse_to_their_pinned_values():
+    root = SCENARIO_DIR.parent
+    texts = {name: (root / name).read_bytes() for name in PARSED if name.endswith(".scenario")}
+    texts.update(fleet_200_texts())
+    digests = {
+        name: hashlib.sha256(repr(parse_scenario(text)).encode()).hexdigest()[:16]
+        for name, text in texts.items()
+    }
+    assert digests == PARSED
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    text = (SCENARIO_DIR / "small.scenario").read_bytes()
+    assert parse_scenario(BOM + text) == parse_scenario(text)
+    # Text read with encoding="utf-8" (Path.read_text) keeps the mark as U+FEFF.
+    assert parse_scenario((BOM + text).decode()) == parse_scenario(text)
+    path = tmp_path / "bom.scenario"
+    path.write_bytes(BOM + text)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (b"# Two", BOM + BOM + b"# Two", "line 1, column 1: expected 'key = value' or 'section:'"),
+        (b"grid:", BOM + b"grid:", "line 2, column 1: unknown section '\\ufeffgrid'"),
+        (b"  num_slots", b"  " + BOM + b"num_slots",
+         "line 4, column 3: unknown key '\\ufeffnum_slots' in section 'grid'"),
+    ],
+)
+def test_a_byte_order_mark_anywhere_else_names_its_line(old, new, message):
+    text = (SCENARIO_DIR / "small.scenario").read_bytes().replace(old, new, 1)
+    for given in (text, text.decode()):
+        with pytest.raises(ScenarioFormatError) as info:
+            parse_scenario(given)
+        assert str(info.value) == message
+
+
+def test_a_decoding_error_after_a_mark_counts_the_mark():
+    text = BOM + (SCENARIO_DIR / "small.scenario").read_bytes()
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(text + b"\xff")
+    assert f"position {len(text)}:" in str(info.value)
+
+
+def test_a_parsed_vehicle_is_the_one_its_constructor_builds():
+    """Parsing fills a new session's ``__dict__`` instead of calling the frozen
+    constructor, which holds only while the class has no ``__post_init__``
+    and no ``__slots__``."""
+    assert not hasattr(EVSession, "__post_init__")
+    assert "__slots__" not in vars(EVSession)
+    small = parse_scenario((SCENARIO_DIR / "small.scenario").read_bytes())
+    # EV omits the optional power_min and loss_fraction, which take defaults.
+    for ev in small.evs + parse_scenario(MINIMAL + EV.format("a")).evs:
+        built = EVSession(**vars(ev))
+        assert (ev, hash(ev), repr(ev)) == (built, hash(built), repr(built))
+        assert vars(ev) == vars(built)
+        assert pickle.loads(pickle.dumps(ev)) == replace(ev) == built
 
 
 def test_generate_evs_deterministic_and_feasible():

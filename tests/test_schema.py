@@ -433,6 +433,27 @@ def test_a_mistyped_field_is_reported_by_name(entry, value):
         run(changed)
 
 
+@pytest.mark.parametrize(
+    "field, value, violation",
+    [
+        ("storage", "x", "storage must be StorageSpec or None, not str"),
+        ("solver", "x", "solver must be SolverConfig, not str"),
+        ("grid", None, "grid must be GridConfig, not NoneType"),
+        ("evs", (None,), "evs[0] must be an EVSession, not NoneType"),
+        ("evs", "ab", "evs must be a tuple of EVSession, not str"),
+    ],
+)
+def test_a_mistyped_section_is_reported_by_name(field, value, violation):
+    """A section (a vehicle) of the wrong type in a scenario built in Python
+    is a violation that names it (the vehicle by position), not an
+    exception, and the run stops before its first slot."""
+    small = parse_scenario((SCENARIO_DIR / "small.scenario").read_bytes())
+    changed = dataclasses.replace(small, **{field: value})
+    assert validate_scenario(changed).violations == (violation,)
+    with pytest.raises(ScenarioValidationError):
+        run(changed)
+
+
 def test_numpy_integers_run_the_same_day():
     scenario = parse_scenario(SMALL + FLEET)
     numpy = scenario
