@@ -123,10 +123,10 @@ def evaluate_dual(
     ``solver.kkt_tolerance`` and a vehicle workspace built here to
     ``solver.energy_tolerance``.  ``prices`` is the float list broadcast over
     ``dso_sub.window``, the one window of the supplier and the vehicles; a list
-    of another length raises ``ValueError`` from the solves.  Each vehicle
-    charges on the leading slots up to its departure and adds zero demand past
-    it.  The pass that forms the residual also takes its norm by NumPy's rule:
-    Python's ``max`` drops a NaN that is not its first argument, so the norm is
+    of another length raises ``ValueError`` from the solves.  The vehicles
+    answer over the whole window, each zero past its departure.  The pass
+    that forms the residual also takes its norm by NumPy's rule: Python's
+    ``max`` drops a NaN that is not its first argument, so the norm is
     written out, and a NaN imbalance, once met, stays the norm and never reads
     as a small number.  The dual value is the sum of the agents' optimal
     objectives, computed when it is first read.  ``last``, the previous
@@ -138,19 +138,15 @@ def evaluate_dual(
     vehicle workspace is built, each vehicle starts from the even spread of
     its requirement and the supplier from the zero point.
     """
-    window = dso_sub.window
-    n = window.length
     if sessions:
         workspace = last.ev_solutions.workspace if last else EVBatchWorkspace(
-            sessions, window, solver.energy_tolerance
+            sessions, dso_sub.window, solver.energy_tolerance
         )
         workspace.load_prices(prices)
         ev_solutions = workspace.solve(last and last.ev_solutions)
         demand = ev_solutions.demand
-        if workspace.width < n:
-            demand = demand + [0.0] * (n - workspace.width)
     else:
-        ev_solutions, demand = (), [0.0] * n
+        ev_solutions, demand = (), [0.0] * dso_sub.window.length
     dso_solution = solve_dso(dso_sub, prices, solver.kkt_tolerance, last and last.dso_solution)
 
     supply = dso_solution.generation_values

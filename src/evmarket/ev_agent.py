@@ -28,14 +28,15 @@ arithmetic; a workspace picks its kernel once, when it is built.  Both take
 each vehicle's saturation bracket from the extremes of its own prices, read
 its face (a requirement at or beyond a box face, or one to search for) from
 flags found when the workspace is built, evaluate only power and energy,
-sum the slope only before a Newton step, and hand back the batch's demand
-(its column sums) as floats.  The array kernel reads those extremes from the
-window list's running maximum and minimum at each vehicle's last slot,
-broadcasts the window list as one row of prices against the whole batch and
-converts the column sums once on exit.  Past a vehicle's departure its box
-and its weight are zero, so its level there is -1 (or +inf where the
-effective price is not positive, or NaN): the power is clamped to 0 and is
-never free, so the prices there never move the vehicle's answer.  The scalar
+sum the slope only before a Newton step, and hand back the rows and the
+batch's demand (its column sums) over the whole window, as floats.  The array
+kernel reads those extremes from the window list's running maximum and
+minimum at each vehicle's last slot, broadcasts the window list as one row of
+prices against the whole batch and converts the column sums once on exit.
+Past a vehicle's departure its box and its weight are zero, so its level
+there is -1 (or +inf where the effective price is not positive, or NaN): the
+power is clamped to 0 and is never free, so the prices there never move the
+vehicle's answer.  The scalar
 kernel builds no array: cold or started from a previous answer, it runs one
 per-vehicle path in loops over lists with a counter, on the window list
 itself for a stay that spans all of it, and builds a searching vehicle's
@@ -124,10 +125,10 @@ def utility(power: float, weight: float) -> float:
 class EVBatchSolution(Sequence[EVSolution]):
     """Solutions of one batch solve, as the kernel returned them.
 
-    The price loop reads ``demand`` (the column sums over the batch width, as
+    The price loop reads ``demand`` (the column sums over the window, as
     floats) and hands the whole solution to the next solve, which predicts its
     start from ``prices``, ``rows`` and ``multipliers``.  ``power`` (the
-    ``vehicles x width`` matrix, zero past each departure),
+    ``vehicles x window.length`` matrix, zero past each departure),
     ``energy_multiplier`` and ``feasible`` are arrays built on first access,
     ``objective`` is evaluated on first access at ``prices`` (the window list
     the batch was loaded with, one row for every vehicle, read only up to
@@ -162,7 +163,7 @@ class EVBatchSolution(Sequence[EVSolution]):
     def objective(self) -> np.ndarray:
         ws = self.workspace
         ws._matrices()
-        power, lam = self.power, np.asarray(self.prices)[: ws.width]
+        power, lam = self.power, np.asarray(self.prices)
         term = ws.weight_col * np.log(1.0 + power) - lam * power
         return np.where(ws.mask, term, 0.0).sum(axis=1)
 
@@ -181,7 +182,7 @@ class EVBatchWorkspace:
     else the solve needs is built here once, the tolerance too: each vehicle
     is solved to ``energy_tolerance`` kWh of its requirement.  Every vehicle
     must depart inside the window: ``window.start < departure <= window.end``,
-    else ``ValueError``.
+    else ``ValueError``.  Rows and demand span the window, ``width`` slots.
 
     Each vehicle's constants are derived here once, in plain floats (see
     :func:`_scalar_constants`): a weight of 0, a ``power_min`` of -1 or a
@@ -218,7 +219,7 @@ class EVBatchWorkspace:
         self.sessions, self.window, self.energy_tolerance = sessions, window, energy_tolerance
         self.prices = None
         self.lengths = np.array(lengths)
-        self.width = width = max(lengths)
+        self.width = width = window.length
         self._constants = _scalar_constants(sessions, lengths, window.slot_hours, energy_tolerance)
         self.mask = self.weight = self.weight_col = self.lo = self.hi = None
         self.rate = self.slope_coef = self.need = self.even = self.last = None
@@ -269,7 +270,7 @@ class EVBatchWorkspace:
         self, mu: np.ndarray, lam: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Water-filling power, its unclamped level and the delivered energy at
-        the row of prices ``lam``, the window list up to the batch width.
+        the row of prices ``lam``, the window list.
         Past a departure the weight is 0, so the level is -1, or +inf where
         ``q`` is not positive or is NaN, and the zero box clamps it."""
         q = lam + (mu * self.rate)[:, None]
@@ -311,15 +312,14 @@ class EVBatchWorkspace:
         non-finite prediction, a saturated requirement) run only when some row
         needs them."""
         self._matrices()
-        prices = np.asarray(self.prices)
-        lam = prices[: self.width]
+        lam = np.asarray(self.prices)
         need, rate, tol = self.need, self.rate, self.energy_tolerance
 
         # Saturation bounds: below mu_low every slot sits at the upper bound,
         # above mu_high every slot sits at the lower bound.  A running max or
         # min keeps a NaN, as a row max or min does.
-        top = np.maximum.accumulate(prices)[self.last]
-        bottom = np.minimum.accumulate(prices)[self.last]
+        top = np.maximum.accumulate(lam)[self.last]
+        bottom = np.minimum.accumulate(lam)[self.last]
         mu_low = (self.clamp_hi_price - top) / rate - 1.0
         mu_high = (self.clamp_lo_price - bottom) / rate + 1.0
 
@@ -334,7 +334,7 @@ class EVBatchWorkspace:
             prev = np.asarray(previous.rows)
             free = (prev > self.lo) & (prev < self.hi)
             sq = np.where(free, np.square(prev + 1.0), 0.0)
-            move = lam - np.asarray(previous.prices)[: self.width]
+            move = lam - np.asarray(previous.prices)
             num = np.add.reduce(np.where(free, sq * move, 0.0), 1)
             den = np.add.reduce(sq, 1)
             mu = np.asarray(previous.multipliers, dtype=float)
@@ -402,7 +402,7 @@ class EVBatchWorkspace:
         far out that the end is out of the start's reach.  Otherwise the
         bracket is built and clamps the start, which is evaluated again only
         if the clamp moved it."""
-        tol, width = self.energy_tolerance, self.width
+        tol = self.energy_tolerance
         inf, isfinite = math.inf, math.isfinite
         prices = self.prices
         n = len(prices)
@@ -519,14 +519,14 @@ class EVBatchWorkspace:
                 else:
                     mu = 0.5 * (mu_low + mu_high)
                 last_gap = abs_gap
-            if length < width:
-                power += [0.0] * (width - length)
+            if length < n:
+                power += [0.0] * (n - length)
             rows.append(power)
             mus.append(mu)
             feasible.append(abs_gap <= tol)
             i += 1
 
-        if width == 1 and len(rows) > _SCALAR_WIDTH:
+        if n == 1 and len(rows) > _SCALAR_WIDTH:
             # NumPy sums a one-slot batch's column pairwise, not in order.
             demand = [float(np.sum([power[0] for power in rows]))]
         elif len(rows) == 1:

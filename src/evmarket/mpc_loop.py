@@ -16,6 +16,7 @@ per kWh when recorded, so traces carry scenario units.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -60,7 +61,9 @@ class SimulationState:
     """Closed-loop state between slots.
 
     ``active`` holds vehicles currently plugged in and still needing energy;
-    ``pending`` holds future arrivals ordered by arrival slot.  ``prices``
+    ``pending`` holds future arrivals in ``(arrival, ev_id)`` order, as
+    :func:`initial_state` builds it: :func:`step` relies on that order to
+    admit a slot's arrivals with one binary search, not a scan.  ``prices``
     is the price list, per kW-slot, that the previous slot settled at.
     ``storage_energy`` is the supplier's private state, its stored energy.
     """
@@ -178,8 +181,8 @@ def step(
     """
     slot, hours = state.slot, scenario.grid.slot_hours
     energy_tolerance = scenario.solver.energy_tolerance
-    arrived = tuple(s for s in state.pending if s.arrival <= slot)
-    pending = tuple(s for s in state.pending if s.arrival > slot)
+    split = bisect_right(state.pending, slot, key=lambda s: s.arrival)
+    arrived, pending = state.pending[:split], state.pending[split:]
     # Vehicles past departure or already satisfied leave the market.
     active = tuple(
         s

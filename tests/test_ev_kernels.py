@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmarket import TimeGrid, ev_agent
-from evmarket.ev_agent import EVBatchSolution, EVBatchWorkspace
+from evmarket.ev_agent import EVBatchSolution, EVBatchWorkspace, solve_ev_batch
 
 from conftest import SLOT_HOURS, make_session, make_vehicle, start_at, window_of
 
@@ -377,3 +377,31 @@ def test_cached_saturation_flags_are_read_only():
                 array &= False
         ws._solve_array(200)
         assert ws._saturation is flags
+
+
+@pytest.mark.parametrize("slots", [5, ev_agent._SCALAR_WIDTH, ev_agent._SCALAR_WIDTH + 3])
+def test_a_batch_spans_a_window_longer_than_every_stay(slots):
+    """A batch answers over the window it is given, not over its longest
+    stay: through either kernel and through ``solve_ev_batch``, every row and
+    the demand have the window's length and are zero past each departure.
+    On a window the scalar kernel may take, the kernels agree bit for bit."""
+    sessions = [
+        make_session(ev_id="a", departure=1, energy=2.0),
+        make_session(ev_id="b", departure=3, energy=5.0),
+        make_session(ev_id="c", departure=4, energy=0.5),
+    ]
+    window = TimeGrid(0, slots, SLOT_HOURS)
+    prices = np.linspace(1.0, 3.0, slots).tolist()
+    ws = EVBatchWorkspace(sessions, window)
+    ws.load_prices(prices)
+    scalar, array = ws._solve_scalar(200), ws._solve_array(200)
+    for solution in (scalar, array, solve_ev_batch(sessions, window, prices)):
+        assert solution.power.shape == (len(sessions), slots)
+        assert len(solution.demand) == slots
+        for row, ses in zip(solution.power, sessions):
+            assert row[ses.departure :].tolist() == [0.0] * (slots - ses.departure)
+        assert solution.demand[4:] == [0.0] * (slots - 4)
+        assert solution.feasible.all()
+    if slots <= ev_agent._SCALAR_WIDTH:
+        assert_identical(scalar, array)
+        assert_same(ws, ([0.5, -1e6, 1e6], [False, True, False]), 200)

@@ -22,9 +22,10 @@ def numpy_reference(sessions, window: TimeGrid, tol: float) -> dict:
     from the sessions with NumPy: each vehicle's length, weight, box, rate,
     slope coefficient, requirement, even spread, clamp prices and face, its
     all-upper and all-lower row totals and its certificate bound, and the
-    mask with the weights and boxes, zero past each departure."""
+    mask over the window with the weights and boxes, zero past each
+    departure."""
     lengths = np.array([s.departure - window.start for s in sessions])
-    width = int(lengths.max())
+    width = window.length
     weight = np.array([s.weight for s in sessions])
     lo = np.array([s.power_min for s in sessions])
     hi = np.array([s.power_max for s in sessions])

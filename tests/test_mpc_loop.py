@@ -60,6 +60,29 @@ def test_step_applies_first_sample_and_updates_energy():
     assert record.converged
 
 
+class Unscannable(tuple):
+    """A tuple whose iteration raises: a slot that scans it fails."""
+
+    def __iter__(self):
+        raise AssertionError("the pending arrivals were scanned")
+
+
+def test_step_admits_arrivals_without_scanning_pending():
+    """``step`` splits the ``(arrival, ev_id)``-ordered pending tuple by
+    binary search, so a slot never scans the arrivals still to come,
+    however many there are."""
+    now = make_session(ev_id="a", arrival=0, departure=4, energy=3.0)
+    later = tuple(make_session(ev_id=f"z{k}", arrival=5, departure=8) for k in range(3))
+    state = SimulationState(
+        slot=0, active=(), pending=Unscannable((now, *later)), storage_energy=0.0,
+        prices=[4.0],
+    )
+    new_state, record = step(state, small_scenario([]))
+    assert list(record.per_ev) == ["a"]
+    assert new_state.active[0].ev_id == "a"
+    assert new_state.pending == later
+
+
 def test_idle_slot_with_storage_settles_at_dso_solution():
     state = SimulationState(
         slot=0, active=(), pending=(), storage_energy=100.0, prices=[4.0]
