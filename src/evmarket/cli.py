@@ -30,8 +30,7 @@ from .scenario_io import (
     SECTIONS,
     Scenario,
     ScenarioFormatError,
-    _EXPONENT_FROM,
-    _fmt,
+    format_number,
     parse_scenario,
     parse_value,
     resolve_sessions,
@@ -140,7 +139,7 @@ def _cmd_verify(args) -> int:
         w = d - g
         if over > 0 or not math.isfinite(w):
             why = (
-                f"demand leaves the generation box by {_short(over, 4)} kW"
+                f"demand leaves the generation box by {format_number(over, 4)} kW"
                 if over > 0
                 else f"D = {d}"
             )
@@ -158,12 +157,12 @@ def _cmd_verify(args) -> int:
     recs = trace.records
     print(
         f"{len(recs)} slots, {sum(r.iterations for r in recs)} dual iterations, "
-        f"max balance residual {_short(max(r.residual for r in recs), 4)} kW, "
+        f"max balance residual {format_number(max(r.residual for r in recs), 4)} kW, "
         f"flagged slots {flagged}"
     )
     print(
-        f"dual value {_fmt(dual)}, recovered welfare {_fmt(welfare)}, gap {gap:.3e} "
-        f"(relative {relative:.2e}), worst slot {worst_slot} at {worst:.2e}"
+        f"dual value {format_number(dual)}, recovered welfare {format_number(welfare)}, "
+        f"gap {gap:.3e} (relative {relative:.2e}), worst slot {worst_slot} at {worst:.2e}"
     )
     print(
         f"max EV stationarity residual {max(s[4] for s in slots):.2e}, "
@@ -217,21 +216,16 @@ def _cmd_simulate(args) -> int:
     s = trace.summary
     max_iters = max((rec.iterations for rec in trace.records), default=0)
     print(
-        f"{len(trace.records)} slots, peak demand {_short(s.peak_demand, 2)} kW, "
-        f"delivered {_short(s.energy_delivered, 2)} kWh, unmet {_short(s.energy_unmet, 4)} kWh"
+        f"{len(trace.records)} slots, peak demand {format_number(s.peak_demand, 2)} kW, "
+        f"delivered {format_number(s.energy_delivered, 2)} kWh, "
+        f"unmet {format_number(s.energy_unmet, 4)} kWh"
     )
     print(
-        f"price mean {_short(s.price_mean, 3)} stdev {_short(s.price_stdev, 3)} cent/kWh, "
+        f"price mean {format_number(s.price_mean, 3)} "
+        f"stdev {format_number(s.price_stdev, 3)} cent/kWh, "
         f"max dual iterations {max_iters}, non-converged slots {flagged}"
     )
     return 2 if flagged else 0
-
-
-def _short(x: float, decimals: int) -> str:
-    """``x`` to ``decimals`` places, in exponent form from the magnitude on
-    which the trace's cells take it, so no console figure runs to hundreds
-    of digits."""
-    return f"{x:.{decimals}f}" if abs(x) < _EXPONENT_FROM else f"{x:.{decimals}e}"
 
 
 def _report_flagged(trace) -> int:

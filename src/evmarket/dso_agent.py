@@ -13,16 +13,16 @@ linear_cost) / (2 * quadratic_cost))`` on the generation box, the clip written
 out with NumPy's rules for ties, signed zeros and NaN.  Otherwise primal-dual
 active-set rounds solve it (Hintermüller, Ito & Kunisch, SIAM J. Optim.
 2002).  A negotiation's :class:`DSOSubproblem`, built once for its window,
-holds what every solve on it shares: the pinned test and the form's
-constants, and for the rounds the boxes as float lists and the storage
-block's linear term.  Each round's active set (:class:`_ActiveSet`) holds
-its free and held entries and the elimination of its Newton system.  In the
-stored energy after each slot and its costate, that system is tridiagonal,
-one row per slot, the structure fast MPC solvers exploit (Rao, Wright &
-Rawlings, J. Optim. Theory Appl. 1998).  A Riccati recursion eliminates it
-from the last slot as the set is built, so on an active set the one Newton
-step is one backward and one forward sweep in plain floats: O(n), with no
-matrix built or inverted.
+holds what every solve on it shares: the pinned test, and the linear cost,
+the boxes as float lists, the coupling and the storage block's linear term,
+which the closed form and the rounds both read.  Each round's active set
+(:class:`_ActiveSet`) holds its free and held entries and the elimination of
+its Newton system.  In the stored energy after each slot and its costate,
+that system is tridiagonal, one row per slot, the structure fast MPC solvers
+exploit (Rao, Wright & Rawlings, J. Optim. Theory Appl. 1998).  A Riccati
+recursion eliminates it from the last slot as the set is built, so on an
+active set the one Newton step is one backward and one forward sweep in
+plain floats: O(n), with no matrix built or inverted.
 
 The first set comes from the start: the last price round's solution carries
 its own, and a slot's first call reads it off the zero point, each entry
@@ -39,8 +39,8 @@ Res. 1994).  The rounds are bounded by the window length; a singular set, a
 NaN entry, no change left or the bound raises :class:`ConvergenceError`.
 Every answer is certified by one O(n) plain-float check of its
 projected-stationarity residual, written from the Hessian's structure, and
-handed back as float lists; the stacked array and the objective value are
-built only when they are read.
+handed back as float lists, held once; the objective value is computed only
+when it is read.
 """
 from __future__ import annotations
 
@@ -78,12 +78,13 @@ class DSOSubproblem:
 
     What every solve on it shares is derived once, when it is built, as plain
     attributes: every solve reads them, and a cached property reads slower.
-    ``_closed_form`` is whether the closed form solves it (a pinned storage
-    box and a strictly convex cost), then the form's constants: the pinned
-    storage power, the linear cost, the generation box and twice the
-    quadratic cost.  The rest serves the active-set rounds, which solve ``max
-    g.z - z.Q.z / 2`` on the stacked point ``z = (P_l, P_s)`` with ``g =
-    (price - lin, storage_g)``; ``lower`` and ``upper`` are its box.
+    ``pinned`` is whether the closed form solves it (a pinned storage box and
+    a strictly convex cost).  The rest describes the problem ``max g.z -
+    z.Q.z / 2`` on the stacked point ``z = (P_l, P_s)`` with ``g = (price -
+    lin, storage_g)``, which the active-set rounds solve; ``lower`` and
+    ``upper`` are its box and ``coupling`` twice the quadratic cost.  The
+    closed form reads the pinned storage power ``lower[n]``, ``lin``, the
+    generation box ``lower[0]`` and ``upper[0]``, and ``coupling``.
     """
 
     dso: DSOSpec
@@ -106,10 +107,7 @@ class DSOSubproblem:
         # is c, ``tracking`` is r and ``overlap[i, j] = n - max(i, j)``.
         coupling = 2.0 * dso.cost_quadratic
         derived = dict(
-            _closed_form=(
-                st.power_min == st.power_max and dso.cost_quadratic > 0,
-                st.power_min, lin, dso.power_min, dso.power_max, coupling,
-            ),
+            pinned=st.power_min == st.power_max and dso.cost_quadratic > 0,
             n=n, lin=lin, rate=rate, drift=drift, weight=weight, coupling=coupling,
             lower=[dso.power_min] * n + [st.power_min] * n,
             upper=[dso.power_max] * n + [st.power_max] * n,
@@ -221,9 +219,9 @@ class DSOSolution:
     """Optimal dispatch at ``prices`` (the broadcast it was solved for).
 
     ``generation_values`` and ``storage_values`` are float lists over the
-    window; the price loop reads the former, and a settled slot the first
-    entry of both.  ``point`` (the two stacked as an array) and ``objective``
-    are built on first access.  A solve with storage also sets ``active``,
+    window, the answer's one copy; the price loop reads the former, and a
+    settled slot the first entry of both.  ``objective`` is computed on
+    first access.  A solve with storage also sets ``active``,
     the active set of the point: passed back as ``start`` on the same
     subproblem, the solution starts the next round from it.  One is made per
     dual iteration, so it is a plain dataclass: a frozen one takes about
@@ -238,20 +236,19 @@ class DSOSolution:
     active: _ActiveSet | None = None
 
     @cached_property
-    def point(self) -> np.ndarray:
-        return np.array(self.generation_values + self.storage_values)
-
-    @cached_property
     def objective(self) -> float:
-        n = len(self.generation_values)
-        return _objective(self.sub, np.asarray(self.prices), self.point[:n], self.point[n:])
+        return _objective(
+            self.sub,
+            np.asarray(self.prices),
+            np.asarray(self.generation_values),
+            np.asarray(self.storage_values),
+        )
 
     def loss_at(self, generation: Sequence[float]) -> float:
         """What the supplier gives up by generating ``generation`` instead of
         its answer, its storage kept: ``objective`` minus the objective there."""
-        n = len(self.generation_values)
         lam, other = np.asarray(self.prices), np.asarray(generation, dtype=float)
-        return self.objective - _objective(self.sub, lam, other, self.point[n:])
+        return self.objective - _objective(self.sub, lam, other, np.asarray(self.storage_values))
 
 
 def generation_cost(net_power, quad_coeff: float, lin_coeff: float):
@@ -403,8 +400,8 @@ def solve_dso(
     lam, n = prices, sub.n
     if type(lam) is not list or len(lam) != n:
         lam = sub.window.price_list(prices)
-    closed, pin, lin, lo, hi, scale = sub._closed_form
-    if closed:
+    if sub.pinned:
+        pin, lin, lo, hi, scale = sub.lower[n], sub.lin, sub.lower[0], sub.upper[0], sub.coupling
         gen = []
         residual = 0.0
         for price in lam:

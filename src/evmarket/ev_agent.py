@@ -46,9 +46,10 @@ give bit-identical powers, multipliers, flags and demand.
 
 A workspace derives each vehicle's constants once, in plain floats, and both
 kernels read them: the array kernel's NumPy vectors are stacked from their
-columns.  A vehicle whose constants would divide by zero is refused, and no
-attribute is added to a workspace after its constructor (see
-:class:`EVBatchWorkspace`).
+columns.  A vehicle whose constants would divide by zero is refused, and a
+workspace's attributes are its fixed ``__slots__`` (see
+:class:`EVBatchWorkspace`).  A batch's answer is held once, as the kernel
+returned it: rows, multipliers and flags (see :class:`EVBatchSolution`).
 """
 from __future__ import annotations
 
@@ -123,20 +124,22 @@ def utility(power: float, weight: float) -> float:
 
 @dataclass(eq=False)
 class EVBatchSolution(Sequence[EVSolution]):
-    """Solutions of one batch solve, as the kernel returned them.
+    """Solutions of one batch solve, as the kernel returned them, each held
+    once: the scalar kernel gives lists, the array kernel arrays.
 
-    The price loop reads ``demand`` (the column sums over the window, as
-    floats) and hands the whole solution to the next solve, which predicts its
-    start from ``prices``, ``rows`` and ``multipliers``.  ``power`` (the
-    ``vehicles x window.length`` matrix, zero past each departure),
-    ``energy_multiplier`` and ``feasible`` are arrays built on first access,
-    ``objective`` is evaluated on first access at ``prices`` (the window list
-    the batch was loaded with, one row for every vehicle, read only up to
-    each departure), and indexing gives one vehicle's :class:`EVSolution`.
-    Reading ``objective`` builds a scalar batch's workspace matrices, which
-    it is read with.  The kernel sets every field when it builds one.  One
-    is made per dual iteration, so it is a plain dataclass: a frozen one
-    takes about three times as long to construct.
+    ``rows`` holds each vehicle's powers over the window (zero past its
+    departure), ``multipliers`` its terminal-energy multiplier and ``flags``
+    whether it met its requirement.  The price loop reads ``demand`` (the
+    column sums over the window, as floats) and hands the whole solution to
+    the next solve, which predicts its start from ``prices``, ``rows`` and
+    ``multipliers``.  ``objective`` is evaluated on first access at
+    ``prices`` (the window list the batch was loaded with, one row for every
+    vehicle, read only up to each departure), and indexing gives one
+    vehicle's :class:`EVSolution`.  Reading ``objective`` builds a scalar
+    batch's workspace matrices, which it is read with.  The kernel sets every
+    field when it builds one.  One is made per dual iteration, so it is a
+    plain dataclass: a frozen one takes about three times as long to
+    construct.
     """
 
     workspace: EVBatchWorkspace
@@ -147,23 +150,11 @@ class EVBatchSolution(Sequence[EVSolution]):
     demand: list[float]
 
     @cached_property
-    def power(self) -> np.ndarray:
-        return np.asarray(self.rows)
-
-    @cached_property
-    def energy_multiplier(self) -> np.ndarray:
-        return np.asarray(self.multipliers)
-
-    @cached_property
-    def feasible(self) -> np.ndarray:
-        return np.asarray(self.flags)
-
-    @cached_property
     @np.errstate(over="ignore", invalid="ignore")
     def objective(self) -> np.ndarray:
         ws = self.workspace
         ws._matrices()
-        power, lam = self.power, np.asarray(self.prices)
+        power, lam = np.asarray(self.rows), np.asarray(self.prices)
         term = ws.weight_col * np.log(1.0 + power) - lam * power
         return np.where(ws.mask, term, 0.0).sum(axis=1)
 
@@ -182,7 +173,8 @@ class EVBatchWorkspace:
     else the solve needs is built here once, the tolerance too: each vehicle
     is solved to ``energy_tolerance`` kWh of its requirement.  Every vehicle
     must depart inside the window: ``window.start < departure <= window.end``,
-    else ``ValueError``.  Rows and demand span the window, ``width`` slots.
+    else ``ValueError``.  Rows and demand span the window, ``window.length``
+    slots.
 
     Each vehicle's constants are derived here once, in plain floats (see
     :func:`_scalar_constants`): a weight of 0, a ``power_min`` of -1 or a
@@ -193,14 +185,17 @@ class EVBatchWorkspace:
     built here for an array batch and, for a scalar batch, the first time
     an array solve or a solution's ``objective`` needs them; until then
     they are None.  Each vehicle's departure is recorded there once: its
-    weight and box are zero past it.  Every attribute is set here, so none
-    is added after construction: on CPython 3.11 an attribute added later
-    (a ``functools.cached_property`` writing into ``__dict__``) makes every
-    later read on the workspace about 3 times slower (9.5 to 27 ns) and
-    every write about 4 times (12 to 45 ns), for the rest of the
-    negotiation.  Extreme slot lengths overflow the precomputed rates
-    quietly, as in the solve.
+    weight and box are zero past it.  The attributes are the class's
+    ``__slots__``, all set in the constructor: a workspace has no
+    ``__dict__``, so none can be added later.  Extreme slot lengths overflow
+    the precomputed rates quietly, as in the solve.
     """
+
+    __slots__ = (
+        "window", "energy_tolerance", "prices", "lengths", "_constants", "_scalar",
+        "mask", "weight", "weight_col", "lo", "hi", "rate", "slope_coef", "need", "even", "last",
+        "clamp_lo_price", "clamp_hi_price", "_saturation",
+    )
 
     def __init__(
         self,
@@ -216,16 +211,15 @@ class EVBatchWorkspace:
             if not start < s.departure <= end:
                 raise ValueError(f"vehicle {s.ev_id} does not depart inside the window")
             lengths.append(s.departure - start)
-        self.sessions, self.window, self.energy_tolerance = sessions, window, energy_tolerance
+        self.window, self.energy_tolerance = window, energy_tolerance
         self.prices = None
         self.lengths = np.array(lengths)
-        self.width = width = window.length
         self._constants = _scalar_constants(sessions, lengths, window.slot_hours, energy_tolerance)
         self.mask = self.weight = self.weight_col = self.lo = self.hi = None
         self.rate = self.slope_coef = self.need = self.even = self.last = None
         self.clamp_lo_price = self.clamp_hi_price = self._saturation = None
         # The kernel, chosen once: the price loop re-solves the same batch.
-        self._scalar = width <= _SCALAR_WIDTH and len(sessions) <= _SCALAR_VEHICLES
+        self._scalar = window.length <= _SCALAR_WIDTH and len(sessions) <= _SCALAR_VEHICLES
         if not self._scalar:
             self._matrices()
 
@@ -239,7 +233,7 @@ class EVBatchWorkspace:
             _, weight, lo, hi, self.rate, self.slope_coef, self.need, self.even,
             self.clamp_lo_price, self.clamp_hi_price, face,
         ) = np.array(list(zip(*self._constants))[:11])
-        self.mask = mask = np.arange(self.width)[None, :] < lengths[:, None]
+        self.mask = mask = np.arange(self.window.length)[None, :] < lengths[:, None]
         # Weight and box per slot, zero past departure: there the level is
         # -1 or +inf whatever the price, so the power is clamped to 0 and
         # the slope never counts the slot.
@@ -631,7 +625,8 @@ def solve_ev(
 
 def stationarity_residual(solution: EVSolution) -> float:
     """Largest violation of the first-order optimality conditions, at the
-    prices the solution was solved at.
+    prices the solution was solved at, with the weight, box and rate of the
+    workspace's constants.
 
     Interior slots must satisfy ``w/(1+p) = price + mu*rate`` exactly;
     slots at a bound only need the sign of that gradient to point outward.
@@ -639,13 +634,11 @@ def stationarity_residual(solution: EVSolution) -> float:
     p = solution.power
     batch, i = solution._batch, solution._index
     lam = np.asarray(batch.prices[: p.size])
-    ses = batch.workspace.sessions[i]
-    rate = ses.energy_rate(batch.workspace.window.slot_hours)
-    grad = ses.weight / (1.0 + p) - lam - solution.energy_multiplier * rate
-    width = ses.power_max - ses.power_min
-    edge = 1e-9 * max(1.0, width)
-    at_lo = p <= ses.power_min + edge
-    at_hi = p >= ses.power_max - edge
+    _, w, lo, hi, rate = batch.workspace._constants[i][:5]
+    grad = w / (1.0 + p) - lam - solution.energy_multiplier * rate
+    edge = 1e-9 * max(1.0, hi - lo)
+    at_lo = p <= lo + edge
+    at_hi = p >= hi - edge
     res = np.abs(grad)
     res = np.where(at_lo, np.maximum(grad, 0.0), res)
     res = np.where(at_hi, np.maximum(-grad, 0.0), res)

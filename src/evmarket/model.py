@@ -38,17 +38,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """A planning window: ``length`` slots of ``slot_hours`` each, starting at slot ``start``."""
+    """A planning window: ``length`` slots of ``slot_hours`` each, starting at
+    slot ``start``.  ``start`` and ``length`` must be integers (NumPy's
+    included), ``length`` at least 1 and ``slot_hours`` positive and finite,
+    else ``ValueError``."""
 
     start: int
     length: int
     slot_hours: float
 
     def __post_init__(self) -> None:
+        if not (_integral(self.start) and _integral(self.length)):
+            raise ValueError("window start and length must be integers")
         if self.length < 1:
             raise ValueError("window must contain at least one slot")
-        if self.slot_hours <= 0:
-            raise ValueError("slot duration must be positive")
+        if not 0 < self.slot_hours < inf:
+            raise ValueError("slot duration must be positive and finite")
 
     @property
     def slots(self) -> range:
@@ -80,7 +85,8 @@ class EVSession:
     default.
 
     Invariants (checked by :func:`validate_scenario`, not the constructor):
-    integer arrival <= departure <= the day's slot count, 0 <= power_min <=
+    integer 0 <= arrival <= departure <= the day's slot count (a vehicle
+    charges in the slots ``[arrival, departure)``), 0 <= power_min <=
     power_max, energy_needed >= 0, 0 <= loss_fraction < 1, weight > 0 (the
     utility's slope at zero power, by which the water-filling solve divides).
     """
@@ -487,6 +493,8 @@ def _violations(scenario) -> list[str]:
         seen.add(ev.ev_id)
         if not (_integral(ev.arrival) and _integral(ev.departure)):
             out.append(f"{label}: arrival and departure must be integers")
+        if not ev.arrival >= 0:
+            out.append(f"{label}: arrival must be nonnegative")
         if not ev.departure >= ev.arrival:
             out.append(f"{label}: empty charging window (departure before arrival)")
         if not ev.departure <= grid.num_slots:

@@ -82,6 +82,7 @@ __all__ = [
     "generate_evs",
     "resolve_sessions",
     "write_trace",
+    "format_number",
 ]
 
 
@@ -429,41 +430,43 @@ def resolve_sessions(scenario: Scenario) -> tuple[EVSession, ...]:
 _EXPONENT_FROM = 1e15
 
 
-def _fmt(x: float) -> str:
-    """Six decimals, or ``%.6e`` from a magnitude of ``_EXPONENT_FROM`` on,
-    so a cell has at most 23 characters; a value that rounds to zero is
-    written ``0.000000`` whatever its sign, so round-off in a sign never
-    moves a byte."""
-    text = f"{x:.6f}" if abs(x) < _EXPONENT_FROM else f"{x:.6e}"
-    return "0.000000" if text == "-0.000000" else text
+def format_number(x: float, decimals: int = 6) -> str:
+    """``x`` to ``decimals`` places, or in exponent form from a magnitude of
+    ``_EXPONENT_FROM`` on, as the trace's cells (six places, at most 23
+    characters) and the console's figures are written, so none runs to
+    hundreds of digits; a value that rounds to zero is written without a
+    sign, so round-off in a sign never moves a byte."""
+    text = ("%.*f" if -_EXPONENT_FROM < x < _EXPONENT_FROM else "%.*e") % (decimals, x)
+    return text if text[0] != "-" or text.strip("-0.") else text[1:]
+
 
 
 # Each table's columns: the header and the function that prints a row's cell
 # under it; a row is the tuple of that function's arguments.
 _SLOT_COLUMNS = (
     ("slot", lambda rec, hours: str(rec.slot)),
-    ("time_hours", lambda rec, hours: _fmt(rec.slot * hours)),
-    ("price_applied", lambda rec, hours: _fmt(rec.price_applied)),
-    ("demand_total_kw", lambda rec, hours: _fmt(rec.demand_total)),
-    ("p_l_kw", lambda rec, hours: _fmt(rec.generation)),
-    ("p_s_kw", lambda rec, hours: _fmt(rec.storage_power)),
-    ("storage_soc_kwh", lambda rec, hours: _fmt(rec.storage_energy)),
+    ("time_hours", lambda rec, hours: format_number(rec.slot * hours)),
+    ("price_applied", lambda rec, hours: format_number(rec.price_applied)),
+    ("demand_total_kw", lambda rec, hours: format_number(rec.demand_total)),
+    ("p_l_kw", lambda rec, hours: format_number(rec.generation)),
+    ("p_s_kw", lambda rec, hours: format_number(rec.storage_power)),
+    ("storage_soc_kwh", lambda rec, hours: format_number(rec.storage_energy)),
     ("iterations", lambda rec, hours: str(rec.iterations)),
-    ("residual_kw", lambda rec, hours: _fmt(rec.residual)),
+    ("residual_kw", lambda rec, hours: format_number(rec.residual)),
     ("converged", lambda rec, hours: "true" if rec.converged else "false"),
 )
 _EV_COLUMNS = (
     ("slot", lambda slot, ev_id, power, soc_error: str(slot)),
     ("ev_id", lambda slot, ev_id, power, soc_error: ev_id),
-    ("power_kw", lambda slot, ev_id, power, soc_error: _fmt(power)),
-    ("soc_error_kwh", lambda slot, ev_id, power, soc_error: _fmt(soc_error)),
+    ("power_kw", lambda slot, ev_id, power, soc_error: format_number(power)),
+    ("soc_error_kwh", lambda slot, ev_id, power, soc_error: format_number(soc_error)),
 )
 _SUMMARY_COLUMNS = (
-    ("price_mean", lambda s: _fmt(s.price_mean)),
-    ("price_stdev", lambda s: _fmt(s.price_stdev)),
-    ("peak_demand_kw", lambda s: _fmt(s.peak_demand)),
-    ("energy_delivered_kwh", lambda s: _fmt(s.energy_delivered)),
-    ("energy_unmet_kwh", lambda s: _fmt(s.energy_unmet)),
+    ("price_mean", lambda s: format_number(s.price_mean)),
+    ("price_stdev", lambda s: format_number(s.price_stdev)),
+    ("peak_demand_kw", lambda s: format_number(s.peak_demand)),
+    ("energy_delivered_kwh", lambda s: format_number(s.energy_delivered)),
+    ("energy_unmet_kwh", lambda s: format_number(s.energy_unmet)),
 )
 
 

@@ -102,3 +102,27 @@ def start_at(ws: EVBatchWorkspace, multipliers, upper=None) -> EVBatchSolution:
     rows = rows.tolist()
     flags = [True] * len(rows)
     return EVBatchSolution(ws, ws.prices, rows, [float(mu) for mu in multipliers], flags, rows[0])
+
+
+def signs(values) -> np.ndarray:
+    """The sign bit of each value, a NaN's read as set."""
+    values = np.asarray(values, dtype=float)
+    return np.signbit(values) | np.isnan(values)
+
+
+def assert_identical(scalar: EVBatchSolution, array: EVBatchSolution, nan=False):
+    """The two EV kernels' answers are bit-identical: the rows byte for byte
+    with their dtype and shape, the multipliers, flags and demand equal with
+    the sign of every zero; ``nan=True`` lets a NaN multiplier match a NaN in
+    the same place, which only a NaN price may cause."""
+    rows, other = np.asarray(scalar.rows), np.asarray(array.rows)
+    assert rows.dtype == other.dtype and rows.shape == other.shape
+    assert rows.tobytes() == other.tobytes()
+    mus, other_mus = np.asarray(scalar.multipliers), np.asarray(array.multipliers)
+    assert mus.dtype == other_mus.dtype
+    assert np.array_equal(mus, other_mus, equal_nan=nan)
+    assert np.array_equal(signs(mus), signs(other_mus))
+    flags, other_flags = np.asarray(scalar.flags), np.asarray(array.flags)
+    assert flags.dtype == other_flags.dtype and np.array_equal(flags, other_flags)
+    assert scalar.demand == array.demand == other.sum(axis=0).tolist()
+    assert np.array_equal(signs(scalar.demand), signs(array.demand))

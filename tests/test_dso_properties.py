@@ -54,6 +54,11 @@ EPS = SolverConfig()
 REFERENCE_EPS = SolverConfig(kkt_tolerance=1e-12)
 
 
+def stacked(solution) -> np.ndarray:
+    """A supplier answer as the stacked point ``(P_l, P_s)``."""
+    return np.array(solution.generation_values + solution.storage_values)
+
+
 def _residual(point, grad, lo, hi):
     """Dense projected-stationarity residual: how far a gradient step moves
     ``point``."""
@@ -155,17 +160,18 @@ def test_closed_form_matches_projected_newton(market):
     zero_set = ws.active_set([0.0] * (2 * ws.n))
     point, _, _ = dso_agent._rounds(ws, zero_set, prices, REFERENCE_EPS.kkt_tolerance)
     point = np.array(point)
-    np.testing.assert_allclose(sol.point, point, rtol=0.0, atol=1e-9)
+    answer = stacked(sol)
+    np.testing.assert_allclose(answer, point, rtol=0.0, atol=1e-9)
     gen = np.array(sol.generation_values)
     assert np.all(gen >= sub.dso.power_min) and np.all(gen <= sub.dso.power_max)
     np.testing.assert_array_equal(sol.storage_values, 0.0)
     n = sub.window.length
-    assert sol.objective == _objective(sub, lam, sol.point[:n], sol.point[n:])
+    assert sol.objective == _objective(sub, lam, gen, np.array(sol.storage_values))
     reference = _objective(sub, lam, point[:n], point[n:])
     # Storage is pinned on both sides, so only generation moves the objective:
     # f(closed form) - f(reference) <= grad f(reference) . (step).
     grad = lam - sub.dso.cost_linear - 2.0 * sub.dso.cost_quadratic * (point[:n] - point[n:])
-    shortfall = max(float(grad @ (sol.point[:n] - point[:n])), 0.0)
+    shortfall = max(float(grad @ (answer[:n] - point[:n])), 0.0)
     rounding = 1e-12 + 1e-9 * abs(reference)
     assert reference - rounding <= sol.objective <= reference + shortfall + rounding
     assert sol.kkt_residual <= EPS.kkt_tolerance
@@ -216,7 +222,7 @@ def check_warm_against_cold(sub, prices, start):
     the warm answer is certified and in the boxes."""
     warm = solve_dso(sub, prices, REFERENCE_EPS.kkt_tolerance, start=start)
     cold = solve_dso(sub, prices, REFERENCE_EPS.kkt_tolerance)
-    np.testing.assert_allclose(warm.point, cold.point, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(stacked(warm), stacked(cold), rtol=0.0, atol=1e-9)
     warm = solve_dso(sub, prices, EPS.kkt_tolerance, start=start)
     assert warm.kkt_residual <= EPS.kkt_tolerance
     gen, ps = np.array(warm.generation_values), np.array(warm.storage_values)
@@ -334,7 +340,7 @@ def test_rounds_after_a_large_price_move_match_the_cold_solve(market, data):
     assert all(lo <= v <= hi for lo, v, hi in zip(ws.lower, point, ws.upper))
     assert active.sides == ws.active_set(point).sides
     cold = solve_dso(sub, prices, REFERENCE_EPS.kkt_tolerance)
-    np.testing.assert_allclose(point, cold.point, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(point, stacked(cold), rtol=0.0, atol=1e-9)
     check_warm_against_cold(sub, prices, start)
 
 

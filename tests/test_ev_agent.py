@@ -7,7 +7,7 @@ from evmarket import SolverConfig, TimeGrid, solve_ev, solve_ev_batch, utility
 from evmarket.ev_agent import EVBatchWorkspace, stationarity_residual
 
 from bruteforce import ev_bruteforce, ev_objective
-from conftest import SLOT_HOURS, make_session, make_vehicle, random_vehicle
+from conftest import SLOT_HOURS, assert_identical, make_session, make_vehicle, random_vehicle
 
 
 def test_utility_values():
@@ -229,7 +229,4 @@ def test_kernels_agree_on_huge_prices():
         ws = EVBatchWorkspace(sessions, TimeGrid(0, width, SLOT_HOURS))
         ws.load_prices(rng.uniform(1e29, 5e31, size=width))
         scalar, array = ws._solve_scalar(200), ws._solve_array(200)
-        np.testing.assert_array_equal(scalar.power, array.power)
-        np.testing.assert_array_equal(scalar.energy_multiplier, array.energy_multiplier)
-        np.testing.assert_array_equal(scalar.feasible, array.feasible)
-        assert scalar.demand == array.demand
+        assert_identical(scalar, array)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from evmarket import TimeGrid, ev_agent
 from evmarket.ev_agent import EVBatchSolution, EVBatchWorkspace, solve_ev_batch
 
-from conftest import SLOT_HOURS, make_session, make_vehicle, start_at, window_of
+from conftest import SLOT_HOURS, assert_identical, make_session, make_vehicle, start_at, window_of
 
 # Where the requirement sits relative to the energy the box can deliver.
 NEEDS = ("zero", "interior", "full", "floor", "over", "under")
@@ -98,26 +98,6 @@ def assert_same(ws, start, max_iter, nan=False):
     assert_identical(scalar, ws._solve_array(max_iter, previous), nan)
 
 
-def signs(values) -> np.ndarray:
-    """The sign bit of each value, a NaN's read as set."""
-    values = np.asarray(values, dtype=float)
-    return np.signbit(values) | np.isnan(values)
-
-
-def assert_identical(scalar, array, nan=False):
-    """Bit-identical answers, the sign of a zero included; ``nan=True`` lets
-    a NaN multiplier match a NaN in the same place, which only a NaN price
-    may cause."""
-    assert scalar.power.dtype == array.power.dtype
-    assert scalar.power.tobytes() == array.power.tobytes()
-    assert np.array_equal(scalar.energy_multiplier, array.energy_multiplier, equal_nan=nan)
-    assert np.array_equal(signs(scalar.energy_multiplier), signs(array.energy_multiplier))
-    assert np.array_equal(scalar.feasible, array.feasible)
-    assert scalar.feasible.dtype == array.feasible.dtype
-    assert scalar.demand == array.demand == array.power.sum(axis=0).tolist()
-    assert np.array_equal(signs(scalar.demand), signs(array.demand))
-
-
 @settings(max_examples=500, deadline=None)
 @given(ws=batches(), start=STARTS, max_iter=st.sampled_from([200, 200, 1, 3]))
 def test_scalar_kernel_matches_array_kernel(ws, start, max_iter):
@@ -170,7 +150,7 @@ def short_stays(draw):
 def first_answer(solution):
     """The first vehicle's row, multiplier, flag and objective, as bytes."""
     return (
-        solution.power[0].tobytes(),
+        np.asarray(solution.rows[0]).tobytes(),
         np.asarray(solution.multipliers, dtype=float)[0].tobytes(),
         bool(solution.flags[0]),
         solution.objective[0].tobytes(),
@@ -231,7 +211,7 @@ def test_kernels_agree_on_the_sign_of_zero_past_a_departure(start):
     ws = EVBatchWorkspace(sessions, TimeGrid(0, 3, SLOT_HOURS))
     ws.load_prices([1.0, 2.0, 3.0])
     assert_same(ws, start, 200)
-    assert np.signbit(ws._solve_array(200).power[0]).tolist() == [True, False, False]
+    assert np.signbit(ws._solve_array(200).rows[0]).tolist() == [True, False, False]
 
 
 def starts(ws, previous, nan=False):
@@ -284,7 +264,7 @@ def test_nan_price_gives_a_nan_start_on_either_kernel():
         assert math.isnan(starts(ws, previous, nan=True)[0])
         array = ws._solve_array(200, previous)
         assert_identical(ws._solve_scalar(200, previous), array, nan=True)
-        assert array.power.tolist() == [[20.0] * 3]
+        assert array.rows.tolist() == [[20.0] * 3]
         assert_same(ws, None, 200, nan=True)
 
 
@@ -302,7 +282,7 @@ def test_nonpositive_effective_price_and_zero_slope():
     ws = EVBatchWorkspace([ses], window)
     ws.load_prices([0.0, 3.0, 1.0])
     ws._matrices()
-    lam = np.asarray(ws.prices)[: ws.width]
+    lam = np.asarray(ws.prices)
     mu_low = (ws.clamp_hi_price - lam.max()) / ws.rate - 1.0
     q = lam + (mu_low * ws.rate)[:, None]
     assert (q <= 0).any()
@@ -310,7 +290,7 @@ def test_nonpositive_effective_price_and_zero_slope():
     assert slope[0] == 0.0
     for max_iter in (1, 2, 200):
         assert_same(ws, ([-1e6], [True]), max_iter)
-    assert ws.solve(previous=start_at(ws, [-1e6])).feasible.all()
+    assert all(ws.solve(previous=start_at(ws, [-1e6])).flags)
 
 
 def batch(vehicles, width):
@@ -320,30 +300,33 @@ def batch(vehicles, width):
     return ws
 
 
-def kernel_used(ws, monkeypatch):
+def kernel_used(ws):
+    """The kernels ``ws.solve`` calls, spied on the class: a workspace has
+    no instance dictionary to patch."""
     used = []
-    for name in ("_solve_scalar", "_solve_array"):
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_solve_scalar", "_solve_array"):
 
-        def spy(*args, _name=name, _kernel=getattr(ws, name)):
-            used.append(_name)
-            return _kernel(*args)
+            def spy(*args, _name=name, _kernel=getattr(EVBatchWorkspace, name)):
+                used.append(_name)
+                return _kernel(*args)
 
-        monkeypatch.setattr(ws, name, spy)
-    ws.solve()
+            mp.setattr(EVBatchWorkspace, name, spy)
+        ws.solve()
     return used
 
 
-def test_size_rule_picks_the_kernel(monkeypatch):
+def test_size_rule_picks_the_kernel():
     width, vehicles = ev_agent._SCALAR_WIDTH, ev_agent._SCALAR_VEHICLES
-    assert kernel_used(batch(vehicles, width), monkeypatch) == ["_solve_scalar"]
-    assert kernel_used(batch(vehicles, 1), monkeypatch) == ["_solve_scalar"]
+    assert kernel_used(batch(vehicles, width)) == ["_solve_scalar"]
+    assert kernel_used(batch(vehicles, 1)) == ["_solve_scalar"]
     # Small batches with wide rows, where the scalar kernel is the faster one.
     for count, slots in ((16, 4), (12, 5), (20, 3), (12, 7)):
-        assert kernel_used(batch(count, slots), monkeypatch) == ["_solve_scalar"]
+        assert kernel_used(batch(count, slots)) == ["_solve_scalar"]
     # One vehicle past the cutoff, or one slot past the width.
-    assert kernel_used(batch(vehicles + 1, 1), monkeypatch) == ["_solve_array"]
-    assert kernel_used(batch(vehicles + 1, width), monkeypatch) == ["_solve_array"]
-    assert kernel_used(batch(1, width + 1), monkeypatch) == ["_solve_array"]
+    assert kernel_used(batch(vehicles + 1, 1)) == ["_solve_array"]
+    assert kernel_used(batch(vehicles + 1, width)) == ["_solve_array"]
+    assert kernel_used(batch(1, width + 1)) == ["_solve_array"]
 
 
 @pytest.mark.parametrize("count", range(1, ev_agent._SCALAR_VEHICLES + 1))
@@ -396,12 +379,12 @@ def test_a_batch_spans_a_window_longer_than_every_stay(slots):
     ws.load_prices(prices)
     scalar, array = ws._solve_scalar(200), ws._solve_array(200)
     for solution in (scalar, array, solve_ev_batch(sessions, window, prices)):
-        assert solution.power.shape == (len(sessions), slots)
+        assert np.shape(solution.rows) == (len(sessions), slots)
         assert len(solution.demand) == slots
-        for row, ses in zip(solution.power, sessions):
-            assert row[ses.departure :].tolist() == [0.0] * (slots - ses.departure)
+        for row, ses in zip(solution.rows, sessions):
+            assert list(row[ses.departure :]) == [0.0] * (slots - ses.departure)
         assert solution.demand[4:] == [0.0] * (slots - 4)
-        assert solution.feasible.all()
+        assert all(solution.flags)
     if slots <= ev_agent._SCALAR_WIDTH:
         assert_identical(scalar, array)
         assert_same(ws, ([0.5, -1e6, 1e6], [False, True, False]), 200)

@@ -1,5 +1,6 @@
 """Property tests of the batch vehicle solver on generated batches."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,7 +61,7 @@ def solve(ws, start):
         ws.load_prices(prices)
         return ws.solve(previous=previous)
     if kind == "good":
-        mu = ws.solve().energy_multiplier + noise * 1e-3
+        mu = np.asarray(ws.solve().multipliers) + noise * 1e-3
     else:
         mu = np.resize([noise * 1e6, -noise * 1e6, np.nan, np.inf], len(ws.lengths))
     return ws.solve(previous=start_at(ws, mu))
@@ -106,6 +107,13 @@ def test_warm_started_solves_need_few_energy_evaluations():
     same steps (``test_ev_kernels.py``)."""
     rng = np.random.default_rng(3)
     solves = evaluations = 0
+    power_at = EVBatchWorkspace._power_at
+
+    def counted(self, m, lam):
+        nonlocal evaluations
+        evaluations += 1
+        return power_at(self, m, lam)
+
     for _ in range(60):
         count = int(rng.integers(1, 8))
         sessions = []
@@ -121,24 +129,18 @@ def test_warm_started_solves_need_few_energy_evaluations():
                 )
             )
         ws = EVBatchWorkspace(sessions, window_of(sessions))
-        width = ws.width
+        width = ws.window.length
         prices = rng.uniform(0.5, 4.0, size=width)
         ws.load_prices(prices)
         batch = ws._solve_array(200)
-        power_at = ws._power_at
-
-        def counted(m, lam):
-            nonlocal evaluations
-            evaluations += 1
-            return power_at(m, lam)
-
-        ws._power_at = counted
-        for _ in range(10):
-            prices = np.maximum(prices + rng.normal(0.0, 0.02, size=width), 0.0)
-            ws.load_prices(prices)
-            batch = ws._solve_array(200, batch)
-            assert batch.feasible.all()
-            solves += 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(EVBatchWorkspace, "_power_at", counted)
+            for _ in range(10):
+                prices = np.maximum(prices + rng.normal(0.0, 0.02, size=width), 0.0)
+                ws.load_prices(prices)
+                batch = ws._solve_array(200, batch)
+                assert all(batch.flags)
+                solves += 1
     assert evaluations / solves <= 5.0, evaluations / solves
 
 
@@ -151,10 +153,10 @@ def test_predicted_start_meets_the_tolerance_more_often_than_the_last_multiplier
     rng = np.random.default_rng(0)
     sessions = [random_vehicle(rng)[0] for _ in range(30)]
     ws = EVBatchWorkspace(sessions, window_of(sessions))
-    prices = rng.uniform(0.1, 8.0, size=ws.width)
+    prices = rng.uniform(0.1, 8.0, size=ws.window.length)
     ws.load_prices(prices)
     previous = ws.solve()
     ws.load_prices(np.maximum(prices + rng.normal(0.0, 0.005, size=prices.size), 0.0))
-    predicted = ws._solve_array(0, previous).feasible.sum()
+    predicted = np.count_nonzero(ws._solve_array(0, previous).flags)
     plain = ws._solve_array(0, start_at(ws, previous.multipliers))
-    assert predicted > plain.feasible.sum()
+    assert predicted > np.count_nonzero(plain.flags)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from evmarket import TimeGrid, ev_agent
 from evmarket.ev_agent import EVBatchWorkspace
 
-from conftest import SLOT_HOURS, make_session, start_at
+from conftest import SLOT_HOURS, assert_identical, make_session, start_at
 
 # Price and weight scales: the certificate's bound, 2**40 rates, is about
 # 2.7e11 cent per kWh at 15-minute slots, so the first two keep |mu * rate|
@@ -63,17 +63,10 @@ def moved(draw, prices, size):
     return [p * f for p, f in zip(prices, factors)]
 
 
-def assert_identical(scalar, array):
-    assert np.array_equal(scalar.power, array.power)
-    assert np.array_equal(scalar.energy_multiplier, array.energy_multiplier)
-    assert np.array_equal(scalar.feasible, array.feasible)
-    assert scalar.demand == array.demand
-
-
 def has_free_slot(solution):
     ws = solution.workspace
     ws._matrices()
-    power = np.asarray(solution.power)
+    power = np.asarray(solution.rows)
     return bool(np.any(ws.mask & (power > ws.lo) & (power < ws.hi)))
 
 
@@ -150,5 +143,5 @@ def test_a_start_past_the_magnitude_bound_is_clamped():
     previous = start_at(ws, [-2.3558119001560625e26])
     for max_iter in (0, 1, 200):
         array = ws._solve_array(max_iter, previous)
-        assert array.energy_multiplier[0] != -2.3558119001560625e26
+        assert array.multipliers[0] != -2.3558119001560625e26
         assert_identical(ws._solve_scalar(max_iter, previous), array)

@@ -30,7 +30,7 @@ from evmarket import (
 from evmarket.coordinator import DualIterationState
 from evmarket.dso_agent import ConvergenceError, DSOSolution, solve_dso
 
-from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, make_session
+from conftest import SLOT_HOURS, TABLE1_DSO, TABLE1_STORAGE, assert_identical, make_session
 
 NO_STORAGE = StorageSpec(0.0, 0.0, 0.0, 0.0)
 NAN = math.nan
@@ -100,7 +100,7 @@ def test_pinned_dispatch_is_the_numpy_closed_form_bit_for_bit(prices, lin, lo, h
     sub = dso_sub(len(prices), DSOSpec(quad, lin, lo, hi), StorageSpec(pin, pin, 0.0, 0.0))
     # A NaN pin fails the pinned test (NaN != NaN); the closed form's
     # arithmetic is still checked on it.
-    object.__setattr__(sub, "_closed_form", (True, *sub._closed_form[1:]))
+    object.__setattr__(sub, "pinned", True)
     with np.errstate(all="ignore"):
         margin = np.array(prices) - lin
         scale = 2.0 * quad
@@ -237,10 +237,9 @@ def test_loop_is_bit_identical_on_either_kernel(market):
     assert np.array_equal(routed.price_values, forced.price_values)
     assert np.array_equal(routed.demand_values, forced.demand_values)
     assert np.array_equal(routed.supply_values, forced.supply_values)
-    for a, b in zip(routed.ev_solutions, forced.ev_solutions, strict=True):
-        assert np.array_equal(a.power, b.power)
-        assert a.energy_multiplier == b.energy_multiplier
-        assert a.feasible == b.feasible
+    assert len(routed.ev_solutions) == len(forced.ev_solutions) == len(sessions)
+    if sessions:
+        assert_identical(routed.ev_solutions, forced.ev_solutions)
 
 
 @settings(max_examples=100, deadline=None)

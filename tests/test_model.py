@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from evmarket import (
     PowerProfile,
     PriceVector,
     TimeGrid,
+    parse_scenario,
     validate_scenario,
 )
-from conftest import make_session
+from evmarket.cli import main
+from conftest import SCENARIO_DIR, make_session
 
 
 def test_time_grid_invariants():
@@ -18,6 +22,24 @@ def test_time_grid_invariants():
         TimeGrid(0, 0, 0.25)
     with pytest.raises(ValueError):
         TimeGrid(0, 4, 0.0)
+    assert TimeGrid(np.int64(2), np.int32(3), 0.25).end == 5
+
+
+@pytest.mark.parametrize(
+    "start, length, hours, message",
+    [
+        (0, 3, math.nan, "slot duration must be positive and finite"),
+        (0, 3, math.inf, "slot duration must be positive and finite"),
+        (0, 2.5, 0.25, "window start and length must be integers"),
+        (0.5, 2, 0.25, "window start and length must be integers"),
+    ],
+    ids=["nan hours", "inf hours", "fractional length", "fractional start"],
+)
+def test_time_grid_refuses_a_window_the_agents_cannot_solve(start, length, hours, message):
+    """A NaN or infinite slot, or a fractional start or length, is refused
+    when the window is built, not later inside an agent."""
+    with pytest.raises(ValueError, match=message):
+        TimeGrid(start, length, hours)
 
 
 def test_price_vector_rejects_negative_and_is_readonly():
@@ -100,3 +122,18 @@ def test_validate_flags_duplicate_ids(table1_scenario):
     evs = (make_session(ev_id="x"), make_session(ev_id="x"))
     report = validate_scenario(replace(table1_scenario, evs=evs))
     assert any("duplicate id" in v for v in report.violations)
+
+
+def test_validate_flags_a_negative_arrival(tmp_path, capsys):
+    """An arrival is the index of a vehicle's first charging slot, so one
+    before slot 0 is reported, by the report and by the command line, which
+    refuses to run the day."""
+    text = (SCENARIO_DIR / "small.scenario").read_text().replace("arrival = 0", "arrival = -5", 1)
+    report = validate_scenario(parse_scenario(text))
+    assert report.violations == ("ev a: arrival must be nonnegative",)
+    path = tmp_path / "early.scenario"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "ev a: arrival must be nonnegative\n"
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "arrival must be nonnegative" in capsys.readouterr().err
