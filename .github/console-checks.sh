@@ -18,6 +18,19 @@ evmarket validate scenarios/table1.scenario
 # A file saved with a UTF-8 byte-order mark reads as one without.
 printf '\357\273\277' | cat - scenarios/small.scenario > "$tmp/bom.scenario"
 evmarket validate "$tmp/bom.scenario"
+# An explicit vehicle that takes an id the fleet generates is named by
+# validate itself, next to the same vehicle's other violations.
+sed -e 's/id = a$/id = ev01/' -e '0,/weight = 10/s//weight = -1/' \
+  scenarios/small.scenario > "$tmp/clash.scenario"
+printf 'fleet:\n  count = 2\n  power_max = 22\n  weight = 10\n' >> "$tmp/clash.scenario"
+status=0
+evmarket validate "$tmp/clash.scenario" > "$tmp/clash.out" || status=$?
+test "$status" -eq 1
+grep -qxF 'ev ev01: duplicate id (the fleet generates it too)' "$tmp/clash.out"
+grep -qxF 'ev ev01: weight must be positive' "$tmp/clash.out"
+# A form feed inside a comment ends no line.
+sed "1s/^# /# page$(printf '\f')break, /" scenarios/small.scenario > "$tmp/feed.scenario"
+test "$(evmarket validate "$tmp/feed.scenario")" = "scenario ok"
 # 20,000 explicit vehicles, whose weight and energy lines all
 # differ, are parsed and validated within 30 s, so set-up that
 # grows faster than the file fails here.

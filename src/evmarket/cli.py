@@ -33,7 +33,6 @@ from .scenario_io import (
     format_number,
     parse_scenario,
     parse_value,
-    resolve_sessions,
     write_trace,
 )
 
@@ -173,13 +172,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_validate(args) -> int:
     # main reports unreadable files (exit 3) and malformed text (exit 1).
-    scenario = parse_scenario(Path(args.scenario).read_bytes())
-    report = validate_scenario(scenario)
-    if report.ok:
-        try:
-            resolve_sessions(scenario)
-        except ScenarioValidationError as exc:
-            report = exc.report
+    report = validate_scenario(parse_scenario(Path(args.scenario).read_bytes()))
     print(report)
     return 0 if report.ok else 1
 

@@ -14,8 +14,9 @@ concurrently running agent solves.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
-from math import inf, isfinite
+from math import inf
 from numbers import Integral, Real
 from typing import Callable, Mapping
 
@@ -52,7 +53,7 @@ class TimeGrid:
             raise ValueError("window start and length must be integers")
         if self.length < 1:
             raise ValueError("window must contain at least one slot")
-        if not 0 < self.slot_hours < inf:
+        if not 0 < self.slot_hours <= _MAX:
             raise ValueError("slot duration must be positive and finite")
 
     @property
@@ -272,10 +273,31 @@ class ScenarioValidationError(ValueError):
         self.report = report
 
 
+_MAX = sys.float_info.max  # the largest float
+
+
+def finite(*values) -> bool:
+    """Whether each number lies within +-the largest float: NaN, +-inf and an
+    integer too large for a float fail, and no comparison raises.  After a
+    sign test, an inline ``<= _MAX`` is the same test."""
+    return all(-_MAX <= value <= _MAX for value in values)
+
+
+def finite_or_inf(value: float) -> str | None:
+    """What is wrong with ``dso.power_max``, else None: its schema row and
+    :func:`validate_scenario` both check it with this rule."""
+    return None if finite(value) or value == inf else "must be finite or inf"
+
+
 def nonnegative(value: int) -> str | None:
     """What is wrong with a scenario ``seed``, else None: the seed's schema
     row and :func:`validate_scenario` both check it with this rule."""
     return None if value >= 0 else "must be nonnegative"
+
+
+def fleet_id(number: int) -> str:
+    """The id of a fleet's ``number``-th generated vehicle, from 1: ``ev01``, ..."""
+    return f"ev{number:02d}"
 
 
 def csv_field(value: str) -> str | None:
@@ -325,7 +347,7 @@ def loop_problems(solver: SolverConfig) -> list[str]:
         out.append("step_size must be positive")
     if not solver.balance_tolerance > 0:
         out.append("balance_tolerance must be positive")
-    if not (solver.step_size < inf and solver.balance_tolerance < inf):
+    if not finite(solver.step_size, solver.balance_tolerance):
         out.append("step_size and balance_tolerance must be finite")
     if not _integral(solver.max_iterations):
         out.append("max_iterations must be an integer")
@@ -339,7 +361,7 @@ def loop_problems(solver: SolverConfig) -> list[str]:
         out.append("kkt_tolerance must be positive")
     if not solver.energy_tolerance > 0:
         out.append("energy_tolerance must be positive")
-    if not (solver.kkt_tolerance < inf and solver.energy_tolerance < inf):
+    if not finite(solver.kkt_tolerance, solver.energy_tolerance):
         out.append("kkt_tolerance and energy_tolerance must be finite")
     return out
 
@@ -390,7 +412,7 @@ def _check_box(spec, label: str, out: list[str], hours: float, energy: float = 0
         out.append(f"{label}: loss fraction leaves no stored energy in a slot of slot_minutes")
     if not spec.weight > 0:
         out.append(f"{label}: weight must be positive")
-    if not (spec.power_max < inf and spec.weight < inf and energy < inf):
+    if not (spec.power_max <= _MAX and spec.weight <= _MAX and energy <= _MAX):
         out.append(f"{label}: power_max, weight and energy must be finite")
 
 
@@ -399,8 +421,9 @@ def validate_scenario(scenario) -> ValidationReport:
 
     Accepts any dataclass with the :class:`~evmarket.scenario_io.Scenario`
     field layout (so the model layer stays free of parsing concerns).  Every
-    number must be finite, except ``dso.power_max``, which may be ``inf``;
-    each test holds for legal values, so NaN fails it.  A field of the wrong
+    number must pass :func:`finite`, except ``dso.power_max``, which may be
+    ``inf``; each test holds for legal values, so NaN fails it.  No explicit
+    vehicle may take an id that the fleet generates.  A field of the wrong
     type (in a scenario built in Python) that makes a test raise is reported
     by name instead; a well-typed scenario pays nothing for that check.
     """
@@ -421,7 +444,7 @@ def _violations(scenario) -> list[str]:
         out.append(f"seed {problem}")
 
     grid = scenario.grid
-    hours = grid.slot_hours
+    hours = 0.0  # until slot_minutes passes its tests
     if not _integral(grid.num_slots):
         out.append("grid: num_slots must be an integer")
     if not grid.num_slots >= 1:
@@ -430,9 +453,9 @@ def _violations(scenario) -> list[str]:
         out.append(f"grid: num_slots {problem}")
     if not grid.slot_minutes > 0:
         out.append("grid: slot_minutes must be positive")
-    elif grid.slot_minutes == inf:
+    elif not finite(grid.slot_minutes):
         out.append("grid: slot_minutes must be finite")
-    elif hours == 0:
+    elif (hours := grid.slot_hours) == 0:
         out.append("grid: slot_minutes must be positive in hours")
 
     dso = scenario.dso
@@ -440,7 +463,9 @@ def _violations(scenario) -> list[str]:
         out.append("dso: cost not strictly convex (quadratic coefficient must be positive)")
     if not dso.power_min <= dso.power_max:
         out.append("dso: power_min above power_max")
-    if not all(map(isfinite, (dso.cost_quadratic, dso.cost_linear, dso.power_min))):
+    elif problem := finite_or_inf(dso.power_max):
+        out.append(f"dso: power_max {problem}")
+    if not finite(dso.cost_quadratic, dso.cost_linear, dso.power_min):
         out.append("dso: quadratic_cost, linear_cost and power_min must be finite")
 
     storage = scenario.storage
@@ -460,14 +485,14 @@ def _violations(scenario) -> list[str]:
                 "storage: tracking not strictly convex "
                 "(tracking_weight must be positive when the power bounds differ)"
             )
-        if not all(map(isfinite, (storage.power_min, storage.power_max, storage.energy_initial,
-                                  storage.energy_reference, storage.tracking_weight))):
+        if not finite(storage.power_min, storage.power_max, storage.energy_initial,
+                      storage.energy_reference, storage.tracking_weight):
             out.append("storage: power bounds, energies and tracking_weight must be finite")
 
     solver = scenario.solver
     if not solver.initial_price >= 0:
         out.append("solver: initial_price must be nonnegative")
-    elif not solver.initial_price * hours < inf:
+    elif not (solver.initial_price <= _MAX and solver.initial_price * hours <= _MAX):
         # The price loop starts from initial_price per kW-slot.
         out.append("solver: initial_price must be finite per kW-slot")
     out += [f"solver: {problem}" for problem in loop_problems(solver)]
@@ -480,6 +505,10 @@ def _violations(scenario) -> list[str]:
             out.append("fleet: count must be nonnegative")
         elif problem := at_most(MAX_FLEET)(fleet.count):
             out.append(f"fleet: count {problem}")
+        elif _integral(fleet.count) and scenario.evs:
+            explicit = {ev.ev_id for ev in scenario.evs}
+            out += [f"ev {ev_id}: duplicate id (the fleet generates it too)"
+                    for ev_id in map(fleet_id, range(1, fleet.count + 1)) if ev_id in explicit]
         _check_box(fleet, "fleet", out, hours)
 
     seen: set[str] = set()

@@ -1,7 +1,8 @@
 """Scenario files, seeded fleet generation and trace serialization.
 
 Scenario files are a small key/value tree, UTF-8 (one leading byte-order
-mark is dropped), one entry per line::
+mark is dropped), one entry per line.  Only a line feed, a carriage return or
+the two in turn end a line, so a comment may hold any other character::
 
     # comment
     grid:
@@ -41,7 +42,6 @@ order, fixed numeric formatting, so traces are byte-identical across runs.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -54,12 +54,13 @@ from .model import (
     MAX_SLOTS,
     DSOSpec,
     EVSession,
-    ScenarioValidationError,
     SolverConfig,
     StorageSpec,
-    ValidationReport,
     at_most,
     csv_field,
+    finite,
+    finite_or_inf,
+    fleet_id,
     known_schedule,
     nonnegative,
     validate_scenario,  # noqa: F401 -- bench/run.py wraps it here by name
@@ -157,14 +158,6 @@ class Entry(NamedTuple):
         return f"{self.section}.{self.key}" if self.section else self.key
 
 
-def _finite(value: float) -> str | None:
-    return None if math.isfinite(value) else "must be finite"
-
-
-def _finite_or_inf(value: float) -> str | None:
-    return None if math.isfinite(value) or value == math.inf else "must be finite or inf"
-
-
 # Section name -> (Scenario attribute, type, presence).
 SECTIONS = {
     "grid": ("grid", GridConfig, "required"),
@@ -183,7 +176,7 @@ SCHEMA = (
     Entry("dso", "quadratic_cost", "cost_quadratic", float, REQUIRED),
     Entry("dso", "linear_cost", "cost_linear", float, REQUIRED),
     Entry("dso", "power_min", "power_min", float),
-    Entry("dso", "power_max", "power_max", float, REQUIRED, _finite_or_inf),
+    Entry("dso", "power_max", "power_max", float, REQUIRED, finite_or_inf),
     Entry("storage", "power_min", "power_min", float, REQUIRED),
     Entry("storage", "power_max", "power_max", float, REQUIRED),
     Entry("storage", "energy_initial", "energy_initial", float, REQUIRED),
@@ -241,11 +234,10 @@ def parse_value(entry: Entry, raw: str, line: int | None = None):
     except ValueError:
         where = "" if line is not None else f" for {entry.name}"
         raise ScenarioFormatError(f"cannot parse {raw!r} as {kind.__name__}{where}", line) from None
-    if check is None:
-        if kind is not float or math.isfinite(value):
-            return value
-        check = _finite
-    problem = check(value)
+    if check is not None:
+        problem = check(value)
+    else:
+        problem = None if kind is not float or finite(value) else "must be finite"
     if problem is not None:
         raise ScenarioFormatError(f"{entry.name} {problem}, got {raw!r}", line)
     return value
@@ -259,7 +251,9 @@ def _parse_tree(text: str) -> dict[str, list[tuple[int | None, dict]]]:
     top_block: dict = {}
     blocks: dict[str, list[tuple[int | None, dict]]] = {"": [(None, top_block)]}
     current: dict | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if "#" in line:
             line = line.partition("#")[0]
         key, eq, raw = line.partition("=")
@@ -395,7 +389,7 @@ def generate_evs(
         energy = floor + float(rng.uniform(0.0, 1.0)) * (cap - floor)
         sessions.append(
             EVSession(
-                ev_id=f"ev{i + 1:02d}",
+                ev_id=fleet_id(i + 1),
                 arrival=arrival,
                 departure=departure,
                 power_min=bounds.power_min,
@@ -409,20 +403,13 @@ def generate_evs(
 
 
 def resolve_sessions(scenario: Scenario) -> tuple[EVSession, ...]:
-    """Explicit sessions plus the generated fleet, in deterministic order.
-
-    Raises :class:`ScenarioValidationError` when an explicit id is also one
-    that the fleet generates.
-    """
+    """Explicit sessions plus the generated fleet, in deterministic order;
+    their ids are distinct once :func:`~evmarket.model.validate_scenario`
+    accepts the scenario, which refuses an explicit id the fleet generates."""
     if scenario.fleet is None:
         return scenario.evs
-    generated = generate_evs(scenario.fleet.count, scenario.grid, scenario.fleet, scenario.seed)
-    explicit = {ses.ev_id for ses in scenario.evs}
-    clashes = [f"ev {ses.ev_id}: duplicate id (the fleet generates it too)"
-               for ses in generated if ses.ev_id in explicit]
-    if clashes:
-        raise ScenarioValidationError(ValidationReport(tuple(clashes)))
-    return scenario.evs + generated
+    return scenario.evs + generate_evs(
+        scenario.fleet.count, scenario.grid, scenario.fleet, scenario.seed)
 
 
 # From this magnitude on a float's spacing passes 0.1, and numbers are

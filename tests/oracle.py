@@ -3,7 +3,7 @@
 The oracle maximizes total vehicle utility minus generation cost minus the
 storage tracking penalty, with the per-slot balance handled by substituting
 generation with total demand.  Each vehicle's delivered-energy equality is
-enforced inside the projection step by bisecting a per-vehicle shift.  It is
+enforced inside the projection step by an exact per-vehicle shift.  It is
 deliberately capped to a few slots and vehicles: it is the reference the
 tests hold the negotiated market against.
 """
@@ -96,23 +96,25 @@ def _project_rows_to_energy(
 ) -> np.ndarray:
     """Project each row onto its box, with a fixed row sum where required.
 
-    Rows with an equality get ``clip(v + shift)`` with the shift bisected until
-    the row sum hits the target; plain rows are clipped only.
+    Rows with an equality get ``clip(v + shift)``.  The row sum is piecewise
+    linear and nondecreasing in the shift, with a breakpoint wherever an
+    entry meets a bound, so the shift that hits the target is interpolated
+    exactly between the two breakpoints around it (the nearer end when the
+    target is out of the box's reach).  Plain rows are clipped only.
     """
     out = np.clip(point, lo, hi)
     if not eq_rows.any():
         return out
-    shift_lo = (lo - point).min(axis=1) - 1.0
-    shift_hi = (hi - point).max(axis=1) + 1.0
-    for _ in range(100):
-        mid = 0.5 * (shift_lo + shift_hi)
-        sums = np.clip(point + mid[:, None], lo, hi).sum(axis=1)
-        gap = sums - targets
-        if np.abs(gap[eq_rows]).max() <= 1e-12 * max(1.0, float(np.abs(targets).max())):
-            break
-        shift_lo = np.where(gap < 0, mid, shift_lo)
-        shift_hi = np.where(gap > 0, mid, shift_hi)
-    shifted = np.clip(point + (0.5 * (shift_lo + shift_hi))[:, None], lo, hi)
+    knots = np.sort(np.concatenate([lo - point, hi - point], axis=1), axis=1)
+    sums = np.clip(point[:, None, :] + knots[:, :, None], lo[:, None, :], hi[:, None, :]).sum(axis=2)
+    rows = np.arange(len(point))
+    # The breakpoints at or below the target bracket it from the left.
+    upper = np.clip((sums < targets[:, None]).sum(axis=1), 1, knots.shape[1] - 1)
+    s0, s1 = knots[rows, upper - 1], knots[rows, upper]
+    f0, f1 = sums[rows, upper - 1], sums[rows, upper]
+    rise = f1 - f0
+    frac = np.clip((targets - f0) / np.where(rise > 0, rise, 1.0), 0.0, 1.0)
+    shifted = np.clip(point + (s0 + frac * (s1 - s0))[:, None], lo, hi)
     return np.where(eq_rows[:, None], shifted, out)
 
 

@@ -333,8 +333,45 @@ def test_zero_tracking_weight_override_is_rejected(tmp_path, capsys):
     assert_rejected(path, capsys, message, "--set", "storage.tracking_weight=0")
 
 
-def test_bad_override_key_rejected(tmp_path, small_file):
-    assert main(["run", str(small_file), "--out", str(tmp_path), "--set", "nope.key=1"]) == 1
+# A generated fleet and no storage section.
+FLEET_RUN = Path(__file__).resolve().parent / "data" / "fleet-run.scenario"
+
+
+@pytest.mark.parametrize(
+    "path, spec, message",
+    [
+        (None, "solver.step_size", "override 'solver.step_size' is not KEY=VALUE"),
+        (None, "nope=1", "override key 'nope' must be section.key or 'seed'"),
+        (None, "nope.key=1", "unknown override section 'nope'"),
+        (None, "solver.nope=1", "unknown override key 'solver.nope'"),
+        (FLEET_RUN, "storage.power_max=1", "scenario has no 'storage' section to override"),
+    ],
+    ids=["no-value", "top-level-key", "unknown-section", "unknown-key", "absent-section"],
+)
+def test_bad_override_key_rejected(tmp_path, capsys, small_file, path, spec, message):
+    """An override that names no entry of the scenario exits 1 with one
+    line naming it, and writes nothing."""
+    out = tmp_path / "out"
+    assert main(["run", str(path or small_file), "--out", str(out), "--set", spec]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, spec, message",
+    [
+        (None, "solver.max_iterations=0", "solver: max_iterations must be at least 1"),
+        (None, "grid.num_slots=0", "grid: num_slots must be at least 1"),
+        (FLEET_RUN, "fleet.count=-1", "fleet: count must be nonnegative"),
+    ],
+    ids=["no-iterations", "no-slots", "negative-fleet"],
+)
+def test_a_count_below_its_floor_is_rejected(tmp_path, capsys, small_file, path, spec, message):
+    out = tmp_path / "out"
+    assert main(["run", str(path or small_file), "--out", str(out), "--set", spec]) == 1
+    # With no slots the vehicles' departures are past the horizon too.
+    assert capsys.readouterr().err.startswith(f"error: invalid scenario\n{message}\n")
+    assert not out.exists()
 
 
 def test_seed_is_inert_for_explicit_sessions(tmp_path, small_file):

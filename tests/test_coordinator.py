@@ -43,6 +43,11 @@ def test_update_price_projects_at_zero():
     np.testing.assert_allclose(update_price([0.1], [100.0], 0.01), [0.0])
 
 
+def test_update_price_refuses_lists_of_two_lengths():
+    with pytest.raises(ValueError, match="price and residual lengths differ"):
+        update_price([16.0, 16.0], [1.0], 0.01)
+
+
 def test_prices_stay_nonnegative_through_updates():
     rng = np.random.default_rng(8)
     prices = rng.uniform(0, 5, size=4).tolist()

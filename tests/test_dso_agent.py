@@ -51,6 +51,24 @@ def test_tracking_penalty_hand_cases():
     assert storage_tracking_penalty(100.0, np.zeros(5), TABLE1_STORAGE, grid5) == 0.0
 
 
+def test_tracking_penalty_refuses_a_profile_of_another_length():
+    with pytest.raises(ValueError, match="profile length must equal the window length"):
+        storage_tracking_penalty(100.0, [0.0, 0.0], TABLE1_STORAGE, TimeGrid(0, 3, 0.25))
+
+
+def test_rounds_on_a_singular_active_set_stall_at_once():
+    """With no tracking weight, free storage and free generation leave the
+    Newton system singular: validation refuses such a supplier, so the
+    subproblem is built directly, and its first round raises."""
+    storage = StorageSpec(-10.0, 10.0, 50.0, 50.0, tracking_weight=0.0)
+    sub = make_sub(2, storage=storage)
+    active = dso_agent._ActiveSet(sub, (0, 0, 0, 0))
+    assert active.newton([16.0, 16.0], sub.lin) is None
+    with pytest.raises(ConvergenceError, match=r"stalled at residual inf in round 1 of") as info:
+        dso_agent._rounds(sub, active, [16.0, 16.0], 1e-6)
+    assert info.value.residual == np.inf
+
+
 def test_zero_price_zero_linear_cost_stays_idle():
     dso = DSOSpec(0.06, 0.0, 0.0, 100.0)
     sol = solve_dso(make_sub(3, dso=dso), [0.0] * 3)

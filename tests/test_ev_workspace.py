@@ -181,6 +181,11 @@ def test_a_zero_divisor_is_refused_naming_the_vehicle(fields, count):
         negotiate_slot(sessions, dso_sub, [3.0, 3.0])
 
 
+def test_a_workspace_needs_a_vehicle():
+    with pytest.raises(ValueError, match="workspace needs at least one vehicle"):
+        EVBatchWorkspace([], TimeGrid(0, 2, SLOT_HOURS))
+
+
 def test_no_attribute_is_added_after_construction():
     """A workspace is re-solved at every dual evaluation of its negotiation,
     and each solve reads it many times, so its layout is fixed by the

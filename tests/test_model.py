@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import pytest
 from evmarket import (
     PowerProfile,
     PriceVector,
+    ScenarioValidationError,
     TimeGrid,
     parse_scenario,
+    run,
     validate_scenario,
 )
 from evmarket.cli import main
@@ -137,3 +141,66 @@ def test_validate_flags_a_negative_arrival(tmp_path, capsys):
     assert capsys.readouterr().out == "ev a: arrival must be nonnegative\n"
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "arrival must be nonnegative" in capsys.readouterr().err
+
+
+SMALL_TEXT = (SCENARIO_DIR / "small.scenario").read_text()
+# small.scenario with vehicle a renamed ev01, which a two-vehicle fleet
+# generates too.
+CLASH_TEXT = SMALL_TEXT.replace("id = a", "id = ev01") + (
+    "\nfleet:\n  count = 2\n  power_max = 22\n  weight = 10\n"
+)
+CLASH = "ev ev01: duplicate id (the fleet generates it too)"
+
+
+def test_validate_reports_an_id_the_fleet_generates_with_the_other_violations():
+    """The validator itself names the clash, next to a broken rule of the
+    same vehicle, and run refuses the day with the same report."""
+    assert validate_scenario(parse_scenario(CLASH_TEXT)).violations == (CLASH,)
+    text = CLASH_TEXT.replace("weight = 10", "weight = -1", 1)
+    report = validate_scenario(parse_scenario(text))
+    assert report.violations == (CLASH, "ev ev01: weight must be positive")
+    with pytest.raises(ScenarioValidationError) as info:
+        run(parse_scenario(text))
+    assert str(info.value) == str(report)
+
+
+def test_a_fleet_whose_count_fails_its_rule_is_not_checked_for_clashes():
+    text = CLASH_TEXT.replace("count = 2", "count = -1")
+    assert validate_scenario(parse_scenario(text)).violations == ("fleet: count must be nonnegative",)
+
+
+HUGE = 10**400  # an integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "section, attr, message",
+    [
+        ("dso", "cost_linear", "dso: quadratic_cost, linear_cost and power_min must be finite"),
+        ("dso", "power_max", "dso: power_max must be finite or inf"),
+        ("storage", "power_min", "storage: power bounds, energies and tracking_weight must be finite"),
+        ("solver", "initial_price", "solver: initial_price must be finite per kW-slot"),
+        ("solver", "step_size", "solver: step_size and balance_tolerance must be finite"),
+        ("grid", "slot_minutes", "grid: slot_minutes must be finite"),
+        ("ev", "weight", "ev a: power_max, weight and energy must be finite"),
+        ("ev", "energy_needed", "ev a: power_max, weight and energy must be finite"),
+    ],
+)
+def test_an_integer_too_large_for_a_float_is_reported_not_raised(section, attr, message):
+    """A number built in Python past the float range fails the finiteness
+    test like inf: the validator names it, and run refuses the day before
+    any conversion could overflow."""
+    scenario = parse_scenario(SMALL_TEXT)
+    if section == "ev":
+        first, *rest = scenario.evs
+        bad = replace(scenario, evs=(replace(first, **{attr: HUGE}), *rest))
+    else:
+        owner = getattr(scenario, section)
+        bad = replace(scenario, **{section: replace(owner, **{attr: -HUGE if attr == "power_min" else HUGE})})
+    assert validate_scenario(bad).violations == (message,)
+    with pytest.raises(ScenarioValidationError, match=re.escape(message)):
+        run(bad)
+
+
+def test_time_grid_refuses_slot_hours_too_large_for_a_float():
+    with pytest.raises(ValueError, match="slot duration must be positive and finite"):
+        TimeGrid(0, 3, HUGE)

@@ -135,3 +135,34 @@ def test_matches_negotiated_welfare_within_one_percent():
         problem.window,
     )
     assert abs(negotiated - central.welfare) <= 0.01 * abs(central.welfare)
+
+
+def test_energy_projection_hits_each_row_sum_on_one_shift():
+    """The oracle's projection gives a row with an equality ``clip(v + s)``
+    for one shift ``s``, whose sum is the target where the box reaches it
+    and the nearer end of the box where it does not; other rows are clipped."""
+    from oracle import _project_rows_to_energy
+
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        rows, n = rng.integers(1, 5), rng.integers(1, 7)
+        lo = rng.uniform(0, 3, (rows, n)) * (rng.random((rows, n)) < 0.5)
+        hi = lo + rng.uniform(0, 22, (rows, n)) * (rng.random((rows, n)) < 0.9)
+        point = rng.normal(0, 30, (rows, n))
+        targets = rng.uniform(lo.sum(1) - 1, hi.sum(1) + 1)
+        eq_rows = rng.random(rows) < 0.8
+        out = _project_rows_to_energy(point, lo, hi, targets, eq_rows)
+        assert np.all((lo <= out) & (out <= hi))
+        for i in range(rows):
+            if not eq_rows[i]:
+                assert np.array_equal(out[i], np.clip(point[i], lo[i], hi[i]))
+                continue
+            reach = np.clip(targets[i], lo[i].sum(), hi[i].sum())
+            assert abs(out[i].sum() - reach) <= 1e-12 * max(1.0, abs(targets[i]))
+            free = (lo[i] < out[i]) & (out[i] < hi[i])
+            if free.any():
+                shift = out[i][free] - point[i][free]
+                assert np.ptp(shift) <= 1e-9
+                np.testing.assert_allclose(
+                    out[i], np.clip(point[i] + shift.mean(), lo[i], hi[i]), rtol=0, atol=1e-9
+                )

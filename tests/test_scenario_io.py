@@ -252,6 +252,35 @@ def test_a_decoding_error_after_a_mark_counts_the_mark():
     assert f"position {len(text)}:" in str(info.value)
 
 
+# The characters other than line feed and carriage return at which
+# str.splitlines breaks a line.
+OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", OTHER_BREAKS, ids=[f"U+{ord(c):04X}" for c in OTHER_BREAKS])
+def test_a_comment_may_hold_any_character(char):
+    """Only a line feed or a carriage return ends a line: a page break in a
+    comment leaves the file as it was, and a later error keeps its line.  A
+    vehicle id still may not hold the character, which evs.csv would split."""
+    text = (SCENARIO_DIR / "small.scenario").read_text()
+    commented = f"# page{char}break, see: notes\n" + text.split("\n", 1)[1]
+    assert parse_scenario(commented) == parse_scenario(text)
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(commented.replace("num_slots = 2", "num_slots = x"))
+    assert str(info.value) == "line 4: cannot parse 'x' as int"
+    with pytest.raises(ScenarioFormatError, match="^line 22: ev.id must be non-empty"):
+        parse_scenario(commented.replace("id = a", f"id = a{char}b"))
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_carriage_returns_end_lines_as_line_feeds_do(ending):
+    text = (SCENARIO_DIR / "small.scenario").read_text()
+    assert parse_scenario(text.replace("\n", ending)) == parse_scenario(text)
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(text.replace("num_slots = 2", "num_slots = x").replace("\n", ending))
+    assert str(info.value) == "line 4: cannot parse 'x' as int"
+
+
 def test_a_parsed_vehicle_is_the_one_its_constructor_builds():
     """Parsing fills a new session's ``__dict__`` instead of calling the frozen
     constructor, which holds only while the class has no ``__post_init__``
