@@ -29,7 +29,6 @@ from .scenario_io import (
     ENTRIES,
     SECTIONS,
     Scenario,
-    ScenarioFormatError,
     format_number,
     parse_scenario,
     parse_value,
@@ -185,9 +184,6 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.handler(args)
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ScenarioValidationError as exc:
         print(f"error: invalid scenario\n{exc}", file=sys.stderr)
         return 1

@@ -276,11 +276,11 @@ class ScenarioValidationError(ValueError):
 _MAX = sys.float_info.max  # the largest float
 
 
-def finite(*values) -> bool:
-    """Whether each number lies within +-the largest float: NaN, +-inf and an
+def finite(value) -> bool:
+    """Whether a number lies within +-the largest float: NaN, +-inf and an
     integer too large for a float fail, and no comparison raises.  After a
     sign test, an inline ``<= _MAX`` is the same test."""
-    return all(-_MAX <= value <= _MAX for value in values)
+    return -_MAX <= value <= _MAX
 
 
 def finite_or_inf(value: float) -> str | None:
@@ -347,7 +347,7 @@ def loop_problems(solver: SolverConfig) -> list[str]:
         out.append("step_size must be positive")
     if not solver.balance_tolerance > 0:
         out.append("balance_tolerance must be positive")
-    if not finite(solver.step_size, solver.balance_tolerance):
+    if not (solver.step_size <= _MAX and solver.balance_tolerance <= _MAX):
         out.append("step_size and balance_tolerance must be finite")
     if not _integral(solver.max_iterations):
         out.append("max_iterations must be an integer")
@@ -361,7 +361,7 @@ def loop_problems(solver: SolverConfig) -> list[str]:
         out.append("kkt_tolerance must be positive")
     if not solver.energy_tolerance > 0:
         out.append("energy_tolerance must be positive")
-    if not finite(solver.kkt_tolerance, solver.energy_tolerance):
+    if not (solver.kkt_tolerance <= _MAX and solver.energy_tolerance <= _MAX):
         out.append("kkt_tolerance and energy_tolerance must be finite")
     return out
 
@@ -453,7 +453,7 @@ def _violations(scenario) -> list[str]:
         out.append(f"grid: num_slots {problem}")
     if not grid.slot_minutes > 0:
         out.append("grid: slot_minutes must be positive")
-    elif not finite(grid.slot_minutes):
+    elif not grid.slot_minutes <= _MAX:
         out.append("grid: slot_minutes must be finite")
     elif (hours := grid.slot_hours) == 0:
         out.append("grid: slot_minutes must be positive in hours")
@@ -465,7 +465,7 @@ def _violations(scenario) -> list[str]:
         out.append("dso: power_min above power_max")
     elif problem := finite_or_inf(dso.power_max):
         out.append(f"dso: power_max {problem}")
-    if not finite(dso.cost_quadratic, dso.cost_linear, dso.power_min):
+    if not all(map(finite, (dso.cost_quadratic, dso.cost_linear, dso.power_min))):
         out.append("dso: quadratic_cost, linear_cost and power_min must be finite")
 
     storage = scenario.storage
@@ -485,8 +485,8 @@ def _violations(scenario) -> list[str]:
                 "storage: tracking not strictly convex "
                 "(tracking_weight must be positive when the power bounds differ)"
             )
-        if not finite(storage.power_min, storage.power_max, storage.energy_initial,
-                      storage.energy_reference, storage.tracking_weight):
+        if not all(map(finite, (storage.power_min, storage.power_max, storage.energy_initial,
+                                storage.energy_reference, storage.tracking_weight))):
             out.append("storage: power bounds, energies and tracking_weight must be finite")
 
     solver = scenario.solver

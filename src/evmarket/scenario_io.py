@@ -408,8 +408,8 @@ def resolve_sessions(scenario: Scenario) -> tuple[EVSession, ...]:
     accepts the scenario, which refuses an explicit id the fleet generates."""
     if scenario.fleet is None:
         return scenario.evs
-    return scenario.evs + generate_evs(
-        scenario.fleet.count, scenario.grid, scenario.fleet, scenario.seed)
+    generated = generate_evs(scenario.fleet.count, scenario.grid, scenario.fleet, scenario.seed)
+    return scenario.evs + generated
 
 
 # From this magnitude on a float's spacing passes 0.1, and numbers are
