@@ -36,6 +36,8 @@ __all__ = [
     "validate_scenario",
 ]
 
+_MAX = sys.float_info.max  # the largest float
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -273,19 +275,14 @@ class ScenarioValidationError(ValueError):
         self.report = report
 
 
-_MAX = sys.float_info.max  # the largest float
-
-
 def finite(value) -> bool:
-    """Whether a number lies within +-the largest float: NaN, +-inf and an
-    integer too large for a float fail, and no comparison raises.  After a
-    sign test, an inline ``<= _MAX`` is the same test."""
+    """Whether a number lies within +-the largest float (so NaN, +-inf and
+    ``10**400`` fail, and nothing raises); after a sign test, ``<= _MAX``."""
     return -_MAX <= value <= _MAX
 
 
 def finite_or_inf(value: float) -> str | None:
-    """What is wrong with ``dso.power_max``, else None: its schema row and
-    :func:`validate_scenario` both check it with this rule."""
+    """What is wrong with ``dso.power_max``, else None (its row's and the validator's rule)."""
     return None if finite(value) or value == inf else "must be finite or inf"
 
 
@@ -505,8 +502,7 @@ def _violations(scenario) -> list[str]:
             out.append("fleet: count must be nonnegative")
         elif problem := at_most(MAX_FLEET)(fleet.count):
             out.append(f"fleet: count {problem}")
-        elif _integral(fleet.count) and scenario.evs:
-            explicit = {ev.ev_id for ev in scenario.evs}
+        elif _integral(fleet.count) and (explicit := {ev.ev_id for ev in scenario.evs}):
             out += [f"ev {ev_id}: duplicate id (the fleet generates it too)"
                     for ev_id in map(fleet_id, range(1, fleet.count + 1)) if ev_id in explicit]
         _check_box(fleet, "fleet", out, hours)

@@ -266,8 +266,8 @@ def run(scenario: Scenario, policy=negotiated) -> SimulationTrace:
     """Simulate the whole horizon of ``scenario``, each slot settled by
     ``policy`` (see :func:`step`): negotiated prices by default, or
     :func:`uncontrolled` for the maximum-power baseline.  Every command that
-    simulates validates the scenario here, and only here, with the one
-    validator, before its sessions are resolved."""
+    simulates validates the scenario here, and only here, before resolving
+    its sessions."""
     report = validate_scenario(scenario)
     if not report.ok:
         raise ScenarioValidationError(report)

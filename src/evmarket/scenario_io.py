@@ -1,8 +1,7 @@
 """Scenario files, seeded fleet generation and trace serialization.
 
 Scenario files are a small key/value tree, UTF-8 (one leading byte-order
-mark is dropped), one entry per line.  Only a line feed, a carriage return or
-the two in turn end a line, so a comment may hold any other character::
+mark is dropped), one entry per line; only LF, CR and CRLF end a line::
 
     # comment
     grid:
@@ -406,10 +405,9 @@ def resolve_sessions(scenario: Scenario) -> tuple[EVSession, ...]:
     """Explicit sessions plus the generated fleet, in deterministic order;
     their ids are distinct once :func:`~evmarket.model.validate_scenario`
     accepts the scenario, which refuses an explicit id the fleet generates."""
-    if scenario.fleet is None:
+    if (fleet := scenario.fleet) is None:
         return scenario.evs
-    generated = generate_evs(scenario.fleet.count, scenario.grid, scenario.fleet, scenario.seed)
-    return scenario.evs + generated
+    return scenario.evs + generate_evs(fleet.count, scenario.grid, fleet, scenario.seed)
 
 
 # From this magnitude on a float's spacing passes 0.1, and numbers are
@@ -425,7 +423,6 @@ def format_number(x: float, decimals: int = 6) -> str:
     sign, so round-off in a sign never moves a byte."""
     text = ("%.*f" if -_EXPONENT_FROM < x < _EXPONENT_FROM else "%.*e") % (decimals, x)
     return text if text[0] != "-" or text.strip("-0.") else text[1:]
-
 
 
 # Each table's columns: the header and the function that prints a row's cell
