@@ -37,7 +37,7 @@ from typing import Sequence
 from .dso_agent import ConvergenceError, DSOSolution, DSOSubproblem, solve_dso
 from .ev_agent import EVBatchWorkspace, EVSolution
 from .model import EVSession, SolverConfig
-from .model import loop_problems
+from .model import finite, loop_problems
 
 __all__ = [
     "DualIterationState",
@@ -201,7 +201,7 @@ def negotiate_slot(
     for problem in loop_problems(solver):
         raise ValueError(problem)
     prices = dso_sub.window.price_list(start)
-    if not all(0.0 <= price < math.inf for price in prices):
+    if not all(0.0 <= price and finite(price) for price in prices):
         raise ValueError(f"start prices must be finite and nonnegative, not {prices}")
     tolerance, hours = solver.balance_tolerance, dso_sub.window.slot_hours
     cap, step, inf = solver.max_iterations, solver.step_size, math.inf

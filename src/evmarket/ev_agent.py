@@ -62,7 +62,7 @@ import numpy as np
 
 from .model import EVSession, SolverConfig, TimeGrid
 
-__all__ = ["EVSolution", "EVBatchSolution", "utility", "solve_ev", "solve_ev_batch"]
+__all__ = ["EVSolution", "EVBatchSolution", "EVBatchWorkspace", "solve_ev", "solve_ev_batch"]
 
 # Size rule for the scalar kernel.  Its row sums run left to right, which is
 # NumPy's order only for rows of at most seven entries.  Its cost grows with
@@ -113,13 +113,6 @@ class EVSolution:
     @property
     def feasible(self) -> bool:
         return bool(self._batch.flags[self._index])
-
-
-def utility(power: float, weight: float) -> float:
-    """Charging satisfaction ``weight * ln(1 + power)``: concave, increasing, 0 at 0."""
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    return weight * math.log(1.0 + power)
 
 
 @dataclass(eq=False)

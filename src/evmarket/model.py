@@ -59,17 +59,14 @@ class TimeGrid:
             raise ValueError("slot duration must be positive and finite")
 
     @property
-    def slots(self) -> range:
-        return range(self.start, self.start + self.length)
-
-    @property
     def end(self) -> int:
         return self.start + self.length
 
     def price_list(self, prices) -> list[float]:
-        """The window's price list as floats, the one length rule of both
-        agents: a list of floats is kept as it is, anything else is converted
-        once, and another length than the window's raises ``ValueError``."""
+        """The window's price list, the one length rule of both agents: any
+        list is kept as it is, its entries unconverted, anything else is
+        converted once to a list of floats, and another length than the
+        window's raises ``ValueError``."""
         prices = prices if type(prices) is list else np.asarray(prices, dtype=float).tolist()
         if len(prices) != self.length:
             raise ValueError("price list length must equal the window length")

@@ -7,9 +7,9 @@ and the negotiation's settings from the :class:`~evmarket.scenario_io.Scenario`
 itself.  Two policies share that step, and :func:`run` drives a day with
 either.  :func:`negotiated` is the market: it builds the prediction window
 up to the latest departure among active vehicles and negotiates prices for
-the whole window, starting from the price list the previous slot settled
-at.  Only that list and the agents' own states cross from one slot to the
-next.  :func:`uncontrolled` is the baseline: maximum power at price 0.
+the whole window, starting flat at the first price the previous slot
+settled at.  Only that price and the agents' own states reach the next
+slot.  :func:`uncontrolled` is the baseline: maximum power at price 0.
 
 Prices inside the loop are per kW-slot; they are converted back to euro cent
 per kWh when recorded, so traces carry scenario units.

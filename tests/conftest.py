@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -26,6 +27,16 @@ TABLE1_DSO = DSOSpec(cost_quadratic=0.06, cost_linear=0.9, power_min=0.0, power_
 TABLE1_STORAGE = StorageSpec(
     power_min=-100.0, power_max=100.0, energy_initial=100.0, energy_reference=100.0
 )
+
+_BRANCH = st.integers(0, 1)
+
+
+def one_of(draw, first, second):
+    """What ``draw(st.one_of(first, second))`` draws, from the same choices
+    (the branch index, then the branch's own), without the filtered
+    strategy that ``st.one_of`` builds at every draw: the batch strategies
+    draw their vehicles' fields this way, each batch in one composite draw."""
+    return draw(second) if draw(_BRANCH) else draw(first)
 
 
 @pytest.fixture(scope="session")

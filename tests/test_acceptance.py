@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evmarket import (
     DSOSubproblem,
@@ -80,6 +82,43 @@ def _negotiate_instance(sessions, window):
     return negotiate_slot(sessions, dso_sub, [warm] * window.length)
 
 
+def _a1_measures(sessions, window):
+    """A1's measures on one instance: whether the slot converged, the
+    welfare gap to the oracle, the worst residual, whether weak duality
+    brackets the optimum (D >= W* >= W), and how far the gap the supplier
+    reports is from D - W, relative to W."""
+    result = _negotiate_instance(sessions, window)
+    central = solve_central(
+        CentralProblem(
+            sessions=sessions,
+            dso=TABLE1_DSO,
+            storage=TABLE1_STORAGE,
+            energy_now=TABLE1_STORAGE.energy_initial,
+            window=window,
+        )
+    )
+    # evaluate the recovered feasible point: balance is enforced by
+    # substituting generation with total demand, exactly as the
+    # centralized solver does
+    negotiated = welfare(
+        [(s, sol.power) for s, sol in zip(sessions, result.ev_solutions)],
+        result.demand_values,
+        result.dso_solution.storage_values,
+        TABLE1_DSO,
+        TABLE1_STORAGE,
+        TABLE1_STORAGE.energy_initial,
+        window,
+    )
+    dual = result.dual_value
+    return (
+        result.converged,
+        abs(negotiated - central.welfare) / abs(central.welfare),
+        float(np.abs(result.residual_values).max()),
+        dual >= central.welfare >= negotiated,
+        abs(dual - negotiated - result.duality_gap) / abs(negotiated),
+    )
+
+
 def test_a1_oracle_equivalence():
     rng = np.random.default_rng(20260808)
     start = time.perf_counter()
@@ -87,38 +126,12 @@ def test_a1_oracle_equivalence():
     worst_residual = 0.0
     bracketed, gap_error = True, 0.0
     for _ in range(25):
-        sessions, window = _random_instance(rng)
-        result = _negotiate_instance(sessions, window)
-        assert result.converged
-        central = solve_central(
-            CentralProblem(
-                sessions=sessions,
-                dso=TABLE1_DSO,
-                storage=TABLE1_STORAGE,
-                energy_now=TABLE1_STORAGE.energy_initial,
-                window=window,
-            )
-        )
-        # evaluate the recovered feasible point: balance is enforced by
-        # substituting generation with total demand, exactly as the
-        # centralized solver does
-        negotiated = welfare(
-            [(s, sol.power) for s, sol in zip(sessions, result.ev_solutions)],
-            result.demand_values,
-            result.dso_solution.storage_values,
-            TABLE1_DSO,
-            TABLE1_STORAGE,
-            TABLE1_STORAGE.energy_initial,
-            window,
-        )
-        gap = abs(negotiated - central.welfare) / abs(central.welfare)
+        converged, gap, residual, brackets, error = _a1_measures(*_random_instance(rng))
+        assert converged
         worst_gap = max(worst_gap, gap)
-        worst_residual = max(worst_residual, float(np.abs(result.residual_values).max()))
-        # Weak duality brackets the optimum: D >= W* >= W, and the gap the
-        # supplier reports is D - W.
-        dual = result.dual_value
-        bracketed = bracketed and dual >= central.welfare >= negotiated
-        gap_error = max(gap_error, abs(dual - negotiated - result.duality_gap) / abs(negotiated))
+        worst_residual = max(worst_residual, residual)
+        bracketed = bracketed and brackets
+        gap_error = max(gap_error, error)
     elapsed = time.perf_counter() - start
     ok = worst_gap <= 0.01 and worst_residual <= 0.1 and bracketed and gap_error <= 1e-12
     report(
@@ -128,6 +141,21 @@ def test_a1_oracle_equivalence():
         f"max residual {worst_residual:.3f} kW, D >= W* >= W {bracketed}, "
         f"reported gap off by {gap_error:.1e}, {elapsed:.1f} s",
     )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a1_holds_on_drawn_instances(seed):
+    """A1's five checks on each of 40 more instances of its generator, one
+    per drawn seed (derandomized, so the suite stays deterministic)."""
+    converged, gap, residual, bracketed, gap_error = _a1_measures(
+        *_random_instance(np.random.default_rng(seed))
+    )
+    assert converged
+    assert gap <= 0.01
+    assert residual <= 0.1
+    assert bracketed
+    assert gap_error <= 1e-12
 
 
 def test_a2_driver_satisfaction(table1_run):

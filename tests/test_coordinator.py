@@ -169,6 +169,7 @@ REFUSED_STARTS = {
     "inf": ([1.0, math.inf], "finite and nonnegative"),
     "-inf": ([-math.inf, 1.0], "finite and nonnegative"),
     "negative": ([1.0, -3.0], "finite and nonnegative"),
+    "past the float range": ([10**400, 1.0], "finite and nonnegative"),
     "short": ([1.0], "length must equal the window length"),
     "long": ([1.0] * 3, "length must equal the window length"),
 }

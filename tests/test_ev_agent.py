@@ -1,32 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
-from evmarket import SolverConfig, TimeGrid, solve_ev, solve_ev_batch, utility
-from evmarket.ev_agent import EVBatchWorkspace, stationarity_residual
+from evmarket import EVBatchWorkspace, SolverConfig, TimeGrid, solve_ev, solve_ev_batch
+from evmarket.ev_agent import stationarity_residual
 
 from bruteforce import ev_bruteforce, ev_objective
 from conftest import SLOT_HOURS, assert_identical, make_session, make_vehicle, random_vehicle
-
-
-def test_utility_values():
-    assert utility(0.0, 10.0) == 0.0
-    assert utility(math.e - 1.0, 10.0) == pytest.approx(10.0, abs=1e-12)
-    assert utility(22.0, 10.0) == pytest.approx(10.0 * math.log(23.0), abs=1e-12)
-
-
-def test_utility_rejects_negative_power():
-    with pytest.raises(ValueError):
-        utility(-0.5, 10.0)
-
-
-def test_utility_concave_increasing():
-    grid = np.linspace(0.0, 40.0, 200)
-    vals = np.array([utility(p, 7.0) for p in grid])
-    diffs = np.diff(vals)
-    assert np.all(diffs >= 0)
-    assert np.all(np.diff(diffs) <= 1e-12)
 
 
 def test_zero_requirement_charges_nothing():

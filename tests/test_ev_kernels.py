@@ -3,6 +3,7 @@ window price list, from the even spread or from the tangent prediction off a
 previous solution (a previous solution with every slot on a bound starts each
 vehicle exactly at its multiplier), and ``EVBatchWorkspace.solve`` sends each
 batch to the kernel its size rule names."""
+import functools
 import math
 
 import numpy as np
@@ -13,28 +14,43 @@ from hypothesis import strategies as st
 from evmarket import TimeGrid, ev_agent
 from evmarket.ev_agent import EVBatchSolution, EVBatchWorkspace, solve_ev_batch
 
-from conftest import SLOT_HOURS, assert_identical, make_session, make_vehicle, start_at, window_of
+from conftest import (
+    SLOT_HOURS, assert_identical, make_session, make_vehicle, one_of, start_at, window_of,
+)
 
 # Where the requirement sits relative to the energy the box can deliver.
 NEEDS = ("zero", "interior", "full", "floor", "over", "under")
 
 
-PRICE = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
+PRICE = (st.just(0.0), st.floats(0.0, 8.0))
+POWER_MIN = (st.just(0.0), st.floats(0.1, 5.0))
+SPAN = st.floats(0.5, 30.0)
+LOSS = (st.just(0.0), st.floats(0.0, 0.3))
+# Small weights with wide boxes put the saturation bound where some
+# effective prices q are nonpositive.
+WEIGHT = (st.floats(0.01, 0.2), st.floats(0.5, 20.0))
+SHARE = st.floats(0.01, 0.99)
+NEED = st.sampled_from(NEEDS)
 
 
+def prices(draw, width):
+    """A window list of ``width`` prices, each zero or in [0, 8]."""
+    return [one_of(draw, *PRICE) for _ in range(width)]
+
+
+@functools.cache
 @st.composite
 def vehicles(draw, width):
-    """One vehicle departing within ``width`` slots of slot 0."""
+    """One vehicle departing within ``width`` slots of slot 0 (one strategy
+    per width, built once)."""
     n = draw(st.integers(1, width))
-    power_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 5.0)))
-    power_max = power_min + draw(st.floats(0.5, 30.0))
-    loss = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
-    # Small weights with wide boxes put the saturation bound where some
-    # effective prices q are nonpositive.
-    weight = draw(st.one_of(st.floats(0.01, 0.2), st.floats(0.5, 20.0)))
+    power_min = one_of(draw, *POWER_MIN)
+    power_max = power_min + draw(SPAN)
+    loss = one_of(draw, *LOSS)
+    weight = one_of(draw, *WEIGHT)
     rate = (1.0 - loss) * SLOT_HOURS
     floor, cap = rate * power_min * n, rate * power_max * n
-    share = draw(st.floats(0.01, 0.99))
+    share = draw(SHARE)
     energy = {
         "zero": 0.0,
         "interior": floor + share * (cap - floor),
@@ -42,7 +58,7 @@ def vehicles(draw, width):
         "floor": floor,
         "over": cap * (1.0 + share) + 0.01,
         "under": floor * share,
-    }[draw(st.sampled_from(NEEDS))]
+    }[draw(NEED)]
     return make_session(
         departure=n,
         power_min=power_min,
@@ -58,7 +74,7 @@ def batches(draw):
     """A workspace loaded with the window list the coordinator broadcasts,
     which may be longer than every stay."""
     width = draw(st.integers(1, 7))
-    window = draw(st.lists(PRICE, min_size=width, max_size=width))
+    window = prices(draw, width)
     sessions = draw(st.lists(vehicles(width), min_size=1, max_size=8))
     ws = EVBatchWorkspace(sessions, TimeGrid(0, width, SLOT_HOURS))
     ws.load_prices(window)
@@ -143,7 +159,7 @@ def short_stays(draw):
     width = draw(st.integers(2, 12))
     first = draw(vehicles(width - 1))
     sessions = [first, *draw(st.lists(vehicles(width), min_size=1, max_size=30))]
-    before, now = (draw(st.lists(PRICE, min_size=width, max_size=width)) for _ in range(2))
+    before, now = (prices(draw, width) for _ in range(2))
     return sessions, TimeGrid(0, width, SLOT_HOURS), before, now
 
 

@@ -11,12 +11,17 @@ from hypothesis import strategies as st
 from evmarket import TimeGrid, ev_agent
 from evmarket.ev_agent import EVBatchWorkspace
 
-from conftest import SLOT_HOURS, assert_identical, make_session, start_at
+from conftest import SLOT_HOURS, assert_identical, make_session, one_of, start_at
 
 # Price and weight scales: the certificate's bound, 2**40 rates, is about
 # 2.7e11 cent per kWh at 15-minute slots, so the first two keep |mu * rate|
 # and the clamp prices below it and the rest carry them above it.
 SCALES = (1.0, 1e10, 1e11, 1e12, 1e13, 1e15, 1e100, 1e300)
+POWER_MIN = (st.just(0.0), st.floats(0.1, 5.0))
+SPAN = st.floats(0.5, 30.0)
+LOSS = (st.just(0.0), st.floats(0.0, 0.3))
+SHARE = st.floats(0.05, 0.95)
+WEIGHT = st.floats(0.5, 20.0)
 
 
 @st.composite
@@ -27,21 +32,22 @@ def batches(draw):
     width = draw(st.integers(1, 7))
     scale = draw(st.sampled_from(SCALES))
     weight_scale = draw(st.sampled_from((scale, scale, 1.0)))
+    stays = st.integers(1, width)
     sessions = []
     for k in range(draw(st.integers(1, 8))):
-        n = draw(st.integers(1, width))
-        power_min = draw(st.one_of(st.just(0.0), st.floats(0.1, 5.0)))
-        power_max = power_min + draw(st.floats(0.5, 30.0))
-        loss = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
+        n = draw(stays)
+        power_min = one_of(draw, *POWER_MIN)
+        power_max = power_min + draw(SPAN)
+        loss = one_of(draw, *LOSS)
         rate = (1.0 - loss) * SLOT_HOURS
-        share = draw(st.floats(0.05, 0.95))
+        share = draw(SHARE)
         sessions.append(
             make_session(
                 ev_id=f"ev{k}",
                 departure=n,
                 power_min=power_min,
                 power_max=power_max,
-                weight=weight_scale * draw(st.floats(0.5, 20.0)),
+                weight=weight_scale * draw(WEIGHT),
                 loss_fraction=loss,
                 energy=rate * n * (power_min + share * (power_max - power_min)),
             )

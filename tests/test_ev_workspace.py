@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from evmarket import DSOSubproblem, StorageSpec, TimeGrid, ev_agent, negotiate_slot
 from evmarket.ev_agent import EVBatchWorkspace, solve_ev_batch
 
-from conftest import SLOT_HOURS, TABLE1_DSO, make_session
+from conftest import SLOT_HOURS, TABLE1_DSO, make_session, one_of
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -75,29 +75,32 @@ HOURS = st.one_of(
     st.sampled_from([SLOT_HOURS, 1.0, 1e-160, 1e-300, 1e-310, 5e-324, 1e160, 1e300, 1.7e308]),
     st.floats(5e-324, 1.7e308),
 )
-LOSS = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+LOSS = (st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+POWER_MIN = (st.sampled_from([0.0, -0.0]), st.floats(0.0, 50.0))
+SPAN = (st.just(0.0), st.floats(0.0, 50.0))
+WEIGHT = (st.floats(0.01, 20.0), st.sampled_from([5e-324, 1e-300, 1e300]))
+TOLERANCE = st.sampled_from([0.0, 1e-6, 1e-3])
+SHARE = st.floats(0.0, 1.0)
+FACE = st.sampled_from(range(10))
 
 
-@st.composite
-def vehicle(draw, width, hours):
-    """A vehicle of a window of ``width`` slots of ``hours``, its requirement
-    on or near a box face (within the tolerance or not), inside the box,
-    beyond it, or zero of either sign."""
-    n = draw(st.integers(1, width))
-    power_min = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 50.0)))
-    power_max = power_min + draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
-    loss = draw(LOSS)
-    weight = draw(st.one_of(st.floats(0.01, 20.0), st.sampled_from([5e-324, 1e-300, 1e300])))
+def vehicle(draw, stays, hours):
+    """A vehicle staying ``stays`` slots of ``hours``, its requirement on or
+    near a box face (within the tolerance or not), inside the box, beyond
+    it, or zero of either sign."""
+    n = draw(stays)
+    power_min = one_of(draw, *POWER_MIN)
+    power_max = power_min + one_of(draw, *SPAN)
+    loss = one_of(draw, *LOSS)
+    weight = one_of(draw, *WEIGHT)
     rate = (1.0 - loss) * hours
     floor, cap = rate * power_min * n, rate * power_max * n
-    tol = draw(st.sampled_from([0.0, 1e-6, 1e-3]))
-    share = draw(st.floats(0.0, 1.0))
-    energy = draw(
-        st.sampled_from([
-            0.0, -0.0, floor, cap, floor + tol, floor - tol, cap + tol, cap - tol,
-            floor + share * (cap - floor), 2.0 * cap + 1.0,
-        ])
-    )
+    tol = draw(TOLERANCE)
+    share = draw(SHARE)
+    energy = (
+        0.0, -0.0, floor, cap, floor + tol, floor - tol, cap + tol, cap - tol,
+        floor + share * (cap - floor), 2.0 * cap + 1.0,
+    )[draw(FACE)]
     return make_session(
         departure=n,
         power_min=power_min,
@@ -119,7 +122,8 @@ def batches(draw):
         width = draw(st.integers(ev_agent._SCALAR_WIDTH + 1, 12))
         count = draw(st.integers(1, 40))
     hours = draw(HOURS)
-    sessions = draw(st.lists(vehicle(width, hours), min_size=count, max_size=count))
+    stays = st.integers(1, width)
+    sessions = [vehicle(draw, stays, hours) for _ in range(count)]
     tolerance = draw(st.sampled_from([1e-6, 1e-3, 0.0]))
     return sessions, TimeGrid(0, width, hours), tolerance
 

@@ -1,16 +1,28 @@
-"""The README documents the code as it is: its scenario example parses with
-the solver defaults it shows, and its trace column lists are the headers
-that ``write_trace`` writes."""
+"""The README documents the code as it is: every call its API paragraph
+names is a name of ``evmarket``, its scenario example parses with the solver
+defaults it shows, and its trace column lists are the headers that
+``write_trace`` writes."""
 import re
 from pathlib import Path
 
 import pytest
 
+import evmarket
 from evmarket import SolverConfig, parse_scenario, run, write_trace
 
 from conftest import SCENARIO_DIR
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_api_paragraph_calls_resolve():
+    paragraph = README.split("`import evmarket` exports", 1)[1].split("\n## ", 1)[0]
+    calls = re.findall(r"`(\w+)\(", paragraph)
+    assert set(calls) == {
+        "solve_dso", "solve_ev_batch", "solve_ev", "EVBatchWorkspace",
+        "TimeGrid", "evaluate_dual", "negotiate_slot",
+    }
+    assert [name for name in calls if not hasattr(evmarket, name)] == []
 
 
 def scenario_example() -> str:
